@@ -14,17 +14,6 @@
 #include "dp/laplace_mechanism.h"
 
 namespace prc::dp {
-namespace {
-
-std::size_t max_node_data_count(const iot::BaseStation& station) {
-  std::size_t max_count = 0;
-  for (const auto& view : station.node_views()) {
-    max_count = std::max(max_count, view.data_count);
-  }
-  return max_count;
-}
-
-}  // namespace
 
 PrivateRangeCounter::PrivateRangeCounter(iot::SamplingNetwork& network,
                                          PrivateCounterConfig config,
@@ -63,7 +52,7 @@ PerturbationPlan PrivateRangeCounter::ensure_feasible_plan(
     const double p_eff = cov.min_probability;
     if (p_eff > 0.0) {
       auto plan = optimizer_.optimize(
-          spec, p_eff, k, n, max_node_data_count(network_.base_station()));
+          spec, p_eff, k, n, network_.base_station().max_node_data_count());
       if (plan) {
         if (cov.max_probability > p_eff) {
           // Privacy amplification is per node and weakest for the MOST
@@ -174,7 +163,7 @@ query::AccuracySpec PrivateRangeCounter::degraded_spec(
   query::AccuracySpec spec = requested;
   for (;;) {
     const auto plan = optimizer_.optimize(
-        spec, p_eff, k, n, max_node_data_count(network_.base_station()));
+        spec, p_eff, k, n, network_.base_station().max_node_data_count());
     if (plan) return spec;
     if (spec.alpha >= 1.0) {
       throw CoverageError(
@@ -198,7 +187,7 @@ PerturbationPlan PrivateRangeCounter::plan_for(
                                               config_.probability_headroom));
   for (;;) {
     const auto plan = optimizer_.optimize(
-        spec, p, k, n, max_node_data_count(network_.base_station()));
+        spec, p, k, n, network_.base_station().max_node_data_count());
     if (plan) return *plan;
     if (p >= 1.0) {
       throw std::runtime_error(

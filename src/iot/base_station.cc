@@ -62,7 +62,7 @@ std::size_t BaseStation::total_data_count_locked() const {
 std::size_t BaseStation::cached_sample_count() const noexcept {
   std::lock_guard<std::mutex> lock(mutex_);
   std::size_t total = 0;
-  for (const auto& entry : entries_) total += entry.samples.size();
+  for (const auto& entry : entries_) total += entry.samples->size();
   return total;
 }
 
@@ -74,6 +74,15 @@ double BaseStation::node_probability(std::size_t node) const {
 bool BaseStation::node_reported(std::size_t node) const {
   std::lock_guard<std::mutex> lock(mutex_);
   return entries_.at(node).reported;
+}
+
+std::size_t BaseStation::max_node_data_count() const noexcept {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::size_t max_count = 0;
+  for (const auto& entry : entries_) {
+    max_count = std::max(max_count, entry.data_count);
+  }
+  return max_count;
 }
 
 std::vector<double> BaseStation::node_probabilities() const {
@@ -126,6 +135,23 @@ CoverageSummary BaseStation::coverage_locked() const {
   return summary;
 }
 
+std::optional<RoundReport> BaseStation::noop_round_report(double p) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (p > p_) return std::nullopt;
+  RoundReport report;
+  report.target_p = p;
+  report.outcomes.assign(entries_.size(), NodeOutcome::kDelivered);
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    if (entries_[i].probability >= p) continue;
+    report.outcomes[i] =
+        entries_[i].reported ? NodeOutcome::kStale : NodeOutcome::kOffline;
+  }
+  const CoverageSummary cov = coverage_locked();
+  report.coverage = cov.coverage;
+  report.min_probability = cov.min_probability;
+  return report;
+}
+
 void BaseStation::ingest(const SampleReport& report) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (report.node_id < 0 ||
@@ -136,7 +162,10 @@ void BaseStation::ingest(const SampleReport& report) {
   entry.data_count = report.data_count;
   entry.reported = true;
   if (!report.new_samples.empty()) {
-    entry.samples.merge(sampling::RankSampleSet(report.new_samples));
+    // Merge into a fresh set and swap the pointer: snapshots holding the
+    // old set keep reading it unchanged.
+    entry.samples = std::make_shared<const sampling::RankSampleSet>(
+        *entry.samples, sampling::RankSampleSet(report.new_samples));
   }
   telemetry::counter("iot.station.reports_ingested").increment();
 }
@@ -154,7 +183,8 @@ void BaseStation::replace_locked(const SampleReport& full_report) {
   auto& entry = entries_[static_cast<std::size_t>(full_report.node_id)];
   entry.data_count = full_report.data_count;
   entry.reported = true;
-  entry.samples = sampling::RankSampleSet(full_report.new_samples);
+  entry.samples =
+      std::make_shared<const sampling::RankSampleSet>(full_report.new_samples);
   telemetry::counter("iot.station.cache_replacements").increment();
 }
 
@@ -185,7 +215,7 @@ void BaseStation::commit_round_locked(double p,
     if (refreshed[i]) {
       entries_[i].probability = std::max(entries_[i].probability, p);
     }
-    cached += entries_[i].samples.size();
+    cached += entries_[i].samples->size();
   }
   telemetry::counter("iot.station.rounds_committed").increment();
   telemetry::gauge("iot.station.cached_samples")
@@ -203,50 +233,43 @@ std::vector<estimator::NodeSampleView> BaseStation::node_views_locked() const {
   views.reserve(entries_.size());
   for (const auto& entry : entries_) {
     views.push_back(
-        estimator::NodeSampleView{&entry.samples, entry.data_count});
+        estimator::NodeSampleView{entry.samples.get(), entry.data_count});
   }
   return views;
 }
 
-std::vector<estimator::NodeSampleView> BaseStation::EstimateSnapshot::views()
-    const {
-  std::vector<estimator::NodeSampleView> views;
-  views.reserve(samples.size());
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    views.push_back(estimator::NodeSampleView{&samples[i], data_counts[i]});
-  }
-  return views;
-}
-
-BaseStation::EstimateSnapshot BaseStation::estimate_snapshot() const {
+EstimateSnapshot BaseStation::estimate_snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   PRC_CHECK(p_ > 0.0) << "no sampling round committed yet";
   EstimateSnapshot snap;
   snap.samples.reserve(entries_.size());
-  snap.data_counts.reserve(entries_.size());
-  for (const auto& entry : entries_) {
-    snap.samples.push_back(entry.samples);
-    snap.data_counts.push_back(entry.data_count);
-  }
+  for (const auto& entry : entries_) snap.samples.push_back(entry.samples);
+  snap.views = node_views_locked();
   snap.probabilities = node_probabilities_locked();
   return snap;
 }
 
+// Stage under the lock, estimate outside it: the chunked estimator fans out
+// across the shared pool, and holding mutex_ across that fan-out would
+// queue every report ingestion behind query latency.
 double BaseStation::rank_counting_estimate(
     const query::RangeQuery& range) const {
-  // Stage under the lock, estimate outside it: the chunked estimator fans
-  // out across the shared pool, and holding mutex_ across that fan-out
-  // would queue every report ingestion behind query latency.
-  const EstimateSnapshot snap = estimate_snapshot();
-  return estimator::rank_counting_estimate(snap.views(), snap.probabilities,
-                                           range);
+  return estimate_snapshot().rank_counting_estimate(range);
 }
 
 std::vector<double> BaseStation::rank_counting_estimate_batch(
     std::span<const query::RangeQuery> ranges) const {
-  const EstimateSnapshot snap = estimate_snapshot();
-  return estimator::rank_counting_estimate_batch(snap.views(),
-                                                 snap.probabilities, ranges);
+  return estimate_snapshot().rank_counting_estimate_batch(ranges);
+}
+
+double EstimateSnapshot::rank_counting_estimate(
+    const query::RangeQuery& range) const {
+  return estimator::rank_counting_estimate(views, probabilities, range);
+}
+
+std::vector<double> EstimateSnapshot::rank_counting_estimate_batch(
+    std::span<const query::RangeQuery> ranges) const {
+  return estimator::rank_counting_estimate_batch(views, probabilities, ranges);
 }
 
 double BaseStation::basic_counting_estimate(
@@ -255,7 +278,7 @@ double BaseStation::basic_counting_estimate(
   PRC_CHECK(p_ > 0.0) << "no sampling round committed yet";
   std::vector<const sampling::RankSampleSet*> nodes;
   nodes.reserve(entries_.size());
-  for (const auto& entry : entries_) nodes.push_back(&entry.samples);
+  for (const auto& entry : entries_) nodes.push_back(entry.samples.get());
   return estimator::basic_counting_estimate(nodes, p_, range);
 }
 
@@ -330,7 +353,7 @@ std::vector<std::uint8_t> BaseStation::serialize() const {
     SampleReport report;
     report.node_id = static_cast<int>(i);
     report.data_count = entry.data_count;
-    report.new_samples = entry.samples.samples();
+    report.new_samples = entry.samples->samples();
     const auto frame = encode(report);
     append_u32(out, static_cast<std::uint32_t>(frame.size()));
     out.insert(out.end(), frame.begin(), frame.end());

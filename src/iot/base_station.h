@@ -17,13 +17,16 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "common/thread_annotations.h"
 #include "estimator/rank_counting.h"
 #include "iot/messages.h"
+#include "iot/round_report.h"
 #include "query/range_query.h"
 #include "sampling/rank_sample.h"
 
@@ -53,13 +56,41 @@ struct CoverageSummary {
   }
 };
 
+/// A consistent view of the cache for the RankCounting estimators: one
+/// shared pointer per node to its published (immutable) sample set, plus
+/// the node's n_i and effective p_i, all read under one acquisition of the
+/// station mutex.  Taking it costs O(k) reference-count increments, not a
+/// copy of the samples.  It stays valid, and its estimates stay the same,
+/// whatever the station ingests, replaces or commits afterwards.
+struct EstimateSnapshot {
+  /// Keeps every set in views alive.
+  std::vector<std::shared_ptr<const sampling::RankSampleSet>> samples;
+  std::vector<estimator::NodeSampleView> views;
+  std::vector<double> probabilities;
+
+  /// Heterogeneous RankCounting estimate over the snapshot.
+  double rank_counting_estimate(const query::RangeQuery& range) const;
+  std::vector<double> rank_counting_estimate_batch(
+      std::span<const query::RangeQuery> ranges) const;
+};
+
 /// Thread-safety: every public method takes the internal mutex, so scalar
 /// queries and ingest/commit calls may race freely once collection goes
-/// parallel.  The exceptions are node_views() (the returned views alias the
-/// cache — keep the station quiescent while an estimator consumes them) and
-/// the reference returned by SamplingNetwork::base_station().  The
-/// PRC_GUARDED_BY annotations make clang's -Wthread-safety enforce the
-/// discipline on the _locked helpers when PRC_THREAD_SAFETY_ANALYSIS is on.
+/// parallel.  The exceptions are node_views() (the returned views point at
+/// the sets the cache holds *now*; an ingest or replace may drop the last
+/// owner, so keep the station quiescent while an estimator consumes them,
+/// or hold an EstimateSnapshot instead) and the reference returned by
+/// SamplingNetwork::base_station().  The PRC_GUARDED_BY annotations make
+/// clang's -Wthread-safety enforce the discipline on the _locked helpers
+/// when PRC_THREAD_SAFETY_ANALYSIS is on.
+///
+/// Published sample sets are immutable and shared.  Each node's cached
+/// sample is a shared_ptr<const RankSampleSet>: ingest() and replace()
+/// build the new set into a fresh allocation and swap the pointer, and
+/// never write to a set that has been published.  A reader that copied
+/// the pointer under the lock (an EstimateSnapshot, a copied station) can
+/// therefore keep reading it after the lock is released, whatever the
+/// station does next.
 class BaseStation {
  public:
   explicit BaseStation(std::size_t node_count);
@@ -91,6 +122,16 @@ class BaseStation {
   /// Coverage of the cache relative to the last committed round target.
   CoverageSummary coverage() const noexcept;
 
+  /// The report of a round that needs no traffic: when the cache already
+  /// satisfies `p` (p <= sampling_probability()), returns each node's
+  /// standing relative to `p` (kDelivered at p_i >= p, else kStale if it
+  /// has reported, kOffline if not) with the cache's coverage, all read
+  /// under one lock.  nullopt when a real round is needed.
+  std::optional<RoundReport> noop_round_report(double p) const;
+
+  /// Largest reported n_i over all nodes (0 until first reports arrive).
+  std::size_t max_node_data_count() const noexcept;
+
   /// Total samples cached across nodes.
   std::size_t cached_sample_count() const noexcept;
 
@@ -112,8 +153,13 @@ class BaseStation {
   /// keeps estimates unbiased when the round degrades.
   void commit_round(double p, const std::vector<bool>& refreshed);
 
-  /// Views over the cache in the estimator's format.
+  /// Views over the cache in the estimator's format (see the class comment
+  /// for how long they stay valid).
   std::vector<estimator::NodeSampleView> node_views() const;
+
+  /// Shares the current cache with the caller (see EstimateSnapshot).
+  /// Requires a completed round (sampling_probability() > 0).
+  EstimateSnapshot estimate_snapshot() const;
 
   /// RankCounting estimate from the cache, applying each node's own p_i
   /// (heterogeneous Horvitz–Thompson correction).  Requires a completed
@@ -121,9 +167,9 @@ class BaseStation {
   double rank_counting_estimate(const query::RangeQuery& range) const;
 
   /// Batched RankCounting: answers all ranges against ONE consistent cache
-  /// snapshot (the mutex is held for the whole batch) and returns exactly
-  /// the values per-range rank_counting_estimate() calls would, bit for
-  /// bit, at any thread count.
+  /// snapshot (one estimate_snapshot() for the whole batch) and returns
+  /// exactly the values per-range rank_counting_estimate() calls would, bit
+  /// for bit, at any thread count.
   std::vector<double> rank_counting_estimate_batch(
       std::span<const query::RangeQuery> ranges) const;
 
@@ -142,23 +188,13 @@ class BaseStation {
 
  private:
   struct NodeEntry {
-    sampling::RankSampleSet samples;
+    // Published, never mutated; replaced wholesale by ingest/replace.
+    std::shared_ptr<const sampling::RankSampleSet> samples =
+        std::make_shared<const sampling::RankSampleSet>();
     std::size_t data_count = 0;
     double probability = 0.0;  // effective p_i of the cached sample
     bool reported = false;
   };
-
-  // Owning copy of the per-node state the rank-counting estimators read:
-  // staged under mutex_, consumed after it is released, so the pool-backed
-  // estimate never runs with the station lock held (report ingestion would
-  // queue behind query latency otherwise).
-  struct EstimateSnapshot {
-    std::vector<sampling::RankSampleSet> samples;
-    std::vector<std::size_t> data_counts;
-    std::vector<double> probabilities;
-    std::vector<estimator::NodeSampleView> views() const;
-  };
-  EstimateSnapshot estimate_snapshot() const;
 
   // Unlocked bodies shared by the public methods (which lock) and by
   // internal callers that already hold the mutex.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/parallel.h"
@@ -192,24 +193,15 @@ RoundReport FlatNetwork::ensure_sampling_probability(double p) {
   if (!(p > 0.0) || p > 1.0) {
     throw std::invalid_argument("sampling probability must be in (0, 1]");
   }
+  // The cache already satisfies the request: no traffic, no churn step.
+  // The report says where each node stands relative to the *requested* p.
+  if (auto noop = station_.noop_round_report(p)) {
+    telemetry::counter("iot.rounds_noop").increment();
+    return *std::move(noop);
+  }
   RoundReport report;
   report.target_p = p;
   report.outcomes.assign(nodes_.size(), NodeOutcome::kDelivered);
-
-  if (p <= station_.sampling_probability()) {
-    // The cache already satisfies the request: no traffic, no churn step.
-    // Report where each node stands relative to the *requested* p.
-    telemetry::counter("iot.rounds_noop").increment();
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      if (station_.node_probability(i) >= p) continue;
-      report.outcomes[i] = station_.node_reported(i) ? NodeOutcome::kStale
-                                                     : NodeOutcome::kOffline;
-    }
-    const CoverageSummary cov = station_.coverage();
-    report.coverage = cov.coverage;
-    report.min_probability = cov.min_probability;
-    return report;
-  }
 
   PRC_TRACE_SPAN("iot.round");
   telemetry::ScopedTimer round_timer(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "common/parallel.h"
 #include "common/telemetry.h"
@@ -163,21 +164,9 @@ RoundReport TreeNetwork::ensure_sampling_probability(double p) {
   if (!(p > 0.0) || p > 1.0) {
     throw std::invalid_argument("sampling probability must be in (0, 1]");
   }
-  RoundReport report;
-  report.target_p = p;
-  report.outcomes.assign(nodes_.size(), NodeOutcome::kDelivered);
-
-  if (p <= station_.sampling_probability()) {
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      if (station_.node_probability(i) >= p) continue;
-      report.outcomes[i] = station_.node_reported(i) ? NodeOutcome::kStale
-                                                     : NodeOutcome::kOffline;
-    }
-    const CoverageSummary cov = station_.coverage();
-    report.coverage = cov.coverage;
-    report.min_probability = cov.min_probability;
+  if (auto noop = station_.noop_round_report(p)) {
     telemetry::counter("iot.rounds_noop").increment();
-    return report;
+    return *std::move(noop);
   }
 
   const bool all_online = std::all_of(
@@ -191,6 +180,9 @@ RoundReport TreeNetwork::ensure_sampling_probability(double p) {
   telemetry::ScopedTimer round_timer(
       telemetry::histogram("iot.round_duration_us"));
   const CommunicationStats stats_before = stats_;
+  RoundReport report;
+  report.target_p = p;
+  report.outcomes.assign(nodes_.size(), NodeOutcome::kDelivered);
 
   // ---- Fault-free path: the seed accounting, byte for byte. ----
 

@@ -18,6 +18,23 @@ bool value_rank_less(const RankedValue& a, const RankedValue& b) {
 RankSampleSet::RankSampleSet(std::vector<RankedValue> samples)
     : samples_(std::move(samples)) {
   std::sort(samples_.begin(), samples_.end(), value_rank_less);
+  finish();
+}
+
+RankSampleSet::RankSampleSet(const RankSampleSet& left,
+                             const RankSampleSet& right) {
+  samples_.reserve(left.samples_.size() + right.samples_.size());
+  std::merge(left.samples_.begin(), left.samples_.end(),
+             right.samples_.begin(), right.samples_.end(),
+             std::back_inserter(samples_), value_rank_less);
+  finish();
+}
+
+void RankSampleSet::finish() {
+  values_.resize(samples_.size());
+  for (std::size_t i = 0; i < samples_.size(); ++i) {
+    values_[i] = samples_[i].value;
+  }
   check_invariants();
 }
 
@@ -39,32 +56,39 @@ void RankSampleSet::check_invariants() const {
 #endif
 }
 
+std::size_t RankSampleSet::upper_bound_index(double x) const noexcept {
+  // Branchless binary search: the answer always lies in [base, base + len],
+  // and each step halves len with a conditional move instead of a branch
+  // the predictor would miss half the time.  The predicate is the one
+  // std::upper_bound uses (!(x < value) moves right), and on a sorted
+  // array the partition point is unique, so the index is the same.
+  const double* base = values_.data();
+  std::size_t len = values_.size();
+  if (len == 0) return 0;
+  while (len > 1) {
+    const std::size_t half = len / 2;
+    base += (x < base[half]) ? 0 : half;
+    len -= half;
+  }
+  return static_cast<std::size_t>(base - values_.data()) +
+         ((x < *base) ? 0 : 1);
+}
+
 std::optional<RankedValue> RankSampleSet::predecessor(double x) const {
-  // Last element with value <= x.  upper_bound over values gives the first
-  // element with value > x; the predecessor is the one before it.
-  const auto it = std::upper_bound(
-      samples_.begin(), samples_.end(), x,
-      [](double v, const RankedValue& s) { return v < s.value; });
-  if (it == samples_.begin()) return std::nullopt;
-  return *(it - 1);
+  // Last element with value <= x: the one before the first value > x.
+  const std::size_t index = upper_bound_index(x);
+  if (index == 0) return std::nullopt;
+  return samples_[index - 1];
 }
 
 std::optional<RankedValue> RankSampleSet::successor(double x) const {
-  const auto it = std::upper_bound(
-      samples_.begin(), samples_.end(), x,
-      [](double v, const RankedValue& s) { return v < s.value; });
-  if (it == samples_.end()) return std::nullopt;
-  return *it;
+  const std::size_t index = upper_bound_index(x);
+  if (index == samples_.size()) return std::nullopt;
+  return samples_[index];
 }
 
 void RankSampleSet::merge(const RankSampleSet& other) {
-  std::vector<RankedValue> merged;
-  merged.reserve(samples_.size() + other.samples_.size());
-  std::merge(samples_.begin(), samples_.end(), other.samples_.begin(),
-             other.samples_.end(), std::back_inserter(merged),
-             value_rank_less);
-  samples_ = std::move(merged);
-  check_invariants();
+  *this = RankSampleSet(*this, other);
 }
 
 }  // namespace prc::sampling

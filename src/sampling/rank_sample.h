@@ -6,6 +6,7 @@
 // interior counts between any two sampled elements.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -21,9 +22,12 @@ struct RankedValue {
   friend bool operator==(const RankedValue&, const RankedValue&) = default;
 };
 
-/// An immutable, value-ordered set of rank-annotated samples from one node,
-/// supporting the predecessor/successor queries of the RankCounting
-/// estimator (paper §III-A).
+/// A value-ordered set of rank-annotated samples from one node, supporting
+/// the predecessor/successor queries of the RankCounting estimator (paper
+/// §III-A).  Only merge() and assignment mutate a set; once the base
+/// station publishes a set (BaseStation holds it through a
+/// shared_ptr<const RankSampleSet>) it is never mutated again, so any
+/// number of estimates may read it without a lock.
 class RankSampleSet {
  public:
   RankSampleSet() = default;
@@ -35,6 +39,11 @@ class RankSampleSet {
   /// contracts and skip the check — it sits on the station's per-report
   /// ingest path.
   explicit RankSampleSet(std::vector<RankedValue> samples);
+
+  /// The union of two sets, built directly into the new set (neither input
+  /// is copied first).  Rank collisions are caught only when PRC_DCHECK is
+  /// on, like the constructor.
+  RankSampleSet(const RankSampleSet& left, const RankSampleSet& right);
 
   std::size_t size() const noexcept { return samples_.size(); }
   bool empty() const noexcept { return samples_.empty(); }
@@ -48,15 +57,26 @@ class RankSampleSet {
   /// rank).  nullopt if none.
   std::optional<RankedValue> successor(double x) const;
 
-  /// Merges additional samples (e.g. from a top-up round).  Rank collisions
-  /// are caught only when PRC_DCHECK is on, like the constructor.
+  /// Merges additional samples (e.g. from a top-up round) into this set,
+  /// with the two-set constructor's checks.
   void merge(const RankSampleSet& other);
 
  private:
+  /// Index of the first sample whose value is > x (size() when none): the
+  /// index std::upper_bound returns over samples(), ties included.
+  std::size_t upper_bound_index(double x) const noexcept;
+
+  /// Rebuilds values_ from samples_, then runs the debug-only validation.
+  void finish();
+
   /// Debug-only full validation (see constructor comment).
   void check_invariants() const;
 
   std::vector<RankedValue> samples_;  // sorted by (value, rank)
+  // samples_[i].value for every i: the contiguous array the predecessor
+  // and successor searches probe, so a search touches 8 bytes per step
+  // instead of a 16-byte pair.
+  std::vector<double> values_;
 };
 
 }  // namespace prc::sampling

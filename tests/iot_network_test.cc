@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <optional>
+#include <thread>
+#include <vector>
 
 #include "common/statistics.h"
 #include "query/range_query.h"
@@ -65,6 +69,105 @@ TEST(BaseStationTest, EstimateRequiresCommittedRound) {
   BaseStation station(1);
   EXPECT_THROW(station.rank_counting_estimate({0.0, 1.0}), std::logic_error);
   EXPECT_THROW(station.basic_counting_estimate({0.0, 1.0}), std::logic_error);
+}
+
+TEST(BaseStationTest, NoopRoundReportMatchesPerNodeStanding) {
+  BaseStation station(3);
+  station.ingest(SampleReport{0, 10, {{1.0, 1}}});
+  station.ingest(SampleReport{1, 20, {{2.0, 2}}});
+  station.commit_round(0.2, {true, true, false});
+  station.commit_round(0.5, {true, false, false});
+
+  EXPECT_EQ(station.noop_round_report(0.6), std::nullopt);
+  const auto report = station.noop_round_report(0.4);
+  ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(report->target_p, 0.4);
+  ASSERT_EQ(report->outcomes.size(), 3u);
+  EXPECT_EQ(report->outcomes[0], NodeOutcome::kDelivered);  // p_0 = 0.5
+  EXPECT_EQ(report->outcomes[1], NodeOutcome::kStale);      // p_1 = 0.2
+  EXPECT_EQ(report->outcomes[2], NodeOutcome::kOffline);    // never reported
+  EXPECT_EQ(report->new_samples, 0u);
+  EXPECT_EQ(report->retries, 0u);
+  const CoverageSummary cov = station.coverage();
+  EXPECT_EQ(report->coverage, cov.coverage);
+  EXPECT_EQ(report->min_probability, cov.min_probability);
+}
+
+TEST(BaseStationTest, MaxNodeDataCount) {
+  BaseStation station(3);
+  EXPECT_EQ(station.max_node_data_count(), 0u);
+  station.ingest(SampleReport{0, 10, {}});
+  station.ingest(SampleReport{2, 35, {}});
+  station.ingest(SampleReport{1, 20, {}});
+  EXPECT_EQ(station.max_node_data_count(), 35u);
+}
+
+// Node 0's full report in the two-node station the snapshot tests use.
+SampleReport snapshot_node0() {
+  return SampleReport{0, 100, {{10.0, 10}, {50.0, 50}, {90.0, 90}}};
+}
+
+BaseStation snapshot_station() {
+  BaseStation station(2);
+  station.ingest(snapshot_node0());
+  station.ingest(SampleReport{1, 40, {{5.0, 4}, {30.0, 20}}});
+  station.commit_round(0.2);
+  return station;
+}
+
+TEST(BaseStationTest, SnapshotIgnoresLaterMutations) {
+  BaseStation station = snapshot_station();
+  const std::vector<query::RangeQuery> ranges{{20.0, 60.0}, {0.0, 100.0}};
+  const double before = station.rank_counting_estimate(ranges[0]);
+  const auto batch_before = station.rank_counting_estimate_batch(ranges);
+  const EstimateSnapshot snap = station.estimate_snapshot();
+  EXPECT_EQ(snap.rank_counting_estimate(ranges[0]), before);
+
+  // Merge into node 0, resync node 1, raise the round target: every kind of
+  // write the cache takes.
+  station.ingest(SampleReport{0, 100, {{15.0, 15}, {70.0, 70}}});
+  station.replace(SampleReport{1, 45, {{25.0, 15}}});
+  station.commit_round(0.5);
+  ASSERT_NE(station.rank_counting_estimate(ranges[0]), before);
+
+  EXPECT_EQ(snap.rank_counting_estimate(ranges[0]), before);
+  EXPECT_EQ(snap.rank_counting_estimate_batch(ranges), batch_before);
+  EXPECT_EQ(snap.views[0].data_count, 100u);
+  EXPECT_EQ(snap.views[1].data_count, 40u);
+  EXPECT_EQ(snap.views[0].samples->size(), 3u);
+  EXPECT_EQ(snap.probabilities, (std::vector<double>{0.2, 0.2}));
+}
+
+TEST(BaseStationTest, ConcurrentIngestAndEstimate) {
+  // A writer flips node 0 between its base cache A (replace) and A plus a
+  // delta (ingest); a reader estimates throughout.  Every estimate must be
+  // the estimate of one of the two published states, never a mix.
+  const query::RangeQuery range{20.0, 60.0};
+  const SampleReport delta{0, 100, {{15.0, 15}, {70.0, 70}}};
+  BaseStation station = snapshot_station();
+  const double estimate_a = station.rank_counting_estimate(range);
+  station.ingest(delta);
+  const double estimate_b = station.rank_counting_estimate(range);
+  ASSERT_NE(estimate_a, estimate_b);
+
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int i = 0; i < 2000; ++i) {
+      station.replace(snapshot_node0());
+      station.ingest(delta);
+    }
+    done.store(true);
+  });
+  std::size_t estimates = 0;
+  std::size_t mismatches = 0;
+  while (!done.load() || estimates == 0) {
+    const double estimate = station.rank_counting_estimate(range);
+    if (estimate != estimate_a && estimate != estimate_b) ++mismatches;
+    ++estimates;
+  }
+  writer.join();
+  EXPECT_EQ(mismatches, 0u) << "over " << estimates << " estimates";
+  EXPECT_EQ(station.rank_counting_estimate(range), estimate_b);
 }
 
 TEST(FlatNetworkTest, ConstructionValidation) {

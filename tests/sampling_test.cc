@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <optional>
+#include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -65,6 +69,88 @@ TEST(RankSampleSetTest, MergeCombinesAndValidates) {
   const RankSampleSet conflicting({{9.0, 3}});
   EXPECT_THROW(a.merge(conflicting), std::invalid_argument);
 #endif
+}
+
+// predecessor()/successor() search a contiguous value array with a
+// branchless binary search; they must pick exactly the element a
+// std::upper_bound over samples() picks, ties included, or estimates
+// would drift.
+void expect_search_matches_upper_bound(const RankSampleSet& set, double x) {
+  const auto& samples = set.samples();
+  const auto it = std::upper_bound(
+      samples.begin(), samples.end(), x,
+      [](double v, const RankedValue& s) { return v < s.value; });
+  const std::optional<RankedValue> pred =
+      it == samples.begin() ? std::nullopt
+                            : std::optional<RankedValue>(*(it - 1));
+  const std::optional<RankedValue> succ =
+      it == samples.end() ? std::nullopt : std::optional<RankedValue>(*it);
+  EXPECT_EQ(set.predecessor(x), pred) << "x=" << x << " size=" << set.size();
+  EXPECT_EQ(set.successor(x), succ) << "x=" << x << " size=" << set.size();
+}
+
+// Probes below the minimum, above the maximum, at every sampled value and
+// just either side of it, plus random values across the span.
+void expect_search_matches_everywhere(const RankSampleSet& set, Rng& rng) {
+  expect_search_matches_upper_bound(set, -1e300);
+  expect_search_matches_upper_bound(set, 1e300);
+  for (const auto& s : set.samples()) {
+    expect_search_matches_upper_bound(set, s.value);
+    expect_search_matches_upper_bound(
+        set, std::nextafter(s.value, -std::numeric_limits<double>::infinity()));
+    expect_search_matches_upper_bound(
+        set, std::nextafter(s.value, std::numeric_limits<double>::infinity()));
+  }
+  for (int i = 0; i < 32; ++i) {
+    expect_search_matches_upper_bound(set, rng.uniform(-5.0, 25.0));
+  }
+}
+
+// Random sets of `size` samples over few distinct values (so duplicates
+// with distinct ranks are common), ranks drawn without replacement from
+// [first_rank, first_rank + 4 * size).
+std::vector<RankedValue> random_samples(std::size_t size,
+                                        std::uint64_t first_rank, Rng& rng) {
+  std::vector<std::uint64_t> ranks(4 * size);
+  for (std::size_t i = 0; i < ranks.size(); ++i) ranks[i] = first_rank + i;
+  std::shuffle(ranks.begin(), ranks.end(), rng);
+  std::vector<RankedValue> samples;
+  for (std::size_t i = 0; i < size; ++i) {
+    samples.push_back({static_cast<double>(rng.uniform_int(0, 20)) * 0.5,
+                       ranks[i]});
+  }
+  return samples;
+}
+
+TEST(RankSampleSetTest, SearchMatchesUpperBoundOnRandomSets) {
+  Rng rng(2024);
+  expect_search_matches_everywhere(RankSampleSet(), rng);
+  expect_search_matches_everywhere(RankSampleSet({{4.0, 1}}), rng);
+  // Every length up to 70 exercises each shape of the halving loop.
+  for (std::size_t size = 1; size <= 70; ++size) {
+    expect_search_matches_everywhere(
+        RankSampleSet(random_samples(size, 1, rng)), rng);
+  }
+  // One value repeated: every probe is below, at or above the whole run.
+  std::vector<RankedValue> flat;
+  for (std::uint64_t r = 1; r <= 33; ++r) flat.push_back({2.5, r});
+  expect_search_matches_everywhere(RankSampleSet(flat), rng);
+}
+
+TEST(RankSampleSetTest, SearchMatchesUpperBoundAfterMerge) {
+  Rng rng(77);
+  for (std::size_t size = 0; size <= 40; ++size) {
+    // Disjoint rank ranges, overlapping values.
+    RankSampleSet merged(random_samples(size, 1, rng));
+    const RankSampleSet delta(random_samples(size / 2 + 1, 1000, rng));
+    merged.merge(delta);
+    ASSERT_EQ(merged.size(), size + size / 2 + 1);
+    expect_search_matches_everywhere(merged, rng);
+    // The two-set constructor builds the same set.
+    const RankSampleSet rebuilt(merged, RankSampleSet());
+    EXPECT_EQ(rebuilt.samples(), merged.samples());
+    expect_search_matches_everywhere(rebuilt, rng);
+  }
 }
 
 TEST(LocalSamplerTest, RanksFollowSortedOrder) {
