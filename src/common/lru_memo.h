@@ -1,0 +1,97 @@
+// A bounded, thread-safe LRU memo for pure functions keyed by bit patterns.
+//
+// The planner and the broker both memoize a pure function of a few doubles
+// and counts (dp::PlanCache over the (alpha', delta') search,
+// pricing::QuoteCache over psi(V)).  Keys are the bit patterns of those
+// values, so "the same input" means exactly the same bytes and a hit
+// returns exactly the value the miss computed.  Because the value is a
+// deterministic function of the key, two racing misses store identical
+// bytes: put() keeps the incumbent, and which racer wins is unobservable —
+// callers stay bit-identical at any thread count.  Callers count their own
+// hits and misses (each memo has its own metric names).
+#pragma once
+
+#include <array>
+#include <cstddef>
+#include <cstdint>
+#include <list>
+#include <mutex>
+#include <optional>
+#include <unordered_map>
+#include <utility>
+
+#include "common/thread_annotations.h"
+
+namespace prc {
+
+/// FNV-1a over the bytes of a key's 64-bit words: cheap, stable across
+/// platforms, and good enough for the few hundred distinct keys a session
+/// ever sees.
+template <std::size_t N>
+std::size_t fnv1a(const std::array<std::uint64_t, N>& words) noexcept {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const std::uint64_t word : words) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (word >> (8 * i)) & 0xffULL;
+      h *= 1099511628211ULL;
+    }
+  }
+  return static_cast<std::size_t>(h);
+}
+
+/// Bounded LRU map from `Key` to `Value`.  All methods take the internal
+/// mutex, so callers must not hold it (PRC_EXCLUDES); the memoized
+/// function is evaluated by the caller, outside the lock.
+template <typename Key, typename Value, typename Hash>
+class LruMemo {
+ public:
+  /// `capacity` == 0 disables the memo: every lookup misses and puts are
+  /// dropped.
+  explicit LruMemo(std::size_t capacity) : capacity_(capacity) {}
+
+  LruMemo(const LruMemo&) = delete;
+  LruMemo& operator=(const LruMemo&) = delete;
+
+  /// The memoized value for `key`, refreshing its recency, or nullopt.
+  std::optional<Value> lookup(const Key& key) const PRC_EXCLUDES(mutex_) {
+    if (capacity_ == 0) return std::nullopt;
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = index_.find(key);
+    if (it == index_.end()) return std::nullopt;
+    entries_.splice(entries_.begin(), entries_, it->second);
+    return it->second->second;
+  }
+
+  /// Stores `value` unless `key` is already present (a racing put keeps
+  /// the incumbent), evicting the least recently used entry when full.
+  /// Returns true when an entry was evicted.
+  bool put(const Key& key, const Value& value) const PRC_EXCLUDES(mutex_) {
+    if (capacity_ == 0) return false;
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (index_.contains(key)) return false;
+    entries_.emplace_front(key, value);
+    index_.emplace(key, entries_.begin());
+    if (entries_.size() <= capacity_) return false;
+    index_.erase(entries_.back().first);
+    entries_.pop_back();
+    return true;
+  }
+
+  std::size_t capacity() const noexcept { return capacity_; }
+  std::size_t size() const PRC_EXCLUDES(mutex_) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return entries_.size();
+  }
+
+ private:
+  using EntryList = std::list<std::pair<Key, Value>>;
+
+  const std::size_t capacity_;
+  mutable std::mutex mutex_;
+  /// Front = most recently used; back = eviction candidate.
+  mutable EntryList entries_ PRC_GUARDED_BY(mutex_);
+  mutable std::unordered_map<Key, typename EntryList::iterator, Hash> index_
+      PRC_GUARDED_BY(mutex_);
+};
+
+}  // namespace prc

@@ -229,7 +229,7 @@ void parallel_for(std::size_t n,
   // cannot see that: read the slot under its own mutex.
   std::exception_ptr error;
   {
-    std::lock_guard<std::mutex> lock(job.error_mutex);
+    std::lock_guard<std::mutex> error_lock(job.error_mutex);
     error = job.error;
   }
   if (error) std::rethrow_exception(error);

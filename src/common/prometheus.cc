@@ -266,8 +266,8 @@ void validate_histogram(const ParsedFamily& family) {
 }  // namespace
 
 std::string ParsedSample::label(const std::string& key) const {
-  for (const auto& [name, value] : labels) {
-    if (name == key) return value;
+  for (const auto& [label_name, label_value] : labels) {
+    if (label_name == key) return label_value;
   }
   return "";
 }

@@ -9,45 +9,16 @@ std::optional<std::optional<PerturbationPlan>> PlanCache::lookup(
   static telemetry::Counter& hits = telemetry::counter("dp.plan_cache_hits");
   static telemetry::Counter& misses =
       telemetry::counter("dp.plan_cache_misses");
-  if (capacity_ == 0) {
-    misses.increment();
-    return std::nullopt;
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(key);
-  if (it == index_.end()) {
-    misses.increment();
-    return std::nullopt;
-  }
-  entries_.splice(entries_.begin(), entries_, it->second);
-  hits.increment();
-  return it->second->plan;
+  auto cached = memo_.lookup(key);
+  (cached ? hits : misses).increment();
+  return cached;
 }
 
 void PlanCache::put(const PlanCacheKey& key,
                     const std::optional<PerturbationPlan>& plan) {
   static telemetry::Counter& evictions =
       telemetry::counter("dp.plan_cache_evictions");
-  if (capacity_ == 0) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (index_.find(key) != index_.end()) {
-    // A concurrent miss on the same key beat us here.  Both computed the
-    // same bytes (the value is a deterministic function of the key), so
-    // keeping the incumbent changes nothing observable.
-    return;
-  }
-  entries_.push_front(Entry{key, plan});
-  index_.emplace(key, entries_.begin());
-  if (entries_.size() > capacity_) {
-    index_.erase(entries_.back().key);
-    entries_.pop_back();
-    evictions.increment();
-  }
-}
-
-std::size_t PlanCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
+  if (memo_.put(key, plan)) evictions.increment();
 }
 
 }  // namespace prc::dp

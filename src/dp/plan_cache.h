@@ -20,15 +20,13 @@
 // this contract?" is exactly as repetitive as re-planning a feasible one.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <list>
-#include <mutex>
 #include <optional>
-#include <unordered_map>
 
-#include "common/thread_annotations.h"
+#include "common/lru_memo.h"
 #include "dp/laplace_mechanism.h"
 #include "dp/optimizer.h"
 
@@ -66,68 +64,41 @@ struct PlanCacheKey {
 
 struct PlanCacheKeyHash {
   std::size_t operator()(const PlanCacheKey& key) const noexcept {
-    // FNV-1a over the seven fields: cheap, stable, and good enough for the
-    // few hundred distinct contracts a session ever sees.
-    std::uint64_t h = 14695981039346656037ULL;
-    const auto mix = [&h](std::uint64_t v) {
-      for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xffULL;
-        h *= 1099511628211ULL;
-      }
-    };
-    mix(key.alpha_bits);
-    mix(key.delta_bits);
-    mix(key.probability_bits);
-    mix(key.node_count);
-    mix(key.total_count);
-    mix(key.max_node_count);
-    mix(static_cast<std::uint64_t>(key.sensitivity_policy));
-    return static_cast<std::size_t>(h);
+    return fnv1a(std::array<std::uint64_t, 7>{
+        key.alpha_bits, key.delta_bits, key.probability_bits, key.node_count,
+        key.total_count, key.max_node_count,
+        static_cast<std::uint64_t>(key.sensitivity_policy)});
   }
 };
 
 /// Bounded LRU map from optimizer inputs to the optimizer's full result
-/// (including "infeasible").  Thread-safe; all methods take the internal
-/// mutex, so callers must not hold it (PRC_EXCLUDES).
+/// (including "infeasible").  Thread-safe; counts
+/// `dp.plan_cache_{hits,misses,evictions}`.
 class PlanCache {
  public:
   /// `capacity` == 0 disables the cache (every lookup misses, puts are
   /// dropped) — used by property tests that want the raw search.
-  explicit PlanCache(std::size_t capacity) : capacity_(capacity) {}
-
-  PlanCache(const PlanCache&) = delete;
-  PlanCache& operator=(const PlanCache&) = delete;
+  explicit PlanCache(std::size_t capacity) : memo_(capacity) {}
 
   /// The cached optimizer verdict for `key`, refreshing its recency, or
   /// nullopt when the key has never been planned (note the two-level
   /// optional: the outer one is hit/miss, the inner one is the verdict).
-  std::optional<std::optional<PerturbationPlan>> lookup(const PlanCacheKey& key)
-      const PRC_EXCLUDES(mutex_);
+  std::optional<std::optional<PerturbationPlan>> lookup(
+      const PlanCacheKey& key) const;
 
   /// Stores a verdict, evicting the least recently used entry when full.
   /// Racing puts for the same key keep the first value — by the
   /// determinism contract both racers hold identical bytes, so which one
   /// wins is unobservable.
-  void put(const PlanCacheKey& key, const std::optional<PerturbationPlan>& plan)
-      PRC_EXCLUDES(mutex_);
+  void put(const PlanCacheKey& key,
+           const std::optional<PerturbationPlan>& plan);
 
-  std::size_t capacity() const noexcept { return capacity_; }
-  std::size_t size() const PRC_EXCLUDES(mutex_);
+  std::size_t capacity() const noexcept { return memo_.capacity(); }
+  std::size_t size() const { return memo_.size(); }
 
  private:
-  struct Entry {
-    PlanCacheKey key;
-    std::optional<PerturbationPlan> plan;
-  };
-  using EntryList = std::list<Entry>;
-
-  const std::size_t capacity_;
-  mutable std::mutex mutex_;
-  /// Front = most recently used; back = eviction candidate.
-  mutable EntryList entries_ PRC_GUARDED_BY(mutex_);
-  mutable std::unordered_map<PlanCacheKey, EntryList::iterator,
-                             PlanCacheKeyHash>
-      index_ PRC_GUARDED_BY(mutex_);
+  LruMemo<PlanCacheKey, std::optional<PerturbationPlan>, PlanCacheKeyHash>
+      memo_;
 };
 
 }  // namespace prc::dp

@@ -1,46 +1,34 @@
 #include "market/audit_log.h"
 
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <utility>
+
+#include "market/ledger.h"
 
 namespace prc::market {
 
 namespace {
 
-void append_double(std::ostringstream& out, double value) {
-  // max_digits10 keeps timeline -> JSONL -> analysis lossless, matching
-  // the telemetry snapshot precision.
-  const auto previous = out.precision();
-  out.precision(std::numeric_limits<double>::max_digits10);
-  out << value;
-  out.precision(previous);
-}
+// Doubles are printed at max_digits10 so timeline -> JSONL -> analysis is
+// lossless, matching the telemetry snapshot precision.
+constexpr int kDoubleDigits = std::numeric_limits<double>::max_digits10;
 
 std::string json_escape(const std::string& text) {
   std::string out;
   out.reserve(text.size());
   for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += ' ';
-        } else {
-          out += c;
-        }
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (c == '\n') {
+      out += "\\n";
+    } else if (c == '\t') {
+      out += "\\t";
+    } else {
+      out += static_cast<unsigned char>(c) < 0x20 ? ' ' : c;
     }
   }
   return out;
@@ -49,19 +37,13 @@ std::string json_escape(const std::string& text) {
 void append_event_json(std::ostringstream& out, const AuditEvent& event) {
   out << "{\"index\": " << event.index << ", \"type\": \""
       << audit_event_type_name(event.type) << "\", \"consumer\": \""
-      << json_escape(event.consumer_id) << "\", \"lower\": ";
-  append_double(out, event.lower);
-  out << ", \"upper\": ";
-  append_double(out, event.upper);
-  out << ", \"alpha\": ";
-  append_double(out, event.alpha.value());
-  out << ", \"delta\": ";
-  append_double(out, event.delta.value());
-  out << ", \"epsilon\": ";
-  append_double(out, event.epsilon.value());
-  out << ", \"price\": ";
-  append_double(out, event.price);
-  out << ", \"wal_sequence\": " << event.wal_sequence
+      << json_escape(event.consumer_id) << "\", \"lower\": " << event.lower
+      << ", \"upper\": " << event.upper
+      << ", \"alpha\": " << event.alpha.value()
+      << ", \"delta\": " << event.delta.value()
+      << ", \"epsilon\": " << event.epsilon.value()
+      << ", \"price\": " << event.price
+      << ", \"wal_sequence\": " << event.wal_sequence
       << ", \"ledger_sequence\": " << event.ledger_sequence
       << ", \"detail\": \"" << json_escape(event.detail) << "\"}";
 }
@@ -69,38 +51,21 @@ void append_event_json(std::ostringstream& out, const AuditEvent& event) {
 }  // namespace
 
 const char* audit_event_type_name(AuditEventType type) {
-  switch (type) {
-    case AuditEventType::kQuote:
-      return "quote";
-    case AuditEventType::kReserve:
-      return "reserve";
-    case AuditEventType::kIntent:
-      return "intent";
-    case AuditEventType::kMint:
-      return "mint";
-    case AuditEventType::kCommit:
-      return "commit";
-    case AuditEventType::kRefusal:
-      return "refusal";
-    case AuditEventType::kRecovery:
-      return "recovery";
-    case AuditEventType::kCheckpoint:
-      return "checkpoint";
-  }
-  return "unknown";
+  // Indexed by AuditEventType, in declaration order.
+  static constexpr const char* kNames[] = {
+      "quote", "reserve", "intent", "mint",
+      "commit", "refusal", "recovery", "checkpoint"};
+  const auto index = static_cast<std::size_t>(type);
+  return index < std::size(kNames) ? kNames[index] : "unknown";
 }
 
 std::string AuditReconciliation::to_string() const {
   std::ostringstream out;
-  out << "audit reconciliation: minted ";
-  append_double(out, minted_epsilon);
-  out << " + recovered ";
-  append_double(out, recovered_epsilon);
-  out << " vs ledger ";
-  append_double(out, ledger_epsilon);
-  out << " (discrepancy ";
-  append_double(out, discrepancy);
-  out << ") -> " << (consistent ? "CONSISTENT" : "VIOLATED");
+  out.precision(kDoubleDigits);
+  out << "audit reconciliation: minted " << minted_epsilon << " + recovered "
+      << recovered_epsilon << " vs ledger " << ledger_epsilon
+      << " (discrepancy " << discrepancy << ") -> "
+      << (consistent ? "CONSISTENT" : "VIOLATED");
   return out.str();
 }
 
@@ -122,25 +87,27 @@ std::vector<AuditEvent> AuditLog::events_snapshot() const {
 }
 
 std::string AuditLog::to_jsonl() const {
-  const auto events = events_snapshot();
   std::ostringstream out;
-  for (const auto& event : events) {
+  out.precision(kDoubleDigits);
+  for_each_event([&out](const AuditEvent& event) {
     append_event_json(out, event);
     out << "\n";
-  }
+  });
   return out.str();
 }
 
 AuditReconciliation AuditLog::reconcile(const Ledger& ledger) const {
   AuditReconciliation result;
-  const auto events = events_snapshot();
-  for (const auto& event : events) {
+  for_each_event([&result](const AuditEvent& event) {
     if (event.type == AuditEventType::kMint) {
       result.minted_epsilon += event.epsilon.value();
     } else if (event.type == AuditEventType::kRecovery) {
       result.recovered_epsilon += event.epsilon.value();
     }
-  }
+  });
+  // Read after the timeline lock is released: the ledger appends to this
+  // log while holding its own lock, so taking them in the other order
+  // here would invert the lock order.
   result.ledger_epsilon = ledger.total_epsilon().value();
   result.discrepancy = std::abs(
       result.ledger_epsilon -
@@ -155,60 +122,13 @@ AuditReconciliation AuditLog::reconcile(const Ledger& ledger) const {
   return result;
 }
 
-void append_recovery_events(AuditLog& log,
-                            const wal::RecoveryResult& recovery) {
-  {
-    AuditEvent base;
-    base.type = AuditEventType::kCheckpoint;
-    base.epsilon = recovery.base.total_epsilon;
-    base.detail = "recovery base: last durable checkpoint";
-    log.append_event(std::move(base));
+void AuditLog::append_all(AuditLog& other) {
+  std::scoped_lock lock(mutex_, other.mutex_);
+  for (auto& event : other.events_) {
+    event.index = static_cast<std::uint64_t>(events_.size());
+    events_.push_back(std::move(event));
   }
-  double recovered_total = recovery.base.total_epsilon.value();
-  for (const auto& commit : recovery.commits) {
-    AuditEvent event;
-    event.type = AuditEventType::kCommit;
-    event.consumer_id = commit.transaction.consumer_id;
-    event.lower = commit.transaction.range.lower;
-    event.upper = commit.transaction.range.upper;
-    event.alpha = commit.transaction.spec.alpha;
-    event.delta = commit.transaction.spec.delta;
-    event.epsilon = commit.transaction.epsilon_amplified;
-    event.price = commit.transaction.price;
-    event.wal_sequence = commit.wal_sequence;
-    event.ledger_sequence = commit.transaction.sequence;
-    event.detail = "replayed from wal";
-    recovered_total += commit.transaction.epsilon_amplified.value();
-    log.append_event(std::move(event));
-  }
-  for (const auto& orphan : recovery.orphans) {
-    AuditEvent event;
-    event.type = AuditEventType::kIntent;
-    event.consumer_id = orphan.consumer_id;
-    event.lower = orphan.range.lower;
-    event.upper = orphan.range.upper;
-    event.alpha = orphan.spec.alpha;
-    event.delta = orphan.spec.delta;
-    event.epsilon = orphan.epsilon_amplified;
-    event.wal_sequence = orphan.wal_sequence;
-    event.detail = "orphaned intent (no commit): charged as spent";
-    recovered_total += orphan.epsilon_amplified.value();
-    log.append_event(std::move(event));
-  }
-  {
-    AuditEvent summary;
-    summary.type = AuditEventType::kRecovery;
-    summary.epsilon = recovered_total;
-    std::ostringstream detail;
-    detail << "recovered " << recovery.stats.committed_sales
-           << " committed sale(s), " << recovery.stats.orphaned_intents
-           << " orphaned intent(s) (orphaned epsilon ";
-    append_double(detail, recovery.stats.orphaned_epsilon);
-    detail << "), " << recovery.stats.truncated_bytes
-           << " truncated byte(s)";
-    summary.detail = detail.str();
-    log.append_event(std::move(summary));
-  }
+  other.events_.clear();
 }
 
 }  // namespace prc::market

@@ -4,17 +4,21 @@
 // amount it accounts and, where applicable, the WAL sequence number that
 // made it durable.
 //
-// The timeline is the observable counterpart of the WAL's spend-ahead
-// guarantee: a MINT event is appended inside the mint barrier, after the
-// durable intent and BEFORE any noise is drawn, so for a live broker
+// The ledger owns the broker's timeline and keeps no other in-memory record
+// of a budget fact: every Ledger entry point appends its event here and
+// folds it into the aggregates in the same critical section (commit events
+// carry the sale itself).  A MINT event is appended inside the mint
+// barrier, after the durable intent and BEFORE any noise is drawn, so for a
+// live broker
 //
 //     Sigma(mint-event epsilon') == ledger.total_epsilon()
 //
-// holds exactly, and after crash recovery the RECOVERY seed event closes
-// the same equation (reconcile() proves it, the chaos sweep tests it at
-// every crash point).  A crashed-but-not-recovered broker whose mechanism
-// died between mint and ledger commit shows up as a reconciliation
-// discrepancy — exactly the under-count the audit exists to catch.
+// holds exactly, and after crash recovery — which is the same fold, fed
+// from the WAL — the RECOVERY event closes the same equation (reconcile()
+// proves it, the chaos sweep tests it at every crash point).  A
+// crashed-but-not-recovered broker whose mechanism died between mint and
+// ledger commit shows up as a reconciliation discrepancy — exactly the
+// under-count the audit exists to catch.
 //
 // PRIVACY SAFETY: events carry only released/accounting quantities
 // (epsilon', prices, contracts, sequence numbers, refusal reasons) — never
@@ -22,8 +26,8 @@
 // registered lint taint sink (no-raw-to-sink / interproc-raw-taint), and
 // to_jsonl() output is safe to ship outside the trust boundary.
 //
-// Thread-safety: append_event and all readers serialize on one mutex
-// (parallel brokers append from concurrent sales).
+// Thread-safety: append_event and all readers serialize on one mutex, so a
+// reader sees a prefix of the timeline while sales continue.
 #pragma once
 
 #include <cstdint>
@@ -33,17 +37,17 @@
 
 #include "common/thread_annotations.h"
 #include "common/units.h"
-#include "market/ledger.h"
-#include "market/wal.h"
 
 namespace prc::market {
+
+class Ledger;
 
 enum class AuditEventType : std::uint8_t {
   kQuote,       ///< price quoted, nothing held or spent
   kReserve,     ///< projected epsilon' held against the consumer cap
   kIntent,      ///< durable WAL intent flushed (spend-ahead point)
   kMint,        ///< final plan admitted; noise draw follows immediately
-  kCommit,      ///< transaction recorded in the ledger (and WAL, if any)
+  kCommit,      ///< sale recorded in the ledger (and WAL, if any)
   kRefusal,     ///< sale refused with nothing spent
   kRecovery,    ///< recovered ledger state adopted after a crash
   kCheckpoint,  ///< ledger aggregates checkpointed into the WAL
@@ -55,6 +59,8 @@ const char* audit_event_type_name(AuditEventType type);
 struct AuditEvent {
   std::uint64_t index = 0;  ///< assigned by append_event; dense, 0-based
   AuditEventType type = AuditEventType::kQuote;
+  /// kCommit: the sale was re-quoted to a weaker contract (kReprice).
+  bool degraded = false;
   std::string consumer_id;  ///< empty for broker-level events
   double lower = 0.0;       ///< query range (0/0 when not applicable)
   double upper = 0.0;
@@ -67,6 +73,8 @@ struct AuditEvent {
   double price = 0.0;               ///< quoted/charged price (0 when n/a)
   std::uint64_t wal_sequence = 0;   ///< durable linkage (0 = none)
   std::uint64_t ledger_sequence = 0;  ///< transaction sequence (kCommit)
+  /// kCommit: fraction of station-known data the answer was drawn from.
+  double coverage = 1.0;
   std::string detail;  ///< refusal reason, recovery stats, policy notes
 };
 
@@ -86,9 +94,17 @@ class AuditLog {
  public:
   /// Appends (assigning the event's index) and returns that index.
   /// Registered as a lint taint sink: raw estimates must never reach it.
-  std::uint64_t append_event(AuditEvent event);
+  std::uint64_t append_event(AuditEvent event) PRC_EXCLUDES(mutex_);
 
-  std::size_t size() const;
+  std::size_t size() const PRC_EXCLUDES(mutex_);
+
+  /// Calls `visit(event)` on every event in append order, under the lock
+  /// (no copy of the timeline; `visit` must not re-enter this log).
+  template <typename Visit>
+  void for_each_event(Visit&& visit) const PRC_EXCLUDES(mutex_) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& event : events_) visit(event);
+  }
 
   /// Copy of the timeline taken under the lock.
   std::vector<AuditEvent> events_snapshot() const;
@@ -104,17 +120,13 @@ class AuditLog {
   /// ledger commit fails it — which is the point.
   AuditReconciliation reconcile(const Ledger& ledger) const;
 
+  /// Moves every event of `other` onto the end of this timeline,
+  /// re-indexed, leaving `other` empty (Ledger::adopt).
+  void append_all(AuditLog& other) PRC_EXCLUDES(mutex_, other.mutex_);
+
  private:
   mutable std::mutex mutex_;
   std::vector<AuditEvent> events_ PRC_GUARDED_BY(mutex_);
 };
-
-/// Rebuilds an audit timeline from a parsed WAL (prc_query recover
-/// --audit-json): one kCheckpoint event for the recovery base, a kCommit
-/// per replayed sale, a kIntent (marked orphaned) per intent with no
-/// commit, and a closing kRecovery event whose epsilon' is the recovered
-/// ledger total — so reconcile() against the recovered ledger passes iff
-/// apply_recovery() charged exactly what the log says.
-void append_recovery_events(AuditLog& log, const wal::RecoveryResult& recovery);
 
 }  // namespace prc::market

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "common/check.h"
@@ -41,32 +42,36 @@ double DataBroker::quote(const query::AccuracySpec& spec) const {
   static telemetry::Counter& quotes = telemetry::counter("market.quotes");
   quotes.increment();
   const double price = quote_cache_.price(spec);
-  AuditEvent event;
-  event.type = AuditEventType::kQuote;
-  event.alpha = spec.alpha;
-  event.delta = spec.delta;
-  event.price = price;
-  audit_.append_event(std::move(event));
+  ledger_.quote(spec, price);
   return price;
 }
 
-void DataBroker::record_refusal(const char* counter_name,
-                                const std::string& consumer_id,
-                                const query::RangeQuery& range,
-                                const query::AccuracySpec& spec,
-                                units::EffectiveEpsilon attempted,
-                                std::string reason) {
-  telemetry::counter(counter_name).increment();
-  AuditEvent event;
-  event.type = AuditEventType::kRefusal;
-  event.consumer_id = consumer_id;
-  event.lower = range.lower;
-  event.upper = range.upper;
-  event.alpha = spec.alpha;
-  event.delta = spec.delta;
-  event.epsilon = attempted;  // attempted, NOT spent: refusals release nothing
-  event.detail = std::move(reason);
-  audit_.append_event(std::move(event));
+void DataBroker::refuse_budget(const std::string& consumer_id,
+                               const query::RangeQuery& range,
+                               const query::AccuracySpec& spec,
+                               units::EffectiveEpsilon attempted,
+                               std::string reason) {
+  telemetry::counter("market.refusals_budget").increment();
+  ledger_.refuse(consumer_id, range, spec, attempted, std::move(reason));
+  throw BudgetExceededError(
+      consumer_id, ledger_.consumer_epsilon(consumer_id) + attempted,
+      config_.per_consumer_epsilon_cap);
+}
+
+void DataBroker::refuse_coverage(const std::string& consumer_id,
+                                 const query::RangeQuery& range,
+                                 const query::AccuracySpec& spec,
+                                 units::EffectiveEpsilon attempted,
+                                 std::string reason, const std::string& what,
+                                 const iot::CoverageSummary& coverage) {
+  telemetry::counter("market.refusals_coverage").increment();
+  ledger_.refuse(consumer_id, range, spec, attempted, std::move(reason));
+  throw InsufficientCoverageError(what, coverage);
+}
+
+std::string DataBroker::below_floor(double coverage) const {
+  return "coverage " + std::to_string(coverage) + " below the broker floor " +
+         std::to_string(config_.min_coverage);
 }
 
 units::EffectiveEpsilon DataBroker::remaining_budget(
@@ -85,14 +90,8 @@ void DataBroker::attach_wal(const std::string& path) {
   wal_ = wal::WriteAheadLog::open(path, 0, wal_sync_mode());
   // Seed the log with the current aggregates, so recovery can never know
   // less than the broker did at attach time.
-  const auto seed = ledger_.snapshot();
-  wal_->append_checkpoint(seed);
+  wal_->append_checkpoint(ledger_.checkpoint("wal attached: seed checkpoint"));
   commits_since_checkpoint_.store(0, std::memory_order_relaxed);
-  AuditEvent event;
-  event.type = AuditEventType::kCheckpoint;
-  event.epsilon = seed.total_epsilon;
-  event.detail = "wal attached: seed checkpoint";
-  audit_.append_event(std::move(event));
 }
 
 wal::RecoveryStats DataBroker::recover_and_attach_wal(
@@ -105,7 +104,9 @@ wal::RecoveryStats DataBroker::recover_and_attach_wal(
   // Fold into a scratch ledger first: replay and both audits below can
   // throw, and a failed recovery must leave the broker exactly as it was
   // (empty, retryable) — a half-restored ledger silently usable without
-  // durability is worse than no recovery at all.
+  // durability is worse than no recovery at all.  The fold also writes the
+  // recovered timeline (base checkpoint, replayed commits, orphans, and
+  // the kRecovery total that lets reconcile() balance across the crash).
   Ledger recovered;
   wal::apply_recovery(recovered, recovery);
   // Re-audit before selling anything: the recovered books must conserve
@@ -122,7 +123,8 @@ wal::RecoveryStats DataBroker::recover_and_attach_wal(
   PRC_CHECK(report.arbitrage_avoiding)
       << "recovered broker refuses to reopen: pricing menu violates "
          "Theorem 4.2 (" << report.violations.size() << " violations)";
-  // Every audit green: the scratch state becomes the broker's ledger.
+  // Every audit green: the scratch state and its timeline become the
+  // broker's ledger.
   ledger_.adopt(recovered);
   // Compaction absorbs the replayed history — and the orphans just charged
   // — into one durable checkpoint, so recovering again (even crashing
@@ -131,10 +133,6 @@ wal::RecoveryStats DataBroker::recover_and_attach_wal(
                                      recovery.next_wal_sequence,
                                      wal_sync_mode());
   commits_since_checkpoint_.store(0, std::memory_order_relaxed);
-  // Seed the audit timeline with the recovered history: the closing
-  // kRecovery event carries the adopted total, so reconcile() balances the
-  // books across the crash (recovered + future mints == ledger total).
-  append_recovery_events(audit_, recovery);
   return recovery.stats;
 }
 
@@ -154,15 +152,9 @@ dp::PrivateAnswer DataBroker::mint_answer_with_intent(
           plan.epsilon_amplified.value() - reservation.epsilon().value();
       if (!ledger_.try_extend(reservation, shortfall,
                               config_.per_consumer_epsilon_cap)) {
-        record_refusal("market.refusals_budget", consumer_id, range, spec,
-                       plan.epsilon_amplified,
-                       "final plan exceeds reservation and the cap refused "
-                       "the extension");
-        throw BudgetExceededError(
-            consumer_id,
-            ledger_.consumer_epsilon(consumer_id).value() +
-                plan.epsilon_amplified.value(),
-            config_.per_consumer_epsilon_cap);
+        refuse_budget(consumer_id, range, spec, plan.epsilon_amplified,
+                      "final plan exceeds reservation and the cap refused "
+                      "the extension");
       }
     }
     PRC_CRASH_POINT("wal.pre_intent");
@@ -173,32 +165,14 @@ dp::PrivateAnswer DataBroker::mint_answer_with_intent(
       intent.spec = spec;
       intent.epsilon_amplified = plan.epsilon_amplified;
       intent_sequence = wal_->append_intent(std::move(intent));
-      AuditEvent durable;
-      durable.type = AuditEventType::kIntent;
-      durable.consumer_id = consumer_id;
-      durable.lower = range.lower;
-      durable.upper = range.upper;
-      durable.alpha = spec.alpha;
-      durable.delta = spec.delta;
-      durable.epsilon = plan.epsilon_amplified;
-      durable.wal_sequence = intent_sequence;
-      audit_.append_event(std::move(durable));
     }
-    // The MINT event is appended before the barrier returns — i.e. before
-    // any noise is drawn — mirroring the WAL's spend-ahead discipline in
-    // the observable timeline: Sigma(mint epsilon') can only ever
-    // over-count what the mechanism released, never under-count it.
-    AuditEvent minted;
-    minted.type = AuditEventType::kMint;
-    minted.consumer_id = consumer_id;
-    minted.lower = range.lower;
-    minted.upper = range.upper;
-    minted.alpha = spec.alpha;
-    minted.delta = spec.delta;
-    minted.epsilon = plan.epsilon_amplified;
-    minted.wal_sequence = intent_sequence;
-    minted.detail = "final plan admitted; noise draw follows";
-    audit_.append_event(std::move(minted));
+    // The durable intent's kIntent and the kMint are appended before the
+    // barrier returns — i.e. before any noise is drawn — mirroring the
+    // WAL's spend-ahead discipline in the observable timeline: Sigma(mint
+    // epsilon') can only ever over-count what the mechanism released,
+    // never under-count it.
+    ledger_.mint(consumer_id, range, spec, plan.epsilon_amplified,
+                 intent_sequence);
     // Dying here is the over-count case: the intent is durable but no
     // noise was drawn, so recovery charges budget that was never spent.
     // The asymmetry is deliberate — the reverse (spent but not charged)
@@ -208,21 +182,13 @@ dp::PrivateAnswer DataBroker::mint_answer_with_intent(
   return counter_.answer(range, spec, barrier);
 }
 
-void DataBroker::maybe_checkpoint() {
-  if (wal_ == nullptr || config_.wal_checkpoint_interval == 0) return;
+bool DataBroker::checkpoint_due() {
+  if (wal_ == nullptr || config_.wal_checkpoint_interval == 0) return false;
   const std::size_t commits =
       commits_since_checkpoint_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (commits < config_.wal_checkpoint_interval) return;
+  if (commits < config_.wal_checkpoint_interval) return false;
   commits_since_checkpoint_.store(0, std::memory_order_relaxed);
-  PRC_CRASH_POINT("wal.pre_checkpoint");
-  const auto snapshot = ledger_.snapshot();
-  wal_->append_checkpoint(snapshot);
-  PRC_CRASH_POINT("wal.post_checkpoint");
-  AuditEvent event;
-  event.type = AuditEventType::kCheckpoint;
-  event.epsilon = snapshot.total_epsilon;
-  event.detail = "periodic wal checkpoint";
-  audit_.append_event(std::move(event));
+  return true;
 }
 
 PurchaseReceipt DataBroker::sell(const std::string& consumer_id,
@@ -250,12 +216,10 @@ PurchaseReceipt DataBroker::sell(const std::string& consumer_id,
   // read keeps an already-exhausted consumer from paying for a plan
   // projection; the reservation below is the authoritative, race-free
   // admission check.
-  const double spent = ledger_.consumer_epsilon(consumer_id);
-  if (spent >= config_.per_consumer_epsilon_cap) {
-    record_refusal("market.refusals_budget", consumer_id, range, spec, 0.0,
-                   "consumer already at the per-consumer epsilon cap");
-    throw BudgetExceededError(consumer_id, spent,
-                              config_.per_consumer_epsilon_cap);
+  if (ledger_.consumer_epsilon(consumer_id) >=
+      config_.per_consumer_epsilon_cap) {
+    refuse_budget(consumer_id, range, spec, 0.0,
+                  "consumer already at the per-consumer epsilon cap");
   }
   const auto projected = counter_.plan_for(spec);
   // Holding the projected epsilon' until commit (or unwinding) closes the
@@ -263,26 +227,10 @@ PurchaseReceipt DataBroker::sell(const std::string& consumer_id,
   // cap on the strength of the same unspent headroom.
   auto reservation =
       ledger_.try_reserve(consumer_id, projected.epsilon_amplified,
-                          config_.per_consumer_epsilon_cap);
+                          config_.per_consumer_epsilon_cap, range, spec);
   if (!reservation.has_value()) {
-    record_refusal("market.refusals_budget", consumer_id, range, spec,
-                   projected.epsilon_amplified,
-                   "projected plan does not fit under the epsilon cap");
-    throw BudgetExceededError(
-        consumer_id,
-        ledger_.consumer_epsilon(consumer_id) + projected.epsilon_amplified,
-        config_.per_consumer_epsilon_cap);
-  }
-  {
-    AuditEvent held;
-    held.type = AuditEventType::kReserve;
-    held.consumer_id = consumer_id;
-    held.lower = range.lower;
-    held.upper = range.upper;
-    held.alpha = spec.alpha;
-    held.delta = spec.delta;
-    held.epsilon = projected.epsilon_amplified;
-    audit_.append_event(std::move(held));
+    refuse_budget(consumer_id, range, spec, projected.epsilon_amplified,
+                  "projected plan does not fit under the epsilon cap");
   }
 
   // The coverage floor is checked against the current cache BEFORE any
@@ -291,14 +239,9 @@ PurchaseReceipt DataBroker::sell(const std::string& consumer_id,
   {
     const auto cov = counter_.network().base_station().coverage();
     if (cov.target_p > 0.0 && cov.coverage < config_.min_coverage) {
-      record_refusal("market.refusals_coverage", consumer_id, range, spec,
-                     reservation->epsilon(),
-                     "cache coverage below the broker floor");
-      throw InsufficientCoverageError(
-          "coverage " + std::to_string(cov.coverage) +
-              " below the broker floor " +
-              std::to_string(config_.min_coverage),
-          cov);
+      refuse_coverage(consumer_id, range, spec, reservation->epsilon(),
+                      "cache coverage below the broker floor",
+                      below_floor(cov.coverage), cov);
     }
   }
 
@@ -313,32 +256,24 @@ PurchaseReceipt DataBroker::sell(const std::string& consumer_id,
     // ensure_feasible_plan failed before any noise was drawn: nothing has
     // been released yet, so refusing here spends no budget.
     if (config_.degraded_policy == DegradedSalePolicy::kRefuse) {
-      record_refusal("market.refusals_coverage", consumer_id, range, spec,
-                     reservation->epsilon(),
-                     "coverage cannot support the contract; policy is "
-                     "refuse");
-      throw InsufficientCoverageError(
-          std::string("sale refused: ") + err.what(), err.coverage());
+      refuse_coverage(consumer_id, range, spec, reservation->epsilon(),
+                      "coverage cannot support the contract; policy is "
+                      "refuse",
+                      std::string("sale refused: ") + err.what(),
+                      err.coverage());
     }
     if (err.coverage().coverage < config_.min_coverage) {
-      record_refusal("market.refusals_coverage", consumer_id, range, spec,
-                     reservation->epsilon(),
-                     "degraded coverage below the broker floor");
-      throw InsufficientCoverageError(
-          "coverage " + std::to_string(err.coverage().coverage) +
-              " below the broker floor " +
-              std::to_string(config_.min_coverage),
-          err.coverage());
+      refuse_coverage(consumer_id, range, spec, reservation->epsilon(),
+                      "degraded coverage below the broker floor",
+                      below_floor(err.coverage().coverage), err.coverage());
     }
     try {
       sold_spec = counter_.degraded_spec(spec);
     } catch (const dp::CoverageError& inner) {
-      record_refusal("market.refusals_coverage", consumer_id, range, spec,
-                     reservation->epsilon(),
-                     "repricing impossible: some node never reported");
-      throw InsufficientCoverageError(
-          std::string("repricing impossible: ") + inner.what(),
-          inner.coverage());
+      refuse_coverage(consumer_id, range, spec, reservation->epsilon(),
+                      "repricing impossible: some node never reported",
+                      std::string("repricing impossible: ") + inner.what(),
+                      inner.coverage());
     }
     degraded = true;
     answer = mint_answer_with_intent(consumer_id, range, sold_spec,
@@ -374,10 +309,15 @@ PurchaseReceipt DataBroker::sell(const std::string& consumer_id,
   // Crash windows from here on: pre_record dies with a durable intent and
   // a minted answer (recovery charges the orphan); post_record dies with
   // the ledger updated in memory but no durable commit (same orphan
-  // charge); post_commit dies fully durable.
+  // charge); post_commit dies fully durable.  A due checkpoint is taken in
+  // the commit's critical section (covering this sale) and written after
+  // the commit record, outside the ledger lock.
   PRC_CRASH_POINT("broker.pre_record");
-  receipt.transaction_id = ledger_.commit(std::move(*reservation),
-                                          transaction);
+  std::optional<LedgerSnapshot> checkpoint;
+  if (checkpoint_due()) checkpoint.emplace();
+  receipt.transaction_id =
+      ledger_.commit(std::move(*reservation), transaction, intent_sequence,
+                     checkpoint ? &*checkpoint : nullptr);
   PRC_CRASH_POINT("broker.post_record");
   if (wal_ != nullptr) {
     wal::CommitRecord commit;
@@ -386,22 +326,11 @@ PurchaseReceipt DataBroker::sell(const std::string& consumer_id,
     commit.transaction.sequence = receipt.transaction_id;
     wal_->append_commit(std::move(commit));
     PRC_CRASH_POINT("wal.post_commit");
-    maybe_checkpoint();
-  }
-  {
-    AuditEvent committed;
-    committed.type = AuditEventType::kCommit;
-    committed.consumer_id = consumer_id;
-    committed.lower = range.lower;
-    committed.upper = range.upper;
-    committed.alpha = sold_spec.alpha;
-    committed.delta = sold_spec.delta;
-    committed.epsilon = answer.plan.epsilon_amplified;
-    committed.price = receipt.price;
-    committed.wal_sequence = intent_sequence;
-    committed.ledger_sequence = receipt.transaction_id;
-    if (degraded) committed.detail = "degraded sale (repriced contract)";
-    audit_.append_event(std::move(committed));
+    if (checkpoint) {
+      PRC_CRASH_POINT("wal.pre_checkpoint");
+      wal_->append_checkpoint(*checkpoint);
+      PRC_CRASH_POINT("wal.post_checkpoint");
+    }
   }
   sales.increment();
   // Deliberately lazy (not a hoisted static): the degraded path is cold,

@@ -15,7 +15,6 @@
 #include <string>
 
 #include "dp/private_counting.h"
-#include "market/audit_log.h"
 #include "market/ledger.h"
 #include "market/wal.h"
 #include "pricing/pricing.h"
@@ -170,12 +169,12 @@ class DataBroker {
     return quote_cache_;
   }
 
-  /// The broker's privacy-budget audit timeline (always on): quote,
-  /// reserve, intent, mint, commit, refusal, recovery and checkpoint
-  /// events, appended at the exact code points the guarantees attach to.
-  /// audit_log().reconcile(ledger()) proves Sigma(mint epsilon') +
-  /// Sigma(recovery epsilon') == ledger().total_epsilon().
-  const AuditLog& audit_log() const noexcept { return audit_; }
+  /// The broker's privacy-budget audit timeline (always on): the ledger's
+  /// own quote, reserve, intent, mint, commit, refusal, recovery and
+  /// checkpoint events, appended at the exact code points the guarantees
+  /// attach to.  audit_log().reconcile(ledger()) proves Sigma(mint
+  /// epsilon') + Sigma(recovery epsilon') == ledger().total_epsilon().
+  const AuditLog& audit_log() const noexcept { return ledger_.timeline(); }
 
  private:
   /// The single market-layer gateway to PrivateRangeCounter::answer (the
@@ -190,20 +189,32 @@ class DataBroker {
                                             const query::AccuracySpec& spec,
                                             Ledger::Reservation& reservation,
                                             std::uint64_t& intent_sequence);
-  void maybe_checkpoint();
+  /// Counts a commit toward the checkpoint cadence; true when this commit
+  /// should take the periodic WAL checkpoint.
+  bool checkpoint_due();
   wal::SyncMode wal_sync_mode() const noexcept {
     return config_.wal_fsync ? wal::SyncMode::kMediaDurable
                              : wal::SyncMode::kProcessDurable;
   }
 
-  /// Appends a kRefusal event and bumps the matching refusal counter —
-  /// every refusal exit of sell() goes through here so the audit timeline
-  /// and the metrics can never disagree about why a sale died.
-  void record_refusal(const char* counter_name,
-                      const std::string& consumer_id,
-                      const query::RangeQuery& range,
-                      const query::AccuracySpec& spec,
-                      units::EffectiveEpsilon attempted, std::string reason);
+  /// Every refusal exit of sell() goes through one of these: each records
+  /// the kRefusal in the ledger, bumps the matching refusal counter and
+  /// throws, so the audit timeline and the metrics can never disagree
+  /// about why a sale died.  `attempted` is recorded, not spent.
+  [[noreturn]] void refuse_budget(const std::string& consumer_id,
+                                  const query::RangeQuery& range,
+                                  const query::AccuracySpec& spec,
+                                  units::EffectiveEpsilon attempted,
+                                  std::string reason);
+  [[noreturn]] void refuse_coverage(const std::string& consumer_id,
+                                    const query::RangeQuery& range,
+                                    const query::AccuracySpec& spec,
+                                    units::EffectiveEpsilon attempted,
+                                    std::string reason,
+                                    const std::string& what,
+                                    const iot::CoverageSummary& coverage);
+  /// "coverage X below the broker floor Y".
+  std::string below_floor(double coverage) const;
 
   dp::PrivateRangeCounter& counter_;
   std::unique_ptr<pricing::PricingFunction> pricing_;
@@ -211,14 +222,13 @@ class DataBroker {
   /// Memoizes *pricing_ (declared after it; same lifetime).  Shared by
   /// concurrent consumers — QuoteCache carries its own mutex.
   pricing::QuoteCache quote_cache_;
-  Ledger ledger_;
+  /// mutable: quote() is const but still leaves a timeline entry.
+  mutable Ledger ledger_;
   std::unique_ptr<wal::WriteAheadLog> wal_;
   /// Checkpoint cadence counter: an over- or under-count by one merely
   /// shifts WHEN the next checkpoint lands, never whether a commit is
   /// durable, so a relaxed cell is enough.
   std::atomic<std::size_t> commits_since_checkpoint_{0};  // lint:allow atomic
-  /// mutable: quote() is const but still leaves a timeline entry.
-  mutable AuditLog audit_;
 };
 
 }  // namespace prc::market

@@ -2,31 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <utility>
 
 #include "common/check.h"
 #include "common/telemetry.h"
 
 namespace prc::market {
+namespace {
 
-void Ledger::Reservation::release() noexcept {
-  if (ledger_ == nullptr) return;
-  Ledger* ledger = ledger_;
-  ledger_ = nullptr;
-  std::lock_guard<std::mutex> lock(ledger->mutex_);
-  auto it = ledger->reserved_by_consumer_.find(consumer_id_);
-  if (it != ledger->reserved_by_consumer_.end()) {
-    it->second -= epsilon_;
-    if (it->second <= 0.0) ledger->reserved_by_consumer_.erase(it);
-  }
-}
-
-std::size_t Ledger::record(Transaction transaction) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return record_locked(std::move(transaction));
-}
-
-std::size_t Ledger::record_locked(Transaction transaction) {
+void check_sale(const Transaction& transaction) {
   PRC_CHECK(std::isfinite(transaction.price) && transaction.price >= 0.0)
       << "ledger: price must be >= 0, got " << transaction.price;
   PRC_CHECK(std::isfinite(transaction.epsilon_amplified) &&
@@ -35,42 +19,170 @@ std::size_t Ledger::record_locked(Transaction transaction) {
       << transaction.epsilon_amplified;
   PRC_CHECK(transaction.coverage >= 0.0 && transaction.coverage <= 1.0)
       << "ledger: coverage must be in [0, 1], got " << transaction.coverage;
-  transaction.sequence = next_sequence_++;
-  if (transaction.degraded) ++degraded_sales_;
-  total_revenue_ += transaction.price;
-  total_epsilon_ += transaction.epsilon_amplified;
-  spend_by_consumer_[transaction.consumer_id] += transaction.price;
-  epsilon_by_consumer_[transaction.consumer_id] +=
-      transaction.epsilon_amplified;
-  transactions_.push_back(std::move(transaction));
-  // Budget conservation (sequential composition audit): every epsilon'
-  // released globally must be attributed to exactly one consumer.  The
-  // tolerance scales with the running total because both sides accumulate
-  // independent fp rounding.
-  PRC_DCHECK(conservation_discrepancy_locked() <=
-             1e-9 * (1.0 + total_epsilon_ + total_revenue_))
-      << "ledger lost track of released budget: discrepancy "
-      << conservation_discrepancy_locked();
-  telemetry::counter("market.ledger_transactions").increment();
-  telemetry::gauge("market.ledger_conservation_discrepancy")
-      .set(conservation_discrepancy_locked());
-  return transactions_.back().sequence;
+}
+
+AuditEvent sale_event(AuditEventType type, const std::string& consumer_id,
+                      const query::RangeQuery& range,
+                      const query::AccuracySpec& spec,
+                      units::EffectiveEpsilon epsilon,
+                      std::uint64_t wal_sequence = 0,
+                      std::string detail = {}) {
+  AuditEvent event;
+  event.type = type;
+  event.consumer_id = consumer_id;
+  event.lower = range.lower;
+  event.upper = range.upper;
+  event.alpha = spec.alpha;
+  event.delta = spec.delta;
+  event.epsilon = epsilon;
+  event.wal_sequence = wal_sequence;
+  event.detail = std::move(detail);
+  return event;
+}
+
+/// A commit event carries the whole sale: transactions_snapshot() and the
+/// fold read it back from here.
+AuditEvent commit_event(const Transaction& transaction,
+                        std::uint64_t sequence, std::uint64_t wal_sequence) {
+  AuditEvent event = sale_event(
+      AuditEventType::kCommit, transaction.consumer_id, transaction.range,
+      transaction.spec, transaction.epsilon_amplified, wal_sequence,
+      transaction.degraded ? "degraded sale (repriced contract)" : "");
+  event.price = transaction.price;
+  event.ledger_sequence = sequence;
+  event.coverage = transaction.coverage;
+  event.degraded = transaction.degraded;
+  return event;
+}
+
+/// A broker-level event reporting a ledger total (checkpoint, recovery).
+AuditEvent total_event(AuditEventType type, units::EffectiveEpsilon total,
+                       std::string detail) {
+  AuditEvent event;
+  event.type = type;
+  event.epsilon = total;
+  event.detail = std::move(detail);
+  return event;
+}
+
+}  // namespace
+
+void Ledger::Reservation::release() noexcept {
+  if (ledger_ == nullptr) return;
+  Ledger* ledger = ledger_;
+  ledger_ = nullptr;
+  std::lock_guard<std::mutex> lock(ledger->mutex_);
+  ledger->release_locked(consumer_id_, epsilon_);
+}
+
+bool Ledger::hold_locked(const std::string& consumer_id, double epsilon,
+                         units::EffectiveEpsilon cap) {
+  const auto spent_it = books_.epsilon_by_consumer.find(consumer_id);
+  const double spent =
+      spent_it == books_.epsilon_by_consumer.end() ? 0.0 : spent_it->second;
+  const auto held_it = reserved_by_consumer_.find(consumer_id);
+  const double held =
+      held_it == reserved_by_consumer_.end() ? 0.0 : held_it->second;
+  if (spent + held + epsilon > cap.value()) return false;
+  reserved_by_consumer_[consumer_id] = held + epsilon;
+  return true;
+}
+
+void Ledger::release_locked(const std::string& consumer_id, double epsilon) {
+  auto it = reserved_by_consumer_.find(consumer_id);
+  if (it != reserved_by_consumer_.end()) {
+    it->second -= epsilon;
+    if (it->second <= 0.0) reserved_by_consumer_.erase(it);
+  }
+}
+
+void Ledger::fold_locked(AuditEvent event, Booking booking,
+                         const LedgerSnapshot* base) {
+  const double epsilon = event.epsilon.value();
+  switch (booking) {
+    case Booking::kNothing:
+      break;
+    case Booking::kSale:
+      books_.next_sequence = event.ledger_sequence + 1;
+      ++books_.commits;
+      if (event.degraded) ++books_.degraded_sales;
+      books_.total_revenue += event.price;
+      books_.total_epsilon += epsilon;
+      books_.spend_by_consumer[event.consumer_id] += event.price;
+      books_.epsilon_by_consumer[event.consumer_id] += epsilon;
+      // Budget conservation (sequential composition audit): every epsilon'
+      // released globally must be attributed to exactly one consumer.  The
+      // tolerance scales with the running total because both sides
+      // accumulate independent fp rounding.
+      PRC_DCHECK(conservation_discrepancy_locked() <=
+                 1e-9 * (1.0 + books_.total_epsilon + books_.total_revenue))
+          << "ledger lost track of released budget: discrepancy "
+          << conservation_discrepancy_locked();
+      telemetry::counter("market.ledger_transactions").increment();
+      telemetry::gauge("market.ledger_conservation_discrepancy")
+          .set(conservation_discrepancy_locked());
+      break;
+    case Booking::kOrphan:
+      books_.total_epsilon += epsilon;
+      books_.orphaned_epsilon += epsilon;
+      books_.epsilon_by_consumer[event.consumer_id] += epsilon;
+      telemetry::gauge("market.ledger_orphaned_epsilon")
+          .set(books_.orphaned_epsilon);
+      break;
+    case Booking::kBase:
+      books_.next_sequence = base->next_sequence;
+      books_.total_revenue = base->total_revenue;
+      books_.total_epsilon = base->total_epsilon.value();
+      books_.orphaned_epsilon = base->orphaned_epsilon.value();
+      books_.degraded_sales = base->degraded_sales;
+      for (const auto& totals : base->consumers) {
+        books_.spend_by_consumer[totals.consumer_id] = totals.spend;
+        books_.epsilon_by_consumer[totals.consumer_id] = totals.epsilon.value();
+      }
+      PRC_CHECK(conservation_discrepancy_locked() <=
+                1e-9 * (1.0 + books_.total_epsilon + books_.total_revenue))
+          << "restored checkpoint violates budget conservation: discrepancy "
+          << conservation_discrepancy_locked();
+      break;
+  }
+  timeline_.append_event(std::move(event));
+}
+
+std::size_t Ledger::record(Transaction transaction) {
+  check_sale(transaction);
+  std::lock_guard<std::mutex> lock(mutex_);
+  const std::size_t sequence = books_.next_sequence;
+  fold_locked(commit_event(transaction, sequence, 0), Booking::kSale);
+  return sequence;
+}
+
+void Ledger::quote(const query::AccuracySpec& spec, double price) {
+  AuditEvent event = sale_event(AuditEventType::kQuote, {}, {}, spec, 0.0);
+  event.price = price;
+  std::lock_guard<std::mutex> lock(mutex_);
+  fold_locked(std::move(event));
+}
+
+void Ledger::refuse(const std::string& consumer_id,
+                    const query::RangeQuery& range,
+                    const query::AccuracySpec& spec,
+                    units::EffectiveEpsilon attempted, std::string reason) {
+  // Attempted, NOT spent: refusals release nothing.
+  std::lock_guard<std::mutex> lock(mutex_);
+  fold_locked(sale_event(AuditEventType::kRefusal, consumer_id, range, spec,
+                         attempted, 0, std::move(reason)));
 }
 
 std::optional<Ledger::Reservation> Ledger::try_reserve(
     const std::string& consumer_id, units::EffectiveEpsilon epsilon,
-    units::EffectiveEpsilon cap) {
+    units::EffectiveEpsilon cap, const query::RangeQuery& range,
+    const query::AccuracySpec& spec) {
   PRC_CHECK(std::isfinite(epsilon.value()) && epsilon.value() >= 0.0)
       << "ledger: reserved budget must be >= 0, got " << epsilon.value();
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto spent_it = epsilon_by_consumer_.find(consumer_id);
-  const double spent =
-      spent_it == epsilon_by_consumer_.end() ? 0.0 : spent_it->second;
-  const auto held_it = reserved_by_consumer_.find(consumer_id);
-  const double held =
-      held_it == reserved_by_consumer_.end() ? 0.0 : held_it->second;
-  if (spent + held + epsilon.value() > cap.value()) return std::nullopt;
-  reserved_by_consumer_[consumer_id] = held + epsilon.value();
+  if (!hold_locked(consumer_id, epsilon.value(), cap)) return std::nullopt;
+  fold_locked(
+      sale_event(AuditEventType::kReserve, consumer_id, range, spec, epsilon));
   return Reservation(this, consumer_id, epsilon.value());
 }
 
@@ -84,19 +196,29 @@ bool Ledger::try_extend(Reservation& reservation,
   PRC_CHECK(std::isfinite(delta.value()) && delta.value() >= 0.0)
       << "ledger: reservation extension must be >= 0, got " << delta.value();
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto spent_it = epsilon_by_consumer_.find(reservation.consumer_id_);
-  const double spent =
-      spent_it == epsilon_by_consumer_.end() ? 0.0 : spent_it->second;
-  const auto held_it = reserved_by_consumer_.find(reservation.consumer_id_);
-  const double held =
-      held_it == reserved_by_consumer_.end() ? 0.0 : held_it->second;
-  if (spent + held + delta.value() > cap.value()) return false;
-  reserved_by_consumer_[reservation.consumer_id_] = held + delta.value();
+  if (!hold_locked(reservation.consumer_id_, delta.value(), cap)) return false;
   reservation.epsilon_ += delta.value();
   return true;
 }
 
-std::size_t Ledger::commit(Reservation reservation, Transaction transaction) {
+void Ledger::mint(const std::string& consumer_id,
+                  const query::RangeQuery& range,
+                  const query::AccuracySpec& spec,
+                  units::EffectiveEpsilon epsilon,
+                  std::uint64_t intent_sequence) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (intent_sequence != 0) {
+    fold_locked(sale_event(AuditEventType::kIntent, consumer_id, range, spec,
+                           epsilon, intent_sequence));
+  }
+  fold_locked(sale_event(AuditEventType::kMint, consumer_id, range, spec,
+                         epsilon, intent_sequence,
+                         "final plan admitted; noise draw follows"));
+}
+
+std::size_t Ledger::commit(Reservation reservation, Transaction transaction,
+                           std::uint64_t wal_sequence,
+                           LedgerSnapshot* checkpoint) {
   PRC_CHECK(reservation.active())
       << "ledger: committing a released reservation";
   PRC_CHECK(reservation.ledger_ == this)
@@ -104,6 +226,7 @@ std::size_t Ledger::commit(Reservation reservation, Transaction transaction) {
   PRC_CHECK(reservation.consumer_id_ == transaction.consumer_id)
       << "ledger: reservation for '" << reservation.consumer_id_
       << "' cannot commit a sale to '" << transaction.consumer_id << "'";
+  check_sale(transaction);
   // The reservation was the admission check and the mint barrier extended
   // it to the final plan; anything past fp rounding here is a release the
   // cap never admitted.
@@ -119,21 +242,40 @@ std::size_t Ledger::commit(Reservation reservation, Transaction transaction) {
                        << transaction.consumer_id << "'";
   reservation.ledger_ = nullptr;  // consumed; no destructor-time release
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = reserved_by_consumer_.find(reservation.consumer_id_);
-  if (it != reserved_by_consumer_.end()) {
-    it->second -= reservation.epsilon_;
-    if (it->second <= 0.0) reserved_by_consumer_.erase(it);
+  release_locked(reservation.consumer_id_, reservation.epsilon_);
+  if (checkpoint != nullptr) {
+    // The checkpoint covers this sale, and the timeline lists it ahead of
+    // the sale's commit; its total is the sum the commit's fold computes.
+    fold_locked(total_event(
+        AuditEventType::kCheckpoint,
+        books_.total_epsilon + transaction.epsilon_amplified.value(),
+        "periodic wal checkpoint"));
   }
-  return record_locked(std::move(transaction));
+  const std::size_t sequence = books_.next_sequence;
+  fold_locked(commit_event(transaction, sequence, wal_sequence),
+              Booking::kSale);
+  if (checkpoint != nullptr) *checkpoint = snapshot_locked();
+  return sequence;
 }
 
-std::size_t Ledger::replay(Transaction transaction) {
+LedgerSnapshot Ledger::checkpoint(std::string detail) {
   std::lock_guard<std::mutex> lock(mutex_);
-  PRC_CHECK(transaction.sequence >= next_sequence_)
-      << "ledger replay would reuse sequence " << transaction.sequence
-      << " (next is " << next_sequence_ << ")";
-  next_sequence_ = transaction.sequence;
-  return record_locked(std::move(transaction));
+  LedgerSnapshot snapshot = snapshot_locked();
+  fold_locked(total_event(AuditEventType::kCheckpoint, snapshot.total_epsilon,
+                          std::move(detail)));
+  return snapshot;
+}
+
+std::vector<Transaction> Ledger::transactions_snapshot() const {
+  std::vector<Transaction> transactions;
+  timeline_.for_each_event([&transactions](const AuditEvent& event) {
+    if (event.type != AuditEventType::kCommit) return;
+    transactions.push_back(
+        {static_cast<std::size_t>(event.ledger_sequence), event.consumer_id,
+         {event.lower, event.upper}, {event.alpha, event.delta}, event.price,
+         event.epsilon, event.coverage, event.degraded});
+  });
+  return transactions;
 }
 
 double Ledger::conservation_discrepancy() const {
@@ -143,56 +285,50 @@ double Ledger::conservation_discrepancy() const {
 
 double Ledger::conservation_discrepancy_locked() const {
   double epsilon_sum = 0.0;
-  for (const auto& [consumer, epsilon] : epsilon_by_consumer_) {
+  for (const auto& [consumer, epsilon] : books_.epsilon_by_consumer) {
     epsilon_sum += epsilon;
   }
   double spend_sum = 0.0;
-  for (const auto& [consumer, spend] : spend_by_consumer_) {
+  for (const auto& [consumer, spend] : books_.spend_by_consumer) {
     spend_sum += spend;
   }
-  return std::abs(epsilon_sum - total_epsilon_) +
-         std::abs(spend_sum - total_revenue_);
+  return std::abs(epsilon_sum - books_.total_epsilon) +
+         std::abs(spend_sum - books_.total_revenue);
 }
 
 double Ledger::consumer_spend(const std::string& consumer_id) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = spend_by_consumer_.find(consumer_id);
-  return it == spend_by_consumer_.end() ? 0.0 : it->second;
+  const auto it = books_.spend_by_consumer.find(consumer_id);
+  return it == books_.spend_by_consumer.end() ? 0.0 : it->second;
 }
 
 units::EffectiveEpsilon Ledger::consumer_epsilon(
     const std::string& consumer_id) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = epsilon_by_consumer_.find(consumer_id);
-  return it == epsilon_by_consumer_.end() ? 0.0 : it->second;
+  const auto it = books_.epsilon_by_consumer.find(consumer_id);
+  return it == books_.epsilon_by_consumer.end() ? 0.0 : it->second;
 }
 
 LedgerSnapshot Ledger::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
+  return snapshot_locked();
+}
+
+LedgerSnapshot Ledger::snapshot_locked() const {
   LedgerSnapshot snap;
-  snap.next_sequence = next_sequence_;
-  snap.total_revenue = total_revenue_;
-  snap.total_epsilon = total_epsilon_;
-  snap.orphaned_epsilon = orphaned_epsilon_;
-  snap.degraded_sales = degraded_sales_;
-  snap.consumers.reserve(
-      std::max(spend_by_consumer_.size(), epsilon_by_consumer_.size()));
-  for (const auto& [consumer, spend] : spend_by_consumer_) {
-    LedgerConsumerTotals totals;
-    totals.consumer_id = consumer;
-    totals.spend = spend;
-    const auto it = epsilon_by_consumer_.find(consumer);
-    totals.epsilon = it == epsilon_by_consumer_.end() ? 0.0 : it->second;
-    snap.consumers.push_back(std::move(totals));
-  }
-  // Consumers charged budget but never money (orphan-only) appear in the
-  // epsilon map alone.
-  for (const auto& [consumer, epsilon] : epsilon_by_consumer_) {
-    if (spend_by_consumer_.contains(consumer)) continue;
-    LedgerConsumerTotals totals;
-    totals.consumer_id = consumer;
-    totals.epsilon = epsilon;
-    snap.consumers.push_back(std::move(totals));
+  snap.next_sequence = books_.next_sequence;
+  snap.total_revenue = books_.total_revenue;
+  snap.total_epsilon = books_.total_epsilon;
+  snap.orphaned_epsilon = books_.orphaned_epsilon;
+  snap.degraded_sales = books_.degraded_sales;
+  // Every fold that books spend also books epsilon', so the epsilon map
+  // lists every consumer (orphan-only ones have no spend entry).
+  snap.consumers.reserve(books_.epsilon_by_consumer.size());
+  for (const auto& [consumer, epsilon] : books_.epsilon_by_consumer) {
+    const auto it = books_.spend_by_consumer.find(consumer);
+    snap.consumers.push_back(
+        {consumer, it == books_.spend_by_consumer.end() ? 0.0 : it->second,
+         epsilon});
   }
   std::sort(snap.consumers.begin(), snap.consumers.end(),
             [](const LedgerConsumerTotals& a, const LedgerConsumerTotals& b) {
@@ -203,57 +339,60 @@ LedgerSnapshot Ledger::snapshot() const {
 
 void Ledger::restore(const LedgerSnapshot& snapshot) {
   std::lock_guard<std::mutex> lock(mutex_);
-  PRC_CHECK(next_sequence_ == 0 && transactions_.empty() &&
-            spend_by_consumer_.empty() && epsilon_by_consumer_.empty() &&
-            degraded_sales_ == 0)
+  PRC_CHECK(books_.empty())
       << "ledger restore requires an empty ledger (recovery is a birth, "
          "not a merge)";
-  next_sequence_ = snapshot.next_sequence;
-  total_revenue_ = snapshot.total_revenue;
-  total_epsilon_ = snapshot.total_epsilon.value();
-  orphaned_epsilon_ = snapshot.orphaned_epsilon.value();
-  degraded_sales_ = snapshot.degraded_sales;
-  for (const auto& totals : snapshot.consumers) {
-    spend_by_consumer_[totals.consumer_id] = totals.spend;
-    epsilon_by_consumer_[totals.consumer_id] = totals.epsilon.value();
-  }
-  PRC_CHECK(conservation_discrepancy_locked() <=
-            1e-9 * (1.0 + total_epsilon_ + total_revenue_))
-      << "restored checkpoint violates budget conservation: discrepancy "
-      << conservation_discrepancy_locked();
+  fold_locked(total_event(AuditEventType::kCheckpoint, snapshot.total_epsilon,
+                               "recovery base: last durable checkpoint"),
+              Booking::kBase, &snapshot);
+}
+
+std::size_t Ledger::replay(Transaction transaction,
+                           std::uint64_t wal_sequence) {
+  check_sale(transaction);
+  std::lock_guard<std::mutex> lock(mutex_);
+  PRC_CHECK(transaction.sequence >= books_.next_sequence)
+      << "ledger replay would reuse sequence " << transaction.sequence
+      << " (next is " << books_.next_sequence << ")";
+  AuditEvent event =
+      commit_event(transaction, transaction.sequence, wal_sequence);
+  event.detail = "replayed from wal";
+  fold_locked(std::move(event), Booking::kSale);
+  return transaction.sequence;
+}
+
+void Ledger::absorb_orphaned(const std::string& consumer_id,
+                             const query::RangeQuery& range,
+                             const query::AccuracySpec& spec,
+                             units::EffectiveEpsilon epsilon,
+                             std::uint64_t wal_sequence) {
+  PRC_CHECK(std::isfinite(epsilon.value()) && epsilon.value() >= 0.0)
+      << "ledger: orphaned budget must be >= 0, got " << epsilon.value();
+  std::lock_guard<std::mutex> lock(mutex_);
+  fold_locked(sale_event(AuditEventType::kIntent, consumer_id, range, spec,
+                         epsilon, wal_sequence,
+                         "orphaned intent (no commit): charged as spent"),
+              Booking::kOrphan);
+}
+
+void Ledger::conclude_recovery(std::string detail) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  fold_locked(total_event(AuditEventType::kRecovery, books_.total_epsilon,
+                          std::move(detail)));
 }
 
 void Ledger::adopt(Ledger& other) {
-  // One deadlock-free atomic acquisition: two sequential lock_guards
-  // would self-deadlock on `ledger.adopt(ledger)` and invert order
-  // against a concurrent `other.adopt(*this)`.
+  PRC_CHECK(&other != this) << "ledger cannot adopt itself";
+  // One deadlock-free atomic acquisition: two sequential lock_guards would
+  // invert order against a concurrent `other.adopt(*this)`.
   std::scoped_lock lock(mutex_, other.mutex_);
-  PRC_CHECK(next_sequence_ == 0 && transactions_.empty() &&
-            spend_by_consumer_.empty() && epsilon_by_consumer_.empty() &&
-            reserved_by_consumer_.empty() && degraded_sales_ == 0)
+  PRC_CHECK(books_.empty() && reserved_by_consumer_.empty())
       << "ledger adopt requires an empty ledger (recovery is a birth, "
          "not a merge)";
   PRC_CHECK(other.reserved_by_consumer_.empty())
       << "ledger adopt source still holds live reservations";
-  transactions_ = std::move(other.transactions_);
-  next_sequence_ = other.next_sequence_;
-  degraded_sales_ = other.degraded_sales_;
-  total_revenue_ = other.total_revenue_;
-  total_epsilon_ = other.total_epsilon_;
-  orphaned_epsilon_ = other.orphaned_epsilon_;
-  spend_by_consumer_ = std::move(other.spend_by_consumer_);
-  epsilon_by_consumer_ = std::move(other.epsilon_by_consumer_);
-}
-
-void Ledger::absorb_orphaned(const std::string& consumer_id,
-                             units::EffectiveEpsilon epsilon) {
-  PRC_CHECK(std::isfinite(epsilon.value()) && epsilon.value() >= 0.0)
-      << "ledger: orphaned budget must be >= 0, got " << epsilon.value();
-  std::lock_guard<std::mutex> lock(mutex_);
-  total_epsilon_ += epsilon.value();
-  orphaned_epsilon_ += epsilon.value();
-  epsilon_by_consumer_[consumer_id] += epsilon.value();
-  telemetry::gauge("market.ledger_orphaned_epsilon").set(orphaned_epsilon_);
+  books_ = std::exchange(other.books_, Books{});
+  timeline_.append_all(other.timeline_);
 }
 
 }  // namespace prc::market

@@ -1,10 +1,15 @@
-// Transaction ledger: revenue accounting plus per-consumer privacy audit.
+// Transaction ledger: revenue accounting plus per-consumer privacy audit,
+// kept as a fold over the privacy-budget audit timeline.
 //
 // Each sale releases one epsilon'-DP answer; sequential composition means a
 // consumer's cumulative leakage is the sum of the amplified budgets of the
-// answers they bought.  The ledger tracks both money and budget, and since
-// the accounting IS the privacy guarantee, it supports durable snapshots
-// (checkpoints written to the WAL) and restore/replay for crash recovery.
+// answers they bought.  The ledger tracks both money and budget.  Its only
+// in-memory record of a budget fact is an AuditEvent on its own timeline:
+// every entry point appends its event and folds it into the aggregates in
+// one critical section, so the timeline and the books cannot disagree.
+// Since the accounting IS the privacy guarantee, it supports durable
+// snapshots (checkpoints written to the WAL) and restore/replay for crash
+// recovery — which is the same fold, fed from the log.
 #pragma once
 
 #include <cstddef>
@@ -17,6 +22,7 @@
 
 #include "common/thread_annotations.h"
 #include "common/units.h"
+#include "market/audit_log.h"
 #include "query/range_query.h"
 
 namespace prc::market {
@@ -45,9 +51,9 @@ struct LedgerConsumerTotals {
 };
 
 /// The aggregate state a WAL checkpoint persists and recovery restores: the
-/// conserved quantities plus per-consumer attribution.  The transaction
-/// list itself is NOT part of a snapshot — compaction exists precisely to
-/// drop replayed history once its aggregates are durable.  `total_epsilon`
+/// conserved quantities plus per-consumer attribution.  The timeline
+/// itself is NOT part of a snapshot — compaction exists precisely to drop
+/// replayed history once its aggregates are durable.  `total_epsilon`
 /// already includes `orphaned_epsilon` (orphans are spent budget; the
 /// latter is kept separately only so audits can report how much was
 /// charged to crashes rather than completed sales).
@@ -61,9 +67,9 @@ struct LedgerSnapshot {
 };
 
 /// Thread-safety: every member serializes on the internal mutex (parallel
-/// brokers hammer record() and the accessors concurrently).
-/// transactions_snapshot() copies under the lock, so readers never alias
-/// live mutable state.
+/// brokers hammer commit() and the accessors concurrently); the timeline
+/// is appended under it and read under the timeline's own lock, so readers
+/// never alias live mutable state and never block on the ledger.
 class Ledger {
  public:
   /// A held slice of a consumer's budget cap: try_reserve() checks
@@ -106,18 +112,32 @@ class Ledger {
     double epsilon_ = 0.0;
   };
 
-  /// Appends a transaction; assigns and returns its sequence number.
-  /// PRC_CHECKs the money/budget invariants (non-negative price and
-  /// epsilon', coverage in [0, 1]) and, in debug builds, re-audits budget
-  /// conservation after the append.
+  // --- Live sales.  Each call appends its event(s) to timeline(). ---
+
+  /// Appends a kCommit for a sale with no reservation or WAL behind it;
+  /// assigns and returns its sequence number.  PRC_CHECKs the money/budget
+  /// invariants (non-negative price and epsilon', coverage in [0, 1]) and,
+  /// in debug builds, re-audits budget conservation after the append.
   std::size_t record(Transaction transaction);
+
+  /// kQuote: a price was quoted for `spec`; nothing held or spent.
+  void quote(const query::AccuracySpec& spec, double price);
+
+  /// kRefusal: the sale died before any release; `attempted` is the
+  /// epsilon' it would have cost, recorded but not spent.
+  void refuse(const std::string& consumer_id, const query::RangeQuery& range,
+              const query::AccuracySpec& spec,
+              units::EffectiveEpsilon attempted, std::string reason);
 
   /// Atomically checks `spent + reserved + epsilon <= cap` for the consumer
   /// and, on success, holds `epsilon` until the returned handle is
-  /// committed or destroyed.  nullopt means the sale must be refused.
+  /// committed or destroyed, and appends a kReserve labelled with `range`
+  /// and `spec`.  nullopt means the sale must be refused.
   std::optional<Reservation> try_reserve(const std::string& consumer_id,
                                          units::EffectiveEpsilon epsilon,
-                                         units::EffectiveEpsilon cap);
+                                         units::EffectiveEpsilon cap,
+                                         const query::RangeQuery& range = {},
+                                         const query::AccuracySpec& spec = {});
 
   /// Atomically grows an active reservation by `delta` when the consumer's
   /// spent + held + delta still fits under `cap`; returns false (leaving
@@ -129,30 +149,49 @@ class Ledger {
   bool try_extend(Reservation& reservation, units::EffectiveEpsilon delta,
                   units::EffectiveEpsilon cap);
 
-  /// Converts a reservation into a recorded transaction in one critical
-  /// section (the reservation is consumed either way).  The transaction's
-  /// epsilon' may differ from the reserved amount only within fp rounding
-  /// — the mint barrier extends the reservation to the final plan before
-  /// the draw — so commit re-checks it: an overrun beyond rounding means
-  /// a release slipped past the cap unadmitted (fatal in debug builds,
-  /// counted by `market.ledger_reservation_overruns` always).
-  std::size_t commit(Reservation reservation, Transaction transaction);
+  /// The mint barrier's record, appended before any noise is drawn: a
+  /// kIntent for the durable WAL intent `intent_sequence` (skipped when it
+  /// is 0, i.e. no WAL), then the kMint.
+  void mint(const std::string& consumer_id, const query::RangeQuery& range,
+            const query::AccuracySpec& spec, units::EffectiveEpsilon epsilon,
+            std::uint64_t intent_sequence);
 
+  /// Converts a reservation into a kCommit in one critical section (the
+  /// reservation is consumed either way) and returns the sale's sequence.
+  /// `wal_sequence` links the commit to its durable intent.  The
+  /// transaction's epsilon' may differ from the reserved amount only within
+  /// fp rounding — the mint barrier extends the reservation to the final
+  /// plan before the draw — so commit re-checks it: an overrun beyond
+  /// rounding means a release slipped past the cap unadmitted (fatal in
+  /// debug builds, counted by `market.ledger_reservation_overruns`
+  /// always).  With `checkpoint` set, the same critical section also takes
+  /// the periodic WAL checkpoint covering this sale: its kCheckpoint is
+  /// listed just ahead of the kCommit and its snapshot lands in
+  /// `*checkpoint` for the caller to write.
+  std::size_t commit(Reservation reservation, Transaction transaction,
+                     std::uint64_t wal_sequence = 0,
+                     LedgerSnapshot* checkpoint = nullptr);
+
+  /// Snapshot of the aggregates plus its kCheckpoint (labelled `detail`),
+  /// taken in one critical section; the caller writes it to the WAL.
+  LedgerSnapshot checkpoint(std::string detail);
+
+  // --- Readers. ---
+
+  /// Sales on the timeline (live commits and replayed ones; sales a
+  /// restored checkpoint aggregates are not listed).
   std::size_t transaction_count() const noexcept {
     std::lock_guard<std::mutex> lock(mutex_);
-    return transactions_.size();
+    return books_.commits;
   }
 
-  /// Copy of the transaction log taken under the lock — safe to iterate
-  /// while sales continue on other threads.
-  std::vector<Transaction> transactions_snapshot() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return transactions_;
-  }
+  /// The sales on the timeline, read from its kCommit events — safe to
+  /// call while sales continue on other threads.
+  std::vector<Transaction> transactions_snapshot() const;
 
   double total_revenue() const noexcept {
     std::lock_guard<std::mutex> lock(mutex_);
-    return total_revenue_;
+    return books_.total_revenue;
   }
 
   /// Total amplified budget released across ALL consumers — the dataset's
@@ -162,14 +201,14 @@ class Ledger {
   /// MAY have been released before a crash is counted as released.
   units::EffectiveEpsilon total_epsilon() const noexcept {
     std::lock_guard<std::mutex> lock(mutex_);
-    return total_epsilon_;
+    return books_.total_epsilon;
   }
 
   /// Budget charged to crash orphans (intents with no commit) rather than
   /// completed sales.  Included in total_epsilon().
   units::EffectiveEpsilon orphaned_epsilon() const noexcept {
     std::lock_guard<std::mutex> lock(mutex_);
-    return orphaned_epsilon_;
+    return books_.orphaned_epsilon;
   }
 
   /// Sum of prices paid by one consumer (0 for unknown ids).
@@ -182,63 +221,105 @@ class Ledger {
   /// Number of recorded sales that were re-quoted due to degraded coverage.
   std::size_t degraded_sales() const noexcept {
     std::lock_guard<std::mutex> lock(mutex_);
-    return degraded_sales_;
+    return books_.degraded_sales;
   }
 
   /// Budget conservation audit: the global released budget must equal the
   /// sum of the per-consumer composition totals (a mismatch means some
   /// released epsilon' escaped the per-consumer caps — the double-spend the
   /// paper's market model forbids).  Returns the absolute discrepancy;
-  /// record() PRC_DCHECKs it stays within fp rounding of zero.
+  /// every folded sale PRC_DCHECKs it stays within fp rounding of zero.
   double conservation_discrepancy() const;
 
   /// Durable view of the aggregates (what a WAL checkpoint writes).
   LedgerSnapshot snapshot() const;
 
-  /// Recovery: seeds an EMPTY ledger with a checkpoint's aggregates.
-  /// PRC_CHECKs the ledger has recorded nothing yet — restore is a birth
-  /// certificate, not a merge.
+  /// The audit timeline this ledger folds (the broker's audit_log()).
+  const AuditLog& timeline() const noexcept { return timeline_; }
+
+  // --- Recovery (wal::apply_recovery drives these in log order). ---
+
+  /// Seeds an EMPTY ledger with a checkpoint's aggregates, appending the
+  /// recovery-base kCheckpoint.  PRC_CHECKs the ledger has recorded
+  /// nothing yet — restore is a birth certificate, not a merge.
   void restore(const LedgerSnapshot& snapshot);
 
-  /// Recovery: re-records a WAL-replayed transaction under its ORIGINAL
-  /// sequence number, fast-forwarding past burned slots (a gap in the
-  /// replayed sequence belongs to a sale whose commit never reached disk —
-  /// its intent is charged via absorb_orphaned()).  PRC_CHECKs sequence
-  /// numbers never move backwards.
-  std::size_t replay(Transaction transaction);
+  /// Re-records a WAL-replayed sale (commit record `wal_sequence`) under
+  /// its ORIGINAL sequence number, fast-forwarding past burned slots (a
+  /// gap in the replayed sequence belongs to a sale whose commit never
+  /// reached disk — its intent is charged via absorb_orphaned()).
+  /// PRC_CHECKs sequence numbers never move backwards.
+  std::size_t replay(Transaction transaction, std::uint64_t wal_sequence);
 
-  /// Recovery: charges an orphaned intent (budget that may have been minted
-  /// before a crash, with no committed transaction) as spent.  Counts
-  /// toward the consumer's cap and the global exposure but adds no revenue
-  /// — the privacy-safe direction of the spend-ahead discipline.
+  /// Charges an orphaned intent (budget that may have been minted before a
+  /// crash, with no committed transaction) as spent, appending it as a
+  /// kIntent.  Counts toward the consumer's cap and the global exposure
+  /// but adds no revenue — the privacy-safe direction of the spend-ahead
+  /// discipline.
   void absorb_orphaned(const std::string& consumer_id,
-                       units::EffectiveEpsilon epsilon);
+                       const query::RangeQuery& range,
+                       const query::AccuracySpec& spec,
+                       units::EffectiveEpsilon epsilon,
+                       std::uint64_t wal_sequence);
 
-  /// Recovery: takes over the complete state of `other` (a freshly
-  /// recovered, fully audited scratch ledger) into this EMPTY ledger.
-  /// Lets DataBroker fold a WAL into a scratch ledger first and swap it in
-  /// only after every audit passes — a failed recovery must leave the live
-  /// ledger exactly as it was, not half-restored.  PRC_CHECKs that this
-  /// ledger is empty and that `other` holds no live reservations.
+  /// Closes a recovery with a kRecovery event carrying the recovered
+  /// total, so reconcile() balances across the crash.
+  void conclude_recovery(std::string detail);
+
+  /// Takes over the complete state of `other` (a freshly recovered, fully
+  /// audited scratch ledger) into this EMPTY ledger: its aggregates, and
+  /// its timeline appended to this one.  Lets DataBroker fold a WAL into a
+  /// scratch ledger first and swap it in only after every audit passes — a
+  /// failed recovery must leave the live ledger exactly as it was, not
+  /// half-restored.  PRC_CHECKs that this ledger is empty and that `other`
+  /// holds no live reservations.
   void adopt(Ledger& other);
 
  private:
+  /// The aggregates the timeline folds into.  Only fold_locked() writes
+  /// their fields (adopt() moves them whole).
+  struct Books {
+    std::uint64_t next_sequence = 0;
+    std::size_t commits = 0;
+    std::size_t degraded_sales = 0;
+    double total_revenue = 0.0;
+    double total_epsilon = 0.0;
+    double orphaned_epsilon = 0.0;
+    std::unordered_map<std::string, double> spend_by_consumer;
+    std::unordered_map<std::string, double> epsilon_by_consumer;
+
+    bool empty() const noexcept {
+      return next_sequence == 0 && commits == 0 && degraded_sales == 0 &&
+             spend_by_consumer.empty() && epsilon_by_consumer.empty();
+    }
+  };
+
+  /// What an event books into the aggregates when folded.
+  enum class Booking : std::uint8_t {
+    kNothing,  ///< quote, reserve, intent, mint, refusal, checkpoint, ...
+    kSale,     ///< a kCommit: sequence, revenue, epsilon', degraded count
+    kOrphan,   ///< a recovered intent with no commit: epsilon' only
+    kBase,     ///< the recovery-base kCheckpoint: `base`'s aggregates
+  };
+
+  /// The fold: appends `event` to the timeline and applies what it books,
+  /// in the caller's critical section.  The only writer of books_.
+  void fold_locked(AuditEvent event, Booking booking = Booking::kNothing,
+                   const LedgerSnapshot* base = nullptr) PRC_REQUIRES(mutex_);
+  /// Holds `epsilon` for the consumer when spent + held + epsilon fits
+  /// under `cap`; false (nothing held) when it does not.
+  bool hold_locked(const std::string& consumer_id, double epsilon,
+                   units::EffectiveEpsilon cap) PRC_REQUIRES(mutex_);
+  void release_locked(const std::string& consumer_id, double epsilon)
+      PRC_REQUIRES(mutex_);
   double conservation_discrepancy_locked() const PRC_REQUIRES(mutex_);
-  std::size_t record_locked(Transaction transaction) PRC_REQUIRES(mutex_);
+  LedgerSnapshot snapshot_locked() const PRC_REQUIRES(mutex_);
 
   mutable std::mutex mutex_;
-  std::vector<Transaction> transactions_ PRC_GUARDED_BY(mutex_);
-  std::uint64_t next_sequence_ PRC_GUARDED_BY(mutex_) = 0;
-  std::size_t degraded_sales_ PRC_GUARDED_BY(mutex_) = 0;
-  double total_revenue_ PRC_GUARDED_BY(mutex_) = 0.0;
-  double total_epsilon_ PRC_GUARDED_BY(mutex_) = 0.0;
-  double orphaned_epsilon_ PRC_GUARDED_BY(mutex_) = 0.0;
-  std::unordered_map<std::string, double> spend_by_consumer_
-      PRC_GUARDED_BY(mutex_);
-  std::unordered_map<std::string, double> epsilon_by_consumer_
-      PRC_GUARDED_BY(mutex_);
+  Books books_ PRC_GUARDED_BY(mutex_);
   std::unordered_map<std::string, double> reserved_by_consumer_
       PRC_GUARDED_BY(mutex_);
+  AuditLog timeline_;
 };
 
 }  // namespace prc::market

@@ -10,7 +10,9 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
+#include <sstream>
 #include <utility>
 
 #include "common/check.h"
@@ -20,10 +22,6 @@
 
 namespace prc::market::wal {
 namespace {
-
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t value) {
-  out.push_back(value);
-}
 
 void write_fully(int fd, const std::uint8_t* data, std::size_t size,
                  const std::string& path) {
@@ -56,24 +54,20 @@ void fsync_parent_directory(const std::string& path) {
   ::close(fd);
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>((value >> shift) & 0xFF));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>((value >> shift) & 0xFF));
+/// Appends `value` little-endian.
+template <typename T>
+void put_le(std::vector<std::uint8_t>& out, T value) {
+  for (std::size_t byte = 0; byte < sizeof(T); ++byte) {
+    out.push_back(static_cast<std::uint8_t>((value >> (8 * byte)) & 0xFF));
   }
 }
 
 void put_f64(std::vector<std::uint8_t>& out, double value) {
-  put_u64(out, std::bit_cast<std::uint64_t>(value));
+  put_le<std::uint64_t>(out, std::bit_cast<std::uint64_t>(value));
 }
 
 void put_string(std::vector<std::uint8_t>& out, const std::string& value) {
-  put_u32(out, static_cast<std::uint32_t>(value.size()));
+  put_le<std::uint32_t>(out, static_cast<std::uint32_t>(value.size()));
   out.insert(out.end(), value.begin(), value.end());
 }
 
@@ -84,28 +78,19 @@ class Cursor {
   Cursor(const std::uint8_t* data, std::size_t size)
       : data_(data), size_(size) {}
 
-  std::uint8_t u8() {
-    need(1);
-    return data_[pos_++];
-  }
-
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t value = 0;
-    for (int shift = 0; shift < 32; shift += 8) {
-      value |= static_cast<std::uint32_t>(data_[pos_++]) << shift;
+  /// Reads a little-endian `T`.
+  template <typename T>
+  T le() {
+    need(sizeof(T));
+    T value = 0;
+    for (std::size_t byte = 0; byte < sizeof(T); ++byte) {
+      value |= static_cast<T>(static_cast<T>(data_[pos_++]) << (8 * byte));
     }
     return value;
   }
-
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t value = 0;
-    for (int shift = 0; shift < 64; shift += 8) {
-      value |= static_cast<std::uint64_t>(data_[pos_++]) << shift;
-    }
-    return value;
-  }
+  std::uint8_t u8() { return le<std::uint8_t>(); }
+  std::uint32_t u32() { return le<std::uint32_t>(); }
+  std::uint64_t u64() { return le<std::uint64_t>(); }
 
   double f64() { return std::bit_cast<double>(u64()); }
 
@@ -135,18 +120,18 @@ std::vector<std::uint8_t> frame(RecordType type, std::uint64_t wal_sequence,
                                 const std::vector<std::uint8_t>& payload) {
   std::vector<std::uint8_t> out;
   out.reserve(kHeaderSize + payload.size());
-  put_u8(out, kMagic);
-  put_u8(out, kFormatVersion);
-  put_u8(out, static_cast<std::uint8_t>(type));
-  put_u8(out, 0);  // flags, reserved
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u64(out, wal_sequence);
+  put_le<std::uint8_t>(out, kMagic);
+  put_le<std::uint8_t>(out, kFormatVersion);
+  put_le<std::uint8_t>(out, static_cast<std::uint8_t>(type));
+  put_le<std::uint8_t>(out, 0);  // flags, reserved
+  put_le<std::uint32_t>(out, static_cast<std::uint32_t>(payload.size()));
+  put_le<std::uint64_t>(out, wal_sequence);
   // The CRC covers the pre-CRC header bytes AND the payload, so header
   // corruption (a flipped length or sequence) is caught, not just payload
   // corruption.
   std::vector<std::uint8_t> covered(out.begin(), out.end());
   covered.insert(covered.end(), payload.begin(), payload.end());
-  put_u32(out, iot::crc32(covered.data(), covered.size()));
+  put_le<std::uint32_t>(out, iot::crc32(covered.data(), covered.size()));
   out.insert(out.end(), payload.begin(), payload.end());
   return out;
 }
@@ -164,8 +149,9 @@ std::vector<std::uint8_t> intent_payload(const IntentRecord& record) {
 
 std::vector<std::uint8_t> commit_payload(const CommitRecord& record) {
   std::vector<std::uint8_t> payload;
-  put_u64(payload, record.intent_sequence);
-  put_u64(payload, static_cast<std::uint64_t>(record.transaction.sequence));
+  put_le<std::uint64_t>(payload, record.intent_sequence);
+  put_le<std::uint64_t>(payload,
+                        static_cast<std::uint64_t>(record.transaction.sequence));
   put_string(payload, record.transaction.consumer_id);
   put_f64(payload, record.transaction.range.lower);
   put_f64(payload, record.transaction.range.upper);
@@ -174,18 +160,19 @@ std::vector<std::uint8_t> commit_payload(const CommitRecord& record) {
   put_f64(payload, record.transaction.price);
   put_f64(payload, record.transaction.epsilon_amplified.value());
   put_f64(payload, record.transaction.coverage);
-  put_u8(payload, record.transaction.degraded ? 1 : 0);
+  put_le<std::uint8_t>(payload, record.transaction.degraded ? 1 : 0);
   return payload;
 }
 
 std::vector<std::uint8_t> checkpoint_payload(const LedgerSnapshot& snapshot) {
   std::vector<std::uint8_t> payload;
-  put_u64(payload, snapshot.next_sequence);
+  put_le<std::uint64_t>(payload, snapshot.next_sequence);
   put_f64(payload, snapshot.total_revenue);
   put_f64(payload, snapshot.total_epsilon.value());
   put_f64(payload, snapshot.orphaned_epsilon.value());
-  put_u64(payload, snapshot.degraded_sales);
-  put_u32(payload, static_cast<std::uint32_t>(snapshot.consumers.size()));
+  put_le<std::uint64_t>(payload, snapshot.degraded_sales);
+  put_le<std::uint32_t>(payload,
+                        static_cast<std::uint32_t>(snapshot.consumers.size()));
   for (const auto& totals : snapshot.consumers) {
     put_string(payload, totals.consumer_id);
     put_f64(payload, totals.spend);
@@ -269,30 +256,23 @@ DecodedRecord decode_record(const std::vector<std::uint8_t>& bytes,
     throw FormatError("wal record header torn");
   }
   const std::uint8_t* header = bytes.data() + offset;
-  if (header[0] != kMagic) throw FormatError("wal record magic mismatch");
-  if (header[1] != kFormatVersion) {
-    throw FormatError("wal format version " + std::to_string(header[1]) +
+  Cursor fields(header, kHeaderSize);
+  if (fields.u8() != kMagic) throw FormatError("wal record magic mismatch");
+  if (const std::uint8_t version = fields.u8(); version != kFormatVersion) {
+    throw FormatError("wal format version " + std::to_string(version) +
                       " unsupported (expected " +
                       std::to_string(kFormatVersion) + ")");
   }
-  const std::uint8_t type = header[2];
+  const std::uint8_t type = fields.u8();
   if (type != static_cast<std::uint8_t>(RecordType::kIntent) &&
       type != static_cast<std::uint8_t>(RecordType::kCommit) &&
       type != static_cast<std::uint8_t>(RecordType::kCheckpoint)) {
     throw FormatError("wal record type " + std::to_string(type) + " unknown");
   }
-  std::uint32_t payload_len = 0;
-  for (int i = 0; i < 4; ++i) {
-    payload_len |= static_cast<std::uint32_t>(header[4 + i]) << (8 * i);
-  }
-  std::uint64_t wal_sequence = 0;
-  for (int i = 0; i < 8; ++i) {
-    wal_sequence |= static_cast<std::uint64_t>(header[8 + i]) << (8 * i);
-  }
-  std::uint32_t stored_crc = 0;
-  for (int i = 0; i < 4; ++i) {
-    stored_crc |= static_cast<std::uint32_t>(header[16 + i]) << (8 * i);
-  }
+  fields.u8();  // flags, reserved
+  const std::uint32_t payload_len = fields.u32();
+  const std::uint64_t wal_sequence = fields.u64();
+  const std::uint32_t stored_crc = fields.u32();
   if (bytes.size() - offset - kHeaderSize < payload_len) {
     throw FormatError("wal record payload torn");
   }
@@ -414,16 +394,24 @@ void apply_recovery(Ledger& ledger, const RecoveryResult& recovery) {
     PRC_CHECK(transaction.sequence >= expected)
         << "wal replay out of order: transaction " << transaction.sequence
         << " after " << expected;
-    expected = transaction.sequence;
-    const auto assigned = ledger.replay(transaction);
+    const auto assigned = ledger.replay(transaction, commit.wal_sequence);
     PRC_CHECK(assigned == transaction.sequence)
         << "wal replay assigned sequence " << assigned << " to transaction "
         << transaction.sequence;
     expected = assigned + 1;
   }
   for (const auto& orphan : recovery.orphans) {
-    ledger.absorb_orphaned(orphan.consumer_id, orphan.epsilon_amplified);
+    ledger.absorb_orphaned(orphan.consumer_id, orphan.range, orphan.spec,
+                           orphan.epsilon_amplified, orphan.wal_sequence);
   }
+  const auto& stats = recovery.stats;
+  std::ostringstream detail;
+  detail.precision(std::numeric_limits<double>::max_digits10);
+  detail << "recovered " << stats.committed_sales << " committed sale(s), "
+         << stats.orphaned_intents << " orphaned intent(s) (orphaned epsilon "
+         << stats.orphaned_epsilon << "), " << stats.truncated_bytes
+         << " truncated byte(s)";
+  ledger.conclude_recovery(detail.str());
 }
 
 WriteAheadLog::WriteAheadLog(std::string path, std::uint64_t next_sequence,

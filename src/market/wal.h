@@ -7,7 +7,7 @@
 //   1. an INTENT record (consumer, contract, the exact epsilon' the final
 //      plan will mint) is flushed to disk BEFORE LaplaceMechanism::perturb
 //      draws any noise,
-//   2. a COMMIT record is appended after Ledger::record() succeeds,
+//   2. a COMMIT record is appended after Ledger::commit() succeeds,
 //   3. periodic CHECKPOINT records snapshot the ledger aggregates so
 //      compaction can drop replayed history.
 //
@@ -143,7 +143,11 @@ RecoveryResult read_wal(const std::string& path);
 /// the missing sale's intent is among the orphans), then charge every
 /// orphan as spent budget.  The spend-ahead discipline makes this
 /// over-count-only: recovered total_epsilon() >= everything perturb()
-/// actually released before the crash.
+/// actually released before the crash.  The ledger's timeline records the
+/// fold as it goes — the base kCheckpoint, one kCommit per replayed sale,
+/// one kIntent per orphan, and a closing kRecovery carrying the recovered
+/// total — so reconcile() against the same ledger passes iff the fold
+/// charged exactly what the log says.
 void apply_recovery(Ledger& ledger, const RecoveryResult& recovery);
 
 /// How durable each append is once the call returns.

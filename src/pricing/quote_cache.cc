@@ -1,5 +1,7 @@
 #include "pricing/quote_cache.h"
 
+#include <bit>
+
 #include "common/telemetry.h"
 
 namespace prc::pricing {
@@ -9,20 +11,11 @@ double QuoteCache::price(const query::AccuracySpec& spec) const {
       telemetry::counter("pricing.quote_cache_hits");
   static telemetry::Counter& misses =
       telemetry::counter("pricing.quote_cache_misses");
-  if (capacity_ == 0) {
-    misses.increment();
-    return pricing_.price(spec);
-  }
   const Key key{std::bit_cast<std::uint64_t>(spec.alpha.value()),
                 std::bit_cast<std::uint64_t>(spec.delta.value())};
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = index_.find(key);
-    if (it != index_.end()) {
-      entries_.splice(entries_.begin(), entries_, it->second);
-      hits.increment();
-      return it->second->price;
-    }
+  if (const auto cached = memo_.lookup(key)) {
+    hits.increment();
+    return *cached;
   }
   // Price OUTSIDE the lock: the underlying function is pure and
   // thread-safe, and holding a mutex across it would serialize the
@@ -31,21 +24,8 @@ double QuoteCache::price(const query::AccuracySpec& spec) const {
   // simply keeps the incumbent.
   misses.increment();
   const double price = pricing_.price(spec);
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (index_.find(key) == index_.end()) {
-    entries_.push_front(Entry{key, price});
-    index_.emplace(key, entries_.begin());
-    if (entries_.size() > capacity_) {
-      index_.erase(entries_.back().key);
-      entries_.pop_back();
-    }
-  }
+  memo_.put(key, price);
   return price;
-}
-
-std::size_t QuoteCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
 }
 
 }  // namespace prc::pricing

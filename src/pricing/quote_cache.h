@@ -10,71 +10,44 @@
 // pricing, at any thread count.
 #pragma once
 
-#include <bit>
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <list>
-#include <mutex>
-#include <unordered_map>
 
-#include "common/thread_annotations.h"
+#include "common/lru_memo.h"
 #include "pricing/pricing.h"
 #include "query/range_query.h"
 
 namespace prc::pricing {
 
 /// Bounded LRU memo over `pricing.price(spec)`.  The wrapped function must
-/// outlive the cache.  All methods are thread-safe and take the internal
-/// mutex, so callers must not hold it (PRC_EXCLUDES).
+/// outlive the cache.  All methods are thread-safe; counts
+/// `pricing.quote_cache_{hits,misses}`.
 class QuoteCache {
  public:
   /// `capacity` == 0 disables memoization (every call prices directly).
   QuoteCache(const PricingFunction& pricing, std::size_t capacity)
-      : pricing_(pricing), capacity_(capacity) {}
-
-  QuoteCache(const QuoteCache&) = delete;
-  QuoteCache& operator=(const QuoteCache&) = delete;
+      : pricing_(pricing), memo_(capacity) {}
 
   /// The price of `spec`, served from the memo when this exact contract
   /// (bit pattern) was quoted before.
-  double price(const query::AccuracySpec& spec) const PRC_EXCLUDES(mutex_);
+  double price(const query::AccuracySpec& spec) const;
 
   const PricingFunction& pricing() const noexcept { return pricing_; }
-  std::size_t capacity() const noexcept { return capacity_; }
-  std::size_t size() const PRC_EXCLUDES(mutex_);
+  std::size_t capacity() const noexcept { return memo_.capacity(); }
+  std::size_t size() const { return memo_.size(); }
 
  private:
-  struct Key {
-    std::uint64_t alpha_bits = 0;
-    std::uint64_t delta_bits = 0;
-    bool operator==(const Key&) const = default;
-  };
+  /// (alpha bits, delta bits).
+  using Key = std::array<std::uint64_t, 2>;
   struct KeyHash {
     std::size_t operator()(const Key& key) const noexcept {
-      // Same FNV-1a mixing as the plan cache: stable across platforms.
-      std::uint64_t h = 14695981039346656037ULL;
-      for (const std::uint64_t v : {key.alpha_bits, key.delta_bits}) {
-        for (int i = 0; i < 8; ++i) {
-          h ^= (v >> (8 * i)) & 0xffULL;
-          h *= 1099511628211ULL;
-        }
-      }
-      return static_cast<std::size_t>(h);
+      return fnv1a(key);
     }
   };
-  struct Entry {
-    Key key;
-    double price = 0.0;
-  };
-  using EntryList = std::list<Entry>;
 
   const PricingFunction& pricing_;
-  const std::size_t capacity_;
-  mutable std::mutex mutex_;
-  /// Front = most recently used; back = eviction candidate.
-  mutable EntryList entries_ PRC_GUARDED_BY(mutex_);
-  mutable std::unordered_map<Key, EntryList::iterator, KeyHash> index_
-      PRC_GUARDED_BY(mutex_);
+  LruMemo<Key, double, KeyHash> memo_;
 };
 
 }  // namespace prc::pricing

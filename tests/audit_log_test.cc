@@ -188,9 +188,9 @@ TEST(AuditLogTest, RecoveryEventsRebuildTimelineFromWal) {
     registry.disarm_all();
   }
   const auto recovery = wal::read_wal(path);
-  AuditLog rebuilt;
-  append_recovery_events(rebuilt, recovery);
-  const auto events = rebuilt.events_snapshot();
+  Ledger rebuilt;
+  wal::apply_recovery(rebuilt, recovery);
+  const auto events = rebuilt.timeline().events_snapshot();
   // Base checkpoint, alice's replayed commit, bob's orphaned intent, and
   // the closing recovery event.
   EXPECT_EQ(count_events(events, AuditEventType::kCheckpoint), 1u);

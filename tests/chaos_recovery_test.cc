@@ -422,5 +422,83 @@ TEST(ChaosRecoveryTest, ConcurrentSalesCannotJointlyBreachCap) {
   EXPECT_LE(rig.broker.ledger().conservation_discrepancy(), 1e-9);
 }
 
+TEST(ChaosRecoveryTest, RecoveredLedgerEqualsTheLiveLedgerExactly) {
+  // One fold serves live sales and recovery alike: a seeded session with
+  // periodic checkpoints, budget refusals and degraded (repriced) sales,
+  // read back from its WAL into a fresh ledger, must reproduce the live
+  // books bit for bit.
+  const auto path = wal_path_for("live_vs_recovered");
+  std::remove(path.c_str());
+  iot::FlatNetwork network(node_data());
+  network.ensure_sampling_probability(0.1);
+  network.set_node_online(0, false);  // stuck at p=0.1: strict specs reprice
+  dp::PrivateRangeCounter counter(network, {}, 17);
+  BrokerConfig config;
+  config.wal_checkpoint_interval = 3;
+  config.degraded_policy = DegradedSalePolicy::kReprice;
+  // One repriced sale fits under the cap, a second one does not.
+  config.per_consumer_epsilon_cap = 5.0;
+  DataBroker broker(counter, safe_pricing(), config);
+  broker.attach_wal(path);
+
+  const std::vector<query::AccuracySpec> specs{
+      {0.02, 0.9}, {0.2, 0.5}, {0.1, 0.6}, {0.3, 0.5}};
+  const std::vector<std::string> consumers{"alice", "bob", "carol"};
+  std::size_t refusals = 0;
+  std::size_t degraded = 0;
+  for (std::size_t i = 0; i < 30; ++i) {
+    try {
+      const auto receipt = broker.sell(consumers[i % consumers.size()],
+                                       kRange, specs[i % specs.size()]);
+      if (receipt.degraded) ++degraded;
+    } catch (const BudgetExceededError&) {
+      ++refusals;
+    }
+  }
+  // A repriced sale after the last checkpoint: recovery replays it rather
+  // than reading it from a checkpoint.
+  ASSERT_TRUE(broker.sell("dave", kRange, specs[0]).degraded);
+  ASSERT_GT(refusals, 0u);
+  ASSERT_GT(degraded, 0u);
+
+  const auto recovery = wal::read_wal(path);
+  ASSERT_GT(recovery.stats.checkpoints_seen, 1u);  // periodic checkpoints
+  ASSERT_TRUE(std::any_of(recovery.commits.begin(), recovery.commits.end(),
+                          [](const wal::CommitRecord& commit) {
+                            return commit.transaction.degraded;
+                          }));
+  Ledger recovered;
+  wal::apply_recovery(recovered, recovery);
+
+  const auto live = broker.ledger().snapshot();
+  const auto replayed = recovered.snapshot();
+  EXPECT_EQ(replayed.next_sequence, live.next_sequence);
+  EXPECT_EQ(replayed.total_revenue, live.total_revenue);
+  EXPECT_EQ(replayed.total_epsilon.value(), live.total_epsilon.value());
+  EXPECT_EQ(replayed.orphaned_epsilon.value(), live.orphaned_epsilon.value());
+  EXPECT_EQ(replayed.degraded_sales, live.degraded_sales);
+  ASSERT_EQ(replayed.consumers.size(), live.consumers.size());
+  for (std::size_t c = 0; c < live.consumers.size(); ++c) {
+    EXPECT_EQ(replayed.consumers[c].consumer_id, live.consumers[c].consumer_id);
+    EXPECT_EQ(replayed.consumers[c].spend, live.consumers[c].spend);
+    EXPECT_EQ(replayed.consumers[c].epsilon.value(),
+              live.consumers[c].epsilon.value());
+  }
+
+  // The recovered timeline lists exactly one kCommit per replayed commit,
+  // in replay order.
+  std::vector<std::uint64_t> committed;
+  recovered.timeline().for_each_event([&committed](const AuditEvent& event) {
+    if (event.type == AuditEventType::kCommit) {
+      committed.push_back(event.ledger_sequence);
+    }
+  });
+  ASSERT_EQ(committed.size(), recovery.commits.size());
+  for (std::size_t k = 0; k < committed.size(); ++k) {
+    EXPECT_EQ(committed[k], recovery.commits[k].transaction.sequence);
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace prc::market

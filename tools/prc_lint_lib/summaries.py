@@ -29,6 +29,9 @@ SINK_IDENTS = {"to_json", "to_csv", "write_csv", "serialize",
                # Privacy-budget audit timeline (market/audit_log.h): events
                # are exported as JSONL, so a raw estimate reaching
                # append_event leaks exactly like a telemetry record would.
+               # The ledger's fold is its single append point, so every
+               # Ledger entry point that feeds the fold a parameter is a
+               # sink for that parameter by the interprocedural pass.
                "append_event"}
 
 LOCK_ACQUIRE_IDENTS = {"lock_guard", "scoped_lock", "unique_lock",

@@ -606,8 +606,8 @@ int cmd_recover(int argc, char** argv) {
 
   if (parser.has("audit-json")) {
     const std::string audit_path = require(parser, "audit-json");
-    market::AuditLog audit;
-    market::append_recovery_events(audit, recovery);
+    // apply_recovery() wrote the timeline as it folded the log.
+    const market::AuditLog& audit = ledger.timeline();
     std::ofstream out(audit_path);
     out << audit.to_jsonl();
     if (!out) {
@@ -618,9 +618,8 @@ int cmd_recover(int argc, char** argv) {
       std::cout << "audit_events " << audit.size() << " -> " << audit_path
                 << "\n";
     }
-    // The timeline must balance against the ledger apply_recovery() just
-    // rebuilt: the WAL's story and the ledger's books are two views of the
-    // same epsilon.
+    // The timeline must balance against the ledger it was folded into:
+    // the kRecovery total closes the equation.
     const auto reconciliation = audit.reconcile(ledger);
     std::cout << reconciliation.to_string() << "\n";
     audits_pass = audits_pass && reconciliation.consistent;
