@@ -1,16 +1,19 @@
 // Metadata (kind, unit, help text) for every metric the process registers.
 //
-// The table lives in src/common/metrics_metadata.inc — a pure-literal
-// PRC_METRIC list shared verbatim with scripts/check_telemetry_schema.py —
-// and feeds the Prometheus exposition layer (HELP/TYPE lines) plus the CI
-// schema gate (a runtime metric without an entry fails the build's
-// telemetry-export step).
+// The table lives in src/common/metrics_metadata.inc, compiled into
+// all_metric_metadata().  It feeds the Prometheus exposition layer
+// (HELP/TYPE lines) and the telemetry schema gate below, which
+// `prc_query check-telemetry` runs over exported snapshots and
+// expositions (a runtime metric without an entry fails CI).
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
 namespace prc::telemetry {
+
+struct TelemetrySnapshot;
 
 enum class MetricKind { kCounter, kGauge, kHistogram };
 
@@ -30,5 +33,22 @@ const std::vector<MetricMetadata>& all_metric_metadata();
 /// Lookup by dotted name; nullptr when the metric has no registered
 /// metadata (the schema gate treats that as an error).
 const MetricMetadata* find_metric_metadata(const std::string& name);
+
+/// Fewest distinct metrics a full-pipeline snapshot may export.
+inline constexpr std::size_t kMinSnapshotMetrics = 20;
+
+/// Schema gate for a snapshot: every histogram has non-empty, strictly
+/// increasing bounds and len(bounds)+1 bucket counts summing to its count;
+/// names are unique across sections; at least kMinSnapshotMetrics metrics
+/// cover the iot., dp., pricing. and market. layers; and every metric has
+/// a metadata entry of the kind its section says.  One message per
+/// violation; empty means valid.
+std::vector<std::string> snapshot_schema_problems(
+    const TelemetrySnapshot& snapshot);
+
+/// Schema gate for an exposition: prometheus::parse_exposition() accepts
+/// it, it has at least one family, and every family maps back to a
+/// metadata entry whose TYPE matches (prometheus::family_name).
+std::vector<std::string> exposition_schema_problems(const std::string& text);
 
 }  // namespace prc::telemetry

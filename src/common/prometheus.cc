@@ -293,11 +293,18 @@ std::string sanitize_metric_name(const std::string& name) {
   return out;
 }
 
+std::string family_name(const std::string& name, MetricKind kind) {
+  std::string family = sanitize_metric_name(name);
+  if (kind == MetricKind::kCounter && !ends_with(family, "_total")) {
+    family += "_total";
+  }
+  return family;
+}
+
 std::string render(const TelemetrySnapshot& snapshot) {
   std::ostringstream out;
   for (const auto& [dotted, value] : snapshot.counters) {
-    std::string family = sanitize_metric_name(dotted);
-    if (!ends_with(family, "_total")) family += "_total";
+    const std::string family = family_name(dotted, MetricKind::kCounter);
     emit_family_header(out, dotted, family, "counter");
     out << family << " " << value << "\n";
   }

@@ -12,10 +12,11 @@
 //  - every family carries `# HELP` and `# TYPE` lines sourced from the
 //    metadata registry (src/common/metrics_metadata.inc); a metric without
 //    metadata still renders (with a placeholder HELP) so the exposition is
-//    never silently partial — the CI schema gate is what fails the build.
+//    never silently partial — the schema gate (`prc_query
+//    check-telemetry`, metrics_metadata.h) is what fails the build.
 //
 // parse_exposition() is a promtool-style validating parser used by the
-// endpoint smoke tests and scripts; it rejects the mistakes this layer
+// endpoint smoke tests and the schema gate; it rejects the mistakes this layer
 // could plausibly make (missing HELP/TYPE, bad names, non-cumulative or
 // unsorted buckets, `+Inf` != `_count`).
 //
@@ -27,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/metrics_metadata.h"
 #include "common/telemetry.h"
 
 namespace prc::telemetry::prometheus {
@@ -39,6 +41,10 @@ inline const char* content_type() {
 /// Maps a dotted registry name into the Prometheus charset: every character
 /// outside [a-zA-Z0-9_:] becomes '_', and the result is prefixed "prc_".
 std::string sanitize_metric_name(const std::string& name);
+
+/// Exposition family of a registry metric: sanitize_metric_name(), plus the
+/// "_total" suffix for counters (unless the name already ends in it).
+std::string family_name(const std::string& name, MetricKind kind);
 
 /// Renders the snapshot in exposition format 0.0.4.  Deterministic: families
 /// appear in snapshot order (counters, then gauges, then histograms, each

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -95,6 +96,27 @@ class JsonCursor {
     }
     pos_ += static_cast<std::size_t>(end - begin);
     return value;
+  }
+
+  /// A count: a non-negative integral number below 2^64, checked before
+  /// the cast (casting a negative or non-finite double is undefined).
+  std::uint64_t parse_count() {
+    const std::size_t at = pos_;
+    const double value = parse_number();
+    if (!(value >= 0.0 && value < 0x1p64 && value == std::floor(value))) {
+      throw std::invalid_argument(
+          "telemetry JSON: expected a non-negative integer count at "
+          "offset " + std::to_string(at));
+    }
+    return static_cast<std::uint64_t>(value);
+  }
+
+  void expect_end() {
+    skip_ws();
+    if (pos_ != text_.size()) {
+      throw std::invalid_argument("telemetry JSON: trailing characters at "
+                                  "offset " + std::to_string(pos_));
+    }
   }
 
  private:
@@ -294,8 +316,7 @@ TelemetrySnapshot TelemetrySnapshot::from_json(const std::string& json) {
   while (cursor.peek() == '"') {
     const std::string name = cursor.parse_string();
     cursor.expect(':');
-    out.counters.emplace_back(
-        name, static_cast<std::uint64_t>(cursor.parse_number()));
+    out.counters.emplace_back(name, cursor.parse_count());
     if (!cursor.consume(',')) break;
   }
   cursor.expect('}');
@@ -317,26 +338,27 @@ TelemetrySnapshot TelemetrySnapshot::from_json(const std::string& json) {
     h.name = cursor.parse_string();
     cursor.expect(':');
     cursor.expect('{');
+    std::set<std::string> fields_seen;
     while (cursor.peek() == '"') {
       const std::string field = cursor.parse_string();
+      fields_seen.insert(field);
       cursor.expect(':');
       if (field == "bounds" || field == "bucket_counts") {
         cursor.expect('[');
         while (cursor.peek() != ']') {
-          const double value = cursor.parse_number();
           if (field == "bounds") {
-            h.bounds.push_back(value);
+            h.bounds.push_back(cursor.parse_number());
           } else {
-            h.bucket_counts.push_back(static_cast<std::uint64_t>(value));
+            h.bucket_counts.push_back(cursor.parse_count());
           }
           if (!cursor.consume(',')) break;
         }
         cursor.expect(']');
+      } else if (field == "count") {
+        h.count = cursor.parse_count();
       } else {
         const double value = cursor.parse_number();
-        if (field == "count") {
-          h.count = static_cast<std::uint64_t>(value);
-        } else if (field == "sum") {
+        if (field == "sum") {
           h.sum = value;
         } else if (field == "min") {
           h.min = value;
@@ -356,11 +378,17 @@ TelemetrySnapshot TelemetrySnapshot::from_json(const std::string& json) {
       if (!cursor.consume(',')) break;
     }
     cursor.expect('}');
+    // Unknown fields threw above, so a short set means a missing field.
+    if (fields_seen.size() != 9) {
+      throw std::invalid_argument("telemetry JSON: histogram '" + h.name +
+                                  "' lacks one of its nine fields");
+    }
     out.histograms.push_back(std::move(h));
     if (!cursor.consume(',')) break;
   }
   cursor.expect('}');
   cursor.expect('}');
+  cursor.expect_end();
   return out;
 }
 

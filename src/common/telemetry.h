@@ -6,9 +6,9 @@
 // evaluated, menus validated, sales refused — so a production operator can
 // account per-query budget spend and revenue without ad-hoc prints.
 //
-// PRIVACY SAFETY RULE (lint-enforced: no-raw-samples-in-telemetry): metric
-// samples may only be counts of events, sizes, durations, prices, and
-// already-released (perturbed or amplified) quantities.  Raw sensor values
+// PRIVACY SAFETY RULE (lint-enforced: no-raw-to-sink, interproc-raw-taint):
+// metric samples may only be counts of events, sizes, durations, prices,
+// and already-released (perturbed or amplified) quantities.  Raw sensor values
 // (`Record::value`), cached sample contents, and unperturbed estimates
 // (`sampled_estimate`, `*_estimate(...)` results) must NEVER be passed to
 // Counter/Gauge/Histogram record paths: telemetry is exported outside the
@@ -142,7 +142,9 @@ struct TelemetrySnapshot {
 
   /// Parses the exact dialect to_json() emits (snapshot round-trips are a
   /// tested invariant; this is not a general JSON parser).  Throws
-  /// std::invalid_argument on malformed input.
+  /// std::invalid_argument on malformed input: a count that is negative,
+  /// fractional or non-finite, a histogram missing a field, or anything
+  /// after the closing brace.
   static TelemetrySnapshot from_json(const std::string& json);
 };
 

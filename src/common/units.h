@@ -21,7 +21,7 @@
 //
 //   * a bare double (or literal) converts IN implicitly — that is the
 //     adoption path, policed by the `unit-suffix-consistency` lint rule
-//     and scripts/check_units_adoption.py rather than by the type system;
+//     rather than by the type system;
 //   * a unit converts OUT to double implicitly (formula code reads
 //     straight through), but double is a dead end: converting on to a
 //     DIFFERENT unit would need a second user-defined conversion, which

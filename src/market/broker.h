@@ -178,7 +178,7 @@ class DataBroker {
 
  private:
   /// The single market-layer gateway to PrivateRangeCounter::answer (the
-  /// no-unbarriered-mint lint rule enforces this): wraps the call with the
+  /// budget-barrier-dominance lint rule enforces this): wraps the call with the
   /// mint barrier that re-admits the sale at the FINAL plan's epsilon'
   /// (extending `reservation`, or refusing before any noise is drawn) and
   /// flushes the WAL intent record carrying that epsilon', reporting the

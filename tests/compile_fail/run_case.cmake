@@ -4,7 +4,8 @@
 #
 # Negative cases must fail to compile AND emit a diagnostic matching every
 # `// expect-error-regex:` line in the case file.  A case marked
-# `// expect-compile: ok` is a positive control and must compile.
+# `// expect-compile: ok` is a positive control and must compile.  A
+# `// compile-flags: <flags>` line adds compiler flags for that case.
 foreach(required_var CASE_FILE CXX_COMPILER INCLUDE_DIR)
   if(NOT DEFINED ${required_var})
     message(FATAL_ERROR "missing -D${required_var}=...")
@@ -13,9 +14,13 @@ endforeach()
 
 file(READ "${CASE_FILE}" case_contents)
 string(FIND "${case_contents}" "// expect-compile: ok" ok_marker)
+set(extra_flags "")
+if(case_contents MATCHES "// compile-flags: ([^\n]*)")
+  separate_arguments(extra_flags UNIX_COMMAND "${CMAKE_MATCH_1}")
+endif()
 
 execute_process(
-  COMMAND "${CXX_COMPILER}" -std=c++20 -fsyntax-only
+  COMMAND "${CXX_COMPILER}" -std=c++20 -fsyntax-only ${extra_flags}
           "-I${INCLUDE_DIR}" "${CASE_FILE}"
   RESULT_VARIABLE compile_rc
   OUTPUT_VARIABLE compile_out
@@ -34,9 +39,10 @@ endif()
 
 if(compile_rc EQUAL 0)
   message(FATAL_ERROR
-      "${CASE_FILE} COMPILED, but it exercises a conversion the unit type "
-      "system must reject.  A type boundary was weakened (friend list "
-      "widened, deleted operator removed, or constructor made public).")
+      "${CASE_FILE} COMPILED, but it exercises code the compiler must "
+      "reject.  A type boundary was weakened (friend list widened, deleted "
+      "operator removed, or constructor made public) or a thread-safety "
+      "annotation stopped being checked.")
 endif()
 
 string(REGEX MATCHALL "// expect-error-regex: [^\n]*" expect_lines

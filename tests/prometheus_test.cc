@@ -1,6 +1,7 @@
 // Prometheus exposition layer: golden render output, metadata-driven HELP
 // text, round-trip through the promtool-style parser, histogram
-// cumulativity, and rejection of malformed expositions.
+// cumulativity, rejection of malformed expositions, and the telemetry
+// schema gate behind `prc_query check-telemetry`.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,6 +9,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/metrics_metadata.h"
 #include "common/prometheus.h"
@@ -239,6 +241,102 @@ TEST(MetricMetadataTest, LookupFindsRegisteredAndRejectsUnknown) {
   EXPECT_EQ(sales->kind, MetricKind::kCounter);
   EXPECT_EQ(std::string(sales->unit), "sales");
   EXPECT_EQ(find_metric_metadata("zzz.not_a_metric"), nullptr);
+}
+
+// One metric per metadata entry, each in the section its kind names: the
+// smallest snapshot the schema gate accepts without reservation.
+TelemetrySnapshot registered_snapshot() {
+  TelemetrySnapshot snapshot;
+  for (const auto& entry : all_metric_metadata()) {
+    if (entry.kind == MetricKind::kCounter) {
+      snapshot.counters.emplace_back(entry.name, 1);
+    } else if (entry.kind == MetricKind::kGauge) {
+      snapshot.gauges.emplace_back(entry.name, 1.0);
+    } else {
+      HistogramSnapshot hist;
+      hist.name = entry.name;
+      hist.count = 3;
+      hist.bounds = {1.0, 2.0};
+      hist.bucket_counts = {1, 1, 1};
+      snapshot.histograms.push_back(hist);
+    }
+  }
+  return snapshot;
+}
+
+// The single message the gate reports, or a marker when it reports none
+// or several.
+std::string only_problem(const std::vector<std::string>& problems) {
+  return problems.size() == 1 ? problems.front()
+                              : std::to_string(problems.size()) + " problems";
+}
+
+TEST(TelemetrySchemaTest, RegisteredSnapshotAndItsExpositionPass) {
+  const auto snapshot = registered_snapshot();
+  EXPECT_TRUE(snapshot_schema_problems(snapshot).empty());
+  EXPECT_TRUE(exposition_schema_problems(prometheus::render(snapshot))
+                  .empty());
+}
+
+TEST(TelemetrySchemaTest, FlagsMetricExportedInTheWrongSection) {
+  auto snapshot = registered_snapshot();
+  snapshot.gauges.emplace_back(snapshot.counters.back().first, 1.0);
+  snapshot.counters.pop_back();
+  EXPECT_NE(only_problem(snapshot_schema_problems(snapshot))
+                .find("is registered as a counter but exported in the gauge "
+                      "section"),
+            std::string::npos);
+}
+
+TEST(TelemetrySchemaTest, FlagsBucketSumMismatch) {
+  auto snapshot = registered_snapshot();
+  snapshot.histograms.front().count = 4;
+  EXPECT_NE(only_problem(snapshot_schema_problems(snapshot))
+                .find("bucket counts sum to 3 but count is 4"),
+            std::string::npos);
+}
+
+TEST(TelemetrySchemaTest, FlagsBoundsThatDoNotIncrease) {
+  auto snapshot = registered_snapshot();
+  snapshot.histograms.front().bounds = {2.0, 2.0};
+  EXPECT_NE(only_problem(snapshot_schema_problems(snapshot))
+                .find("strictly increasing"),
+            std::string::npos);
+}
+
+TEST(TelemetrySchemaTest, FlagsMissingLayer) {
+  auto snapshot = registered_snapshot();
+  const auto is_pricing = [](const std::string& name) {
+    return name.rfind("pricing.", 0) == 0;
+  };
+  std::erase_if(snapshot.counters,
+                [&](const auto& c) { return is_pricing(c.first); });
+  std::erase_if(snapshot.gauges,
+                [&](const auto& g) { return is_pricing(g.first); });
+  std::erase_if(snapshot.histograms,
+                [&](const auto& h) { return is_pricing(h.name); });
+  EXPECT_EQ(only_problem(snapshot_schema_problems(snapshot)),
+            "no metrics from layer pricing.");
+}
+
+TEST(TelemetrySchemaTest, FlagsFamilyWithoutMetadata) {
+  const std::string text = prometheus::render(registered_snapshot()) +
+                           "# HELP prc_zzz_unknown x\n"
+                           "# TYPE prc_zzz_unknown gauge\n"
+                           "prc_zzz_unknown 1\n";
+  EXPECT_EQ(only_problem(exposition_schema_problems(text)),
+            "family prc_zzz_unknown has no PRC_METRIC entry in "
+            "src/common/metrics_metadata.inc");
+}
+
+TEST(TelemetrySchemaTest, FlagsTypeThatDisagreesWithMetadata) {
+  const std::string text =
+      "# HELP prc_market_sales_total Sales.\n"
+      "# TYPE prc_market_sales_total gauge\n"
+      "prc_market_sales_total 3\n";
+  EXPECT_EQ(only_problem(exposition_schema_problems(text)),
+            "family prc_market_sales_total has TYPE gauge but market.sales "
+            "is registered as a counter");
 }
 
 }  // namespace

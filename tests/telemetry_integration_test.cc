@@ -1,7 +1,8 @@
 // End-to-end telemetry: one broker session (collection -> DP -> pricing ->
 // market, the prc_query `session` flow) must populate the process-wide
 // registry with non-zero metrics from all four layers and a trace with
-// >= 3 nested span levels, and the snapshot must survive a JSON round-trip.
+// >= 3 nested span levels, and the snapshot must survive a JSON round-trip
+// and pass the telemetry schema gate.
 
 #include <algorithm>
 #include <cstdint>
@@ -11,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics_metadata.h"
+#include "common/prometheus.h"
 #include "common/rng.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
@@ -112,6 +115,14 @@ TEST(TelemetryIntegrationTest, SessionPopulatesAllFourLayers) {
   const auto parsed = telemetry::TelemetrySnapshot::from_json(snap.to_json());
   EXPECT_EQ(parsed.metric_count(), snap.metric_count());
   EXPECT_EQ(parsed.counters, snap.counters);
+
+  // The `prc_query check-telemetry` schema gate accepts the live snapshot
+  // and its exposition: every metric is registered with the right kind.
+  using Problems = std::vector<std::string>;
+  EXPECT_EQ(telemetry::snapshot_schema_problems(snap), Problems{});
+  EXPECT_EQ(telemetry::exposition_schema_problems(
+                telemetry::prometheus::render(snap)),
+            Problems{});
 
   // The trace shows the full nesting: market.sell -> dp.answer ->
   // dp.ensure_feasible_plan -> iot.round, i.e. >= 3 nested levels.

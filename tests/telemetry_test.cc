@@ -199,6 +199,48 @@ TEST(SnapshotTest, FromJsonRejectsMalformedInput) {
                std::invalid_argument);
   EXPECT_THROW(TelemetrySnapshot::from_json("{\"counters\": ["),
                std::invalid_argument);
+
+  // Counts that no std::uint64_t can hold are rejected, not cast.
+  const auto with_counter = [](const std::string& value) {
+    return "{\"counters\": {\"a.count\": " + value +
+           "}, \"gauges\": {}, \"histograms\": {}}";
+  };
+  EXPECT_NO_THROW(TelemetrySnapshot::from_json(with_counter("7")));
+  for (const char* bad : {"-1", "2.5", "inf", "nan", "1e300"}) {
+    EXPECT_THROW(TelemetrySnapshot::from_json(with_counter(bad)),
+                 std::invalid_argument)
+        << bad;
+  }
+
+  Telemetry registry;
+  registry.histogram("c.hist").record(2.0);
+  const std::string good = registry.snapshot().to_json();
+  EXPECT_NO_THROW(TelemetrySnapshot::from_json(good));
+  const auto replaced = [&good](const std::string& from,
+                                const std::string& to) {
+    std::string text = good;
+    text.replace(text.find(from), from.size(), to);
+    return text;
+  };
+  EXPECT_THROW(TelemetrySnapshot::from_json(
+                   replaced("\"count\": 1", "\"count\": -1")),
+               std::invalid_argument);
+  EXPECT_THROW(TelemetrySnapshot::from_json(
+                   replaced("\"count\": 1", "\"count\": 1.5")),
+               std::invalid_argument);
+  EXPECT_THROW(TelemetrySnapshot::from_json(
+                   replaced("\"bucket_counts\": [0", "\"bucket_counts\": [-3")),
+               std::invalid_argument);
+  EXPECT_THROW(TelemetrySnapshot::from_json(
+                   replaced("\"p95\": ", "\"p97\": ")),
+               std::invalid_argument);
+  EXPECT_THROW(TelemetrySnapshot::from_json(
+                   replaced("\"count\": 1, ", "")),
+               std::invalid_argument);
+  EXPECT_THROW(TelemetrySnapshot::from_json(good + "}"),
+               std::invalid_argument);
+  EXPECT_THROW(TelemetrySnapshot::from_json(good + "trailing"),
+               std::invalid_argument);
 }
 
 TEST(SnapshotTest, CsvHasOneRowPerScalar) {

@@ -1,4 +1,4 @@
-// Fixture: no-unbarriered-mint must fire on member .answer()/.perturb()
+// Fixture: budget-barrier-dominance must fire on member .answer()/.perturb()
 // calls outside mint_answer_with_intent in market/mint files.
 
 struct Counter {

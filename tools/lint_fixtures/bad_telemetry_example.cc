@@ -1,9 +1,10 @@
 // Deliberately broken telemetry fixture for `prc_lint --self-test`.
 //
-// no-raw-samples-in-telemetry must fire on every statement that pipes raw
-// sensor data or an unperturbed estimate into the metrics registry, and
-// must stay silent on the clean_* function that records only event counts
-// and released values.  NOT compiled.
+// no-raw-to-sink must fire on every statement that pipes raw sensor data
+// or an unperturbed estimate into the metrics registry (a telemetry::
+// statement is an export sink), and must stay silent on the clean_*
+// function that records only event counts and released values.  NOT
+// compiled.
 
 #include <cstddef>
 
@@ -16,13 +17,13 @@ struct FakeAnswer {
   double value = 0.0;  // the released (perturbed) quantity
 };
 
-// no-raw-samples-in-telemetry: the pre-noise estimate leaks through a gauge.
+// no-raw-to-sink: the pre-noise estimate leaks through a gauge.
 void leak_unperturbed_estimate(const FakeAnswer& answer) {
   prc::telemetry::gauge("dp.last_estimate").set(answer.sampled_estimate);
 }
 
-// no-raw-samples-in-telemetry: a wrapped statement still leaks — the
-// linter joins lines up to the semicolon before matching.
+// no-raw-to-sink: a wrapped statement still leaks — the taint pass reads
+// the whole statement up to the semicolon.
 void leak_exact_count(double exact_count) {
   prc::telemetry::histogram("query.answer")
       .record(exact_count);

@@ -1,4 +1,4 @@
-// Fixture: no-unbarriered-mint must stay silent on the sanctioned barrier
+// Fixture: budget-barrier-dominance must stay silent on the sanctioned barrier
 // helper, on comments/strings, and on non-member uses of the idents.
 
 struct Counter {

@@ -13,12 +13,9 @@ RULES = {
     "no-bare-assert":                (),
     "no-float-eq-budget":            ("float-eq",),
     "checked-byte-access":           ("index",),
-    "no-raw-samples-in-telemetry":   ("telemetry",),
     "no-telemetry-lookup-in-loop":   ("telemetry-lookup",),
     "no-raw-to-sink":                ("raw-sink",),
-    "lock-discipline":               ("lock",),
     "unit-suffix-consistency":       ("unit-suffix",),
-    "no-unbarriered-mint":           ("mint", "barrier"),
     # Interprocedural (whole-program) rules.
     "interproc-raw-taint":           ("raw-sink", "interproc-taint"),
     "budget-barrier-dominance":      ("barrier", "mint"),

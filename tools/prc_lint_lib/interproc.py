@@ -20,9 +20,6 @@ Rules:
                             commit/absorb_orphaned reachable from itself
                             or a transitive caller, else recovery charges
                             every sale as an orphan.
-  lock-discipline           PRC_GUARDED_BY fields need the mutex held, and
-                            callers of `_locked` helpers must hold or
-                            PRC_REQUIRES the callee's mutex.
   lock-order                Global lock-acquisition graph (which mutex is
                             taken while which is held, through any call
                             chain); every cycle is a potential deadlock.
@@ -42,24 +39,17 @@ import os
 
 from .findings import Finding
 from .model import norm, stem
-from .rules import (MINT_BARRIER_FUNCTION, RAW_SAMPLE_IDENTS,
-                    mint_rule_applies)
-from .summaries import ACCESSOR_STOPLIST, BLOCKING_CALL_IDENTS
+from .summaries import (ACCESSOR_STOPLIST, BLOCKING_CALL_IDENTS,
+                        RAW_SAMPLE_IDENTS)
 
 MINT_MEMBER_NAMES = ("answer", "perturb")
+MINT_BARRIER_FUNCTION = "mint_answer_with_intent"
 WAL_INTENT_CALLS = {"append_intent"}
 WAL_COMMIT_CALLS = {"append_commit", "absorb_orphaned"}
 
 
 def _name_is_raw_source(name):
     return name in RAW_SAMPLE_IDENTS or name.startswith(("raw_", "exact_"))
-
-
-def _build_name_index(summaries):
-    by_name = {}
-    for s in summaries:
-        by_name.setdefault(s.name, []).append(s)
-    return by_name
 
 
 def _call_edges(summaries):
@@ -186,7 +176,7 @@ def _dominance_scope(path):
     base = os.path.basename(p)
     if "lint_fixtures" in p:
         return "mint" in base or "barrier" in base
-    return mint_rule_applies(p) or "tools/" in p
+    return "src/market/" in p or "mint" in base or "tools/" in p
 
 
 def _mint_reaching_names(summaries, blessed):
@@ -307,63 +297,6 @@ def check_wal_intent_commit_pairing(summaries):
             "(permanent epsilon over-count).  Pair the intent with a "
             "commit, or add `// lint:allow wal-pairing` with a "
             "justification", function=s.name))
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# lock-discipline (summary-based; local + interprocedural)
-# ---------------------------------------------------------------------------
-
-def _acquired_before(summary, mutex, order):
-    if mutex in summary.requires:
-        return True
-    return any(a["order"] < order and mutex in a["names"]
-               for a in summary.acquires)
-
-
-def check_lock_discipline(summaries, fields_by_stem, by_name):
-    findings = []
-    for s in summaries:
-        if s.is_locked_helper() or s.sig_annotated or s.is_structor():
-            continue
-        fields = fields_by_stem.get(stem(s.path), {})
-        done = False
-        for use in s.guarded_uses:
-            mutex = fields.get(use["name"])
-            if mutex is None:
-                continue
-            if _acquired_before(s, mutex, use["order"]):
-                break  # the function holds the lock from there on
-            findings.append(Finding(
-                "lock-discipline", s.path, use["line"],
-                f"field `{use['name']}` is PRC_GUARDED_BY({mutex}) but "
-                f"`{s.name}` neither ends in _locked, acquires {mutex}, "
-                "nor carries PRC_REQUIRES; lock first or add "
-                "`// lint:allow lock` with a justification",
-                function=s.name))
-            done = True
-            break  # one finding per function is enough signal
-        if done:
-            continue
-        # Interprocedural half: calling a `_locked` helper asserts the
-        # caller already holds the helper's mutex.
-        flagged = set()
-        for c in s.calls:
-            if not c["name"].endswith("_locked") or c["name"] in flagged:
-                continue
-            callees = by_name.get(c["name"], ())
-            mutex = next((r for cs in callees for r in cs.requires),
-                         None) or "mutex_"
-            if _acquired_before(s, mutex, c["order"]):
-                continue
-            flagged.add(c["name"])
-            findings.append(Finding(
-                "lock-discipline", s.path, c["line"],
-                f"`{c['name']}` is a _locked helper (requires {mutex} "
-                f"held) but `{s.name}` neither acquires {mutex} before "
-                "the call nor carries PRC_REQUIRES; lock first or add "
-                "`// lint:allow lock` with a justification",
-                function=s.name))
     return findings
 
 
@@ -882,14 +815,11 @@ def run_interproc(summaries, guarded_fields_by_path, allows_by_path=None,
     fields_by_stem = {}
     for path, fields in guarded_fields_by_path.items():
         fields_by_stem.setdefault(stem(path), {}).update(fields)
-    by_name = _build_name_index(summaries)
     findings = []
     findings.extend(check_interproc_raw_taint(summaries))
     findings.extend(check_budget_barrier_dominance(summaries,
                                                    allows_by_path or {}))
     findings.extend(check_wal_intent_commit_pairing(summaries))
-    findings.extend(check_lock_discipline(summaries, fields_by_stem,
-                                          by_name))
     findings.extend(check_lock_order(summaries))
     findings.extend(check_blocking_under_lock(summaries, fields_by_stem,
                                               allows_by_path or {}))

@@ -160,23 +160,6 @@ class FileModel:
                 payload.body_end = len(toks)
 
 
-def statement_end(tokens, start, limit=160):
-    """Token index just past the `;` terminating the statement at `start`
-    (bounded; brace-bodied constructs cut off at `{`)."""
-    depth = 0
-    for i in range(start, min(start + limit, len(tokens))):
-        t = tokens[i].text
-        if t in ("(", "["):
-            depth += 1
-        elif t in (")", "]"):
-            depth -= 1
-        elif t == ";" and depth <= 0:
-            return i + 1
-        elif t == "{" and depth <= 0:
-            return i
-    return min(start + limit, len(tokens))
-
-
 def statement_ranges(tokens, func):
     """Yields (start, end) token ranges approximating statements in a
     function body (split on top-level-ish `;`)."""

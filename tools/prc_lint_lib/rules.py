@@ -1,14 +1,15 @@
 """Token-local lint rules: each inspects one FileModel independently.
 
-Cross-file rules (lock-discipline, the interprocedural pass) live in
+Cross-file rules (the interprocedural and concurrency passes) live in
 interproc.py and run on function summaries instead, so they stay valid
-when per-file results are served from the summary cache.
+when per-file results are served from the summary cache.  The raw-data
+taint rule (no-raw-to-sink) is computed alongside the summaries.
 """
 
 import os
 
 from .findings import Finding
-from .model import norm, statement_end
+from .model import norm
 
 RAW_RANDOM_IDENTS = {"random_device", "mt19937", "mt19937_64",
                      "default_random_engine"}
@@ -158,53 +159,6 @@ def check_byte_access(model):
     return findings
 
 
-RAW_SAMPLE_IDENTS = {"sampled_estimate", "rank_counting_estimate",
-                     "rank_counting_estimate_batch",
-                     "basic_counting_estimate", "quantile_estimate"}
-
-
-def _mentions_raw_data(tokens, start, end):
-    for j in range(start, end):
-        t = tokens[j]
-        if t.kind != "ident":
-            continue
-        if t.text in RAW_SAMPLE_IDENTS:
-            return True
-        if t.text.startswith(("raw_", "exact_")):
-            return True
-        if t.text == "value" and j > 0 and tokens[j - 1].text == "->":
-            return True
-        if t.text == "value" and j > 1 and tokens[j - 1].text in (".", "::") \
-                and tokens[j - 2].text in ("record", "Record"):
-            return True
-        if t.text == "values" and j + 1 < end and tokens[j + 1].text == "(":
-            return True
-    return False
-
-
-def check_raw_samples_in_telemetry(model):
-    findings = []
-    toks = model.tokens
-    i = 0
-    while i < len(toks):
-        t = toks[i]
-        if t.kind == "ident" and t.text == "telemetry" \
-                and i + 1 < len(toks) and toks[i + 1].text == "::":
-            end = statement_end(toks, i)
-            if _mentions_raw_data(toks, i, end):
-                findings.append(Finding(
-                    "no-raw-samples-in-telemetry", model.path, t.line,
-                    "telemetry must never record raw sensor values or "
-                    "unperturbed estimates; export counts/sizes/durations/"
-                    "prices or the RELEASED (noised) value, or add "
-                    "`// lint:allow telemetry` with a justification",
-                    function=getattr(model.token_function[i], "name", None)))
-            i = end
-        else:
-            i += 1
-    return findings
-
-
 def check_telemetry_lookup_in_loop(model):
     findings = []
     toks = model.tokens
@@ -302,48 +256,6 @@ def check_unit_suffix_consistency(model):
     return findings
 
 
-MINT_CALL_IDENTS = ("answer", "perturb")
-MINT_BARRIER_FUNCTION = "mint_answer_with_intent"
-
-
-def mint_rule_applies(path):
-    p = norm(path)
-    return "src/market/" in p or "mint" in os.path.basename(p)
-
-
-def check_unbarriered_mint(model):
-    """In the market layer, every budget release must cross the WAL intent
-    barrier: .answer()/.perturb() member calls are legal only inside
-    mint_answer_with_intent, so a crash can orphan an intent (over-count)
-    but never mint unrecorded epsilon (under-count)."""
-    if not mint_rule_applies(model.path):
-        return []
-    findings = []
-    toks = model.tokens
-    for func in model.functions:
-        if func.name == MINT_BARRIER_FUNCTION:
-            continue
-        for i in range(func.body_start + 1, func.body_end):
-            t = toks[i]
-            if t.kind != "ident" or t.text not in MINT_CALL_IDENTS:
-                continue
-            if i + 1 >= len(toks) or toks[i + 1].text != "(":
-                continue
-            if toks[i - 1].text not in (".", "->"):
-                continue
-            findings.append(Finding(
-                "no-unbarriered-mint", model.path, t.line,
-                f"`.{t.text}(...)` mints privacy budget outside "
-                f"`{MINT_BARRIER_FUNCTION}`; a crash here under-counts "
-                "released epsilon because no durable intent precedes the "
-                "noise draw.  Route the call through "
-                f"`{MINT_BARRIER_FUNCTION}` or add `// lint:allow mint` "
-                "with a justification",
-                function=func.name))
-    return findings
-
-
 TOKEN_RULES = (check_raw_random, check_bare_assert, check_float_eq_budget,
-               check_byte_access, check_raw_samples_in_telemetry,
-               check_telemetry_lookup_in_loop, check_unit_suffix_consistency,
-               check_unbarriered_mint)
+               check_byte_access, check_telemetry_lookup_in_loop,
+               check_unit_suffix_consistency)

@@ -2,8 +2,9 @@
 
 A summary captures everything the interprocedural rules need to know
 about one function WITHOUT re-reading its tokens: calls made (the call
-graph edges), locks acquired/required, guarded-field uses, WAL
-intent/commit appends, mint calls, and a symbolic taint dataflow.
+graph edges), lock acquisition events and PRC_REQUIRES capabilities,
+blocking calls, atomic read-modify-writes and branch conditions, WAL
+crash points, and a symbolic taint dataflow.
 
 The taint pass runs the same function-local propagation the old
 `no-raw-to-sink` rule used, but where the old rule could only say
@@ -22,7 +23,11 @@ file.
 
 from .findings import Finding
 from .model import statement_ranges, stem
-from .rules import RAW_SAMPLE_IDENTS
+
+#: Calls whose result is a pre-noise estimate (the RAW taint sources).
+RAW_SAMPLE_IDENTS = {"sampled_estimate", "rank_counting_estimate",
+                     "rank_counting_estimate_batch",
+                     "basic_counting_estimate", "quantile_estimate"}
 
 SINK_IDENTS = {"to_json", "to_csv", "write_csv", "serialize",
                "export_telemetry", "write_row", "append_row",
@@ -36,8 +41,6 @@ SINK_IDENTS = {"to_json", "to_csv", "write_csv", "serialize",
 
 LOCK_ACQUIRE_IDENTS = {"lock_guard", "scoped_lock", "unique_lock",
                        "shared_lock"}
-LOCK_SIG_ANNOTATIONS = {"PRC_REQUIRES", "PRC_ACQUIRE",
-                        "PRC_NO_THREAD_SAFETY_ANALYSIS"}
 
 #: Calls that can block the caller for an unbounded time (disk, sockets,
 #: pool fan-out, cv waits).  Reaching one of these while holding a mutex
@@ -104,8 +107,8 @@ def _looks_like_macro(name):
 
 class FunctionSummary:
     __slots__ = ("name", "qualifier", "type_scope", "path", "line",
-                 "params", "calls", "acquires", "requires", "sig_annotated",
-                 "guarded_uses", "crash_points", "sink_flows", "arg_flows",
+                 "params", "calls", "requires", "crash_points",
+                 "sink_flows", "arg_flows",
                  "returns_direct_raw", "return_dep_calls",
                  "return_dep_params", "raw_sink_findings",
                  "lock_events", "blocking_calls", "rmw_uses", "branch_uses")
@@ -117,13 +120,6 @@ class FunctionSummary:
     @property
     def owner(self):
         return self.qualifier or self.type_scope
-
-    def is_structor(self):
-        owner = self.owner
-        return owner is not None and self.name in (owner, "~" + owner)
-
-    def is_locked_helper(self):
-        return self.name.endswith("_locked")
 
     def to_dict(self):
         return {slot: getattr(self, slot) for slot in self.__slots__}
@@ -189,6 +185,14 @@ def _expr_sources(toks, start, end, raw_vars, tainted, params):
             sources.add(RAW)
             continue
         if t.text.startswith(("raw_", "exact_")):
+            sources.add(RAW)
+            continue
+        # Raw sensor readings: `node->value`, `record.value`,
+        # `Record::value`, and the `values()` accessors of sample sets.
+        if (t.text == "value" and (prev == "->" or (
+                prev in (".", "::") and j >= 2
+                and toks[j - 2].text in ("record", "Record")))) \
+                or (t.text == "values" and nxt == "("):
             sources.add(RAW)
             continue
         if t.text == "get" and nxt == "(" and j >= 2 \
@@ -430,8 +434,6 @@ def summarize_function(model, func):
     param_set = set(params)
 
     sig = toks[func.sig_start:func.body_start]
-    sig_annotated = any(t.kind == "ident" and t.text in LOCK_SIG_ANNOTATIONS
-                        for t in sig)
     requires = []
     for k, t in enumerate(sig):
         if t.kind == "ident" and t.text in ("PRC_REQUIRES", "PRC_ACQUIRE"):
@@ -443,8 +445,6 @@ def summarize_function(model, func):
     owner = func.qualifier or func.type_scope
     brace_pairs = _brace_close_map(toks, func)
     calls = []
-    acquires = []
-    guarded_uses = []
     crash_points = []
     lock_events = []
     blocking_calls = []
@@ -495,15 +495,12 @@ def summarize_function(model, func):
                                        "line": t.line, "order": i,
                                        "cv_arg": cv_arg or ""})
         if t.text in LOCK_ACQUIRE_IDENTS:
-            window = [x.text for x in toks[i:i + 12] if x.kind == "ident"]
-            acquires.append({"names": window, "order": i})
             event = _lock_event(toks, i, func, owner, model.path,
                                 brace_pairs)
             if event:
                 lock_events.append(event)
         elif nxt == "." and i + 2 < len(toks) \
                 and toks[i + 2].text == "lock":
-            acquires.append({"names": [t.text], "order": i})
             if t.text.endswith("_") or "mutex" in t.text:
                 lock_events.append({
                     "mutexes": [_qualify_mutex(t.text, owner, model.path)],
@@ -514,7 +511,6 @@ def summarize_function(model, func):
         if t.text.endswith("_") and nxt != "(":
             if prev in (".", "->") and prev2 != "this":
                 continue  # member of some other object
-            guarded_uses.append({"name": t.text, "line": t.line, "order": i})
             if nxt in RMW_OPS or prev in ("++", "--"):
                 rmw_uses.append({"name": t.text, "line": t.line})
 
@@ -590,8 +586,7 @@ def summarize_function(model, func):
         name=func.name, qualifier=func.qualifier, type_scope=func.type_scope,
         path=model.path, line=toks[func.sig_start].line
         if func.sig_start < len(toks) else 0,
-        params=params, calls=calls, acquires=acquires, requires=requires,
-        sig_annotated=sig_annotated, guarded_uses=guarded_uses,
+        params=params, calls=calls, requires=requires,
         crash_points=crash_points, sink_flows=sink_flows,
         arg_flows=arg_flows, returns_direct_raw=returns_direct_raw,
         return_dep_calls=sorted(return_dep_calls),

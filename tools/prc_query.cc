@@ -43,6 +43,14 @@
 //       re-validate the Theorem 4.2 menu.  --compact additionally folds
 //       the log into a single checkpoint.  Exits 1 if any audit fails.
 //
+//   prc_query check-telemetry [snapshot.json] [--prom scrape.prom]...
+//       The telemetry schema gate: validates a --telemetry JSON snapshot
+//       (histogram shape, unique names, >= 20 metrics over the iot, dp,
+//       pricing and market layers) and any number of Prometheus
+//       expositions (promtool-style parse), and maps every metric back to
+//       its metrics_metadata.inc entry of the matching kind.  Exits 1 on
+//       any violation.
+//
 // Every data-touching subcommand accepts:
 //   --telemetry path.json     write a TelemetrySnapshot (JSON) on exit
 //   --telemetry-csv path.csv  write the same snapshot as CSV
@@ -78,11 +86,15 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/args.h"
 #include "common/metrics_http.h"
+#include "common/metrics_metadata.h"
 #include "common/parallel.h"
 #include "common/prometheus.h"
 #include "common/telemetry.h"
@@ -649,12 +661,73 @@ int cmd_recover(int argc, char** argv) {
   return audits_pass ? 0 : 1;
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot read " + path);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+/// Prints the verdict for one input; true when it has no problems.
+bool report_schema(const std::string& path,
+                   const std::vector<std::string>& problems,
+                   const std::string& summary) {
+  for (const auto& problem : problems) {
+    std::cout << "check-telemetry: FAIL: " << path << ": " << problem << "\n";
+  }
+  if (problems.empty()) {
+    std::cout << "check-telemetry: OK " << path << " (" << summary << ")\n";
+  }
+  return problems.empty();
+}
+
+int cmd_check_telemetry(int argc, char** argv) {
+  const char* usage =
+      "usage: prc_query check-telemetry [snapshot.json] [--prom PATH]...\n";
+  std::optional<std::string> snapshot_path;
+  std::vector<std::string> prom_paths;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--prom" && i + 1 < argc) {
+      prom_paths.emplace_back(argv[++i]);
+    } else if (arg.rfind("-", 0) != 0 && !snapshot_path) {
+      snapshot_path = arg;
+    } else {
+      std::cerr << usage;
+      return arg == "--help" ? 0 : 2;
+    }
+  }
+  if (!snapshot_path && prom_paths.empty()) {
+    std::cerr << usage;
+    return 2;
+  }
+  bool ok = true;
+  // An unreadable or unparseable input throws to main(): exit 1.
+  if (snapshot_path) {
+    const auto snapshot =
+        telemetry::TelemetrySnapshot::from_json(read_file(*snapshot_path));
+    ok = report_schema(*snapshot_path,
+                       telemetry::snapshot_schema_problems(snapshot),
+                       std::to_string(snapshot.metric_count()) +
+                           " metrics, all layers covered, all registered");
+  }
+  for (const auto& path : prom_paths) {
+    ok = report_schema(path,
+                       telemetry::exposition_schema_problems(read_file(path)),
+                       "exposition 0.0.4 valid, all families registered") &&
+         ok;
+  }
+  return ok ? 0 : 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) {
     std::cerr << "usage: prc_query "
-                 "{generate|count|quote|quantile|session|recover} "
+                 "{generate|count|quote|quantile|session|recover|"
+                 "check-telemetry} "
                  "[options]\n       prc_query <command> --help\n";
     return 2;
   }
@@ -667,6 +740,9 @@ int main(int argc, char** argv) {
     if (command == "quantile") return cmd_quantile(argc - 1, argv + 1);
     if (command == "session") return cmd_session(argc - 1, argv + 1);
     if (command == "recover") return cmd_recover(argc - 1, argv + 1);
+    if (command == "check-telemetry") {
+      return cmd_check_telemetry(argc - 1, argv + 1);
+    }
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
