@@ -3,7 +3,7 @@
 //
 // Data streams into the network day by day; the broker answers a standing
 // query after every batch.  Compares three refresh policies:
-//   eager    — resync dirty nodes after every batch (always-fresh cache),
+//   eager    — resync changed nodes after every batch (always-fresh cache),
 //   lazy     — resync only every R batches (stale answers in between),
 //   resample — discard and recollect from scratch each batch (the naive
 //              strawman the paper's incremental protocol avoids).
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
       } else {
         // Each batch is produced by one sensor (arrivals are local to the
         // device that observed them), so only that node's cache goes stale
-        // — the incremental protocol resyncs just the dirty node.
+        // — the incremental protocol resyncs just that node.
         network->append_data(b % kNodes, batch);
         if (b % refresh_every == 0) network->refresh_samples();
       }

@@ -152,22 +152,49 @@ std::optional<RoundReport> BaseStation::noop_round_report(double p) const {
   return report;
 }
 
-void BaseStation::ingest(const SampleReport& report) {
+bool BaseStation::ingest(const SampleReport& report) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (report.node_id < 0 ||
       static_cast<std::size_t>(report.node_id) >= entries_.size()) {
     throw std::out_of_range("sample report from unknown node");
   }
   auto& entry = entries_[static_cast<std::size_t>(report.node_id)];
-  entry.data_count = report.data_count;
-  entry.reported = true;
-  if (!report.new_samples.empty()) {
-    // Merge into a fresh set and swap the pointer: snapshots holding the
-    // old set keep reading it unchanged.
+  // Build into a fresh set and swap the pointer: snapshots holding the old
+  // set keep reading it unchanged.
+  if (report.has_arrivals()) {
+    const auto& base = entry.samples->samples();
+    if (report.base_sequence != entry.sequence ||
+        report.base_samples != base.size()) {
+      return false;
+    }
+    const auto& gaps = report.arrival_gaps;
+    PRC_CHECK(std::is_sorted(gaps.begin(), gaps.end()) &&
+              gaps.back() <= base.size())
+        << "node " << report.node_id << ": malformed arrival gaps";
+    // Every cached sample moves up by the arrivals inserted before it:
+    // sample j is preceded by the arrivals whose gap is <= j.
+    std::vector<sampling::RankedValue> shifted;
+    shifted.reserve(base.size() + report.new_samples.size());
+    std::size_t before = 0;
+    for (std::size_t j = 0; j < base.size(); ++j) {
+      while (before < gaps.size() && gaps[before] <= j) ++before;
+      shifted.push_back(
+          sampling::RankedValue{base[j].value, base[j].rank + before});
+    }
+    shifted.insert(shifted.end(), report.new_samples.begin(),
+                   report.new_samples.end());
+    entry.samples =
+        std::make_shared<const sampling::RankSampleSet>(std::move(shifted));
+    ++entry.sequence;
+    telemetry::counter("iot.station.deltas_applied").increment();
+  } else if (!report.new_samples.empty()) {
     entry.samples = std::make_shared<const sampling::RankSampleSet>(
         *entry.samples, sampling::RankSampleSet(report.new_samples));
   }
+  entry.data_count = report.data_count;
+  entry.reported = true;
   telemetry::counter("iot.station.reports_ingested").increment();
+  return true;
 }
 
 void BaseStation::replace(const SampleReport& full_report) {
@@ -185,6 +212,7 @@ void BaseStation::replace_locked(const SampleReport& full_report) {
   entry.reported = true;
   entry.samples =
       std::make_shared<const sampling::RankSampleSet>(full_report.new_samples);
+  entry.sequence = 0;
   telemetry::counter("iot.station.cache_replacements").increment();
 }
 

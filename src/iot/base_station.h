@@ -135,12 +135,17 @@ class BaseStation {
   /// Total samples cached across nodes.
   std::size_t cached_sample_count() const noexcept;
 
-  /// Ingests one node's report (merges the new samples into the cache).
-  void ingest(const SampleReport& report);
+  /// Ingests one node's report: shifts the cached ranks by the arrivals
+  /// section (if any), then merges the new samples.  A report with arrivals
+  /// applies only on top of the cache it was computed against: when its
+  /// base sequence or base sample count does not match, the cache is left
+  /// untouched and false is returned (the node must resync in full).
+  /// Throws std::out_of_range for an unknown node and
+  /// std::invalid_argument for malformed gaps.
+  bool ingest(const SampleReport& report);
 
-  /// Replaces one node's cached sample wholesale.  Used after continuous
-  /// collection appends shift the node's local ranks: merged deltas would be
-  /// stale, so the node retransmits its full sample.
+  /// Replaces one node's cached sample wholesale: the fallback after a lost
+  /// report or a rejected delta, when the node retransmits its full sample.
   void replace(const SampleReport& full_report);
 
   /// Records that a top-up round to probability `p` completed with every
@@ -194,6 +199,11 @@ class BaseStation {
     std::size_t data_count = 0;
     double probability = 0.0;  // effective p_i of the cached sample
     bool reported = false;
+    // Deltas with arrivals accepted since the last full resync (the rank
+    // epoch); the next one must name it as its base.  Not checkpointed: a
+    // restored cache starts at 0, and the base sample count catches a node
+    // that moved on.
+    std::uint32_t sequence = 0;
   };
 
   // Unlocked bodies shared by the public methods (which lock) and by

@@ -20,6 +20,11 @@ constexpr std::size_t kOffSequence = 12;
 constexpr std::size_t kOffCrc = 16;
 
 static_assert(kMessageHeaderBytes == 20, "codec layout assumes 20B header");
+static_assert(kArrivalsHeaderBytes == 12 && kArrivalWireBytes == 4,
+              "codec layout assumes u32 arrivals fields");
+
+// SampleReport flags.
+constexpr std::uint16_t kFlagArrivals = 0x0001;
 
 const std::array<std::uint32_t, 256>& crc_table() {
   static const auto table = [] {
@@ -44,6 +49,12 @@ void put_u32(std::vector<std::uint8_t>& out, std::size_t offset,
   for (int i = 0; i < 4; ++i) {
     out[offset + static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(value >> (8 * i));
+  }
+}
+
+void append_u32(std::vector<std::uint8_t>& out, std::uint32_t value) {
+  for (int i = 0; i < 4; ++i) {
+    out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
   }
 }
 
@@ -72,6 +83,14 @@ std::uint32_t get_u32(const std::vector<std::uint8_t>& in,
   return value;
 }
 
+std::uint16_t get_u16(const std::vector<std::uint8_t>& in,
+                      std::size_t offset) {
+  PRC_DCHECK(offset + 2 <= in.size())
+      << "get_u16 out of bounds: offset " << offset << " in frame of "
+      << in.size();
+  return static_cast<std::uint16_t>(in[offset] | (in[offset + 1] << 8));
+}
+
 std::uint64_t get_u64(const std::vector<std::uint8_t>& in,
                       std::size_t offset) {
   PRC_DCHECK(offset + 8 <= in.size())
@@ -95,12 +114,13 @@ double get_f64(const std::vector<std::uint8_t>& in, std::size_t offset) {
 /// Builds header + reserves the payload; the CRC is stamped by seal().
 std::vector<std::uint8_t> make_frame(MessageType type, int node_id,
                                      std::uint32_t payload_len,
-                                     std::uint32_t sequence) {
+                                     std::uint32_t sequence,
+                                     std::uint16_t flags = 0) {
   std::vector<std::uint8_t> frame(kHeaderSize, 0);
   frame[kOffMagic] = kMagic;
   frame[kOffType] = static_cast<std::uint8_t>(type);
-  frame[kOffFlags] = 0;
-  frame[kOffFlags + 1] = 0;
+  frame[kOffFlags] = static_cast<std::uint8_t>(flags);
+  frame[kOffFlags + 1] = static_cast<std::uint8_t>(flags >> 8);
   put_u32(frame, kOffNodeId, static_cast<std::uint32_t>(node_id));
   put_u32(frame, kOffPayloadLen, payload_len);
   put_u32(frame, kOffSequence, sequence);
@@ -157,11 +177,18 @@ std::vector<std::uint8_t> encode(const SampleRequest& message,
 
 std::vector<std::uint8_t> encode(const SampleReport& message,
                                  std::uint32_t sequence) {
-  const auto payload_len = static_cast<std::uint32_t>(
-      sizeof(std::uint64_t) + message.new_samples.size() * kSampleWireBytes);
+  const auto payload_len =
+      static_cast<std::uint32_t>(message.wire_size() - kHeaderSize);
   auto frame = make_frame(MessageType::kSampleReport, message.node_id,
-                          payload_len, sequence);
+                          payload_len, sequence,
+                          message.has_arrivals() ? kFlagArrivals : 0);
   put_u64(frame, static_cast<std::uint64_t>(message.data_count));
+  if (message.has_arrivals()) {
+    append_u32(frame, message.base_sequence);
+    append_u32(frame, message.base_samples);
+    append_u32(frame, static_cast<std::uint32_t>(message.arrival_gaps.size()));
+    for (const std::uint32_t gap : message.arrival_gaps) append_u32(frame, gap);
+  }
   for (const auto& sample : message.new_samples) {
     put_f64(frame, sample.value);
     put_u64(frame, sample.rank);
@@ -204,19 +231,47 @@ SampleRequest decode_sample_request(const std::vector<std::uint8_t>& frame) {
 
 SampleReport decode_sample_report(const std::vector<std::uint8_t>& frame) {
   validate(frame, MessageType::kSampleReport);
-  const std::size_t payload = frame.size() - kHeaderSize;
-  if (payload < sizeof(std::uint64_t) ||
-      (payload - sizeof(std::uint64_t)) % kSampleWireBytes != 0) {
+  const std::uint16_t flags = get_u16(frame, kOffFlags);
+  if ((flags & ~kFlagArrivals) != 0) throw CodecError("unknown report flags");
+  if (frame.size() < kHeaderSize + sizeof(std::uint64_t)) {
     throw CodecError("sample report payload size");
   }
   SampleReport message;
   message.node_id = static_cast<int>(get_u32(frame, kOffNodeId));
   message.data_count =
       static_cast<std::size_t>(get_u64(frame, kHeaderSize));
-  const std::size_t count =
-      (payload - sizeof(std::uint64_t)) / kSampleWireBytes;
-  message.new_samples.reserve(count);
   std::size_t offset = kHeaderSize + sizeof(std::uint64_t);
+  if (flags & kFlagArrivals) {
+    if (frame.size() - offset < kArrivalsHeaderBytes) {
+      throw CodecError("arrivals section truncated");
+    }
+    message.base_sequence = get_u32(frame, offset);
+    message.base_samples = get_u32(frame, offset + 4);
+    const std::uint32_t arrivals = get_u32(frame, offset + 8);
+    offset += kArrivalsHeaderBytes;
+    if (arrivals == 0) throw CodecError("arrivals section flagged but empty");
+    // Compare as counts before multiplying: a hostile count must not wrap.
+    if ((frame.size() - offset) / kArrivalWireBytes < arrivals) {
+      throw CodecError("arrivals section truncated");
+    }
+    message.arrival_gaps.reserve(arrivals);
+    for (std::uint32_t i = 0; i < arrivals; ++i) {
+      const std::uint32_t gap = get_u32(frame, offset);
+      offset += kArrivalWireBytes;
+      if (gap > message.base_samples) {
+        throw CodecError("arrival gap exceeds base sample count");
+      }
+      if (!message.arrival_gaps.empty() && gap < message.arrival_gaps.back()) {
+        throw CodecError("arrival gaps not non-decreasing");
+      }
+      message.arrival_gaps.push_back(gap);
+    }
+  }
+  if ((frame.size() - offset) % kSampleWireBytes != 0) {
+    throw CodecError("sample report payload size");
+  }
+  const std::size_t count = (frame.size() - offset) / kSampleWireBytes;
+  message.new_samples.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     sampling::RankedValue sample;
     sample.value = get_f64(frame, offset);

@@ -11,7 +11,12 @@
 //   header (20 B): magic 'P' (1) | type (1) | flags (2) | node_id (4) |
 //                  payload_len (4) | sequence (4) | crc32 (4)
 //   SampleRequest payload:  target_p (8 B double)
-//   SampleReport payload:   data_count (8 B u64) | {value f64, rank u64}*
+//   SampleReport payload:   data_count (8 B u64) | [arrivals] |
+//                           {value f64, rank u64}*
+//     arrivals (present iff flags bit 0 is set; a top-up or full resync
+//     has no arrivals, flags 0 and no section): base_sequence (u32) |
+//     base_samples (u32) | count (u32, >= 1) | gap (u32) * count, gaps
+//     non-decreasing and each <= base_samples
 //   Heartbeat payload:      empty
 #pragma once
 
@@ -31,7 +36,7 @@ enum class MessageType : std::uint8_t {
 };
 
 /// Raised by decode on malformed input (bad magic, truncated payload,
-/// CRC mismatch, unknown type).
+/// CRC mismatch, unknown type or flags, malformed arrivals section).
 class CodecError : public std::runtime_error {
  public:
   explicit CodecError(const std::string& what) : std::runtime_error(what) {}

@@ -22,11 +22,9 @@ std::size_t backoff_slots_after(std::size_t failed_attempts) {
 
 }  // namespace
 
-void publish_round_metrics(const CommunicationStats& before,
-                           const CommunicationStats& after,
-                           const RoundReport& report) {
+void publish_traffic_metrics(const CommunicationStats& before,
+                             const CommunicationStats& after) {
   auto& registry = telemetry::Telemetry::registry();
-  registry.counter("iot.rounds").increment();
   registry.counter("iot.frames_attempted")
       .increment(after.frames_attempted - before.frames_attempted);
   registry.counter("iot.frames_delivered")
@@ -39,7 +37,16 @@ void publish_round_metrics(const CommunicationStats& before,
       .increment(after.uplink_bytes - before.uplink_bytes);
   registry.counter("iot.downlink_bytes")
       .increment(after.downlink_bytes - before.downlink_bytes);
-  registry.counter("iot.samples_transferred").increment(report.new_samples);
+  registry.counter("iot.samples_transferred")
+      .increment(after.samples_transferred - before.samples_transferred);
+}
+
+void publish_round_metrics(const CommunicationStats& before,
+                           const CommunicationStats& after,
+                           const RoundReport& report) {
+  auto& registry = telemetry::Telemetry::registry();
+  registry.counter("iot.rounds").increment();
+  publish_traffic_metrics(before, after);
   registry.gauge("iot.round_coverage").set(report.coverage);
   registry.gauge("iot.round_min_probability").set(report.min_probability);
   registry.histogram("iot.round_new_samples")
@@ -247,78 +254,12 @@ RoundReport FlatNetwork::ensure_sampling_probability(double p) {
                                : NodeOutcome::kOffline;
       return;
     }
-    SampleReport node_report = node.handle(request);
-    if (node.dirty()) {
-      // Appends since the last resync shifted this node's ranks, so the
-      // station's cached deltas are in a stale rank epoch.  The node sends
-      // its full current sample instead and the station replaces the cache.
-      node_report = node.full_report();
-      if (transmit_full_report(node_report, lane.stats)) {
-        lane.new_samples = node_report.new_samples.size();
-        lane.stats.samples_transferred += node_report.new_samples.size();
-        lane.refreshed = true;
-      } else {
-        // The node's sampler already advanced to p, but the station never
-        // saw the refreshed sample: force a full resync next opportunity.
-        node.invalidate_cached_sample();
-        report.outcomes[i] = NodeOutcome::kDropped;
-      }
-      return;
-    }
-
-    // Small reports piggyback on the periodic heartbeat: charge only the
-    // sample payload, not an extra frame header.  (Byte-accurate mode has
-    // no standalone frame for a piggybacked delta, so it always frames.)
-    if (!config_.byte_accurate &&
-        node_report.new_samples.size() <= kHeartbeatPiggybackSamples) {
-      const Delivery up =
-          transmit(node_report.new_samples.size() * kSampleWireBytes +
-                       sizeof(std::uint64_t),
-                   /*uplink=*/true, i, lane.stats);
-      if (up.delivered) {
-        ++lane.stats.piggybacked_reports;
-        lane.new_samples = node_report.new_samples.size();
-        lane.stats.samples_transferred += node_report.new_samples.size();
-        station_.ingest(node_report);
-        lane.refreshed = true;
-      } else {
-        node.invalidate_cached_sample();
-        report.outcomes[i] = NodeOutcome::kDropped;
-      }
-      return;
-    }
-    // Otherwise split into frames of kMaxSamplesPerFrame samples each.
-    // Ingestion is atomic per node: a delta is only committed when every
-    // frame delivered — a half-ingested delta would leave the cache in no
-    // well-defined probability state at all.
-    std::vector<SampleReport> arrived;
-    bool all_delivered = true;
-    std::size_t offset = 0;
-    do {
-      const std::size_t take = std::min(
-          kMaxSamplesPerFrame, node_report.new_samples.size() - offset);
-      SampleReport frame;
-      frame.node_id = node_report.node_id;
-      frame.data_count = node_report.data_count;
-      frame.new_samples.assign(
-          node_report.new_samples.begin() + static_cast<std::ptrdiff_t>(offset),
-          node_report.new_samples.begin() +
-              static_cast<std::ptrdiff_t>(offset + take));
-      SampleReport delivered;
-      if (!deliver_frame(frame, delivered, lane.stats).delivered) {
-        all_delivered = false;
-        break;  // the sender aborts the rest of the burst
-      }
-      arrived.push_back(std::move(delivered));
-      offset += take;
-    } while (offset < node_report.new_samples.size());
-    if (all_delivered) {
-      for (const auto& frame : arrived) station_.ingest(frame);
+    const SampleReport node_report = node.handle(request);
+    if (send_report(node, node_report, lane.stats)) {
       lane.new_samples = node_report.new_samples.size();
       lane.stats.samples_transferred += node_report.new_samples.size();
       lane.refreshed = true;
     } else {
-      node.invalidate_cached_sample();
       report.outcomes[i] = NodeOutcome::kDropped;
     }
   });
@@ -341,35 +282,60 @@ RoundReport FlatNetwork::ensure_sampling_probability(double p) {
   return report;
 }
 
-bool FlatNetwork::transmit_full_report(const SampleReport& report,
-                                       CommunicationStats& stats) {
-  // Full resync never piggybacks (it is not a delta); split into frames for
-  // delivery, reassemble what actually arrived, then replace the cache
-  // wholesale — but only if EVERY frame made it (a partial full-sample
-  // would silently shrink the node's apparent sample).
-  SampleReport reassembled;
-  reassembled.node_id = report.node_id;
-  reassembled.data_count = report.data_count;
-  std::size_t offset = 0;
-  do {
-    const std::size_t take =
-        std::min(kMaxSamplesPerFrame, report.new_samples.size() - offset);
-    SampleReport frame;
-    frame.node_id = report.node_id;
-    frame.data_count = report.data_count;
-    frame.new_samples.assign(
-        report.new_samples.begin() + static_cast<std::ptrdiff_t>(offset),
-        report.new_samples.begin() +
-            static_cast<std::ptrdiff_t>(offset + take));
-    SampleReport delivered;
-    if (!deliver_frame(frame, delivered, stats).delivered) return false;
-    reassembled.new_samples.insert(reassembled.new_samples.end(),
-                                   delivered.new_samples.begin(),
-                                   delivered.new_samples.end());
-    offset += take;
-  } while (offset < report.new_samples.size());
-  station_.replace(reassembled);
-  return true;
+bool FlatNetwork::send_report(SensorNode& node, const SampleReport& report,
+                              CommunicationStats& stats) {
+  const auto i = static_cast<std::size_t>(node.id());
+  std::vector<SampleReport> arrived;
+  // Small top-ups piggyback on the periodic heartbeat: charge only the
+  // payload, not an extra frame header.  (Byte-accurate mode has no
+  // standalone frame for a piggybacked report, so it always frames.)
+  if (!config_.byte_accurate && !node.dirty() && !report.has_arrivals() &&
+      report.new_samples.size() <= kHeartbeatPiggybackSamples) {
+    if (transmit(report.wire_size() - kMessageHeaderBytes, /*uplink=*/true, i,
+                 stats)
+            .delivered) {
+      ++stats.piggybacked_reports;
+      arrived.push_back(report);
+    }
+  } else {
+    // Split into frames of kMaxSamplesPerFrame samples, the arrivals section
+    // riding in the first.  The sender aborts the burst at the first lost
+    // frame.
+    bool all_delivered = true;
+    std::size_t offset = 0;
+    do {
+      const std::size_t take =
+          std::min(kMaxSamplesPerFrame, report.new_samples.size() - offset);
+      SampleReport frame;
+      frame.node_id = report.node_id;
+      frame.data_count = report.data_count;
+      if (offset == 0) {
+        frame.base_sequence = report.base_sequence;
+        frame.base_samples = report.base_samples;
+        frame.arrival_gaps = report.arrival_gaps;
+      }
+      frame.new_samples.assign(
+          report.new_samples.begin() + static_cast<std::ptrdiff_t>(offset),
+          report.new_samples.begin() +
+              static_cast<std::ptrdiff_t>(offset + take));
+      SampleReport delivered;
+      if (!deliver_frame(frame, delivered, stats).delivered) {
+        all_delivered = false;
+        break;
+      }
+      arrived.push_back(std::move(delivered));
+      offset += take;
+    } while (offset < report.new_samples.size());
+    if (!all_delivered) arrived.clear();
+  }
+  // Ingestion is atomic per node: a report is applied only when every frame
+  // delivered; a half-applied report would leave the cache in no
+  // well-defined probability state at all.
+  if (arrived.empty()) {
+    node.invalidate_cached_sample();
+    return false;
+  }
+  return apply_report(node, arrived, station_);
 }
 
 void FlatNetwork::append_data(std::size_t node,
@@ -380,18 +346,18 @@ void FlatNetwork::append_data(std::size_t node,
 }
 
 std::size_t FlatNetwork::refresh_samples() {
+  const CommunicationStats stats_before = stats_;
   std::size_t resynced = 0;
   for (auto& node : nodes_) {
-    if (!node.dirty()) continue;
+    if (!node.has_unreported_changes()) continue;
     if (!node.online()) continue;  // resync deferred until the node rejoins
-    SampleReport report = node.full_report();
-    if (transmit_full_report(report, stats_)) {
+    const SampleReport report = node.report();
+    if (send_report(node, report, stats_)) {
       ++resynced;
       stats_.samples_transferred += report.new_samples.size();
-    } else {
-      node.invalidate_cached_sample();
     }
   }
+  publish_traffic_metrics(stats_before, stats_);
   return resynced;
 }
 

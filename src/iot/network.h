@@ -67,10 +67,16 @@ struct CommunicationStats {
   }
 };
 
-/// Publishes one collection round's frame/byte deltas and resulting
-/// coverage to the metrics registry ("iot.*" catalog; see DESIGN.md
-/// "Telemetry").  Event counts, sizes and coverage only — no sample values
-/// cross this boundary.  Shared by FlatNetwork and TreeNetwork.
+/// Publishes the frame/byte/sample deltas between two stats snapshots to
+/// the metrics registry ("iot.*" catalog; see DESIGN.md "Telemetry").
+/// Event counts and sizes only — no sample values cross this boundary.
+/// FlatNetwork::refresh_samples() publishes its resync traffic this way.
+void publish_traffic_metrics(const CommunicationStats& before,
+                             const CommunicationStats& after);
+
+/// publish_traffic_metrics() for one collection round, plus the round
+/// count and the resulting coverage.  Shared by FlatNetwork and
+/// TreeNetwork.
 void publish_round_metrics(const CommunicationStats& before,
                            const CommunicationStats& after,
                            const RoundReport& report);
@@ -135,14 +141,21 @@ class FlatNetwork final : public SamplingNetwork {
 
   /// Continuous collection: node `node` observes new readings.  The node
   /// samples them locally at the current probability; the base station's
-  /// cached copy becomes stale until the next refresh_samples().
+  /// cached copy becomes stale until the next refresh_samples() or round.
   void append_data(std::size_t node, const std::vector<double>& values);
 
-  /// Resynchronizes every dirty node: the node retransmits its full sample
-  /// (ranks shifted when data was appended), the base station replaces its
-  /// cache, and the traffic is charged.  Returns the number of nodes that
-  /// resynced.
+  /// Resynchronizes every online node with unreported changes.  A node
+  /// sends a delta: the insertion index of each appended reading among the
+  /// samples the station holds, plus the newly sampled readings; the
+  /// station shifts its cached ranks and merges.  A node whose last report
+  /// was lost or rejected sends its full sample instead and the station
+  /// replaces its cache.  The traffic is charged and published.  Returns
+  /// the number of nodes that resynced.
   std::size_t refresh_samples();
+
+  /// Node `node`, for inspection (its sample is what the station should
+  /// hold once the node's reports are acknowledged).
+  const SensorNode& node(std::size_t index) const { return nodes_.at(index); }
 
   /// RankCounting / BasicCounting estimates from the base station cache.
   double rank_counting_estimate(
@@ -172,10 +185,15 @@ class FlatNetwork final : public SamplingNetwork {
   Delivery transmit(std::size_t frame_bytes, bool uplink, std::size_t node,
                     CommunicationStats& stats);
 
-  /// Charges a full-sample resync (framed, never piggybacked); replaces the
-  /// station's cache only when EVERY frame delivered.  Returns success.
-  bool transmit_full_report(const SampleReport& report,
-                            CommunicationStats& stats);
+  /// Sends one node's report() and applies it at the station through
+  /// apply_report().  A small top-up without arrivals piggybacks on a
+  /// heartbeat (never a full resync, never in byte-accurate mode); anything
+  /// else is split into frames of kMaxSamplesPerFrame samples, with the
+  /// arrivals section in the first.  Delivery is atomic per node: a lost
+  /// frame leaves the station untouched and the node falls back to a full
+  /// resync.  Returns whether the station accepted the report.
+  bool send_report(SensorNode& node, const SampleReport& report,
+                   CommunicationStats& stats);
 
   /// Delivers one report frame: models loss and (in byte-accurate mode)
   /// encode -> corrupt -> decode with CRC-triggered retransmission.

@@ -1,6 +1,8 @@
 // A simulated smart device holding a local data multiset.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -8,6 +10,8 @@
 #include "sampling/local_sampler.h"
 
 namespace prc::iot {
+
+class BaseStation;
 
 /// One sensor node in the flat network.  Owns its raw local data and its
 /// sampling state; only samples (with ranks) and the local cardinality ever
@@ -28,28 +32,52 @@ class SensorNode {
   void set_online(bool online) noexcept { online_ = online; }
 
   /// Handles a SampleRequest: tops the local sample up to the requested
-  /// probability and returns the report carrying only the new samples.
-  /// An offline node returns no report (the caller observes the dropout).
+  /// probability and returns report().  An offline node returns a report
+  /// with no samples (the caller observes the dropout).
   SampleReport handle(const SampleRequest& request);
 
+  /// What brings the station's copy up to date: the delta since the last
+  /// acknowledged report (arrivals section plus newly selected samples), or
+  /// the full sample when dirty().  A delta is never sent when the full
+  /// sample is no larger on the wire (a batch of arrivals big relative to
+  /// the sample): the node then marks itself dirty and resyncs in full.
+  /// acknowledge() or invalidate_cached_sample() records the outcome.
+  SampleReport report();
+
   /// Continuous collection: new readings arrive at the device.  Each is
-  /// sampled at the current inclusion probability; ranks shift, so the node
-  /// becomes dirty and must retransmit its full sample next refresh.
+  /// sampled at the current inclusion probability; the next report()
+  /// carries their positions as an arrivals section.
   void append_data(const std::vector<double>& values);
 
-  /// True when an append invalidated the base station's cached copy.
+  /// True when report() would carry anything: arrivals or samples the
+  /// station has not acknowledged, or a pending full resync.
+  bool has_unreported_changes() const noexcept {
+    return dirty_ || sampler_.has_delta();
+  }
+
+  /// True when the next report() is a full resync (the station's cached
+  /// copy is unusable, or the delta would not be smaller).
   bool dirty() const noexcept { return dirty_; }
 
   /// Marks the station's cached copy of this node as unusable, forcing a
-  /// full resync on the next refresh.  The network calls this when a
-  /// partially delivered delta had to be discarded: the node's local sampler
-  /// already advanced to the new probability, so the missing samples can
-  /// only be recovered by retransmitting the whole sample.
-  void invalidate_cached_sample() noexcept { dirty_ = true; }
+  /// full resync on the next report.  The network calls this when a report
+  /// was lost (the node's sampler already moved on, so the missing samples
+  /// can only be recovered by retransmitting the whole sample) or when the
+  /// station rejected a delta whose base did not match its cache.  Counted
+  /// as iot.resync_fallbacks.
+  void invalidate_cached_sample();
 
-  /// The full-resync report (entire current sample + updated n_i); clears
-  /// the dirty flag.  Used by the network's refresh round.
-  SampleReport full_report();
+  /// The station accepted the last report(): it now holds current_sample().
+  void acknowledge();
+
+  /// The full-resync report (entire current sample + updated n_i).
+  SampleReport full_report() const;
+
+  /// The node's whole current sample (what the station holds once every
+  /// report is acknowledged).
+  sampling::RankSampleSet current_sample() const {
+    return sampler_.current_sample();
+  }
 
  private:
   int id_;
@@ -57,6 +85,17 @@ class SensorNode {
   Rng rng_;
   bool online_ = true;
   bool dirty_ = false;
+  /// Deltas with arrivals the station accepted since the last full resync
+  /// (the rank epoch); mirrors the station's count for this node.
+  std::uint32_t sequence_ = 0;
 };
+
+/// Applies the delivered frames of one node's report() at the station and
+/// records the outcome at the node: a full resync replaces the cache, a
+/// delta is ingested frame by frame.  Acknowledges the node when the
+/// station accepts; a rejected delta (base mismatch) forces a full resync
+/// instead.  Returns whether the station accepted.
+bool apply_report(SensorNode& node, std::span<const SampleReport> frames,
+                  BaseStation& station);
 
 }  // namespace prc::iot

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/check.h"
 #include "common/parallel.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
@@ -206,20 +207,17 @@ RoundReport TreeNetwork::ensure_sampling_probability(double p) {
   // top-up is the compute-heavy phase and is embarrassingly parallel: each
   // node touches only its own sampler, its own slot here, and the mutexed
   // station (whose per-node entries are disjoint).
+  // A node left dirty by a drop in an earlier degraded round resyncs in
+  // full here (report() decides, apply_report() replaces).  Tree nodes have
+  // no append path, so reports never carry arrivals and the byte model
+  // below charges samples and n_i only.
   std::vector<std::size_t> new_samples_per_node(nodes_.size(), 0);
   parallel::parallel_for_each(nodes_.size(), [&](std::size_t i) {
-    SampleReport node_report = nodes_[i].handle(SampleRequest{
-        static_cast<int>(i), p});
-    if (nodes_[i].dirty()) {
-      // A drop in an earlier degraded round left the cache behind the
-      // node's sampler; resync in full before merging any further deltas.
-      node_report = nodes_[i].full_report();
-      new_samples_per_node[i] = node_report.new_samples.size();
-      station_.replace(node_report);
-      return;
-    }
+    const SampleReport node_report =
+        nodes_[i].handle(SampleRequest{static_cast<int>(i), p});
+    PRC_DCHECK(!node_report.has_arrivals()) << "tree node with arrivals";
     new_samples_per_node[i] = node_report.new_samples.size();
-    station_.ingest(node_report);
+    apply_report(nodes_[i], {&node_report, 1}, station_);
   });
   std::size_t total_new = 0;
   for (const std::size_t count : new_samples_per_node) total_new += count;
@@ -332,14 +330,9 @@ RoundReport TreeNetwork::run_degraded_round(double p) {
       report.outcomes[i] = NodeOutcome::kDropped;
       return;
     }
-    SampleReport node_report = node.handle(SampleRequest{node.id(), p});
-    bool full_resync = false;
-    if (node.dirty()) {
-      // A previous drop left the station's cache behind the node's sampler;
-      // a delta on top of that gap would under-count.  Send the full sample.
-      node_report = node.full_report();
-      full_resync = true;
-    }
+    // A node left dirty by a previous drop sends its full sample (a delta
+    // on top of that gap would under-count).
+    const SampleReport node_report = node.handle(SampleRequest{node.id(), p});
     // Degraded uplink: the report is relayed store-and-forward across every
     // link on the path to the root (aggregation is not attempted while the
     // topology is unstable), one bounded frame chain per link.  Delivery is
@@ -347,6 +340,7 @@ RoundReport TreeNetwork::run_degraded_round(double p) {
     const std::size_t samples = node_report.new_samples.size();
     const std::size_t frames = std::max<std::size_t>(
         1, (samples + kMaxSamplesPerFrame - 1) / kMaxSamplesPerFrame);
+    PRC_DCHECK(!node_report.has_arrivals()) << "tree node with arrivals";
     const std::size_t bytes = frames * kMessageHeaderBytes +
                               samples * kSampleWireBytes +
                               sizeof(std::uint64_t);
@@ -357,17 +351,12 @@ RoundReport TreeNetwork::run_degraded_round(double p) {
           transmit_link_bounded(bytes, level, i, lane.stats, lane.levels)
               .delivered;
     }
-    if (delivered) {
-      if (full_resync) {
-        station_.replace(node_report);
-      } else {
-        station_.ingest(node_report);
-      }
+    if (delivered && apply_report(node, {&node_report, 1}, station_)) {
       lane.new_samples = samples;
       lane.stats.samples_transferred += samples;
       lane.refreshed = true;
     } else {
-      node.invalidate_cached_sample();
+      if (!delivered) node.invalidate_cached_sample();
       report.outcomes[i] = NodeOutcome::kDropped;
     }
   });

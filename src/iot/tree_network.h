@@ -77,6 +77,9 @@ class TreeNetwork final : public SamplingNetwork {
     return level_stats_;
   }
 
+  /// Node `index`, for inspection (see FlatNetwork::node).
+  const SensorNode& node(std::size_t index) const { return nodes_.at(index); }
+
   /// Marks a sensor offline/online.  An offline LEAF just skips rounds; an
   /// offline INTERIOR node also severs its whole subtree — descendants stay
   /// alive and sample locally, but their reports cannot reach the root and

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 
 namespace prc::sampling {
 
 LocalSampler::LocalSampler(std::vector<double> values)
-    : sorted_(std::move(values)), selected_(sorted_.size(), false) {
+    : sorted_(std::move(values)), state_(sorted_.size(), 0) {
   std::sort(sorted_.begin(), sorted_.end());
 }
 
@@ -21,10 +22,11 @@ std::vector<RankedValue> LocalSampler::raise_probability(double p, Rng& rng) {
   const double conditional =
       p_ >= 1.0 ? 0.0 : (p - p_) / (1.0 - p_);
   for (std::size_t i = 0; i < sorted_.size(); ++i) {
-    if (selected_[i]) continue;
+    if (state_[i] & kSelected) continue;
     if (rng.bernoulli(conditional)) {
-      selected_[i] = true;
+      state_[i] |= kSelected | kAdded;
       ++sampled_count_;
+      ++pending_added_;
       added.push_back(RankedValue{sorted_[i], static_cast<std::uint64_t>(i + 1)});
     }
   }
@@ -34,25 +36,47 @@ std::vector<RankedValue> LocalSampler::raise_probability(double p, Rng& rng) {
 
 void LocalSampler::append(const std::vector<double>& values, Rng& rng) {
   if (values.empty()) return;
-  // Pair up the existing order with its selection flags, add the newcomers
-  // (each drawn at the current p), and re-sort; ranks follow the new order.
-  std::vector<std::pair<double, bool>> merged;
-  merged.reserve(sorted_.size() + values.size());
-  for (std::size_t i = 0; i < sorted_.size(); ++i) {
-    merged.emplace_back(sorted_[i], static_cast<bool>(selected_[i]));
+  // Draw each newcomer's flag in arrival order, then stable-sort the batch
+  // alone: equal newcomers keep their arrival order.
+  std::vector<std::pair<double, std::uint8_t>> batch;
+  batch.reserve(values.size());
+  for (const double v : values) {
+    std::uint8_t state = kArrived;
+    if (rng.bernoulli(p_)) {
+      state |= kSelected | kAdded;
+      ++sampled_count_;
+      ++pending_added_;
+    }
+    batch.emplace_back(v, state);
   }
-  for (double v : values) {
-    const bool take = rng.bernoulli(p_);
-    merged.emplace_back(v, take);
-    if (take) ++sampled_count_;
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  sorted_.resize(merged.size());
-  selected_.assign(merged.size(), false);
-  for (std::size_t i = 0; i < merged.size(); ++i) {
-    sorted_[i] = merged[i].first;
-    selected_[i] = merged[i].second;
+  pending_arrivals_ += values.size();
+  std::stable_sort(batch.begin(), batch.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  // Merge from the back into the grown arrays, newcomers largest first:
+  // the existing elements greater than a newcomer move up past it as one
+  // block, and equal ones stay before it.  Elements before the first
+  // insertion point never move.
+  std::size_t old_end = sorted_.size();
+  std::size_t out = sorted_.size() + batch.size();
+  sorted_.resize(out);
+  state_.resize(out);
+  for (auto newcomer = batch.rbegin(); newcomer != batch.rend(); ++newcomer) {
+    const auto keep = static_cast<std::size_t>(
+        std::upper_bound(sorted_.begin(),
+                         sorted_.begin() + static_cast<std::ptrdiff_t>(old_end),
+                         newcomer->first) -
+        sorted_.begin());
+    const auto from = static_cast<std::ptrdiff_t>(keep);
+    const auto to = static_cast<std::ptrdiff_t>(old_end);
+    const auto dest = static_cast<std::ptrdiff_t>(out);
+    std::move_backward(sorted_.begin() + from, sorted_.begin() + to,
+                       sorted_.begin() + dest);
+    std::move_backward(state_.begin() + from, state_.begin() + to,
+                       state_.begin() + dest);
+    out -= old_end - keep + 1;
+    old_end = keep;
+    sorted_[out] = newcomer->first;
+    state_[out] = newcomer->second;
   }
 }
 
@@ -60,12 +84,41 @@ RankSampleSet LocalSampler::current_sample() const {
   std::vector<RankedValue> samples;
   samples.reserve(sampled_count_);
   for (std::size_t i = 0; i < sorted_.size(); ++i) {
-    if (selected_[i]) {
+    if (state_[i] & kSelected) {
       samples.push_back(
           RankedValue{sorted_[i], static_cast<std::uint64_t>(i + 1)});
     }
   }
   return RankSampleSet(std::move(samples));
+}
+
+SampleDelta LocalSampler::delta() const {
+  SampleDelta delta;
+  delta.base_samples = sampled_count_ - pending_added_;
+  if (!has_delta()) return delta;
+  delta.arrival_gaps.reserve(pending_arrivals_);
+  delta.added.reserve(pending_added_);
+  std::uint64_t held = 0;  // base samples seen so far
+  for (std::size_t i = 0; i < sorted_.size(); ++i) {
+    const std::uint8_t state = state_[i];
+    if (state & kArrived) delta.arrival_gaps.push_back(held);
+    if (state & kAdded) {
+      delta.added.push_back(
+          RankedValue{sorted_[i], static_cast<std::uint64_t>(i + 1)});
+    } else if (state & kSelected) {
+      ++held;
+    }
+  }
+  return delta;
+}
+
+void LocalSampler::mark_reported() {
+  if (!has_delta()) return;
+  for (auto& state : state_) {
+    state &= kSelected;
+  }
+  pending_arrivals_ = 0;
+  pending_added_ = 0;
 }
 
 double LocalSampler::first_value() const {

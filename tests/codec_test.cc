@@ -26,21 +26,57 @@ TEST(CodecTest, SampleRequestRoundTrip) {
   EXPECT_DOUBLE_EQ(decoded.target_p, 0.37);
 }
 
+// Rewrites the payload length and CRC after a test edits a frame, so that
+// only the check under test can reject it.
+void reseal(std::vector<std::uint8_t>& frame) {
+  ASSERT_GE(frame.size(), kMessageHeaderBytes);
+  const auto payload =
+      static_cast<std::uint32_t>(frame.size() - kMessageHeaderBytes);
+  for (std::size_t i = 0; i < 4; ++i) {
+    frame.at(8 + i) = static_cast<std::uint8_t>(payload >> (8 * i));
+  }
+  const std::uint32_t crc =
+      crc32(frame.data(), 16) ^
+      crc32(frame.data() + kMessageHeaderBytes, payload);
+  for (std::size_t i = 0; i < 4; ++i) {
+    frame.at(16 + i) = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+}
+
+SampleReport report_with_arrivals() {
+  SampleReport report;
+  report.node_id = 3;
+  report.data_count = 9880;
+  report.new_samples = {{1.5, 2}, {-7.25, 19}};
+  report.base_sequence = 5;
+  report.base_samples = 40;
+  report.arrival_gaps = {0, 0, 7, 40};
+  return report;
+}
+
 TEST(CodecTest, SampleReportRoundTrip) {
-  SampleReport original;
-  original.node_id = 3;
-  original.data_count = 9876;
-  original.new_samples = {{1.5, 2}, {-7.25, 19}, {3.14159, 4096}};
-  const auto frame = encode(original, 11);
-  EXPECT_EQ(frame.size(), original.wire_size());
-  EXPECT_EQ(peek_type(frame), MessageType::kSampleReport);
-  const auto decoded = decode_sample_report(frame);
-  EXPECT_EQ(decoded.node_id, 3);
-  EXPECT_EQ(decoded.data_count, 9876u);
-  ASSERT_EQ(decoded.new_samples.size(), 3u);
-  EXPECT_EQ(decoded.new_samples[0], original.new_samples[0]);
-  EXPECT_EQ(decoded.new_samples[1], original.new_samples[1]);
-  EXPECT_EQ(decoded.new_samples[2], original.new_samples[2]);
+  SampleReport top_up;
+  top_up.node_id = 3;
+  top_up.data_count = 9876;
+  top_up.new_samples = {{1.5, 2}, {-7.25, 19}, {3.14159, 4096}};
+  for (const auto& original : {top_up, report_with_arrivals()}) {
+    const auto frame = encode(original, 11);
+    EXPECT_EQ(frame.size(), original.wire_size());
+    EXPECT_EQ(peek_type(frame), MessageType::kSampleReport);
+    const auto decoded = decode_sample_report(frame);
+    EXPECT_EQ(decoded.node_id, 3);
+    EXPECT_EQ(decoded.data_count, original.data_count);
+    EXPECT_EQ(decoded.new_samples, original.new_samples);
+    EXPECT_EQ(decoded.base_sequence, original.base_sequence);
+    EXPECT_EQ(decoded.base_samples, original.base_samples);
+    EXPECT_EQ(decoded.arrival_gaps, original.arrival_gaps);
+  }
+  // Without arrivals the flags stay clear: the frame is the one the format
+  // produced before the arrivals section existed.
+  const auto frame = encode(top_up);
+  EXPECT_EQ(frame.at(2), 0);
+  EXPECT_EQ(frame.at(3), 0);
+  EXPECT_EQ(frame.size(), kMessageHeaderBytes + 8 + 3 * kSampleWireBytes);
 }
 
 TEST(CodecTest, EmptyReportRoundTrip) {
@@ -62,15 +98,20 @@ TEST(CodecTest, HeartbeatRoundTrip) {
 
 TEST(CodecTest, EncodedSizeMatchesWireSizeModel) {
   // The whole communication-cost model rests on wire_size(); the codec must
-  // agree byte-for-byte for every payload size.
+  // agree byte-for-byte for every payload size, with and without arrivals.
   for (std::size_t samples : {0u, 1u, 16u, 64u, 257u}) {
-    SampleReport report;
-    report.node_id = 1;
-    report.data_count = samples * 10;
-    for (std::size_t i = 0; i < samples; ++i) {
-      report.new_samples.push_back({static_cast<double>(i), i + 1});
+    for (std::size_t arrivals : {0u, 1u, 300u}) {
+      SampleReport report;
+      report.node_id = 1;
+      report.data_count = samples * 10;
+      for (std::size_t i = 0; i < samples; ++i) {
+        report.new_samples.push_back({static_cast<double>(i), i + 1});
+      }
+      report.base_samples = 9;
+      report.arrival_gaps.assign(arrivals, 4);
+      EXPECT_EQ(encode(report).size(), report.wire_size())
+          << samples << " samples, " << arrivals << " arrivals";
     }
-    EXPECT_EQ(encode(report).size(), report.wire_size()) << samples;
   }
 }
 
@@ -116,6 +157,62 @@ TEST(CodecTest, RejectsRaggedReportPayload) {
   frame[8] =  // lint:allow index (fresh frame >= header size)
       static_cast<std::uint8_t>(frame.size() - 20);
   EXPECT_THROW(decode_sample_report(frame), CodecError);
+}
+
+TEST(CodecTest, RejectsMalformedArrivalsSection) {
+  const auto expect_rejected = [](std::vector<std::uint8_t> frame,
+                                  const std::string& reason) {
+    reseal(frame);
+    try {
+      decode_sample_report(frame);
+      ADD_FAILURE() << "accepted: " << reason;
+    } catch (const CodecError& error) {
+      EXPECT_EQ(std::string(error.what()), reason);
+    }
+  };
+  // The arrivals section starts after the header and data_count; gap k sits
+  // at kGaps + 4k.
+  constexpr std::size_t kSection = kMessageHeaderBytes + 8;
+  constexpr std::size_t kGaps = kSection + kArrivalsHeaderBytes;
+
+  auto report = report_with_arrivals();
+  report.arrival_gaps = {3, 41};
+  expect_rejected(encode(report), "arrival gap exceeds base sample count");
+  report.arrival_gaps = {3, 2};
+  expect_rejected(encode(report), "arrival gaps not non-decreasing");
+
+  const auto good = encode(report_with_arrivals());
+  // Truncated: the section header, or the gaps it announces, run past the
+  // end of the payload.
+  auto cut_header = std::vector<std::uint8_t>(good.begin(),
+                                              good.begin() + kSection + 6);
+  expect_rejected(cut_header, "arrivals section truncated");
+  auto cut_gaps = std::vector<std::uint8_t>(good.begin(),
+                                            good.begin() + kGaps + 8);
+  expect_rejected(cut_gaps, "arrivals section truncated");
+  auto huge_count = good;
+  huge_count.at(kSection + 11) = 0xff;  // count's top byte: ~4e9 gaps
+  expect_rejected(huge_count, "arrivals section truncated");
+
+  // Flagged but empty: a zero count behind a set flag.
+  SampleReport top_up;
+  top_up.node_id = 3;
+  top_up.new_samples = {{1.5, 2}};
+  auto empty = encode(top_up);
+  empty.at(2) = 0x01;
+  empty.insert(empty.begin() + kSection, kArrivalsHeaderBytes, 0);
+  expect_rejected(empty, "arrivals section flagged but empty");
+
+  // Unknown flag bits.
+  auto unknown = encode(top_up);
+  unknown.at(3) = 0x80;
+  expect_rejected(unknown, "unknown report flags");
+
+  // Sanity: the intact frame decodes after a reseal.
+  auto intact = good;
+  reseal(intact);
+  EXPECT_EQ(decode_sample_report(intact).arrival_gaps,
+            report_with_arrivals().arrival_gaps);
 }
 
 }  // namespace

@@ -56,6 +56,47 @@ TEST(BaseStationTest, IngestTracksCounts) {
   EXPECT_THROW(station.ingest(SampleReport{5, 1, {}}), std::out_of_range);
 }
 
+TEST(BaseStationTest, IngestShiftsRanksByArrivalsAndRejectsMismatchedBase) {
+  // Node data 1..10, samples at ranks 2, 5, 9; then 0.5, 4.5 and 11 arrive
+  // (4.5 sampled), landing before sample 0, before sample 1 and after all.
+  BaseStation station(1);
+  ASSERT_TRUE(station.ingest(SampleReport{0, 10, {{2.0, 2}, {5.0, 5}, {9.0, 9}}}));
+  const auto cached = [&] { return station.node_views()[0].samples->samples(); };
+  const auto before = cached();
+  SampleReport delta;
+  delta.node_id = 0;
+  delta.data_count = 13;
+  delta.new_samples = {{4.5, 6}};
+  delta.base_sequence = 0;
+  delta.base_samples = 3;
+  delta.arrival_gaps = {0, 1, 3};
+
+  SampleReport wrong_sequence = delta;
+  wrong_sequence.base_sequence = 1;
+  SampleReport wrong_count = delta;
+  wrong_count.base_samples = 2;
+  for (const auto& stale : {wrong_sequence, wrong_count}) {
+    EXPECT_FALSE(station.ingest(stale));
+    EXPECT_EQ(cached(), before);  // cache untouched
+    EXPECT_EQ(station.total_data_count(), 10u);
+  }
+
+  ASSERT_TRUE(station.ingest(delta));
+  const std::vector<sampling::RankedValue> expected = {
+      {2.0, 3}, {4.5, 6}, {5.0, 7}, {9.0, 11}};
+  EXPECT_EQ(cached(), expected);
+  EXPECT_EQ(station.total_data_count(), 13u);
+  // The base moved on: replaying the same delta is rejected.
+  delta.base_samples = 4;
+  EXPECT_FALSE(station.ingest(delta));
+  EXPECT_EQ(cached(), expected);
+  // Malformed gaps are a contract violation, not a silent mismatch.
+  SampleReport unsorted = delta;
+  unsorted.base_sequence = 1;
+  unsorted.arrival_gaps = {2, 1};
+  EXPECT_THROW(station.ingest(unsorted), std::invalid_argument);
+}
+
 TEST(BaseStationTest, RoundCommitRules) {
   BaseStation station(1);
   EXPECT_THROW(station.commit_round(0.0), std::invalid_argument);

@@ -1,8 +1,10 @@
-// Continuous data collection: appends, dirty tracking, full-resync rounds,
-// and estimator correctness over a stream of arrivals.
+// Continuous data collection: appends, delta resyncs and the full-resync
+// fallback, and estimator correctness over a stream of arrivals.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/rng.h"
 #include "common/statistics.h"
@@ -38,6 +40,77 @@ TEST(LocalSamplerAppendTest, EmptyAppendIsNoOp) {
   EXPECT_EQ(sampler.sample_count(), count);
 }
 
+// Reference for append(): the stable sort of (old data, batch) with each
+// newcomer's flag drawn in arrival order from a copy of the same stream.
+// Checks the merged order and flags, the delta's arrival gaps, and that the
+// sampler consumed exactly one Bernoulli(p) call per newcomer.
+void expect_append_matches_stable_sort(std::vector<double> initial,
+                                       double p,
+                                       const std::vector<double>& batch) {
+  sampling::LocalSampler sampler(initial);
+  Rng rng(17);
+  sampler.raise_probability(p, rng);
+  sampler.mark_reported();
+
+  std::sort(initial.begin(), initial.end());
+  std::vector<std::pair<double, bool>> reference;  // (value, selected)
+  for (const double v : initial) reference.emplace_back(v, false);
+  const auto before = sampler.current_sample();
+  for (const auto& s : before.samples()) reference[s.rank - 1].second = true;
+  const std::size_t old_count = reference.size();
+  Rng expected_rng = rng;
+  for (const double v : batch) {
+    reference.emplace_back(v, expected_rng.bernoulli(p));
+  }
+  std::vector<std::size_t> order(reference.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](auto a, auto b) {
+    return reference[a].first < reference[b].first;
+  });
+
+  sampler.append(batch, rng);
+  EXPECT_EQ(rng(), expected_rng());  // same number of draws
+
+  std::vector<sampling::RankedValue> expected_sample;
+  std::vector<sampling::RankedValue> expected_added;
+  std::vector<std::uint64_t> expected_gaps;
+  std::uint64_t held = 0;
+  for (std::size_t r = 0; r < order.size(); ++r) {
+    const auto& [value, selected] = reference[order[r]];
+    const bool newcomer = order[r] >= old_count;
+    if (newcomer) expected_gaps.push_back(held);
+    if (!selected) continue;
+    expected_sample.push_back({value, r + 1});
+    if (newcomer) {
+      expected_added.push_back({value, r + 1});
+    } else {
+      ++held;
+    }
+  }
+  EXPECT_EQ(sampler.data_count(), reference.size());
+  EXPECT_EQ(sampler.sample_count(), expected_sample.size());
+  EXPECT_EQ(sampler.current_sample().samples(), expected_sample);
+  const auto delta = sampler.delta();
+  EXPECT_EQ(delta.base_samples, held);
+  EXPECT_EQ(delta.arrival_gaps, expected_gaps);
+  EXPECT_EQ(delta.added, expected_added);
+}
+
+TEST(LocalSamplerAppendTest, MergeMatchesStableSortOfOldThenBatch) {
+  std::vector<double> initial;
+  for (int v = 0; v < 60; ++v) initial.push_back(static_cast<double>(v % 20));
+  // 100 equal newcomers onto a value the data already holds three times.
+  expect_append_matches_stable_sort(initial, 0.5,
+                                    std::vector<double>(100, 7.0));
+  // Mixed batch: ties with old values, ties within the batch, both ends.
+  expect_append_matches_stable_sort(
+      initial, 0.3, {19.0, -1.0, 7.0, 3.5, 7.0, 25.0, 0.0, 19.0, -1.0});
+  expect_append_matches_stable_sort(initial, 0.5, {});
+  // p = 0 and p = 1 draw nothing from the stream.
+  expect_append_matches_stable_sort(initial, 0.0, {5.0, 5.0, 30.0});
+  expect_append_matches_stable_sort(initial, 1.0, {5.0, 5.0, -3.0});
+}
+
 TEST(LocalSamplerAppendTest, NewcomersSampledAtCurrentProbability) {
   sampling::LocalSampler sampler(std::vector<double>(1000, 1.0));
   Rng rng(3);
@@ -67,12 +140,26 @@ TEST(LocalSamplerAppendTest, AppendThenTopUpKeepsMarginalInclusion) {
 
 TEST(SensorNodeStreamingTest, DirtyFlagLifecycle) {
   iot::SensorNode node(0, {1.0, 2.0}, Rng(5));
-  EXPECT_FALSE(node.dirty());
+  node.handle(iot::SampleRequest{0, 1.0});
+  node.acknowledge();
+  EXPECT_FALSE(node.has_unreported_changes());
+  // An append is a delta, not a reason for a full resync.
   node.append_data({3.0});
-  EXPECT_TRUE(node.dirty());
-  const auto report = node.full_report();
   EXPECT_FALSE(node.dirty());
-  EXPECT_EQ(report.data_count, 3u);
+  EXPECT_TRUE(node.has_unreported_changes());
+  const auto delta = node.report();
+  EXPECT_EQ(delta.arrival_gaps, std::vector<std::uint32_t>{2});
+  EXPECT_EQ(delta.base_samples, 2u);
+  // A lost report forces the fallback until the station accepts one.
+  node.invalidate_cached_sample();
+  EXPECT_TRUE(node.dirty());
+  const auto full = node.report();
+  EXPECT_FALSE(full.has_arrivals());
+  EXPECT_EQ(full.data_count, 3u);
+  EXPECT_EQ(full.new_samples, node.current_sample().samples());
+  node.acknowledge();
+  EXPECT_FALSE(node.dirty());
+  EXPECT_FALSE(node.has_unreported_changes());
 }
 
 TEST(FlatNetworkStreamingTest, AppendUpdatesTotalsAfterRefresh) {
@@ -89,14 +176,31 @@ TEST(FlatNetworkStreamingTest, AppendUpdatesTotalsAfterRefresh) {
   EXPECT_EQ(network.refresh_samples(), 0u);
 }
 
-TEST(FlatNetworkStreamingTest, RefreshChargesFullResend) {
+TEST(FlatNetworkStreamingTest, RefreshChargesOnlyTheDelta) {
   iot::FlatNetwork network({std::vector<double>(2000, 1.0)});
   network.ensure_sampling_probability(0.5);
-  const auto bytes_before = network.stats().uplink_bytes;
-  network.append_data(0, std::vector<double>(100, 2.0));
-  network.refresh_samples();
-  // Full sample (~1050 values * 16 bytes) re-shipped, not just the delta.
-  EXPECT_GT(network.stats().uplink_bytes - bytes_before, 900u * 16u);
+  // Consecutive deltas chain: each names the base the previous one left.
+  for (std::uint32_t batch = 0; batch < 3; ++batch) {
+    const auto bytes_before = network.stats().uplink_bytes;
+    network.append_data(0, std::vector<double>(100, 2.0 + batch));
+    iot::SensorNode probe = network.node(0);  // report() may mark it dirty
+    const auto delta = probe.report();
+    ASSERT_EQ(delta.arrival_gaps.size(), 100u);
+    EXPECT_EQ(delta.base_sequence, batch);
+    EXPECT_EQ(delta.base_samples,
+              network.base_station().cached_sample_count());
+    const std::size_t frames =
+        std::max<std::size_t>(1, (delta.new_samples.size() + 63) / 64);
+    EXPECT_EQ(network.refresh_samples(), 1u);
+    // The arrivals section plus ~50 new samples, not the >1000-sample
+    // resend.
+    EXPECT_EQ(network.stats().uplink_bytes - bytes_before,
+              delta.wire_size() + (frames - 1) * iot::kMessageHeaderBytes);
+    EXPECT_LT(network.stats().uplink_bytes - bytes_before, 900u * 16u);
+    EXPECT_FALSE(network.node(0).has_unreported_changes());
+    EXPECT_EQ(network.base_station().node_views()[0].samples->samples(),
+              network.node(0).current_sample().samples());
+  }
 }
 
 TEST(FlatNetworkStreamingTest, OfflineNodeDefersResync) {

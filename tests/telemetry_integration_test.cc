@@ -141,6 +141,46 @@ TEST(TelemetryIntegrationTest, SessionPopulatesAllFourLayers) {
   EXPECT_TRUE(has_span("iot.round"));
 }
 
+TEST(TelemetryIntegrationTest, ResyncOutcomesAreCounted) {
+  telemetry::Telemetry::registry().reset();
+  // A lossy link with one attempt per frame: some reports are lost and
+  // force the full-resync fallback, others arrive as deltas.
+  iot::NetworkConfig config;
+  config.frame_loss_probability = 0.3;
+  config.max_attempts = 1;
+  config.seed = 5;
+  iot::FlatNetwork network(synthetic_node_data(4, 200, 31), config);
+  network.ensure_sampling_probability(0.2);
+  Rng arrivals(7);
+  for (int batch = 0; batch < 20; ++batch) {
+    const auto node = static_cast<std::size_t>(batch % 4);
+    network.append_data(node, {arrivals.uniform() * 200.0});
+    network.refresh_samples();
+  }
+
+  const auto snap = telemetry::Telemetry::registry().snapshot();
+  EXPECT_GT(counter_value(snap, "iot.station.deltas_applied"), 0u);
+  EXPECT_GT(counter_value(snap, "iot.resync_fallbacks"), 0u);
+  EXPECT_GT(counter_value(snap, "iot.station.cache_replacements"), 0u);
+  // Resync traffic is published with the rounds' traffic.
+  EXPECT_EQ(counter_value(snap, "iot.uplink_bytes"),
+            network.stats().uplink_bytes);
+  EXPECT_EQ(counter_value(snap, "iot.frames_dropped"),
+            network.stats().dropped_frames);
+  // Both outcomes are catalogued counters (the exposition gate checks
+  // names and kinds; this snapshot is too small for its coverage floor).
+  using Problems = std::vector<std::string>;
+  EXPECT_EQ(telemetry::exposition_schema_problems(
+                telemetry::prometheus::render(snap)),
+            Problems{});
+  for (const char* name :
+       {"iot.station.deltas_applied", "iot.resync_fallbacks"}) {
+    const auto* meta = telemetry::find_metric_metadata(name);
+    ASSERT_NE(meta, nullptr) << name;
+    EXPECT_EQ(meta->kind, telemetry::MetricKind::kCounter) << name;
+  }
+}
+
 TEST(TelemetryIntegrationTest, RefusedSaleCountsARefusalAndNoSale) {
   telemetry::Telemetry::registry().reset();
 
