@@ -5,8 +5,9 @@
 #   1. runs a real `prc_query session --wal` with the point armed in EXIT
 #      mode (PRC_CRASH_POINT=<point>:exit) and requires the process to die
 #      with the simulated-crash status (42);
-#   2. audits the survivor log with `prc_query recover` (conservation +
-#      Theorem 4.2 menu re-validation must pass);
+#   2. audits the survivor log with `prc_query recover` (conservation,
+#      Theorem 4.2 menu re-validation, and the recovered audit timeline,
+#      exported with --audit-json, must reconcile CONSISTENT);
 #   3. resumes the session against the same log and requires it to finish.
 #
 # This is the out-of-process complement to tests/chaos_recovery_test.cc:
@@ -72,11 +73,19 @@ for point in "${POINTS[@]}"; do
   fi
 
   # 2. The survivor log must audit clean: budget conservation and the
-  #    arbitrage-free menu are preconditions for reopening the market.
+  #    arbitrage-free menu are preconditions for reopening the market, and
+  #    the timeline folded from the log must balance against its ledger.
   if ! "$PRC_QUERY" recover --wal "$wal" --records "$RECORDS" \
-       --nodes "$NODES" \
+       --nodes "$NODES" --audit-json "$WORK_DIR/$point.audit.jsonl" \
        > "$WORK_DIR/$point.recover.log" 2>&1; then
     echo "FAIL $point: recovery audit failed" >&2
+    sed 's/^/  /' "$WORK_DIR/$point.recover.log" >&2
+    failures=$((failures + 1))
+    continue
+  fi
+  if ! grep -q '^audit reconciliation: .* -> CONSISTENT$' \
+       "$WORK_DIR/$point.recover.log"; then
+    echo "FAIL $point: recovered audit timeline is not CONSISTENT" >&2
     sed 's/^/  /' "$WORK_DIR/$point.recover.log" >&2
     failures=$((failures + 1))
     continue

@@ -36,7 +36,8 @@ std::string json_escape(const std::string& text) {
 
 void append_event_json(std::ostringstream& out, const AuditEvent& event) {
   out << "{\"index\": " << event.index << ", \"type\": \""
-      << audit_event_type_name(event.type) << "\", \"consumer\": \""
+      << audit_event_type_name(event.type) << "\", \"degraded\": "
+      << (event.degraded ? "true" : "false") << ", \"consumer\": \""
       << json_escape(event.consumer_id) << "\", \"lower\": " << event.lower
       << ", \"upper\": " << event.upper
       << ", \"alpha\": " << event.alpha.value()
@@ -45,6 +46,7 @@ void append_event_json(std::ostringstream& out, const AuditEvent& event) {
       << ", \"price\": " << event.price
       << ", \"wal_sequence\": " << event.wal_sequence
       << ", \"ledger_sequence\": " << event.ledger_sequence
+      << ", \"coverage\": " << event.coverage
       << ", \"detail\": \"" << json_escape(event.detail) << "\"}";
 }
 

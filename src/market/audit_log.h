@@ -76,6 +76,8 @@ struct AuditEvent {
   /// kCommit: fraction of station-known data the answer was drawn from.
   double coverage = 1.0;
   std::string detail;  ///< refusal reason, recovery stats, policy notes
+
+  friend bool operator==(const AuditEvent&, const AuditEvent&) = default;
 };
 
 /// Everything reconcile() compares, exported so tests and prc_query can

@@ -129,9 +129,9 @@ wal::RecoveryStats DataBroker::recover_and_attach_wal(
   // Compaction absorbs the replayed history — and the orphans just charged
   // — into one durable checkpoint, so recovering again (even crashing
   // during recovery) never double-charges an orphan.
-  wal_ = wal::WriteAheadLog::compact(path, ledger_.snapshot(),
-                                     recovery.next_wal_sequence,
-                                     wal_sync_mode());
+  wal_ = wal::WriteAheadLog::compact(
+      path, ledger_.checkpoint("wal compacted after recovery"),
+      recovery.next_wal_sequence, wal_sync_mode());
   commits_since_checkpoint_.store(0, std::memory_order_relaxed);
   return recovery.stats;
 }
@@ -159,12 +159,8 @@ dp::PrivateAnswer DataBroker::mint_answer_with_intent(
     }
     PRC_CRASH_POINT("wal.pre_intent");
     if (wal_ != nullptr) {
-      wal::IntentRecord intent;
-      intent.consumer_id = consumer_id;
-      intent.range = range;
-      intent.spec = spec;
-      intent.epsilon_amplified = plan.epsilon_amplified;
-      intent_sequence = wal_->append_intent(std::move(intent));
+      intent_sequence = wal_->append_intent(
+          {consumer_id, range, spec, plan.epsilon_amplified});
     }
     // The durable intent's kIntent and the kMint are appended before the
     // barrier returns — i.e. before any noise is drawn — mirroring the
@@ -313,18 +309,15 @@ PurchaseReceipt DataBroker::sell(const std::string& consumer_id,
   // the commit's critical section (covering this sale) and written after
   // the commit record, outside the ledger lock.
   PRC_CRASH_POINT("broker.pre_record");
-  std::optional<LedgerSnapshot> checkpoint;
+  std::optional<Checkpoint> checkpoint;
   if (checkpoint_due()) checkpoint.emplace();
   receipt.transaction_id =
       ledger_.commit(std::move(*reservation), transaction, intent_sequence,
                      checkpoint ? &*checkpoint : nullptr);
   PRC_CRASH_POINT("broker.post_record");
   if (wal_ != nullptr) {
-    wal::CommitRecord commit;
-    commit.intent_sequence = intent_sequence;
-    commit.transaction = std::move(transaction);
-    commit.transaction.sequence = receipt.transaction_id;
-    wal_->append_commit(std::move(commit));
+    transaction.sequence = receipt.transaction_id;
+    wal_->append_commit({intent_sequence, std::move(transaction)});
     PRC_CRASH_POINT("wal.post_commit");
     if (checkpoint) {
       PRC_CRASH_POINT("wal.pre_checkpoint");

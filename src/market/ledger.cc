@@ -10,49 +10,13 @@
 namespace prc::market {
 namespace {
 
-void check_sale(const Transaction& transaction) {
-  PRC_CHECK(std::isfinite(transaction.price) && transaction.price >= 0.0)
-      << "ledger: price must be >= 0, got " << transaction.price;
-  PRC_CHECK(std::isfinite(transaction.epsilon_amplified) &&
-            transaction.epsilon_amplified >= 0.0)
-      << "ledger: released budget must be >= 0, got "
-      << transaction.epsilon_amplified;
-  PRC_CHECK(transaction.coverage >= 0.0 && transaction.coverage <= 1.0)
-      << "ledger: coverage must be in [0, 1], got " << transaction.coverage;
-}
-
-AuditEvent sale_event(AuditEventType type, const std::string& consumer_id,
-                      const query::RangeQuery& range,
-                      const query::AccuracySpec& spec,
-                      units::EffectiveEpsilon epsilon,
-                      std::uint64_t wal_sequence = 0,
-                      std::string detail = {}) {
-  AuditEvent event;
-  event.type = type;
-  event.consumer_id = consumer_id;
-  event.lower = range.lower;
-  event.upper = range.upper;
-  event.alpha = spec.alpha;
-  event.delta = spec.delta;
-  event.epsilon = epsilon;
-  event.wal_sequence = wal_sequence;
-  event.detail = std::move(detail);
-  return event;
-}
-
-/// A commit event carries the whole sale: transactions_snapshot() and the
-/// fold read it back from here.
-AuditEvent commit_event(const Transaction& transaction,
-                        std::uint64_t sequence, std::uint64_t wal_sequence) {
-  AuditEvent event = sale_event(
-      AuditEventType::kCommit, transaction.consumer_id, transaction.range,
-      transaction.spec, transaction.epsilon_amplified, wal_sequence,
-      transaction.degraded ? "degraded sale (repriced contract)" : "");
-  event.price = transaction.price;
-  event.ledger_sequence = sequence;
-  event.coverage = transaction.coverage;
-  event.degraded = transaction.degraded;
-  return event;
+void check_sale(const AuditEvent& sale) {
+  PRC_CHECK(std::isfinite(sale.price) && sale.price >= 0.0)
+      << "ledger: price must be >= 0, got " << sale.price;
+  PRC_CHECK(std::isfinite(sale.epsilon) && sale.epsilon >= 0.0)
+      << "ledger: released budget must be >= 0, got " << sale.epsilon;
+  PRC_CHECK(sale.coverage >= 0.0 && sale.coverage <= 1.0)
+      << "ledger: coverage must be in [0, 1], got " << sale.coverage;
 }
 
 /// A broker-level event reporting a ledger total (checkpoint, recovery).
@@ -66,6 +30,37 @@ AuditEvent total_event(AuditEventType type, units::EffectiveEpsilon total,
 }
 
 }  // namespace
+
+AuditEvent sale_event(AuditEventType type, const std::string& consumer_id,
+                      const query::RangeQuery& range,
+                      const query::AccuracySpec& spec,
+                      units::EffectiveEpsilon epsilon,
+                      std::uint64_t wal_sequence, std::string detail) {
+  AuditEvent event;
+  event.type = type;
+  event.consumer_id = consumer_id;
+  event.lower = range.lower;
+  event.upper = range.upper;
+  event.alpha = spec.alpha;
+  event.delta = spec.delta;
+  event.epsilon = epsilon;
+  event.wal_sequence = wal_sequence;
+  event.detail = std::move(detail);
+  return event;
+}
+
+AuditEvent commit_event(const Transaction& transaction,
+                        std::uint64_t intent_sequence) {
+  AuditEvent event = sale_event(
+      AuditEventType::kCommit, transaction.consumer_id, transaction.range,
+      transaction.spec, transaction.epsilon_amplified, intent_sequence,
+      transaction.degraded ? "degraded sale (repriced contract)" : "");
+  event.price = transaction.price;
+  event.ledger_sequence = transaction.sequence;
+  event.coverage = transaction.coverage;
+  event.degraded = transaction.degraded;
+  return event;
+}
 
 void Ledger::Reservation::release() noexcept {
   if (ledger_ == nullptr) return;
@@ -149,10 +144,12 @@ void Ledger::fold_locked(AuditEvent event, Booking booking,
 }
 
 std::size_t Ledger::record(Transaction transaction) {
-  check_sale(transaction);
+  AuditEvent sale = commit_event(transaction, 0);
+  check_sale(sale);
   std::lock_guard<std::mutex> lock(mutex_);
   const std::size_t sequence = books_.next_sequence;
-  fold_locked(commit_event(transaction, sequence, 0), Booking::kSale);
+  sale.ledger_sequence = sequence;
+  fold_locked(std::move(sale), Booking::kSale);
   return sequence;
 }
 
@@ -218,7 +215,7 @@ void Ledger::mint(const std::string& consumer_id,
 
 std::size_t Ledger::commit(Reservation reservation, Transaction transaction,
                            std::uint64_t wal_sequence,
-                           LedgerSnapshot* checkpoint) {
+                           Checkpoint* checkpoint) {
   PRC_CHECK(reservation.active())
       << "ledger: committing a released reservation";
   PRC_CHECK(reservation.ledger_ == this)
@@ -226,44 +223,46 @@ std::size_t Ledger::commit(Reservation reservation, Transaction transaction,
   PRC_CHECK(reservation.consumer_id_ == transaction.consumer_id)
       << "ledger: reservation for '" << reservation.consumer_id_
       << "' cannot commit a sale to '" << transaction.consumer_id << "'";
-  check_sale(transaction);
+  AuditEvent sale = commit_event(transaction, wal_sequence);
+  check_sale(sale);
   // The reservation was the admission check and the mint barrier extended
   // it to the final plan; anything past fp rounding here is a release the
   // cap never admitted.
   const double reserved = reservation.epsilon_;
-  const bool overrun = transaction.epsilon_amplified.value() >
-                       reserved + 1e-9 * (1.0 + reserved);
+  const bool overrun =
+      sale.epsilon.value() > reserved + 1e-9 * (1.0 + reserved);
   if (overrun) {
     telemetry::counter("market.ledger_reservation_overruns").increment();
   }
   PRC_DCHECK(!overrun) << "ledger: committing epsilon' "
-                       << transaction.epsilon_amplified.value()
-                       << " above the reserved " << reserved << " for '"
-                       << transaction.consumer_id << "'";
+                       << sale.epsilon.value() << " above the reserved "
+                       << reserved << " for '" << sale.consumer_id << "'";
   reservation.ledger_ = nullptr;  // consumed; no destructor-time release
   std::lock_guard<std::mutex> lock(mutex_);
   release_locked(reservation.consumer_id_, reservation.epsilon_);
   if (checkpoint != nullptr) {
     // The checkpoint covers this sale, and the timeline lists it ahead of
     // the sale's commit; its total is the sum the commit's fold computes.
-    fold_locked(total_event(
+    checkpoint->event = total_event(
         AuditEventType::kCheckpoint,
-        books_.total_epsilon + transaction.epsilon_amplified.value(),
-        "periodic wal checkpoint"));
+        books_.total_epsilon + sale.epsilon.value(), "periodic wal checkpoint");
+    fold_locked(checkpoint->event);
   }
   const std::size_t sequence = books_.next_sequence;
-  fold_locked(commit_event(transaction, sequence, wal_sequence),
-              Booking::kSale);
-  if (checkpoint != nullptr) *checkpoint = snapshot_locked();
+  sale.ledger_sequence = sequence;
+  fold_locked(std::move(sale), Booking::kSale);
+  if (checkpoint != nullptr) checkpoint->snapshot = snapshot_locked();
   return sequence;
 }
 
-LedgerSnapshot Ledger::checkpoint(std::string detail) {
+Checkpoint Ledger::checkpoint(std::string detail) {
   std::lock_guard<std::mutex> lock(mutex_);
-  LedgerSnapshot snapshot = snapshot_locked();
-  fold_locked(total_event(AuditEventType::kCheckpoint, snapshot.total_epsilon,
-                          std::move(detail)));
-  return snapshot;
+  Checkpoint checkpoint{
+      total_event(AuditEventType::kCheckpoint, books_.total_epsilon,
+                  std::move(detail)),
+      snapshot_locked()};
+  fold_locked(checkpoint.event);
+  return checkpoint;
 }
 
 std::vector<Transaction> Ledger::transactions_snapshot() const {
@@ -337,42 +336,29 @@ LedgerSnapshot Ledger::snapshot_locked() const {
   return snap;
 }
 
-void Ledger::restore(const LedgerSnapshot& snapshot) {
+void Ledger::restore(const Checkpoint& base) {
   std::lock_guard<std::mutex> lock(mutex_);
   PRC_CHECK(books_.empty())
       << "ledger restore requires an empty ledger (recovery is a birth, "
          "not a merge)";
-  fold_locked(total_event(AuditEventType::kCheckpoint, snapshot.total_epsilon,
-                               "recovery base: last durable checkpoint"),
-              Booking::kBase, &snapshot);
+  fold_locked(base.event, Booking::kBase, &base.snapshot);
 }
 
-std::size_t Ledger::replay(Transaction transaction,
-                           std::uint64_t wal_sequence) {
-  check_sale(transaction);
+void Ledger::replay(const AuditEvent& commit) {
+  check_sale(commit);
   std::lock_guard<std::mutex> lock(mutex_);
-  PRC_CHECK(transaction.sequence >= books_.next_sequence)
-      << "ledger replay would reuse sequence " << transaction.sequence
+  PRC_CHECK(commit.ledger_sequence >= books_.next_sequence)
+      << "ledger replay would reuse sequence " << commit.ledger_sequence
       << " (next is " << books_.next_sequence << ")";
-  AuditEvent event =
-      commit_event(transaction, transaction.sequence, wal_sequence);
-  event.detail = "replayed from wal";
-  fold_locked(std::move(event), Booking::kSale);
-  return transaction.sequence;
+  fold_locked(commit, Booking::kSale);
 }
 
-void Ledger::absorb_orphaned(const std::string& consumer_id,
-                             const query::RangeQuery& range,
-                             const query::AccuracySpec& spec,
-                             units::EffectiveEpsilon epsilon,
-                             std::uint64_t wal_sequence) {
-  PRC_CHECK(std::isfinite(epsilon.value()) && epsilon.value() >= 0.0)
-      << "ledger: orphaned budget must be >= 0, got " << epsilon.value();
+void Ledger::absorb_orphaned(AuditEvent intent) {
+  PRC_CHECK(std::isfinite(intent.epsilon) && intent.epsilon >= 0.0)
+      << "ledger: orphaned budget must be >= 0, got " << intent.epsilon;
+  intent.detail = "orphaned intent (no commit): charged as spent";
   std::lock_guard<std::mutex> lock(mutex_);
-  fold_locked(sale_event(AuditEventType::kIntent, consumer_id, range, spec,
-                         epsilon, wal_sequence,
-                         "orphaned intent (no commit): charged as spent"),
-              Booking::kOrphan);
+  fold_locked(std::move(intent), Booking::kOrphan);
 }
 
 void Ledger::conclude_recovery(std::string detail) {

@@ -42,6 +42,21 @@ struct Transaction {
   bool degraded = false;
 };
 
+// The event constructors shared by the ledger's fold and the WAL writer:
+// a durable record is built by the same call as the live event it records.
+
+/// A sale-scoped event (quote, reserve, intent, mint, refusal).
+AuditEvent sale_event(AuditEventType type, const std::string& consumer_id,
+                      const query::RangeQuery& range,
+                      const query::AccuracySpec& spec,
+                      units::EffectiveEpsilon epsilon,
+                      std::uint64_t wal_sequence = 0, std::string detail = {});
+
+/// The kCommit carrying the whole sale: `transaction.sequence` is its
+/// ledger sequence and `intent_sequence` the durable intent it resolves.
+AuditEvent commit_event(const Transaction& transaction,
+                        std::uint64_t intent_sequence);
+
 /// Per-consumer attribution carried by a snapshot (sorted by id so a
 /// snapshot's serialized bytes are deterministic).
 struct LedgerConsumerTotals {
@@ -64,6 +79,13 @@ struct LedgerSnapshot {
   units::EffectiveEpsilon orphaned_epsilon = 0.0;
   std::uint64_t degraded_sales = 0;
   std::vector<LedgerConsumerTotals> consumers;
+};
+
+/// A checkpoint as the WAL stores it and recovery restores it: the
+/// kCheckpoint event the ledger folded plus the aggregates it covers.
+struct Checkpoint {
+  AuditEvent event;
+  LedgerSnapshot snapshot;
 };
 
 /// Thread-safety: every member serializes on the internal mutex (parallel
@@ -166,15 +188,15 @@ class Ledger {
   /// debug builds, counted by `market.ledger_reservation_overruns`
   /// always).  With `checkpoint` set, the same critical section also takes
   /// the periodic WAL checkpoint covering this sale: its kCheckpoint is
-  /// listed just ahead of the kCommit and its snapshot lands in
+  /// listed just ahead of the kCommit, and the event and snapshot land in
   /// `*checkpoint` for the caller to write.
   std::size_t commit(Reservation reservation, Transaction transaction,
                      std::uint64_t wal_sequence = 0,
-                     LedgerSnapshot* checkpoint = nullptr);
+                     Checkpoint* checkpoint = nullptr);
 
   /// Snapshot of the aggregates plus its kCheckpoint (labelled `detail`),
   /// taken in one critical section; the caller writes it to the WAL.
-  LedgerSnapshot checkpoint(std::string detail);
+  Checkpoint checkpoint(std::string detail);
 
   // --- Readers. ---
 
@@ -237,30 +259,26 @@ class Ledger {
   /// The audit timeline this ledger folds (the broker's audit_log()).
   const AuditLog& timeline() const noexcept { return timeline_; }
 
-  // --- Recovery (wal::apply_recovery drives these in log order). ---
+  // --- Recovery (wal::apply_recovery folds the decoded WAL events). ---
 
-  /// Seeds an EMPTY ledger with a checkpoint's aggregates, appending the
-  /// recovery-base kCheckpoint.  PRC_CHECKs the ledger has recorded
+  /// Seeds an EMPTY ledger with a checkpoint's aggregates, appending its
+  /// kCheckpoint as the recovery base.  PRC_CHECKs the ledger has recorded
   /// nothing yet — restore is a birth certificate, not a merge.
-  void restore(const LedgerSnapshot& snapshot);
+  void restore(const Checkpoint& base);
 
-  /// Re-records a WAL-replayed sale (commit record `wal_sequence`) under
-  /// its ORIGINAL sequence number, fast-forwarding past burned slots (a
-  /// gap in the replayed sequence belongs to a sale whose commit never
-  /// reached disk — its intent is charged via absorb_orphaned()).
-  /// PRC_CHECKs sequence numbers never move backwards.
-  std::size_t replay(Transaction transaction, std::uint64_t wal_sequence);
+  /// Folds a kCommit read from the WAL under its ORIGINAL sequence number,
+  /// fast-forwarding past burned slots (a gap in the replayed sequence
+  /// belongs to a sale whose commit never reached disk — its intent is
+  /// charged via absorb_orphaned()).  PRC_CHECKs sequence numbers never
+  /// move backwards.
+  void replay(const AuditEvent& commit);
 
-  /// Charges an orphaned intent (budget that may have been minted before a
-  /// crash, with no committed transaction) as spent, appending it as a
-  /// kIntent.  Counts toward the consumer's cap and the global exposure
-  /// but adds no revenue — the privacy-safe direction of the spend-ahead
-  /// discipline.
-  void absorb_orphaned(const std::string& consumer_id,
-                       const query::RangeQuery& range,
-                       const query::AccuracySpec& spec,
-                       units::EffectiveEpsilon epsilon,
-                       std::uint64_t wal_sequence);
+  /// Charges an orphaned kIntent read from the WAL (budget that may have
+  /// been minted before a crash, with no committed transaction) as spent,
+  /// appending it with an orphan detail.  Counts toward the consumer's cap
+  /// and the global exposure but adds no revenue — the privacy-safe
+  /// direction of the spend-ahead discipline.
+  void absorb_orphaned(AuditEvent intent);
 
   /// Closes a recovery with a kRecovery event carrying the recovered
   /// total, so reconcile() balances across the crash.

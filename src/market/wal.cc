@@ -116,103 +116,55 @@ class Cursor {
   std::size_t pos_ = 0;
 };
 
-std::vector<std::uint8_t> frame(RecordType type, std::uint64_t wal_sequence,
-                                const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> out;
-  out.reserve(kHeaderSize + payload.size());
-  put_le<std::uint8_t>(out, kMagic);
-  put_le<std::uint8_t>(out, kFormatVersion);
-  put_le<std::uint8_t>(out, static_cast<std::uint8_t>(type));
-  put_le<std::uint8_t>(out, 0);  // flags, reserved
-  put_le<std::uint32_t>(out, static_cast<std::uint32_t>(payload.size()));
-  put_le<std::uint64_t>(out, wal_sequence);
-  // The CRC covers the pre-CRC header bytes AND the payload, so header
-  // corruption (a flipped length or sequence) is caught, not just payload
-  // corruption.
-  std::vector<std::uint8_t> covered(out.begin(), out.end());
-  covered.insert(covered.end(), payload.begin(), payload.end());
-  put_le<std::uint32_t>(out, iot::crc32(covered.data(), covered.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
+void put_event(std::vector<std::uint8_t>& out, const AuditEvent& event) {
+  put_le<std::uint8_t>(out, event.degraded ? 1 : 0);
+  put_string(out, event.consumer_id);
+  for (const double value :
+       {event.lower, event.upper, event.alpha.value(), event.delta.value(),
+        event.epsilon.value(), event.price}) {
+    put_f64(out, value);
+  }
+  put_le<std::uint64_t>(out, event.wal_sequence);
+  put_le<std::uint64_t>(out, event.ledger_sequence);
+  put_f64(out, event.coverage);
+  put_string(out, event.detail);
 }
 
-std::vector<std::uint8_t> intent_payload(const IntentRecord& record) {
-  std::vector<std::uint8_t> payload;
-  put_string(payload, record.consumer_id);
-  put_f64(payload, record.range.lower);
-  put_f64(payload, record.range.upper);
-  put_f64(payload, record.spec.alpha.value());
-  put_f64(payload, record.spec.delta.value());
-  put_f64(payload, record.epsilon_amplified.value());
-  return payload;
+AuditEvent read_event(Cursor& cursor, AuditEventType type) {
+  AuditEvent event;
+  event.type = type;
+  event.degraded = cursor.u8() != 0;
+  event.consumer_id = cursor.str();
+  event.lower = cursor.f64();
+  event.upper = cursor.f64();
+  event.alpha = cursor.f64();
+  event.delta = cursor.f64();
+  event.epsilon = cursor.f64();
+  event.price = cursor.f64();
+  event.wal_sequence = cursor.u64();
+  event.ledger_sequence = cursor.u64();
+  event.coverage = cursor.f64();
+  event.detail = cursor.str();
+  return event;
 }
 
-std::vector<std::uint8_t> commit_payload(const CommitRecord& record) {
-  std::vector<std::uint8_t> payload;
-  put_le<std::uint64_t>(payload, record.intent_sequence);
-  put_le<std::uint64_t>(payload,
-                        static_cast<std::uint64_t>(record.transaction.sequence));
-  put_string(payload, record.transaction.consumer_id);
-  put_f64(payload, record.transaction.range.lower);
-  put_f64(payload, record.transaction.range.upper);
-  put_f64(payload, record.transaction.spec.alpha.value());
-  put_f64(payload, record.transaction.spec.delta.value());
-  put_f64(payload, record.transaction.price);
-  put_f64(payload, record.transaction.epsilon_amplified.value());
-  put_f64(payload, record.transaction.coverage);
-  put_le<std::uint8_t>(payload, record.transaction.degraded ? 1 : 0);
-  return payload;
-}
-
-std::vector<std::uint8_t> checkpoint_payload(const LedgerSnapshot& snapshot) {
-  std::vector<std::uint8_t> payload;
-  put_le<std::uint64_t>(payload, snapshot.next_sequence);
-  put_f64(payload, snapshot.total_revenue);
-  put_f64(payload, snapshot.total_epsilon.value());
-  put_f64(payload, snapshot.orphaned_epsilon.value());
-  put_le<std::uint64_t>(payload, snapshot.degraded_sales);
-  put_le<std::uint32_t>(payload,
+void put_snapshot(std::vector<std::uint8_t>& out,
+                  const LedgerSnapshot& snapshot) {
+  put_le<std::uint64_t>(out, snapshot.next_sequence);
+  put_f64(out, snapshot.total_revenue);
+  put_f64(out, snapshot.total_epsilon.value());
+  put_f64(out, snapshot.orphaned_epsilon.value());
+  put_le<std::uint64_t>(out, snapshot.degraded_sales);
+  put_le<std::uint32_t>(out,
                         static_cast<std::uint32_t>(snapshot.consumers.size()));
   for (const auto& totals : snapshot.consumers) {
-    put_string(payload, totals.consumer_id);
-    put_f64(payload, totals.spend);
-    put_f64(payload, totals.epsilon.value());
+    put_string(out, totals.consumer_id);
+    put_f64(out, totals.spend);
+    put_f64(out, totals.epsilon.value());
   }
-  return payload;
 }
 
-IntentRecord decode_intent_payload(Cursor& cursor,
-                                   std::uint64_t wal_sequence) {
-  IntentRecord record;
-  record.wal_sequence = wal_sequence;
-  record.consumer_id = cursor.str();
-  record.range.lower = cursor.f64();
-  record.range.upper = cursor.f64();
-  record.spec.alpha = cursor.f64();
-  record.spec.delta = cursor.f64();
-  record.epsilon_amplified = cursor.f64();
-  return record;
-}
-
-CommitRecord decode_commit_payload(Cursor& cursor,
-                                   std::uint64_t wal_sequence) {
-  CommitRecord record;
-  record.wal_sequence = wal_sequence;
-  record.intent_sequence = cursor.u64();
-  record.transaction.sequence = static_cast<std::size_t>(cursor.u64());
-  record.transaction.consumer_id = cursor.str();
-  record.transaction.range.lower = cursor.f64();
-  record.transaction.range.upper = cursor.f64();
-  record.transaction.spec.alpha = cursor.f64();
-  record.transaction.spec.delta = cursor.f64();
-  record.transaction.price = cursor.f64();
-  record.transaction.epsilon_amplified = cursor.f64();
-  record.transaction.coverage = cursor.f64();
-  record.transaction.degraded = cursor.u8() != 0;
-  return record;
-}
-
-LedgerSnapshot decode_checkpoint_payload(Cursor& cursor) {
+LedgerSnapshot read_snapshot(Cursor& cursor) {
   LedgerSnapshot snapshot;
   snapshot.next_sequence = cursor.u64();
   snapshot.total_revenue = cursor.f64();
@@ -231,116 +183,123 @@ LedgerSnapshot decode_checkpoint_payload(Cursor& cursor) {
   return snapshot;
 }
 
+std::string version_error(std::uint8_t version) {
+  return "wal format version " + std::to_string(version) +
+         " unsupported (this build reads version " +
+         std::to_string(kFormatVersion) + ")";
+}
+
 }  // namespace
 
-std::vector<std::uint8_t> encode_intent(const IntentRecord& record) {
-  return frame(RecordType::kIntent, record.wal_sequence,
-               intent_payload(record));
+std::vector<std::uint8_t> encode_record(std::uint64_t wal_sequence,
+                                        const AuditEvent& event,
+                                        const LedgerSnapshot& snapshot) {
+  std::vector<std::uint8_t> out;
+  out.reserve(128);
+  put_le<std::uint8_t>(out, kMagic);
+  put_le<std::uint8_t>(out, kFormatVersion);
+  put_le<std::uint8_t>(out, static_cast<std::uint8_t>(event.type));
+  put_le<std::uint8_t>(out, 0);  // flags, reserved
+  put_le<std::uint32_t>(out, 0);  // payload length, patched below
+  put_le<std::uint64_t>(out, wal_sequence);
+  put_event(out, event);
+  if (event.type == AuditEventType::kCheckpoint) put_snapshot(out, snapshot);
+  const std::size_t payload = out.size() - kHeaderSize;
+  for (std::size_t byte = 0; byte < 4; ++byte) {
+    out[4 + byte] = static_cast<std::uint8_t>((payload >> (8 * byte)) & 0xFF);
+  }
+  // The CRC trails the bytes it covers, so it is computed over them in
+  // place.  It covers the header as well as the payload: a flipped length
+  // or sequence is caught, not just payload corruption.
+  put_le<std::uint32_t>(out, iot::crc32(out.data(), out.size()));
+  return out;
 }
 
-std::vector<std::uint8_t> encode_commit(const CommitRecord& record) {
-  return frame(RecordType::kCommit, record.wal_sequence,
-               commit_payload(record));
-}
-
-std::vector<std::uint8_t> encode_checkpoint(const LedgerSnapshot& snapshot,
-                                            std::uint64_t wal_sequence) {
-  return frame(RecordType::kCheckpoint, wal_sequence,
-               checkpoint_payload(snapshot));
-}
-
-DecodedRecord decode_record(const std::vector<std::uint8_t>& bytes,
-                            std::size_t offset) {
+Record decode_record(const std::vector<std::uint8_t>& bytes,
+                     std::size_t offset) {
   PRC_CHECK(offset <= bytes.size()) << "wal decode offset out of range";
-  if (bytes.size() - offset < kHeaderSize) {
-    throw FormatError("wal record header torn");
+  const std::size_t available = bytes.size() - offset;
+  if (available < kHeaderSize) throw FormatError("wal record header torn");
+  const std::uint8_t* record_bytes = bytes.data() + offset;
+  Cursor header(record_bytes, kHeaderSize);
+  if (header.u8() != kMagic) throw FormatError("wal record magic mismatch");
+  if (const std::uint8_t version = header.u8(); version != kFormatVersion) {
+    throw FormatError(version_error(version));
   }
-  const std::uint8_t* header = bytes.data() + offset;
-  Cursor fields(header, kHeaderSize);
-  if (fields.u8() != kMagic) throw FormatError("wal record magic mismatch");
-  if (const std::uint8_t version = fields.u8(); version != kFormatVersion) {
-    throw FormatError("wal format version " + std::to_string(version) +
-                      " unsupported (expected " +
-                      std::to_string(kFormatVersion) + ")");
+  const auto type = static_cast<AuditEventType>(header.u8());
+  if (type != AuditEventType::kIntent && type != AuditEventType::kCommit &&
+      type != AuditEventType::kCheckpoint) {
+    throw FormatError("wal record type " +
+                      std::to_string(static_cast<int>(type)) + " unknown");
   }
-  const std::uint8_t type = fields.u8();
-  if (type != static_cast<std::uint8_t>(RecordType::kIntent) &&
-      type != static_cast<std::uint8_t>(RecordType::kCommit) &&
-      type != static_cast<std::uint8_t>(RecordType::kCheckpoint)) {
-    throw FormatError("wal record type " + std::to_string(type) + " unknown");
-  }
-  fields.u8();  // flags, reserved
-  const std::uint32_t payload_len = fields.u32();
-  const std::uint64_t wal_sequence = fields.u64();
-  const std::uint32_t stored_crc = fields.u32();
-  if (bytes.size() - offset - kHeaderSize < payload_len) {
+  header.u8();  // flags, reserved
+  const std::size_t covered = kHeaderSize + header.u32();
+  Record record;
+  record.wal_sequence = header.u64();
+  if (available < covered + kCrcSize) {
     throw FormatError("wal record payload torn");
   }
-  const std::uint8_t* payload = header + kHeaderSize;
-  std::vector<std::uint8_t> covered(header, header + 16);
-  covered.insert(covered.end(), payload, payload + payload_len);
-  if (iot::crc32(covered.data(), covered.size()) != stored_crc) {
+  if (iot::crc32(record_bytes, covered) !=
+      Cursor(record_bytes + covered, kCrcSize).u32()) {
     throw FormatError("wal record CRC mismatch");
   }
-
-  DecodedRecord decoded;
-  decoded.type = static_cast<RecordType>(type);
-  decoded.wal_sequence = wal_sequence;
-  decoded.encoded_size = kHeaderSize + payload_len;
-  Cursor cursor(payload, payload_len);
-  switch (decoded.type) {
-    case RecordType::kIntent:
-      decoded.intent = decode_intent_payload(cursor, wal_sequence);
-      break;
-    case RecordType::kCommit:
-      decoded.commit = decode_commit_payload(cursor, wal_sequence);
-      break;
-    case RecordType::kCheckpoint:
-      decoded.checkpoint = decode_checkpoint_payload(cursor);
-      break;
+  record.encoded_size = covered + kCrcSize;
+  Cursor payload(record_bytes + kHeaderSize, covered - kHeaderSize);
+  record.event = read_event(payload, type);
+  if (type == AuditEventType::kCheckpoint) {
+    record.snapshot = read_snapshot(payload);
   }
-  if (!cursor.exhausted()) {
+  if (!payload.exhausted()) {
     throw FormatError("wal record payload longer than its content");
   }
-  return decoded;
+  return record;
 }
 
 RecoveryResult read_wal(const std::string& path) {
   RecoveryResult result;
+  result.base.event.type = AuditEventType::kCheckpoint;
+  result.base.event.detail = "recovery base: the wal holds no checkpoint";
   std::ifstream in(path, std::ios::binary);
   if (!in.is_open()) return result;  // no log yet: empty recovery
   std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
                                   std::istreambuf_iterator<char>());
   in.close();
+  // A log in another format version is not a torn tail: truncating it
+  // would recover, and compaction would then persist, an empty ledger —
+  // the whole budget history under-counted.  Refuse it untouched.
+  PRC_CHECK(bytes.size() < 2 || bytes[0] != kMagic ||
+            bytes[1] == kFormatVersion)
+      << "wal '" << path << "': " << version_error(bytes[1])
+      << "; refusing to recover or truncate it";
 
   // Intents still awaiting their commit, by wal sequence.  std::map keeps
   // orphans ordered by append time.
-  std::map<std::uint64_t, IntentRecord> pending;
+  std::map<std::uint64_t, AuditEvent> pending;
   std::size_t offset = 0;
   while (offset < bytes.size()) {
-    DecodedRecord decoded;
+    Record record;
     try {
-      decoded = decode_record(bytes, offset);
+      record = decode_record(bytes, offset);
     } catch (const FormatError&) {
       // First torn/corrupt record: trust everything before it, drop
       // everything from here on (a crash mid-append, or tail damage).
       break;
     }
-    offset += decoded.encoded_size;
+    offset += record.encoded_size;
     ++result.stats.records_read;
     result.next_wal_sequence =
-        std::max(result.next_wal_sequence, decoded.wal_sequence + 1);
-    switch (decoded.type) {
-      case RecordType::kIntent:
-        pending.emplace(decoded.wal_sequence, std::move(decoded.intent));
+        std::max(result.next_wal_sequence, record.wal_sequence + 1);
+    switch (record.event.type) {
+      case AuditEventType::kIntent:
+        pending.emplace(record.event.wal_sequence, std::move(record.event));
         break;
-      case RecordType::kCommit:
-        pending.erase(decoded.commit.intent_sequence);
-        result.commits.push_back(std::move(decoded.commit));
+      case AuditEventType::kCommit:
+        pending.erase(record.event.wal_sequence);
+        result.commits.push_back(std::move(record.event));
         break;
-      case RecordType::kCheckpoint:
+      default:  // kCheckpoint; decode_record admits no other type
         ++result.stats.checkpoints_seen;
-        result.base = std::move(decoded.checkpoint);
+        result.base = {std::move(record.event), std::move(record.snapshot)};
         break;
     }
   }
@@ -358,17 +317,16 @@ RecoveryResult read_wal(const std::string& path) {
   // Pending intents stay pending either way: a checkpoint only absorbs
   // COMMITTED sales, so an unresolved intent is still a potential
   // pre-crash release.
-  std::erase_if(result.commits, [&](const CommitRecord& commit) {
-    return commit.transaction.sequence < result.base.next_sequence;
+  std::erase_if(result.commits, [&](const AuditEvent& commit) {
+    return commit.ledger_sequence < result.base.snapshot.next_sequence;
   });
-
   std::sort(result.commits.begin(), result.commits.end(),
-            [](const CommitRecord& a, const CommitRecord& b) {
-              return a.transaction.sequence < b.transaction.sequence;
+            [](const AuditEvent& a, const AuditEvent& b) {
+              return a.ledger_sequence < b.ledger_sequence;
             });
   result.orphans.reserve(pending.size());
   for (auto& [sequence, intent] : pending) {
-    result.stats.orphaned_epsilon += intent.epsilon_amplified.value();
+    result.stats.orphaned_epsilon += intent.epsilon.value();
     result.orphans.push_back(std::move(intent));
   }
   result.stats.orphaned_intents = result.orphans.size();
@@ -385,25 +343,8 @@ RecoveryResult read_wal(const std::string& path) {
 
 void apply_recovery(Ledger& ledger, const RecoveryResult& recovery) {
   ledger.restore(recovery.base);
-  std::uint64_t expected = recovery.base.next_sequence;
-  for (const auto& commit : recovery.commits) {
-    const auto& transaction = commit.transaction;
-    // A gap in the replayed sequence means the missing sale's commit never
-    // hit the disk; its intent is among the orphans, so the budget is
-    // still charged — only the sequence slot is burned.
-    PRC_CHECK(transaction.sequence >= expected)
-        << "wal replay out of order: transaction " << transaction.sequence
-        << " after " << expected;
-    const auto assigned = ledger.replay(transaction, commit.wal_sequence);
-    PRC_CHECK(assigned == transaction.sequence)
-        << "wal replay assigned sequence " << assigned << " to transaction "
-        << transaction.sequence;
-    expected = assigned + 1;
-  }
-  for (const auto& orphan : recovery.orphans) {
-    ledger.absorb_orphaned(orphan.consumer_id, orphan.range, orphan.spec,
-                           orphan.epsilon_amplified, orphan.wal_sequence);
-  }
+  for (const auto& commit : recovery.commits) ledger.replay(commit);
+  for (const auto& orphan : recovery.orphans) ledger.absorb_orphaned(orphan);
   const auto& stats = recovery.stats;
   std::ostringstream detail;
   detail.precision(std::numeric_limits<double>::max_digits10);
@@ -439,7 +380,7 @@ std::unique_ptr<WriteAheadLog> WriteAheadLog::open(
 }
 
 std::unique_ptr<WriteAheadLog> WriteAheadLog::compact(
-    const std::string& path, const LedgerSnapshot& snapshot,
+    const std::string& path, const Checkpoint& checkpoint,
     std::uint64_t next_sequence, SyncMode sync_mode) {
   const std::string temp = path + ".compact.tmp";
   {
@@ -447,7 +388,8 @@ std::unique_ptr<WriteAheadLog> WriteAheadLog::compact(
         ::open(temp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
     PRC_CHECK(fd >= 0) << "wal: cannot open '" << temp
                        << "' for compaction: " << std::strerror(errno);
-    const auto bytes = encode_checkpoint(snapshot, next_sequence);
+    const auto bytes =
+        encode_record(next_sequence, checkpoint.event, checkpoint.snapshot);
     write_fully(fd, bytes.data(), bytes.size(), temp);
     // The checkpoint's data blocks must be on media BEFORE the rename can
     // become durable: a journaled rename pointing at a torn checkpoint is
@@ -483,32 +425,37 @@ void WriteAheadLog::append_bytes_locked(const std::vector<std::uint8_t>& bytes) 
   telemetry::counter("market.wal_bytes").increment(bytes.size());
 }
 
-std::uint64_t WriteAheadLog::append_intent(IntentRecord record) {
+std::uint64_t WriteAheadLog::append_intent(const IntentRecord& record) {
   std::lock_guard<std::mutex> lock(mutex_);
-  record.wal_sequence = next_sequence_++;
+  const std::uint64_t sequence = next_sequence_++;
   // The intent-before-mint barrier IS the hold: the durable write must
   // happen inside the same critical section that assigned the sequence
   // number, or a crash could mint noise for an intent that never reached
   // the disk.
-  append_bytes_locked(encode_intent(record));  // lint:allow blocking
-  return record.wal_sequence;
+  append_bytes_locked(encode_record(  // lint:allow blocking
+      sequence,
+      sale_event(AuditEventType::kIntent, record.consumer_id, record.range,
+                 record.spec, record.epsilon_amplified, sequence)));
+  return sequence;
 }
 
-void WriteAheadLog::append_commit(CommitRecord record) {
+void WriteAheadLog::append_commit(const CommitRecord& record) {
+  const AuditEvent commit =
+      commit_event(record.transaction, record.intent_sequence);
   std::lock_guard<std::mutex> lock(mutex_);
-  record.wal_sequence = next_sequence_++;
   // Commit records share the intent barrier's sequence lock; writing
   // outside it could durably reorder a commit ahead of its own intent.
-  append_bytes_locked(encode_commit(record));  // lint:allow blocking
+  append_bytes_locked(  // lint:allow blocking
+      encode_record(next_sequence_++, commit));
 }
 
-void WriteAheadLog::append_checkpoint(const LedgerSnapshot& snapshot) {
+void WriteAheadLog::append_checkpoint(const Checkpoint& checkpoint) {
   std::lock_guard<std::mutex> lock(mutex_);
   // A checkpoint must capture a sequence-point no append can cross;
   // staging it outside the lock would let records land between the
   // snapshot and its durable write.
   append_bytes_locked(  // lint:allow blocking
-      encode_checkpoint(snapshot, next_sequence_++));
+      encode_record(next_sequence_++, checkpoint.event, checkpoint.snapshot));
   telemetry::counter("market.wal_checkpoints").increment();
 }
 

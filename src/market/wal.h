@@ -11,31 +11,46 @@
 //   3. periodic CHECKPOINT records snapshot the ledger aggregates so
 //      compaction can drop replayed history.
 //
-// Recovery replays checkpoint + commits and then charges every intent with
-// no matching commit (an "orphan") as spent budget.  A crash at ANY point
-// therefore over-counts released epsilon or counts it exactly — never
-// under-counts — which is the only failure direction the paper's pricing
-// model tolerates.  The guarantee holds within the writer's durability
-// domain: SyncMode::kProcessDurable covers process death, kMediaDurable
-// extends it to power/kernel loss (compaction always fsyncs around its
-// rename regardless of mode).
+// The log is the ledger's event stream: each record is the binary encoding
+// of one AuditEvent — the kIntent, kCommit or kCheckpoint the ledger folds,
+// built by the same constructors (sale_event, commit_event,
+// Ledger::checkpoint), with a checkpoint's LedgerSnapshot after its event.
+// Recovery decodes those events and folds them as read: the checkpoint as
+// the base, the commits past it, then every intent with no matching commit
+// (an "orphan") charged as spent budget.  A crash at ANY point therefore
+// over-counts released epsilon or counts it exactly — never under-counts —
+// which is the only failure direction the paper's pricing model tolerates.
+// The guarantee holds within the writer's durability domain:
+// SyncMode::kProcessDurable covers process death, kMediaDurable extends it
+// to power/kernel loss (compaction always fsyncs around its rename
+// regardless of mode).
 //
-// Wire format (little-endian, one record after another):
+// Wire format, version 2 (little-endian, one record after another):
 //
 //   offset  size  field
 //   0       1     magic 0x4C
 //   1       1     format version (kFormatVersion)
-//   2       1     record type (RecordType)
+//   2       1     AuditEventType: kIntent, kCommit or kCheckpoint
 //   3       1     flags (reserved, 0)
-//   4       4     payload length
-//   8       8     wal sequence number
-//   16      4     CRC32 over bytes [0, 16) + payload
-//   20      n     payload
+//   4       4     payload length n
+//   8       8     wal sequence number of the record
+//   16      n     payload: the event — degraded u8, consumer_id, lower,
+//                 upper, alpha, delta, epsilon, price, wal_sequence u64,
+//                 ledger_sequence u64, coverage, detail — then, for a
+//                 checkpoint, the LedgerSnapshot
+//   16+n    4     CRC32 over bytes [0, 16+n): header and payload
 //
-// Readers stop at the first torn or corrupt record (bad magic/version,
+// Doubles are their IEEE-754 bits as u64; strings are a u32 length and the
+// bytes.  An intent's event.wal_sequence is its own record sequence (the
+// intent id); a commit's is the intent it resolves.
+//
+// Readers stop at the first torn or corrupt record (bad magic/version/type,
 // CRC mismatch, short payload): everything before it is trusted,
 // everything after is reported as truncated — the standard WAL contract
-// for a crash mid-append.
+// for a crash mid-append.  A log whose FIRST record carries the magic but
+// another format version is refused with an error naming that version,
+// and left untouched: reading it as a torn tail would recover (and
+// compaction would persist) an empty ledger, erasing the budget history.
 #pragma once
 
 #include <cstddef>
@@ -54,14 +69,9 @@
 namespace prc::market::wal {
 
 inline constexpr std::uint8_t kMagic = 0x4C;
-inline constexpr std::uint8_t kFormatVersion = 1;
-inline constexpr std::size_t kHeaderSize = 20;
-
-enum class RecordType : std::uint8_t {
-  kIntent = 1,
-  kCommit = 2,
-  kCheckpoint = 3,
-};
+inline constexpr std::uint8_t kFormatVersion = 2;
+inline constexpr std::size_t kHeaderSize = 16;  ///< bytes before the payload
+inline constexpr std::size_t kCrcSize = 4;      ///< bytes after it
 
 /// Strict decode failure (bad magic, unknown version, CRC mismatch,
 /// truncated payload).  read_wal() converts the first one into clean tail
@@ -71,10 +81,8 @@ class FormatError : public std::runtime_error {
   explicit FormatError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// The durable promise flushed before a mint.  Its wal_sequence doubles as
-/// the intent id a commit record later resolves.
+/// Writer input for a durable intent: the mint barrier's final plan.
 struct IntentRecord {
-  std::uint64_t wal_sequence = 0;
   std::string consumer_id;
   query::RangeQuery range;
   query::AccuracySpec spec;
@@ -84,34 +92,32 @@ struct IntentRecord {
   units::EffectiveEpsilon epsilon_amplified = 0.0;
 };
 
-/// The durable receipt appended after the ledger accepted the sale.
+/// Writer input for a commit: the sale the ledger accepted.
 struct CommitRecord {
-  std::uint64_t wal_sequence = 0;
-  /// wal_sequence of the intent this commit resolves.
+  /// wal sequence of the intent this commit resolves.
   std::uint64_t intent_sequence = 0;
   Transaction transaction;
 };
 
-// Record-level codec, exposed so format tests can round-trip and corrupt
-// records without a log on disk.
-std::vector<std::uint8_t> encode_intent(const IntentRecord& record);
-std::vector<std::uint8_t> encode_commit(const CommitRecord& record);
-std::vector<std::uint8_t> encode_checkpoint(const LedgerSnapshot& snapshot,
-                                            std::uint64_t wal_sequence);
-
-struct DecodedRecord {
-  RecordType type = RecordType::kIntent;
+/// One decoded record.
+struct Record {
   std::uint64_t wal_sequence = 0;
   std::size_t encoded_size = 0;
-  IntentRecord intent;        ///< valid when type == kIntent
-  CommitRecord commit;        ///< valid when type == kCommit
-  LedgerSnapshot checkpoint;  ///< valid when type == kCheckpoint
+  AuditEvent event;
+  LedgerSnapshot snapshot;  ///< the body of a kCheckpoint record
 };
+
+/// Record-level codec, exposed so format tests can round-trip and corrupt
+/// records without a log on disk.  `snapshot` is written only after a
+/// kCheckpoint event.
+std::vector<std::uint8_t> encode_record(std::uint64_t wal_sequence,
+                                        const AuditEvent& event,
+                                        const LedgerSnapshot& snapshot = {});
 
 /// Decodes the record starting at `bytes[offset]`; throws FormatError when
 /// the bytes are not a complete, well-formed record.
-DecodedRecord decode_record(const std::vector<std::uint8_t>& bytes,
-                            std::size_t offset);
+Record decode_record(const std::vector<std::uint8_t>& bytes,
+                     std::size_t offset);
 
 struct RecoveryStats {
   std::uint64_t records_read = 0;
@@ -123,31 +129,30 @@ struct RecoveryStats {
   std::uint64_t truncated_bytes = 0;
 };
 
-/// What a log folds down to: the last durable checkpoint, the commits that
-/// post-date it (sorted by transaction sequence), and the orphans.
+/// What a log folds down to, as the decoded events: the last durable
+/// checkpoint, the kCommits that post-date it (sorted by ledger sequence),
+/// and the orphaned kIntents (in log order).
 struct RecoveryResult {
-  LedgerSnapshot base;
-  std::vector<CommitRecord> commits;
-  std::vector<IntentRecord> orphans;
+  Checkpoint base;
+  std::vector<AuditEvent> commits;
+  std::vector<AuditEvent> orphans;
   std::uint64_t next_wal_sequence = 0;
   RecoveryStats stats;
 };
 
 /// Parses the log at `path` (a missing file is an empty log), stopping
 /// cleanly at the first torn or corrupt record.  Pure read — applies
-/// nothing.
+/// nothing.  PRC_CHECKs that the log is in this build's format version.
 RecoveryResult read_wal(const std::string& path);
 
-/// Folds a recovery into an EMPTY ledger: restore the checkpoint, replay
-/// the commits (preserving their recorded sequence numbers — a gap means
-/// the missing sale's intent is among the orphans), then charge every
-/// orphan as spent budget.  The spend-ahead discipline makes this
-/// over-count-only: recovered total_epsilon() >= everything perturb()
-/// actually released before the crash.  The ledger's timeline records the
-/// fold as it goes — the base kCheckpoint, one kCommit per replayed sale,
-/// one kIntent per orphan, and a closing kRecovery carrying the recovered
-/// total — so reconcile() against the same ledger passes iff the fold
-/// charged exactly what the log says.
+/// Folds a recovery into an EMPTY ledger, event by event: restore the
+/// base checkpoint, replay the commits (at their recorded sequence numbers
+/// — a gap means the missing sale's intent is among the orphans), charge
+/// every orphan as spent budget, and close with a kRecovery carrying the
+/// recovered total, so reconcile() against the same ledger passes iff the
+/// fold charged exactly what the log says.  The spend-ahead discipline
+/// makes this over-count-only: recovered total_epsilon() >= everything
+/// perturb() actually released before the crash.
 void apply_recovery(Ledger& ledger, const RecoveryResult& recovery);
 
 /// How durable each append is once the call returns.
@@ -179,24 +184,25 @@ class WriteAheadLog {
       const std::string& path, std::uint64_t next_sequence = 0,
       SyncMode sync_mode = SyncMode::kProcessDurable);
 
-  /// Atomically replaces `path` with a compacted log holding only a
-  /// checkpoint of `snapshot` (temp file + fsync + rename + directory
-  /// fsync — the rename must never become durable before the checkpoint's
-  /// data blocks, whatever `sync_mode` says, because a compacted log with
-  /// a torn checkpoint is an empty log: a recovery that UNDER-counts
+  /// Atomically replaces `path` with a compacted log holding only
+  /// `checkpoint` (temp file + fsync + rename + directory fsync — the
+  /// rename must never become durable before the checkpoint's data
+  /// blocks, whatever `sync_mode` says, because a compacted log with a
+  /// torn checkpoint is an empty log: a recovery that UNDER-counts
   /// released budget), then reopens for appending.  Callers must be
   /// quiescent: an in-flight intent would be silently dropped from the
   /// log.
   static std::unique_ptr<WriteAheadLog> compact(
-      const std::string& path, const LedgerSnapshot& snapshot,
+      const std::string& path, const Checkpoint& checkpoint,
       std::uint64_t next_sequence,
       SyncMode sync_mode = SyncMode::kProcessDurable);
 
-  /// Flushes the intent and returns its wal sequence (the intent id the
-  /// matching commit must carry).
-  std::uint64_t append_intent(IntentRecord record);
-  void append_commit(CommitRecord record);
-  void append_checkpoint(const LedgerSnapshot& snapshot);
+  /// Flushes the intent's kIntent and returns its wal sequence (the intent
+  /// id the matching commit must carry).
+  std::uint64_t append_intent(const IntentRecord& record);
+  /// Appends the sale's kCommit.
+  void append_commit(const CommitRecord& record);
+  void append_checkpoint(const Checkpoint& checkpoint);
 
   const std::string& path() const noexcept { return path_; }
   std::uint64_t records_appended() const noexcept {

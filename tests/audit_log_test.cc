@@ -102,12 +102,33 @@ TEST(AuditLogTest, JsonlShapeAndDenseIndices) {
     const std::string line = jsonl.substr(pos, end - pos);
     EXPECT_EQ(line.rfind("{\"index\": ", 0), 0u) << line;
     EXPECT_EQ(line.back(), '}') << line;
+    // Every AuditEvent field is printed, so two events that differ in any
+    // field print different lines.
+    for (const char* key :
+         {"\"degraded\": ", "\"consumer\": ", "\"lower\": ", "\"upper\": ",
+          "\"alpha\": ", "\"delta\": ", "\"epsilon\": ", "\"price\": ",
+          "\"wal_sequence\": ", "\"ledger_sequence\": ", "\"coverage\": ",
+          "\"detail\": "}) {
+      EXPECT_NE(line.find(key), std::string::npos) << key << " in " << line;
+    }
     if (line.find("\"type\": \"") != std::string::npos) ++typed;
     ++lines;
     pos = end + 1;
   }
   EXPECT_EQ(lines, events.size());
   EXPECT_EQ(typed, events.size());
+
+  // coverage and degraded print their values.
+  AuditLog log;
+  AuditEvent degraded;
+  degraded.type = AuditEventType::kCommit;
+  degraded.degraded = true;
+  degraded.coverage = 0.625;
+  log.append_event(degraded);
+  const std::string line = log.to_jsonl();
+  EXPECT_NE(line.find("\"degraded\": true"), std::string::npos) << line;
+  EXPECT_NE(line.find("\"coverage\": 0.625"), std::string::npos) << line;
+  EXPECT_NE(jsonl.find("\"degraded\": false"), std::string::npos) << jsonl;
 }
 
 TEST(AuditLogTest, LiveBrokerReconcilesExactly) {
@@ -178,6 +199,10 @@ TEST(AuditLogTest, RecoveryEventsRebuildTimelineFromWal) {
   registry.disarm_all();
   const auto path = wal_path_for("rebuild");
   std::remove(path.c_str());
+  const auto is_intent = [](const AuditEvent& e) {
+    return e.type == AuditEventType::kIntent;
+  };
+  AuditEvent live_intent;  // bob's, on the timeline that dies with the rig
   {
     BrokerRig rig;
     rig.broker.attach_wal(path);
@@ -186,6 +211,11 @@ TEST(AuditLogTest, RecoveryEventsRebuildTimelineFromWal) {
     EXPECT_THROW(rig.broker.sell("bob", kRange, kSpec),
                  crashpoints::SimulatedCrash);
     registry.disarm_all();
+    const auto live = rig.broker.audit_log().events_snapshot();
+    const auto bob = std::find_if(live.rbegin(), live.rend(), is_intent);
+    ASSERT_NE(bob, live.rend());
+    ASSERT_EQ(bob->consumer_id, "bob");
+    live_intent = *bob;
   }
   const auto recovery = wal::read_wal(path);
   Ledger rebuilt;
@@ -203,6 +233,15 @@ TEST(AuditLogTest, RecoveryEventsRebuildTimelineFromWal) {
       });
   ASSERT_NE(recovered, events.end());
   EXPECT_GT(recovered->epsilon.value(), 0.0);
+  // Bob's orphan is his durable intent as the live ledger folded it; only
+  // its timeline index and its orphan detail differ.
+  const auto orphan = std::find_if(events.begin(), events.end(), is_intent);
+  ASSERT_NE(orphan, events.end());
+  EXPECT_NE(orphan->detail, live_intent.detail);
+  AuditEvent durable = *orphan;
+  durable.index = live_intent.index;
+  durable.detail = live_intent.detail;
+  EXPECT_TRUE(durable == live_intent);
   std::remove(path.c_str());
 }
 

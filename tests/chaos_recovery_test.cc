@@ -8,8 +8,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -20,6 +24,7 @@
 #include "common/rng.h"
 #include "common/telemetry.h"
 #include "data/partition.h"
+#include "iot/codec.h"
 #include "iot/network.h"
 #include "market/broker.h"
 #include "market/wal.h"
@@ -464,8 +469,8 @@ TEST(ChaosRecoveryTest, RecoveredLedgerEqualsTheLiveLedgerExactly) {
   const auto recovery = wal::read_wal(path);
   ASSERT_GT(recovery.stats.checkpoints_seen, 1u);  // periodic checkpoints
   ASSERT_TRUE(std::any_of(recovery.commits.begin(), recovery.commits.end(),
-                          [](const wal::CommitRecord& commit) {
-                            return commit.transaction.degraded;
+                          [](const AuditEvent& commit) {
+                            return commit.degraded;
                           }));
   Ledger recovered;
   wal::apply_recovery(recovered, recovery);
@@ -486,17 +491,92 @@ TEST(ChaosRecoveryTest, RecoveredLedgerEqualsTheLiveLedgerExactly) {
   }
 
   // The recovered timeline lists exactly one kCommit per replayed commit,
-  // in replay order.
-  std::vector<std::uint64_t> committed;
-  recovered.timeline().for_each_event([&committed](const AuditEvent& event) {
+  // in replay order, and each is the durable event itself: equal to the
+  // live kCommit of the same sale in every field but its timeline index.
+  std::map<std::uint64_t, AuditEvent> live_commits;
+  broker.audit_log().for_each_event([&live_commits](const AuditEvent& event) {
     if (event.type == AuditEventType::kCommit) {
-      committed.push_back(event.ledger_sequence);
+      live_commits.emplace(event.ledger_sequence, event);
     }
+  });
+  std::vector<AuditEvent> committed;
+  recovered.timeline().for_each_event([&committed](const AuditEvent& event) {
+    if (event.type == AuditEventType::kCommit) committed.push_back(event);
   });
   ASSERT_EQ(committed.size(), recovery.commits.size());
   for (std::size_t k = 0; k < committed.size(); ++k) {
-    EXPECT_EQ(committed[k], recovery.commits[k].transaction.sequence);
+    SCOPED_TRACE("ledger sequence " +
+                 std::to_string(committed[k].ledger_sequence));
+    EXPECT_EQ(committed[k].ledger_sequence,
+              recovery.commits[k].ledger_sequence);
+    const auto live = live_commits.find(committed[k].ledger_sequence);
+    ASSERT_NE(live, live_commits.end());
+    AuditEvent durable = committed[k];
+    durable.index = live->second.index;
+    EXPECT_TRUE(durable == live->second);
   }
+  std::remove(path.c_str());
+}
+
+/// One intent record exactly as format version 1 wrote it: a 20-byte
+/// header (magic, version 1, type 1, flags, payload length, wal sequence,
+/// then a CRC32 over those 16 bytes and the payload) and the payload
+/// (consumer id, range, contract, epsilon').
+std::vector<std::uint8_t> version1_intent_record() {
+  std::vector<std::uint8_t> payload;
+  const auto put = [](std::vector<std::uint8_t>& out, std::uint64_t value,
+                      std::size_t size) {
+    for (std::size_t byte = 0; byte < size; ++byte) {
+      out.push_back(static_cast<std::uint8_t>(value >> (8 * byte)));
+    }
+  };
+  put(payload, 5, 4);
+  payload.insert(payload.end(), {'a', 'l', 'i', 'c', 'e'});
+  for (const double value : {0.0, 1.0, 0.1, 0.5, 0.01}) {
+    put(payload, std::bit_cast<std::uint64_t>(value), 8);
+  }
+  std::vector<std::uint8_t> record{wal::kMagic, 1, 1, 0};
+  put(record, payload.size(), 4);
+  put(record, 0, 8);
+  std::vector<std::uint8_t> covered = record;
+  covered.insert(covered.end(), payload.begin(), payload.end());
+  put(record, iot::crc32(covered.data(), covered.size()), 4);
+  record.insert(record.end(), payload.begin(), payload.end());
+  return record;
+}
+
+std::vector<std::uint8_t> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(ChaosRecoveryTest, ForeignVersionLogIsRefusedAndLeftUntouched) {
+  // Read as a torn tail, a version-1 log would recover as an empty ledger
+  // and compaction would then erase its budget history.  Both recovery
+  // entry points must refuse it, name the version, and leave it as it was.
+  const auto path = wal_path_for("version1");
+  const auto v1 = version1_intent_record();
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(v1.data()),
+              static_cast<std::streamsize>(v1.size()));
+  }
+  BrokerRig fresh;
+  try {
+    fresh.broker.recover_and_attach_wal(path, variance_model());
+    FAIL() << "a version-1 log was recovered";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(fresh.broker.write_ahead_log(), nullptr);
+  EXPECT_EQ(file_bytes(path), v1);
+
+  const std::string recover = std::string(PRC_QUERY_BINARY) +
+                              " recover --compact --wal " + path +
+                              " > /dev/null 2>&1";
+  EXPECT_NE(std::system(recover.c_str()), 0);
+  EXPECT_EQ(file_bytes(path), v1);
   std::remove(path.c_str());
 }
 

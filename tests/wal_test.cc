@@ -1,5 +1,5 @@
 // Wire-format coverage for the market write-ahead log: field-exhaustive
-// round-trips, version gating, CRC rejection under bit flips, and the
+// event round-trips, version gating, CRC rejection under bit flips, and the
 // truncate-at-corruption reader contract.
 #include <gtest/gtest.h>
 
@@ -28,25 +28,14 @@ void write_bytes(const std::string& path,
 }
 
 IntentRecord sample_intent() {
-  IntentRecord intent;
-  intent.wal_sequence = 7;
-  intent.consumer_id = "alice";
-  intent.range = {12.5, 9001.25};
-  intent.spec = {0.07, 0.83};
-  intent.epsilon_amplified = 0.0123456789;
-  return intent;
+  return {"alice", {12.5, 9001.25}, {0.07, 0.83}, 0.0123456789};
 }
 
 CommitRecord sample_commit() {
   CommitRecord commit;
-  commit.wal_sequence = 8;
   commit.intent_sequence = 7;
-  commit.transaction.sequence = 41;
-  commit.transaction.consumer_id = "mallory";
-  commit.transaction.range = {-3.5, 17.0};
-  commit.transaction.spec = {0.21, 0.55};
-  commit.transaction.price = 123.75;
-  commit.transaction.epsilon_amplified = 0.0625;
+  commit.transaction = {41, "mallory", {-3.5, 17.0}, {0.21, 0.55}, 123.75,
+                        0.0625};
   commit.transaction.coverage = 0.875;
   commit.transaction.degraded = true;
   return commit;
@@ -63,51 +52,100 @@ LedgerSnapshot sample_snapshot() {
   return snapshot;
 }
 
+Checkpoint sample_checkpoint() {
+  Checkpoint checkpoint;
+  checkpoint.event.type = AuditEventType::kCheckpoint;
+  checkpoint.event.epsilon = 0.75;
+  checkpoint.event.detail = "periodic wal checkpoint";
+  checkpoint.snapshot = sample_snapshot();
+  return checkpoint;
+}
+
+// The records the writer appends for these inputs, built by the same event
+// constructors it uses.
+AuditEvent intent_event(const IntentRecord& intent, std::uint64_t sequence) {
+  return sale_event(AuditEventType::kIntent, intent.consumer_id, intent.range,
+                    intent.spec, intent.epsilon_amplified, sequence);
+}
+
+std::vector<std::uint8_t> encode_intent(const IntentRecord& intent,
+                                        std::uint64_t sequence = 7) {
+  return encode_record(sequence, intent_event(intent, sequence));
+}
+
+std::vector<std::uint8_t> encode_commit(const CommitRecord& commit,
+                                        std::uint64_t sequence = 8) {
+  return encode_record(
+      sequence, commit_event(commit.transaction, commit.intent_sequence));
+}
+
+std::vector<std::uint8_t> encode_checkpoint(const LedgerSnapshot& snapshot,
+                                            std::uint64_t sequence) {
+  Checkpoint checkpoint = sample_checkpoint();
+  checkpoint.snapshot = snapshot;
+  return encode_record(sequence, checkpoint.event, checkpoint.snapshot);
+}
+
+// Every record is one AuditEvent on the wire, so each round trip checks the
+// decoded event field by field and then as a whole.
+
 TEST(WalFormatTest, IntentRoundTripsEveryField) {
-  const auto intent = sample_intent();
-  const auto decoded = decode_record(encode_intent(intent), 0);
-  ASSERT_EQ(decoded.type, RecordType::kIntent);
+  const auto expected = intent_event(sample_intent(), 7);
+  const auto bytes = encode_intent(sample_intent());
+  const auto decoded = decode_record(bytes, 0);
   EXPECT_EQ(decoded.wal_sequence, 7u);
-  EXPECT_EQ(decoded.intent.wal_sequence, 7u);
-  EXPECT_EQ(decoded.intent.consumer_id, "alice");
-  EXPECT_DOUBLE_EQ(decoded.intent.range.lower, 12.5);
-  EXPECT_DOUBLE_EQ(decoded.intent.range.upper, 9001.25);
-  EXPECT_DOUBLE_EQ(decoded.intent.spec.alpha.value(), 0.07);
-  EXPECT_DOUBLE_EQ(decoded.intent.spec.delta.value(), 0.83);
-  EXPECT_DOUBLE_EQ(decoded.intent.epsilon_amplified.value(), 0.0123456789);
+  EXPECT_EQ(decoded.encoded_size, bytes.size());
+  const auto& event = decoded.event;
+  ASSERT_EQ(event.type, AuditEventType::kIntent);
+  EXPECT_EQ(event.wal_sequence, 7u);  // an intent's id is its own sequence
+  EXPECT_EQ(event.consumer_id, "alice");
+  EXPECT_DOUBLE_EQ(event.lower, 12.5);
+  EXPECT_DOUBLE_EQ(event.upper, 9001.25);
+  EXPECT_DOUBLE_EQ(event.alpha.value(), 0.07);
+  EXPECT_DOUBLE_EQ(event.delta.value(), 0.83);
+  EXPECT_DOUBLE_EQ(event.epsilon.value(), 0.0123456789);
+  EXPECT_FALSE(event.degraded);
+  EXPECT_TRUE(event == expected);
 }
 
 TEST(WalFormatTest, CommitRoundTripsEveryTransactionField) {
   const auto commit = sample_commit();
-  const auto decoded = decode_record(encode_commit(commit), 0);
-  ASSERT_EQ(decoded.type, RecordType::kCommit);
-  EXPECT_EQ(decoded.commit.intent_sequence, 7u);
-  const auto& txn = decoded.commit.transaction;
-  EXPECT_EQ(txn.sequence, 41u);
-  EXPECT_EQ(txn.consumer_id, "mallory");
-  EXPECT_DOUBLE_EQ(txn.range.lower, -3.5);
-  EXPECT_DOUBLE_EQ(txn.range.upper, 17.0);
-  EXPECT_DOUBLE_EQ(txn.spec.alpha.value(), 0.21);
-  EXPECT_DOUBLE_EQ(txn.spec.delta.value(), 0.55);
-  EXPECT_DOUBLE_EQ(txn.price, 123.75);
-  EXPECT_DOUBLE_EQ(txn.epsilon_amplified.value(), 0.0625);
-  EXPECT_DOUBLE_EQ(txn.coverage, 0.875);
-  EXPECT_TRUE(txn.degraded);
+  const auto bytes = encode_commit(commit);
+  const auto decoded = decode_record(bytes, 0);
+  EXPECT_EQ(decoded.wal_sequence, 8u);
+  EXPECT_EQ(decoded.encoded_size, bytes.size());
+  const auto& event = decoded.event;
+  ASSERT_EQ(event.type, AuditEventType::kCommit);
+  EXPECT_EQ(event.wal_sequence, 7u);  // the intent this commit resolves
+  EXPECT_EQ(event.ledger_sequence, 41u);
+  EXPECT_EQ(event.consumer_id, "mallory");
+  EXPECT_DOUBLE_EQ(event.lower, -3.5);
+  EXPECT_DOUBLE_EQ(event.upper, 17.0);
+  EXPECT_DOUBLE_EQ(event.alpha.value(), 0.21);
+  EXPECT_DOUBLE_EQ(event.delta.value(), 0.55);
+  EXPECT_DOUBLE_EQ(event.price, 123.75);
+  EXPECT_DOUBLE_EQ(event.epsilon.value(), 0.0625);
+  EXPECT_DOUBLE_EQ(event.coverage, 0.875);
+  EXPECT_TRUE(event.degraded);
+  EXPECT_TRUE(event == commit_event(commit.transaction, 7));
 }
 
 TEST(WalFormatTest, CommitRoundTripsNonDegradedFlag) {
   auto commit = sample_commit();
   commit.transaction.degraded = false;
   const auto decoded = decode_record(encode_commit(commit), 0);
-  EXPECT_FALSE(decoded.commit.transaction.degraded);
+  EXPECT_FALSE(decoded.event.degraded);
+  EXPECT_TRUE(decoded.event == commit_event(commit.transaction, 7));
 }
 
 TEST(WalFormatTest, CheckpointRoundTripsAggregatesAndConsumers) {
-  const auto snapshot = sample_snapshot();
-  const auto decoded = decode_record(encode_checkpoint(snapshot, 9), 0);
-  ASSERT_EQ(decoded.type, RecordType::kCheckpoint);
+  const auto checkpoint = sample_checkpoint();
+  const auto decoded =
+      decode_record(encode_checkpoint(checkpoint.snapshot, 9), 0);
   EXPECT_EQ(decoded.wal_sequence, 9u);
-  const auto& restored = decoded.checkpoint;
+  ASSERT_EQ(decoded.event.type, AuditEventType::kCheckpoint);
+  EXPECT_TRUE(decoded.event == checkpoint.event);
+  const auto& restored = decoded.snapshot;
   EXPECT_EQ(restored.next_sequence, 42u);
   EXPECT_DOUBLE_EQ(restored.total_revenue, 512.125);
   EXPECT_DOUBLE_EQ(restored.total_epsilon.value(), 0.75);
@@ -129,7 +167,10 @@ TEST(WalFormatTest, UnknownVersionIsRejectedBeforeCrc) {
     decode_record(bytes, 0);
     FAIL() << "future version accepted";
   } catch (const FormatError& e) {
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find(
+                  "version " + std::to_string(kFormatVersion + 1)),
+              std::string::npos)
+        << e.what();
   }
 }
 
@@ -284,7 +325,7 @@ TEST(WalRecoveryTest, CheckpointAbsorbsPriorCommits) {
     CommitRecord early = sample_commit();
     early.transaction.sequence = 41;  // below the checkpoint's next_sequence
     log->append_commit(early);
-    log->append_checkpoint(sample_snapshot());  // next_sequence = 42
+    log->append_checkpoint(sample_checkpoint());  // next_sequence = 42
     CommitRecord late = sample_commit();
     late.intent_sequence = 999;
     late.transaction.sequence = 42;
@@ -295,7 +336,7 @@ TEST(WalRecoveryTest, CheckpointAbsorbsPriorCommits) {
   EXPECT_EQ(result.stats.checkpoints_seen, 1u);
   // Only the post-checkpoint commit replays; the early one is aggregated.
   ASSERT_EQ(result.commits.size(), 1u);
-  EXPECT_EQ(result.commits[0].transaction.sequence, 42u);
+  EXPECT_EQ(result.commits[0].ledger_sequence, 42u);
 
   Ledger ledger;
   apply_recovery(ledger, result);
@@ -333,7 +374,7 @@ TEST(WalRecoveryTest, CommitRacedPastItsCheckpointIsAbsorbedNotReplayed) {
     log->append_commit(c0);
     // The checkpoint snapshots AFTER bob's ledger commit but BEFORE his
     // commit record reaches the log: next_sequence already covers him.
-    log->append_checkpoint(live.snapshot());
+    log->append_checkpoint(live.checkpoint("periodic wal checkpoint"));
     CommitRecord c1;
     c1.intent_sequence = 101;
     c1.transaction = t1;
@@ -393,8 +434,9 @@ TEST(WalRecoveryTest, CompactionFoldsLogToOneCheckpoint) {
 
   // Compact, then recover AGAIN from the compacted log: totals must be
   // identical — in particular the orphan must not be charged twice.
-  auto log = WriteAheadLog::compact(path, ledger.snapshot(),
-                                    first.next_wal_sequence);
+  auto log = WriteAheadLog::compact(
+      path, ledger.checkpoint("wal compacted after recovery"),
+      first.next_wal_sequence);
   log.reset();
   const auto second = read_wal(path);
   EXPECT_EQ(second.stats.records_read, 1u);

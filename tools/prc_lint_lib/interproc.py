@@ -40,12 +40,11 @@ import os
 from .findings import Finding
 from .model import norm, stem
 from .summaries import (ACCESSOR_STOPLIST, BLOCKING_CALL_IDENTS,
-                        RAW_SAMPLE_IDENTS)
+                        RAW_SAMPLE_IDENTS, WAL_COMMIT_CALLS,
+                        WAL_INTENT_CALLS)
 
 MINT_MEMBER_NAMES = ("answer", "perturb")
 MINT_BARRIER_FUNCTION = "mint_answer_with_intent"
-WAL_INTENT_CALLS = {"append_intent"}
-WAL_COMMIT_CALLS = {"append_commit", "absorb_orphaned"}
 
 
 def _name_is_raw_source(name):

@@ -97,6 +97,9 @@ CPP_KEYWORDS = {
 #: directly (no symbol resolution needed).
 RAW = "RAW"
 
+#: The calls that append a WAL intent, and those that resolve one (a commit
+#: record, or recovery charging it as an orphan) — read by the
+#: wal-intent-commit-pairing rule.
 WAL_INTENT_CALLS = {"append_intent"}
 WAL_COMMIT_CALLS = {"append_commit", "absorb_orphaned"}
 

@@ -653,8 +653,9 @@ int cmd_recover(int argc, char** argv) {
   }
 
   if (parser.has("compact") && audits_pass) {
-    market::wal::WriteAheadLog::compact(path, ledger.snapshot(),
-                                        recovery.next_wal_sequence);
+    market::wal::WriteAheadLog::compact(
+        path, ledger.checkpoint("wal compacted after recovery"),
+        recovery.next_wal_sequence);
     std::cout << "compacted " << path << "\n";
   }
   if (!export_telemetry(parser)) return 1;
