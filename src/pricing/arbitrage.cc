@@ -178,27 +178,39 @@ AttackResult AttackSimulator::best_attack(
   static telemetry::Counter& quote_cache_hits =
       telemetry::counter("pricing.attack_quote_cache_hits");
   target.validate();
+  // The single pass below is exact only for positive quotes, so the
+  // interface's "Positive" is checked on every quote it reads.
+  const auto quote = [&pricing](const query::AccuracySpec& spec) {
+    const double price = pricing.price(spec);
+    PRC_CHECK(std::isfinite(price) && price > 0.0)
+        << "best_attack needs positive finite quotes, but " << pricing.name()
+        << " quoted " << price << " for " << spec.to_string();
+    return price;
+  };
   AttackResult result;
-  result.honest_price = pricing.price(target);
+  result.honest_price = quote(target);
   result.best_attack_cost = result.honest_price;
   const double target_variance = model_.contract_variance(target);
 
-  // The (alpha_w, delta_w) candidate lattice is the same for every copy
-  // count m — only the variance budget filter changes — so the old loop
-  // re-quoted each admissible cell up to max_copies - 1 times.  Lay the
-  // lattice out once, then fill prices lazily as the m-loop first touches
-  // each cell; later visits are memo hits.  The memo is call-local (an
-  // AttackSimulator is copied into each attacker, and the deliberation
-  // phase runs best_attack concurrently), so no lock is needed, and a
-  // memoized price is byte-for-byte the double the direct call returned.
+  // A quote pi > 0 makes the cost m * pi strictly increasing in m, so a
+  // cell can only win at m_min, the smallest copy count whose variance
+  // budget admits it; every larger m re-quotes it at a higher cost.  Lay
+  // the (alpha_w, delta_w) lattice out once, give each cell its m_min, and
+  // counting-sort the admissible cells by (m_min, lattice index): that is
+  // the order in which a scan over m = 2..max_copies first touches each
+  // cell, so pricing them once in that order with the same strict `<`
+  // makes the same price() calls and keeps the same winner and tie-breaks.
   struct Cell {
-    bool valid = false;
     query::AccuracySpec spec;
     double variance = 0.0;
-    double price = 0.0;
-    bool priced = false;
+    std::size_t copies = 0;  // m_min
   };
-  std::vector<Cell> cells(space_.alpha_steps * space_.delta_steps);
+  const std::size_t max_copies = space_.max_copies;
+  std::vector<Cell> cells;
+  cells.reserve(space_.alpha_steps * space_.delta_steps);
+  // first[m] counts, then indexes, the cells whose m_min is m.
+  std::vector<std::size_t> first(max_copies + 2, 0);
+  std::size_t revisits = 0;
   for (std::size_t ai = 1; ai <= space_.alpha_steps; ++ai) {
     const double alpha_w =
         target.alpha + (space_.alpha_max - target.alpha) *
@@ -209,34 +221,48 @@ AttackResult AttackSimulator::best_attack(
       const double delta_w = target.delta * static_cast<double>(di) /
                              static_cast<double>(space_.delta_steps + 1);
       if (!(delta_w > 0.0) || !(delta_w < target.delta)) continue;
-      Cell& c = cells[(ai - 1) * space_.delta_steps + (di - 1)];
-      c.valid = true;
-      c.spec = query::AccuracySpec{alpha_w, delta_w};
-      c.variance = model_.contract_variance(c.spec);
+      const query::AccuracySpec spec{alpha_w, delta_w};
+      const double variance = model_.contract_variance(spec);
+      // V_w <= m * V(target): start from the ratio's ceiling, then settle
+      // the boundary with the exact double comparison so rounding in the
+      // division cannot move it.
+      const auto over_budget = [&](std::size_t m) {
+        return variance > static_cast<double>(m) * target_variance;
+      };
+      const double ratio = variance / target_variance;
+      std::size_t m = 2;
+      if (ratio > static_cast<double>(max_copies)) {
+        m = max_copies + 1;
+      } else if (ratio > 2.0) {
+        m = static_cast<std::size_t>(std::ceil(ratio));
+      }
+      while (m > 2 && !over_budget(m - 1)) --m;
+      while (m <= max_copies && over_budget(m)) ++m;
+      if (m > max_copies) continue;  // average too noisy at every m
+      cells.push_back({spec, variance, m});
+      ++first[m + 1];
+      revisits += max_copies - m;
     }
+  }
+  for (std::size_t m = 3; m <= max_copies + 1; ++m) first[m] += first[m - 1];
+  std::vector<std::size_t> order(cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    order[first[cells[i].copies]++] = i;
   }
 
-  for (std::size_t m = 2; m <= space_.max_copies; ++m) {
-    const double variance_budget =
-        static_cast<double>(m) * target_variance;  // V_w <= m * V(target)
-    for (Cell& c : cells) {
-      if (!c.valid) continue;
-      if (c.variance > variance_budget) continue;  // average still too noisy
-      if (!c.priced) {
-        c.price = pricing.price(c.spec);
-        c.priced = true;
-      } else {
-        quote_cache_hits.increment();
-      }
-      const double cost = static_cast<double>(m) * c.price;
-      if (cost < result.best_attack_cost) {
-        result.best_attack_cost = cost;
-        result.copies = m;
-        result.weaker_spec = c.spec;
-        result.combined_variance = c.variance / static_cast<double>(m);
-      }
+  for (const std::size_t i : order) {
+    const Cell& c = cells[i];
+    const double cost = static_cast<double>(c.copies) * quote(c.spec);
+    if (cost < result.best_attack_cost) {
+      result.best_attack_cost = cost;
+      result.copies = c.copies;
+      result.weaker_spec = c.spec;
+      result.combined_variance = c.variance / static_cast<double>(c.copies);
     }
   }
+  // The counter reports the (cell, m) pairs past each cell's m_min: the
+  // re-quotes a scan over every m would have made, which this pass skips.
+  quote_cache_hits.increment(revisits);
   result.profitable =
       result.best_attack_cost < result.honest_price * (1.0 - 1e-9);
   if (!result.profitable) {

@@ -84,6 +84,12 @@ class AttackSimulator {
   /// attacks are optimal for variance-keyed price families because the
   /// constraint sum V_i <= m^2 V and the cost sum psi(V_i) are both
   /// Schur-convex in the V_i.  Asymmetric spot checks are in the tests.
+  ///
+  /// Cost: one O(A·D) pass over the alpha_steps × delta_steps lattice plus
+  /// one quote per admissible cell, each priced only at its smallest
+  /// admissible copy count (a scan over every m was O(M·A·D)).  Requires
+  /// every quote, the honest one included, to be positive and finite;
+  /// throws prc::ContractViolation otherwise.
   AttackResult best_attack(const PricingFunction& pricing,
                            const query::AccuracySpec& target) const;
 

@@ -1,7 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/check.h"
+#include "common/rng.h"
+#include "common/telemetry.h"
 #include "pricing/arbitrage.h"
 #include "pricing/pricing.h"
 #include "pricing/variance_model.h"
@@ -248,6 +256,358 @@ TEST(AttackSimulatorTest, SearchSpaceValidation) {
   AttackSimulator::SearchSpace bad;
   bad.max_copies = 1;
   EXPECT_THROW(AttackSimulator(model(), bad), std::invalid_argument);
+}
+
+// --- single-pass attack search vs the m-major scan ---------------------------
+
+// The m-major memo scan best_attack used before it became a single pass,
+// kept verbatim as the reference: for m = 2..max_copies it visits every
+// lattice cell, prices a cell on its first admissible visit and counts every
+// later visit as a memo hit.
+AttackResult reference_best_attack(const VarianceModel& model,
+                                   const AttackSimulator::SearchSpace& space,
+                                   const PricingFunction& pricing,
+                                   const query::AccuracySpec& target,
+                                   std::uint64_t& memo_hits) {
+  target.validate();
+  AttackResult result;
+  result.honest_price = pricing.price(target);
+  result.best_attack_cost = result.honest_price;
+  const double target_variance = model.contract_variance(target);
+  struct Cell {
+    bool valid = false;
+    query::AccuracySpec spec;
+    double variance = 0.0;
+    double price = 0.0;
+    bool priced = false;
+  };
+  std::vector<Cell> cells(space.alpha_steps * space.delta_steps);
+  for (std::size_t ai = 1; ai <= space.alpha_steps; ++ai) {
+    const double alpha_w =
+        target.alpha + (space.alpha_max - target.alpha) *
+                           static_cast<double>(ai) /
+                           static_cast<double>(space.alpha_steps);
+    if (!(alpha_w > target.alpha) || alpha_w > 1.0) continue;
+    for (std::size_t di = 1; di <= space.delta_steps; ++di) {
+      const double delta_w = target.delta * static_cast<double>(di) /
+                             static_cast<double>(space.delta_steps + 1);
+      if (!(delta_w > 0.0) || !(delta_w < target.delta)) continue;
+      Cell& c = cells[(ai - 1) * space.delta_steps + (di - 1)];
+      c.valid = true;
+      c.spec = query::AccuracySpec{alpha_w, delta_w};
+      c.variance = model.contract_variance(c.spec);
+    }
+  }
+  for (std::size_t m = 2; m <= space.max_copies; ++m) {
+    const double variance_budget = static_cast<double>(m) * target_variance;
+    for (Cell& c : cells) {
+      if (!c.valid) continue;
+      if (c.variance > variance_budget) continue;
+      if (!c.priced) {
+        c.price = pricing.price(c.spec);
+        c.priced = true;
+      } else {
+        ++memo_hits;
+      }
+      const double cost = static_cast<double>(m) * c.price;
+      if (cost < result.best_attack_cost) {
+        result.best_attack_cost = cost;
+        result.copies = m;
+        result.weaker_spec = c.spec;
+        result.combined_variance = c.variance / static_cast<double>(m);
+      }
+    }
+  }
+  result.profitable =
+      result.best_attack_cost < result.honest_price * (1.0 - 1e-9);
+  if (!result.profitable) {
+    result.best_attack_cost = result.honest_price;
+    result.copies = 0;
+    result.combined_variance = target_variance;
+  }
+  return result;
+}
+
+// Forwards to another pricing function and records every spec it quotes,
+// so two searches can be compared call by call.
+class RecordingPricing final : public PricingFunction {
+ public:
+  explicit RecordingPricing(const PricingFunction& inner) : inner_(inner) {}
+  double price(const query::AccuracySpec& spec) const override {
+    quoted_.push_back(spec);
+    return inner_.price(spec);
+  }
+  std::string name() const override { return inner_.name(); }
+  std::vector<query::AccuracySpec> take() {
+    std::vector<query::AccuracySpec> out;
+    out.swap(quoted_);
+    return out;
+  }
+
+ private:
+  const PricingFunction& inner_;
+  mutable std::vector<query::AccuracySpec> quoted_;
+};
+
+// Everything one search leaves behind: its result, the specs it quoted in
+// order, and what it added to the pricing telemetry.
+struct SearchTrace {
+  AttackResult result;
+  std::vector<query::AccuracySpec> quoted;
+  std::uint64_t quotes = 0;
+  std::uint64_t memo_hits = 0;
+  std::uint64_t price_count = 0;
+  double price_sum = 0.0;
+};
+
+template <typename Search>
+SearchTrace trace_search(const PricingFunction& pricing, Search search) {
+  auto& quotes = telemetry::counter("pricing.quotes");
+  auto& memo_hits = telemetry::counter("pricing.attack_quote_cache_hits");
+  auto& prices = telemetry::histogram("pricing.price");
+  // Reset rather than diff the histogram, so both sums start from 0.0 and
+  // are comparable bit for bit.
+  prices.reset();
+  const std::uint64_t quotes_before = quotes.value();
+  const std::uint64_t hits_before = memo_hits.value();
+  RecordingPricing recording(pricing);
+  SearchTrace trace;
+  trace.result = search(recording, trace.memo_hits);
+  trace.quoted = recording.take();
+  trace.quotes = quotes.value() - quotes_before;
+  trace.memo_hits += memo_hits.value() - hits_before;
+  const telemetry::HistogramSnapshot snapshot = prices.snapshot();
+  trace.price_count = snapshot.count;
+  trace.price_sum = snapshot.sum;
+  return trace;
+}
+
+void expect_same_search(const VarianceModel& m,
+                        const AttackSimulator::SearchSpace& space,
+                        const PricingFunction& pricing,
+                        const query::AccuracySpec& target) {
+  const AttackSimulator simulator(m, space);
+  const SearchTrace want = trace_search(
+      pricing, [&](const PricingFunction& p, std::uint64_t& hits) {
+        return reference_best_attack(m, space, p, target, hits);
+      });
+  const SearchTrace got = trace_search(
+      pricing, [&](const PricingFunction& p, std::uint64_t&) {
+        return simulator.best_attack(p, target);
+      });
+  SCOPED_TRACE(pricing.name() + " target=" + target.to_string() +
+               " max_copies=" + std::to_string(space.max_copies) +
+               " steps=" + std::to_string(space.alpha_steps) + "x" +
+               std::to_string(space.delta_steps));
+  EXPECT_EQ(got.result.profitable, want.result.profitable);
+  EXPECT_EQ(got.result.honest_price, want.result.honest_price);
+  EXPECT_EQ(got.result.best_attack_cost, want.result.best_attack_cost);
+  EXPECT_EQ(got.result.copies, want.result.copies);
+  EXPECT_EQ(got.result.weaker_spec.alpha, want.result.weaker_spec.alpha);
+  EXPECT_EQ(got.result.weaker_spec.delta, want.result.weaker_spec.delta);
+  EXPECT_EQ(got.result.combined_variance, want.result.combined_variance);
+  EXPECT_EQ(got.quotes, want.quotes);
+  EXPECT_EQ(got.memo_hits, want.memo_hits);
+  EXPECT_EQ(got.price_count, want.price_count);
+  EXPECT_EQ(got.price_sum, want.price_sum);
+  ASSERT_EQ(got.quoted.size(), want.quoted.size());
+  for (std::size_t i = 0; i < got.quoted.size(); ++i) {
+    EXPECT_EQ(got.quoted[i].alpha, want.quoted[i].alpha) << "quote " << i;
+    EXPECT_EQ(got.quoted[i].delta, want.quoted[i].delta) << "quote " << i;
+  }
+}
+
+// Quotes every contract weaker than the target at one flat price, so every
+// cell admissible at m = 2 ties on cost and the lattice index alone picks
+// the winner.
+class StepPricing final : public PricingFunction {
+ public:
+  explicit StepPricing(double target_alpha) : target_alpha_(target_alpha) {}
+  double price(const query::AccuracySpec& spec) const override {
+    return spec.alpha > target_alpha_ ? 1.0 : 100.0;
+  }
+  std::string name() const override { return "step"; }
+
+ private:
+  double target_alpha_;
+};
+
+TEST(AttackSimulatorTest, SinglePassMatchesMMajorScan) {
+  const auto m = model();
+  const AttackSimulator::SearchSpace space;
+  const LinearDiscountPricing linear(5.0, 40.0, 30.0);
+  const FittedTheoremPricing fitted(m, 50.0 * m.contract_variance(kReference));
+  std::vector<InverseVariancePricing> power;
+  for (double q : {0.5, 1.0, 1.5, 2.0, 3.0}) {
+    power.emplace_back(m, kReference, 50.0, q);
+  }
+  std::vector<const PricingFunction*> pricings{&linear, &fitted};
+  for (const auto& p : power) pricings.push_back(&p);
+
+  Rng rng(20240518);
+  for (int i = 0; i < 500; ++i) {
+    const query::AccuracySpec target{rng.uniform(0.01, 0.5),
+                                     rng.uniform(0.05, 0.95)};
+    for (const PricingFunction* pricing : pricings) {
+      expect_same_search(m, space, *pricing, target);
+    }
+  }
+}
+
+TEST(AttackSimulatorTest, SinglePassMatchesAtSearchSpaceEdges) {
+  const auto m = model();
+  const InverseVariancePricing steep(m, kReference, 50.0, 2.0);
+  const LinearDiscountPricing linear(5.0, 40.0, 30.0);
+  const query::AccuracySpec target{0.05, 0.8};
+  AttackSimulator::SearchSpace two_copies;
+  two_copies.max_copies = 2;
+  AttackSimulator::SearchSpace one_delta;
+  one_delta.delta_steps = 1;
+  AttackSimulator::SearchSpace narrow;  // alpha_max just above the target
+  narrow.alpha_max = std::nextafter(target.alpha, 1.0);
+  AttackSimulator::SearchSpace below;  // target alpha at or past alpha_max
+  below.alpha_max = target.alpha;
+  for (const auto& space : {two_copies, one_delta, narrow, below}) {
+    for (const PricingFunction* pricing :
+         {static_cast<const PricingFunction*>(&steep),
+          static_cast<const PricingFunction*>(&linear)}) {
+      expect_same_search(m, space, *pricing, target);
+      expect_same_search(m, space, *pricing, {0.3, 0.5});
+    }
+  }
+  // With no weaker alpha on the lattice there is nothing to buy.
+  EXPECT_FALSE(AttackSimulator(m, below).best_attack(steep, target).profitable);
+  below.alpha_max = 0.01;
+  EXPECT_FALSE(AttackSimulator(m, below).best_attack(steep, target).profitable);
+  expect_same_search(m, below, steep, target);
+}
+
+TEST(AttackSimulatorTest, SinglePassHonorsAnExactIntegerVarianceRatio) {
+  // Target (0.25, 0.5) and lattice cell (0.5, 0.25): V_c / V_target is
+  // exactly 4 * 1.5 = 6 in doubles, so the cell is admissible at m = 6 and
+  // not one copy earlier.
+  const auto m = model();
+  const query::AccuracySpec target{0.25, 0.5};
+  const query::AccuracySpec cell{0.5, 0.25};
+  ASSERT_EQ(m.contract_variance(cell), 6.0 * m.contract_variance(target));
+  AttackSimulator::SearchSpace space;
+  space.alpha_steps = 2;
+  space.delta_steps = 1;
+  space.alpha_max = 0.5;
+  const InverseVariancePricing steep(m, kReference, 50.0, 3.0);
+  for (std::size_t max_copies : {5u, 6u, 24u}) {
+    space.max_copies = max_copies;
+    expect_same_search(m, space, steep, target);
+  }
+  space.max_copies = 6;
+  const auto result = AttackSimulator(m, space).best_attack(steep, target);
+  EXPECT_TRUE(result.profitable);
+  EXPECT_EQ(result.copies, 6u);
+  EXPECT_EQ(result.weaker_spec.alpha, cell.alpha);
+  EXPECT_EQ(result.weaker_spec.delta, cell.delta);
+}
+
+TEST(AttackSimulatorTest, SinglePassSettlesRoundedBoundaries) {
+  // With alpha_max = 2 alpha and one delta step, the outer lattice cell is
+  // (2 alpha, delta / 2), whose variance ratio to the target is
+  // 4 (1 - delta / 2) / (1 - delta): 6 at delta = 1/2 and 5 at delta = 1/3.
+  // Near those integers, rounding in V_c / V_target and in m * V_target puts
+  // the ratio's ceiling a copy above or below the smallest m the budget
+  // comparison admits; the search must follow the comparison.
+  const auto m = model();
+  const InverseVariancePricing steep(m, kReference, 50.0, 3.0);
+  const double third_up = std::nextafter(1.0 / 3.0, 1.0);
+  std::size_t ceiling_above = 0;
+  std::size_t ceiling_below = 0;
+  Rng rng(77);
+  for (int i = 0; i < 300; ++i) {
+    const double alpha = rng.uniform(0.01, 0.5);
+    for (double delta : {0.5, third_up, std::nextafter(third_up, 1.0)}) {
+      const query::AccuracySpec target{alpha, delta};
+      AttackSimulator::SearchSpace space;
+      space.alpha_steps = 2;
+      space.delta_steps = 1;
+      space.alpha_max = alpha + alpha;
+      const double v_cell = m.contract_variance({alpha + alpha, delta / 2.0});
+      const double v_target = m.contract_variance(target);
+      std::size_t copies = 2;
+      while (v_cell > static_cast<double>(copies) * v_target) ++copies;
+      const auto ceiling =
+          static_cast<std::size_t>(std::ceil(v_cell / v_target));
+      ceiling_above += ceiling > copies ? 1 : 0;
+      ceiling_below += ceiling < copies ? 1 : 0;
+      expect_same_search(m, space, steep, target);
+    }
+  }
+  EXPECT_GT(ceiling_above, 0u);
+  EXPECT_GT(ceiling_below, 0u);
+}
+
+TEST(AttackSimulatorTest, SinglePassKeepsTheFirstOfTiedCells) {
+  // A coarse, low-confidence target leaves many weaker cells within twice
+  // its variance.
+  const auto m = model();
+  const query::AccuracySpec target{0.3, 0.3};
+  const StepPricing step(target.alpha);
+  const AttackSimulator::SearchSpace space;
+  std::uint64_t hits = 0;
+  const AttackResult want =
+      reference_best_attack(m, space, step, target, hits);
+  ASSERT_EQ(want.copies, 2u);
+  ASSERT_EQ(want.best_attack_cost, 2.0);
+  // Many cells are admissible at m = 2, so the tie-break is what is tested.
+  std::size_t tied = 0;
+  for (std::size_t ai = 1; ai <= space.alpha_steps; ++ai) {
+    const double alpha_w =
+        target.alpha + (space.alpha_max - target.alpha) *
+                           static_cast<double>(ai) /
+                           static_cast<double>(space.alpha_steps);
+    for (std::size_t di = 1; di <= space.delta_steps; ++di) {
+      const double delta_w = target.delta * static_cast<double>(di) /
+                             static_cast<double>(space.delta_steps + 1);
+      if (m.contract_variance({alpha_w, delta_w}) <=
+          2.0 * m.contract_variance(target)) {
+        ++tied;
+      }
+    }
+  }
+  ASSERT_GE(tied, 10u);
+  expect_same_search(m, space, step, target);
+}
+
+// Quotes `honest` for the (0.05, 0.8) target and `weaker` for every
+// contract with a larger alpha.
+class BrokenPricing final : public PricingFunction {
+ public:
+  BrokenPricing(double honest, double weaker)
+      : honest_(honest), weaker_(weaker) {}
+  double price(const query::AccuracySpec& spec) const override {
+    return spec.alpha > 0.05 ? weaker_ : honest_;
+  }
+  std::string name() const override { return "broken-stub"; }
+
+ private:
+  double honest_;
+  double weaker_;
+};
+
+TEST(AttackSimulatorTest, RejectsNonPositiveQuotes) {
+  const AttackSimulator simulator(model());
+  const query::AccuracySpec target{0.05, 0.8};
+  for (const auto& [honest, weaker] :
+       {std::pair{0.0, 0.0}, std::pair{10.0, 0.0}, std::pair{10.0, -1.0},
+        std::pair{10.0, std::nan("")},
+        std::pair{10.0, std::numeric_limits<double>::infinity()}}) {
+    const BrokenPricing broken(honest, weaker);
+    try {
+      simulator.best_attack(broken, target);
+      ADD_FAILURE() << "accepted honest=" << honest << " weaker=" << weaker;
+    } catch (const prc::ContractViolation& violation) {
+      EXPECT_NE(std::string(violation.what()).find("broken-stub"),
+                std::string::npos)
+          << violation.what();
+    }
+  }
 }
 
 }  // namespace
