@@ -129,34 +129,46 @@ TEST(ParallelDeterminismTest, FlatRoundBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(estimates[0], estimates[1]);  // bitwise, both rounds applied
 }
 
+// Two tree configs: a bounded lossy store-and-forward round, and a
+// fault-free aggregated round whose lanes run in parallel before the serial
+// convergecast.
 TEST(ParallelDeterminismTest, TreeRoundBitIdenticalAcrossThreadCounts) {
   const auto ranges = make_ranges(16);
-  iot::RoundReport reports[2];
-  iot::CommunicationStats stats[2];
-  std::vector<iot::TreeLevelStats> levels[2];
-  std::vector<double> estimates[2];
-  const std::size_t thread_counts[2] = {1, 8};
-  for (int run = 0; run < 2; ++run) {
-    ThreadCountGuard guard(thread_counts[run]);
-    iot::TreeConfig config;
-    config.seed = 19;
-    config.fanout = 3;
-    config.frame_loss_probability = 0.2;
-    config.max_attempts = 4;
-    iot::TreeNetwork network(make_node_data(40, 8000), config);
-    reports[run] = network.ensure_sampling_probability(0.25);
-    stats[run] = network.stats();
-    levels[run] = network.level_stats();
-    estimates[run] = network.rank_counting_estimate_batch(ranges);
+  iot::TreeConfig bounded;
+  bounded.seed = 19;
+  bounded.fanout = 3;
+  bounded.frame_loss_probability = 0.2;
+  bounded.max_attempts = 4;
+  iot::TreeConfig aggregated;
+  aggregated.seed = 19;
+  aggregated.fanout = 3;
+  aggregated.frame_loss_probability = 0.2;
+  aggregated.aggregate_frames = true;
+  aggregated.max_attempts = 0;
+  for (const auto& config : {bounded, aggregated}) {
+    SCOPED_TRACE(config.max_attempts == 0 ? "aggregated" : "bounded");
+    iot::RoundReport reports[2];
+    iot::CommunicationStats stats[2];
+    std::vector<iot::TreeLevelStats> levels[2];
+    std::vector<double> estimates[2];
+    const std::size_t thread_counts[2] = {1, 8};
+    for (int run = 0; run < 2; ++run) {
+      ThreadCountGuard guard(thread_counts[run]);
+      iot::TreeNetwork network(make_node_data(40, 8000), config);
+      reports[run] = network.ensure_sampling_probability(0.25);
+      stats[run] = network.stats();
+      levels[run] = network.level_stats();
+      estimates[run] = network.rank_counting_estimate_batch(ranges);
+    }
+    expect_same_report(reports[0], reports[1]);
+    expect_same_stats(stats[0], stats[1]);
+    ASSERT_EQ(levels[0].size(), levels[1].size());
+    for (std::size_t d = 0; d < levels[0].size(); ++d) {
+      EXPECT_EQ(levels[0][d].links_crossed, levels[1][d].links_crossed);
+      EXPECT_EQ(levels[0][d].bytes, levels[1][d].bytes);
+    }
+    EXPECT_EQ(estimates[0], estimates[1]);
   }
-  expect_same_report(reports[0], reports[1]);
-  expect_same_stats(stats[0], stats[1]);
-  ASSERT_EQ(levels[0].size(), levels[1].size());
-  for (std::size_t d = 0; d < levels[0].size(); ++d) {
-    EXPECT_EQ(levels[0][d].links_crossed, levels[1][d].links_crossed);
-    EXPECT_EQ(levels[0][d].bytes, levels[1][d].bytes);
-  }
-  EXPECT_EQ(estimates[0], estimates[1]);
 }
 
 // The acceptance shape: a 100-query batch must return exactly what 100

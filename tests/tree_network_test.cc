@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "dp/private_counting.h"
+#include "iot/network.h"
 #include "query/range_query.h"
 
 namespace prc::iot {
@@ -178,6 +179,92 @@ TEST(TreeNetworkTest, ContractHoldsOverTreesEmpirically) {
   const double margin =
       3.0 * std::sqrt(spec.delta * (1 - spec.delta) / trials);
   EXPECT_GE(static_cast<double>(within) / trials, spec.delta - margin);
+}
+
+void expect_same_stats(const CommunicationStats& a,
+                       const CommunicationStats& b) {
+  EXPECT_EQ(a.downlink_messages, b.downlink_messages);
+  EXPECT_EQ(a.downlink_bytes, b.downlink_bytes);
+  EXPECT_EQ(a.uplink_messages, b.uplink_messages);
+  EXPECT_EQ(a.uplink_bytes, b.uplink_bytes);
+  EXPECT_EQ(a.retransmissions, b.retransmissions);
+  EXPECT_EQ(a.corrupted_frames, b.corrupted_frames);
+  EXPECT_EQ(a.samples_transferred, b.samples_transferred);
+  EXPECT_EQ(a.piggybacked_reports, b.piggybacked_reports);
+  EXPECT_EQ(a.frames_attempted, b.frames_attempted);
+  EXPECT_EQ(a.frames_delivered, b.frames_delivered);
+  EXPECT_EQ(a.dropped_frames, b.dropped_frames);
+  EXPECT_EQ(a.duplicated_frames, b.duplicated_frames);
+  EXPECT_EQ(a.backoff_slots, b.backoff_slots);
+}
+
+void expect_same_report(const RoundReport& a, const RoundReport& b) {
+  EXPECT_EQ(a.target_p, b.target_p);
+  EXPECT_EQ(a.new_samples, b.new_samples);
+  EXPECT_EQ(a.outcomes, b.outcomes);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.dropped_frames, b.dropped_frames);
+  EXPECT_EQ(a.severed_reports, b.severed_reports);
+  EXPECT_EQ(a.coverage, b.coverage);
+  EXPECT_EQ(a.min_probability, b.min_probability);
+}
+
+// Runs one round and checks that the report's retries are every
+// retransmission the round charged, downlink included.
+template <typename Network>
+RoundReport round_with_retries_checked(Network& network, double p) {
+  const std::size_t before = network.stats().retransmissions;
+  const RoundReport report = network.ensure_sampling_probability(p);
+  EXPECT_EQ(report.retries, network.stats().retransmissions - before)
+      << "p=" << p;
+  return report;
+}
+
+// Unbounded retransmission is a budget that never binds: a round with
+// max_attempts 0 charges exactly what a round whose budget is too large to
+// bind charges, backoff and per-level bytes included, and leaves the same
+// cache behind.
+TEST(TreeNetworkTest, UnboundedRoundMatchesBoundedRound) {
+  TreeConfig unbounded;
+  unbounded.fanout = 2;
+  unbounded.seed = 3;
+  unbounded.frame_loss_probability = 0.2;
+  unbounded.aggregate_frames = false;
+  TreeConfig bounded = unbounded;
+  bounded.max_attempts = std::size_t{1} << 30;
+  TreeNetwork a(grid_node_data(13, 400), unbounded);
+  TreeNetwork b(grid_node_data(13, 400), bounded);
+  const query::RangeQuery range{500.5, 3500.5};
+  for (const double p : {0.05, 0.2, 0.6}) {
+    expect_same_report(round_with_retries_checked(a, p),
+                       round_with_retries_checked(b, p));
+    expect_same_stats(a.stats(), b.stats());
+    ASSERT_EQ(a.level_stats().size(), b.level_stats().size());
+    for (std::size_t d = 0; d < a.level_stats().size(); ++d) {
+      EXPECT_EQ(a.level_stats()[d].links_crossed,
+                b.level_stats()[d].links_crossed);
+      EXPECT_EQ(a.level_stats()[d].bytes, b.level_stats()[d].bytes);
+    }
+    EXPECT_EQ(a.base_station().cached_sample_count(),
+              b.base_station().cached_sample_count());
+    EXPECT_EQ(a.rank_counting_estimate(range), b.rank_counting_estimate(range));
+  }
+  EXPECT_GT(a.stats().retransmissions, 0u);
+
+  // The same accounting holds for the coalesced convergecast and for the
+  // flat network.
+  TreeConfig aggregated = unbounded;
+  aggregated.aggregate_frames = true;
+  TreeNetwork tree(grid_node_data(13, 400), aggregated);
+  NetworkConfig flat_config;
+  flat_config.seed = 3;
+  flat_config.frame_loss_probability = 0.2;
+  FlatNetwork flat(grid_node_data(13, 400), flat_config);
+  for (const double p : {0.05, 0.2, 0.6}) {
+    round_with_retries_checked(tree, p);
+    round_with_retries_checked(flat, p);
+  }
+  EXPECT_GT(tree.stats().backoff_slots, 0u);
 }
 
 TEST(TreeNetworkTest, RejectsInvalidProbability) {
