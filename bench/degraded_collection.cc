@@ -84,7 +84,8 @@ int main(int argc, char** argv) {
 
           for (const double p : rounds) network.ensure_sampling_probability(p);
 
-          const auto cov = network.base_station().coverage();
+          const auto view = network.base_station().view();
+          const auto& cov = view->coverage;
           coverage.add(cov.coverage);
           dropped.add(static_cast<double>(network.stats().dropped_frames));
           uplink.add(static_cast<double>(network.stats().uplink_bytes) /
@@ -100,22 +101,22 @@ int main(int argc, char** argv) {
           // while the per-node correction centers on zero.
           double known_truth = 0.0;
           for (std::size_t i = 0; i < kNodes; ++i) {
-            if (network.base_station().node_reported(i)) {
+            if (view->reported[i]) {
               known_truth += static_cast<double>(
                   query::exact_range_count(node_data[i], range));
             }
           }
           if (known_truth <= 0.0) continue;
-          const double hetero = network.rank_counting_estimate(range);
+          const double hetero = view->rank_counting_estimate(range);
           const double global = estimator::rank_counting_estimate(
-              network.base_station().node_views(), cov.target_p, range);
+              view->nodes, cov.target_p, range);
           hetero_err.add((hetero - known_truth) / known_truth);
           global_err.add((global - known_truth) / known_truth);
 
           if (cov.min_probability > 0.0) {
             ++bound_checks;
             const double bound = estimator::heterogeneous_error_bound(
-                network.base_station().node_probabilities(), 0.95);
+                view->probabilities, 0.95);
             if (std::abs(hetero - known_truth) <= bound) ++bound_hits;
           }
         }

@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
     comm.add_row(
         {comm.format(spec.alpha), comm.format(spec.delta),
          comm.format(preq),
-         std::to_string(network.base_station().cached_sample_count()),
+         std::to_string(network.base_station().view()->cached_samples),
          std::to_string(network.stats().uplink_bytes),
          std::to_string(network.stats().piggybacked_reports),
          std::to_string(n * sizeof(double))});

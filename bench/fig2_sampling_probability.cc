@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
           column, kNodes, options.seed + 977 * t + 1);
       network.ensure_sampling_probability(p);
       samples += static_cast<double>(
-          network.base_station().cached_sample_count());
+          network.base_station().view()->cached_samples);
       for (const auto& q : suite) {
         const double truth = static_cast<double>(
             column.exact_range_count(q.lower, q.upper));

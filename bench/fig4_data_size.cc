@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
                    table.format(p),
                    table.format(p * static_cast<double>(n)),
                    std::to_string(
-                       network.base_station().cached_sample_count())});
+                       network.base_station().view()->cached_samples)});
   }
   bench::emit(table, options);
   std::cout << "\n# paper shape check: p should decay ~1/n while the sample\n"

@@ -152,7 +152,7 @@ void BM_StationRankCountingEstimate(benchmark::State& state) {
   std::size_t next = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        station.rank_counting_estimate(ranges[next++ % ranges.size()]));
+        station.view()->rank_counting_estimate(ranges[next++ % ranges.size()]));
   }
   state.counters["cached_samples"] =
       static_cast<double>(station.cached_sample_count());

@@ -39,9 +39,8 @@ int main(int argc, char** argv) {
             column, kNodes,
             options.seed + 37 * t + static_cast<std::uint64_t>(index));
         network.ensure_sampling_probability(0.1);
-        const auto views = network.base_station().node_views();
         const double estimate = estimator::quantile_estimate(
-            views, 0.1, q, column.size());
+            network.base_station().view()->nodes, 0.1, q, column.size());
         est_stats.add(estimate);
         // Rank error: how many elements sit between estimate and truth.
         const double est_rank = static_cast<double>(
@@ -66,9 +65,8 @@ int main(int argc, char** argv) {
       auto network =
           bench::make_network(ozone, kNodes, options.seed + 977 * t);
       network.ensure_sampling_probability(p);
-      const auto views = network.base_station().node_views();
-      const double estimate =
-          estimator::quantile_estimate(views, p, 0.5, ozone.size());
+      const double estimate = estimator::quantile_estimate(
+          network.base_station().view()->nodes, p, 0.5, ozone.size());
       const double est_rank = static_cast<double>(
           ozone.exact_range_count(ozone.min(), estimate));
       rank_err.add(std::abs(est_rank -

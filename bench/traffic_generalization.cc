@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
           bench::make_network(column, kNodes, options.seed + 577 * t);
       network.ensure_sampling_probability(p);
       samples += static_cast<double>(
-          network.base_station().cached_sample_count());
+          network.base_station().view()->cached_samples);
       for (std::size_t i = 0; i < suite.size(); ++i) {
         const double truth_aligned = static_cast<double>(
             column.exact_range_count(suite[i].lower, suite[i].upper));

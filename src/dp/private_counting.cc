@@ -27,23 +27,24 @@ PrivateRangeCounter::PrivateRangeCounter(iot::SamplingNetwork& network,
 }
 
 PerturbationPlan PrivateRangeCounter::ensure_feasible_plan(
-    const query::AccuracySpec& spec) {
+    const query::AccuracySpec& spec,
+    std::shared_ptr<const iot::StationView>& view) {
   spec.validate();
   PRC_TRACE_SPAN("dp.ensure_feasible_plan");
   static telemetry::Counter& coverage_errors =
       telemetry::counter("dp.coverage_errors");
   static telemetry::Counter& topups = telemetry::counter("dp.topups");
-  const std::size_t k = network_.node_count();
+  const std::size_t k = view->node_count();
   const std::size_t n = network_.total_data_count();
 
   double target_p = std::max<double>(
-      network_.base_station().sampling_probability(),
+      view->coverage.target_p,
       optimizer_.minimum_feasible_probability(spec, k, n,
                                               config_.probability_headroom));
   for (;;) {
-    network_.ensure_sampling_probability(target_p);
-    const double p = network_.base_station().sampling_probability();
-    const auto cov = network_.base_station().coverage();
+    network_.ensure_sampling_probability(target_p, view);
+    const double p = view->coverage.target_p;
+    const auto& cov = view->coverage;
     // Accuracy must be argued from the probability every node actually
     // REACHED, not the round target: a degraded round leaves stragglers at
     // an older p_i, and the Chebyshev bound is only as good as the worst of
@@ -51,8 +52,7 @@ PerturbationPlan PrivateRangeCounter::ensure_feasible_plan(
     // finite accuracy statement covers its data.
     const double p_eff = cov.min_probability;
     if (p_eff > 0.0) {
-      auto plan = optimizer_.optimize(
-          spec, p_eff, k, n, network_.base_station().max_node_data_count());
+      auto plan = optimizer_.optimize(spec, p_eff, k, n, view->max_data_count);
       if (plan) {
         if (cov.max_probability > p_eff) {
           // Privacy amplification is per node and weakest for the MOST
@@ -109,13 +109,14 @@ PrivateAnswer PrivateRangeCounter::answer(const query::RangeQuery& range,
   // The hold is load-bearing: the feasibility top-up mutates sampling
   // state, and releasing between plan and estimate would let another
   // seller's top-up interleave.
-  out.plan = ensure_feasible_plan(spec);  // lint:allow blocking
-  out.coverage = network_.base_station().coverage();
-  // Same critical section: the estimate must see exactly the round the
-  // top-up above committed, and the serial noise stream below must not
+  auto view = network_.base_station().view();
+  out.plan = ensure_feasible_plan(spec, view);  // lint:allow blocking
+  // The plan, the coverage and the estimate all come from the view the
+  // top-up above settled on; the serial noise stream below must not
   // interleave with another answer's.
+  out.coverage = view->coverage;
   out.sampled_estimate = units::Raw<double>(
-      network_.rank_counting_estimate(range));  // lint:allow blocking
+      view->rank_counting_estimate(range));  // lint:allow blocking
 
   PRC_CHECK_FINITE(out.sampled_estimate.get());
   // Durability barrier: everything above can still fail with nothing
@@ -152,9 +153,10 @@ query::AccuracySpec PrivateRangeCounter::degraded_spec(
     const query::AccuracySpec& requested) const {
   requested.validate();
   std::lock_guard<std::mutex> lock(mutex_);
-  const std::size_t k = network_.node_count();
+  const auto view = network_.base_station().view();
+  const std::size_t k = view->node_count();
   const std::size_t n = network_.total_data_count();
-  const auto cov = network_.base_station().coverage();
+  const auto& cov = view->coverage;
   const double p_eff = cov.min_probability;
   if (!(p_eff > 0.0)) {
     throw CoverageError(
@@ -162,8 +164,8 @@ query::AccuracySpec PrivateRangeCounter::degraded_spec(
   }
   query::AccuracySpec spec = requested;
   for (;;) {
-    const auto plan = optimizer_.optimize(
-        spec, p_eff, k, n, network_.base_station().max_node_data_count());
+    const auto plan =
+        optimizer_.optimize(spec, p_eff, k, n, view->max_data_count);
     if (plan) return spec;
     if (spec.alpha >= 1.0) {
       throw CoverageError(
@@ -179,15 +181,15 @@ PerturbationPlan PrivateRangeCounter::plan_for(
     const query::AccuracySpec& spec) const {
   spec.validate();
   std::lock_guard<std::mutex> lock(mutex_);
-  const std::size_t k = network_.node_count();
+  const auto view = network_.base_station().view();
+  const std::size_t k = view->node_count();
   const std::size_t n = network_.total_data_count();
   double p = std::max<double>(
-      network_.base_station().sampling_probability(),
+      view->coverage.target_p,
       optimizer_.minimum_feasible_probability(spec, k, n,
                                               config_.probability_headroom));
   for (;;) {
-    const auto plan = optimizer_.optimize(
-        spec, p, k, n, network_.base_station().max_node_data_count());
+    const auto plan = optimizer_.optimize(spec, p, k, n, view->max_data_count);
     if (plan) return *plan;
     if (p >= 1.0) {
       throw std::runtime_error(

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -83,9 +84,11 @@ struct PrivateCounterConfig {
 /// the shared noise stream (every Laplace draw must come from ONE serial
 /// stream or the privacy accounting of the released values falls apart) and
 /// the network top-ups answer() performs (the sample cache is mutated
-/// through a plain reference).  Const readers that bypass the counter and
-/// touch the network directly are safe only through the BaseStation's own
-/// mutex (coverage(), estimates); anything else requires quiescence.
+/// through a plain reference).  Each call reads k, p, coverage and the
+/// largest n_i from one BaseStation::view(), so an answer's plan, coverage
+/// and estimate describe the same cache state.  Const readers that bypass
+/// the counter are safe through base_station().view(); anything else
+/// requires quiescence.
 class PrivateRangeCounter {
  public:
   /// The counter drives `network` (tops up its samples); the network must
@@ -117,8 +120,11 @@ class PrivateRangeCounter {
   const iot::SamplingNetwork& network() const noexcept { return network_; }
 
  private:
-  PerturbationPlan ensure_feasible_plan(const query::AccuracySpec& spec)
-      PRC_REQUIRES(mutex_);
+  /// Tops up until the optimizer has a plan; `view` starts as the current
+  /// station view and is re-read only after a real round.
+  PerturbationPlan ensure_feasible_plan(
+      const query::AccuracySpec& spec,
+      std::shared_ptr<const iot::StationView>& view) PRC_REQUIRES(mutex_);
 
   mutable std::mutex mutex_;
   /// Guarded by mutex_ too: answer() mutates the cache via top-up rounds,

@@ -16,7 +16,8 @@ WorkloadResult WorkloadAnswerer::answer(
   PRC_CHECK(!ranges.empty()) << "empty workload";
   PRC_CHECK(std::isfinite(total_epsilon) && total_epsilon > 0.0)
       << "total epsilon must be positive, got " << total_epsilon;
-  const double p = network.base_station().sampling_probability();
+  const auto view = network.base_station().view();
+  const double p = view->coverage.target_p;
   PRC_CHECK(p > 0.0) << "no sampling round committed yet";
   PRC_CHECK(weights.empty() || weights.size() == ranges.size())
       << "weights must match workload size";
@@ -55,7 +56,7 @@ WorkloadResult WorkloadAnswerer::answer(
   // `rng` serially in query order, so the noise stream is identical to the
   // old one-query-at-a-time loop.
   const std::vector<double> estimates =
-      network.rank_counting_estimate_batch(ranges);
+      view->rank_counting_estimate_batch(ranges);
   WorkloadResult result;
   result.answers.reserve(ranges.size());
   std::vector<units::EffectiveEpsilon> amplified;

@@ -20,6 +20,7 @@ BaseStation::BaseStation(const BaseStation& other) {
   std::lock_guard<std::mutex> lock(other.mutex_);
   entries_ = other.entries_;
   p_ = other.p_;
+  view_ = other.view_;
 }
 
 BaseStation& BaseStation::operator=(const BaseStation& other) {
@@ -27,128 +28,101 @@ BaseStation& BaseStation::operator=(const BaseStation& other) {
   // Copy out under the source lock first; never hold both mutexes at once.
   std::vector<NodeEntry> entries;
   double p = 0.0;
+  std::shared_ptr<const StationView> view;
   {
     std::lock_guard<std::mutex> lock(other.mutex_);
     entries = other.entries_;
     p = other.p_;
+    view = other.view_;
   }
   std::lock_guard<std::mutex> lock(mutex_);
   entries_ = std::move(entries);
   p_ = p;
+  view_ = std::move(view);
   return *this;
 }
 
-std::size_t BaseStation::node_count() const noexcept {
+std::shared_ptr<const StationView> BaseStation::view() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
-double BaseStation::sampling_probability() const noexcept {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return p_;
-}
-
-std::size_t BaseStation::total_data_count() const noexcept {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return total_data_count_locked();
-}
-
-std::size_t BaseStation::total_data_count_locked() const {
-  std::size_t total = 0;
-  for (const auto& entry : entries_) total += entry.data_count;
-  return total;
-}
-
-std::size_t BaseStation::cached_sample_count() const noexcept {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t total = 0;
-  for (const auto& entry : entries_) total += entry.samples->size();
-  return total;
-}
-
-double BaseStation::node_probability(std::size_t node) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.at(node).probability;
-}
-
-bool BaseStation::node_reported(std::size_t node) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.at(node).reported;
-}
-
-std::size_t BaseStation::max_node_data_count() const noexcept {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t max_count = 0;
-  for (const auto& entry : entries_) {
-    max_count = std::max(max_count, entry.data_count);
-  }
-  return max_count;
-}
-
-std::vector<double> BaseStation::node_probabilities() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return node_probabilities_locked();
-}
-
-std::vector<double> BaseStation::node_probabilities_locked() const {
-  std::vector<double> probabilities;
-  probabilities.reserve(entries_.size());
-  for (const auto& entry : entries_) probabilities.push_back(entry.probability);
-  return probabilities;
-}
-
-CoverageSummary BaseStation::coverage() const noexcept {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return coverage_locked();
-}
-
-CoverageSummary BaseStation::coverage_locked() const {
-  CoverageSummary summary;
-  summary.target_p = p_;
-  summary.node_count = entries_.size();
+  if (view_) return view_;
+  auto view = std::make_shared<StationView>();
+  const std::size_t k = entries_.size();
+  view->samples.reserve(k);
+  view->nodes.reserve(k);
+  view->probabilities.reserve(k);
+  view->reported.reserve(k);
+  CoverageSummary& cov = view->coverage;
+  cov.target_p = p_;
+  cov.node_count = k;
   std::size_t known_data = 0;
   std::size_t fresh_data = 0;
   bool any_unreported = false;
   double min_p = 1.0;
   for (const auto& entry : entries_) {
+    view->samples.push_back(entry.samples);
+    view->nodes.push_back(
+        estimator::NodeSampleView{entry.samples.get(), entry.data_count});
+    view->probabilities.push_back(entry.probability);
+    view->reported.push_back(entry.reported);
+    view->max_data_count = std::max(view->max_data_count, entry.data_count);
+    view->total_data_count += entry.data_count;
+    view->cached_samples += entry.samples->size();
     if (!entry.reported) {
       any_unreported = true;
       continue;
     }
-    ++summary.reported_nodes;
+    ++cov.reported_nodes;
     known_data += entry.data_count;
-    summary.max_probability =
-        std::max(summary.max_probability, entry.probability);
+    cov.max_probability = std::max(cov.max_probability, entry.probability);
     if (entry.probability >= p_) {
       fresh_data += entry.data_count;
     } else {
-      ++summary.stale_nodes;
+      ++cov.stale_nodes;
     }
     if (entry.data_count > 0) min_p = std::min(min_p, entry.probability);
   }
-  summary.min_probability =
-      (any_unreported || summary.reported_nodes == 0) ? 0.0 : min_p;
-  summary.coverage = known_data == 0
-                         ? 0.0
-                         : static_cast<double>(fresh_data) /
-                               static_cast<double>(known_data);
-  return summary;
+  cov.min_probability =
+      (any_unreported || cov.reported_nodes == 0) ? 0.0 : min_p;
+  cov.coverage = known_data == 0 ? 0.0
+                                 : static_cast<double>(fresh_data) /
+                                       static_cast<double>(known_data);
+  view_ = std::move(view);
+  return view_;
 }
 
-std::optional<RoundReport> BaseStation::noop_round_report(double p) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (p > p_) return std::nullopt;
+double StationView::rank_counting_estimate(
+    const query::RangeQuery& range) const {
+  PRC_CHECK(coverage.target_p > 0.0) << "no sampling round committed yet";
+  return estimator::rank_counting_estimate(nodes, probabilities, range);
+}
+
+std::vector<double> StationView::rank_counting_estimate_batch(
+    std::span<const query::RangeQuery> ranges) const {
+  PRC_CHECK(coverage.target_p > 0.0) << "no sampling round committed yet";
+  return estimator::rank_counting_estimate_batch(nodes, probabilities, ranges);
+}
+
+double StationView::basic_counting_estimate(
+    const query::RangeQuery& range) const {
+  PRC_CHECK(coverage.target_p > 0.0) << "no sampling round committed yet";
+  std::vector<const sampling::RankSampleSet*> sets;
+  sets.reserve(nodes.size());
+  for (const auto& node : nodes) sets.push_back(node.samples);
+  return estimator::basic_counting_estimate(sets, coverage.target_p, range);
+}
+
+std::optional<RoundReport> StationView::noop_round_report(double p) const {
+  if (p > coverage.target_p) return std::nullopt;
   RoundReport report;
   report.target_p = p;
-  report.outcomes.assign(entries_.size(), NodeOutcome::kDelivered);
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].probability >= p) continue;
+  report.outcomes.assign(nodes.size(), NodeOutcome::kDelivered);
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (probabilities[i] >= p) continue;
     report.outcomes[i] =
-        entries_[i].reported ? NodeOutcome::kStale : NodeOutcome::kOffline;
+        reported[i] ? NodeOutcome::kStale : NodeOutcome::kOffline;
   }
-  const CoverageSummary cov = coverage_locked();
-  report.coverage = cov.coverage;
-  report.min_probability = cov.min_probability;
+  report.coverage = coverage.coverage;
+  report.min_probability = coverage.min_probability;
   return report;
 }
 
@@ -159,7 +133,7 @@ bool BaseStation::ingest(const SampleReport& report) {
     throw std::out_of_range("sample report from unknown node");
   }
   auto& entry = entries_[static_cast<std::size_t>(report.node_id)];
-  // Build into a fresh set and swap the pointer: snapshots holding the old
+  // Build into a fresh set and swap the pointer: views holding the old
   // set keep reading it unchanged.
   if (report.has_arrivals()) {
     const auto& base = entry.samples->samples();
@@ -193,6 +167,7 @@ bool BaseStation::ingest(const SampleReport& report) {
   }
   entry.data_count = report.data_count;
   entry.reported = true;
+  view_.reset();
   telemetry::counter("iot.station.reports_ingested").increment();
   return true;
 }
@@ -213,6 +188,7 @@ void BaseStation::replace_locked(const SampleReport& full_report) {
   entry.samples =
       std::make_shared<const sampling::RankSampleSet>(full_report.new_samples);
   entry.sequence = 0;
+  view_.reset();
   telemetry::counter("iot.station.cache_replacements").increment();
 }
 
@@ -238,6 +214,7 @@ void BaseStation::commit_round_locked(double p,
       << "refreshed mask size mismatch: " << refreshed.size() << " vs "
       << entries_.size() << " nodes";
   p_ = p;
+  view_.reset();
   std::size_t cached = 0;
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     if (refreshed[i]) {
@@ -249,65 +226,6 @@ void BaseStation::commit_round_locked(double p,
   telemetry::gauge("iot.station.cached_samples")
       .set(static_cast<double>(cached));
   telemetry::gauge("iot.station.sampling_probability").set(p);
-}
-
-std::vector<estimator::NodeSampleView> BaseStation::node_views() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return node_views_locked();
-}
-
-std::vector<estimator::NodeSampleView> BaseStation::node_views_locked() const {
-  std::vector<estimator::NodeSampleView> views;
-  views.reserve(entries_.size());
-  for (const auto& entry : entries_) {
-    views.push_back(
-        estimator::NodeSampleView{entry.samples.get(), entry.data_count});
-  }
-  return views;
-}
-
-EstimateSnapshot BaseStation::estimate_snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  PRC_CHECK(p_ > 0.0) << "no sampling round committed yet";
-  EstimateSnapshot snap;
-  snap.samples.reserve(entries_.size());
-  for (const auto& entry : entries_) snap.samples.push_back(entry.samples);
-  snap.views = node_views_locked();
-  snap.probabilities = node_probabilities_locked();
-  return snap;
-}
-
-// Stage under the lock, estimate outside it: the chunked estimator fans out
-// across the shared pool, and holding mutex_ across that fan-out would
-// queue every report ingestion behind query latency.
-double BaseStation::rank_counting_estimate(
-    const query::RangeQuery& range) const {
-  return estimate_snapshot().rank_counting_estimate(range);
-}
-
-std::vector<double> BaseStation::rank_counting_estimate_batch(
-    std::span<const query::RangeQuery> ranges) const {
-  return estimate_snapshot().rank_counting_estimate_batch(ranges);
-}
-
-double EstimateSnapshot::rank_counting_estimate(
-    const query::RangeQuery& range) const {
-  return estimator::rank_counting_estimate(views, probabilities, range);
-}
-
-std::vector<double> EstimateSnapshot::rank_counting_estimate_batch(
-    std::span<const query::RangeQuery> ranges) const {
-  return estimator::rank_counting_estimate_batch(views, probabilities, ranges);
-}
-
-double BaseStation::basic_counting_estimate(
-    const query::RangeQuery& range) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  PRC_CHECK(p_ > 0.0) << "no sampling round committed yet";
-  std::vector<const sampling::RankSampleSet*> nodes;
-  nodes.reserve(entries_.size());
-  for (const auto& entry : entries_) nodes.push_back(entry.samples.get());
-  return estimator::basic_counting_estimate(nodes, p_, range);
 }
 
 namespace {
@@ -405,6 +323,10 @@ BaseStation BaseStation::deserialize(const std::vector<std::uint8_t>& bytes) {
     throw std::invalid_argument("checkpoint: zero nodes");
   }
   const double p = read_f64(bytes, offset);
+  // Written so that NaN fails too.
+  if (!(p >= 0.0 && p <= 1.0)) {
+    throw std::invalid_argument("checkpoint: bad round probability");
+  }
 
   BaseStation station(node_count);
   for (std::uint32_t i = 0; i < node_count; ++i) {
@@ -413,7 +335,7 @@ BaseStation BaseStation::deserialize(const std::vector<std::uint8_t>& bytes) {
     }
     const bool reported = bytes[offset++] != 0;
     const double probability = read_f64(bytes, offset);
-    if (probability < 0.0 || probability > 1.0) {
+    if (!(probability >= 0.0 && probability <= 1.0)) {
       throw std::invalid_argument("checkpoint: bad node probability");
     }
     const std::uint32_t frame_size = read_u32(bytes, offset);
@@ -425,14 +347,14 @@ BaseStation BaseStation::deserialize(const std::vector<std::uint8_t>& bytes) {
         bytes.begin() + static_cast<std::ptrdiff_t>(offset + frame_size));
     offset += frame_size;
     const SampleReport report = decode_sample_report(frame);
+    if (report.node_id != static_cast<int>(i)) {
+      throw std::invalid_argument("checkpoint: frame node id is not its slot");
+    }
     if (reported) {
       std::lock_guard<std::mutex> lock(station.mutex_);
       station.replace_locked(report);
       station.entries_[i].probability = probability;
     }
-  }
-  if (p < 0.0 || p > 1.0) {
-    throw std::invalid_argument("checkpoint: bad round probability");
   }
   // Restore the round target without touching the per-node probabilities
   // that were just read back.

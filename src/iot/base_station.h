@@ -56,41 +56,69 @@ struct CoverageSummary {
   }
 };
 
-/// A consistent view of the cache for the RankCounting estimators: one
-/// shared pointer per node to its published (immutable) sample set, plus
-/// the node's n_i and effective p_i, all read under one acquisition of the
-/// station mutex.  Taking it costs O(k) reference-count increments, not a
-/// copy of the samples.  It stays valid, and its estimates stay the same,
-/// whatever the station ingests, replaces or commits afterwards.
-struct EstimateSnapshot {
-  /// Keeps every set in views alive.
+/// One published state of the station cache: everything a reader needs
+/// about the fleet, built once per change and never mutated afterwards.
+/// It holds one shared pointer per node to the node's (immutable) sample
+/// set, so it stays valid, and its estimates stay the same, whatever the
+/// station ingests, replaces or commits after it was published.
+struct StationView {
+  /// Keeps every set in `nodes` alive.
   std::vector<std::shared_ptr<const sampling::RankSampleSet>> samples;
-  std::vector<estimator::NodeSampleView> views;
+  /// Per node: the cached sample and the reported n_i.
+  std::vector<estimator::NodeSampleView> nodes;
+  /// Per node: effective p_i of the cached sample (0 until it delivers).
   std::vector<double> probabilities;
+  /// Per node: delivered at least one report.
+  std::vector<bool> reported;
+  /// Coverage relative to the last committed round target, which is
+  /// coverage.target_p.
+  CoverageSummary coverage;
+  std::size_t max_data_count = 0;    // largest n_i
+  std::size_t total_data_count = 0;  // sum of n_i
+  std::size_t cached_samples = 0;
 
-  /// Heterogeneous RankCounting estimate over the snapshot.
+  std::size_t node_count() const noexcept { return nodes.size(); }
+
+  /// RankCounting estimate applying each node's own p_i (heterogeneous
+  /// Horvitz–Thompson correction).  Requires a committed round.
   double rank_counting_estimate(const query::RangeQuery& range) const;
+
+  /// Answers all ranges with exactly the values per-range
+  /// rank_counting_estimate() calls would, bit for bit, at any thread count.
   std::vector<double> rank_counting_estimate_batch(
       std::span<const query::RangeQuery> ranges) const;
+
+  /// BasicCounting baseline.  Deliberately kept at the seed-style single
+  /// global probability: it is the biased baseline the degraded-operation
+  /// benches compare against.  Requires a committed round.
+  double basic_counting_estimate(const query::RangeQuery& range) const;
+
+  /// The report of a round that needs no traffic: when the cache already
+  /// satisfies `p` (p <= coverage.target_p), each node's standing relative
+  /// to `p` (kDelivered at p_i >= p, else kStale if it has reported,
+  /// kOffline if not) with the cache's coverage.  nullopt when a real round
+  /// is needed.
+  std::optional<RoundReport> noop_round_report(double p) const;
 };
 
-/// Thread-safety: every public method takes the internal mutex, so scalar
-/// queries and ingest/commit calls may race freely once collection goes
-/// parallel.  The exceptions are node_views() (the returned views point at
-/// the sets the cache holds *now*; an ingest or replace may drop the last
-/// owner, so keep the station quiescent while an estimator consumes them,
-/// or hold an EstimateSnapshot instead) and the reference returned by
-/// SamplingNetwork::base_station().  The PRC_GUARDED_BY annotations make
-/// clang's -Wthread-safety enforce the discipline on the _locked helpers
-/// when PRC_THREAD_SAFETY_ANALYSIS is on.
+/// Thread-safety: every public method takes the internal mutex, so readers
+/// and ingest/commit calls may race freely once collection goes parallel.
+/// A reader takes view() once and reads everything from it: the view is
+/// immutable, so what it reports (p, coverage, samples, estimates) comes
+/// from one cache state by construction.  The exceptions are node_views()
+/// (the returned views point at sets that only the view, not the caller,
+/// keeps alive: an ingest or replace may drop the last owner, so keep the
+/// station quiescent while an estimator consumes them, or hold view()
+/// instead) and the reference returned by SamplingNetwork::base_station().
+/// The PRC_GUARDED_BY annotations make clang's -Wthread-safety enforce the
+/// discipline when PRC_THREAD_SAFETY_ANALYSIS is on.
 ///
 /// Published sample sets are immutable and shared.  Each node's cached
 /// sample is a shared_ptr<const RankSampleSet>: ingest() and replace()
 /// build the new set into a fresh allocation and swap the pointer, and
-/// never write to a set that has been published.  A reader that copied
-/// the pointer under the lock (an EstimateSnapshot, a copied station) can
-/// therefore keep reading it after the lock is released, whatever the
-/// station does next.
+/// never write to a set that has been published.  The view is built lazily
+/// under the mutex on the first read after a change, and every later read
+/// shares it until the next ingest, replace or commit_round.
 class BaseStation {
  public:
   explicit BaseStation(std::size_t node_count);
@@ -100,40 +128,18 @@ class BaseStation {
   BaseStation(const BaseStation& other);
   BaseStation& operator=(const BaseStation& other);
 
-  std::size_t node_count() const noexcept;
+  /// The current state of the cache (see StationView).
+  std::shared_ptr<const StationView> view() const;
 
-  /// Sum of reported n_i over all nodes (0 until first reports arrive).
-  std::size_t total_data_count() const noexcept;
-
-  /// The last committed round target (the probability the cache would be
-  /// valid for if every node had delivered).
-  double sampling_probability() const noexcept;
-
-  /// Effective inclusion probability of one node's cached sample (0 until
-  /// the node first delivers).
-  double node_probability(std::size_t node) const;
-
-  /// True once the node has delivered at least one report.
-  bool node_reported(std::size_t node) const;
-
-  /// All effective probabilities, indexed by node.
-  std::vector<double> node_probabilities() const;
-
-  /// Coverage of the cache relative to the last committed round target.
-  CoverageSummary coverage() const noexcept;
-
-  /// The report of a round that needs no traffic: when the cache already
-  /// satisfies `p` (p <= sampling_probability()), returns each node's
-  /// standing relative to `p` (kDelivered at p_i >= p, else kStale if it
-  /// has reported, kOffline if not) with the cache's coverage, all read
-  /// under one lock.  nullopt when a real round is needed.
-  std::optional<RoundReport> noop_round_report(double p) const;
-
-  /// Largest reported n_i over all nodes (0 until first reports arrive).
-  std::size_t max_node_data_count() const noexcept;
-
-  /// Total samples cached across nodes.
-  std::size_t cached_sample_count() const noexcept;
+  // One-line reads of view(), kept for callers that want a single value.
+  CoverageSummary coverage() const { return view()->coverage; }
+  std::vector<estimator::NodeSampleView> node_views() const {
+    return view()->nodes;
+  }
+  std::vector<double> node_probabilities() const {
+    return view()->probabilities;
+  }
+  std::size_t cached_sample_count() const { return view()->cached_samples; }
 
   /// Ingests one node's report: shifts the cached ranks by the arrivals
   /// section (if any), then merges the new samples.  A report with arrivals
@@ -158,31 +164,6 @@ class BaseStation {
   /// keeps estimates unbiased when the round degrades.
   void commit_round(double p, const std::vector<bool>& refreshed);
 
-  /// Views over the cache in the estimator's format (see the class comment
-  /// for how long they stay valid).
-  std::vector<estimator::NodeSampleView> node_views() const;
-
-  /// Shares the current cache with the caller (see EstimateSnapshot).
-  /// Requires a completed round (sampling_probability() > 0).
-  EstimateSnapshot estimate_snapshot() const;
-
-  /// RankCounting estimate from the cache, applying each node's own p_i
-  /// (heterogeneous Horvitz–Thompson correction).  Requires a completed
-  /// round (sampling_probability() > 0).
-  double rank_counting_estimate(const query::RangeQuery& range) const;
-
-  /// Batched RankCounting: answers all ranges against ONE consistent cache
-  /// snapshot (one estimate_snapshot() for the whole batch) and returns
-  /// exactly the values per-range rank_counting_estimate() calls would, bit
-  /// for bit, at any thread count.
-  std::vector<double> rank_counting_estimate_batch(
-      std::span<const query::RangeQuery> ranges) const;
-
-  /// BasicCounting baseline estimate from the same cache.  Deliberately
-  /// kept at the seed-style single global probability: it is the biased
-  /// baseline the degraded-operation benches compare against.
-  double basic_counting_estimate(const query::RangeQuery& range) const;
-
   /// Checkpointing: serializes the whole cache (per-node samples, counts,
   /// effective probabilities, current round target) to bytes via the wire
   /// codec, so a broker can restart without a fresh collection round.
@@ -206,13 +187,6 @@ class BaseStation {
     std::uint32_t sequence = 0;
   };
 
-  // Unlocked bodies shared by the public methods (which lock) and by
-  // internal callers that already hold the mutex.
-  std::size_t total_data_count_locked() const PRC_REQUIRES(mutex_);
-  std::vector<double> node_probabilities_locked() const PRC_REQUIRES(mutex_);
-  CoverageSummary coverage_locked() const PRC_REQUIRES(mutex_);
-  std::vector<estimator::NodeSampleView> node_views_locked() const
-      PRC_REQUIRES(mutex_);
   void replace_locked(const SampleReport& full_report) PRC_REQUIRES(mutex_);
   void commit_round_locked(double p, const std::vector<bool>& refreshed)
       PRC_REQUIRES(mutex_);
@@ -220,6 +194,9 @@ class BaseStation {
   mutable std::mutex mutex_;
   std::vector<NodeEntry> entries_ PRC_GUARDED_BY(mutex_);
   double p_ PRC_GUARDED_BY(mutex_) = 0.0;
+  // Built from entries_ and p_ on the first view() after a change; every
+  // mutator resets it.
+  mutable std::shared_ptr<const StationView> view_ PRC_GUARDED_BY(mutex_);
 };
 
 }  // namespace prc::iot

@@ -60,7 +60,8 @@ bool FlatNetwork::deliver_frame(const SampleReport& frame, SampleReport& out,
       .delivered;
 }
 
-void FlatNetwork::collect(double p, std::span<NodeLane> lanes,
+void FlatNetwork::collect(double p, const StationView& before,
+                          std::span<NodeLane> lanes,
                           std::span<NodeOutcome> outcomes) {
   // Each node's report generation and channel simulation run independently
   // (its own channel RNG, burst state and stats lane; the station is
@@ -83,7 +84,7 @@ void FlatNetwork::collect(double p, std::span<NodeLane> lanes,
     }
     if (!node.online() || link_.faults().node_offline(i)) {
       PRC_LOG_DEBUG << "node " << node.id() << " offline; skipping round";
-      outcomes[i] = absent_outcome(i);
+      outcomes[i] = absent_outcome(before, i);
       return;
     }
     const SampleReport node_report = node.handle(request);

@@ -77,15 +77,15 @@ class FlatNetwork final : public SamplingNetwork {
   /// the number of nodes that resynced.
   std::size_t refresh_samples();
 
-  /// BasicCounting estimate from the base station cache.
+  /// BasicCounting estimate from the current station view.
   double basic_counting_estimate(const query::RangeQuery& range) const {
-    return station_.basic_counting_estimate(range);
+    return station_.view()->basic_counting_estimate(range);
   }
 
  private:
   /// Per node: the request goes down, the node tops up, and its report
   /// comes back through send_report().
-  void collect(double p, std::span<NodeLane> lanes,
+  void collect(double p, const StationView& before, std::span<NodeLane> lanes,
                std::span<NodeOutcome> outcomes) override;
 
   /// Sends one node's report() and applies it at the station through

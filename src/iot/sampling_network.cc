@@ -79,12 +79,19 @@ SamplingNetwork::SamplingNetwork(std::vector<std::vector<double>>&& node_data,
 }
 
 RoundReport SamplingNetwork::ensure_sampling_probability(double p) {
+  std::shared_ptr<const StationView> view;
+  return ensure_sampling_probability(p, view);
+}
+
+RoundReport SamplingNetwork::ensure_sampling_probability(
+    double p, std::shared_ptr<const StationView>& view) {
   if (!(p > 0.0) || p > 1.0) {
     throw std::invalid_argument("sampling probability must be in (0, 1]");
   }
+  if (!view || p > view->coverage.target_p) view = station_.view();
   // The cache already satisfies the request: no traffic, no churn step.
   // The report says where each node stands relative to the *requested* p.
-  if (auto noop = station_.noop_round_report(p)) {
+  if (auto noop = view->noop_round_report(p)) {
     telemetry::counter("iot.rounds_noop").increment();
     return *std::move(noop);
   }
@@ -98,7 +105,7 @@ RoundReport SamplingNetwork::ensure_sampling_probability(double p) {
   report.target_p = p;
   report.outcomes.assign(nodes_.size(), NodeOutcome::kDelivered);
   std::vector<NodeLane> lanes(nodes_.size());
-  collect(p, lanes, report.outcomes);
+  collect(p, *view, lanes, report.outcomes);
 
   std::vector<bool> refreshed(nodes_.size(), false);
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
@@ -110,9 +117,9 @@ RoundReport SamplingNetwork::ensure_sampling_probability(double p) {
   station_.commit_round(p, refreshed);
   report.retries = stats_.retransmissions - stats_before.retransmissions;
   report.dropped_frames = stats_.dropped_frames - stats_before.dropped_frames;
-  const CoverageSummary cov = station_.coverage();
-  report.coverage = cov.coverage;
-  report.min_probability = cov.min_probability;
+  view = station_.view();
+  report.coverage = view->coverage.coverage;
+  report.min_probability = view->coverage.min_probability;
   last_round_ = report;
   publish_round_metrics(stats_before, stats_, report);
   return report;

@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -66,19 +67,26 @@ class SamplingNetwork {
   /// report is the only honest record of which nodes actually reached `p`.
   RoundReport ensure_sampling_probability(double p);
 
+  /// The same round for a caller that already holds a view of this
+  /// network's station.  The round target only rises, so a view that meets
+  /// `p` answers the no-op check without taking the station lock; otherwise
+  /// the round runs and `view` is replaced by the view it committed.
+  RoundReport ensure_sampling_probability(
+      double p, std::shared_ptr<const StationView>& view);
+
   /// The report of the most recent round (default-constructed before any).
   const RoundReport& last_round() const noexcept { return last_round_; }
 
-  /// RankCounting estimate from the base-station cache.
+  /// RankCounting estimate from the current station view.
   double rank_counting_estimate(const query::RangeQuery& range) const {
-    return base_station().rank_counting_estimate(range);
+    return station_.view()->rank_counting_estimate(range);
   }
 
-  /// Batched RankCounting over one cache snapshot (same values as the
+  /// Batched RankCounting over one station view (same values as the
   /// single-query calls, bit for bit, at any thread count).
   std::vector<double> rank_counting_estimate_batch(
       std::span<const query::RangeQuery> ranges) const {
-    return base_station().rank_counting_estimate_batch(ranges);
+    return station_.view()->rank_counting_estimate_batch(ranges);
   }
 
  protected:
@@ -105,15 +113,18 @@ class SamplingNetwork {
 
   /// The topology's part of a round to probability `p`: fills lanes[i]
   /// and outcomes[i] (preset to kDelivered) for every node.  Churn has
-  /// already been stepped for the round.
-  virtual void collect(double p, std::span<NodeLane> lanes,
+  /// already been stepped for the round; `before` is the station as the
+  /// round found it.
+  virtual void collect(double p, const StationView& before,
+                       std::span<NodeLane> lanes,
                        std::span<NodeOutcome> outcomes) = 0;
 
   /// The outcome of a node that missed the round: kStale when the station
   /// still holds an older sample of it, kOffline when it never reported.
-  NodeOutcome absent_outcome(std::size_t node) const {
-    return station_.node_probability(node) > 0.0 ? NodeOutcome::kStale
-                                                 : NodeOutcome::kOffline;
+  static NodeOutcome absent_outcome(const StationView& before,
+                                    std::size_t node) {
+    return before.probabilities[node] > 0.0 ? NodeOutcome::kStale
+                                            : NodeOutcome::kOffline;
   }
 
   // Declaration order matters: the nodes split the master seed before the

@@ -68,7 +68,8 @@ Link::Delivery TreeNetwork::relay(const Frame& frame, std::size_t level,
   return delivery;
 }
 
-void TreeNetwork::collect(double p, std::span<NodeLane> lanes,
+void TreeNetwork::collect(double p, const StationView& before,
+                          std::span<NodeLane> lanes,
                           std::span<NodeOutcome> outcomes) {
   // Aggregation needs a stable topology: every relay alive and every frame
   // delivered, or a lost coalesced frame would take other nodes' reports
@@ -92,7 +93,7 @@ void TreeNetwork::collect(double p, std::span<NodeLane> lanes,
       // A dead relay cuts the node off in both directions: the request never
       // arrives and nothing the node sends can reach the root.
       lane.severed = true;
-      outcomes[i] = absent_outcome(i);
+      outcomes[i] = absent_outcome(before, i);
       return;
     }
     // One downlink frame per parent->child link, drawn from the target
@@ -102,7 +103,7 @@ void TreeNetwork::collect(double p, std::span<NodeLane> lanes,
          .may_duplicate = false},
         lane.stats);
     if (!node.online() || link_.faults().node_offline(i)) {
-      outcomes[i] = absent_outcome(i);
+      outcomes[i] = absent_outcome(before, i);
       return;
     }
     if (!down.delivered) {

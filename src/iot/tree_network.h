@@ -81,7 +81,7 @@ class TreeNetwork final : public SamplingNetwork {
   /// report.  When every node is online, faults are disabled, retries are
   /// unbounded and aggregate_frames is set, the reports instead travel in
   /// one coalesced convergecast after the lanes (see convergecast()).
-  void collect(double p, std::span<NodeLane> lanes,
+  void collect(double p, const StationView& before, std::span<NodeLane> lanes,
                std::span<NodeOutcome> outcomes) override;
 
   /// Charges the coalesced uplink: slots bottom-up, each node forwarding

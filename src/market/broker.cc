@@ -233,7 +233,7 @@ PurchaseReceipt DataBroker::sell(const std::string& consumer_id,
   // answer is attempted: an estimate blind to too much of the fleet's data
   // is refused regardless of policy, with nothing spent.
   {
-    const auto cov = counter_.network().base_station().coverage();
+    const auto cov = counter_.network().base_station().view()->coverage;
     if (cov.target_p > 0.0 && cov.coverage < config_.min_coverage) {
       refuse_coverage(consumer_id, range, spec, reservation->epsilon(),
                       "cache coverage below the broker floor",

@@ -509,11 +509,11 @@ TEST(ChaosRecoveryTest, RecoveredLedgerEqualsTheLiveLedgerExactly) {
                  std::to_string(committed[k].ledger_sequence));
     EXPECT_EQ(committed[k].ledger_sequence,
               recovery.commits[k].ledger_sequence);
-    const auto live = live_commits.find(committed[k].ledger_sequence);
-    ASSERT_NE(live, live_commits.end());
+    const auto live_commit = live_commits.find(committed[k].ledger_sequence);
+    ASSERT_NE(live_commit, live_commits.end());
     AuditEvent durable = committed[k];
-    durable.index = live->second.index;
-    EXPECT_TRUE(durable == live->second);
+    durable.index = live_commit->second.index;
+    EXPECT_TRUE(durable == live_commit->second);
   }
   std::remove(path.c_str());
 }

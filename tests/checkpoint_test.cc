@@ -2,6 +2,9 @@
 // broker can restart without a collection round.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+
 #include "iot/base_station.h"
 #include "iot/codec.h"
 #include "iot/network.h"
@@ -28,27 +31,28 @@ TEST(CheckpointTest, RoundTripPreservesEverything) {
   const auto bytes = original.serialize();
   const BaseStation restored = BaseStation::deserialize(bytes);
 
-  EXPECT_EQ(restored.node_count(), original.node_count());
-  EXPECT_EQ(restored.total_data_count(), original.total_data_count());
+  EXPECT_EQ(restored.view()->node_count(), original.view()->node_count());
+  EXPECT_EQ(restored.view()->total_data_count,
+            original.view()->total_data_count);
   EXPECT_EQ(restored.cached_sample_count(), original.cached_sample_count());
-  EXPECT_DOUBLE_EQ(restored.sampling_probability(),
-                   original.sampling_probability());
+  EXPECT_DOUBLE_EQ(restored.view()->coverage.target_p,
+                   original.view()->coverage.target_p);
   // Every estimate coincides exactly.
   for (const auto& range : std::vector<query::RangeQuery>{
            {100.5, 900.5}, {0.0, 5000.0}, {1200.5, 1300.5}}) {
-    EXPECT_DOUBLE_EQ(restored.rank_counting_estimate(range),
-                     original.rank_counting_estimate(range));
-    EXPECT_DOUBLE_EQ(restored.basic_counting_estimate(range),
-                     original.basic_counting_estimate(range));
+    EXPECT_DOUBLE_EQ(restored.view()->rank_counting_estimate(range),
+                     original.view()->rank_counting_estimate(range));
+    EXPECT_DOUBLE_EQ(restored.view()->basic_counting_estimate(range),
+                     original.view()->basic_counting_estimate(range));
   }
 }
 
 TEST(CheckpointTest, FreshStationRoundTrips) {
   const BaseStation fresh(3);
   const auto restored = BaseStation::deserialize(fresh.serialize());
-  EXPECT_EQ(restored.node_count(), 3u);
-  EXPECT_EQ(restored.total_data_count(), 0u);
-  EXPECT_DOUBLE_EQ(restored.sampling_probability(), 0.0);
+  EXPECT_EQ(restored.view()->node_count(), 3u);
+  EXPECT_EQ(restored.view()->total_data_count, 0u);
+  EXPECT_DOUBLE_EQ(restored.view()->coverage.target_p, 0.0);
 }
 
 TEST(CheckpointTest, RejectsGarbage) {
@@ -70,6 +74,53 @@ TEST(CheckpointTest, RejectsVersionMismatch) {
   EXPECT_THROW(BaseStation::deserialize(bytes), std::invalid_argument);
 }
 
+// Checkpoint layout: magic, version and node count (4 bytes each), the
+// round target (8), then per node its reported flag (1), p_i (8), frame
+// size (4) and frame.
+constexpr std::size_t kRoundTargetOffset = 12;
+constexpr std::size_t kFirstNodeOffset = 20;
+
+void overwrite_f64(std::vector<std::uint8_t>& bytes, std::size_t offset,
+                   double value) {
+  std::memcpy(bytes.data() + offset, &value, sizeof(value));
+}
+
+TEST(CheckpointTest, RejectsNanProbabilities) {
+  FlatNetwork network(grid_node_data(2, 50));
+  network.ensure_sampling_probability(0.5);
+  const auto bytes = network.base_station().serialize();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+
+  auto nan_target = bytes;
+  overwrite_f64(nan_target, kRoundTargetOffset, nan);
+  EXPECT_THROW(BaseStation::deserialize(nan_target), std::invalid_argument);
+
+  auto nan_node = bytes;
+  overwrite_f64(nan_node, kFirstNodeOffset + 1, nan);  // node 0's p_i
+  EXPECT_THROW(BaseStation::deserialize(nan_node), std::invalid_argument);
+}
+
+TEST(CheckpointTest, RejectsFrameInAnotherNodesSlot) {
+  FlatNetwork network(grid_node_data(2, 50));
+  network.ensure_sampling_probability(0.5);
+  const auto bytes = network.base_station().serialize();
+  // Split the node blocks and write them back in swapped order, so slot 0
+  // carries node 1's frame.
+  std::uint32_t frame_size = 0;
+  std::memcpy(&frame_size, bytes.data() + kFirstNodeOffset + 9,
+              sizeof(frame_size));
+  const auto second =
+      bytes.begin() + static_cast<std::ptrdiff_t>(kFirstNodeOffset + 13 +
+                                                  frame_size);
+  std::vector<std::uint8_t> swapped(
+      bytes.begin(), bytes.begin() + kFirstNodeOffset);
+  swapped.insert(swapped.end(), second, bytes.end());
+  swapped.insert(swapped.end(),
+                 bytes.begin() + kFirstNodeOffset, second);
+  ASSERT_EQ(swapped.size(), bytes.size());
+  EXPECT_THROW(BaseStation::deserialize(swapped), std::invalid_argument);
+}
+
 TEST(CheckpointTest, CorruptedFrameIsDetected) {
   FlatNetwork network(grid_node_data(2, 200));
   network.ensure_sampling_probability(0.5);
@@ -87,13 +138,13 @@ TEST(CheckpointTest, RestoredStationAcceptsFurtherRounds) {
   // stays monotone and replacement resyncs work.
   EXPECT_THROW(restored.commit_round(0.1), std::invalid_argument);
   restored.commit_round(0.5);
-  EXPECT_DOUBLE_EQ(restored.sampling_probability(), 0.5);
+  EXPECT_DOUBLE_EQ(restored.view()->coverage.target_p, 0.5);
   SampleReport resync;
   resync.node_id = 0;
   resync.data_count = 120;
   resync.new_samples = {{5.0, 5}, {80.0, 80}};
   restored.replace(resync);
-  EXPECT_EQ(restored.total_data_count(), 120u + 100u);
+  EXPECT_EQ(restored.view()->total_data_count, 120u + 100u);
 }
 
 }  // namespace

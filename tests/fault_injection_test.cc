@@ -146,9 +146,9 @@ TEST(BoundedRetryTest, HeavyLossWithOneAttemptTerminatesPartially) {
   EXPECT_EQ(stats.backoff_slots, 0u);  // budget of one: never waits
 
   // The round target advanced even though some nodes missed it.
-  EXPECT_DOUBLE_EQ(network.base_station().sampling_probability(), 0.4);
+  EXPECT_DOUBLE_EQ(network.base_station().view()->coverage.target_p, 0.4);
   for (std::size_t i = 0; i < 8; ++i) {
-    const double p_i = network.base_station().node_probability(i);
+    const double p_i = network.base_station().view()->probabilities[i];
     if (report.outcomes[i] == iot::NodeOutcome::kDelivered) {
       EXPECT_DOUBLE_EQ(p_i, 0.4);
     } else {
@@ -283,8 +283,8 @@ TEST(StalePBiasTest, HeterogeneousEstimatorFixesStaleProbabilityBias) {
     network.set_node_online(0, false);
     const auto report = network.ensure_sampling_probability(0.8);
     ASSERT_EQ(report.outcomes[0], iot::NodeOutcome::kStale);
-    ASSERT_DOUBLE_EQ(network.base_station().node_probability(0), 0.2);
-    ASSERT_DOUBLE_EQ(network.base_station().node_probability(1), 0.8);
+    ASSERT_DOUBLE_EQ(network.base_station().view()->probabilities[0], 0.2);
+    ASSERT_DOUBLE_EQ(network.base_station().view()->probabilities[1], 0.8);
 
     const double truth = static_cast<double>(true_count(data, range));
     // Per-node p_i (the fix).
@@ -326,8 +326,8 @@ TEST(StalePBiasTest, CoverageSummaryTracksStragglers) {
   EXPECT_EQ(restored.node_probabilities(),
             network.base_station().node_probabilities());
   const query::RangeQuery range{100.0, 900.0};
-  EXPECT_DOUBLE_EQ(restored.rank_counting_estimate(range),
-                   network.base_station().rank_counting_estimate(range));
+  EXPECT_DOUBLE_EQ(restored.view()->rank_counting_estimate(range),
+                   network.rank_counting_estimate(range));
 }
 
 TEST(StalePBiasTest, HeterogeneousAccuracyMatchesUniformWhenEqual) {
@@ -368,8 +368,8 @@ TEST(TreeFaultTest, OfflineInteriorNodeSeversItsSubtree) {
   EXPECT_TRUE(network.route_to_root_alive(0));  // its own path has no relay
 
   // Severed nodes keep their old p_i; estimates stay exact on full domain.
-  EXPECT_DOUBLE_EQ(network.base_station().node_probability(2), 0.2);
-  EXPECT_DOUBLE_EQ(network.base_station().node_probability(1), 0.5);
+  EXPECT_DOUBLE_EQ(network.base_station().view()->probabilities[2], 0.2);
+  EXPECT_DOUBLE_EQ(network.base_station().view()->probabilities[1], 0.5);
   EXPECT_DOUBLE_EQ(
       network.rank_counting_estimate(query::RangeQuery{-1e18, 1e18}),
       static_cast<double>(7 * 200));
@@ -379,7 +379,7 @@ TEST(TreeFaultTest, OfflineInteriorNodeSeversItsSubtree) {
   const auto recovered = network.ensure_sampling_probability(0.6);
   EXPECT_TRUE(recovered.complete());
   EXPECT_EQ(recovered.severed_reports, 0u);
-  EXPECT_DOUBLE_EQ(network.base_station().node_probability(2), 0.6);
+  EXPECT_DOUBLE_EQ(network.base_station().view()->probabilities[2], 0.6);
 }
 
 TEST(TreeFaultTest, BoundedRetriesDropReportsButKeepAccounting) {
@@ -399,7 +399,7 @@ TEST(TreeFaultTest, BoundedRetriesDropReportsButKeepAccounting) {
   // charged every level on its path.
   EXPECT_DOUBLE_EQ(
       network.rank_counting_estimate(query::RangeQuery{-1e18, 1e18}),
-      static_cast<double>(network.base_station().total_data_count()));
+      static_cast<double>(network.base_station().view()->total_data_count));
 }
 
 // ------------------------------------------------------------ DP + market

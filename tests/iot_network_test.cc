@@ -51,7 +51,7 @@ TEST(BaseStationTest, IngestTracksCounts) {
   report.data_count = 50;
   report.new_samples = {{3.0, 3}, {7.0, 7}};
   station.ingest(report);
-  EXPECT_EQ(station.total_data_count(), 50u);
+  EXPECT_EQ(station.view()->total_data_count, 50u);
   EXPECT_EQ(station.cached_sample_count(), 2u);
   EXPECT_THROW(station.ingest(SampleReport{5, 1, {}}), std::out_of_range);
 }
@@ -78,14 +78,14 @@ TEST(BaseStationTest, IngestShiftsRanksByArrivalsAndRejectsMismatchedBase) {
   for (const auto& stale : {wrong_sequence, wrong_count}) {
     EXPECT_FALSE(station.ingest(stale));
     EXPECT_EQ(cached(), before);  // cache untouched
-    EXPECT_EQ(station.total_data_count(), 10u);
+    EXPECT_EQ(station.view()->total_data_count, 10u);
   }
 
   ASSERT_TRUE(station.ingest(delta));
   const std::vector<sampling::RankedValue> expected = {
       {2.0, 3}, {4.5, 6}, {5.0, 7}, {9.0, 11}};
   EXPECT_EQ(cached(), expected);
-  EXPECT_EQ(station.total_data_count(), 13u);
+  EXPECT_EQ(station.view()->total_data_count, 13u);
   // The base moved on: replaying the same delta is rejected.
   delta.base_samples = 4;
   EXPECT_FALSE(station.ingest(delta));
@@ -103,13 +103,14 @@ TEST(BaseStationTest, RoundCommitRules) {
   station.commit_round(0.5);
   EXPECT_THROW(station.commit_round(0.3), std::invalid_argument);
   station.commit_round(0.7);
-  EXPECT_DOUBLE_EQ(station.sampling_probability(), 0.7);
+  EXPECT_DOUBLE_EQ(station.view()->coverage.target_p, 0.7);
 }
 
 TEST(BaseStationTest, EstimateRequiresCommittedRound) {
   BaseStation station(1);
-  EXPECT_THROW(station.rank_counting_estimate({0.0, 1.0}), std::logic_error);
-  EXPECT_THROW(station.basic_counting_estimate({0.0, 1.0}), std::logic_error);
+  const auto view = station.view();
+  EXPECT_THROW(view->rank_counting_estimate({0.0, 1.0}), std::logic_error);
+  EXPECT_THROW(view->basic_counting_estimate({0.0, 1.0}), std::logic_error);
 }
 
 TEST(BaseStationTest, NoopRoundReportMatchesPerNodeStanding) {
@@ -119,8 +120,9 @@ TEST(BaseStationTest, NoopRoundReportMatchesPerNodeStanding) {
   station.commit_round(0.2, {true, true, false});
   station.commit_round(0.5, {true, false, false});
 
-  EXPECT_EQ(station.noop_round_report(0.6), std::nullopt);
-  const auto report = station.noop_round_report(0.4);
+  const auto view = station.view();
+  EXPECT_EQ(view->noop_round_report(0.6), std::nullopt);
+  const auto report = view->noop_round_report(0.4);
   ASSERT_TRUE(report.has_value());
   EXPECT_EQ(report->target_p, 0.4);
   ASSERT_EQ(report->outcomes.size(), 3u);
@@ -129,21 +131,26 @@ TEST(BaseStationTest, NoopRoundReportMatchesPerNodeStanding) {
   EXPECT_EQ(report->outcomes[2], NodeOutcome::kOffline);    // never reported
   EXPECT_EQ(report->new_samples, 0u);
   EXPECT_EQ(report->retries, 0u);
-  const CoverageSummary cov = station.coverage();
-  EXPECT_EQ(report->coverage, cov.coverage);
-  EXPECT_EQ(report->min_probability, cov.min_probability);
+  EXPECT_EQ(report->coverage, view->coverage.coverage);
+  EXPECT_EQ(report->min_probability, view->coverage.min_probability);
+  EXPECT_EQ(view->probabilities, (std::vector<double>{0.5, 0.2, 0.0}));
+  EXPECT_EQ(view->reported, (std::vector<bool>{true, true, false}));
+  EXPECT_EQ(view->coverage.stale_nodes, 1u);
 }
 
 TEST(BaseStationTest, MaxNodeDataCount) {
   BaseStation station(3);
-  EXPECT_EQ(station.max_node_data_count(), 0u);
+  EXPECT_EQ(station.view()->max_data_count, 0u);
   station.ingest(SampleReport{0, 10, {}});
   station.ingest(SampleReport{2, 35, {}});
   station.ingest(SampleReport{1, 20, {}});
-  EXPECT_EQ(station.max_node_data_count(), 35u);
+  const auto view = station.view();
+  EXPECT_EQ(view->max_data_count, 35u);
+  EXPECT_EQ(view->total_data_count, 65u);
+  EXPECT_EQ(view->node_count(), 3u);
 }
 
-// Node 0's full report in the two-node station the snapshot tests use.
+// Node 0's full report in the two-node station the view tests use.
 SampleReport snapshot_node0() {
   return SampleReport{0, 100, {{10.0, 10}, {50.0, 50}, {90.0, 90}}};
 }
@@ -159,56 +166,94 @@ BaseStation snapshot_station() {
 TEST(BaseStationTest, SnapshotIgnoresLaterMutations) {
   BaseStation station = snapshot_station();
   const std::vector<query::RangeQuery> ranges{{20.0, 60.0}, {0.0, 100.0}};
-  const double before = station.rank_counting_estimate(ranges[0]);
-  const auto batch_before = station.rank_counting_estimate_batch(ranges);
-  const EstimateSnapshot snap = station.estimate_snapshot();
-  EXPECT_EQ(snap.rank_counting_estimate(ranges[0]), before);
+  const auto view = station.view();
+  const double before = view->rank_counting_estimate(ranges[0]);
+  const auto batch_before = view->rank_counting_estimate_batch(ranges);
 
   // Merge into node 0, resync node 1, raise the round target: every kind of
   // write the cache takes.
   station.ingest(SampleReport{0, 100, {{15.0, 15}, {70.0, 70}}});
   station.replace(SampleReport{1, 45, {{25.0, 15}}});
   station.commit_round(0.5);
-  ASSERT_NE(station.rank_counting_estimate(ranges[0]), before);
+  ASSERT_NE(station.view()->rank_counting_estimate(ranges[0]), before);
 
-  EXPECT_EQ(snap.rank_counting_estimate(ranges[0]), before);
-  EXPECT_EQ(snap.rank_counting_estimate_batch(ranges), batch_before);
-  EXPECT_EQ(snap.views[0].data_count, 100u);
-  EXPECT_EQ(snap.views[1].data_count, 40u);
-  EXPECT_EQ(snap.views[0].samples->size(), 3u);
-  EXPECT_EQ(snap.probabilities, (std::vector<double>{0.2, 0.2}));
+  EXPECT_EQ(view->rank_counting_estimate(ranges[0]), before);
+  EXPECT_EQ(view->rank_counting_estimate_batch(ranges), batch_before);
+  EXPECT_EQ(view->nodes[0].data_count, 100u);
+  EXPECT_EQ(view->nodes[1].data_count, 40u);
+  EXPECT_EQ(view->nodes[0].samples->size(), 3u);
+  EXPECT_EQ(view->probabilities, (std::vector<double>{0.2, 0.2}));
+  EXPECT_EQ(view->coverage.target_p, 0.2);
+  EXPECT_EQ(view->total_data_count, 140u);
+  EXPECT_EQ(view->cached_samples, 5u);
+}
+
+TEST(BaseStationTest, ViewIsRebuiltOnlyAfterAChange) {
+  BaseStation station = snapshot_station();
+  auto view = station.view();
+  EXPECT_EQ(station.view(), view);
+  EXPECT_EQ(station.view(), view);
+
+  // A delta whose base does not match is rejected and changes nothing.
+  SampleReport stale{0, 101, {}};
+  stale.base_sequence = 7;
+  stale.base_samples = 3;
+  stale.arrival_gaps = {0};
+  ASSERT_FALSE(station.ingest(stale));
+  EXPECT_EQ(station.view(), view);
+
+  const auto changed = [&] {
+    const auto next = station.view();
+    const bool rebuilt = next != view;
+    view = next;
+    return rebuilt && station.view() == next;
+  };
+  ASSERT_TRUE(station.ingest(SampleReport{0, 100, {{15.0, 15}}}));
+  EXPECT_TRUE(changed());
+  station.replace(SampleReport{1, 45, {{25.0, 15}}});
+  EXPECT_TRUE(changed());
+  station.commit_round(0.5);
+  EXPECT_TRUE(changed());
+  station.commit_round(0.5, {true, false});
+  EXPECT_TRUE(changed());
 }
 
 TEST(BaseStationTest, ConcurrentIngestAndEstimate) {
   // A writer flips node 0 between its base cache A (replace) and A plus a
-  // delta (ingest); a reader estimates throughout.  Every estimate must be
-  // the estimate of one of the two published states, never a mix.
+  // delta (ingest), committing the (unchanged) round target after each; a
+  // reader estimates from a fresh view throughout, and from one view it
+  // took before the writer started.  Every estimate must be the estimate of
+  // one of the two published states, never a mix.
   const query::RangeQuery range{20.0, 60.0};
   const SampleReport delta{0, 100, {{15.0, 15}, {70.0, 70}}};
   BaseStation station = snapshot_station();
-  const double estimate_a = station.rank_counting_estimate(range);
+  const auto held = station.view();
+  const double estimate_a = held->rank_counting_estimate(range);
   station.ingest(delta);
-  const double estimate_b = station.rank_counting_estimate(range);
+  const double estimate_b = station.view()->rank_counting_estimate(range);
   ASSERT_NE(estimate_a, estimate_b);
 
   std::atomic<bool> done{false};
   std::thread writer([&] {
     for (int i = 0; i < 2000; ++i) {
       station.replace(snapshot_node0());
+      station.commit_round(0.2);
       station.ingest(delta);
+      station.commit_round(0.2);
     }
     done.store(true);
   });
   std::size_t estimates = 0;
   std::size_t mismatches = 0;
   while (!done.load() || estimates == 0) {
-    const double estimate = station.rank_counting_estimate(range);
+    const double estimate = station.view()->rank_counting_estimate(range);
     if (estimate != estimate_a && estimate != estimate_b) ++mismatches;
+    if (held->rank_counting_estimate(range) != estimate_a) ++mismatches;
     ++estimates;
   }
   writer.join();
   EXPECT_EQ(mismatches, 0u) << "over " << estimates << " estimates";
-  EXPECT_EQ(station.rank_counting_estimate(range), estimate_b);
+  EXPECT_EQ(station.view()->rank_counting_estimate(range), estimate_b);
 }
 
 TEST(FlatNetworkTest, ConstructionValidation) {
@@ -225,8 +270,8 @@ TEST(FlatNetworkTest, SamplingRoundPopulatesBaseStation) {
   const std::size_t added = network.ensure_sampling_probability(0.25).new_samples;
   EXPECT_GT(added, 0u);
   EXPECT_EQ(network.base_station().cached_sample_count(), added);
-  EXPECT_EQ(network.base_station().total_data_count(), 400u);
-  EXPECT_DOUBLE_EQ(network.base_station().sampling_probability(), 0.25);
+  EXPECT_EQ(network.base_station().view()->total_data_count, 400u);
+  EXPECT_DOUBLE_EQ(network.base_station().view()->coverage.target_p, 0.25);
 }
 
 TEST(FlatNetworkTest, RepeatRoundsAreIncremental) {
@@ -286,7 +331,7 @@ TEST(FlatNetworkTest, LossCostsRetransmissions) {
   EXPECT_GT(network.stats().retransmissions, 0u);
   EXPECT_GT(network.stats().total_bytes(), reference.stats().total_bytes());
   // Protocol state is still consistent despite loss.
-  EXPECT_EQ(network.base_station().total_data_count(), 2000u);
+  EXPECT_EQ(network.base_station().view()->total_data_count, 2000u);
 }
 
 TEST(FlatNetworkTest, EstimatesMatchGroundTruthClosely) {
@@ -307,11 +352,11 @@ TEST(FlatNetworkTest, DropoutExcludesNodeButKeepsOthers) {
   network.set_node_online(1, false);
   network.ensure_sampling_probability(0.5);
   // Node 1 never reported: its n_i is unknown to the station.
-  EXPECT_EQ(network.base_station().total_data_count(), 200u);
+  EXPECT_EQ(network.base_station().view()->total_data_count, 200u);
   // Re-join and top up: the node catches up.
   network.set_node_online(1, true);
   network.ensure_sampling_probability(0.6);
-  EXPECT_EQ(network.base_station().total_data_count(), 300u);
+  EXPECT_EQ(network.base_station().view()->total_data_count, 300u);
 }
 
 TEST(FlatNetworkTest, ByteAccurateModeMatchesModelSizes) {
@@ -350,7 +395,7 @@ TEST(FlatNetworkTest, CorruptionIsDetectedAndRetransmitted) {
   EXPECT_GE(network.stats().retransmissions,
             network.stats().corrupted_frames);
   // Protocol state is uncorrupted: totals exact, estimates sane.
-  EXPECT_EQ(network.base_station().total_data_count(), 4000u);
+  EXPECT_EQ(network.base_station().view()->total_data_count, 4000u);
   EXPECT_DOUBLE_EQ(network.rank_counting_estimate({-1.0, 1e9}), 4000.0);
 }
 
@@ -363,7 +408,7 @@ TEST(FlatNetworkTest, ByteAccurateResyncSurvivesCorruption) {
   network.ensure_sampling_probability(0.5);
   network.append_data(0, std::vector<double>(100, 9999.0));
   EXPECT_EQ(network.refresh_samples(), 1u);
-  EXPECT_EQ(network.base_station().total_data_count(), 1100u);
+  EXPECT_EQ(network.base_station().view()->total_data_count, 1100u);
   EXPECT_DOUBLE_EQ(network.rank_counting_estimate({-1e9, 1e9}), 1100.0);
 }
 

@@ -62,7 +62,7 @@ TEST_P(NetworkFuzz, InvariantsHoldUnderRandomOperations) {
   // round and without arrivals has nothing to report).
   const auto expect_online_nodes_in_sync = [&] {
     for (std::size_t i = 0; i < k; ++i) {
-      if (model_online[i] && network.base_station().node_reported(i)) {
+      if (model_online[i] && network.base_station().view()->reported[i]) {
         expect_station_matches_node(network, i);
       }
     }
@@ -73,7 +73,7 @@ TEST_P(NetworkFuzz, InvariantsHoldUnderRandomOperations) {
 
   const auto check_invariants = [&] {
     // Probability and traffic are monotone.
-    const double p = network.base_station().sampling_probability();
+    const double p = network.base_station().view()->coverage.target_p;
     ASSERT_GE(p, last_p);
     last_p = p;
     ASSERT_GE(network.stats().total_bytes(), last_bytes);
@@ -84,7 +84,7 @@ TEST_P(NetworkFuzz, InvariantsHoldUnderRandomOperations) {
     for (std::size_t i = 0; i < k; ++i) {
       expected_station_total += station_counts[i];
     }
-    ASSERT_EQ(network.base_station().total_data_count(),
+    ASSERT_EQ(network.base_station().view()->total_data_count,
               expected_station_total);
 
     // Ground truth totals.
@@ -232,7 +232,7 @@ TEST_P(FaultFuzz, DegradedRoundsKeepEveryInvariant) {
       ASSERT_EQ(stats.dropped_frames, 0u);
     }
 
-    const double p = network.base_station().sampling_probability();
+    const double p = network.base_station().view()->coverage.target_p;
     ASSERT_GE(p, last_p);
     last_p = p;
     ASSERT_GE(stats.total_bytes(), last_bytes);
@@ -241,7 +241,7 @@ TEST_P(FaultFuzz, DegradedRoundsKeepEveryInvariant) {
     // Per-node effective probabilities only ever move up, and never past
     // the committed round target.
     for (std::size_t i = 0; i < k; ++i) {
-      const double p_i = network.base_station().node_probability(i);
+      const double p_i = network.base_station().view()->probabilities[i];
       ASSERT_GE(p_i, last_probs[i]);
       ASSERT_LE(p_i, p);
       last_probs[i] = p_i;
@@ -249,7 +249,7 @@ TEST_P(FaultFuzz, DegradedRoundsKeepEveryInvariant) {
 
     std::size_t expected_station_total = 0;
     for (auto c : station_counts) expected_station_total += c;
-    ASSERT_EQ(network.base_station().total_data_count(),
+    ASSERT_EQ(network.base_station().view()->total_data_count,
               expected_station_total);
 
     // Full-domain queries are exact regardless of degradation: the 4-case

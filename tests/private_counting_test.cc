@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "common/rng.h"
+#include "common/telemetry.h"
 #include "data/partition.h"
 #include "query/range_query.h"
 
@@ -39,7 +40,7 @@ TEST(PrivateRangeCounterTest, AnswerCarriesConsistentPlan) {
   // Cross-unit on purpose: the Lemma 3.4 amplification check.
   EXPECT_LT(answer.plan.epsilon_amplified.value(), answer.plan.epsilon.value());
   EXPECT_DOUBLE_EQ(answer.plan.sampling_probability,
-                   network.base_station().sampling_probability());
+                   network.base_station().view()->coverage.target_p);
   // Clamped to the count domain.
   EXPECT_GE(answer.value, 0.0);
   EXPECT_LE(answer.value, 20000.0);
@@ -49,7 +50,8 @@ TEST(PrivateRangeCounterTest, TopsUpOnlyWhenNeeded) {
   iot::FlatNetwork network(make_node_data(8, 20000));
   PrivateRangeCounter counter(network);
   counter.answer({100.5, 1000.5}, {0.10, 0.5});
-  const double p_after_loose = network.base_station().sampling_probability();
+  const double p_after_loose =
+      network.base_station().view()->coverage.target_p;
   // A second, equally loose query reuses the cache (one sample, many
   // queries).
   const auto bytes_before = network.stats().total_bytes();
@@ -57,7 +59,28 @@ TEST(PrivateRangeCounterTest, TopsUpOnlyWhenNeeded) {
   EXPECT_EQ(network.stats().total_bytes(), bytes_before);
   // A stricter query forces a top-up.
   counter.answer({100.5, 1000.5}, {0.02, 0.9});
-  EXPECT_GT(network.base_station().sampling_probability(), p_after_loose);
+  EXPECT_GT(network.base_station().view()->coverage.target_p, p_after_loose);
+}
+
+TEST(PrivateRangeCounterTest, CachedAnswerReadsOneUnchangedView) {
+  iot::FlatNetwork network(make_node_data(8, 20000));
+  PrivateRangeCounter counter(network);
+  const query::AccuracySpec spec{0.10, 0.5};
+  counter.answer({100.5, 1000.5}, spec);
+  const auto view = network.base_station().view();
+  auto& noop_rounds = telemetry::counter("iot.rounds_noop");
+  const auto noops_before = noop_rounds.value();
+
+  counter.plan_for(spec);  // the broker quotes before it answers
+  const auto answer = counter.answer({2000.5, 3000.5}, spec);
+  // No round ran, so the station published nothing new: the sale read the
+  // view built after the first answer, and its coverage is that view's.
+  EXPECT_EQ(network.base_station().view(), view);
+  EXPECT_EQ(noop_rounds.value(), noops_before + 1);
+  EXPECT_EQ(answer.coverage.target_p, view->coverage.target_p);
+  EXPECT_EQ(answer.coverage.coverage, view->coverage.coverage);
+  EXPECT_EQ(answer.sampled_estimate.get(),
+            view->rank_counting_estimate({2000.5, 3000.5}));
 }
 
 TEST(PrivateRangeCounterTest, InfeasibleContractThrows) {

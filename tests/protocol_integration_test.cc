@@ -56,15 +56,16 @@ TEST(ProtocolIntegrationTest, FullRoundOverEncodedFrames) {
   station.commit_round(p);
 
   // The station reconstructed the full protocol state from bytes alone.
-  EXPECT_EQ(station.total_data_count(), total);
-  EXPECT_GT(station.cached_sample_count(), 0u);
+  const auto view = station.view();
+  EXPECT_EQ(view->total_data_count, total);
+  EXPECT_GT(view->cached_samples, 0u);
   EXPECT_GT(bytes_on_wire, 0u);
 
   // Full-domain estimate is exact (case 4 of the estimator per node).
-  EXPECT_DOUBLE_EQ(station.rank_counting_estimate({-1e9, 1e9}),
+  EXPECT_DOUBLE_EQ(view->rank_counting_estimate({-1e9, 1e9}),
                    static_cast<double>(total));
   // Interior estimate lands near truth.
-  const double estimate = station.rank_counting_estimate({100.5, 400.5});
+  const double estimate = view->rank_counting_estimate({100.5, 400.5});
   EXPECT_NEAR(estimate, 4.0 * 300.0,
               10.0 * std::sqrt(8.0 * static_cast<double>(k)) / p);
 }

@@ -165,13 +165,13 @@ TEST(SensorNodeStreamingTest, DirtyFlagLifecycle) {
 TEST(FlatNetworkStreamingTest, AppendUpdatesTotalsAfterRefresh) {
   iot::FlatNetwork network({{1.0, 2.0, 3.0}, {4.0, 5.0}});
   network.ensure_sampling_probability(0.5);
-  EXPECT_EQ(network.base_station().total_data_count(), 5u);
+  EXPECT_EQ(network.base_station().view()->total_data_count, 5u);
   network.append_data(0, {10.0, 11.0});
   EXPECT_EQ(network.total_data_count(), 7u);
   // The station is stale until refresh.
-  EXPECT_EQ(network.base_station().total_data_count(), 5u);
+  EXPECT_EQ(network.base_station().view()->total_data_count, 5u);
   EXPECT_EQ(network.refresh_samples(), 1u);
-  EXPECT_EQ(network.base_station().total_data_count(), 7u);
+  EXPECT_EQ(network.base_station().view()->total_data_count, 7u);
   // Nothing dirty left.
   EXPECT_EQ(network.refresh_samples(), 0u);
 }
@@ -211,7 +211,7 @@ TEST(FlatNetworkStreamingTest, OfflineNodeDefersResync) {
   EXPECT_EQ(network.refresh_samples(), 0u);  // deferred
   network.set_node_online(1, true);
   EXPECT_EQ(network.refresh_samples(), 1u);
-  EXPECT_EQ(network.base_station().total_data_count(), 5u);
+  EXPECT_EQ(network.base_station().view()->total_data_count, 5u);
 }
 
 TEST(FlatNetworkStreamingTest, EstimatesStayUnbiasedAcrossArrivals) {

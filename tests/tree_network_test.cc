@@ -61,7 +61,7 @@ TEST(TreeNetworkTest, EstimatesMatchGroundTruth) {
   const query::RangeQuery range{1000.5, 7000.5};
   const double bound = 10.0 * std::sqrt(8.0 * 8.0) / 0.4;
   EXPECT_NEAR(network.rank_counting_estimate(range), 6000.0, bound);
-  EXPECT_EQ(network.base_station().total_data_count(), 8000u);
+  EXPECT_EQ(network.base_station().view()->total_data_count, 8000u);
 }
 
 TEST(TreeNetworkTest, TopologyDoesNotChangeSampling) {
@@ -132,7 +132,7 @@ TEST(TreeNetworkTest, LossIsChargedAndConsistent) {
   b.ensure_sampling_probability(0.3);
   EXPECT_GT(a.stats().retransmissions, 0u);
   EXPECT_GT(a.stats().uplink_bytes, b.stats().uplink_bytes);
-  EXPECT_EQ(a.base_station().total_data_count(), 9600u);
+  EXPECT_EQ(a.base_station().view()->total_data_count, 9600u);
 }
 
 TEST(TreeNetworkTest, IncrementalRoundsAccumulate) {

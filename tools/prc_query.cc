@@ -393,13 +393,12 @@ int cmd_quantile(int argc, char** argv) {
       static_cast<std::size_t>(parser.get_uint("max-attempts", 0));
   iot::FlatNetwork network(std::move(node_data), net_config);
   const auto report = network.ensure_sampling_probability(p);
-  const auto views = network.base_station().node_views();
+  const auto view = network.base_station().view();
   std::cout << "quantile_estimate "
-            << estimator::quantile_estimate(views, p, q, column.size())
+            << estimator::quantile_estimate(view->nodes, p, q, column.size())
             << "\n"
             << "exact_quantile " << column.quantile(q) << "\n"
-            << "samples_used "
-            << network.base_station().cached_sample_count() << " (p = " << p
+            << "samples_used " << view->cached_samples << " (p = " << p
             << ")\n";
   if (!report.complete()) {
     std::cout << "warning: partial round (delivered "
