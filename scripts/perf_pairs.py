@@ -1,0 +1,326 @@
+#!/usr/bin/env python3
+"""Paired perfbench runs of two commits, summarized as distributions.
+
+Run from the root of a checkout of the repository:
+
+    python3 scripts/perf_pairs.py --parent HEAD~1 --change HEAD \\
+        --out BENCH_<n>.json
+
+Both sides must be commits of this checkout.  The script checks them out as
+detached git worktrees under build/perf_pairs/{parent,change}, each with its
+own perfbench build directory, and runs `perfbench/run.py` on them in
+PAIRS alternating pairs for every workload of BENCHMARK.json, each run
+BENCHMARK.json's `run_seconds` long: pair i runs the parent first when i is
+even and the change first when i is odd.  Seed 1 is perfbench's default
+seed; seed 2 is held out (see perfbench/run.py).
+
+The output file names both commits and their trees, and holds, per
+workload, seed and end-to-end metric of BENCHMARK.json and for both sides:
+n, median, p05, p95, IQR, min and max, plus the number of pairs in which the
+change beat the parent, the ratio of the medians and every run's value in
+pair order.  Per workload and seed it also holds every run's `attempted`
+and `failed` operation counts.  The script exits 1 without writing the file
+when a counter-derived metric (DETERMINISTIC) differs between the two sides
+of a pair, when the change fails a larger share of its attempted operations
+than the parent, or when a run fails its correctness checks.  The worktrees
+are removed when the runs end.  `validate()` is the schema check that
+scripts/test_perf_pairs.py applies to every committed file.
+"""
+
+import argparse
+import json
+import os
+import platform
+import re
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCHEMA = "perf_pairs/2"
+SIDES = ("parent", "change")
+SEEDS = (1, 2)
+PAIRS = 10
+DETERMINISTIC = ("uplink_bytes_per_purchase", "epsilon_per_purchase",
+                 "sold_share")
+STAT_FIELDS = ("n", "median", "p05", "p95", "iqr", "min", "max")
+OPERATION_FIELDS = ("attempted", "failed")
+OBJECT_ID = re.compile(r"[0-9a-f]{40}")
+
+
+def load_spec(root=ROOT):
+    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as f:
+        return json.load(f)
+
+
+def percentile(sorted_values, q):
+    """Linear interpolation between closest ranks (numpy's default)."""
+    if not sorted_values:
+        raise ValueError("percentile of no values")
+    position = q * (len(sorted_values) - 1)
+    lower = int(position)
+    low = sorted_values[lower]
+    high = sorted_values[min(lower + 1, len(sorted_values) - 1)]
+    # Exact when the neighbours are equal, and never outside them.
+    return min(max(low + (high - low) * (position - lower), low), high)
+
+
+def sample_stats(values):
+    ordered = sorted(values)
+    return {
+        "n": len(ordered),
+        "median": percentile(ordered, 0.5),
+        "p05": percentile(ordered, 0.05),
+        "p95": percentile(ordered, 0.95),
+        "iqr": percentile(ordered, 0.75) - percentile(ordered, 0.25),
+        "min": ordered[0],
+        "max": ordered[-1],
+    }
+
+
+def failed_share(operations, side):
+    attempted = sum(operations[side]["attempted"])
+    return sum(operations[side]["failed"]) / attempted if attempted else 0.0
+
+
+def summarize(pairs, metrics):
+    """Statistics of one workload and seed.
+
+    `pairs` is a list of {"parent": run, "change": run} dicts, one per pair
+    of runs, where a run is {"attempted", "failed", "metrics"} with the
+    metric values by name; `metrics` lists BENCHMARK.json's end-to-end
+    entries.  Raises ValueError when a counter-derived metric differs
+    between the two sides of a pair or the change fails a larger share of
+    its operations than the parent.
+    """
+    operations = {side: {field: [pair[side][field] for pair in pairs]
+                         for field in OPERATION_FIELDS}
+                  for side in SIDES}
+    if failed_share(operations, "change") > failed_share(operations,
+                                                          "parent"):
+        raise ValueError(f"the change fails more operations: {operations}")
+    summary = {"operations": operations, "metrics": {}}
+    for metric in metrics:
+        name = metric["name"]
+        parent = [pair["parent"]["metrics"][name] for pair in pairs]
+        change = [pair["change"]["metrics"][name] for pair in pairs]
+        if name in DETERMINISTIC and parent != change:
+            raise ValueError(f"{name} differs: parent {parent}, "
+                             f"change {change}")
+        higher = metric["better"] == "higher"
+        wins = sum(1 for p, c in zip(parent, change)
+                   if (c > p if higher else c < p))
+        parent_stats = sample_stats(parent)
+        change_stats = sample_stats(change)
+        summary["metrics"][name] = {
+            "unit": metric["unit"],
+            "better": metric["better"],
+            "parent": parent_stats,
+            "change": change_stats,
+            "runs": {"parent": parent, "change": change},
+            "change_wins": wins,
+            "median_ratio": (change_stats["median"] / parent_stats["median"]
+                             if parent_stats["median"] else None),
+        }
+    return summary
+
+
+def validate(doc, spec):
+    """Every schema problem of a perf_pairs document, as readable lines."""
+    problems = []
+    if not isinstance(doc, dict):
+        return ["the document is not an object"]
+    if doc.get("schema") != SCHEMA:
+        problems.append(f"schema is {doc.get('schema')!r}, not {SCHEMA!r}")
+    for side in SIDES:
+        ids = doc.get(side)
+        for key in ("commit", "tree"):
+            value = ids.get(key) if isinstance(ids, dict) else None
+            if not isinstance(value, str) or not OBJECT_ID.fullmatch(value):
+                problems.append(f"{side} {key} is not a full git object id")
+    if doc.get("pairs") != PAIRS:
+        problems.append(f"pairs is not {PAIRS}")
+    if doc.get("seconds") != spec["run_seconds"]:
+        problems.append("seconds is not BENCHMARK.json's run_seconds")
+    results = doc.get("results")
+    workloads = {w["name"] for w in spec["workloads"]}
+    if not isinstance(results, dict) or set(results) != workloads:
+        return problems + ["results do not hold BENCHMARK.json's workloads"]
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
+    for workload, seeds in results.items():
+        if not isinstance(seeds, dict) or set(seeds) != {
+                str(seed) for seed in SEEDS}:
+            problems.append(f"{workload}: seeds are not {SEEDS}")
+            continue
+        for seed, summary in seeds.items():
+            where = f"{workload}/seed {seed}"
+            if not isinstance(summary, dict):
+                problems.append(f"{where}: not an object")
+                continue
+            problems += validate_operations(where, summary.get("operations"))
+            table = summary.get("metrics")
+            if not isinstance(table, dict) or set(table) != set(metrics):
+                problems.append(f"{where}: metrics are not BENCHMARK.json's "
+                                "end-to-end set")
+                continue
+            for name, entry in table.items():
+                problems += validate_entry(f"{where}/{name}", entry,
+                                           metrics[name])
+    return problems
+
+
+def validate_operations(where, operations):
+    if not isinstance(operations, dict) or set(operations) != set(SIDES):
+        return [f"{where}: operations lack {SIDES}"]
+    for side in SIDES:
+        counts = operations[side]
+        if not isinstance(counts, dict) or set(counts) != set(
+                OPERATION_FIELDS) or any(
+                    not isinstance(counts[field], list)
+                    or len(counts[field]) != PAIRS
+                    or not all(isinstance(v, int) and v >= 0
+                               for v in counts[field])
+                    for field in OPERATION_FIELDS):
+            return [f"{where}: {side} operations are not {PAIRS} counts of "
+                    f"{OPERATION_FIELDS}"]
+    if failed_share(operations, "change") > failed_share(operations,
+                                                          "parent"):
+        return [f"{where}: the change fails more operations"]
+    return []
+
+
+def validate_entry(where, entry, metric):
+    problems = []
+    if not isinstance(entry, dict):
+        return [f"{where}: not an object"]
+    for key in ("unit", "better"):
+        if entry.get(key) != metric[key]:
+            problems.append(f"{where}: {key} is not {metric[key]!r}")
+    for side in SIDES:
+        stats = entry.get(side)
+        if not isinstance(stats, dict) or set(stats) != set(STAT_FIELDS):
+            problems.append(f"{where}: {side} lacks {STAT_FIELDS}")
+            continue
+        if stats["n"] != PAIRS:
+            problems.append(f"{where}: {side} n is not {PAIRS}")
+        if not all(isinstance(stats[f], (int, float)) for f in STAT_FIELDS):
+            problems.append(f"{where}: {side} has a non-number")
+            continue
+        if not (stats["min"] <= stats["p05"] <= stats["median"]
+                <= stats["p95"] <= stats["max"]) or stats["iqr"] < 0:
+            problems.append(f"{where}: {side} statistics are out of order")
+    runs = entry.get("runs")
+    if not isinstance(runs, dict) or any(
+            not isinstance(runs.get(side), list) or len(runs[side]) != PAIRS
+            for side in SIDES):
+        problems.append(f"{where}: runs do not hold {PAIRS} values a side")
+    wins = entry.get("change_wins")
+    if not isinstance(wins, int) or not 0 <= wins <= PAIRS:
+        problems.append(f"{where}: change_wins is not in [0, {PAIRS}]")
+    if (not problems and metric["name"] in DETERMINISTIC
+            and entry["runs"]["parent"] != entry["runs"]["change"]):
+        problems.append(f"{where}: counter-derived metric moved")
+    return problems
+
+
+def git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, text=True,
+                          stdout=subprocess.PIPE).stdout.strip()
+
+
+def run_once(tree, workload, seed, seconds):
+    env = dict(os.environ, CARGO_TARGET_DIR=os.path.join(tree, ".bench_build"))
+    result = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=tree, env=env, stdout=subprocess.PIPE, text=True, check=False)
+    lines = result.stdout.strip().splitlines()
+    if result.returncode != 0 or not lines:
+        raise RuntimeError(f"{tree}: {workload} seed {seed} exited "
+                           f"{result.returncode}")
+    summary = json.loads(lines[-1])
+    if not summary["correct"]:
+        raise RuntimeError(f"{tree}: {workload} seed {seed} is not correct")
+    return {"attempted": summary["attempted"], "failed": summary["failed"],
+            "metrics": {name: metric["value"]
+                        for name, metric in summary["metrics"].items()}}
+
+
+def measure(trees, spec):
+    results = {}
+    seconds = spec["run_seconds"]
+    for workload in (w["name"] for w in spec["workloads"]):
+        for seed in SEEDS:
+            pairs = []
+            for i in range(PAIRS):
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                pair = {side: run_once(trees[side], workload, seed, seconds)
+                        for side in order}
+                pairs.append(pair)
+                print(f"{workload} seed {seed} pair {i + 1}/{PAIRS}: "
+                      "purchases_per_s parent "
+                      f"{pair['parent']['metrics']['purchases_per_s']:.0f} "
+                      "change "
+                      f"{pair['change']['metrics']['purchases_per_s']:.0f}",
+                      file=sys.stderr)
+            results.setdefault(workload, {})[str(seed)] = summarize(
+                pairs, spec["end_to_end"])
+    return results
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", default="HEAD~1")
+    parser.add_argument("--change", default="HEAD")
+    parser.add_argument("--out", required=True, help="the BENCH file to write")
+    return parser.parse_args(argv)
+
+
+def main(argv):
+    args = parse_args(argv)
+    spec = load_spec()
+    sides = {side: {"commit": git("rev-parse", f"{rev}^{{commit}}"),
+                    "tree": git("rev-parse", f"{rev}^{{tree}}")}
+             for side, rev in (("parent", args.parent),
+                               ("change", args.change))}
+    base = os.path.join(ROOT, "build", "perf_pairs")
+    trees = {side: os.path.join(base, side) for side in SIDES}
+    try:
+        for side in SIDES:
+            if os.path.exists(trees[side]):
+                git("worktree", "remove", "--force", trees[side])
+            git("worktree", "add", "--detach", trees[side],
+                sides[side]["commit"])
+            # The first run builds the side's benchmark; its numbers are
+            # not kept.
+            run_once(trees[side], spec["workloads"][0]["name"], SEEDS[0],
+                     0.01)
+        results = measure(trees, spec)
+    except (RuntimeError, ValueError, subprocess.CalledProcessError) as error:
+        print(f"perf_pairs.py: {error}", file=sys.stderr)
+        return 1
+    finally:
+        for side in SIDES:
+            if os.path.exists(trees[side]):
+                git("worktree", "remove", "--force", trees[side])
+        git("worktree", "prune")
+    doc = {
+        "schema": SCHEMA,
+        **sides,
+        "pairs": PAIRS,
+        "seconds": spec["run_seconds"],
+        "order": "pair i runs the parent first when i is even",
+        "host": {"machine": platform.machine(), "cpus": os.cpu_count()},
+        "results": results,
+    }
+    problems = validate(doc, spec)
+    if problems:
+        print("\n".join(f"FAIL {p}" for p in problems), file=sys.stderr)
+        return 1
+    with open(args.out, "w", encoding="utf-8") as f:
+        json.dump(doc, f, indent=1, sort_keys=True)
+        f.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,0 +1,163 @@
+#!/usr/bin/env python3
+"""Schema tests for scripts/perf_pairs.py and the BENCH file it wrote.
+
+    python3 scripts/test_perf_pairs.py
+
+Summarizes a small synthetic set of run pairs, checks the statistics and
+that the result validates, checks that damaged copies do not, and validates
+every committed file the script wrote (BENCH_*.json with its schema tag).
+"""
+
+import copy
+import glob
+import json
+import os
+import sys
+import unittest
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import perf_pairs  # noqa: E402
+
+SPEC = perf_pairs.load_spec()
+METRICS = SPEC["end_to_end"]
+
+
+def fixture_runs(count=perf_pairs.PAIRS):
+    """`count` pairs where the change is 10% faster and counters agree."""
+    pairs = []
+    for i in range(count):
+        parent = {m["name"]: 100.0 + i for m in METRICS}
+        for name in perf_pairs.DETERMINISTIC:
+            parent[name] = 0.25
+        change = dict(parent, purchases_per_s=parent["purchases_per_s"] * 1.1)
+        pairs.append({side: {"attempted": 1000, "failed": 0,
+                             "metrics": metrics}
+                      for side, metrics in (("parent", parent),
+                                            ("change", change))})
+    return pairs
+
+
+def fixture_document():
+    summary = perf_pairs.summarize(fixture_runs(), METRICS)
+    return {
+        "schema": perf_pairs.SCHEMA,
+        "parent": {"commit": "a" * 40, "tree": "c" * 40},
+        "change": {"commit": "b" * 40, "tree": "d" * 40},
+        "pairs": perf_pairs.PAIRS,
+        "seconds": SPEC["run_seconds"],
+        "results": {w["name"]: {str(seed): copy.deepcopy(summary)
+                                for seed in perf_pairs.SEEDS}
+                    for w in SPEC["workloads"]},
+    }
+
+
+class StatisticsTest(unittest.TestCase):
+    def test_percentiles_interpolate_between_ranks(self):
+        stats = perf_pairs.sample_stats([5.0, 1.0, 3.0, 2.0, 4.0])
+        self.assertEqual(stats["n"], 5)
+        self.assertEqual(stats["median"], 3.0)
+        self.assertEqual(stats["min"], 1.0)
+        self.assertEqual(stats["max"], 5.0)
+        self.assertAlmostEqual(stats["p05"], 1.2)
+        self.assertAlmostEqual(stats["p95"], 4.8)
+        self.assertEqual(stats["iqr"], 2.0)
+
+    def test_constant_runs_give_the_constant(self):
+        value = 4.167378947368421
+        stats = perf_pairs.sample_stats([value] * 10)
+        self.assertEqual({stats[f] for f in ("median", "p05", "p95", "min",
+                                             "max")}, {value})
+        self.assertEqual(stats["iqr"], 0.0)
+
+    def test_single_run(self):
+        stats = perf_pairs.sample_stats([7.0])
+        self.assertEqual((stats["median"], stats["iqr"]), (7.0, 0.0))
+
+    def test_wins_follow_the_better_direction(self):
+        summary = perf_pairs.summarize(fixture_runs(5), METRICS)["metrics"]
+        self.assertEqual(summary["purchases_per_s"]["change_wins"], 5)
+        self.assertAlmostEqual(summary["purchases_per_s"]["median_ratio"],
+                               1.1)
+        self.assertEqual(summary["cpu_us_per_purchase"]["change_wins"], 0)
+
+    def test_moved_counter_metric_is_refused(self):
+        pairs = fixture_runs(3)
+        pairs[1]["change"]["metrics"]["sold_share"] = 0.5
+        with self.assertRaises(ValueError):
+            perf_pairs.summarize(pairs, METRICS)
+
+    def test_more_failed_operations_are_refused(self):
+        pairs = fixture_runs(3)
+        pairs[2]["change"]["failed"] = 1
+        with self.assertRaises(ValueError):
+            perf_pairs.summarize(pairs, METRICS)
+
+    def test_failures_compare_as_shares_of_attempts(self):
+        pairs = fixture_runs(2)
+        for pair in pairs:
+            pair["parent"].update(attempted=1000, failed=10)
+            pair["change"].update(attempted=3000, failed=20)
+        operations = perf_pairs.summarize(pairs, METRICS)["operations"]
+        self.assertEqual(operations["change"]["failed"], [20, 20])
+
+
+class SchemaTest(unittest.TestCase):
+    def test_fixture_validates(self):
+        self.assertEqual(perf_pairs.validate(fixture_document(), SPEC), [])
+
+    def test_damaged_fixtures_are_refused(self):
+        def damaged(edit):
+            doc = fixture_document()
+            edit(doc)
+            return perf_pairs.validate(doc, SPEC)
+
+        def entry(doc, metric):
+            return doc["results"]["menu_market"]["1"]["metrics"][metric]
+
+        def operations(doc, side):
+            return doc["results"]["menu_market"]["1"]["operations"][side]
+
+        self.assertTrue(damaged(lambda d: d.update(schema="other")))
+        self.assertTrue(damaged(lambda d: d.update(pairs=6)))
+        self.assertTrue(damaged(lambda d: d.update(seconds=5)))
+        self.assertTrue(damaged(lambda d: d["change"].update(
+            commit="d95b388")))
+        self.assertTrue(damaged(lambda d: d["parent"].pop("tree")))
+        self.assertTrue(damaged(lambda d: d["results"].update(unknown={})))
+        self.assertTrue(damaged(lambda d: d["results"].pop("menu_market")))
+        self.assertTrue(damaged(
+            lambda d: d["results"]["live_collection"].pop("2")))
+        self.assertTrue(damaged(
+            lambda d: d["results"]["menu_market"]["1"]["metrics"].pop(
+                "setup_s")))
+        self.assertTrue(damaged(
+            lambda d: operations(d, "change")["failed"].__setitem__(0, 1)))
+        self.assertTrue(damaged(
+            lambda d: operations(d, "parent")["attempted"].pop()))
+        self.assertTrue(damaged(
+            lambda d: entry(d, "setup_s")["parent"].pop("p95")))
+        self.assertTrue(damaged(
+            lambda d: entry(d, "setup_s")["change"].update(min=1e9)))
+        self.assertTrue(damaged(
+            lambda d: entry(d, "setup_s").update(change_wins=11)))
+        self.assertTrue(damaged(
+            lambda d: entry(d, "setup_s")["runs"]["change"].pop()))
+        self.assertTrue(damaged(
+            lambda d: entry(d, "sold_share")["runs"]["change"].__setitem__(
+                0, 0.3)))
+
+    def test_committed_files_validate(self):
+        committed = []
+        for path in sorted(glob.glob(os.path.join(perf_pairs.ROOT,
+                                                  "BENCH_*.json"))):
+            with open(path, encoding="utf-8") as f:
+                doc = json.load(f)
+            if doc.get("schema") != perf_pairs.SCHEMA:
+                continue  # a bench_compare.py counter baseline
+            committed.append(path)
+            self.assertEqual(perf_pairs.validate(doc, SPEC), [], path)
+        self.assertTrue(committed, "no committed perf_pairs file")
+
+
+if __name__ == "__main__":
+    unittest.main()

@@ -1,12 +1,14 @@
 #include "iot/base_station.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
 
 #include "common/check.h"
 #include "common/telemetry.h"
+#include "common/trace.h"
 #include "estimator/basic_counting.h"
 #include "iot/codec.h"
 
@@ -93,7 +95,14 @@ std::shared_ptr<const StationView> BaseStation::view() const {
 double StationView::rank_counting_estimate(
     const query::RangeQuery& range) const {
   PRC_CHECK(coverage.target_p > 0.0) << "no sampling round committed yet";
-  return estimator::rank_counting_estimate(nodes, probabilities, range);
+  const RangeKey key{std::bit_cast<std::uint64_t>(range.lower),
+                     std::bit_cast<std::uint64_t>(range.upper)};
+  if (const auto hit = estimate_memo_.lookup(key)) return *hit;
+  PRC_TRACE_SPAN("iot.station_estimate");
+  const double estimate =
+      estimator::rank_counting_estimate(nodes, probabilities, range);
+  estimate_memo_.put(key, estimate);
+  return estimate;
 }
 
 std::vector<double> StationView::rank_counting_estimate_batch(

@@ -15,6 +15,7 @@
 // RankCounting path applies the per-node Horvitz–Thompson correction.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -23,6 +24,7 @@
 #include <span>
 #include <vector>
 
+#include "common/lru_memo.h"
 #include "common/thread_annotations.h"
 #include "estimator/rank_counting.h"
 #include "iot/messages.h"
@@ -61,7 +63,16 @@ struct CoverageSummary {
 /// It holds one shared pointer per node to the node's (immutable) sample
 /// set, so it stays valid, and its estimates stay the same, whatever the
 /// station ingests, replaces or commits after it was published.
+///
+/// The one exception to "never mutated" is the view's memo of its own
+/// RankCounting estimates, which locks internally: an estimate is a pure
+/// function of the view and the range, so the memo changes how fast a
+/// repeated range is answered, never what it returns.
 struct StationView {
+  /// Most distinct ranges one view remembers (the shipped workloads ask
+  /// 28); the least recently asked one is evicted past that.
+  static constexpr std::size_t kEstimateMemoCapacity = 256;
+
   /// Keeps every set in `nodes` alive.
   std::vector<std::shared_ptr<const sampling::RankSampleSet>> samples;
   /// Per node: the cached sample and the reported n_i.
@@ -80,11 +91,14 @@ struct StationView {
   std::size_t node_count() const noexcept { return nodes.size(); }
 
   /// RankCounting estimate applying each node's own p_i (heterogeneous
-  /// Horvitz–Thompson correction).  Requires a committed round.
+  /// Horvitz–Thompson correction).  Requires a committed round.  Memoized
+  /// per view by the bit patterns of (lower, upper): a repeated range
+  /// returns exactly the double its first call computed.
   double rank_counting_estimate(const query::RangeQuery& range) const;
 
   /// Answers all ranges with exactly the values per-range
   /// rank_counting_estimate() calls would, bit for bit, at any thread count.
+  /// Computes every range directly: it neither reads nor fills the memo.
   std::vector<double> rank_counting_estimate_batch(
       std::span<const query::RangeQuery> ranges) const;
 
@@ -99,17 +113,34 @@ struct StationView {
   /// kOffline if not) with the cache's coverage.  nullopt when a real round
   /// is needed.
   std::optional<RoundReport> noop_round_report(double p) const;
+
+  /// Ranges whose estimate the memo holds (at most kEstimateMemoCapacity).
+  std::size_t memoized_estimates() const { return estimate_memo_.size(); }
+
+ private:
+  /// (lower bits, upper bits).
+  using RangeKey = std::array<std::uint64_t, 2>;
+  struct RangeKeyHash {
+    std::size_t operator()(const RangeKey& key) const noexcept {
+      return fnv1a(key);
+    }
+  };
+
+  LruMemo<RangeKey, double, RangeKeyHash> estimate_memo_{
+      kEstimateMemoCapacity};
 };
 
 /// Thread-safety: every public method takes the internal mutex, so readers
 /// and ingest/commit calls may race freely once collection goes parallel.
 /// A reader takes view() once and reads everything from it: the view is
-/// immutable, so what it reports (p, coverage, samples, estimates) comes
-/// from one cache state by construction.  The exceptions are node_views()
-/// (the returned views point at sets that only the view, not the caller,
-/// keeps alive: an ingest or replace may drop the last owner, so keep the
-/// station quiescent while an estimator consumes them, or hold view()
-/// instead) and the reference returned by SamplingNetwork::base_station().
+/// immutable apart from its internally locked estimate memo, so what it
+/// reports (p, coverage, samples, estimates) comes from one cache state by
+/// construction, and any number of threads may share one view.  The
+/// exceptions are node_views() (the returned views point at sets that only
+/// the view, not the caller, keeps alive: an ingest or replace may drop the
+/// last owner, so keep the station quiescent while an estimator consumes
+/// them, or hold view() instead) and the reference returned by
+/// SamplingNetwork::base_station().
 /// The PRC_GUARDED_BY annotations make clang's -Wthread-safety enforce the
 /// discipline when PRC_THREAD_SAFETY_ANALYSIS is on.
 ///
@@ -118,7 +149,8 @@ struct StationView {
 /// build the new set into a fresh allocation and swap the pointer, and
 /// never write to a set that has been published.  The view is built lazily
 /// under the mutex on the first read after a change, and every later read
-/// shares it until the next ingest, replace or commit_round.
+/// shares it until the next ingest, replace or commit_round.  Its estimate
+/// memo lives and dies with it, so a change never meets a stale estimate.
 class BaseStation {
  public:
   explicit BaseStation(std::size_t node_count);

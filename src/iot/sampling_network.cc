@@ -80,20 +80,22 @@ SamplingNetwork::SamplingNetwork(std::vector<std::vector<double>>&& node_data,
 
 RoundReport SamplingNetwork::ensure_sampling_probability(double p) {
   std::shared_ptr<const StationView> view;
-  return ensure_sampling_probability(p, view);
+  if (ensure_sampling_probability(p, view)) return last_round_;
+  // The report of a round that needed none says where each node stands
+  // relative to the *requested* p.
+  return *view->noop_round_report(p);
 }
 
-RoundReport SamplingNetwork::ensure_sampling_probability(
+bool SamplingNetwork::ensure_sampling_probability(
     double p, std::shared_ptr<const StationView>& view) {
   if (!(p > 0.0) || p > 1.0) {
     throw std::invalid_argument("sampling probability must be in (0, 1]");
   }
   if (!view || p > view->coverage.target_p) view = station_.view();
   // The cache already satisfies the request: no traffic, no churn step.
-  // The report says where each node stands relative to the *requested* p.
-  if (auto noop = view->noop_round_report(p)) {
+  if (p <= view->coverage.target_p) {
     telemetry::counter("iot.rounds_noop").increment();
-    return *std::move(noop);
+    return false;
   }
   PRC_TRACE_SPAN("iot.round");
   telemetry::ScopedTimer round_timer(
@@ -120,9 +122,9 @@ RoundReport SamplingNetwork::ensure_sampling_probability(
   view = station_.view();
   report.coverage = view->coverage.coverage;
   report.min_probability = view->coverage.min_probability;
-  last_round_ = report;
-  publish_round_metrics(stats_before, stats_, report);
-  return report;
+  last_round_ = std::move(report);
+  publish_round_metrics(stats_before, stats_, last_round_);
+  return true;
 }
 
 }  // namespace prc::iot

@@ -69,10 +69,12 @@ class SamplingNetwork {
 
   /// The same round for a caller that already holds a view of this
   /// network's station.  The round target only rises, so a view that meets
-  /// `p` answers the no-op check without taking the station lock; otherwise
-  /// the round runs and `view` is replaced by the view it committed.
-  RoundReport ensure_sampling_probability(
-      double p, std::shared_ptr<const StationView>& view);
+  /// `p` answers the no-op check without taking the station lock, counts
+  /// `iot.rounds_noop` and returns false without building a report;
+  /// otherwise the round runs, `view` is replaced by the view it committed
+  /// and it returns true (its report is last_round()).
+  bool ensure_sampling_probability(double p,
+                                   std::shared_ptr<const StationView>& view);
 
   /// The report of the most recent round (default-constructed before any).
   const RoundReport& last_round() const noexcept { return last_round_; }

@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/statistics.h"
+#include "estimator/rank_counting.h"
 #include "query/range_query.h"
 
 namespace prc::iot {
@@ -254,6 +259,177 @@ TEST(BaseStationTest, ConcurrentIngestAndEstimate) {
   writer.join();
   EXPECT_EQ(mismatches, 0u) << "over " << estimates << " estimates";
   EXPECT_EQ(station.view()->rank_counting_estimate(range), estimate_b);
+}
+
+// Four nodes of 500 records (node i holds i * 500 + 1 .. i * 500 + 500, the
+// value equal to its rank plus the offset) sampled at p = 0.2; then a
+// degraded top-up to 0.5 that only nodes 0 and 1 deliver, so the pᵢ are
+// {0.5, 0.5, 0.2, 0.2}.
+BaseStation heterogeneous_station() {
+  constexpr std::size_t kNodes = 4;
+  constexpr std::size_t kPerNode = 500;
+  BaseStation station(kNodes);
+  Rng rng(2024);
+  std::vector<SampleReport> top_ups;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    SampleReport first{static_cast<int>(i), kPerNode, {}};
+    SampleReport top_up{static_cast<int>(i), kPerNode, {}};
+    for (std::size_t rank = 1; rank <= kPerNode; ++rank) {
+      const double value = static_cast<double>(i * kPerNode + rank);
+      const double u = rng.uniform();
+      if (u < 0.2) first.new_samples.push_back({value, rank});
+      if (u >= 0.2 && u < 0.5) top_up.new_samples.push_back({value, rank});
+    }
+    station.ingest(first);
+    top_ups.push_back(std::move(top_up));
+  }
+  station.commit_round(0.2);
+  station.ingest(top_ups[0]);
+  station.ingest(top_ups[1]);
+  station.commit_round(0.5, {true, true, false, false});
+  return station;
+}
+
+// The estimator over the view's samples, computed afresh (no memo).
+double direct_estimate(const StationView& view,
+                       const query::RangeQuery& range) {
+  return estimator::rank_counting_estimate(view.nodes, view.probabilities,
+                                           range);
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(BaseStationTest, MemoizedEstimateIsBitIdenticalToTheEstimator) {
+  const BaseStation station = heterogeneous_station();
+  const auto view = station.view();
+  ASSERT_EQ(view->probabilities, (std::vector<double>{0.5, 0.5, 0.2, 0.2}));
+
+  // 1 000 seeded ranges drawn from 100 distinct ones, so most are repeats
+  // the memo serves.
+  Rng rng(7);
+  std::vector<query::RangeQuery> distinct;
+  for (int i = 0; i < 100; ++i) {
+    const double a = rng.uniform(-100.0, 2100.0);
+    const double b = rng.uniform(-100.0, 2100.0);
+    distinct.push_back({std::min(a, b), std::max(a, b)});
+  }
+  for (int i = 0; i < 1000; ++i) {
+    const auto& range = distinct[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(distinct.size()) - 1))];
+    ASSERT_EQ(bits(view->rank_counting_estimate(range)),
+              bits(direct_estimate(*view, range)))
+        << "range [" << range.lower << ", " << range.upper << "]";
+  }
+
+  // Bounds one ulp apart around sampled values: the memo must tell them
+  // apart in either bound.
+  const double lo = view->nodes[0].samples->samples().front().value;
+  const double hi = view->nodes[3].samples->samples().back().value;
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<query::RangeQuery> near{
+      {lo, hi},
+      {lo, std::nextafter(hi, -inf)},
+      {std::nextafter(lo, -inf), hi},
+      {std::nextafter(lo, inf), std::nextafter(hi, inf)}};
+  ASSERT_NE(direct_estimate(*view, near[0]), direct_estimate(*view, near[1]));
+  ASSERT_NE(direct_estimate(*view, near[0]), direct_estimate(*view, near[2]));
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& range : near) {
+      EXPECT_EQ(bits(view->rank_counting_estimate(range)),
+                bits(direct_estimate(*view, range)));
+    }
+  }
+
+  // 0.0 and -0.0 are distinct keys with the same estimate.
+  for (const query::RangeQuery range :
+       {query::RangeQuery{0.0, 700.0}, query::RangeQuery{-0.0, 700.0},
+        query::RangeQuery{-10.0, 0.0}, query::RangeQuery{-10.0, -0.0}}) {
+    EXPECT_EQ(bits(view->rank_counting_estimate(range)),
+              bits(direct_estimate(*view, range)));
+  }
+}
+
+TEST(BaseStationTest, EveryChangePublishesAViewWithItsOwnEstimates) {
+  BaseStation station = snapshot_station();
+  const query::RangeQuery range{20.0, 60.0};
+  auto old_view = station.view();
+  double old_estimate = old_view->rank_counting_estimate(range);
+
+  const auto expect_fresh = [&](const char* change) {
+    const auto view = station.view();
+    ASSERT_NE(view, old_view) << change;
+    const double estimate = view->rank_counting_estimate(range);
+    EXPECT_EQ(bits(estimate), bits(direct_estimate(*view, range))) << change;
+    EXPECT_NE(estimate, old_estimate) << change;
+    EXPECT_EQ(bits(old_view->rank_counting_estimate(range)),
+              bits(old_estimate))
+        << change;
+    old_view = view;
+    old_estimate = estimate;
+  };
+  ASSERT_TRUE(station.ingest(SampleReport{0, 100, {{15.0, 15}}}));
+  expect_fresh("ingest");
+  station.replace(SampleReport{1, 45, {{25.0, 15}, {45.0, 30}}});
+  expect_fresh("replace");
+  station.commit_round(0.5, {true, false});
+  expect_fresh("commit_round");
+}
+
+TEST(BaseStationTest, EstimateMemoStaysWithinItsCapacity) {
+  const BaseStation station = heterogeneous_station();
+  const auto view = station.view();
+  constexpr std::size_t kCapacity = StationView::kEstimateMemoCapacity;
+  std::vector<query::RangeQuery> ranges;
+  for (std::size_t i = 0; i < kCapacity + 50; ++i) {
+    ranges.push_back({static_cast<double>(i), static_cast<double>(i) + 900.0});
+  }
+  for (const auto& range : ranges) {
+    view->rank_counting_estimate(range);
+    EXPECT_LE(view->memoized_estimates(), kCapacity);
+  }
+  EXPECT_EQ(view->memoized_estimates(), kCapacity);
+  // Evicted ranges are computed again, still exactly.
+  for (const auto& range : ranges) {
+    ASSERT_EQ(bits(view->rank_counting_estimate(range)),
+              bits(direct_estimate(*view, range)));
+  }
+  EXPECT_EQ(view->memoized_estimates(), kCapacity);
+}
+
+TEST(BaseStationTest, MemoConcurrentIngestAndEstimate) {
+  // Four readers hammer a handful of repeated ranges on one shared view,
+  // racing each other's memo misses and hits, while the station ingests
+  // and commits behind them.  Every estimate must be the direct one.
+  BaseStation station = heterogeneous_station();
+  const auto view = station.view();
+  std::vector<query::RangeQuery> ranges;
+  std::vector<double> expected;
+  for (int i = 0; i < 8; ++i) {
+    ranges.push_back({100.0 * i, 100.0 * i + 1200.0});
+    expected.push_back(direct_estimate(*view, ranges.back()));
+  }
+
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      for (int i = 0; i < 4000; ++i) {
+        const std::size_t r = static_cast<std::size_t>(i + t) % ranges.size();
+        if (bits(view->rank_counting_estimate(ranges[r])) !=
+            bits(expected[r])) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (int i = 0; i < 200; ++i) {
+    station.replace(SampleReport{2, 500, {{1010.0, 10}, {1250.0, 250}}});
+    station.commit_round(0.5, {false, false, true, false});
+    station.view()->rank_counting_estimate(ranges[0]);
+  }
+  for (auto& reader : readers) reader.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(view->memoized_estimates(), ranges.size());
 }
 
 TEST(FlatNetworkTest, ConstructionValidation) {
