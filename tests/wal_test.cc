@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -158,6 +159,67 @@ TEST(WalFormatTest, CheckpointRoundTripsAggregatesAndConsumers) {
   EXPECT_EQ(restored.consumers[1].consumer_id, "mallory");
   EXPECT_DOUBLE_EQ(restored.consumers[1].spend, 411.625);
   EXPECT_DOUBLE_EQ(restored.consumers[1].epsilon.value(), 0.5);
+}
+
+// Format v2 pinned byte for byte.  A round trip passes any symmetric
+// change to the encoder and decoder; these hex strings do not, so a writer
+// rewrite must reproduce the bytes already on operators' disks.
+std::string to_hex(const std::vector<std::uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  hex.reserve(2 * bytes.size());
+  for (const std::uint8_t byte : bytes) {
+    hex += kDigits[byte >> 4];
+    hex += kDigits[byte & 0x0F];
+  }
+  return hex;
+}
+
+const char* const kGoldenIntent =
+    "4c0202005600000007000000000000000005000000616c696365000000000000"
+    "294000000000a094c140ec51b81e85ebb13f8fc2f5285c8fea3fe6b5faf8b048"
+    "893f000000000000000007000000000000000000000000000000000000000000"
+    "f03f00000000c424afeb";
+const char* const kGoldenDegradedCommit =
+    "4c02040079000000080000000000000001070000006d616c6c6f727900000000"
+    "00000cc00000000000003140e17a14ae47e1ca3f9a9999999999e13f00000000"
+    "0000b03f0000000000f05e400700000000000000290000000000000000000000"
+    "0000ec3f2100000064656772616465642073616c652028726570726963656420"
+    "636f6e747261637429a0ec0d17";
+const char* const kGoldenCheckpoint =
+    "4c020700c8000000090000000000000000000000000000000000000000000000"
+    "000000000000000000000000000000000000000000000000000000e83f000000"
+    "000000000000000000000000000000000000000000000000000000f03f170000"
+    "00706572696f6469632077616c20636865636b706f696e742a00000000000000"
+    "0000000000018040000000000000e83f000000000000c03f0300000000000000"
+    "0200000005000000616c6963650000000000205940000000000000d03f070000"
+    "006d616c6c6f72790000000000ba7940000000000000e03f592d5833";
+
+TEST(WalFormatTest, GoldenBytesOfEachRecordType) {
+  EXPECT_EQ(to_hex(encode_intent(sample_intent(), 7)), kGoldenIntent);
+  EXPECT_EQ(to_hex(encode_commit(sample_commit(), 8)), kGoldenDegradedCommit);
+  EXPECT_EQ(to_hex(encode_checkpoint(sample_snapshot(), 9)),
+            kGoldenCheckpoint);
+}
+
+TEST(WalWriterTest, AppendsTheGoldenBytes) {
+  // The writer's own encode path, not just the record codec: the same three
+  // records appended to a log land on disk as the pinned bytes, in order.
+  const std::string path = temp_path("golden");
+  std::remove(path.c_str());
+  {
+    auto log = WriteAheadLog::open(path, 7);
+    EXPECT_EQ(log->append_intent(sample_intent()), 7u);
+    log->append_commit(sample_commit());
+    log->append_checkpoint(sample_checkpoint());
+    EXPECT_EQ(log->records_appended(), 3u);
+  }
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                                        std::istreambuf_iterator<char>());
+  EXPECT_EQ(to_hex(bytes), std::string(kGoldenIntent) +
+                               kGoldenDegradedCommit + kGoldenCheckpoint);
+  std::remove(path.c_str());
 }
 
 TEST(WalFormatTest, UnknownVersionIsRejectedBeforeCrc) {
