@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <string>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "estimator/basic_counting.h"
 #include "estimator/rank_counting.h"
 #include "iot/base_station.h"
+#include "market/ledger.h"
 #include "market/simulation.h"
 #include "pricing/arbitrage.h"
 #include "pricing/pricing.h"
@@ -205,6 +207,38 @@ void BM_StationEstimateMemoMiss(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StationEstimateMemoMiss)->Arg(128);
+
+// One admitted sale's bookkeeping in the ledger: reserve, then commit (two
+// timeline appends, the fold and the conservation gauge), with `range(0)`
+// consumer ids already on the books and sales cycling over the same 16 of
+// them.  Its time must not grow with the ids the ledger has seen; compare
+// the two args' medians against their spreads.  Iterations are fixed so the
+// timeline stays small (two events per iteration).
+void BM_LedgerCommit(benchmark::State& state) {
+  constexpr std::size_t kActiveConsumers = 16;
+  const auto consumers = static_cast<std::size_t>(state.range(0));
+  std::vector<std::string> ids;
+  ids.reserve(consumers);
+  market::Ledger ledger;
+  for (std::size_t i = 0; i < consumers; ++i) {
+    ids.push_back("consumer-" + std::to_string(i));
+    ledger.record({0, ids.back(), {0, 1}, {0.1, 0.5}, 1.0, 1e-4});
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const std::string& id = ids[next++ % kActiveConsumers];
+    auto reservation = ledger.try_reserve(id, 1e-4, 1e9);
+    benchmark::DoNotOptimize(ledger.commit(
+        std::move(*reservation), {0, id, {0, 1}, {0.1, 0.5}, 1.0, 1e-4}));
+  }
+  state.counters["consumers"] = static_cast<double>(consumers);
+}
+BENCHMARK(BM_LedgerCommit)
+    ->Arg(16)
+    ->Arg(100000)
+    ->Iterations(1 << 17)
+    ->Repetitions(5)
+    ->ReportAggregatesOnly(true);
 
 void BM_SamplerTopUp(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

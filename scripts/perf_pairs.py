@@ -19,7 +19,12 @@ workload, seed and end-to-end metric of BENCHMARK.json and for both sides:
 n, median, p05, p95, IQR, min and max, plus the number of pairs in which the
 change beat the parent, the ratio of the medians and every run's value in
 pair order.  Per workload and seed it also holds every run's `attempted`
-and `failed` operation counts.  The script exits 1 without writing the file
+and `failed` operation counts, and the same statistics of three
+diagnostics that broker_bench prints on its `timed:` and `median of`
+lines: the host-speed scale median, the unscaled whole-phase CPU time per
+purchase and the timed phase's page faults.  Diagnostics explain a result
+(a gain that is only a slower measuring stick shows as a lower scale) and
+are never gated.  The script exits 1 without writing the file
 when a counter-derived metric (DETERMINISTIC) differs between the two sides
 of a pair, when the change fails a larger share of its attempted operations
 than the parent, or when a run fails its correctness checks.  The worktrees
@@ -36,7 +41,10 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SCHEMA = "perf_pairs/2"
+SCHEMA = "perf_pairs/3"
+#: Schemas validate() accepts; files written before perf_pairs/3 have no
+#: diagnostics.
+SCHEMAS = ("perf_pairs/2", SCHEMA)
 SIDES = ("parent", "change")
 SEEDS = (1, 2)
 PAIRS = 10
@@ -44,6 +52,14 @@ DETERMINISTIC = ("uplink_bytes_per_purchase", "epsilon_per_purchase",
                  "sold_share")
 STAT_FIELDS = ("n", "median", "p05", "p95", "iqr", "min", "max")
 OPERATION_FIELDS = ("attempted", "failed")
+#: Per-run diagnostics parsed from broker_bench's output, by the pattern
+#: that captures each one.
+DIAGNOSTICS = {
+    "host_speed_scale": re.compile(r"host speed scale median ([0-9.]+)"),
+    "unscaled_cpu_us_per_purchase": re.compile(
+        r"whole phase: wall/cpu per purchase [0-9.]+/([0-9.]+) us"),
+    "page_faults": re.compile(r"s system, ([0-9]+) page faults\)"),
+}
 OBJECT_ID = re.compile(r"[0-9a-f]{40}")
 
 
@@ -82,13 +98,26 @@ def failed_share(operations, side):
     return sum(operations[side]["failed"]) / attempted if attempted else 0.0
 
 
+def side_summary(pairs, field, name):
+    """Both sides' statistics and runs of one value, and their ratio."""
+    values = {side: [pair[side][field][name] for pair in pairs]
+              for side in SIDES}
+    stats = {side: sample_stats(values[side]) for side in SIDES}
+    return {
+        **stats,
+        "runs": values,
+        "median_ratio": (stats["change"]["median"] / stats["parent"]["median"]
+                         if stats["parent"]["median"] else None),
+    }
+
+
 def summarize(pairs, metrics):
     """Statistics of one workload and seed.
 
     `pairs` is a list of {"parent": run, "change": run} dicts, one per pair
-    of runs, where a run is {"attempted", "failed", "metrics"} with the
-    metric values by name; `metrics` lists BENCHMARK.json's end-to-end
-    entries.  Raises ValueError when a counter-derived metric differs
+    of runs, where a run is {"attempted", "failed", "metrics",
+    "diagnostics"} with the metric and diagnostic values by name; `metrics`
+    lists BENCHMARK.json's end-to-end entries.  Raises ValueError when a counter-derived metric differs
     between the two sides of a pair or the change fails a larger share of
     its operations than the parent.
     """
@@ -98,29 +127,22 @@ def summarize(pairs, metrics):
     if failed_share(operations, "change") > failed_share(operations,
                                                           "parent"):
         raise ValueError(f"the change fails more operations: {operations}")
-    summary = {"operations": operations, "metrics": {}}
+    summary = {"operations": operations, "metrics": {},
+               "diagnostics": {name: side_summary(pairs, "diagnostics", name)
+                               for name in DIAGNOSTICS}}
     for metric in metrics:
         name = metric["name"]
-        parent = [pair["parent"]["metrics"][name] for pair in pairs]
-        change = [pair["change"]["metrics"][name] for pair in pairs]
+        entry = side_summary(pairs, "metrics", name)
+        parent, change = entry["runs"]["parent"], entry["runs"]["change"]
         if name in DETERMINISTIC and parent != change:
             raise ValueError(f"{name} differs: parent {parent}, "
                              f"change {change}")
         higher = metric["better"] == "higher"
         wins = sum(1 for p, c in zip(parent, change)
                    if (c > p if higher else c < p))
-        parent_stats = sample_stats(parent)
-        change_stats = sample_stats(change)
-        summary["metrics"][name] = {
-            "unit": metric["unit"],
-            "better": metric["better"],
-            "parent": parent_stats,
-            "change": change_stats,
-            "runs": {"parent": parent, "change": change},
-            "change_wins": wins,
-            "median_ratio": (change_stats["median"] / parent_stats["median"]
-                             if parent_stats["median"] else None),
-        }
+        summary["metrics"][name] = {"unit": metric["unit"],
+                                    "better": metric["better"],
+                                    **entry, "change_wins": wins}
     return summary
 
 
@@ -129,8 +151,9 @@ def validate(doc, spec):
     problems = []
     if not isinstance(doc, dict):
         return ["the document is not an object"]
-    if doc.get("schema") != SCHEMA:
-        problems.append(f"schema is {doc.get('schema')!r}, not {SCHEMA!r}")
+    if doc.get("schema") not in SCHEMAS:
+        problems.append(f"schema is {doc.get('schema')!r}, not one of "
+                        f"{SCHEMAS!r}")
     for side in SIDES:
         ids = doc.get(side)
         for key in ("commit", "tree"):
@@ -157,6 +180,9 @@ def validate(doc, spec):
                 problems.append(f"{where}: not an object")
                 continue
             problems += validate_operations(where, summary.get("operations"))
+            if doc.get("schema") == SCHEMA:
+                problems += validate_diagnostics(where,
+                                                 summary.get("diagnostics"))
             table = summary.get("metrics")
             if not isinstance(table, dict) or set(table) != set(metrics):
                 problems.append(f"{where}: metrics are not BENCHMARK.json's "
@@ -188,13 +214,38 @@ def validate_operations(where, operations):
     return []
 
 
-def validate_entry(where, entry, metric):
+def validate_diagnostics(where, diagnostics):
+    if not isinstance(diagnostics, dict) or set(diagnostics) != set(
+            DIAGNOSTICS):
+        return [f"{where}: diagnostics are not {sorted(DIAGNOSTICS)}"]
     problems = []
+    for name, entry in diagnostics.items():
+        if not isinstance(entry, dict):
+            problems.append(f"{where}/{name}: not an object")
+            continue
+        problems += validate_sides(f"{where}/{name}", entry)
+    return problems
+
+
+def validate_entry(where, entry, metric):
     if not isinstance(entry, dict):
         return [f"{where}: not an object"]
-    for key in ("unit", "better"):
-        if entry.get(key) != metric[key]:
-            problems.append(f"{where}: {key} is not {metric[key]!r}")
+    problems = [f"{where}: {key} is not {metric[key]!r}"
+                for key in ("unit", "better")
+                if entry.get(key) != metric[key]]
+    problems += validate_sides(where, entry)
+    wins = entry.get("change_wins")
+    if not isinstance(wins, int) or not 0 <= wins <= PAIRS:
+        problems.append(f"{where}: change_wins is not in [0, {PAIRS}]")
+    if (not problems and metric["name"] in DETERMINISTIC
+            and entry["runs"]["parent"] != entry["runs"]["change"]):
+        problems.append(f"{where}: counter-derived metric moved")
+    return problems
+
+
+def validate_sides(where, entry):
+    """Both sides' statistics and runs of one metric or diagnostic."""
+    problems = []
     for side in SIDES:
         stats = entry.get(side)
         if not isinstance(stats, dict) or set(stats) != set(STAT_FIELDS):
@@ -213,12 +264,6 @@ def validate_entry(where, entry, metric):
             not isinstance(runs.get(side), list) or len(runs[side]) != PAIRS
             for side in SIDES):
         problems.append(f"{where}: runs do not hold {PAIRS} values a side")
-    wins = entry.get("change_wins")
-    if not isinstance(wins, int) or not 0 <= wins <= PAIRS:
-        problems.append(f"{where}: change_wins is not in [0, {PAIRS}]")
-    if (not problems and metric["name"] in DETERMINISTIC
-            and entry["runs"]["parent"] != entry["runs"]["change"]):
-        problems.append(f"{where}: counter-derived metric moved")
     return problems
 
 
@@ -242,7 +287,20 @@ def run_once(tree, workload, seed, seconds):
         raise RuntimeError(f"{tree}: {workload} seed {seed} is not correct")
     return {"attempted": summary["attempted"], "failed": summary["failed"],
             "metrics": {name: metric["value"]
-                        for name, metric in summary["metrics"].items()}}
+                        for name, metric in summary["metrics"].items()},
+            "diagnostics": parse_diagnostics(result.stdout)}
+
+
+def parse_diagnostics(output):
+    """The DIAGNOSTICS values of one broker_bench run's output."""
+    values = {}
+    for name, pattern in DIAGNOSTICS.items():
+        match = pattern.search(output)
+        if match is None:
+            raise RuntimeError(f"no {name} in the benchmark's output")
+        values[name] = (int(match.group(1)) if name == "page_faults"
+                        else float(match.group(1)))
+    return values
 
 
 def measure(trees, spec):

@@ -30,8 +30,12 @@ def fixture_runs(count=perf_pairs.PAIRS):
         for name in perf_pairs.DETERMINISTIC:
             parent[name] = 0.25
         change = dict(parent, purchases_per_s=parent["purchases_per_s"] * 1.1)
+        diagnostics = {"host_speed_scale": 1.0 + 0.01 * i,
+                       "unscaled_cpu_us_per_purchase": 6.0,
+                       "page_faults": 1000 + i}
         pairs.append({side: {"attempted": 1000, "failed": 0,
-                             "metrics": metrics}
+                             "metrics": metrics,
+                             "diagnostics": dict(diagnostics)}
                       for side, metrics in (("parent", parent),
                                             ("change", change))})
     return pairs
@@ -92,6 +96,38 @@ class StatisticsTest(unittest.TestCase):
         with self.assertRaises(ValueError):
             perf_pairs.summarize(pairs, METRICS)
 
+    def test_diagnostics_are_summarized_and_never_gated(self):
+        pairs = fixture_runs(4)
+        for pair in pairs:
+            pair["change"]["diagnostics"].update(
+                host_speed_scale=0.5, unscaled_cpu_us_per_purchase=4.5)
+        diagnostics = perf_pairs.summarize(pairs, METRICS)["diagnostics"]
+        self.assertEqual(set(diagnostics), set(perf_pairs.DIAGNOSTICS))
+        scale = diagnostics["host_speed_scale"]
+        self.assertEqual(scale["change"]["median"], 0.5)
+        self.assertAlmostEqual(scale["parent"]["median"], 1.015)
+        self.assertEqual(scale["runs"]["change"], [0.5] * 4)
+        self.assertAlmostEqual(
+            diagnostics["unscaled_cpu_us_per_purchase"]["median_ratio"], 0.75)
+        self.assertEqual(diagnostics["page_faults"]["parent"]["max"], 1003)
+        self.assertNotIn("change_wins", scale)
+
+    def test_diagnostics_parse_from_broker_bench_output(self):
+        output = (
+            "timed: 4000000 requests, 3999000 served, 20.001 s wall, "
+            "19.874 s cpu (0.731 s system, 70126 page faults); whole "
+            "phase: wall/cpu per purchase 5.0/4.4 us\n"
+            "median of 976 blocks of 4096 requests at reference host "
+            "speed: wall/cpu per purchase 4.6/4.6 us, p50 4.1 us, p99 "
+            "9.8 us (3999000 served purchases in all); host speed scale "
+            "median 1.118, range 0.902-1.334\n")
+        self.assertEqual(perf_pairs.parse_diagnostics(output), {
+            "host_speed_scale": 1.118,
+            "unscaled_cpu_us_per_purchase": 4.4,
+            "page_faults": 70126})
+        with self.assertRaises(RuntimeError):
+            perf_pairs.parse_diagnostics(output.splitlines()[0])
+
     def test_failures_compare_as_shares_of_attempts(self):
         pairs = fixture_runs(2)
         for pair in pairs:
@@ -145,6 +181,25 @@ class SchemaTest(unittest.TestCase):
         self.assertTrue(damaged(
             lambda d: entry(d, "sold_share")["runs"]["change"].__setitem__(
                 0, 0.3)))
+        self.assertTrue(damaged(
+            lambda d: d["results"]["menu_market"]["1"].pop("diagnostics")))
+        self.assertTrue(damaged(
+            lambda d: d["results"]["bespoke_contracts"]["2"]["diagnostics"]
+            .pop("page_faults")))
+        self.assertTrue(damaged(
+            lambda d: d["results"]["live_collection"]["1"]["diagnostics"][
+                "host_speed_scale"]["change"].pop("median")))
+        self.assertTrue(damaged(
+            lambda d: d["results"]["menu_market"]["2"]["diagnostics"][
+                "page_faults"]["runs"]["parent"].pop()))
+
+    def test_files_before_diagnostics_still_validate(self):
+        doc = fixture_document()
+        doc["schema"] = "perf_pairs/2"
+        for seeds in doc["results"].values():
+            for summary in seeds.values():
+                del summary["diagnostics"]
+        self.assertEqual(perf_pairs.validate(doc, SPEC), [])
 
     def test_committed_files_validate(self):
         committed = []
@@ -152,7 +207,7 @@ class SchemaTest(unittest.TestCase):
                                                   "BENCH_*.json"))):
             with open(path, encoding="utf-8") as f:
                 doc = json.load(f)
-            if doc.get("schema") != perf_pairs.SCHEMA:
+            if doc.get("schema") not in perf_pairs.SCHEMAS:
                 continue  # a bench_compare.py counter baseline
             committed.append(path)
             self.assertEqual(perf_pairs.validate(doc, SPEC), [], path)

@@ -169,7 +169,9 @@ bool BaseStation::ingest(const SampleReport& report) {
     entry.samples =
         std::make_shared<const sampling::RankSampleSet>(std::move(shifted));
     ++entry.sequence;
-    telemetry::counter("iot.station.deltas_applied").increment();
+    static telemetry::Counter& deltas_applied =
+        telemetry::counter("iot.station.deltas_applied");
+    deltas_applied.increment();
   } else if (!report.new_samples.empty()) {
     entry.samples = std::make_shared<const sampling::RankSampleSet>(
         *entry.samples, sampling::RankSampleSet(report.new_samples));
@@ -177,7 +179,9 @@ bool BaseStation::ingest(const SampleReport& report) {
   entry.data_count = report.data_count;
   entry.reported = true;
   view_.reset();
-  telemetry::counter("iot.station.reports_ingested").increment();
+  static telemetry::Counter& reports_ingested =
+      telemetry::counter("iot.station.reports_ingested");
+  reports_ingested.increment();
   return true;
 }
 
@@ -198,7 +202,9 @@ void BaseStation::replace_locked(const SampleReport& full_report) {
       std::make_shared<const sampling::RankSampleSet>(full_report.new_samples);
   entry.sequence = 0;
   view_.reset();
-  telemetry::counter("iot.station.cache_replacements").increment();
+  static telemetry::Counter& cache_replacements =
+      telemetry::counter("iot.station.cache_replacements");
+  cache_replacements.increment();
 }
 
 void BaseStation::commit_round(double p) {
@@ -231,10 +237,15 @@ void BaseStation::commit_round_locked(double p,
     }
     cached += entries_[i].samples->size();
   }
-  telemetry::counter("iot.station.rounds_committed").increment();
-  telemetry::gauge("iot.station.cached_samples")
-      .set(static_cast<double>(cached));
-  telemetry::gauge("iot.station.sampling_probability").set(p);
+  static telemetry::Counter& rounds_committed =
+      telemetry::counter("iot.station.rounds_committed");
+  static telemetry::Gauge& cached_samples =
+      telemetry::gauge("iot.station.cached_samples");
+  static telemetry::Gauge& sampling_probability =
+      telemetry::gauge("iot.station.sampling_probability");
+  rounds_committed.increment();
+  cached_samples.set(static_cast<double>(cached));
+  sampling_probability.set(p);
 }
 
 namespace {

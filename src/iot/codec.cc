@@ -1,6 +1,5 @@
 #include "iot/codec.h"
 
-#include <array>
 #include <cstring>
 
 #include "common/check.h"
@@ -26,20 +25,10 @@ static_assert(kArrivalsHeaderBytes == 12 && kArrivalWireBytes == 4,
 // SampleReport flags.
 constexpr std::uint16_t kFlagArrivals = 0x0001;
 
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : (c >> 1);
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  return table;
-}
+// The CRC-32/IEEE check value, proved at compile time.
+constexpr std::uint8_t kCrcCheckInput[] = {'1', '2', '3', '4', '5',
+                                           '6', '7', '8', '9'};
+static_assert(crc32(kCrcCheckInput, sizeof(kCrcCheckInput)) == 0xcbf43926u);
 
 void put_u32(std::vector<std::uint8_t>& out, std::size_t offset,
              std::uint32_t value) {
@@ -157,14 +146,6 @@ void validate(const std::vector<std::uint8_t>& frame, MessageType expected) {
 }
 
 }  // namespace
-
-std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
-  std::uint32_t crc = 0xffffffffu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = crc_table()[(crc ^ data[i]) & 0xffu] ^ (crc >> 8);
-  }
-  return crc ^ 0xffffffffu;
-}
 
 std::vector<std::uint8_t> encode(const SampleRequest& message,
                                  std::uint32_t sequence) {

@@ -94,7 +94,9 @@ bool SamplingNetwork::ensure_sampling_probability(
   if (!view || p > view->coverage.target_p) view = station_.view();
   // The cache already satisfies the request: no traffic, no churn step.
   if (p <= view->coverage.target_p) {
-    telemetry::counter("iot.rounds_noop").increment();
+    static telemetry::Counter& rounds_noop =
+        telemetry::counter("iot.rounds_noop");
+    rounds_noop.increment();
     return false;
   }
   PRC_TRACE_SPAN("iot.round");

@@ -71,21 +71,33 @@ std::string AuditReconciliation::to_string() const {
   return out.str();
 }
 
+void AuditLog::push_locked(AuditEvent&& event) {
+  if (chunks_.empty() || chunks_.back().size() == kChunkEvents) {
+    chunks_.emplace_back().reserve(kChunkEvents);
+  }
+  event.index = static_cast<std::uint64_t>(size_++);
+  chunks_.back().push_back(std::move(event));
+}
+
 std::uint64_t AuditLog::append_event(AuditEvent event) {
   std::lock_guard<std::mutex> lock(mutex_);
-  event.index = static_cast<std::uint64_t>(events_.size());
-  events_.push_back(std::move(event));
-  return events_.back().index;
+  push_locked(std::move(event));
+  return static_cast<std::uint64_t>(size_ - 1);
 }
 
 std::size_t AuditLog::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return events_.size();
+  return size_;
 }
 
 std::vector<AuditEvent> AuditLog::events_snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return events_;
+  std::vector<AuditEvent> events;
+  events.reserve(size_);
+  for (const auto& chunk : chunks_) {
+    events.insert(events.end(), chunk.begin(), chunk.end());
+  }
+  return events;
 }
 
 std::string AuditLog::to_jsonl() const {
@@ -126,11 +138,11 @@ AuditReconciliation AuditLog::reconcile(const Ledger& ledger) const {
 
 void AuditLog::append_all(AuditLog& other) {
   std::scoped_lock lock(mutex_, other.mutex_);
-  for (auto& event : other.events_) {
-    event.index = static_cast<std::uint64_t>(events_.size());
-    events_.push_back(std::move(event));
+  for (auto& chunk : other.chunks_) {
+    for (auto& event : chunk) push_locked(std::move(event));
   }
-  other.events_.clear();
+  other.chunks_.clear();
+  other.size_ = 0;
 }
 
 }  // namespace prc::market

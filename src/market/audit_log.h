@@ -26,10 +26,16 @@
 // registered lint taint sink (no-raw-to-sink / interproc-raw-taint), and
 // to_jsonl() output is safe to ship outside the trust boundary.
 //
+// Storage: fixed chunks of kChunkEvents events, each reserved once when it
+// opens, so an append is O(1) in the timeline's length and never moves or
+// re-touches an event already held (a doubling vector re-copies every
+// event at each growth step).
+//
 // Thread-safety: append_event and all readers serialize on one mutex, so a
 // reader sees a prefix of the timeline while sales continue.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -94,6 +100,9 @@ struct AuditReconciliation {
 
 class AuditLog {
  public:
+  /// Events per storage chunk.
+  static constexpr std::size_t kChunkEvents = 4096;
+
   /// Appends (assigning the event's index) and returns that index.
   /// Registered as a lint taint sink: raw estimates must never reach it.
   std::uint64_t append_event(AuditEvent event) PRC_EXCLUDES(mutex_);
@@ -105,7 +114,9 @@ class AuditLog {
   template <typename Visit>
   void for_each_event(Visit&& visit) const PRC_EXCLUDES(mutex_) {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& event : events_) visit(event);
+    for (const auto& chunk : chunks_) {
+      for (const auto& event : chunk) visit(event);
+    }
   }
 
   /// Copy of the timeline taken under the lock.
@@ -127,8 +138,14 @@ class AuditLog {
   void append_all(AuditLog& other) PRC_EXCLUDES(mutex_, other.mutex_);
 
  private:
+  /// Appends `event` at index size_, opening a new chunk when the last
+  /// one is full.
+  void push_locked(AuditEvent&& event) PRC_REQUIRES(mutex_);
+
   mutable std::mutex mutex_;
-  std::vector<AuditEvent> events_ PRC_GUARDED_BY(mutex_);
+  /// Growing this vector moves chunk handles, never the events in them.
+  std::vector<std::vector<AuditEvent>> chunks_ PRC_GUARDED_BY(mutex_);
+  std::size_t size_ PRC_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace prc::market

@@ -51,7 +51,9 @@ void DataBroker::refuse_budget(const std::string& consumer_id,
                                const query::AccuracySpec& spec,
                                units::EffectiveEpsilon attempted,
                                std::string reason) {
-  telemetry::counter("market.refusals_budget").increment();
+  static telemetry::Counter& refusals =
+      telemetry::counter("market.refusals_budget");
+  refusals.increment();
   ledger_.refuse(consumer_id, range, spec, attempted, std::move(reason));
   throw BudgetExceededError(
       consumer_id, ledger_.consumer_epsilon(consumer_id) + attempted,
@@ -64,7 +66,9 @@ void DataBroker::refuse_coverage(const std::string& consumer_id,
                                  units::EffectiveEpsilon attempted,
                                  std::string reason, const std::string& what,
                                  const iot::CoverageSummary& coverage) {
-  telemetry::counter("market.refusals_coverage").increment();
+  static telemetry::Counter& refusals =
+      telemetry::counter("market.refusals_coverage");
+  refusals.increment();
   ledger_.refuse(consumer_id, range, spec, attempted, std::move(reason));
   throw InsufficientCoverageError(what, coverage);
 }
@@ -326,10 +330,14 @@ PurchaseReceipt DataBroker::sell(const std::string& consumer_id,
     }
   }
   sales.increment();
-  // Deliberately lazy (not a hoisted static): the degraded path is cold,
-  // and registering the counter eagerly would change which metrics appear
-  // in snapshots of sessions that never degrade.
-  if (degraded) telemetry::counter("market.degraded_sales").increment();
+  if (degraded) {
+    // Registered on the first degraded sale, not with the statics above:
+    // registering it eagerly would change which metrics appear in
+    // snapshots of sessions that never degrade.
+    static telemetry::Counter& degraded_sales =
+        telemetry::counter("market.degraded_sales");
+    degraded_sales.increment();
+  }
   sale_price_hist.record(receipt.price);
   sale_epsilon_hist.record(answer.plan.epsilon_amplified);
   revenue_total.set(ledger_.total_revenue());

@@ -93,6 +93,10 @@ void Ledger::release_locked(const std::string& consumer_id, double epsilon) {
 
 void Ledger::fold_locked(AuditEvent event, Booking booking,
                          const LedgerSnapshot* base) {
+  static telemetry::Counter& ledger_transactions =
+      telemetry::counter("market.ledger_transactions");
+  static telemetry::Gauge& conservation_gauge =
+      telemetry::gauge("market.ledger_conservation_discrepancy");
   const double epsilon = event.epsilon.value();
   switch (booking) {
     case Booking::kNothing:
@@ -105,22 +109,28 @@ void Ledger::fold_locked(AuditEvent event, Booking booking,
       books_.total_epsilon += epsilon;
       books_.spend_by_consumer[event.consumer_id] += event.price;
       books_.epsilon_by_consumer[event.consumer_id] += epsilon;
+      books_.sums.consumer_spend += event.price;
+      books_.sums.consumer_epsilon += epsilon;
       // Budget conservation (sequential composition audit): every epsilon'
       // released globally must be attributed to exactly one consumer.  The
       // tolerance scales with the running total because both sides
-      // accumulate independent fp rounding.
+      // accumulate independent fp rounding.  The walk is debug-only; the
+      // gauge reads the running sums, so a commit costs the same however
+      // many consumer ids the ledger has seen.
       PRC_DCHECK(conservation_discrepancy_locked() <=
                  1e-9 * (1.0 + books_.total_epsilon + books_.total_revenue))
           << "ledger lost track of released budget: discrepancy "
           << conservation_discrepancy_locked();
-      telemetry::counter("market.ledger_transactions").increment();
-      telemetry::gauge("market.ledger_conservation_discrepancy")
-          .set(conservation_discrepancy_locked());
+      ledger_transactions.increment();
+      conservation_gauge.set(
+          std::abs(books_.sums.consumer_epsilon - books_.total_epsilon) +
+          std::abs(books_.sums.consumer_spend - books_.total_revenue));
       break;
     case Booking::kOrphan:
       books_.total_epsilon += epsilon;
       books_.orphaned_epsilon += epsilon;
       books_.epsilon_by_consumer[event.consumer_id] += epsilon;
+      books_.sums.consumer_epsilon += epsilon;
       telemetry::gauge("market.ledger_orphaned_epsilon")
           .set(books_.orphaned_epsilon);
       break;
@@ -133,6 +143,8 @@ void Ledger::fold_locked(AuditEvent event, Booking booking,
       for (const auto& totals : base->consumers) {
         books_.spend_by_consumer[totals.consumer_id] = totals.spend;
         books_.epsilon_by_consumer[totals.consumer_id] = totals.epsilon.value();
+        books_.sums.consumer_spend += totals.spend;
+        books_.sums.consumer_epsilon += totals.epsilon.value();
       }
       PRC_CHECK(conservation_discrepancy_locked() <=
                 1e-9 * (1.0 + books_.total_epsilon + books_.total_revenue))
@@ -280,6 +292,11 @@ std::vector<Transaction> Ledger::transactions_snapshot() const {
 double Ledger::conservation_discrepancy() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return conservation_discrepancy_locked();
+}
+
+Ledger::ConsumerSums Ledger::consumer_sums() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return books_.sums;
 }
 
 double Ledger::conservation_discrepancy_locked() const {

@@ -249,9 +249,24 @@ class Ledger {
   /// Budget conservation audit: the global released budget must equal the
   /// sum of the per-consumer composition totals (a mismatch means some
   /// released epsilon' escaped the per-consumer caps — the double-spend the
-  /// paper's market model forbids).  Returns the absolute discrepancy;
-  /// every folded sale PRC_DCHECKs it stays within fp rounding of zero.
+  /// paper's market model forbids).  Returns the absolute discrepancy,
+  /// summed over a walk of every consumer's totals (O(consumers));
+  /// recovery, `prc_query recover` and every folded sale's debug-build
+  /// PRC_DCHECK run this walk.
   double conservation_discrepancy() const;
+
+  /// The two sides of the conservation equation as the fold keeps them,
+  /// in O(1) per event: Sigma over consumers of epsilon' and of spend,
+  /// accumulated as each sale or orphan is booked (and summed once from a
+  /// restored base).  Each commit publishes |consumer_epsilon -
+  /// total_epsilon()| + |consumer_spend - total_revenue()| as the
+  /// `market.ledger_conservation_discrepancy` gauge; the sums agree with
+  /// the walk conservation_discrepancy() does up to fp rounding.
+  struct ConsumerSums {
+    double consumer_epsilon = 0.0;
+    double consumer_spend = 0.0;
+  };
+  ConsumerSums consumer_sums() const;
 
   /// Durable view of the aggregates (what a WAL checkpoint writes).
   LedgerSnapshot snapshot() const;
@@ -305,6 +320,8 @@ class Ledger {
     double orphaned_epsilon = 0.0;
     std::unordered_map<std::string, double> spend_by_consumer;
     std::unordered_map<std::string, double> epsilon_by_consumer;
+    /// Running sums of the two maps' values (see ConsumerSums).
+    ConsumerSums sums;
 
     bool empty() const noexcept {
       return next_sequence == 0 && commits == 0 && degraded_sales == 0 &&

@@ -54,22 +54,40 @@ void fsync_parent_directory(const std::string& path) {
   ::close(fd);
 }
 
-/// Appends `value` little-endian.
-template <typename T>
-void put_le(std::vector<std::uint8_t>& out, T value) {
-  for (std::size_t byte = 0; byte < sizeof(T); ++byte) {
-    out.push_back(static_cast<std::uint8_t>((value >> (8 * byte)) & 0xFF));
+/// Fixed-width little-endian stores into a buffer the caller sized for the
+/// whole record: a record's length is known before its first byte is
+/// written, so encoding is straight-line stores, not a push_back per byte.
+class RecordWriter {
+ public:
+  explicit RecordWriter(std::uint8_t* out) : out_(out) {}
+
+  /// Writes a little-endian `T`.
+  template <typename T>
+  void le(T value) {
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(out_ + pos_, &value, sizeof(T));
+    } else {
+      for (std::size_t byte = 0; byte < sizeof(T); ++byte) {
+        out_[pos_ + byte] = static_cast<std::uint8_t>(value >> (8 * byte));
+      }
+    }
+    pos_ += sizeof(T);
   }
-}
 
-void put_f64(std::vector<std::uint8_t>& out, double value) {
-  put_le<std::uint64_t>(out, std::bit_cast<std::uint64_t>(value));
-}
+  void f64(double value) { le(std::bit_cast<std::uint64_t>(value)); }
 
-void put_string(std::vector<std::uint8_t>& out, const std::string& value) {
-  put_le<std::uint32_t>(out, static_cast<std::uint32_t>(value.size()));
-  out.insert(out.end(), value.begin(), value.end());
-}
+  void str(const std::string& value) {
+    le(static_cast<std::uint32_t>(value.size()));
+    std::memcpy(out_ + pos_, value.data(), value.size());
+    pos_ += value.size();
+  }
+
+  std::size_t position() const noexcept { return pos_; }
+
+ private:
+  std::uint8_t* out_;
+  std::size_t pos_ = 0;
+};
 
 /// Bounds-checked reader over a payload slice; every overrun is a
 /// FormatError (the record claimed more content than its payload holds).
@@ -116,18 +134,24 @@ class Cursor {
   std::size_t pos_ = 0;
 };
 
-void put_event(std::vector<std::uint8_t>& out, const AuditEvent& event) {
-  put_le<std::uint8_t>(out, event.degraded ? 1 : 0);
-  put_string(out, event.consumer_id);
+/// Bytes put_event writes for `event`.
+std::size_t event_size(const AuditEvent& event) {
+  // degraded u8, two u32 string lengths, seven f64 and two u64 fields.
+  return 1 + 2 * 4 + 9 * 8 + event.consumer_id.size() + event.detail.size();
+}
+
+void put_event(RecordWriter& out, const AuditEvent& event) {
+  out.le<std::uint8_t>(event.degraded ? 1 : 0);
+  out.str(event.consumer_id);
   for (const double value :
        {event.lower, event.upper, event.alpha.value(), event.delta.value(),
         event.epsilon.value(), event.price}) {
-    put_f64(out, value);
+    out.f64(value);
   }
-  put_le<std::uint64_t>(out, event.wal_sequence);
-  put_le<std::uint64_t>(out, event.ledger_sequence);
-  put_f64(out, event.coverage);
-  put_string(out, event.detail);
+  out.le<std::uint64_t>(event.wal_sequence);
+  out.le<std::uint64_t>(event.ledger_sequence);
+  out.f64(event.coverage);
+  out.str(event.detail);
 }
 
 AuditEvent read_event(Cursor& cursor, AuditEventType type) {
@@ -148,19 +172,28 @@ AuditEvent read_event(Cursor& cursor, AuditEventType type) {
   return event;
 }
 
-void put_snapshot(std::vector<std::uint8_t>& out,
-                  const LedgerSnapshot& snapshot) {
-  put_le<std::uint64_t>(out, snapshot.next_sequence);
-  put_f64(out, snapshot.total_revenue);
-  put_f64(out, snapshot.total_epsilon.value());
-  put_f64(out, snapshot.orphaned_epsilon.value());
-  put_le<std::uint64_t>(out, snapshot.degraded_sales);
-  put_le<std::uint32_t>(out,
-                        static_cast<std::uint32_t>(snapshot.consumers.size()));
+/// Bytes put_snapshot writes for `snapshot`.
+std::size_t snapshot_size(const LedgerSnapshot& snapshot) {
+  // Two u64 and three f64 aggregates and the u32 consumer count, then per
+  // consumer a u32 id length, the id and two f64 totals.
+  std::size_t size = 5 * 8 + 4;
   for (const auto& totals : snapshot.consumers) {
-    put_string(out, totals.consumer_id);
-    put_f64(out, totals.spend);
-    put_f64(out, totals.epsilon.value());
+    size += 4 + totals.consumer_id.size() + 2 * 8;
+  }
+  return size;
+}
+
+void put_snapshot(RecordWriter& out, const LedgerSnapshot& snapshot) {
+  out.le<std::uint64_t>(snapshot.next_sequence);
+  out.f64(snapshot.total_revenue);
+  out.f64(snapshot.total_epsilon.value());
+  out.f64(snapshot.orphaned_epsilon.value());
+  out.le<std::uint64_t>(snapshot.degraded_sales);
+  out.le(static_cast<std::uint32_t>(snapshot.consumers.size()));
+  for (const auto& totals : snapshot.consumers) {
+    out.str(totals.consumer_id);
+    out.f64(totals.spend);
+    out.f64(totals.epsilon.value());
   }
 }
 
@@ -189,30 +222,45 @@ std::string version_error(std::uint8_t version) {
          std::to_string(kFormatVersion) + ")";
 }
 
+/// Encodes one record into `buffer[0, size)`, growing `buffer` only when
+/// it is shorter than the record, and returns the size.  The writer's
+/// buffer is reused across appends, so a steady-state append allocates
+/// nothing.
+std::size_t encode_into(std::vector<std::uint8_t>& buffer,
+                        std::uint64_t wal_sequence, const AuditEvent& event,
+                        const LedgerSnapshot& snapshot) {
+  const bool checkpoint = event.type == AuditEventType::kCheckpoint;
+  const std::size_t payload =
+      event_size(event) + (checkpoint ? snapshot_size(snapshot) : 0);
+  const std::size_t covered = kHeaderSize + payload;
+  if (buffer.size() < covered + kCrcSize) buffer.resize(covered + kCrcSize);
+  RecordWriter out(buffer.data());
+  out.le(kMagic);
+  out.le(kFormatVersion);
+  out.le(static_cast<std::uint8_t>(event.type));
+  out.le<std::uint8_t>(0);  // flags, reserved
+  out.le(static_cast<std::uint32_t>(payload));
+  out.le(wal_sequence);
+  put_event(out, event);
+  if (checkpoint) put_snapshot(out, snapshot);
+  PRC_DCHECK(out.position() == covered)
+      << "wal: encoded " << out.position() << " bytes of a " << covered
+      << "-byte record";
+  // The CRC trails the bytes it covers, so it is computed over them in
+  // place.  It covers the header as well as the payload: a flipped length
+  // or sequence is caught, not just payload corruption.
+  out.le(iot::crc32(buffer.data(), covered));
+  return covered + kCrcSize;
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> encode_record(std::uint64_t wal_sequence,
                                         const AuditEvent& event,
                                         const LedgerSnapshot& snapshot) {
-  std::vector<std::uint8_t> out;
-  out.reserve(128);
-  put_le<std::uint8_t>(out, kMagic);
-  put_le<std::uint8_t>(out, kFormatVersion);
-  put_le<std::uint8_t>(out, static_cast<std::uint8_t>(event.type));
-  put_le<std::uint8_t>(out, 0);  // flags, reserved
-  put_le<std::uint32_t>(out, 0);  // payload length, patched below
-  put_le<std::uint64_t>(out, wal_sequence);
-  put_event(out, event);
-  if (event.type == AuditEventType::kCheckpoint) put_snapshot(out, snapshot);
-  const std::size_t payload = out.size() - kHeaderSize;
-  for (std::size_t byte = 0; byte < 4; ++byte) {
-    out[4 + byte] = static_cast<std::uint8_t>((payload >> (8 * byte)) & 0xFF);
-  }
-  // The CRC trails the bytes it covers, so it is computed over them in
-  // place.  It covers the header as well as the payload: a flipped length
-  // or sequence is caught, not just payload corruption.
-  put_le<std::uint32_t>(out, iot::crc32(out.data(), out.size()));
-  return out;
+  std::vector<std::uint8_t> bytes;
+  bytes.resize(encode_into(bytes, wal_sequence, event, snapshot));
+  return bytes;
 }
 
 Record decode_record(const std::vector<std::uint8_t>& bytes,
@@ -411,18 +459,24 @@ std::unique_ptr<WriteAheadLog> WriteAheadLog::compact(
   return open(path, next_sequence + 1, sync_mode);
 }
 
-void WriteAheadLog::append_bytes_locked(const std::vector<std::uint8_t>& bytes) {
+void WriteAheadLog::append_locked(std::uint64_t sequence,
+                                  const AuditEvent& event,
+                                  const LedgerSnapshot& snapshot) {
+  static telemetry::Counter& wal_records =
+      telemetry::counter("market.wal_records");
+  static telemetry::Counter& wal_bytes = telemetry::counter("market.wal_bytes");
+  const std::size_t size = encode_into(buffer_, sequence, event, snapshot);
   // write(2) IS the spend-ahead discipline for process death: after
   // append_intent returns, the whole record is the kernel's problem, not
   // this process's.  Power/kernel loss is covered only under
   // kMediaDurable — the per-record barrier is a policy choice because it
   // dominates the sale's latency on real disks.
-  write_fully(fd_, bytes.data(), bytes.size(), path_);
+  write_fully(fd_, buffer_.data(), size, path_);
   if (sync_mode_ == SyncMode::kMediaDurable) fsync_or_die(fd_, path_);
   ++records_appended_;
-  bytes_appended_ += bytes.size();
-  telemetry::counter("market.wal_records").increment();
-  telemetry::counter("market.wal_bytes").increment(bytes.size());
+  bytes_appended_ += size;
+  wal_records.increment();
+  wal_bytes.increment(size);
 }
 
 std::uint64_t WriteAheadLog::append_intent(const IntentRecord& record) {
@@ -432,10 +486,10 @@ std::uint64_t WriteAheadLog::append_intent(const IntentRecord& record) {
   // happen inside the same critical section that assigned the sequence
   // number, or a crash could mint noise for an intent that never reached
   // the disk.
-  append_bytes_locked(encode_record(  // lint:allow blocking
+  append_locked(  // lint:allow blocking
       sequence,
       sale_event(AuditEventType::kIntent, record.consumer_id, record.range,
-                 record.spec, record.epsilon_amplified, sequence)));
+                 record.spec, record.epsilon_amplified, sequence));
   return sequence;
 }
 
@@ -445,8 +499,7 @@ void WriteAheadLog::append_commit(const CommitRecord& record) {
   std::lock_guard<std::mutex> lock(mutex_);
   // Commit records share the intent barrier's sequence lock; writing
   // outside it could durably reorder a commit ahead of its own intent.
-  append_bytes_locked(  // lint:allow blocking
-      encode_record(next_sequence_++, commit));
+  append_locked(next_sequence_++, commit);  // lint:allow blocking
 }
 
 void WriteAheadLog::append_checkpoint(const Checkpoint& checkpoint) {
@@ -454,8 +507,8 @@ void WriteAheadLog::append_checkpoint(const Checkpoint& checkpoint) {
   // A checkpoint must capture a sequence-point no append can cross;
   // staging it outside the lock would let records land between the
   // snapshot and its durable write.
-  append_bytes_locked(  // lint:allow blocking
-      encode_record(next_sequence_++, checkpoint.event, checkpoint.snapshot));
+  append_locked(  // lint:allow blocking
+      next_sequence_++, checkpoint.event, checkpoint.snapshot);
   telemetry::counter("market.wal_checkpoints").increment();
 }
 

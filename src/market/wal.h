@@ -217,7 +217,9 @@ class WriteAheadLog {
  private:
   WriteAheadLog(std::string path, std::uint64_t next_sequence,
                 SyncMode sync_mode);
-  void append_bytes_locked(const std::vector<std::uint8_t>& bytes)
+  /// Encodes the record into buffer_ and write(2)s it.
+  void append_locked(std::uint64_t sequence, const AuditEvent& event,
+                     const LedgerSnapshot& snapshot = {})
       PRC_REQUIRES(mutex_);
 
   mutable std::mutex mutex_;
@@ -227,6 +229,9 @@ class WriteAheadLog {
   std::uint64_t next_sequence_ PRC_GUARDED_BY(mutex_) = 0;
   std::uint64_t records_appended_ PRC_GUARDED_BY(mutex_) = 0;
   std::uint64_t bytes_appended_ PRC_GUARDED_BY(mutex_) = 0;
+  /// The encode buffer every append reuses; it grows to the largest record
+  /// written and is never shrunk.
+  std::vector<std::uint8_t> buffer_ PRC_GUARDED_BY(mutex_);
 };
 
 }  // namespace prc::market::wal

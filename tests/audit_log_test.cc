@@ -131,6 +131,75 @@ TEST(AuditLogTest, JsonlShapeAndDenseIndices) {
   EXPECT_NE(jsonl.find("\"degraded\": false"), std::string::npos) << jsonl;
 }
 
+TEST(AuditLogTest, ChunkedTimelineKeepsOrderAcrossChunkBoundaries) {
+  // Past two chunk boundaries: indices stay dense, every reader walks the
+  // chunks in append order, and no append moves an event already held.
+  const std::size_t count = 2 * AuditLog::kChunkEvents + 3;
+  AuditLog log;
+  const AuditEvent* first = nullptr;
+  for (std::size_t i = 0; i < count; ++i) {
+    AuditEvent event;
+    event.type = i % 2 == 0 ? AuditEventType::kQuote : AuditEventType::kRefusal;
+    event.price = static_cast<double>(i);
+    event.detail = "event " + std::to_string(i);
+    EXPECT_EQ(log.append_event(std::move(event)), i);
+    if (i == 0) {
+      log.for_each_event([&first](const AuditEvent& held) { first = &held; });
+    }
+  }
+  ASSERT_EQ(log.size(), count);
+
+  std::size_t visited = 0;
+  log.for_each_event([&](const AuditEvent& event) {
+    if (visited == 0) {
+      EXPECT_EQ(&event, first) << "an append moved event 0";
+    }
+    EXPECT_EQ(event.index, visited);
+    EXPECT_DOUBLE_EQ(event.price, static_cast<double>(visited));
+    ++visited;
+  });
+  EXPECT_EQ(visited, count);
+
+  const auto events = log.events_snapshot();
+  ASSERT_EQ(events.size(), count);
+  for (std::size_t i = 0; i < count; ++i) {
+    EXPECT_EQ(events[i].index, i);
+    EXPECT_EQ(events[i].detail, "event " + std::to_string(i));
+  }
+
+  const std::string jsonl = log.to_jsonl();
+  std::size_t line = 0;
+  for (std::size_t pos = 0; pos < jsonl.size(); ++line) {
+    const auto end = jsonl.find('\n', pos);
+    ASSERT_NE(end, std::string::npos);
+    const std::string text = jsonl.substr(pos, end - pos);
+    const std::string number = std::to_string(line);
+    EXPECT_EQ(text.rfind("{\"index\": " + number + ",", 0), 0u) << text;
+    EXPECT_NE(text.find("\"detail\": \"event " + number + "\""),
+              std::string::npos)
+        << text;
+    pos = end + 1;
+  }
+  EXPECT_EQ(line, count);
+
+  // append_all re-indexes the moved events after the receiver's own and
+  // leaves the source empty and reusable from index 0.
+  AuditLog receiver;
+  for (int i = 0; i < 5; ++i) receiver.append_event(AuditEvent{});
+  receiver.append_all(log);
+  EXPECT_EQ(log.size(), 0u);
+  const auto merged = receiver.events_snapshot();
+  ASSERT_EQ(merged.size(), 5 + count);
+  for (std::size_t i = 0; i < merged.size(); ++i) {
+    EXPECT_EQ(merged[i].index, i);
+    if (i >= 5) {
+      EXPECT_EQ(merged[i].detail, "event " + std::to_string(i - 5));
+    }
+  }
+  EXPECT_EQ(log.append_event(AuditEvent{}), 0u);
+  EXPECT_EQ(receiver.append_event(AuditEvent{}), 5 + count);
+}
+
 TEST(AuditLogTest, LiveBrokerReconcilesExactly) {
   BrokerRig rig;
   rig.broker.sell("alice", kRange, kSpec);

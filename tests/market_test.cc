@@ -2,9 +2,11 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "common/telemetry.h"
 #include "iot/network.h"
 #include "data/partition.h"
 #include "market/broker.h"
@@ -71,6 +73,95 @@ TEST(LedgerTest, RejectsNegativeAmounts) {
                std::invalid_argument);
   EXPECT_THROW(ledger.record({0, "x", {0, 1}, {0.1, 0.5}, 1.0, -0.1}),
                std::invalid_argument);
+}
+
+// The running sums behind the per-commit conservation gauge must agree with
+// the walk over every consumer's totals, whichever way the books changed.
+void expect_sums_match_walk(const Ledger& ledger) {
+  const LedgerSnapshot snapshot = ledger.snapshot();
+  double walked_epsilon = 0.0;
+  double walked_spend = 0.0;
+  for (const auto& totals : snapshot.consumers) {
+    walked_epsilon += totals.epsilon.value();
+    walked_spend += totals.spend;
+  }
+  const Ledger::ConsumerSums sums = ledger.consumer_sums();
+  const double tolerance = 1e-12 * (1.0 + snapshot.total_epsilon.value() +
+                                    snapshot.total_revenue);
+  EXPECT_NEAR(sums.consumer_epsilon, walked_epsilon, tolerance);
+  EXPECT_NEAR(sums.consumer_spend, walked_spend, tolerance);
+  EXPECT_NEAR(std::abs(sums.consumer_epsilon - snapshot.total_epsilon.value()) +
+                  std::abs(sums.consumer_spend - snapshot.total_revenue),
+              ledger.conservation_discrepancy(), tolerance);
+}
+
+Transaction sale_to(std::size_t consumer, std::size_t i) {
+  // Prices and budgets that do not add exactly in binary.
+  return {0, "consumer-" + std::to_string(consumer), {0, 1}, {0.1, 0.5},
+          0.1 * static_cast<double>(i % 7 + 1),
+          0.01 / static_cast<double>(i % 3 + 3)};
+}
+
+TEST(LedgerTest, RunningConsumerSumsTrackTheWalk) {
+  const telemetry::Gauge& gauge =
+      telemetry::gauge("market.ledger_conservation_discrepancy");
+  Ledger live;
+  for (std::size_t i = 0; i < 200; ++i) {
+    if (i % 2 == 0) {
+      live.record(sale_to(i % 37, i));
+    } else {
+      const Transaction sale = sale_to(i % 37, i);
+      auto reservation =
+          live.try_reserve(sale.consumer_id, sale.epsilon_amplified, 1e9);
+      ASSERT_TRUE(reservation.has_value());
+      live.commit(std::move(*reservation), sale);
+    }
+    // Each commit publishes the gauge from the running sums.
+    const auto sums = live.consumer_sums();
+    EXPECT_DOUBLE_EQ(
+        gauge.value(),
+        std::abs(sums.consumer_epsilon - live.total_epsilon().value()) +
+            std::abs(sums.consumer_spend - live.total_revenue()));
+  }
+  expect_sums_match_walk(live);
+
+  // An orphaned intent adds epsilon' to its consumer and none to spend,
+  // including for a consumer the ledger has not seen.
+  for (const char* consumer : {"consumer-3", "crashed-only"}) {
+    AuditEvent orphan;
+    orphan.type = AuditEventType::kIntent;
+    orphan.consumer_id = consumer;
+    orphan.epsilon = 0.0123;
+    live.absorb_orphaned(orphan);
+  }
+  expect_sums_match_walk(live);
+
+  // A restored base sums its consumers once; replays and orphans after it
+  // keep adding.
+  Ledger restored;
+  restored.restore(live.checkpoint("test base"));
+  expect_sums_match_walk(restored);
+  AuditEvent replayed = commit_event(sale_to(5, 11), 0);
+  replayed.ledger_sequence = live.snapshot().next_sequence + 2;
+  restored.replay(replayed);
+  AuditEvent orphan;
+  orphan.type = AuditEventType::kIntent;
+  orphan.consumer_id = "consumer-40";
+  orphan.epsilon = 0.007;
+  restored.absorb_orphaned(orphan);
+  expect_sums_match_walk(restored);
+
+  // adopt() takes the sums with the books and leaves the source empty.
+  const Ledger::ConsumerSums before = restored.consumer_sums();
+  Ledger adopted;
+  adopted.adopt(restored);
+  expect_sums_match_walk(adopted);
+  EXPECT_DOUBLE_EQ(adopted.consumer_sums().consumer_epsilon,
+                   before.consumer_epsilon);
+  EXPECT_DOUBLE_EQ(adopted.consumer_sums().consumer_spend,
+                   before.consumer_spend);
+  EXPECT_DOUBLE_EQ(restored.consumer_sums().consumer_epsilon, 0.0);
+  EXPECT_DOUBLE_EQ(restored.consumer_sums().consumer_spend, 0.0);
 }
 
 TEST(LedgerReservationTest, ExtendWithinCapGrowsTheHold) {
