@@ -220,16 +220,18 @@ void BM_LedgerCommit(benchmark::State& state) {
   std::vector<std::string> ids;
   ids.reserve(consumers);
   market::Ledger ledger;
+  const auto sell = [&ledger](const std::string& id) {
+    auto reservation = ledger.try_reserve(id, 1e-4, 1e9);
+    return ledger.commit(std::move(*reservation),
+                         {0, id, {0, 1}, {0.1, 0.5}, 1.0, 1e-4});
+  };
   for (std::size_t i = 0; i < consumers; ++i) {
     ids.push_back("consumer-" + std::to_string(i));
-    ledger.record({0, ids.back(), {0, 1}, {0.1, 0.5}, 1.0, 1e-4});
+    sell(ids.back());
   }
   std::size_t next = 0;
   for (auto _ : state) {
-    const std::string& id = ids[next++ % kActiveConsumers];
-    auto reservation = ledger.try_reserve(id, 1e-4, 1e9);
-    benchmark::DoNotOptimize(ledger.commit(
-        std::move(*reservation), {0, id, {0, 1}, {0.1, 0.5}, 1.0, 1e-4}));
+    benchmark::DoNotOptimize(sell(ids[next++ % kActiveConsumers]));
   }
   state.counters["consumers"] = static_cast<double>(consumers);
 }

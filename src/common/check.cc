@@ -1,34 +1,6 @@
 #include "common/check.h"
 
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
-
 namespace prc::contracts {
-namespace {
-
-constexpr FailureMode default_mode() noexcept {
-#ifdef PRC_CONTRACT_ABORT
-  return FailureMode::kAbort;
-#else
-  return FailureMode::kThrow;
-#endif
-}
-
-std::atomic<FailureMode>& mode_storage() noexcept {
-  static std::atomic<FailureMode> mode{default_mode()};
-  return mode;
-}
-
-}  // namespace
-
-FailureMode failure_mode() noexcept {
-  return mode_storage().load(std::memory_order_relaxed);
-}
-
-void set_failure_mode(FailureMode mode) noexcept {
-  mode_storage().store(mode, std::memory_order_relaxed);
-}
 
 void raise_violation(const char* file, int line, const char* expression,
                      const std::string& detail) {
@@ -37,12 +9,6 @@ void raise_violation(const char* file, int line, const char* expression,
   if (!detail.empty()) {
     message += " — ";
     message += detail;
-  }
-  if (failure_mode() == FailureMode::kAbort) {
-    std::fputs(message.c_str(), stderr);
-    std::fputc('\n', stderr);
-    std::fflush(stderr);
-    std::abort();
   }
   throw ContractViolation(message);
 }

@@ -13,14 +13,9 @@
 //   PRC_CHECK_PROB(p);                       p finite and in (0, 1]
 //   PRC_CHECK_FINITE(x);                     x finite (no NaN/inf)
 //
-// On violation the default behaviour is to throw prc::ContractViolation.
-// It derives from std::invalid_argument (hence std::logic_error), so
-// callers and tests written against the standard hierarchy keep working.
-// Fuzzers and sanitizer builds prefer a hard abort — the sanitizer then
-// prints the stack at the exact violation instead of an unwound catch
-// site — which is selectable at runtime (set_failure_mode) or at build
-// time (-DPRC_CONTRACT_ABORT, wired to the CMake option of the same
-// name).
+// A violation throws prc::ContractViolation.  It derives from
+// std::invalid_argument (hence std::logic_error), so callers and tests
+// written against the standard hierarchy keep working.
 //
 // Notes:
 //  - The value macros (PRC_CHECK_PROB / PRC_CHECK_FINITE) may evaluate
@@ -37,9 +32,9 @@
 
 namespace prc {
 
-/// Thrown (in the default failure mode) when a PRC_CHECK fails.  Derives
-/// from std::invalid_argument so pre-contract call sites that threw the
-/// standard exception remain drop-in compatible.
+/// Thrown when a PRC_CHECK fails.  Derives from std::invalid_argument so
+/// pre-contract call sites that threw the standard exception remain drop-in
+/// compatible.
 class ContractViolation : public std::invalid_argument {
  public:
   explicit ContractViolation(const std::string& what)
@@ -48,20 +43,7 @@ class ContractViolation : public std::invalid_argument {
 
 namespace contracts {
 
-/// What a failed check does.
-enum class FailureMode {
-  kThrow,  ///< throw prc::ContractViolation (default)
-  kAbort,  ///< write the message to stderr and std::abort()
-};
-
-/// Current process-wide failure mode.  Defaults to kAbort when the build
-/// defines PRC_CONTRACT_ABORT, else kThrow.
-FailureMode failure_mode() noexcept;
-
-/// Overrides the failure mode (e.g. a fuzz harness selecting kAbort).
-void set_failure_mode(FailureMode mode) noexcept;
-
-/// Formats and raises one contract violation according to failure_mode().
+/// Formats one contract violation and throws it as a ContractViolation.
 [[noreturn]] void raise_violation(const char* file, int line,
                                   const char* expression,
                                   const std::string& detail);

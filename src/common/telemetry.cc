@@ -11,16 +11,11 @@
 #include <stdexcept>
 
 #include "common/check.h"
+#include "common/json.h"
 
 namespace prc::telemetry {
 
 namespace {
-
-std::int64_t steady_now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 void append_double(std::ostringstream& out, double value) {
   // max_digits10 keeps snapshot -> JSON -> snapshot lossless.
@@ -28,16 +23,6 @@ void append_double(std::ostringstream& out, double value) {
   out.precision(std::numeric_limits<double>::max_digits10);
   out << value;
   out.precision(previous);
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
 }
 
 /// Minimal cursor over the JSON dialect to_json() emits.
@@ -78,11 +63,25 @@ class JsonCursor {
     std::string out;
     while (pos_ < text_.size() && text_[pos_] != '"') {
       char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) c = text_[pos_++];
+      if (c == '\\' && pos_ < text_.size()) c = unescape(text_[pos_++]);
       out.push_back(c);
     }
     expect('"');
     return out;
+  }
+
+  // The character an escape sequence stands for (json_escape's dialect);
+  // `escape` is the character after the backslash.
+  char unescape(char escape) {
+    if (escape == 'n') return '\n';
+    if (escape == 't') return '\t';
+    if (escape != 'u') return escape;
+    if (pos_ + 4 > text_.size()) {
+      throw std::invalid_argument("telemetry JSON: truncated \\u escape");
+    }
+    const std::string hex = text_.substr(pos_, 4);
+    pos_ += 4;
+    return static_cast<char>(std::stoi(hex, nullptr, 16));
   }
 
   double parse_number() {
@@ -125,6 +124,12 @@ class JsonCursor {
 };
 
 }  // namespace
+
+std::int64_t steady_now_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 const std::vector<double>& default_bounds() {
   static const std::vector<double> bounds = [] {
@@ -411,14 +416,10 @@ Gauge& Telemetry::gauge(const std::string& name) {
   return *slot;
 }
 
-Histogram& Telemetry::histogram(const std::string& name,
-                                std::vector<double> bounds) {
+Histogram& Telemetry::histogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto& slot = histograms_[name];
-  if (!slot) {
-    slot = std::make_unique<Histogram>(
-        bounds.empty() ? default_bounds() : std::move(bounds));
-  }
+  if (!slot) slot = std::make_unique<Histogram>(default_bounds());
   return *slot;
 }
 

@@ -163,9 +163,8 @@ class Telemetry {
   /// Finds or creates; the returned reference lives as long as the process.
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  /// `bounds` is consulted only on first creation (empty = default_bounds).
-  Histogram& histogram(const std::string& name,
-                       std::vector<double> bounds = {});
+  /// Histograms are created with default_bounds().
+  Histogram& histogram(const std::string& name);
 
   TelemetrySnapshot snapshot() const;
 
@@ -198,6 +197,10 @@ inline Gauge& gauge(const std::string& name) {
 inline Histogram& histogram(const std::string& name) {
   return Telemetry::registry().histogram(name);
 }
+
+/// The steady clock in nanoseconds: the one clock ScopedTimer and the span
+/// tracer read.
+std::int64_t steady_now_ns();
 
 /// RAII wall-clock timer recording elapsed microseconds into a histogram at
 /// scope exit (steady clock).

@@ -1,22 +1,15 @@
 #include "common/trace.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
 #include <iomanip>
 #include <sstream>
 
+#include "common/json.h"
 #include "common/telemetry.h"
 
 namespace prc::trace {
 
 namespace {
-
-std::int64_t steady_now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // Per-thread stack of open span ids; parent/child links are intra-thread.
 thread_local std::vector<std::uint64_t> t_open_spans;
@@ -30,48 +23,18 @@ std::uint32_t current_tid() {
   return tid;
 }
 
-// Minimal JSON string escaping for span names (names are identifiers by
-// convention, but a stray quote must not corrupt the trace file).
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
-Tracer::Tracer() : epoch_ns_(steady_now_ns()) {}
+Tracer::Tracer() : epoch_ns_(telemetry::steady_now_ns()) {}
 
 Tracer& Tracer::instance() {
   static Tracer tracer;
   return tracer;
 }
 
-std::int64_t Tracer::now_ns() const { return steady_now_ns() - epoch_ns_; }
+std::int64_t Tracer::now_ns() const {
+  return telemetry::steady_now_ns() - epoch_ns_;
+}
 
 void Tracer::set_capacity(std::size_t capacity) {
   std::lock_guard<std::mutex> lock(mutex_);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 
@@ -21,6 +22,16 @@ constexpr double kInfinity = std::numeric_limits<double>::infinity();
 // the exact same bracket sequence (bit-identical plans are a cache and
 // determinism invariant, not just a nicety).
 constexpr double kInvGolden = 0.6180339887498949;
+// Coarse-bracket resolution of the coarse-to-fine search.  The bracket only
+// needs to isolate the unimodal minimum, not approximate it.
+constexpr std::size_t kCoarsePoints = 16;
+// Golden-section stopping width, as a fraction of the feasible interval
+// (alpha - alpha_lo): the refined alpha' lands within ~1e-10 of the
+// continuous optimum, far below any grid the paper contemplates.
+constexpr double kRefineTolerance = 1e-10;
+// Hard cap on the refinement loop.  Each iteration shrinks the bracket by
+// the golden ratio, so 128 is unreachable in practice.
+constexpr std::uint64_t kMaxRefineIterations = 128;
 
 /// The constraint system of problem (3) at one candidate alpha': the
 /// minimal Laplace budget epsilon that keeps the noise-phase tail bound,
@@ -74,12 +85,6 @@ PerturbationOptimizer::PerturbationOptimizer(OptimizerConfig config)
     : config_(config),
       plan_cache_(std::make_unique<PlanCache>(config.plan_cache_capacity)) {
   PRC_CHECK(config_.grid_points >= 2) << "optimizer needs >= 2 grid points";
-  PRC_CHECK(config_.coarse_points >= 2)
-      << "optimizer needs >= 2 coarse points";
-  PRC_CHECK(std::isfinite(config_.refine_tolerance) &&
-            config_.refine_tolerance > 0.0)
-      << "refine_tolerance must be a positive fraction, got "
-      << config_.refine_tolerance;
 }
 
 PerturbationOptimizer::~PerturbationOptimizer() = default;
@@ -96,8 +101,6 @@ std::optional<PerturbationPlan> PerturbationOptimizer::optimize(
       telemetry::counter("dp.optimize_calls");
   static telemetry::Counter& optimize_infeasible =
       telemetry::counter("dp.optimize_infeasible");
-  static telemetry::Histogram& epsilon_amplified_hist =
-      telemetry::histogram("dp.epsilon_amplified");
   static telemetry::Histogram& optimize_duration =
       telemetry::histogram("dp.optimize_duration_us");
   spec.validate();
@@ -113,9 +116,7 @@ std::optional<PerturbationPlan> PerturbationOptimizer::optimize(
                                       config_.sensitivity_policy);
   if (auto cached = plan_cache_->lookup(key)) {
     // Bit-identical replay of the original search's verdict: no grid
-    // evaluations, no amplification call, no histogram skew (the same
-    // epsilon' the miss recorded is recorded again, once per answer).
-    if (*cached) epsilon_amplified_hist.record((*cached)->epsilon_amplified);
+    // evaluations, no amplification call.
     return *cached;
   }
 
@@ -146,7 +147,6 @@ std::optional<PerturbationPlan> PerturbationOptimizer::optimize(
         << best->to_string();
     PRC_DCHECK(std::isfinite(best->laplace_scale) && best->laplace_scale > 0.0)
         << "plan needs a positive finite noise scale: " << best->to_string();
-    epsilon_amplified_hist.record(best->epsilon_amplified);
   } else {
     optimize_infeasible.increment();
   }
@@ -188,7 +188,7 @@ std::optional<PerturbationPlan> PerturbationOptimizer::search(
     // Coarse bracket: locate which sub-interval holds the minimum of the
     // unimodal objective (it diverges at both ends, so the best coarse
     // point's neighbors always bracket the true optimum).
-    const std::size_t coarse = config_.coarse_points;
+    const std::size_t coarse = kCoarsePoints;
     grid_evaluations.increment(coarse);
     std::size_t best_index = 0;
     for (std::size_t i = 1; i <= coarse; ++i) {
@@ -213,14 +213,13 @@ std::optional<PerturbationPlan> PerturbationOptimizer::search(
           best_index == 1 ? alpha_lo.value() : coarse_alpha(best_index - 1);
       double hi = best_index == coarse ? spec.alpha.value()
                                        : coarse_alpha(best_index + 1);
-      const double tolerance = width * config_.refine_tolerance;
+      const double tolerance = width * kRefineTolerance;
       double probe_lo = hi - kInvGolden * (hi - lo);
       double probe_hi = lo + kInvGolden * (hi - lo);
       double eps_lo = objective.epsilon_at(probe_lo, nullptr);
       double eps_hi = objective.epsilon_at(probe_hi, nullptr);
       std::uint64_t iterations = 2;
-      while (hi - lo > tolerance &&
-             iterations < config_.max_refine_iterations) {
+      while (hi - lo > tolerance && iterations < kMaxRefineIterations) {
         if (eps_lo < eps_hi) {
           hi = probe_hi;
           probe_hi = probe_lo;

@@ -64,8 +64,8 @@ struct PerturbationPlan {
 
 /// How optimize() searches the continuous alpha' domain.
 enum class SearchStrategy {
-  /// Coarse bracket (coarse_points evaluations), then golden-section
-  /// refinement of the winning bracket down to refine_tolerance.
+  /// A 16-point coarse bracket, then golden-section refinement of the
+  /// winning bracket down to 1e-10 of the feasible interval.
   kCoarseToFine,
   /// The original fixed uniform grid of grid_points candidates.  Kept as
   /// the reference implementation the property tests compare against.
@@ -79,16 +79,6 @@ struct OptimizerConfig {
   /// Sensitivity policy for Delta gamma_hat (paper default: expected, 1/p).
   SensitivityPolicy sensitivity_policy = SensitivityPolicy::kExpected;
   SearchStrategy search_strategy = SearchStrategy::kCoarseToFine;
-  /// Coarse-bracket resolution for kCoarseToFine.  The bracket only needs
-  /// to isolate the unimodal minimum, not approximate it.
-  std::size_t coarse_points = 16;
-  /// Golden-section stopping width, as a fraction of the feasible interval
-  /// (alpha - alpha_lo).  1e-10 leaves the refined alpha' within ~1e-10 of
-  /// the continuous optimum — far below any grid the paper contemplates.
-  double refine_tolerance = 1e-10;
-  /// Hard iteration cap on the refinement loop (each iteration shrinks the
-  /// bracket by the golden ratio, so 128 is unreachable in practice).
-  std::size_t max_refine_iterations = 128;
   /// Entries held by the memoized plan cache; 0 disables caching (used by
   /// property tests that want every call to exercise the raw search).
   std::size_t plan_cache_capacity = 1024;

@@ -14,17 +14,18 @@
 #include "dp/laplace_mechanism.h"
 
 namespace prc::dp {
+namespace {
+
+// Multiplier on the Theorem 3.3 probability when topping up, leaving
+// headroom for the noise phase.
+constexpr double kProbabilityHeadroom = 2.0;
+
+}  // namespace
 
 PrivateRangeCounter::PrivateRangeCounter(iot::SamplingNetwork& network,
                                          PrivateCounterConfig config,
                                          std::uint64_t seed)
-    : network_(network), config_(config), optimizer_(config.optimizer),
-      noise_rng_(seed) {
-  PRC_CHECK(std::isfinite(config_.probability_headroom) &&
-            config_.probability_headroom >= 1.0)
-      << "probability headroom must be >= 1, got "
-      << config_.probability_headroom;
-}
+    : network_(network), optimizer_(config.optimizer), noise_rng_(seed) {}
 
 PerturbationPlan PrivateRangeCounter::ensure_feasible_plan(
     const query::AccuracySpec& spec,
@@ -40,7 +41,7 @@ PerturbationPlan PrivateRangeCounter::ensure_feasible_plan(
   double target_p = std::max<double>(
       view->coverage.target_p,
       optimizer_.minimum_feasible_probability(spec, k, n,
-                                              config_.probability_headroom));
+                                              kProbabilityHeadroom));
   for (;;) {
     network_.ensure_sampling_probability(target_p, view);
     const double p = view->coverage.target_p;
@@ -97,6 +98,8 @@ PrivateAnswer PrivateRangeCounter::answer(const query::RangeQuery& range,
       telemetry::gauge("dp.epsilon_spent_total");
   static telemetry::Histogram& laplace_scale_hist =
       telemetry::histogram("dp.laplace_scale");
+  static telemetry::Histogram& epsilon_amplified_hist =
+      telemetry::histogram("dp.epsilon_amplified");
   static telemetry::Histogram& answer_duration =
       telemetry::histogram("dp.answer_duration_us");
   range.validate();
@@ -130,6 +133,7 @@ PrivateAnswer PrivateRangeCounter::answer(const query::RangeQuery& range,
   laplace_draws.increment();
   epsilon_spent_total.add(out.plan.epsilon_amplified);
   laplace_scale_hist.record(out.plan.laplace_scale);
+  epsilon_amplified_hist.record(out.plan.epsilon_amplified);
   // Crash here models dying with budget spent but the sale not yet in the
   // ledger — the orphaned-intent case recovery must charge as spent.
   PRC_CRASH_POINT("dp.post_mint");
@@ -139,13 +143,11 @@ PrivateAnswer PrivateRangeCounter::answer(const query::RangeQuery& range,
   PRC_CHECK_FINITE(out.value);
   PRC_CHECK(out.plan.epsilon_amplified <= out.plan.epsilon * (1.0 + 1e-12))
       << "amplified budget exceeds base budget: " << out.plan.to_string();
-  if (config_.clamp_to_domain) {
-    // Clamping a released value is post-processing; re-minting it here is
-    // legitimate (PrivateRangeCounter is inside the friend boundary).
-    out.value = units::Released<double>(std::clamp(
-        out.value.value(), 0.0,
-        static_cast<double>(network_.total_data_count())));
-  }
+  // Clamping a released value is post-processing; re-minting it here is
+  // legitimate (PrivateRangeCounter is inside the friend boundary).
+  out.value = units::Released<double>(
+      std::clamp(out.value.value(), 0.0,
+                 static_cast<double>(network_.total_data_count())));
   return out;
 }
 
@@ -187,7 +189,7 @@ PerturbationPlan PrivateRangeCounter::plan_for(
   double p = std::max<double>(
       view->coverage.target_p,
       optimizer_.minimum_feasible_probability(spec, k, n,
-                                              config_.probability_headroom));
+                                              kProbabilityHeadroom));
   for (;;) {
     const auto plan = optimizer_.optimize(spec, p, k, n, view->max_data_count);
     if (plan) return *plan;

@@ -43,8 +43,8 @@ class CoverageError : public std::runtime_error {
 
 /// One private release.
 struct PrivateAnswer {
-  /// The released count (clamped to >= 0 when configured; counts are
-  /// nonnegative and clamping is post-processing, so DP is unaffected).
+  /// The released count, clamped to [0, n] (counts are nonnegative and
+  /// clamping is post-processing, so DP is unaffected).
   /// Released<double>: minting happens only inside the DP layer, so a
   /// PrivateAnswer can never carry an unperturbed value here.
   units::Released<double> value;
@@ -71,11 +71,6 @@ using MintBarrier = std::function<void(const PerturbationPlan&)>;
 
 struct PrivateCounterConfig {
   OptimizerConfig optimizer;
-  /// Multiplier on the Theorem 3.3 probability when topping up, leaving
-  /// headroom for the noise phase.  Must be >= 1.
-  double probability_headroom = 2.0;
-  /// Clamp released counts to [0, n].
-  bool clamp_to_domain = true;
 };
 
 /// Thread-safety: answer(), plan_for() and degraded_spec() serialize on an
@@ -130,7 +125,6 @@ class PrivateRangeCounter {
   /// Guarded by mutex_ too: answer() mutates the cache via top-up rounds,
   /// and plan_for()/degraded_spec() must not observe a half-finished round.
   iot::SamplingNetwork& network_;
-  PrivateCounterConfig config_;
   PerturbationOptimizer optimizer_;
   Rng noise_rng_ PRC_GUARDED_BY(mutex_);
 };

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "common/json.h"
 #include "market/ledger.h"
 
 namespace prc::market {
@@ -15,24 +16,6 @@ namespace {
 // Doubles are printed at max_digits10 so timeline -> JSONL -> analysis is
 // lossless, matching the telemetry snapshot precision.
 constexpr int kDoubleDigits = std::numeric_limits<double>::max_digits10;
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else if (c == '\t') {
-      out += "\\t";
-    } else {
-      out += static_cast<unsigned char>(c) < 0x20 ? ' ' : c;
-    }
-  }
-  return out;
-}
 
 void append_event_json(std::ostringstream& out, const AuditEvent& event) {
   out << "{\"index\": " << event.index << ", \"type\": \""

@@ -14,6 +14,11 @@
 namespace prc::market {
 namespace {
 
+// Entries held by the broker's quote cache.  Prices are pure in the
+// contract, so quote() and receipt pricing re-use earlier evaluations
+// bit-identically.
+constexpr std::size_t kQuoteCacheCapacity = 1024;
+
 // Validated before the member init list dereferences it for the quote
 // cache's bound reference.
 std::unique_ptr<pricing::PricingFunction> require_pricing(
@@ -30,7 +35,7 @@ DataBroker::DataBroker(dp::PrivateRangeCounter& counter,
     : counter_(counter),
       pricing_(require_pricing(std::move(pricing))),
       config_(config),
-      quote_cache_(*pricing_, config.quote_cache_capacity) {
+      quote_cache_(*pricing_, kQuoteCacheCapacity) {
   PRC_CHECK(config_.per_consumer_epsilon_cap > 0.0)
       << "per-consumer epsilon cap must be positive, got "
       << config_.per_consumer_epsilon_cap;

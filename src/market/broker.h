@@ -89,10 +89,6 @@ struct BrokerConfig {
   /// guarantee survives power/kernel loss, not just process death (see
   /// wal::SyncMode).  Compaction fsyncs around its rename either way.
   bool wal_fsync = false;
-  /// Entries held by the broker's memoized quote cache (prices are pure in
-  /// the contract, so quote() and receipt pricing re-use earlier
-  /// evaluations bit-identically).  0 disables memoization.
-  std::size_t quote_cache_capacity = 1024;
 };
 
 /// What a consumer receives for their money.

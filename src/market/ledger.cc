@@ -155,16 +155,6 @@ void Ledger::fold_locked(AuditEvent event, Booking booking,
   timeline_.append_event(std::move(event));
 }
 
-std::size_t Ledger::record(Transaction transaction) {
-  AuditEvent sale = commit_event(transaction, 0);
-  check_sale(sale);
-  std::lock_guard<std::mutex> lock(mutex_);
-  const std::size_t sequence = books_.next_sequence;
-  sale.ledger_sequence = sequence;
-  fold_locked(std::move(sale), Booking::kSale);
-  return sequence;
-}
-
 void Ledger::quote(const query::AccuracySpec& spec, double price) {
   AuditEvent event = sale_event(AuditEventType::kQuote, {}, {}, spec, 0.0);
   event.price = price;

@@ -136,12 +136,6 @@ class Ledger {
 
   // --- Live sales.  Each call appends its event(s) to timeline(). ---
 
-  /// Appends a kCommit for a sale with no reservation or WAL behind it;
-  /// assigns and returns its sequence number.  PRC_CHECKs the money/budget
-  /// invariants (non-negative price and epsilon', coverage in [0, 1]) and,
-  /// in debug builds, re-audits budget conservation after the append.
-  std::size_t record(Transaction transaction);
-
   /// kQuote: a price was quoted for `spec`; nothing held or spent.
   void quote(const query::AccuracySpec& spec, double price);
 

@@ -9,6 +9,9 @@
 namespace prc::market {
 namespace {
 
+/// Per-consumer, per-round probability of issuing a request.
+constexpr double kArrivalProbability = 0.5;
+
 /// One consumer arrival, fully determined by the pre-draw phase.
 struct Ticket {
   bool attacker = false;
@@ -86,7 +89,7 @@ SimulationReport MarketSimulation::run() {
   std::vector<Ticket> tickets;
   for (std::size_t round = 0; round < config_.rounds; ++round) {
     for (std::size_t i = 0; i < honest.size(); ++i) {
-      if (!rng.bernoulli(config_.arrival_probability)) continue;
+      if (!rng.bernoulli(kArrivalProbability)) continue;
       Ticket ticket;
       ticket.consumer = i;
       ticket.spec = draw_contract(rng);
@@ -94,7 +97,7 @@ SimulationReport MarketSimulation::run() {
       tickets.push_back(ticket);
     }
     for (std::size_t i = 0; i < attackers.size(); ++i) {
-      if (!rng.bernoulli(config_.arrival_probability)) continue;
+      if (!rng.bernoulli(kArrivalProbability)) continue;
       Ticket ticket;
       ticket.attacker = true;
       ticket.consumer = i;

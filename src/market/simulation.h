@@ -25,8 +25,6 @@ struct SimulationConfig {
   std::size_t rounds = 50;
   std::size_t honest_consumers = 5;
   std::size_t attackers = 2;
-  /// Per-consumer, per-round probability of issuing a request.
-  double arrival_probability = 0.5;
   /// Contracts are drawn uniformly from these boxes.
   double alpha_min = 0.03, alpha_max = 0.25;
   double delta_min = 0.4, delta_max = 0.9;

@@ -131,6 +131,28 @@ TEST(AuditLogTest, JsonlShapeAndDenseIndices) {
   EXPECT_NE(jsonl.find("\"degraded\": false"), std::string::npos) << jsonl;
 }
 
+TEST(AuditLogTest, JsonlEscapesControlCharactersInConsumerIds) {
+  // Consumer ids come from outside the program; every byte must survive
+  // as a JSON escape, not be dropped or leave the line invalid.
+  AuditLog log;
+  AuditEvent sale;
+  sale.type = AuditEventType::kCommit;
+  sale.consumer_id = "id\x01with\nbreak";
+  sale.detail = "tab\there";
+  log.append_event(sale);
+  const std::string line = log.to_jsonl();
+  EXPECT_NE(line.find("\"consumer\": \"id\\u0001with\\nbreak\""),
+            std::string::npos)
+      << line;
+  EXPECT_NE(line.find("\"detail\": \"tab\\there\""), std::string::npos)
+      << line;
+  ASSERT_FALSE(line.empty());
+  EXPECT_EQ(line.back(), '\n');
+  for (std::size_t i = 0; i + 1 < line.size(); ++i) {
+    EXPECT_GE(static_cast<unsigned char>(line[i]), 0x20) << "byte " << i;
+  }
+}
+
 TEST(AuditLogTest, ChunkedTimelineKeepsOrderAcrossChunkBoundaries) {
   // Past two chunk boundaries: indices stay dense, every reader walks the
   // chunks in append order, and no append moves an event already held.

@@ -15,6 +15,7 @@
 #include "pricing/pricing.h"
 #include "pricing/variance_model.h"
 #include "query/range_query.h"
+#include "support/ledger_sale.h"
 
 namespace prc {
 namespace {
@@ -88,25 +89,6 @@ TEST(PrcCheckFinite, RejectsNanAndInfinity) {
   EXPECT_THROW(PRC_CHECK_FINITE(-inf), ContractViolation);
 }
 
-TEST(ContractsDeathTest, AbortModeDiesAtTheViolation) {
-  // The mode flip happens inside the death-test child so the parent
-  // process keeps the default throw mode.
-  EXPECT_DEATH(
-      {
-        contracts::set_failure_mode(contracts::FailureMode::kAbort);
-        PRC_CHECK(2 < 1) << "sanitizer-style hard stop";
-      },
-      "contract violated");
-}
-
-TEST(Contracts, FailureModeRoundTrips) {
-  const auto original = contracts::failure_mode();
-  contracts::set_failure_mode(contracts::FailureMode::kAbort);
-  EXPECT_EQ(contracts::failure_mode(), contracts::FailureMode::kAbort);
-  contracts::set_failure_mode(original);
-  EXPECT_EQ(contracts::failure_mode(), original);
-}
-
 // ---------------------------------------------------------------------------
 // One firing-proof per layer invariant (the DESIGN.md contract table).
 
@@ -141,18 +123,18 @@ TEST(LayerInvariants, InvalidLedgerRecordFires) {
   bad.price = -1.0;
   bad.epsilon_amplified = 0.1;
   bad.coverage = 1.0;
-  EXPECT_THROW(ledger.record(bad), ContractViolation);
+  EXPECT_THROW(market::reserve_and_commit(ledger, bad), ContractViolation);
   bad.price = 1.0;
   bad.epsilon_amplified = -0.1;
-  EXPECT_THROW(ledger.record(bad), ContractViolation);
+  EXPECT_THROW(market::reserve_and_commit(ledger, bad), ContractViolation);
   bad.epsilon_amplified = 0.1;
   bad.coverage = 1.5;
-  EXPECT_THROW(ledger.record(bad), ContractViolation);
+  EXPECT_THROW(market::reserve_and_commit(ledger, bad), ContractViolation);
 
   market::Transaction good = bad;
   good.coverage = 0.9;
-  ledger.record(good);
-  ledger.record(good);
+  market::reserve_and_commit(ledger, good);
+  market::reserve_and_commit(ledger, good);
   EXPECT_EQ(ledger.transaction_count(), 2u);
   EXPECT_NEAR(ledger.conservation_discrepancy(), 0.0, 1e-12);
 }

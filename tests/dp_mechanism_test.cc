@@ -3,7 +3,7 @@
 #include <cmath>
 #include <vector>
 
-#include "common/histogram.h"
+#include "support/histogram.h"
 #include "common/rng.h"
 #include "common/statistics.h"
 #include "dp/amplification.h"

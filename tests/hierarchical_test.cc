@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "common/histogram.h"
+#include "support/histogram.h"
 #include "common/rng.h"
 #include "common/statistics.h"
 

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/csv.h"
-#include "common/histogram.h"
+#include "support/histogram.h"
 #include "common/rng.h"
 #include "common/table.h"
 

@@ -12,6 +12,7 @@
 #include "market/broker.h"
 #include "market/consumer.h"
 #include "market/ledger.h"
+#include "support/ledger_sale.h"
 
 namespace prc::market {
 namespace {
@@ -54,9 +55,15 @@ struct MarketFixture {
 
 TEST(LedgerTest, RecordsAndAggregates) {
   Ledger ledger;
-  EXPECT_EQ(ledger.record({0, "alice", {0, 1}, {0.1, 0.5}, 10.0, 0.2}), 0u);
-  EXPECT_EQ(ledger.record({0, "bob", {0, 1}, {0.1, 0.5}, 5.0, 0.1}), 1u);
-  EXPECT_EQ(ledger.record({0, "alice", {0, 1}, {0.2, 0.4}, 2.5, 0.05}), 2u);
+  EXPECT_EQ(
+      reserve_and_commit(ledger, {0, "alice", {0, 1}, {0.1, 0.5}, 10.0, 0.2}),
+      0u);
+  EXPECT_EQ(
+      reserve_and_commit(ledger, {0, "bob", {0, 1}, {0.1, 0.5}, 5.0, 0.1}),
+      1u);
+  EXPECT_EQ(
+      reserve_and_commit(ledger, {0, "alice", {0, 1}, {0.2, 0.4}, 2.5, 0.05}),
+      2u);
   EXPECT_EQ(ledger.transaction_count(), 3u);
   EXPECT_DOUBLE_EQ(ledger.total_revenue(), 17.5);
   EXPECT_DOUBLE_EQ(ledger.consumer_spend("alice"), 12.5);
@@ -69,10 +76,12 @@ TEST(LedgerTest, RecordsAndAggregates) {
 
 TEST(LedgerTest, RejectsNegativeAmounts) {
   Ledger ledger;
-  EXPECT_THROW(ledger.record({0, "x", {0, 1}, {0.1, 0.5}, -1.0, 0.1}),
-               std::invalid_argument);
-  EXPECT_THROW(ledger.record({0, "x", {0, 1}, {0.1, 0.5}, 1.0, -0.1}),
-               std::invalid_argument);
+  EXPECT_THROW(
+      reserve_and_commit(ledger, {0, "x", {0, 1}, {0.1, 0.5}, -1.0, 0.1}),
+      std::invalid_argument);
+  EXPECT_THROW(
+      reserve_and_commit(ledger, {0, "x", {0, 1}, {0.1, 0.5}, 1.0, -0.1}),
+      std::invalid_argument);
 }
 
 // The running sums behind the per-commit conservation gauge must agree with
@@ -107,15 +116,7 @@ TEST(LedgerTest, RunningConsumerSumsTrackTheWalk) {
       telemetry::gauge("market.ledger_conservation_discrepancy");
   Ledger live;
   for (std::size_t i = 0; i < 200; ++i) {
-    if (i % 2 == 0) {
-      live.record(sale_to(i % 37, i));
-    } else {
-      const Transaction sale = sale_to(i % 37, i);
-      auto reservation =
-          live.try_reserve(sale.consumer_id, sale.epsilon_amplified, 1e9);
-      ASSERT_TRUE(reservation.has_value());
-      live.commit(std::move(*reservation), sale);
-    }
+    reserve_and_commit(live, sale_to(i % 37, i));
     // Each commit publishes the gauge from the running sums.
     const auto sums = live.consumer_sums();
     EXPECT_DOUBLE_EQ(

@@ -22,13 +22,6 @@ std::vector<std::vector<double>> make_node_data(std::size_t nodes,
                                 data::PartitionStrategy::kRoundRobin, rng);
 }
 
-TEST(PrivateRangeCounterTest, RejectsBadHeadroom) {
-  iot::FlatNetwork network(make_node_data(4, 1000));
-  PrivateCounterConfig config;
-  config.probability_headroom = 0.5;
-  EXPECT_THROW(PrivateRangeCounter(network, config), std::invalid_argument);
-}
-
 TEST(PrivateRangeCounterTest, AnswerCarriesConsistentPlan) {
   iot::FlatNetwork network(make_node_data(8, 20000));
   PrivateRangeCounter counter(network);
@@ -105,18 +98,44 @@ TEST(PrivateRangeCounterTest, PlanForQuotesWithoutNetworkTraffic) {
   EXPECT_LE(answer.plan.epsilon_amplified, plan.epsilon_amplified * 1.01);
 }
 
-TEST(PrivateRangeCounterTest, UnclampedAnswersCanBeNegative) {
-  iot::FlatNetwork network(make_node_data(4, 5000));
-  PrivateCounterConfig config;
-  config.clamp_to_domain = false;
-  PrivateRangeCounter counter(network, config, /*seed=*/11);
-  // Empty range: the sampled estimate hovers near 0, so unclamped noisy
-  // answers go negative about half the time.
-  int negative = 0;
-  for (int i = 0; i < 50; ++i) {
-    if (counter.answer({-10.0, -5.0}, {0.2, 0.5}).value < 0.0) ++negative;
+// dp.epsilon_amplified is the epsilon' each release charges: one record per
+// answer, from the final plan.  Quotes (plan_for) and degraded-spec probes
+// run the optimizer too, but release nothing.
+TEST(PrivateRangeCounterTest, EpsilonAmplifiedHistogramRecordsEachAnswer) {
+  const telemetry::Histogram& charged_hist =
+      telemetry::histogram("dp.epsilon_amplified");
+  const auto before = charged_hist.snapshot();
+  std::uint64_t answers = 0;
+  double charged = 0.0;
+
+  iot::FlatNetwork network(make_node_data(8, 20000));
+  PrivateRangeCounter counter(network);
+  for (const query::AccuracySpec spec :
+       {query::AccuracySpec{0.1, 0.5}, query::AccuracySpec{0.05, 0.8},
+        query::AccuracySpec{0.1, 0.5}}) {
+    counter.plan_for(spec);
+    charged += counter.answer({1000.5, 15000.5}, spec)
+                   .plan.epsilon_amplified.value();
+    ++answers;
+    counter.degraded_spec(spec);
   }
-  EXPECT_GT(negative, 5);
+
+  // A stale node leaves the most-included node at a higher p than the one
+  // the plan was searched at, so the answer re-derives epsilon' there.
+  iot::FlatNetwork stale(make_node_data(3, 1200));
+  stale.ensure_sampling_probability(0.2);
+  stale.set_node_online(0, false);
+  stale.ensure_sampling_probability(0.4);
+  PrivateRangeCounter stale_counter(stale);
+  const auto rederived = stale_counter.answer({100.5, 600.5}, {0.6, 0.5});
+  ASSERT_GT(rederived.coverage.max_probability,
+            rederived.plan.sampling_probability);
+  charged += rederived.plan.epsilon_amplified.value();
+  ++answers;
+
+  const auto after = charged_hist.snapshot();
+  EXPECT_EQ(after.count - before.count, answers);
+  EXPECT_NEAR(after.sum - before.sum, charged, 1e-12 * charged);
 }
 
 // End-to-end (alpha, delta) contract: the noisy answers must fall within

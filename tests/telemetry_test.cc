@@ -193,6 +193,19 @@ TEST(SnapshotTest, JsonRoundTripPreservesEverything) {
   EXPECT_EQ(h0.bucket_counts, h1.bucket_counts);
 }
 
+TEST(SnapshotTest, JsonEscapesControlCharactersAndRoundTrips) {
+  Telemetry registry;
+  const std::string name = "odd\x01\"name\n";
+  registry.counter(name).increment();
+  const std::string json = registry.snapshot().to_json();
+  EXPECT_NE(json.find("\"odd\\u0001\\\"name\\n\": 1"), std::string::npos)
+      << json;
+  EXPECT_EQ(json.find('\x01'), std::string::npos) << json;
+  const auto parsed = TelemetrySnapshot::from_json(json);
+  ASSERT_EQ(parsed.counters.size(), 1u);
+  EXPECT_EQ(parsed.counters[0].first, name);
+}
+
 TEST(SnapshotTest, FromJsonRejectsMalformedInput) {
   EXPECT_THROW(TelemetrySnapshot::from_json(""), std::invalid_argument);
   EXPECT_THROW(TelemetrySnapshot::from_json("not json"),

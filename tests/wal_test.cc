@@ -12,6 +12,7 @@
 
 #include "market/ledger.h"
 #include "market/wal.h"
+#include "support/ledger_sale.h"
 
 namespace prc::market::wal {
 namespace {
@@ -374,7 +375,8 @@ TEST(WalRecoveryTest, SequenceGapBurnsSlotAndKeepsOrder) {
   EXPECT_EQ(transactions[0].sequence, 0u);
   EXPECT_EQ(transactions[1].sequence, 2u);
   // The next live sale must not reuse a durable sequence.
-  const auto next = ledger.record({0, "carol", {0, 1}, {0.1, 0.5}, 1.0, 0.01});
+  const auto next =
+      reserve_and_commit(ledger, {0, "carol", {0, 1}, {0.1, 0.5}, 1.0, 0.01});
   EXPECT_EQ(next, 3u);
   std::remove(path.c_str());
 }
@@ -425,9 +427,9 @@ TEST(WalRecoveryTest, CommitRacedPastItsCheckpointIsAbsorbedNotReplayed) {
   const Transaction first_sale{0, "alice", {0, 1}, {0.1, 0.5}, 10.0, 0.01};
   const Transaction raced_sale{0, "bob", {0, 1}, {0.1, 0.5}, 20.0, 0.02};
   Transaction t0 = first_sale;
-  t0.sequence = live.record(first_sale);
+  t0.sequence = reserve_and_commit(live, first_sale);
   Transaction t1 = raced_sale;
-  t1.sequence = live.record(raced_sale);
+  t1.sequence = reserve_and_commit(live, raced_sale);
   {
     auto log = WriteAheadLog::open(path);
     CommitRecord c0;
@@ -453,7 +455,8 @@ TEST(WalRecoveryTest, CommitRacedPastItsCheckpointIsAbsorbedNotReplayed) {
                    live.total_epsilon().value());
   EXPECT_DOUBLE_EQ(recovered.consumer_epsilon("bob").value(), 0.02);
   // The books reopen past the durable history, not on a burned slot.
-  EXPECT_EQ(recovered.record({0, "carol", {0, 1}, {0.1, 0.5}, 1.0, 0.01}),
+  EXPECT_EQ(reserve_and_commit(recovered,
+                               {0, "carol", {0, 1}, {0.1, 0.5}, 1.0, 0.01}),
             2u);
   std::remove(path.c_str());
 }
