@@ -1,10 +1,11 @@
 // google-benchmark micro-benchmarks of the hot paths: per-node estimation,
 // global estimation, batched multi-query estimation, sampling top-up, the
-// perturbation optimizer, Laplace draws, CSV parsing and the (retired)
-// per-ingest rank audit.
+// perturbation optimizer, the attack search, one whole cached sale, Laplace
+// draws, CSV parsing and the (retired) per-ingest rank audit.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -14,11 +15,15 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "data/citypulse.h"
+#include "data/partition.h"
 #include "dp/laplace_mechanism.h"
 #include "dp/optimizer.h"
+#include "dp/private_counting.h"
 #include "estimator/basic_counting.h"
 #include "estimator/rank_counting.h"
 #include "iot/base_station.h"
+#include "iot/network.h"
+#include "market/broker.h"
 #include "market/ledger.h"
 #include "market/simulation.h"
 #include "pricing/arbitrage.h"
@@ -241,6 +246,38 @@ BENCHMARK(BM_LedgerCommit)
     ->Iterations(1 << 17)
     ->Repetitions(5)
     ->ReportAggregatesOnly(true);
+
+// One whole cached DataBroker::sell over `range(0)` nodes holding 100 000
+// readings (menu_market's shape at k = 128): the contract was sold before,
+// so the plan and quote caches hit, the round is a no-op and the view's
+// estimate memo answers the range.  What remains is the estimate snapshot,
+// the Laplace draw, the mint barrier and the ledger and timeline
+// bookkeeping; none of it should grow with k.  Iterations are fixed so the
+// audit timeline stays small.
+void BM_CachedSale(benchmark::State& state) {
+  constexpr std::size_t kRecords = 100000;
+  parallel::set_thread_count(1);
+  const auto k = static_cast<std::size_t>(state.range(0));
+  Rng rng(43);
+  iot::FlatNetwork network(data::partition_values(
+      make_values(kRecords), k, data::PartitionStrategy::kRoundRobin, rng));
+  dp::PrivateRangeCounter counter(network);
+  const pricing::VarianceModel model(kRecords, k);
+  market::DataBroker broker(
+      counter, std::make_unique<pricing::InverseVariancePricing>(
+                   model, query::AccuracySpec{0.1, 0.5}, 100.0, 1.0));
+  const query::AccuracySpec spec{0.05, 0.75};
+  const auto ranges = make_ranges(16);
+  for (const auto& range : ranges) {
+    benchmark::DoNotOptimize(broker.sell("consumer", range, spec));
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        broker.sell("consumer", ranges[next++ % ranges.size()], spec));
+  }
+}
+BENCHMARK(BM_CachedSale)->Arg(128)->Arg(4096)->Iterations(1 << 16);
 
 void BM_SamplerTopUp(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -155,11 +155,25 @@ Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   counts_.assign(bounds_.size() + 1, 0);
 }
 
+std::size_t Histogram::bucket_of(double value) const {
+  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
+  return static_cast<std::size_t>(it - bounds_.begin());
+}
+
 void Histogram::record(double value) {
   PRC_CHECK_FINITE(value);
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  const auto bucket = static_cast<std::size_t>(it - bounds_.begin());
+  const std::size_t bucket = bucket_of(value);
   std::lock_guard<std::mutex> lock(mutex_);
+  add_locked(value, bucket);
+}
+
+void Histogram::record_all(std::span<const double> values) {
+  for (const double value : values) PRC_CHECK_FINITE(value);
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (const double value : values) add_locked(value, bucket_of(value));
+}
+
+void Histogram::add_locked(double value, std::size_t bucket) {
   ++counts_[bucket];
   sum_ += value;
   min_ = count_ == 0 ? value : std::min(min_, value);

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -102,11 +103,17 @@ class Histogram {
   explicit Histogram(std::vector<double> bounds);
 
   void record(double value);
+  /// Records `values` in order under one lock: the count, sum, min, max
+  /// and buckets come out as from one record() per value.  Every value must
+  /// be finite; a batch holding a non-finite value records nothing.
+  void record_all(std::span<const double> values);
 
   HistogramSnapshot snapshot() const;
   void reset();
 
  private:
+  std::size_t bucket_of(double value) const;
+  void add_locked(double value, std::size_t bucket) PRC_REQUIRES(mutex_);
   double quantile_locked(double q) const PRC_REQUIRES(mutex_);
 
   const std::vector<double> bounds_;  // immutable after construction

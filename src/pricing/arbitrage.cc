@@ -75,21 +75,23 @@ CheckReport ArbitrageChecker::check(const PricingFunction& pricing,
   }
 
   // Every property below prices and re-prices the same grid cells; quote
-  // each cell ONCE up front and index into the vectors.  Pricing functions
-  // are pure in (alpha, delta), so the precomputed doubles are the exact
-  // values the per-cell calls produced.
+  // each cell ONCE up front, in one row-major batch, and index into the
+  // vectors.  Pricing functions are pure in (alpha, delta), so the
+  // precomputed doubles are the exact values the per-cell calls produced.
   const auto cell = [this](std::size_t i, std::size_t j) {
     return i * grid_.delta_steps + j;
   };
-  std::vector<double> price_grid(alphas.size() * deltas.size());
-  std::vector<double> variance_grid(alphas.size() * deltas.size());
-  for (std::size_t i = 0; i < alphas.size(); ++i) {
-    for (std::size_t j = 0; j < deltas.size(); ++j) {
-      const query::AccuracySpec spec{alphas[i], deltas[j]};
-      price_grid[cell(i, j)] = pricing.price(spec);
-      variance_grid[cell(i, j)] = model_.contract_variance(spec);
+  std::vector<query::AccuracySpec> grid_specs;
+  grid_specs.reserve(alphas.size() * deltas.size());
+  std::vector<double> variance_grid;
+  variance_grid.reserve(alphas.size() * deltas.size());
+  for (const double alpha : alphas) {
+    for (const double delta : deltas) {
+      grid_specs.push_back({alpha, delta});
+      variance_grid.push_back(model_.contract_variance(grid_specs.back()));
     }
   }
+  const std::vector<double> price_grid = pricing.price_all(grid_specs);
 
   // Property 1: contracts with identical variance must have identical price.
   for (std::size_t i = 0; i < alphas.size(); ++i) {
@@ -178,17 +180,10 @@ AttackResult AttackSimulator::best_attack(
   static telemetry::Counter& quote_cache_hits =
       telemetry::counter("pricing.attack_quote_cache_hits");
   target.validate();
-  // The single pass below is exact only for positive quotes, so the
-  // interface's "Positive" is checked on every quote it reads.
-  const auto quote = [&pricing](const query::AccuracySpec& spec) {
-    const double price = pricing.price(spec);
-    PRC_CHECK(std::isfinite(price) && price > 0.0)
-        << "best_attack needs positive finite quotes, but " << pricing.name()
-        << " quoted " << price << " for " << spec.to_string();
-    return price;
-  };
+  // The single pass below is exact only for positive quotes; price() and
+  // price_all() reject any other quote, naming the pricing function.
   AttackResult result;
-  result.honest_price = quote(target);
+  result.honest_price = pricing.price(target);
   result.best_attack_cost = result.honest_price;
   const double target_variance = model_.contract_variance(target);
 
@@ -198,8 +193,24 @@ AttackResult AttackSimulator::best_attack(
   // the (alpha_w, delta_w) lattice out once, give each cell its m_min, and
   // counting-sort the admissible cells by (m_min, lattice index): that is
   // the order in which a scan over m = 2..max_copies first touches each
-  // cell, so pricing them once in that order with the same strict `<`
-  // makes the same price() calls and keeps the same winner and tie-breaks.
+  // cell, so pricing them in one batch in that order with the same strict
+  // `<` makes the same price() calls and keeps the same winner and
+  // tie-breaks.
+  //
+  // A cell's variance is its row's (alpha_w n)^2 times its column's
+  // (1 - delta_w), the factors contract_variance multiplies, so each
+  // alpha_w and delta_w is validated once rather than once per cell.
+  std::vector<double> deltas;
+  std::vector<double> delta_factors;
+  deltas.reserve(space_.delta_steps);
+  delta_factors.reserve(space_.delta_steps);
+  for (std::size_t di = 1; di <= space_.delta_steps; ++di) {
+    const double delta_w = target.delta * static_cast<double>(di) /
+                           static_cast<double>(space_.delta_steps + 1);
+    if (!(delta_w > 0.0) || !(delta_w < target.delta)) continue;
+    deltas.push_back(delta_w);
+    delta_factors.push_back(model_.delta_factor(delta_w));
+  }
   struct Cell {
     query::AccuracySpec spec;
     double variance = 0.0;
@@ -207,52 +218,47 @@ AttackResult AttackSimulator::best_attack(
   };
   const std::size_t max_copies = space_.max_copies;
   std::vector<Cell> cells;
-  cells.reserve(space_.alpha_steps * space_.delta_steps);
+  cells.reserve(space_.alpha_steps * deltas.size());
   // first[m] counts, then indexes, the cells whose m_min is m.
   std::vector<std::size_t> first(max_copies + 2, 0);
   std::size_t revisits = 0;
+  // A cell is admissible at m when V_w <= budget[m] = m * V(target).
+  std::vector<double> budget(max_copies + 1);
+  for (std::size_t m = 0; m <= max_copies; ++m) {
+    budget[m] = static_cast<double>(m) * target_variance;
+  }
   for (std::size_t ai = 1; ai <= space_.alpha_steps; ++ai) {
     const double alpha_w =
         target.alpha + (space_.alpha_max - target.alpha) *
                            static_cast<double>(ai) /
                            static_cast<double>(space_.alpha_steps);
     if (!(alpha_w > target.alpha) || alpha_w > 1.0) continue;
-    for (std::size_t di = 1; di <= space_.delta_steps; ++di) {
-      const double delta_w = target.delta * static_cast<double>(di) /
-                             static_cast<double>(space_.delta_steps + 1);
-      if (!(delta_w > 0.0) || !(delta_w < target.delta)) continue;
-      const query::AccuracySpec spec{alpha_w, delta_w};
-      const double variance = model_.contract_variance(spec);
-      // V_w <= m * V(target): start from the ratio's ceiling, then settle
-      // the boundary with the exact double comparison so rounding in the
-      // division cannot move it.
-      const auto over_budget = [&](std::size_t m) {
-        return variance > static_cast<double>(m) * target_variance;
-      };
-      const double ratio = variance / target_variance;
-      std::size_t m = 2;
-      if (ratio > static_cast<double>(max_copies)) {
-        m = max_copies + 1;
-      } else if (ratio > 2.0) {
-        m = static_cast<std::size_t>(std::ceil(ratio));
-      }
-      while (m > 2 && !over_budget(m - 1)) --m;
-      while (m <= max_copies && over_budget(m)) ++m;
-      if (m > max_copies) continue;  // average too noisy at every m
-      cells.push_back({spec, variance, m});
+    const double alpha_factor = model_.alpha_factor(alpha_w);
+    // Along a row delta_w rises, so V_w never rises and neither does m_min:
+    // walk it down from the previous cell's with the exact budget
+    // comparison.  Starting above max_copies skips the row's leading cells,
+    // whose average is too noisy at every m.
+    std::size_t m = max_copies + 1;
+    for (std::size_t j = 0; j < deltas.size(); ++j) {
+      const double variance = alpha_factor * delta_factors[j];
+      while (m > 2 && !(variance > budget[m - 1])) --m;
+      if (m > max_copies) continue;
+      cells.push_back({{alpha_w, deltas[j]}, variance, m});
       ++first[m + 1];
       revisits += max_copies - m;
     }
   }
   for (std::size_t m = 3; m <= max_copies + 1; ++m) first[m] += first[m - 1];
-  std::vector<std::size_t> order(cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    order[first[cells[i].copies]++] = i;
-  }
+  std::vector<const Cell*> order(cells.size());
+  for (const Cell& c : cells) order[first[c.copies]++] = &c;
+  std::vector<query::AccuracySpec> specs;
+  specs.reserve(order.size());
+  for (const Cell* c : order) specs.push_back(c->spec);
+  const std::vector<double> quotes = pricing.price_all(specs);
 
-  for (const std::size_t i : order) {
-    const Cell& c = cells[i];
-    const double cost = static_cast<double>(c.copies) * quote(c.spec);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const Cell& c = *order[i];
+    const double cost = static_cast<double>(c.copies) * quotes[i];
     if (cost < result.best_attack_cost) {
       result.best_attack_cost = cost;
       result.copies = c.copies;

@@ -85,11 +85,14 @@ class AttackSimulator {
   /// constraint sum V_i <= m^2 V and the cost sum psi(V_i) are both
   /// Schur-convex in the V_i.  Asymmetric spot checks are in the tests.
   ///
-  /// Cost: one O(A·D) pass over the alpha_steps × delta_steps lattice plus
-  /// one quote per admissible cell, each priced only at its smallest
-  /// admissible copy count (a scan over every m was O(M·A·D)).  Requires
-  /// every quote, the honest one included, to be positive and finite;
-  /// throws prc::ContractViolation otherwise.
+  /// Cost: one O(A·D) pass over the alpha_steps × delta_steps lattice,
+  /// where a cell's variance is one multiply of its row's (alpha n)^2 by
+  /// its column's (1 - delta) (A + D validations, not A·D), then one
+  /// price_all() batch that quotes each admissible cell once, at its
+  /// smallest admissible copy count (a scan over every m was O(M·A·D)),
+  /// with the quote telemetry flushed once.  The honest quote is one more
+  /// price() call, made first.  Every quote is checked positive and finite
+  /// by price()/price_all(); prc::ContractViolation otherwise.
   AttackResult best_attack(const PricingFunction& pricing,
                            const query::AccuracySpec& target) const;
 

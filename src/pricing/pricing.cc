@@ -16,7 +16,46 @@ namespace {
 constexpr double kAuditAlpha[] = {0.05, 0.2, 0.5, 0.9};
 constexpr double kAuditDelta[] = {0.05, 0.3, 0.6, 0.9};
 
+// Quoting is the attacker grid search's inner loop; cache the registry
+// lookups (name hash + registry lock) once per process.
+telemetry::Counter& quote_counter() {
+  static telemetry::Counter& quotes = telemetry::counter("pricing.quotes");
+  return quotes;
+}
+
+telemetry::Histogram& price_histogram() {
+  static telemetry::Histogram& prices = telemetry::histogram("pricing.price");
+  return prices;
+}
+
+// pricing.evaluate(spec), checked positive and finite.
+double checked_evaluate(const PricingFunction& pricing,
+                        const query::AccuracySpec& spec) {
+  const double price = pricing.evaluate(spec);
+  PRC_CHECK(std::isfinite(price) && price > 0.0)
+      << pricing.name() << " quoted " << price << " for " << spec.to_string()
+      << "; a price must be positive and finite";
+  return price;
+}
+
 }  // namespace
+
+double PricingFunction::price(const query::AccuracySpec& spec) const {
+  const double price = checked_evaluate(*this, spec);
+  quote_counter().increment();
+  price_histogram().record(price);
+  return price;
+}
+
+std::vector<double> PricingFunction::price_all(
+    std::span<const query::AccuracySpec> specs) const {
+  std::vector<double> prices;
+  prices.reserve(specs.size());
+  for (const auto& spec : specs) prices.push_back(checked_evaluate(*this, spec));
+  quote_counter().increment(prices.size());
+  price_histogram().record_all(prices);
+  return prices;
+}
 
 void validate_arbitrage_conditions(const VarianceModel& model,
                                    const PricingFunction& pricing) {
@@ -44,9 +83,6 @@ void validate_arbitrage_conditions(const VarianceModel& model,
           << spec.to_string();
       prev_v_delta = v;
       const double price = pricing.price(spec);
-      PRC_CHECK(std::isfinite(price) && price > 0.0)
-          << pricing.name() << " must price " << spec.to_string()
-          << " positive, got " << price;
       const double product = price * v;
       product_min = std::min(product_min, product);
       product_max = std::max(product_max, product);
@@ -75,16 +111,12 @@ InverseVariancePricing::InverseVariancePricing(
   if (exponent_ == 1.0) validate_arbitrage_conditions(model_, *this);
 }
 
-double InverseVariancePricing::price(const query::AccuracySpec& spec) const {
-  // price() is the attacker grid search's inner loop; cache the registry
-  // lookups (name hash + registry lock) once per process.
-  static telemetry::Counter& quotes = telemetry::counter("pricing.quotes");
-  static telemetry::Histogram& prices = telemetry::histogram("pricing.price");
-  const double v = model_.contract_variance(spec);
-  const double price = base_price_ * std::pow(reference_variance_ / v, exponent_);
-  quotes.increment();
-  prices.record(price);
-  return price;
+double InverseVariancePricing::evaluate(
+    const query::AccuracySpec& spec) const {
+  const double ratio = reference_variance_ / model_.contract_variance(spec);
+  // glibc's pow(x, 1.0) is exactly x, so the theorem family (q = 1) skips
+  // the call; a pricing test pins the equality bit for bit.
+  return base_price_ * (exponent_ == 1.0 ? ratio : std::pow(ratio, exponent_));
 }
 
 std::string InverseVariancePricing::name() const {
@@ -102,15 +134,10 @@ LinearDiscountPricing::LinearDiscountPricing(double base, double accuracy_rate,
       << "linear pricing needs base > 0, rates >= 0";
 }
 
-double LinearDiscountPricing::price(const query::AccuracySpec& spec) const {
-  static telemetry::Counter& quotes = telemetry::counter("pricing.quotes");
-  static telemetry::Histogram& prices = telemetry::histogram("pricing.price");
+double LinearDiscountPricing::evaluate(const query::AccuracySpec& spec) const {
   spec.validate();
-  const double price = base_ + accuracy_rate_ * (1.0 - spec.alpha) +
-                       confidence_rate_ * spec.delta;
-  quotes.increment();
-  prices.record(price);
-  return price;
+  return base_ + accuracy_rate_ * (1.0 - spec.alpha) +
+         confidence_rate_ * spec.delta;
 }
 
 std::string LinearDiscountPricing::name() const { return "linear-discount"; }
@@ -149,13 +176,8 @@ FittedTheoremPricing::FittedTheoremPricing(VarianceModel model, double scale)
   validate_arbitrage_conditions(model_, *this);
 }
 
-double FittedTheoremPricing::price(const query::AccuracySpec& spec) const {
-  static telemetry::Counter& quotes = telemetry::counter("pricing.quotes");
-  static telemetry::Histogram& prices = telemetry::histogram("pricing.price");
-  const double price = scale_ / model_.contract_variance(spec);
-  quotes.increment();
-  prices.record(price);
-  return price;
+double FittedTheoremPricing::evaluate(const query::AccuracySpec& spec) const {
+  return scale_ / model_.contract_variance(spec);
 }
 
 std::string FittedTheoremPricing::name() const {

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,12 +31,32 @@
 namespace prc::pricing {
 
 /// Interface for a pricing function pi(alpha, delta).
+///
+/// An implementation supplies the formula, evaluate(); callers quote
+/// through price() or price_all(), which own what every quote shares: the
+/// check that the price is positive and finite (a violation throws
+/// prc::ContractViolation naming the function, before the price reaches
+/// any metric), the `pricing.quotes` count and the `pricing.price`
+/// histogram.
 class PricingFunction {
  public:
   virtual ~PricingFunction() = default;
 
-  /// Price of one (alpha, delta) query.  Positive.
-  virtual double price(const query::AccuracySpec& spec) const = 0;
+  /// Price of one (alpha, delta) query: evaluate(spec), checked and
+  /// recorded.
+  double price(const query::AccuracySpec& spec) const;
+
+  /// The prices of `specs`, in order: the values and telemetry of one
+  /// price() call per spec (the same evaluate() sequence, the same quote
+  /// count, the same histogram count, sum, min, max and buckets), with the
+  /// telemetry flushed once for the batch.  When a quote fails its check,
+  /// the batch throws and records nothing.
+  std::vector<double> price_all(
+      std::span<const query::AccuracySpec> specs) const;
+
+  /// The bare formula: no check, no telemetry.  Wrappers forward to it;
+  /// everything else quotes through price() or price_all().
+  virtual double evaluate(const query::AccuracySpec& spec) const = 0;
 
   virtual std::string name() const = 0;
 };
@@ -68,7 +89,7 @@ class InverseVariancePricing final : public PricingFunction {
                          query::AccuracySpec reference_spec, double base_price,
                          double exponent = 1.0);
 
-  double price(const query::AccuracySpec& spec) const override;
+  double evaluate(const query::AccuracySpec& spec) const override;
   std::string name() const override;
 
   double exponent() const noexcept { return exponent_; }
@@ -93,7 +114,7 @@ class LinearDiscountPricing final : public PricingFunction {
   LinearDiscountPricing(double base, double accuracy_rate,
                         double confidence_rate);
 
-  double price(const query::AccuracySpec& spec) const override;
+  double evaluate(const query::AccuracySpec& spec) const override;
   std::string name() const override;
 
  private:
@@ -131,7 +152,7 @@ class FittedTheoremPricing final : public PricingFunction {
  public:
   FittedTheoremPricing(VarianceModel model, double scale);
 
-  double price(const query::AccuracySpec& spec) const override;
+  double evaluate(const query::AccuracySpec& spec) const override;
   std::string name() const override;
 
  private:

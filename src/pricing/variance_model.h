@@ -30,6 +30,13 @@ class VarianceModel {
   /// Canonical contract variance (alpha n)^2 (1 - delta).
   double contract_variance(const query::AccuracySpec& spec) const;
 
+  /// The two factors of contract_variance, for callers that lay out an
+  /// (alpha, delta) lattice: a row's (alpha n)^2 and a column's (1 - delta).
+  /// alpha_factor(a) * delta_factor(d) == contract_variance({a, d}) bit for
+  /// bit.  Each validates its argument as AccuracySpec::validate does.
+  double alpha_factor(units::Alpha alpha) const;
+  double delta_factor(units::Delta delta) const;
+
   /// Inverse along the alpha axis: the alpha for which contract_variance
   /// equals `variance` at confidence `delta`.
   units::Alpha alpha_for_variance(double variance, units::Delta delta) const;

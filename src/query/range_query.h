@@ -35,6 +35,10 @@ struct AccuracySpec {
   /// the contract would be vacuous (any answer satisfies it) and the
   /// optimizer's minimum budget degenerates to 0.
   void validate() const;
+  /// The two halves of validate(), for callers that check a lattice's
+  /// alphas and deltas once each instead of once per cell.
+  static void validate_alpha(units::Alpha alpha);
+  static void validate_delta(units::Delta delta);
 
   /// True if an answer meeting `other` also meets this spec (other is at
   /// least as strict: alpha' <= alpha and delta' >= delta).

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,6 +29,24 @@ TEST(VarianceModelTest, ContractVarianceFormula) {
   const query::AccuracySpec spec{0.1, 0.75};
   const double expected = (0.1 * kTotal) * (0.1 * kTotal) * 0.25;
   EXPECT_NEAR(model().contract_variance(spec), expected, 1e-6);
+}
+
+TEST(VarianceModelTest, FactorsMultiplyToContractVarianceBitForBit) {
+  const auto m = model();
+  Rng rng(5);
+  for (int i = 0; i < 5000; ++i) {
+    const query::AccuracySpec spec{rng.uniform(1e-4, 1.0),
+                                   rng.uniform(1e-4, 1.0 - 1e-4)};
+    EXPECT_EQ(m.alpha_factor(spec.alpha) * m.delta_factor(spec.delta),
+              m.contract_variance(spec))
+        << spec.to_string();
+  }
+  EXPECT_EQ(m.alpha_factor(1.0) * m.delta_factor(0.5),
+            m.contract_variance({1.0, 0.5}));
+  EXPECT_THROW(m.alpha_factor(0.0), std::invalid_argument);
+  EXPECT_THROW(m.alpha_factor(1.5), std::invalid_argument);
+  EXPECT_THROW(m.delta_factor(1.0), std::invalid_argument);
+  EXPECT_THROW(m.delta_factor(std::nan("")), std::invalid_argument);
 }
 
 TEST(VarianceModelTest, Monotonicity) {
@@ -333,9 +353,9 @@ AttackResult reference_best_attack(const VarianceModel& model,
 class RecordingPricing final : public PricingFunction {
  public:
   explicit RecordingPricing(const PricingFunction& inner) : inner_(inner) {}
-  double price(const query::AccuracySpec& spec) const override {
+  double evaluate(const query::AccuracySpec& spec) const override {
     quoted_.push_back(spec);
-    return inner_.price(spec);
+    return inner_.evaluate(spec);
   }
   std::string name() const override { return inner_.name(); }
   std::vector<query::AccuracySpec> take() {
@@ -350,7 +370,8 @@ class RecordingPricing final : public PricingFunction {
 };
 
 // Everything one search leaves behind: its result, the specs it quoted in
-// order, and what it added to the pricing telemetry.
+// order (when it ran through a RecordingPricing), and what it added to the
+// pricing telemetry.
 struct SearchTrace {
   AttackResult result;
   std::vector<query::AccuracySpec> quoted;
@@ -370,10 +391,8 @@ SearchTrace trace_search(const PricingFunction& pricing, Search search) {
   prices.reset();
   const std::uint64_t quotes_before = quotes.value();
   const std::uint64_t hits_before = memo_hits.value();
-  RecordingPricing recording(pricing);
   SearchTrace trace;
-  trace.result = search(recording, trace.memo_hits);
-  trace.quoted = recording.take();
+  trace.result = search(pricing, trace.memo_hits);
   trace.quotes = quotes.value() - quotes_before;
   trace.memo_hits += memo_hits.value() - hits_before;
   const telemetry::HistogramSnapshot snapshot = prices.snapshot();
@@ -382,23 +401,16 @@ SearchTrace trace_search(const PricingFunction& pricing, Search search) {
   return trace;
 }
 
-void expect_same_search(const VarianceModel& m,
-                        const AttackSimulator::SearchSpace& space,
-                        const PricingFunction& pricing,
-                        const query::AccuracySpec& target) {
-  const AttackSimulator simulator(m, space);
-  const SearchTrace want = trace_search(
-      pricing, [&](const PricingFunction& p, std::uint64_t& hits) {
-        return reference_best_attack(m, space, p, target, hits);
-      });
-  const SearchTrace got = trace_search(
-      pricing, [&](const PricingFunction& p, std::uint64_t&) {
-        return simulator.best_attack(p, target);
-      });
-  SCOPED_TRACE(pricing.name() + " target=" + target.to_string() +
-               " max_copies=" + std::to_string(space.max_copies) +
-               " steps=" + std::to_string(space.alpha_steps) + "x" +
-               std::to_string(space.delta_steps));
+template <typename Search>
+SearchTrace trace_recorded_search(const PricingFunction& pricing,
+                                  Search search) {
+  RecordingPricing recording(pricing);
+  SearchTrace trace = trace_search(recording, search);
+  trace.quoted = recording.take();
+  return trace;
+}
+
+void expect_same_trace(const SearchTrace& got, const SearchTrace& want) {
   EXPECT_EQ(got.result.profitable, want.result.profitable);
   EXPECT_EQ(got.result.honest_price, want.result.honest_price);
   EXPECT_EQ(got.result.best_attack_cost, want.result.best_attack_cost);
@@ -417,13 +429,43 @@ void expect_same_search(const VarianceModel& m,
   }
 }
 
+// Runs both searches twice: through a RecordingPricing, which compares the
+// quoted specs call by call, and on `pricing` itself, so the function's own
+// evaluate() and the batch telemetry are what is compared.
+void expect_same_search(const VarianceModel& m,
+                        const AttackSimulator::SearchSpace& space,
+                        const PricingFunction& pricing,
+                        const query::AccuracySpec& target) {
+  const AttackSimulator simulator(m, space);
+  const auto reference = [&](const PricingFunction& p, std::uint64_t& hits) {
+    return reference_best_attack(m, space, p, target, hits);
+  };
+  const auto single_pass = [&](const PricingFunction& p, std::uint64_t&) {
+    return simulator.best_attack(p, target);
+  };
+  SCOPED_TRACE(pricing.name() + " target=" + target.to_string() +
+               " max_copies=" + std::to_string(space.max_copies) +
+               " steps=" + std::to_string(space.alpha_steps) + "x" +
+               std::to_string(space.delta_steps));
+  {
+    SCOPED_TRACE("recorded");
+    expect_same_trace(trace_recorded_search(pricing, single_pass),
+                      trace_recorded_search(pricing, reference));
+  }
+  {
+    SCOPED_TRACE("unwrapped");
+    expect_same_trace(trace_search(pricing, single_pass),
+                      trace_search(pricing, reference));
+  }
+}
+
 // Quotes every contract weaker than the target at one flat price, so every
 // cell admissible at m = 2 ties on cost and the lattice index alone picks
 // the winner.
 class StepPricing final : public PricingFunction {
  public:
   explicit StepPricing(double target_alpha) : target_alpha_(target_alpha) {}
-  double price(const query::AccuracySpec& spec) const override {
+  double evaluate(const query::AccuracySpec& spec) const override {
     return spec.alpha > target_alpha_ ? 1.0 : 100.0;
   }
   std::string name() const override { return "step"; }
@@ -581,7 +623,7 @@ class BrokenPricing final : public PricingFunction {
  public:
   BrokenPricing(double honest, double weaker)
       : honest_(honest), weaker_(weaker) {}
-  double price(const query::AccuracySpec& spec) const override {
+  double evaluate(const query::AccuracySpec& spec) const override {
     return spec.alpha > 0.05 ? weaker_ : honest_;
   }
   std::string name() const override { return "broken-stub"; }
@@ -606,6 +648,192 @@ TEST(AttackSimulatorTest, RejectsNonPositiveQuotes) {
       EXPECT_NE(std::string(violation.what()).find("broken-stub"),
                 std::string::npos)
           << violation.what();
+    }
+  }
+}
+
+TEST(AttackSimulatorTest, PriceAllRejectsNonFiniteQuotesBeforeRecording) {
+  auto& quotes = telemetry::counter("pricing.quotes");
+  auto& prices = telemetry::histogram("pricing.price");
+  prices.reset();
+  const std::uint64_t quotes_before = quotes.value();
+  const BrokenPricing broken(10.0, std::nan(""));
+  const std::vector<query::AccuracySpec> batch{
+      {0.05, 0.8}, {0.05, 0.5}, {0.2, 0.5}, {0.05, 0.3}};
+  try {
+    broken.price_all(batch);
+    ADD_FAILURE() << "accepted a NaN quote";
+  } catch (const prc::ContractViolation& violation) {
+    EXPECT_NE(std::string(violation.what()).find("broken-stub"),
+              std::string::npos)
+        << violation.what();
+  }
+  // The two valid quotes ahead of the NaN are not counted either.
+  EXPECT_EQ(quotes.value(), quotes_before);
+  EXPECT_EQ(prices.snapshot().count, 0u);
+  // A valid batch is counted and recorded once per quote.
+  const std::vector<double> valid = broken.price_all(
+      std::span<const query::AccuracySpec>(batch).first(2));
+  EXPECT_EQ(valid, (std::vector<double>{10.0, 10.0}));
+  EXPECT_EQ(quotes.value(), quotes_before + 2);
+  EXPECT_EQ(prices.snapshot().count, 2u);
+}
+
+TEST(InverseVariancePricingTest, UnitExponentEqualsPowBitForBit) {
+  // q = 1 skips std::pow; the quote must still be the exact double that
+  // base * pow(ratio, 1.0) gives.  The exponent is read through a volatile
+  // so the compiler cannot fold the call away.
+  const auto m = model();
+  const InverseVariancePricing pricing(m, kReference, 50.0, 1.0);
+  const volatile double one = 1.0;
+  const double reference_variance = m.contract_variance(kReference);
+  std::vector<query::AccuracySpec> specs;
+  Rng rng(11);
+  for (int i = 0; i < 2000; ++i) {
+    specs.push_back({rng.uniform(0.001, 1.0), rng.uniform(0.001, 0.999)});
+  }
+  for (double alpha : {0.001, 0.01, 0.05, 0.1, 0.5, 1.0}) {
+    for (double delta : {0.001, 0.1, 0.5, 0.9, 0.999}) {
+      specs.push_back({alpha, delta});
+    }
+  }
+  const std::vector<double> batch = pricing.price_all(specs);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const double ratio = reference_variance / m.contract_variance(specs[i]);
+    const double want = 50.0 * std::pow(ratio, static_cast<double>(one));
+    EXPECT_EQ(pricing.price(specs[i]), want) << specs[i].to_string();
+    EXPECT_EQ(batch[i], want) << specs[i].to_string();
+  }
+}
+
+// ArbitrageChecker::check as it was before it priced its grid through
+// price_all(): the grid cell by cell, row-major, then the properties.
+CheckReport reference_check(const VarianceModel& model,
+                            const ArbitrageChecker::Grid& grid,
+                            const PricingFunction& pricing,
+                            std::size_t max_violations) {
+  const auto approximately_equal = [](double a, double b) {
+    const double scale = std::max({std::abs(a), std::abs(b), 1.0});
+    return std::abs(a - b) <= 1e-6 * scale;
+  };
+  constexpr double kRelTolerance = 1e-9;
+  CheckReport report;
+  const auto record = [&](PropertyViolation violation) {
+    report.arbitrage_avoiding = false;
+    if (report.violations.size() < max_violations) {
+      report.violations.push_back(std::move(violation));
+    }
+  };
+  std::vector<double> alphas(grid.alpha_steps);
+  std::vector<double> deltas(grid.delta_steps);
+  for (std::size_t i = 0; i < alphas.size(); ++i) {
+    alphas[i] = grid.alpha_min + (grid.alpha_max - grid.alpha_min) *
+                                     static_cast<double>(i) /
+                                     static_cast<double>(alphas.size() - 1);
+  }
+  for (std::size_t i = 0; i < deltas.size(); ++i) {
+    deltas[i] = grid.delta_min + (grid.delta_max - grid.delta_min) *
+                                     static_cast<double>(i) /
+                                     static_cast<double>(deltas.size() - 1);
+  }
+  const auto cell = [&grid](std::size_t i, std::size_t j) {
+    return i * grid.delta_steps + j;
+  };
+  std::vector<double> price_grid(alphas.size() * deltas.size());
+  std::vector<double> variance_grid(alphas.size() * deltas.size());
+  for (std::size_t i = 0; i < alphas.size(); ++i) {
+    for (std::size_t j = 0; j < deltas.size(); ++j) {
+      const query::AccuracySpec spec{alphas[i], deltas[j]};
+      price_grid[cell(i, j)] = pricing.price(spec);
+      variance_grid[cell(i, j)] = model.contract_variance(spec);
+    }
+  }
+  for (std::size_t i = 0; i < alphas.size(); ++i) {
+    for (std::size_t j = 0; j < deltas.size(); ++j) {
+      const query::AccuracySpec spec{alphas[i], deltas[j]};
+      const double v = variance_grid[cell(i, j)];
+      const double price_a = price_grid[cell(i, j)];
+      for (double other_delta : deltas) {
+        if (other_delta == deltas[j]) continue;  // lint:allow float-eq
+        const double other_alpha = model.alpha_for_variance(v, other_delta);
+        if (!(other_alpha > 0.0) || other_alpha > 1.0) continue;
+        const query::AccuracySpec other{other_alpha, other_delta};
+        const double price_b = pricing.price(other);
+        ++report.checks_performed;
+        if (!approximately_equal(price_a, price_b)) {
+          record({1, spec, other, price_a, price_b});
+        }
+      }
+    }
+  }
+  for (std::size_t i = 0; i < alphas.size(); ++i) {
+    for (std::size_t j = 0; j + 1 < deltas.size(); ++j) {
+      const double pi_lo = price_grid[cell(i, j)];
+      const double pi_hi = price_grid[cell(i, j + 1)];
+      const double v_lo = variance_grid[cell(i, j)];
+      const double v_hi = variance_grid[cell(i, j + 1)];
+      const double lhs = (pi_hi - pi_lo) / pi_hi;
+      const double rhs = (v_lo - v_hi) / v_lo;
+      ++report.checks_performed;
+      if (lhs < rhs - kRelTolerance) {
+        record({2, {alphas[i], deltas[j]}, {alphas[i], deltas[j + 1]}, lhs,
+                rhs});
+      }
+    }
+  }
+  for (std::size_t j = 0; j < deltas.size(); ++j) {
+    for (std::size_t i = 0; i + 1 < alphas.size(); ++i) {
+      const double pi_lo = price_grid[cell(i, j)];
+      const double pi_hi = price_grid[cell(i + 1, j)];
+      const double v_lo = variance_grid[cell(i, j)];
+      const double v_hi = variance_grid[cell(i + 1, j)];
+      const double lhs = (pi_lo - pi_hi) / pi_lo;
+      const double rhs = (v_hi - v_lo) / v_hi;
+      ++report.checks_performed;
+      if (lhs > rhs + kRelTolerance) {
+        record({3, {alphas[i], deltas[j]}, {alphas[i + 1], deltas[j]}, lhs,
+                rhs});
+      }
+    }
+  }
+  return report;
+}
+
+TEST(ArbitrageCheckerTest, BatchGridMatchesPerCellOrder) {
+  const auto m = model();
+  ArbitrageChecker::Grid grid;
+  grid.alpha_steps = 12;
+  grid.delta_steps = 9;
+  const ArbitrageChecker checker(m, grid);
+  const LinearDiscountPricing linear(5.0, 40.0, 30.0);
+  const FittedTheoremPricing fitted(m, 50.0 * m.contract_variance(kReference));
+  std::vector<InverseVariancePricing> power;
+  for (double q : {0.5, 1.0, 2.0}) power.emplace_back(m, kReference, 50.0, q);
+  std::vector<const PricingFunction*> pricings{&linear, &fitted};
+  for (const auto& p : power) pricings.push_back(&p);
+  for (const PricingFunction* pricing : pricings) {
+    SCOPED_TRACE(pricing->name());
+    for (const std::size_t cap : {std::size_t{3}, std::size_t{1000}}) {
+      RecordingPricing recording(*pricing);
+      const CheckReport want = reference_check(m, grid, recording, cap);
+      const std::vector<query::AccuracySpec> want_quoted = recording.take();
+      const CheckReport got = checker.check(recording, cap);
+      const std::vector<query::AccuracySpec> got_quoted = recording.take();
+      EXPECT_EQ(got.arbitrage_avoiding, want.arbitrage_avoiding);
+      EXPECT_EQ(got.checks_performed, want.checks_performed);
+      ASSERT_EQ(got.violations.size(), want.violations.size());
+      for (std::size_t i = 0; i < got.violations.size(); ++i) {
+        EXPECT_EQ(got.violations[i].to_string(),
+                  want.violations[i].to_string());
+        EXPECT_EQ(got.violations[i].lhs, want.violations[i].lhs);
+        EXPECT_EQ(got.violations[i].rhs, want.violations[i].rhs);
+      }
+      ASSERT_EQ(got_quoted.size(), want_quoted.size());
+      ASSERT_GT(got_quoted.size(), grid.alpha_steps * grid.delta_steps);
+      for (std::size_t i = 0; i < got_quoted.size(); ++i) {
+        EXPECT_EQ(got_quoted[i].alpha, want_quoted[i].alpha) << "quote " << i;
+        EXPECT_EQ(got_quoted[i].delta, want_quoted[i].delta) << "quote " << i;
+      }
     }
   }
 }

@@ -6,6 +6,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -95,6 +99,80 @@ TEST(HistogramTest, SingleValueQuantilesAreExact) {
   const auto snap = hist.snapshot();
   EXPECT_DOUBLE_EQ(snap.p50, 3.0);
   EXPECT_DOUBLE_EQ(snap.p99, 3.0);
+}
+
+TEST(HistogramTest, RecordAllMatchesRecord) {
+  Rng rng(19);
+  std::vector<double> values;
+  for (int i = 0; i < 3000; ++i) {
+    values.push_back(std::exp(rng.uniform() * 30.0 - 12.0));
+  }
+  Histogram one_by_one(default_bounds());
+  Histogram batched(default_bounds());
+  for (const double v : values) one_by_one.record(v);
+  // Uneven batches, an empty one among them.
+  const std::span<const double> all(values);
+  batched.record_all(all.first(1));
+  batched.record_all(all.subspan(1, 0));
+  batched.record_all(all.subspan(1, 999));
+  batched.record_all(all.subspan(1000));
+  const auto want = one_by_one.snapshot();
+  const auto got = batched.snapshot();
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_EQ(got.sum, want.sum);
+  EXPECT_EQ(got.min, want.min);
+  EXPECT_EQ(got.max, want.max);
+  EXPECT_EQ(got.p50, want.p50);
+  EXPECT_EQ(got.p95, want.p95);
+  EXPECT_EQ(got.p99, want.p99);
+  EXPECT_EQ(got.bucket_counts, want.bucket_counts);
+}
+
+TEST(HistogramTest, RecordAllRejectsANonFiniteBatch) {
+  Histogram hist({1.0, 10.0});
+  hist.record(2.0);
+  for (const double bad : {std::nan(""), std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    const std::vector<double> batch{3.0, bad, 4.0};
+    EXPECT_THROW(hist.record_all(batch), std::invalid_argument);
+  }
+  // A rejected batch records none of its values, the finite ones included.
+  const auto snap = hist.snapshot();
+  EXPECT_EQ(snap.count, 1u);
+  EXPECT_EQ(snap.sum, 2.0);
+  EXPECT_EQ(snap.max, 2.0);
+}
+
+// Run repeatedly under TSan by CI: batches and single records from several
+// threads, as MarketSimulation's parallel attack searches and the rest of
+// the pricing layer do.  Integer values sum exactly in any order.
+TEST(HistogramTest, RecordAllRacesRecord) {
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 300;
+  Histogram hist(default_bounds());
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&hist, t] {
+      std::vector<double> batch;
+      for (int i = 1; i <= 7; ++i) batch.push_back(t * 100 + i);
+      for (int round = 0; round < kRounds; ++round) {
+        hist.record_all(batch);
+        hist.record(static_cast<double>(t + 1));
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  double want_sum = 0.0;
+  for (int t = 0; t < kThreads; ++t) {
+    double per_round = t + 1;
+    for (int i = 1; i <= 7; ++i) per_round += t * 100 + i;
+    want_sum += per_round * kRounds;
+  }
+  const auto snap = hist.snapshot();
+  EXPECT_EQ(snap.count, static_cast<std::uint64_t>(kThreads * kRounds * 8));
+  EXPECT_EQ(snap.sum, want_sum);
+  EXPECT_EQ(snap.min, 1.0);
+  EXPECT_EQ(snap.max, static_cast<double>((kThreads - 1) * 100 + 7));
 }
 
 TEST(RegistryTest, ReferencesStableAcrossResetAndRehash) {
