@@ -1,7 +1,8 @@
 // google-benchmark micro-benchmarks of the hot paths: per-node estimation,
 // global estimation, batched multi-query estimation, sampling top-up, the
-// perturbation optimizer, the attack search, one whole cached sale, Laplace
-// draws, CSV parsing and the (retired) per-ingest rank audit.
+// perturbation optimizer, the plan cache's miss-put-evict cycle, the attack
+// search and the quote histogram's batch record, one whole cached sale,
+// Laplace draws, CSV parsing and the (retired) per-ingest rank audit.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -14,10 +15,12 @@
 #include "common/csv.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "common/telemetry.h"
 #include "data/citypulse.h"
 #include "data/partition.h"
 #include "dp/laplace_mechanism.h"
 #include "dp/optimizer.h"
+#include "dp/plan_cache.h"
 #include "dp/private_counting.h"
 #include "estimator/basic_counting.h"
 #include "estimator/rank_counting.h"
@@ -355,6 +358,55 @@ void BM_BestAttack(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BestAttack);
+
+// The quote histogram's batch record: 358 values shaped like one attack
+// search's quotes (the admissible cells of a theorem-family lattice, in
+// lattice order), into one default-bounds histogram.
+void BM_HistogramRecordAll(benchmark::State& state) {
+  const pricing::VarianceModel model(17568, 8);
+  const pricing::InverseVariancePricing pricing(model, {0.1, 0.5}, 100.0,
+                                                1.0);
+  std::vector<query::AccuracySpec> specs;
+  for (std::size_t ai = 1; specs.size() < 358; ++ai) {
+    for (std::size_t di = 1; di <= 20 && specs.size() < 358; ++di) {
+      specs.push_back({0.05 + 0.9 * static_cast<double>(ai % 40) / 40.0,
+                       0.8 * static_cast<double>(di) / 21.0});
+    }
+  }
+  const std::vector<double> quotes = pricing.price_all(specs);
+  telemetry::Histogram histogram(telemetry::default_bounds());
+  for (auto _ : state) {
+    histogram.record_all(quotes);
+    benchmark::DoNotOptimize(&histogram);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(quotes.size()));
+}
+BENCHMARK(BM_HistogramRecordAll);
+
+// A fresh contract at the plan cache: a miss, a put, and the eviction of
+// the least recently used plan, with the cache full at its default
+// capacity.  Keys never repeat, as for a stream of bespoke contracts.
+void BM_PlanCacheFreshContract(benchmark::State& state) {
+  const dp::PerturbationOptimizer optimizer;
+  const auto plan = optimizer.optimize({0.05, 0.8}, 0.4, 8, 17568);
+  const std::size_t capacity = dp::OptimizerConfig{}.plan_cache_capacity;
+  dp::PlanCache cache(capacity);
+  Rng rng(43);
+  const auto fresh_key = [&rng] {
+    return dp::PlanCacheKey::make(rng.uniform(0.03, 0.25),
+                                  rng.uniform(0.4, 0.9), 0.4, 8, 17568, 0,
+                                  dp::SensitivityPolicy::kExpected);
+  };
+  for (std::size_t i = 0; i < capacity; ++i) cache.put(fresh_key(), plan);
+  for (auto _ : state) {
+    const dp::PlanCacheKey key = fresh_key();
+    benchmark::DoNotOptimize(cache.lookup(key));
+    cache.put(key, plan);
+  }
+}
+BENCHMARK(BM_PlanCacheFreshContract);
 
 void BM_LaplaceSample(benchmark::State& state) {
   const dp::LaplaceMechanism mechanism(2.5, 0.5);

@@ -24,19 +24,20 @@
 
 namespace prc {
 
-/// FNV-1a over the bytes of a key's 64-bit words: cheap, stable across
-/// platforms, and good enough for the few hundred distinct keys a session
-/// ever sees.
+/// A multiply-xorshift mix of a key's 64-bit words, one word per step:
+/// cheap, stable across platforms, and spreads the low and high bits of
+/// every word (a double's bit pattern often has all-zero low bits) over
+/// the whole hash.  libstdc++ does not cache the hash codes of these
+/// hashers, so lookups re-hash neighbouring nodes too and its cost counts.
 template <std::size_t N>
-std::size_t fnv1a(const std::array<std::uint64_t, N>& words) noexcept {
-  std::uint64_t h = 14695981039346656037ULL;
+std::size_t hash_words(const std::array<std::uint64_t, N>& words) noexcept {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
   for (const std::uint64_t word : words) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (word >> (8 * i)) & 0xffULL;
-      h *= 1099511628211ULL;
-    }
+    h = (h ^ word) * 0xbf58476d1ce4e5b9ULL;
+    h ^= h >> 31;
   }
-  return static_cast<std::size_t>(h);
+  h *= 0x94d049bb133111ebULL;
+  return static_cast<std::size_t>(h ^ (h >> 29));
 }
 
 /// Bounded LRU map from `Key` to `Value`.  All methods take the internal

@@ -1,6 +1,7 @@
 #include "common/telemetry.h"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <chrono>
 #include <cmath>
@@ -123,6 +124,19 @@ class JsonCursor {
   std::size_t pos_ = 0;
 };
 
+// A key that orders doubles as their values do, at binade resolution:
+// the sign and exponent bits of an order-preserving map of the bit
+// pattern (negatives bit-flipped, positives with the sign bit set).
+// a < b implies exponent_key(a) <= exponent_key(b), so a smaller key means
+// a smaller value; -0.0 is folded into +0.0 first, since they compare
+// equal.
+std::uint32_t exponent_key(double value) {
+  const auto bits = std::bit_cast<std::uint64_t>(value + 0.0);
+  constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+  const std::uint64_t ordered = (bits & kSign) != 0 ? ~bits : bits | kSign;
+  return static_cast<std::uint32_t>(ordered >> 52);
+}
+
 }  // namespace
 
 std::int64_t steady_now_ns() {
@@ -152,33 +166,56 @@ Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
     PRC_CHECK(bounds_[i] < bounds_[i + 1])
         << "histogram bounds must be strictly increasing at index " << i;
   }
+  PRC_CHECK(bounds_.size() <= std::numeric_limits<std::uint32_t>::max())
+      << "histogram has too many bounds: " << bounds_.size();
   counts_.assign(bounds_.size() + 1, 0);
+  first_key_ = exponent_key(bounds_.front());
+  const std::uint32_t last_key = exponent_key(bounds_.back());
+  first_bound_.reserve(last_key - first_key_ + 1);
+  std::uint32_t below = 0;
+  for (std::uint32_t key = first_key_; key <= last_key; ++key) {
+    while (exponent_key(bounds_[below]) < key) ++below;
+    first_bound_.push_back({bounds_[below], below});
+  }
 }
 
 std::size_t Histogram::bucket_of(double value) const {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  return static_cast<std::size_t>(it - bounds_.begin());
+  // Every bound with a smaller key is below the value and every bound with
+  // a larger key is above it, so only bounds that share the value's binade
+  // are compared.  The first comparison is branch-free; the scan after it
+  // only moves for bounds denser than one per binade.
+  const std::uint32_t key = exponent_key(value);
+  if (key < first_key_) return 0;
+  if (key - first_key_ >= first_bound_.size()) return bounds_.size();
+  const Candidate& first = first_bound_[key - first_key_];
+  std::size_t bucket =
+      first.index + static_cast<std::size_t>(first.bound < value);
+  while (bucket < bounds_.size() && bounds_[bucket] < value) ++bucket;
+  return bucket;
 }
 
-void Histogram::record(double value) {
-  PRC_CHECK_FINITE(value);
-  const std::size_t bucket = bucket_of(value);
-  std::lock_guard<std::mutex> lock(mutex_);
-  add_locked(value, bucket);
-}
+void Histogram::record(double value) { record_all({&value, 1}); }
 
 void Histogram::record_all(std::span<const double> values) {
   for (const double value : values) PRC_CHECK_FINITE(value);
+  if (values.empty()) return;
   std::lock_guard<std::mutex> lock(mutex_);
-  for (const double value : values) add_locked(value, bucket_of(value));
-}
-
-void Histogram::add_locked(double value, std::size_t bucket) {
-  ++counts_[bucket];
-  sum_ += value;
-  min_ = count_ == 0 ? value : std::min(min_, value);
-  max_ = count_ == 0 ? value : std::max(max_, value);
-  ++count_;
+  // The running sum, min and max stay in locals across the batch (a store
+  // to counts_ could alias count_, so members would be reloaded per value);
+  // the sum still adds the values one by one, in order.
+  double sum = sum_;
+  double min = count_ == 0 ? values.front() : min_;
+  double max = count_ == 0 ? values.front() : max_;
+  for (const double value : values) {
+    ++counts_[bucket_of(value)];
+    sum += value;
+    min = std::min(min, value);
+    max = std::max(max, value);
+  }
+  sum_ = sum;
+  min_ = min;
+  max_ = max;
+  count_ += values.size();
 }
 
 double Histogram::quantile_locked(double q) const {

@@ -95,13 +95,16 @@ struct HistogramSnapshot {
 /// Fixed-bucket latency/size histogram.  Bucket upper bounds are immutable
 /// after construction; quantiles are estimated by linear interpolation
 /// inside the bucket holding the requested rank (clamped to the exact
-/// observed [min, max]).
+/// observed [min, max]).  A value's bucket is the first bound >= it, as
+/// std::lower_bound finds it, looked up in O(1) for bounds spread over
+/// binary exponents (the default 1-2-5 series has at most one per binade).
 class Histogram {
  public:
   /// `bounds` must be strictly increasing and non-empty; an implicit
   /// overflow bucket covers (bounds.back(), +inf).
   explicit Histogram(std::vector<double> bounds);
 
+  /// Records one finite value: record_all() of a batch of one.
   void record(double value);
   /// Records `values` in order under one lock: the count, sum, min, max
   /// and buckets come out as from one record() per value.  Every value must
@@ -113,10 +116,20 @@ class Histogram {
 
  private:
   std::size_t bucket_of(double value) const;
-  void add_locked(double value, std::size_t bucket) PRC_REQUIRES(mutex_);
   double quantile_locked(double q) const PRC_REQUIRES(mutex_);
 
   const std::vector<double> bounds_;  // immutable after construction
+  // bucket_of's first candidate per value key (see exponent_key in
+  // telemetry.cc), for the keys from the smallest bound's to the largest's:
+  // index counts the bounds whose key is below the key, and bound is
+  // bounds_[index].  The integers are 32-bit so that record_all's stores
+  // to the 64-bit counts_ cannot alias them.
+  struct Candidate {
+    double bound;
+    std::uint32_t index;
+  };
+  std::uint32_t first_key_ = 0;
+  std::vector<Candidate> first_bound_;  // immutable after construction
   mutable std::mutex mutex_;
   std::vector<std::uint64_t> counts_ PRC_GUARDED_BY(mutex_);
   std::uint64_t count_ PRC_GUARDED_BY(mutex_) = 0;

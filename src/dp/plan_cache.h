@@ -64,7 +64,7 @@ struct PlanCacheKey {
 
 struct PlanCacheKeyHash {
   std::size_t operator()(const PlanCacheKey& key) const noexcept {
-    return fnv1a(std::array<std::uint64_t, 7>{
+    return hash_words(std::array<std::uint64_t, 7>{
         key.alpha_bits, key.delta_bits, key.probability_bits, key.node_count,
         key.total_count, key.max_node_count,
         static_cast<std::uint64_t>(key.sensitivity_policy)});

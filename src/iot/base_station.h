@@ -122,7 +122,7 @@ struct StationView {
   using RangeKey = std::array<std::uint64_t, 2>;
   struct RangeKeyHash {
     std::size_t operator()(const RangeKey& key) const noexcept {
-      return fnv1a(key);
+      return hash_words(key);
     }
   };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 
 #include "common/check.h"
@@ -171,6 +172,9 @@ AttackSimulator::AttackSimulator(VarianceModel model, SearchSpace space)
   PRC_CHECK(space_.max_copies >= 2 && space_.alpha_steps >= 2 &&
             space_.delta_steps >= 1)
       << "attack search space too small";
+  PRC_CHECK(space_.max_copies <= SearchSpace::kMaxCopiesLimit)
+      << "max_copies must be at most " << SearchSpace::kMaxCopiesLimit
+      << ", got " << space_.max_copies;
   PRC_CHECK(space_.alpha_max > 0.0 && space_.alpha_max <= 1.0)
       << "alpha_max must be in (0, 1], got " << space_.alpha_max;
 }
@@ -194,80 +198,146 @@ AttackResult AttackSimulator::best_attack(
   // counting-sort the admissible cells by (m_min, lattice index): that is
   // the order in which a scan over m = 2..max_copies first touches each
   // cell, so pricing them in one batch in that order with the same strict
-  // `<` makes the same price() calls and keeps the same winner and
-  // tie-breaks.
+  // `<` makes the same quotes and keeps the same winner and tie-breaks.
   //
   // A cell's variance is its row's (alpha_w n)^2 times its column's
   // (1 - delta_w), the factors contract_variance multiplies, so each
   // alpha_w and delta_w is validated once rather than once per cell.
-  std::vector<double> deltas;
-  std::vector<double> delta_factors;
-  deltas.reserve(space_.delta_steps);
-  delta_factors.reserve(space_.delta_steps);
+  struct Line {
+    double value;   // alpha_w of a row, delta_w of a column
+    double factor;  // its factor of the cell variance
+  };
+  std::vector<Line> columns;
+  columns.reserve(space_.delta_steps);
   for (std::size_t di = 1; di <= space_.delta_steps; ++di) {
     const double delta_w = target.delta * static_cast<double>(di) /
                            static_cast<double>(space_.delta_steps + 1);
     if (!(delta_w > 0.0) || !(delta_w < target.delta)) continue;
-    deltas.push_back(delta_w);
-    delta_factors.push_back(model_.delta_factor(delta_w));
+    columns.push_back({delta_w, model_.delta_factor(delta_w)});
   }
-  struct Cell {
-    query::AccuracySpec spec;
-    double variance = 0.0;
-    std::size_t copies = 0;  // m_min
-  };
-  const std::size_t max_copies = space_.max_copies;
-  std::vector<Cell> cells;
-  cells.reserve(space_.alpha_steps * deltas.size());
-  // first[m] counts, then indexes, the cells whose m_min is m.
-  std::vector<std::size_t> first(max_copies + 2, 0);
-  std::size_t revisits = 0;
-  // A cell is admissible at m when V_w <= budget[m] = m * V(target).
-  std::vector<double> budget(max_copies + 1);
-  for (std::size_t m = 0; m <= max_copies; ++m) {
-    budget[m] = static_cast<double>(m) * target_variance;
-  }
+  std::vector<Line> rows;
+  rows.reserve(space_.alpha_steps);
   for (std::size_t ai = 1; ai <= space_.alpha_steps; ++ai) {
     const double alpha_w =
         target.alpha + (space_.alpha_max - target.alpha) *
                            static_cast<double>(ai) /
                            static_cast<double>(space_.alpha_steps);
     if (!(alpha_w > target.alpha) || alpha_w > 1.0) continue;
-    const double alpha_factor = model_.alpha_factor(alpha_w);
-    // Along a row delta_w rises, so V_w never rises and neither does m_min:
-    // walk it down from the previous cell's with the exact budget
-    // comparison.  Starting above max_copies skips the row's leading cells,
-    // whose average is too noisy at every m.
-    std::size_t m = max_copies + 1;
-    for (std::size_t j = 0; j < deltas.size(); ++j) {
-      const double variance = alpha_factor * delta_factors[j];
-      while (m > 2 && !(variance > budget[m - 1])) --m;
-      if (m > max_copies) continue;
-      cells.push_back({{alpha_w, deltas[j]}, variance, m});
-      ++first[m + 1];
-      revisits += max_copies - m;
+    rows.push_back({alpha_w, model_.alpha_factor(alpha_w)});
+  }
+
+  // A cell is admissible at m when V_w <= budget[m] = m * V(target).
+  // budget is non-decreasing in m, so whether a cell is admissible at all
+  // is one comparison with budget[max_copies], and its m_min is the one
+  // m >= 2 with V_w > budget[m - 1] (or m = 2) and V_w <= budget[m].
+  const std::size_t max_copies = space_.max_copies;
+  std::vector<double> budget(max_copies + 2);
+  for (std::size_t m = 1; m <= max_copies + 1; ++m) {
+    budget[m] = static_cast<double>(m) * target_variance;
+  }
+  const double widest = budget[max_copies];
+  const double ratio_cap = static_cast<double>(max_copies + 1);
+  // v / V(target) is taken as v times a reciprocal.  A target variance below
+  // 2^-500 is first scaled by 2^600, and v with it (exact: a power of two;
+  // an admissible v is at most max_copies times the target's), so that the
+  // reciprocal cannot overflow.
+  const double scale = target_variance < 0x1p-500 ? 0x1p600 : 1.0;
+  const double inverse = 1.0 / (target_variance * scale);
+  // m_min of an admissible cell with variance v.  c = ceil(v / V(target))
+  // differs from it by at most one copy: the estimated ratio carries two
+  // roundings (reciprocal and product) and each budget product one, each
+  // relative <= 2^-53, and c stays far below 2^50 (kMaxCopiesLimit bounds
+  // it).  So two exact comparisons pick m_min from {c - 1, c, c + 1}
+  // without a branch.  The ratio is clamped to [2, max_copies + 1] first,
+  // which keeps the reads inside budget and sends 0 * inf (an underflowed
+  // variance) to 2; the ceiling of the clamped ratio is its truncation plus
+  // one unless it is already whole.
+  const auto copies_of = [&](double v) {
+    const double ratio =
+        std::min(std::max(2.0, (v * scale) * inverse), ratio_cap);
+    const auto whole = static_cast<std::int64_t>(ratio);
+    const auto c = static_cast<std::size_t>(
+        whole + static_cast<std::int64_t>(static_cast<double>(whole) < ratio));
+    const std::size_t m = c - 1 + static_cast<std::size_t>(v > budget[c - 1]) +
+                          static_cast<std::size_t>(v > budget[c]);
+    return std::max<std::size_t>(m, 2);
+  };
+
+  // Pass 1: give every admissible cell its m_min and its rank among the
+  // earlier cells (in lattice order) with the same m_min.  Along a row
+  // delta_w rises, so V_w never rises and the row's inadmissible cells (too
+  // noisy at every m) are a prefix.  Down a column alpha_w rises, so V_w
+  // never falls: each row's prefix is at least the previous row's, and once
+  // a whole row is inadmissible so is every later one.
+  struct Placed {
+    std::uint16_t copies;  // m_min
+    std::size_t rank;
+  };
+  std::vector<Placed> placed;
+  placed.reserve(rows.size() * columns.size());
+  std::vector<std::size_t> row_begin;
+  row_begin.reserve(rows.size());
+  // first[m] counts, then indexes, the cells whose m_min is m.
+  std::vector<std::size_t> first(max_copies + 1, 0);
+  std::size_t begin = 0;
+  for (const Line& row : rows) {
+    while (begin < columns.size() &&
+           row.factor * columns[begin].factor > widest) {
+      ++begin;
+    }
+    if (begin == columns.size()) break;
+    row_begin.push_back(begin);
+    for (std::size_t j = begin; j < columns.size(); ++j) {
+      const double variance = row.factor * columns[j].factor;
+      const std::size_t m = copies_of(variance);
+      PRC_DCHECK(m <= max_copies && !(variance > budget[m]) &&
+                 (m == 2 || variance > budget[m - 1]))
+          << "m_min " << m << " misplaced at " << row.value << ", "
+          << columns[j].value;
+      placed.push_back({static_cast<std::uint16_t>(m), first[m]++});
     }
   }
-  for (std::size_t m = 3; m <= max_copies + 1; ++m) first[m] += first[m - 1];
-  std::vector<const Cell*> order(cells.size());
-  for (const Cell& c : cells) order[first[c.copies]++] = &c;
-  std::vector<query::AccuracySpec> specs;
-  specs.reserve(order.size());
-  for (const Cell* c : order) specs.push_back(c->spec);
+  const std::size_t admissible = placed.size();
+  // revisits: the (cell, m) pairs past each cell's m_min, the re-quotes a
+  // scan over every m would have made and this pass skips.
+  std::size_t revisits = 0;
+  std::size_t start = 0;
+  for (std::size_t m = 2; m <= max_copies; ++m) {
+    const std::size_t count = first[m];
+    revisits += count * (max_copies - m);
+    first[m] = start;
+    start += count;
+  }
+
+  // Pass 2: write the admissible cells straight into (m_min, lattice
+  // index) order, then quote them in one batch.
+  std::vector<query::AccuracySpec> specs(admissible);
+  std::vector<std::uint16_t> copies(admissible);
+  std::size_t cell = 0;
+  for (std::size_t r = 0; r < row_begin.size(); ++r) {
+    for (std::size_t j = row_begin[r]; j < columns.size(); ++j) {
+      const Placed& p = placed[cell++];
+      const std::size_t at = first[p.copies] + p.rank;
+      specs[at] = {rows[r].value, columns[j].value};
+      copies[at] = p.copies;
+    }
+  }
   const std::vector<double> quotes = pricing.price_all(specs);
 
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const Cell& c = *order[i];
-    const double cost = static_cast<double>(c.copies) * quotes[i];
+  std::size_t winner = admissible;
+  for (std::size_t i = 0; i < admissible; ++i) {
+    const double cost = static_cast<double>(copies[i]) * quotes[i];
     if (cost < result.best_attack_cost) {
       result.best_attack_cost = cost;
-      result.copies = c.copies;
-      result.weaker_spec = c.spec;
-      result.combined_variance = c.variance / static_cast<double>(c.copies);
+      winner = i;
     }
   }
-  // The counter reports the (cell, m) pairs past each cell's m_min: the
-  // re-quotes a scan over every m would have made, which this pass skips.
+  if (winner < admissible) {
+    result.copies = copies[winner];
+    result.weaker_spec = specs[winner];
+    result.combined_variance = model_.contract_variance(specs[winner]) /
+                               static_cast<double>(copies[winner]);
+  }
   quote_cache_hits.increment(revisits);
   result.profitable =
       result.best_attack_cost < result.honest_price * (1.0 - 1e-9);

@@ -28,32 +28,38 @@ telemetry::Histogram& price_histogram() {
   return prices;
 }
 
-// pricing.evaluate(spec), checked positive and finite.
-double checked_evaluate(const PricingFunction& pricing,
-                        const query::AccuracySpec& spec) {
-  const double price = pricing.evaluate(spec);
-  PRC_CHECK(std::isfinite(price) && price > 0.0)
-      << pricing.name() << " quoted " << price << " for " << spec.to_string()
-      << "; a price must be positive and finite";
-  return price;
-}
-
 }  // namespace
 
+void PricingFunction::quote(std::span<const query::AccuracySpec> specs,
+                            std::span<double> prices) const {
+  evaluate(specs, prices);
+  // A finite positive price is one in (0, DBL_MAX]; NaN fails both sides.
+  bool all_valid = true;
+  for (const double price : prices) {
+    all_valid &=
+        (price > 0.0) & (price <= std::numeric_limits<double>::max());
+  }
+  if (!all_valid) [[unlikely]] {
+    for (std::size_t i = 0; i < prices.size(); ++i) {
+      PRC_CHECK(std::isfinite(prices[i]) && prices[i] > 0.0)
+          << name() << " quoted " << prices[i] << " for "
+          << specs[i].to_string() << "; a price must be positive and finite";
+    }
+  }
+  quote_counter().increment(prices.size());
+  price_histogram().record_all(prices);
+}
+
 double PricingFunction::price(const query::AccuracySpec& spec) const {
-  const double price = checked_evaluate(*this, spec);
-  quote_counter().increment();
-  price_histogram().record(price);
+  double price = 0.0;
+  quote({&spec, 1}, {&price, 1});
   return price;
 }
 
 std::vector<double> PricingFunction::price_all(
     std::span<const query::AccuracySpec> specs) const {
-  std::vector<double> prices;
-  prices.reserve(specs.size());
-  for (const auto& spec : specs) prices.push_back(checked_evaluate(*this, spec));
-  quote_counter().increment(prices.size());
-  price_histogram().record_all(prices);
+  std::vector<double> prices(specs.size());
+  quote(specs, prices);
   return prices;
 }
 
@@ -111,12 +117,18 @@ InverseVariancePricing::InverseVariancePricing(
   if (exponent_ == 1.0) validate_arbitrage_conditions(model_, *this);
 }
 
-double InverseVariancePricing::evaluate(
-    const query::AccuracySpec& spec) const {
-  const double ratio = reference_variance_ / model_.contract_variance(spec);
+void InverseVariancePricing::evaluate(
+    std::span<const query::AccuracySpec> specs,
+    std::span<double> prices) const {
   // glibc's pow(x, 1.0) is exactly x, so the theorem family (q = 1) skips
   // the call; a pricing test pins the equality bit for bit.
-  return base_price_ * (exponent_ == 1.0 ? ratio : std::pow(ratio, exponent_));
+  const bool unit_exponent = exponent_ == 1.0;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const double ratio =
+        reference_variance_ / model_.contract_variance(specs[i]);
+    prices[i] = base_price_ *
+                (unit_exponent ? ratio : std::pow(ratio, exponent_));
+  }
 }
 
 std::string InverseVariancePricing::name() const {
@@ -134,10 +146,14 @@ LinearDiscountPricing::LinearDiscountPricing(double base, double accuracy_rate,
       << "linear pricing needs base > 0, rates >= 0";
 }
 
-double LinearDiscountPricing::evaluate(const query::AccuracySpec& spec) const {
-  spec.validate();
-  return base_ + accuracy_rate_ * (1.0 - spec.alpha) +
-         confidence_rate_ * spec.delta;
+void LinearDiscountPricing::evaluate(
+    std::span<const query::AccuracySpec> specs,
+    std::span<double> prices) const {
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    specs[i].validate();
+    prices[i] = base_ + accuracy_rate_ * (1.0 - specs[i].alpha) +
+                confidence_rate_ * specs[i].delta;
+  }
 }
 
 std::string LinearDiscountPricing::name() const { return "linear-discount"; }
@@ -176,8 +192,12 @@ FittedTheoremPricing::FittedTheoremPricing(VarianceModel model, double scale)
   validate_arbitrage_conditions(model_, *this);
 }
 
-double FittedTheoremPricing::evaluate(const query::AccuracySpec& spec) const {
-  return scale_ / model_.contract_variance(spec);
+void FittedTheoremPricing::evaluate(
+    std::span<const query::AccuracySpec> specs,
+    std::span<double> prices) const {
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    prices[i] = scale_ / model_.contract_variance(specs[i]);
+  }
 }
 
 std::string FittedTheoremPricing::name() const {

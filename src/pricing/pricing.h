@@ -32,33 +32,42 @@ namespace prc::pricing {
 
 /// Interface for a pricing function pi(alpha, delta).
 ///
-/// An implementation supplies the formula, evaluate(); callers quote
-/// through price() or price_all(), which own what every quote shares: the
-/// check that the price is positive and finite (a violation throws
-/// prc::ContractViolation naming the function, before the price reaches
-/// any metric), the `pricing.quotes` count and the `pricing.price`
-/// histogram.
+/// An implementation supplies the formula, evaluate(), over a batch of
+/// specs; callers quote through price() (a batch of one) or price_all(),
+/// which own what every quote shares: the check that each price is
+/// positive and finite (a violation throws prc::ContractViolation naming
+/// the function, before any price of the batch reaches a metric), the
+/// `pricing.quotes` count and the `pricing.price` histogram.
 class PricingFunction {
  public:
   virtual ~PricingFunction() = default;
 
-  /// Price of one (alpha, delta) query: evaluate(spec), checked and
-  /// recorded.
+  /// Price of one (alpha, delta) query: evaluate() on a batch of one,
+  /// checked and recorded.
   double price(const query::AccuracySpec& spec) const;
 
   /// The prices of `specs`, in order: the values and telemetry of one
-  /// price() call per spec (the same evaluate() sequence, the same quote
-  /// count, the same histogram count, sum, min, max and buckets), with the
-  /// telemetry flushed once for the batch.  When a quote fails its check,
-  /// the batch throws and records nothing.
+  /// price() call per spec (the same quoted spec sequence, the same quote
+  /// count, the same histogram count, sum, min, max and buckets), with one
+  /// evaluate() call and the telemetry flushed once for the batch.  When a
+  /// quote fails its check, the batch throws and records nothing.
   std::vector<double> price_all(
       std::span<const query::AccuracySpec> specs) const;
 
-  /// The bare formula: no check, no telemetry.  Wrappers forward to it;
-  /// everything else quotes through price() or price_all().
-  virtual double evaluate(const query::AccuracySpec& spec) const = 0;
+  /// The bare formula: writes the price of specs[i] to prices[i] (the two
+  /// spans have equal sizes), validating each spec, with no price check
+  /// and no telemetry.  Wrappers forward to it; everything else quotes
+  /// through price() or price_all().
+  virtual void evaluate(std::span<const query::AccuracySpec> specs,
+                        std::span<double> prices) const = 0;
 
   virtual std::string name() const = 0;
+
+ private:
+  // evaluate(), then the checks and telemetry price() and price_all()
+  // share.
+  void quote(std::span<const query::AccuracySpec> specs,
+             std::span<double> prices) const;
 };
 
 /// Contract audit for a pricing function that claims to sit in the
@@ -89,7 +98,8 @@ class InverseVariancePricing final : public PricingFunction {
                          query::AccuracySpec reference_spec, double base_price,
                          double exponent = 1.0);
 
-  double evaluate(const query::AccuracySpec& spec) const override;
+  void evaluate(std::span<const query::AccuracySpec> specs,
+                std::span<double> prices) const override;
   std::string name() const override;
 
   double exponent() const noexcept { return exponent_; }
@@ -114,7 +124,8 @@ class LinearDiscountPricing final : public PricingFunction {
   LinearDiscountPricing(double base, double accuracy_rate,
                         double confidence_rate);
 
-  double evaluate(const query::AccuracySpec& spec) const override;
+  void evaluate(std::span<const query::AccuracySpec> specs,
+                std::span<double> prices) const override;
   std::string name() const override;
 
  private:
@@ -152,7 +163,8 @@ class FittedTheoremPricing final : public PricingFunction {
  public:
   FittedTheoremPricing(VarianceModel model, double scale);
 
-  double evaluate(const query::AccuracySpec& spec) const override;
+  void evaluate(std::span<const query::AccuracySpec> specs,
+                std::span<double> prices) const override;
   std::string name() const override;
 
  private:

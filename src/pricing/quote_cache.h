@@ -42,7 +42,7 @@ class QuoteCache {
   using Key = std::array<std::uint64_t, 2>;
   struct KeyHash {
     std::size_t operator()(const Key& key) const noexcept {
-      return fnv1a(key);
+      return hash_words(key);
     }
   };
 

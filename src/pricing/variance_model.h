@@ -12,8 +12,10 @@
 // bound + Laplace variance) for the empirical pricing benches.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 
+#include "common/check.h"
 #include "dp/optimizer.h"
 #include "query/range_query.h"
 
@@ -27,15 +29,32 @@ class VarianceModel {
   std::size_t total_count() const noexcept { return total_count_; }
   std::size_t node_count() const noexcept { return node_count_; }
 
-  /// Canonical contract variance (alpha n)^2 (1 - delta).
-  double contract_variance(const query::AccuracySpec& spec) const;
+  /// Canonical contract variance (alpha n)^2 (1 - delta).  Inline: every
+  /// quote of a variance-keyed price computes it.
+  double contract_variance(const query::AccuracySpec& spec) const {
+    spec.validate();
+    const double variance =
+        squared_scale(spec.alpha) * confidence_slack(spec.delta);
+    // V(alpha, delta) is strictly positive on the valid spec domain; a zero
+    // or infinite variance would poison every psi(V) = c/V price downstream.
+    PRC_DCHECK(std::isfinite(variance) && variance > 0.0)
+        << "contract variance must be positive and finite, got " << variance
+        << " for " << spec.to_string();
+    return variance;
+  }
 
   /// The two factors of contract_variance, for callers that lay out an
   /// (alpha, delta) lattice: a row's (alpha n)^2 and a column's (1 - delta).
   /// alpha_factor(a) * delta_factor(d) == contract_variance({a, d}) bit for
   /// bit.  Each validates its argument as AccuracySpec::validate does.
-  double alpha_factor(units::Alpha alpha) const;
-  double delta_factor(units::Delta delta) const;
+  double alpha_factor(units::Alpha alpha) const {
+    query::AccuracySpec::validate_alpha(alpha);
+    return squared_scale(alpha);
+  }
+  double delta_factor(units::Delta delta) const {
+    query::AccuracySpec::validate_delta(delta);
+    return confidence_slack(delta);
+  }
 
   /// Inverse along the alpha axis: the alpha for which contract_variance
   /// equals `variance` at confidence `delta`.
@@ -45,6 +64,14 @@ class VarianceModel {
   double plan_variance(const dp::PerturbationPlan& plan) const;
 
  private:
+  // The two factors of V(alpha, delta) = (alpha n)^2 (1 - delta): every
+  // contract variance the model reports is their product, in this order.
+  double squared_scale(units::Alpha alpha) const {
+    const double scaled = alpha * static_cast<double>(total_count_);
+    return scaled * scaled;
+  }
+  static double confidence_slack(units::Delta delta) { return 1.0 - delta; }
+
   std::size_t total_count_;
   std::size_t node_count_;
 };

@@ -20,17 +20,12 @@ std::string RangeQuery::to_string() const {
   return out.str();
 }
 
-void AccuracySpec::validate() const {
-  validate_alpha(alpha);
-  validate_delta(delta);
-}
-
-void AccuracySpec::validate_alpha(units::Alpha alpha) {
+void AccuracySpec::reject_alpha(units::Alpha alpha) {
   PRC_CHECK(std::isfinite(alpha) && alpha > 0.0 && alpha <= 1.0)
       << "alpha must be in (0, 1], got " << alpha;
 }
 
-void AccuracySpec::validate_delta(units::Delta delta) {
+void AccuracySpec::reject_delta(units::Delta delta) {
   PRC_CHECK(std::isfinite(delta) && delta > 0.0 && delta < 1.0)
       << "delta must be in (0, 1), got " << delta;
 }

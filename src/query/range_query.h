@@ -34,17 +34,32 @@ struct AccuracySpec {
   /// probability exactly 1 with finite samples; delta = 0 is rejected because
   /// the contract would be vacuous (any answer satisfies it) and the
   /// optimizer's minimum budget degenerates to 0.
-  void validate() const;
+  void validate() const {
+    validate_alpha(alpha);
+    validate_delta(delta);
+  }
   /// The two halves of validate(), for callers that check a lattice's
-  /// alphas and deltas once each instead of once per cell.
-  static void validate_alpha(units::Alpha alpha);
-  static void validate_delta(units::Delta delta);
+  /// alphas and deltas once each instead of once per cell.  Inline, so a
+  /// batch of quotes validates each spec without a call; only a failure
+  /// leaves the caller.
+  static void validate_alpha(units::Alpha alpha) {
+    if (!(alpha > 0.0 && alpha <= 1.0)) [[unlikely]] reject_alpha(alpha);
+  }
+  static void validate_delta(units::Delta delta) {
+    if (!(delta > 0.0 && delta < 1.0)) [[unlikely]] reject_delta(delta);
+  }
 
   /// True if an answer meeting `other` also meets this spec (other is at
   /// least as strict: alpha' <= alpha and delta' >= delta).
   bool is_implied_by(const AccuracySpec& other) const noexcept;
 
   std::string to_string() const;
+
+ private:
+  // The out-of-line failure paths: each throws prc::ContractViolation
+  // naming the value that the inline test rejected.
+  static void reject_alpha(units::Alpha alpha);
+  static void reject_delta(units::Delta delta);
 };
 
 /// Exact count of values in [l, u] over an unsorted multiset (O(n) scan);

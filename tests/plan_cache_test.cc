@@ -4,12 +4,17 @@
 // and the cache stays coherent under concurrent hit/miss traffic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <optional>
+#include <set>
 #include <thread>
 #include <vector>
 
+#include "common/lru_memo.h"
+#include "common/rng.h"
 #include "common/telemetry.h"
 #include "dp/optimizer.h"
 #include "dp/plan_cache.h"
@@ -209,6 +214,92 @@ TEST(PlanCacheTest, ConcurrentHitsAndMissesStayBitIdentical) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(mismatches[t], 0) << "thread " << t;
   }
+}
+
+// --- the LRU memo under the caches -------------------------------------------
+
+// Puts every key in one bucket chain, so nothing can depend on the hash.
+struct CollidingHash {
+  std::size_t operator()(const PlanCacheKey&) const noexcept { return 7; }
+};
+
+TEST(LruMemoTest, EvictionOrderAndHitsDoNotDependOnTheHash) {
+  // Plan-cache-shaped keys: a pool of 40 (alpha, delta, p) bit patterns
+  // with the session constants, plus near-twins that differ in one low or
+  // high bit, so a scripted mix of lookups and puts at capacity 16 hits,
+  // misses and evicts often.  A plain recency list is the reference model.
+  std::vector<PlanCacheKey> pool;
+  Rng rng(2024);
+  for (int i = 0; i < 40; ++i) {
+    const PlanCacheKey key =
+        key_for(rng.uniform(0.01, 0.5), rng.uniform(0.05, 0.95),
+                rng.uniform(0.05, 1.0));
+    pool.push_back(key);
+    PlanCacheKey twin = key;
+    std::uint64_t& word = i % 3 == 0   ? twin.alpha_bits
+                          : i % 3 == 1 ? twin.delta_bits
+                                       : twin.probability_bits;
+    word ^= std::uint64_t{1} << (i % 2 == 0 ? 0 : 62);
+    pool.push_back(twin);
+  }
+  constexpr std::size_t kCapacity = 16;
+  const LruMemo<PlanCacheKey, int, PlanCacheKeyHash> mixed(kCapacity);
+  const LruMemo<PlanCacheKey, int, CollidingHash> colliding(kCapacity);
+  std::vector<std::size_t> recency;  // front = most recent pool index
+  std::size_t hits = 0;
+  std::size_t evictions = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const auto i = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1));
+    const auto at = std::find(recency.begin(), recency.end(), i);
+    const bool cached = at != recency.end();
+    const std::optional<int> got = mixed.lookup(pool[i]);
+    ASSERT_EQ(got.has_value(), cached) << "step " << step;
+    ASSERT_EQ(colliding.lookup(pool[i]), got) << "step " << step;
+    if (cached) {
+      ASSERT_EQ(*got, static_cast<int>(i));
+      recency.erase(at);
+      recency.insert(recency.begin(), i);
+      ++hits;
+      continue;
+    }
+    const bool evicted = recency.size() == kCapacity;
+    ASSERT_EQ(mixed.put(pool[i], static_cast<int>(i)), evicted);
+    ASSERT_EQ(colliding.put(pool[i], static_cast<int>(i)), evicted);
+    if (evicted) {
+      recency.pop_back();
+      ++evictions;
+    }
+    recency.insert(recency.begin(), i);
+  }
+  EXPECT_GT(hits, 500u);
+  EXPECT_GT(evictions, 500u);
+  // Every key the model holds is still a hit; the rest were evicted.
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    const bool cached =
+        std::find(recency.begin(), recency.end(), i) != recency.end();
+    EXPECT_EQ(mixed.lookup(pool[i]).has_value(), cached) << "key " << i;
+  }
+}
+
+TEST(LruMemoTest, HashWordsSeparatesSingleBitFlips) {
+  // Each of the 448 one-bit neighbours of a plan-cache-shaped key hashes
+  // apart from the key and from each other, in the low bits a bucket index
+  // uses too.
+  using Words = std::array<std::uint64_t, 7>;
+  const Words key{bits(0.05), bits(0.8), bits(0.3), kNodes, kTotal, 0, 0};
+  std::set<std::size_t> hashes{hash_words(key)};
+  std::set<std::size_t> low_bits{hash_words(key) & 0xffffU};
+  for (std::size_t word = 0; word < key.size(); ++word) {
+    for (int bit = 0; bit < 64; ++bit) {
+      Words flipped = key;
+      flipped[word] ^= std::uint64_t{1} << bit;
+      hashes.insert(hash_words(flipped));
+      low_bits.insert(hash_words(flipped) & 0xffffU);
+    }
+  }
+  EXPECT_EQ(hashes.size(), 1u + 7u * 64u);
+  EXPECT_GT(low_bits.size(), 440u);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/telemetry.h"
+#include "market/simulation.h"
 #include "pricing/arbitrage.h"
 #include "pricing/pricing.h"
 #include "pricing/variance_model.h"
@@ -278,6 +279,24 @@ TEST(AttackSimulatorTest, SearchSpaceValidation) {
   EXPECT_THROW(AttackSimulator(model(), bad), std::invalid_argument);
 }
 
+TEST(AttackSimulatorTest, RejectsUnboundedCopyCountsAtConstruction) {
+  // A search sizes its tables by max_copies: SIZE_MAX would wrap them and
+  // 1e9 would allocate gigabytes.  The constructor, which allocates
+  // nothing, refuses both, so no search ever sizes a table by them.
+  const auto m = model();
+  for (const std::size_t copies :
+       {std::numeric_limits<std::size_t>::max(), std::size_t{1000000000},
+        AttackSimulator::SearchSpace::kMaxCopiesLimit + 1}) {
+    AttackSimulator::SearchSpace space;
+    space.max_copies = copies;
+    EXPECT_THROW(AttackSimulator(m, space), prc::ContractViolation)
+        << "max_copies=" << copies;
+  }
+  AttackSimulator::SearchSpace widest;
+  widest.max_copies = AttackSimulator::SearchSpace::kMaxCopiesLimit;
+  EXPECT_NO_THROW(AttackSimulator(m, widest));
+}
+
 // --- single-pass attack search vs the m-major scan ---------------------------
 
 // The m-major memo scan best_attack used before it became a single pass,
@@ -353,9 +372,10 @@ AttackResult reference_best_attack(const VarianceModel& model,
 class RecordingPricing final : public PricingFunction {
  public:
   explicit RecordingPricing(const PricingFunction& inner) : inner_(inner) {}
-  double evaluate(const query::AccuracySpec& spec) const override {
-    quoted_.push_back(spec);
-    return inner_.evaluate(spec);
+  void evaluate(std::span<const query::AccuracySpec> specs,
+                std::span<double> prices) const override {
+    quoted_.insert(quoted_.end(), specs.begin(), specs.end());
+    inner_.evaluate(specs, prices);
   }
   std::string name() const override { return inner_.name(); }
   std::vector<query::AccuracySpec> take() {
@@ -465,8 +485,11 @@ void expect_same_search(const VarianceModel& m,
 class StepPricing final : public PricingFunction {
  public:
   explicit StepPricing(double target_alpha) : target_alpha_(target_alpha) {}
-  double evaluate(const query::AccuracySpec& spec) const override {
-    return spec.alpha > target_alpha_ ? 1.0 : 100.0;
+  void evaluate(std::span<const query::AccuracySpec> specs,
+                std::span<double> prices) const override {
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      prices[i] = specs[i].alpha > target_alpha_ ? 1.0 : 100.0;
+    }
   }
   std::string name() const override { return "step"; }
 
@@ -496,20 +519,105 @@ TEST(AttackSimulatorTest, SinglePassMatchesMMajorScan) {
   }
 }
 
+TEST(AttackSimulatorTest, SinglePassMatchesOnTheBespokeContractBox) {
+  // The targets attackers shop for in a market simulation: contracts drawn
+  // from its box, priced by the theorem family the broker sells and by a
+  // steep family the attack beats.
+  const auto m = model();
+  const AttackSimulator::SearchSpace space;
+  const InverseVariancePricing theorem(m, kReference, 100.0, 1.0);
+  const InverseVariancePricing steep(m, kReference, 100.0, 2.0);
+  const market::SimulationConfig box;
+  Rng rng(4242);
+  std::size_t profitable = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const query::AccuracySpec target{rng.uniform(box.alpha_min, box.alpha_max),
+                                     rng.uniform(box.delta_min, box.delta_max)};
+    expect_same_search(m, space, theorem, target);
+    expect_same_search(m, space, steep, target);
+    profitable +=
+        AttackSimulator(m, space).best_attack(steep, target).profitable;
+  }
+  EXPECT_GT(profitable, 1000u);
+}
+
+TEST(AttackSimulatorTest, SinglePassMatchesWhenWholeRowsAreInadmissible) {
+  // A strict target leaves every cell of the coarse rows too noisy at any
+  // m <= max_copies, others admissible from some column on.  The last
+  // target's variance is subnormal: the search scales it before taking its
+  // reciprocal, and the budget products round on the subnormal grid.
+  const auto m = model();
+  const InverseVariancePricing steep(m, kReference, 50.0, 2.0);
+  // Anchored among the subnormal variances, so its quotes stay finite.
+  const InverseVariancePricing steep_subnormal(m, {2e-158, 0.5}, 50.0, 2.0);
+  const LinearDiscountPricing linear(5.0, 40.0, 30.0);
+  struct Case {
+    query::AccuracySpec target;
+    AttackSimulator::SearchSpace space;
+    const PricingFunction* steep;
+  };
+  std::vector<Case> cases;
+  for (const std::size_t copies : {std::size_t{2}, std::size_t{3},
+                                   std::size_t{24}}) {
+    AttackSimulator::SearchSpace space;
+    space.max_copies = copies;
+    cases.push_back({{0.02, 0.9}, space, &steep});
+    cases.push_back({{0.01, 0.95}, space, &steep});
+  }
+  AttackSimulator::SearchSpace subnormal;
+  subnormal.alpha_max = 4e-158;
+  cases.push_back({{1e-158, 0.5}, subnormal, &steep_subnormal});
+  ASSERT_LT(m.contract_variance(cases.back().target),
+            std::numeric_limits<double>::min());
+  std::size_t empty_rows = 0;
+  std::size_t partial_rows = 0;
+  for (const Case& c : cases) {
+    const double budget = static_cast<double>(c.space.max_copies) *
+                          m.contract_variance(c.target);
+    for (std::size_t ai = 1; ai <= c.space.alpha_steps; ++ai) {
+      const double alpha_w =
+          c.target.alpha + (c.space.alpha_max - c.target.alpha) *
+                               static_cast<double>(ai) /
+                               static_cast<double>(c.space.alpha_steps);
+      std::size_t admissible = 0;
+      for (std::size_t di = 1; di <= c.space.delta_steps; ++di) {
+        const double delta_w = c.target.delta * static_cast<double>(di) /
+                               static_cast<double>(c.space.delta_steps + 1);
+        admissible += m.contract_variance({alpha_w, delta_w}) <= budget;
+      }
+      empty_rows += admissible == 0;
+      partial_rows += admissible > 0 && admissible < c.space.delta_steps;
+    }
+    expect_same_search(m, c.space, *c.steep, c.target);
+    expect_same_search(m, c.space, linear, c.target);
+  }
+  EXPECT_GT(empty_rows, 100u);
+  EXPECT_GE(partial_rows, 7u);
+}
+
 TEST(AttackSimulatorTest, SinglePassMatchesAtSearchSpaceEdges) {
   const auto m = model();
   const InverseVariancePricing steep(m, kReference, 50.0, 2.0);
   const LinearDiscountPricing linear(5.0, 40.0, 30.0);
   const query::AccuracySpec target{0.05, 0.8};
-  AttackSimulator::SearchSpace two_copies;
-  two_copies.max_copies = 2;
-  AttackSimulator::SearchSpace one_delta;
-  one_delta.delta_steps = 1;
+  std::vector<AttackSimulator::SearchSpace> spaces;
+  for (const std::size_t copies :
+       {std::size_t{2}, std::size_t{3}, std::size_t{24},
+        AttackSimulator::SearchSpace::kMaxCopiesLimit}) {
+    for (const std::size_t delta_steps : {std::size_t{20}, std::size_t{1}}) {
+      AttackSimulator::SearchSpace space;
+      space.max_copies = copies;
+      space.delta_steps = delta_steps;
+      spaces.push_back(space);
+    }
+  }
   AttackSimulator::SearchSpace narrow;  // alpha_max just above the target
   narrow.alpha_max = std::nextafter(target.alpha, 1.0);
+  spaces.push_back(narrow);
   AttackSimulator::SearchSpace below;  // target alpha at or past alpha_max
   below.alpha_max = target.alpha;
-  for (const auto& space : {two_copies, one_delta, narrow, below}) {
+  spaces.push_back(below);
+  for (const auto& space : spaces) {
     for (const PricingFunction* pricing :
          {static_cast<const PricingFunction*>(&steep),
           static_cast<const PricingFunction*>(&linear)}) {
@@ -623,8 +731,11 @@ class BrokenPricing final : public PricingFunction {
  public:
   BrokenPricing(double honest, double weaker)
       : honest_(honest), weaker_(weaker) {}
-  double evaluate(const query::AccuracySpec& spec) const override {
-    return spec.alpha > 0.05 ? weaker_ : honest_;
+  void evaluate(std::span<const query::AccuracySpec> specs,
+                std::span<double> prices) const override {
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      prices[i] = specs[i].alpha > 0.05 ? weaker_ : honest_;
+    }
   }
   std::string name() const override { return "broken-stub"; }
 

@@ -143,6 +143,61 @@ TEST(HistogramTest, RecordAllRejectsANonFiniteBatch) {
   EXPECT_EQ(snap.max, 2.0);
 }
 
+// A value's bucket must be the first bound >= it, exactly as
+// std::lower_bound finds it, for any strictly increasing bounds.
+TEST(HistogramTest, BucketIsTheLowerBoundOfTheValue) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double huge = std::numeric_limits<double>::max();
+  const std::vector<std::vector<double>> bound_sets{
+      default_bounds(),
+      // Irregular: negatives, both zeros' neighbours, subnormals, several
+      // bounds in one binade, gaps of hundreds of binades, the extremes.
+      {-huge, -1e300, -3.5, -3.0, -2.5, -1e-300, -tiny, 0.0, tiny, 1e-310,
+       1e-300, 1.0, 1.1, 1.2, 1.9, 2.0, 1e10, huge},
+      {5.0},
+      {-8.0, -7.0},
+      {-0.0, 1.0},
+      {0.25, 0.3, 0.375, 0.5, 1.0, 1e200, kInf},
+  };
+  Rng rng(31);
+  for (const std::vector<double>& bounds : bound_sets) {
+    std::vector<double> values{0.0,  -0.0, -1.0,  -1e-300, tiny,
+                               -tiny, 1e-310, huge, -huge};
+    for (const double bound : bounds) {
+      if (!std::isfinite(bound)) continue;
+      values.push_back(bound);
+      values.push_back(std::nextafter(bound, -kInf));
+      values.push_back(std::nextafter(bound, kInf));
+    }
+    for (int i = 0; i < 200; ++i) {
+      const double magnitude = std::exp(rng.uniform(-40.0, 40.0));
+      values.push_back(rng.bernoulli(0.3) ? -magnitude : magnitude);
+    }
+    std::erase_if(values, [](double v) { return !std::isfinite(v); });
+
+    std::vector<std::uint64_t> want(bounds.size() + 1, 0);
+    Histogram one_by_one(bounds);
+    for (const double value : values) {
+      const auto at = static_cast<std::size_t>(
+          std::lower_bound(bounds.begin(), bounds.end(), value) -
+          bounds.begin());
+      ++want[at];
+      Histogram single(bounds);
+      single.record(value);
+      std::vector<std::uint64_t> only(bounds.size() + 1, 0);
+      only[at] = 1;
+      ASSERT_EQ(single.snapshot().bucket_counts, only)
+          << "value " << value << " over " << bounds.size() << " bounds";
+      one_by_one.record(value);
+    }
+    Histogram batched(bounds);
+    batched.record_all(values);
+    EXPECT_EQ(one_by_one.snapshot().bucket_counts, want);
+    EXPECT_EQ(batched.snapshot().bucket_counts, want);
+  }
+}
+
 // Run repeatedly under TSan by CI: batches and single records from several
 // threads, as MarketSimulation's parallel attack searches and the rest of
 // the pricing layer do.  Integer values sum exactly in any order.
