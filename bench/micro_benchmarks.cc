@@ -1,8 +1,9 @@
 // google-benchmark micro-benchmarks of the hot paths: per-node estimation,
 // global estimation, batched multi-query estimation, sampling top-up, the
 // perturbation optimizer, the plan cache's miss-put-evict cycle, the attack
-// search and the quote histogram's batch record, one whole cached sale,
-// Laplace draws, CSV parsing and the (retired) per-ingest rank audit.
+// search and the quote histogram's batch record, one whole cached sale, the
+// station's estimate after an arrival, Laplace draws, CSV parsing and the
+// (retired) per-ingest rank audit.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -144,14 +145,15 @@ BENCHMARK(BM_BatchEstimate)
 
 // The broker's steady-state station (128 nodes of 781 records at p = 0.285,
 // about 30 000 cached samples) and 64 ranges to ask it.
+constexpr std::size_t kSteadyPerNode = 781;
+
 iot::BaseStation steady_station(std::size_t k) {
-  constexpr std::size_t kPerNode = 781;
   constexpr double kP = 0.285;
   iot::BaseStation station(k);
-  const sampling::RankSampleSet sample = make_sample(kPerNode, kP);
+  const sampling::RankSampleSet sample = make_sample(kSteadyPerNode, kP);
   for (std::size_t i = 0; i < k; ++i) {
-    station.ingest(
-        iot::SampleReport{static_cast<int>(i), kPerNode, sample.samples()});
+    station.ingest(iot::SampleReport{static_cast<int>(i), kSteadyPerNode,
+                                     sample.samples()});
   }
   station.commit_round(kP);
   return station;
@@ -215,6 +217,33 @@ void BM_StationEstimateMemoMiss(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StationEstimateMemoMiss)->Arg(128);
+
+// live_collection's read pattern: one node changes (an arrival raises its
+// n_i), then each of 64 ranges is asked once of the fresh view.  Every read
+// misses the view's memo and finds its range in the station's term table
+// with k - 1 nodes unchanged, so it recomputes one node's term and sums k.
+// The arrival and the view rebuild are timed too, one per 64 reads.
+void BM_StationEstimateAfterArrival(benchmark::State& state) {
+  parallel::set_thread_count(1);
+  const auto k = static_cast<std::size_t>(state.range(0));
+  iot::BaseStation station = steady_station(k);
+  const auto ranges = make_ranges(64);
+  for (const auto& range : ranges) {
+    benchmark::DoNotOptimize(station.view()->rank_counting_estimate(range));
+  }
+  std::size_t next = 0;
+  std::size_t arrivals = 0;
+  for (auto _ : state) {
+    if (next % ranges.size() == 0) {
+      ++arrivals;
+      station.ingest(iot::SampleReport{static_cast<int>(arrivals % k),
+                                       kSteadyPerNode + arrivals, {}});
+    }
+    benchmark::DoNotOptimize(
+        station.view()->rank_counting_estimate(ranges[next++ % ranges.size()]));
+  }
+}
+BENCHMARK(BM_StationEstimateAfterArrival)->Arg(32)->Arg(128);
 
 // One admitted sale's bookkeeping in the ledger: reserve, then commit (two
 // timeline appends, the fold and the conservation gauge), with `range(0)`

@@ -14,6 +14,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <list>
 #include <mutex>
 #include <optional>
@@ -67,15 +68,14 @@ class LruMemo {
   /// the incumbent), evicting the least recently used entry when full.
   /// Returns true when an entry was evicted.
   bool put(const Key& key, const Value& value) const PRC_EXCLUDES(mutex_) {
-    if (capacity_ == 0) return false;
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (index_.contains(key)) return false;
-    entries_.emplace_front(key, value);
-    index_.emplace(key, entries_.begin());
-    if (entries_.size() <= capacity_) return false;
-    index_.erase(entries_.back().first);
-    entries_.pop_back();
-    return true;
+    return store(key, value, /*replace=*/false);
+  }
+
+  /// Like put(), but an incumbent for `key` takes `value` and becomes the
+  /// most recently used: for values that are not a pure function of the
+  /// key alone, where the newer value is the one to keep.
+  bool replace(const Key& key, const Value& value) const PRC_EXCLUDES(mutex_) {
+    return store(key, value, /*replace=*/true);
   }
 
   std::size_t capacity() const noexcept { return capacity_; }
@@ -86,6 +86,33 @@ class LruMemo {
 
  private:
   using EntryList = std::list<std::pair<Key, Value>>;
+
+  bool store(const Key& key, const Value& value, bool replace) const
+      PRC_EXCLUDES(mutex_) {
+    if (capacity_ == 0) return false;
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (const auto it = index_.find(key); it != index_.end()) {
+      if (replace) {
+        it->second->second = value;
+        entries_.splice(entries_.begin(), entries_, it->second);
+      }
+      return false;
+    }
+    if (entries_.size() < capacity_) {
+      entries_.emplace_front(key, value);
+      index_.emplace(key, entries_.begin());
+      return false;
+    }
+    // Full: the least recently used entry's list and index nodes are
+    // reused for the new one, so a put at capacity allocates nothing.
+    auto node = index_.extract(entries_.back().first);
+    entries_.splice(entries_.begin(), entries_, std::prev(entries_.end()));
+    entries_.front().first = key;
+    entries_.front().second = value;
+    node.key() = key;
+    index_.insert(std::move(node));
+    return true;
+  }
 
   const std::size_t capacity_;
   mutable std::mutex mutex_;

@@ -22,8 +22,10 @@ double chunked_node_sum(std::size_t node_count, NodeEstimateFn&& estimate) {
       [](double acc, double partial) { return acc + partial; });
 }
 
-double hetero_node_estimate(const NodeSampleView& node, double probability,
-                            const query::RangeQuery& range) {
+}  // namespace
+
+double rank_counting_node_term(const NodeSampleView& node, double probability,
+                               const query::RangeQuery& range) {
   PRC_CHECK(node.samples != nullptr) << "rank counting: null node sample view";
   // Empty nodes contribute 0 regardless of p; skipping them lets callers
   // pass probability 0 for nodes that never reported.
@@ -38,7 +40,9 @@ double hetero_node_estimate(const NodeSampleView& node, double probability,
                                      probability, range);
 }
 
-}  // namespace
+double rank_counting_term_sum(std::span<const double> terms) {
+  return chunked_node_sum(terms.size(), [&](std::size_t i) { return terms[i]; });
+}
 
 double rank_counting_node_estimate(const sampling::RankSampleSet& samples,
                                    std::size_t data_count, double p,
@@ -91,7 +95,7 @@ double rank_counting_estimate(std::span<const NodeSampleView> nodes,
       << nodes.size() << " nodes and " << probabilities.size()
       << " probabilities";
   return chunked_node_sum(nodes.size(), [&](std::size_t i) {
-    return hetero_node_estimate(nodes[i], probabilities[i], range);
+    return rank_counting_node_term(nodes[i], probabilities[i], range);
   });
 }
 
@@ -119,7 +123,7 @@ std::vector<double> rank_counting_estimate_batch(
   std::vector<double> estimates(ranges.size());
   parallel::parallel_for_each(ranges.size(), [&](std::size_t q) {
     estimates[q] = chunked_node_sum(nodes.size(), [&](std::size_t i) {
-      return hetero_node_estimate(nodes[i], probabilities[i], ranges[q]);
+      return rank_counting_node_term(nodes[i], probabilities[i], ranges[q]);
     });
   });
   return estimates;

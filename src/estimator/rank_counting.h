@@ -57,6 +57,18 @@ double rank_counting_estimate(std::span<const NodeSampleView> nodes,
                               std::span<const double> probabilities,
                               const query::RangeQuery& range);
 
+/// Node i's term of the heterogeneous estimate below: 0 for an empty node,
+/// n_i for a node with data but no cached sample, else the 4-case estimate
+/// at `probability`.  A caller that keeps terms across calls and adds them
+/// with rank_counting_term_sum() gets the estimate's exact bits.
+double rank_counting_node_term(const NodeSampleView& node, double probability,
+                               const query::RangeQuery& range);
+
+/// Sum of per-node terms over the fixed reduce chunk grid every estimate
+/// here uses: rank_counting_term_sum of the k terms equals the
+/// heterogeneous rank_counting_estimate over the same nodes bit for bit.
+double rank_counting_term_sum(std::span<const double> terms);
+
 /// Batched estimate: answers Q ranges in one pass over the node views.
 /// Parallelizes over queries for large Q and over nodes for large N (the
 /// inner node sum uses the fixed reduce chunk grid), and returns exactly

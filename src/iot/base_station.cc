@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "common/check.h"
+#include "common/parallel.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
 #include "estimator/basic_counting.h"
@@ -14,14 +15,26 @@
 
 namespace prc::iot {
 
-BaseStation::BaseStation(std::size_t node_count) : entries_(node_count) {
+namespace {
+
+std::shared_ptr<const NodeTermTable> fresh_term_table() {
+  return std::make_shared<const NodeTermTable>(
+      StationView::kEstimateMemoCapacity);
+}
+
+}  // namespace
+
+BaseStation::BaseStation(std::size_t node_count)
+    : entries_(node_count), node_terms_(fresh_term_table()) {
   PRC_CHECK(node_count > 0) << "base station needs >= 1 node";
 }
 
-BaseStation::BaseStation(const BaseStation& other) {
+BaseStation::BaseStation(const BaseStation& other)
+    : node_terms_(fresh_term_table()) {
   std::lock_guard<std::mutex> lock(other.mutex_);
   entries_ = other.entries_;
   p_ = other.p_;
+  version_counter_ = other.version_counter_;
   view_ = other.view_;
 }
 
@@ -30,16 +43,23 @@ BaseStation& BaseStation::operator=(const BaseStation& other) {
   // Copy out under the source lock first; never hold both mutexes at once.
   std::vector<NodeEntry> entries;
   double p = 0.0;
+  std::uint64_t version_counter = 0;
   std::shared_ptr<const StationView> view;
   {
     std::lock_guard<std::mutex> lock(other.mutex_);
     entries = other.entries_;
     p = other.p_;
+    version_counter = other.version_counter_;
     view = other.view_;
   }
+  // This station's old table is keyed by its old versions, which the
+  // copied ones may repeat with other contents.
+  auto node_terms = fresh_term_table();
   std::lock_guard<std::mutex> lock(mutex_);
   entries_ = std::move(entries);
   p_ = p;
+  version_counter_ = version_counter;
+  node_terms_ = std::move(node_terms);
   view_ = std::move(view);
   return *this;
 }
@@ -53,6 +73,8 @@ std::shared_ptr<const StationView> BaseStation::view() const {
   view->nodes.reserve(k);
   view->probabilities.reserve(k);
   view->reported.reserve(k);
+  auto versions = std::make_shared<NodeVersions>();
+  versions->reserve(k);
   CoverageSummary& cov = view->coverage;
   cov.target_p = p_;
   cov.node_count = k;
@@ -66,6 +88,7 @@ std::shared_ptr<const StationView> BaseStation::view() const {
         estimator::NodeSampleView{entry.samples.get(), entry.data_count});
     view->probabilities.push_back(entry.probability);
     view->reported.push_back(entry.reported);
+    versions->push_back(entry.version);
     view->max_data_count = std::max(view->max_data_count, entry.data_count);
     view->total_data_count += entry.data_count;
     view->cached_samples += entry.samples->size();
@@ -88,6 +111,8 @@ std::shared_ptr<const StationView> BaseStation::view() const {
   cov.coverage = known_data == 0 ? 0.0
                                  : static_cast<double>(fresh_data) /
                                        static_cast<double>(known_data);
+  view->versions_ = std::move(versions);
+  view->node_terms_ = node_terms_;
   view_ = std::move(view);
   return view_;
 }
@@ -98,10 +123,38 @@ double StationView::rank_counting_estimate(
   const RangeKey key{std::bit_cast<std::uint64_t>(range.lower),
                      std::bit_cast<std::uint64_t>(range.upper)};
   if (const auto hit = estimate_memo_.lookup(key)) return *hit;
-  PRC_TRACE_SPAN("iot.station_estimate");
-  const double estimate =
-      estimator::rank_counting_estimate(nodes, probabilities, range);
+  const double estimate = estimate_from_terms(key, range);
   estimate_memo_.put(key, estimate);
+  return estimate;
+}
+
+double StationView::estimate_from_terms(const RangeKey& key,
+                                        const query::RangeQuery& range) const {
+  PRC_TRACE_SPAN("iot.station_estimate");
+  const std::size_t k = nodes.size();
+  const auto old = node_terms_->lookup(key);
+  const NodeVersions& versions = *versions_;
+  if (old && *old->versions == versions) {
+    return estimator::rank_counting_term_sum({old->terms.get(), k});
+  }
+  const auto terms = std::make_shared_for_overwrite<double[]>(k);
+  const auto fill = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      terms[i] = old && (*old->versions)[i] == versions[i]
+                     ? old->terms[i]
+                     : estimator::rank_counting_node_term(
+                           nodes[i], probabilities[i], range);
+    }
+  };
+  // Fan out only where the estimator's own sum would (more than one reduce
+  // chunk of nodes).
+  if (k > parallel::kDefaultReduceChunk) {
+    parallel::parallel_for(k, fill);
+  } else {
+    fill(0, k);
+  }
+  const double estimate = estimator::rank_counting_term_sum({terms.get(), k});
+  node_terms_->replace(key, NodeTerms{versions_, terms});
   return estimate;
 }
 
@@ -178,6 +231,7 @@ bool BaseStation::ingest(const SampleReport& report) {
   }
   entry.data_count = report.data_count;
   entry.reported = true;
+  bump_version_locked(entry);
   view_.reset();
   static telemetry::Counter& reports_ingested =
       telemetry::counter("iot.station.reports_ingested");
@@ -201,6 +255,7 @@ void BaseStation::replace_locked(const SampleReport& full_report) {
   entry.samples =
       std::make_shared<const sampling::RankSampleSet>(full_report.new_samples);
   entry.sequence = 0;
+  bump_version_locked(entry);
   view_.reset();
   static telemetry::Counter& cache_replacements =
       telemetry::counter("iot.station.cache_replacements");
@@ -232,8 +287,9 @@ void BaseStation::commit_round_locked(double p,
   view_.reset();
   std::size_t cached = 0;
   for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (refreshed[i]) {
-      entries_[i].probability = std::max(entries_[i].probability, p);
+    if (refreshed[i] && entries_[i].probability < p) {
+      entries_[i].probability = p;
+      bump_version_locked(entries_[i]);
     }
     cached += entries_[i].samples->size();
   }
@@ -374,6 +430,7 @@ BaseStation BaseStation::deserialize(const std::vector<std::uint8_t>& bytes) {
       std::lock_guard<std::mutex> lock(station.mutex_);
       station.replace_locked(report);
       station.entries_[i].probability = probability;
+      station.bump_version_locked(station.entries_[i]);
     }
   }
   // Restore the round target without touching the per-node probabilities

@@ -58,6 +58,31 @@ struct CoverageSummary {
   }
 };
 
+/// A range's memo key: the bit patterns of (lower, upper).
+using RangeKey = std::array<std::uint64_t, 2>;
+struct RangeKeyHash {
+  std::size_t operator()(const RangeKey& key) const noexcept {
+    return hash_words(key);
+  }
+};
+
+/// Per node: the station version of its state in one view.
+using NodeVersions = std::vector<std::uint64_t>;
+
+/// One range's per-node RankCounting terms, terms[i] computed from node i's
+/// state at station version (*versions)[i].  Both arrays are published and
+/// never mutated; the versions are those of the view that computed the
+/// terms, shared with it.
+struct NodeTerms {
+  std::shared_ptr<const NodeVersions> versions;
+  std::shared_ptr<const double[]> terms;
+};
+
+/// The station's table of NodeTerms by range, shared by every view it
+/// publishes.  Not a pure function of the key (entries age as nodes
+/// change), so a view writes its entry back with replace().
+using NodeTermTable = LruMemo<RangeKey, NodeTerms, RangeKeyHash>;
+
 /// One published state of the station cache: everything a reader needs
 /// about the fleet, built once per change and never mutated afterwards.
 /// It holds one shared pointer per node to the node's (immutable) sample
@@ -67,10 +92,14 @@ struct CoverageSummary {
 /// The one exception to "never mutated" is the view's memo of its own
 /// RankCounting estimates, which locks internally: an estimate is a pure
 /// function of the view and the range, so the memo changes how fast a
-/// repeated range is answered, never what it returns.
+/// repeated range is answered, never what it returns.  A range the view
+/// has not answered yet reuses the per-node terms of the station's shared
+/// NodeTermTable for every node whose version the view shares, and
+/// recomputes only the others.
 struct StationView {
   /// Most distinct ranges one view remembers (the shipped workloads ask
-  /// 28); the least recently asked one is evicted past that.
+  /// 28), and most ranges the station's term table holds; the least
+  /// recently asked one is evicted past that.
   static constexpr std::size_t kEstimateMemoCapacity = 256;
 
   /// Keeps every set in `nodes` alive.
@@ -93,7 +122,10 @@ struct StationView {
   /// RankCounting estimate applying each node's own p_i (heterogeneous
   /// Horvitz–Thompson correction).  Requires a committed round.  Memoized
   /// per view by the bit patterns of (lower, upper): a repeated range
-  /// returns exactly the double its first call computed.
+  /// returns exactly the double its first call computed.  A miss sums the
+  /// station's stored terms of unchanged nodes with fresh terms of the
+  /// rest over the estimator's chunk grid, so it returns the same bits as
+  /// estimator::rank_counting_estimate(nodes, probabilities, range).
   double rank_counting_estimate(const query::RangeQuery& range) const;
 
   /// Answers all ranges with exactly the values per-range
@@ -118,14 +150,15 @@ struct StationView {
   std::size_t memoized_estimates() const { return estimate_memo_.size(); }
 
  private:
-  /// (lower bits, upper bits).
-  using RangeKey = std::array<std::uint64_t, 2>;
-  struct RangeKeyHash {
-    std::size_t operator()(const RangeKey& key) const noexcept {
-      return hash_words(key);
-    }
-  };
+  friend class BaseStation;
 
+  /// The memo-miss path of rank_counting_estimate().
+  double estimate_from_terms(const RangeKey& key,
+                             const query::RangeQuery& range) const;
+
+  std::shared_ptr<const NodeVersions> versions_;
+  /// The publishing station's term table.
+  std::shared_ptr<const NodeTermTable> node_terms_;
   LruMemo<RangeKey, double, RangeKeyHash> estimate_memo_{
       kEstimateMemoCapacity};
 };
@@ -151,12 +184,18 @@ struct StationView {
 /// under the mutex on the first read after a change, and every later read
 /// shares it until the next ingest, replace or commit_round.  Its estimate
 /// memo lives and dies with it, so a change never meets a stale estimate.
+/// The per-node terms behind those estimates outlive views: every write to
+/// a node's samples, n_i or p_i gives the node a new version from the
+/// station's counter, and a view reuses a stored term only at the version
+/// it was computed at.  A copy or an assignment target starts a fresh term
+/// table, so versions are never compared across stations.
 class BaseStation {
  public:
   explicit BaseStation(std::size_t node_count);
 
-  // Copyable (checkpoint restore returns by value); the mutex itself is
-  // never copied — each station guards its own cache.
+  // Copyable (checkpoint restore returns by value); the mutex and the term
+  // table are never copied — each station guards its own cache and keys
+  // its own table by its own versions.
   BaseStation(const BaseStation& other);
   BaseStation& operator=(const BaseStation& other);
 
@@ -217,7 +256,14 @@ class BaseStation {
     // restored cache starts at 0, and the base sample count catches a node
     // that moved on.
     std::uint32_t sequence = 0;
+    // Station version of samples, data_count and probability; set from
+    // version_counter_ on every write to any of them.
+    std::uint64_t version = 0;
   };
+
+  void bump_version_locked(NodeEntry& entry) PRC_REQUIRES(mutex_) {
+    entry.version = ++version_counter_;
+  }
 
   void replace_locked(const SampleReport& full_report) PRC_REQUIRES(mutex_);
   void commit_round_locked(double p, const std::vector<bool>& refreshed)
@@ -226,6 +272,9 @@ class BaseStation {
   mutable std::mutex mutex_;
   std::vector<NodeEntry> entries_ PRC_GUARDED_BY(mutex_);
   double p_ PRC_GUARDED_BY(mutex_) = 0.0;
+  std::uint64_t version_counter_ PRC_GUARDED_BY(mutex_) = 0;
+  // Shared with every view this station publishes.
+  std::shared_ptr<const NodeTermTable> node_terms_ PRC_GUARDED_BY(mutex_);
   // Built from entries_ and p_ on the first view() after a change; every
   // mutator resets it.
   mutable std::shared_ptr<const StationView> view_ PRC_GUARDED_BY(mutex_);

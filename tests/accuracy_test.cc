@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/rng.h"
 #include "data/partition.h"
@@ -183,8 +184,11 @@ INSTANTIATE_TEST_SUITE_P(
                       ContractCase{0.10, 0.7}, ContractCase{0.20, 0.8},
                       ContractCase{0.15, 0.95}),
     [](const ::testing::TestParamInfo<ContractCase>& case_info) {
-      return "a" + std::to_string(static_cast<int>(case_info.param.alpha * 100)) +
-             "_d" + std::to_string(static_cast<int>(case_info.param.delta * 100));
+      std::string name = "a";
+      name += std::to_string(static_cast<int>(case_info.param.alpha * 100));
+      name += "_d";
+      name += std::to_string(static_cast<int>(case_info.param.delta * 100));
+      return name;
     });
 
 }  // namespace

@@ -531,7 +531,11 @@ std::vector<std::uint8_t> version1_intent_record() {
     }
   };
   put(payload, 5, 4);
-  payload.insert(payload.end(), {'a', 'l', 'i', 'c', 'e'});
+  // Byte-wise push: GCC 12 at -O3 misreports an initializer-list insert
+  // after the pushes above as an overflow (-Wstringop-overflow).
+  for (const char c : {'a', 'l', 'i', 'c', 'e'}) {
+    payload.push_back(static_cast<std::uint8_t>(c));
+  }
   for (const double value : {0.0, 1.0, 0.1, 0.5, 0.01}) {
     put(payload, std::bit_cast<std::uint64_t>(value), 8);
   }

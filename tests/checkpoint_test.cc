@@ -2,6 +2,7 @@
 // broker can restart without a collection round.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 
@@ -112,11 +113,9 @@ TEST(CheckpointTest, RejectsFrameInAnotherNodesSlot) {
   const auto second =
       bytes.begin() + static_cast<std::ptrdiff_t>(kFirstNodeOffset + 13 +
                                                   frame_size);
-  std::vector<std::uint8_t> swapped(
-      bytes.begin(), bytes.begin() + kFirstNodeOffset);
-  swapped.insert(swapped.end(), second, bytes.end());
-  swapped.insert(swapped.end(),
-                 bytes.begin() + kFirstNodeOffset, second);
+  std::vector<std::uint8_t> swapped = bytes;
+  std::rotate(swapped.begin() + kFirstNodeOffset,
+              swapped.begin() + (second - bytes.begin()), swapped.end());
   ASSERT_EQ(swapped.size(), bytes.size());
   EXPECT_THROW(BaseStation::deserialize(swapped), std::invalid_argument);
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -11,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/statistics.h"
 #include "estimator/rank_counting.h"
@@ -430,6 +432,209 @@ TEST(BaseStationTest, MemoConcurrentIngestAndEstimate) {
   for (auto& reader : readers) reader.join();
   EXPECT_EQ(mismatches.load(), 0u);
   EXPECT_EQ(view->memoized_estimates(), ranges.size());
+}
+
+// A station and the node data behind its cache, driven by seeded writes of
+// every kind the station takes: ingest with arrivals, ingest of top-up
+// samples, full replace, commit_round (partial, raising p or not) and a
+// checkpoint round trip.  Which write comes next, on which node, comes from
+// the op stream; the values come from the data stream.  Fleets that share
+// an op seed bump the same node versions with different contents.
+class RandomFleet {
+ public:
+  static constexpr double kDomain = 1000.0;
+
+  RandomFleet(std::size_t k, std::uint64_t op_seed, std::uint64_t data_seed)
+      : station(k), nodes_(k), ops_(op_seed), data_(data_seed) {
+    for (std::size_t i = 0; i < k; ++i) {
+      for (int j = 0; j < 40; ++j) {
+        nodes_[i].data.push_back(data_.uniform(0.0, kDomain));
+      }
+      std::sort(nodes_[i].data.begin(), nodes_[i].data.end());
+      resample(i);
+    }
+    station.commit_round(p_);
+  }
+
+  void reseed_data(std::uint64_t seed) { data_ = Rng(seed); }
+
+  void step() {
+    const auto k = static_cast<std::int64_t>(nodes_.size());
+    const auto node = static_cast<std::size_t>(ops_.uniform_int(0, k - 1));
+    switch (ops_.uniform_int(0, 9)) {
+      case 0:
+      case 1:
+      case 2:
+        arrive(node, static_cast<std::size_t>(ops_.uniform_int(1, 3)));
+        break;
+      case 3:
+        top_up(node);
+        break;
+      case 4:
+        resample(node);
+        break;
+      case 5:
+      case 6: {
+        std::vector<bool> refreshed(nodes_.size());
+        for (std::size_t i = 0; i < refreshed.size(); ++i) {
+          refreshed[i] = ops_.bernoulli(0.5);
+        }
+        p_ = std::min(1.0, p_ + ops_.uniform(0.0, 0.05));
+        station.commit_round(p_, refreshed);
+        break;
+      }
+      case 7:
+        // Changes nothing: the next view keeps every version.
+        station.commit_round(p_, std::vector<bool>(nodes_.size(), false));
+        break;
+      case 8:
+        station = BaseStation::deserialize(station.serialize());
+        for (auto& model : nodes_) model.sequence = 0;
+        break;
+      default:
+        break;  // no write: the next view is the same one
+    }
+  }
+
+  BaseStation station;
+
+ private:
+  struct NodeModel {
+    std::vector<double> data;  // sorted; rank = index + 1
+    std::vector<bool> sampled;
+    std::uint32_t sequence = 0;
+  };
+
+  std::vector<sampling::RankedValue> cached(std::size_t node) const {
+    std::vector<sampling::RankedValue> out;
+    const auto& model = nodes_[node];
+    for (std::size_t j = 0; j < model.data.size(); ++j) {
+      if (model.sampled[j]) out.push_back({model.data[j], j + 1});
+    }
+    return out;
+  }
+
+  void resample(std::size_t node) {
+    auto& model = nodes_[node];
+    model.sampled.assign(model.data.size(), false);
+    for (std::size_t j = 0; j < model.data.size(); ++j) {
+      model.sampled[j] = data_.bernoulli(0.3);
+    }
+    station.replace(SampleReport{static_cast<int>(node), model.data.size(),
+                                 cached(node)});
+    model.sequence = 0;
+  }
+
+  void top_up(std::size_t node) {
+    auto& model = nodes_[node];
+    SampleReport report{static_cast<int>(node), model.data.size(), {}};
+    for (std::size_t j = 0; j < model.data.size(); ++j) {
+      if (!model.sampled[j] && data_.bernoulli(0.2)) {
+        model.sampled[j] = true;
+        report.new_samples.push_back({model.data[j], j + 1});
+      }
+    }
+    ASSERT_TRUE(station.ingest(report));
+  }
+
+  void arrive(std::size_t node, std::size_t count) {
+    auto& model = nodes_[node];
+    const auto base = cached(node);
+    SampleReport report{static_cast<int>(node), 0, {}};
+    report.base_sequence = model.sequence;
+    report.base_samples = static_cast<std::uint32_t>(base.size());
+    std::vector<double> arrivals;
+    for (std::size_t a = 0; a < count; ++a) {
+      const double value = data_.uniform(0.0, kDomain);
+      arrivals.push_back(value);
+      // The arrival precedes every cached sample of a larger value.
+      std::uint32_t gap = 0;
+      while (gap < base.size() && base[gap].value < value) ++gap;
+      report.arrival_gaps.push_back(gap);
+      const auto at = std::lower_bound(model.data.begin(), model.data.end(),
+                                       value) -
+                      model.data.begin();
+      model.data.insert(model.data.begin() + at, value);
+      model.sampled.insert(model.sampled.begin() + at, false);
+    }
+    std::sort(report.arrival_gaps.begin(), report.arrival_gaps.end());
+    for (const double value : arrivals) {
+      if (!data_.bernoulli(0.3)) continue;
+      const auto at = static_cast<std::size_t>(
+          std::lower_bound(model.data.begin(), model.data.end(), value) -
+          model.data.begin());
+      model.sampled[at] = true;
+      report.new_samples.push_back({value, at + 1});
+    }
+    report.data_count = model.data.size();
+    ASSERT_TRUE(station.ingest(report));
+    ++model.sequence;
+  }
+
+  std::vector<NodeModel> nodes_;
+  Rng ops_;
+  Rng data_;
+  double p_ = 0.3;
+};
+
+TEST(BaseStationTest, EstimatesAfterEveryKindOfWriteMatchTheEstimatorBitwise) {
+  // Twelve ranges, asked of every view: each view misses them once, and
+  // the station's term table serves the nodes a write did not touch.
+  std::vector<query::RangeQuery> ranges;
+  Rng range_rng(99);
+  for (int i = 0; i < 12; ++i) {
+    const double a = range_rng.uniform(-50.0, RandomFleet::kDomain + 50.0);
+    const double b = range_rng.uniform(-50.0, RandomFleet::kDomain + 50.0);
+    ranges.push_back({std::min(a, b), std::max(a, b)});
+  }
+  const auto expect_exact = [&](const RandomFleet& fleet, const char* name,
+                                int step) {
+    const auto view = fleet.station.view();
+    for (const auto& range : ranges) {
+      ASSERT_EQ(bits(view->rank_counting_estimate(range)),
+                bits(direct_estimate(*view, range)))
+          << name << " step " << step << " range [" << range.lower << ", "
+          << range.upper << "]";
+    }
+  };
+
+  struct RestoreThreads {
+    std::size_t count = parallel::thread_count();
+    ~RestoreThreads() { parallel::set_thread_count(count); }
+  } restore;
+  // k = 300 spans two reduce chunks.
+  for (const std::size_t k : {std::size_t{32}, std::size_t{300}}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(testing::Message()
+                   << "k = " << k << ", threads = " << threads);
+      parallel::set_thread_count(threads);
+      // `other` takes the same writes as `main` on other data, so its term
+      // table holds entries at exactly main's versions.
+      RandomFleet main(k, 11, 1);
+      RandomFleet other(k, 11, 2);
+      for (int step = 0; step < 40; ++step) {
+        main.step();
+        other.step();
+        expect_exact(main, "main", step);
+        expect_exact(other, "other", step);
+      }
+      // Both diverge from main with the same writes on other data: a table
+      // shared with main, or `other`'s old table kept across the
+      // assignment, would hand them main's (or old) terms at equal versions.
+      RandomFleet copy(main);
+      copy.reseed_data(3);
+      other = main;
+      other.reseed_data(4);
+      for (int step = 0; step < 40; ++step) {
+        main.step();
+        copy.step();
+        other.step();
+        expect_exact(main, "main", 40 + step);
+        expect_exact(copy, "copy", 40 + step);
+        expect_exact(other, "assigned", 40 + step);
+      }
+    }
+  }
 }
 
 TEST(FlatNetworkTest, ConstructionValidation) {

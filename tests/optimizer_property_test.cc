@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <tuple>
 
 #include "common/distributions.h"
@@ -78,9 +79,13 @@ INSTANTIATE_TEST_SUITE_P(
         GridCase{0.30, 0.4, 0.01}),
     [](const ::testing::TestParamInfo<GridCase>& case_info) {
       const auto& c = case_info.param;
-      return "a" + std::to_string(static_cast<int>(c.alpha * 1000)) + "_d" +
-             std::to_string(static_cast<int>(c.delta * 100)) + "_p" +
-             std::to_string(static_cast<int>(c.p * 1000));
+      std::string name = "a";
+      name += std::to_string(static_cast<int>(c.alpha * 1000));
+      name += "_d";
+      name += std::to_string(static_cast<int>(c.delta * 100));
+      name += "_p";
+      name += std::to_string(static_cast<int>(c.p * 1000));
+      return name;
     });
 
 // The optimizer's plan, executed with real Laplace noise on a perfect

@@ -207,6 +207,7 @@ struct MarketRunResult {
   market::SimulationReport report;
   std::vector<market::Transaction> transactions;
   CounterMap counters;
+  std::vector<telemetry::HistogramSnapshot> histograms;
 };
 
 MarketRunResult run_market(std::size_t threads, bool concurrent) {
@@ -235,7 +236,16 @@ MarketRunResult run_market(std::size_t threads, bool concurrent) {
   result.transactions = broker.ledger().transactions_snapshot();
   EXPECT_LE(broker.ledger().conservation_discrepancy(), 1e-9);
   result.counters = counter_map();
+  result.histograms = telemetry::Telemetry::registry().snapshot().histograms;
   return result;
+}
+
+const telemetry::HistogramSnapshot* find_histogram(
+    const MarketRunResult& run, const std::string& name) {
+  for (const auto& histogram : run.histograms) {
+    if (histogram.name == name) return &histogram;
+  }
+  return nullptr;
 }
 
 TEST(ParallelDeterminismTest, MarketRunBitIdenticalAcrossThreadCounts) {
@@ -275,6 +285,25 @@ TEST(ParallelDeterminismTest, MarketRunBitIdenticalAcrossThreadCounts) {
   // must agree exactly; they are the cheap first diff when determinism
   // regresses.
   EXPECT_EQ(serial.counters, pooled.counters);
+}
+
+// A histogram's count and buckets are inside the determinism contract; its
+// sum is not (concurrent batches add their values in arrival order, so the
+// last digits of the sum follow the schedule).  The attack searches fan
+// out over the pool and record their lattice prices into `pricing.price`.
+TEST(ParallelDeterminismTest, PriceHistogramCountsMatchAcrossThreadCounts) {
+  const auto serial = run_market(1, /*concurrent=*/false);
+  const auto pooled = run_market(4, /*concurrent=*/false);
+  const auto* a = find_histogram(serial, "pricing.price");
+  const auto* b = find_histogram(pooled, "pricing.price");
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_GT(a->count, 0u);
+  EXPECT_EQ(a->count, b->count);
+  EXPECT_EQ(a->bounds, b->bounds);
+  EXPECT_EQ(a->bucket_counts, b->bucket_counts);
+  EXPECT_EQ(a->min, b->min);
+  EXPECT_EQ(a->max, b->max);
 }
 
 // The contention test the TSan job leans on: commit purchases concurrently

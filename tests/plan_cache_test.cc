@@ -282,6 +282,27 @@ TEST(LruMemoTest, EvictionOrderAndHitsDoNotDependOnTheHash) {
   }
 }
 
+TEST(LruMemoTest, ReplaceOverwritesTheIncumbentAndRefreshesIt) {
+  const LruMemo<PlanCacheKey, int, PlanCacheKeyHash> memo(2);
+  const PlanCacheKey a = key_for(0.1, 0.5, 0.2);
+  const PlanCacheKey b = key_for(0.1, 0.5, 0.3);
+  const PlanCacheKey c = key_for(0.1, 0.5, 0.4);
+  EXPECT_FALSE(memo.put(a, 1));
+  EXPECT_FALSE(memo.put(b, 2));
+  // put keeps the incumbent; replace takes the new value and makes `a` the
+  // most recent, so the next insert evicts `b`.
+  EXPECT_FALSE(memo.put(a, 10));
+  EXPECT_EQ(memo.lookup(b), 2);
+  EXPECT_EQ(memo.lookup(a), 1);
+  EXPECT_FALSE(memo.replace(b, 20));
+  EXPECT_FALSE(memo.replace(a, 30));
+  EXPECT_TRUE(memo.replace(c, 40));
+  EXPECT_EQ(memo.lookup(a), 30);
+  EXPECT_EQ(memo.lookup(b), std::nullopt);
+  EXPECT_EQ(memo.lookup(c), 40);
+  EXPECT_EQ(memo.size(), 2u);
+}
+
 TEST(LruMemoTest, HashWordsSeparatesSingleBitFlips) {
   // Each of the 448 one-bit neighbours of a plan-cache-shaped key hashes
   // apart from the key and from each other, in the low bits a bucket index

@@ -188,8 +188,9 @@ INSTANTIATE_TEST_SUITE_P(
         ExponentVerdict{2.0, false, true},
         ExponentVerdict{3.0, false, true}),
     [](const ::testing::TestParamInfo<ExponentVerdict>& case_info) {
-      return "q" + std::to_string(
-                       static_cast<int>(case_info.param.exponent * 100));
+      std::string name = "q";
+      name += std::to_string(static_cast<int>(case_info.param.exponent * 100));
+      return name;
     });
 
 TEST(ArbitrageCheckerTest, GridValidation) {
