@@ -101,48 +101,6 @@ std::vector<query::RangeQuery> make_ranges(std::size_t count) {
   return ranges;
 }
 
-// The workload path before this layer existed: Q independent single-query
-// calls.  Compare against BM_BatchEstimate at the same (queries, threads=1)
-// to see the pass-fusion win, and against threads>1 for the parallel win —
-// the batch is bit-identical to the loop in all cases.
-void BM_SingleEstimateLoop(benchmark::State& state) {
-  const auto queries = static_cast<std::size_t>(state.range(0));
-  std::vector<sampling::RankSampleSet> sets;
-  std::vector<estimator::NodeSampleView> views;
-  for (std::size_t i = 0; i < 64; ++i) sets.push_back(make_sample(2000, 0.2));
-  for (const auto& s : sets) views.push_back({&s, 2000});
-  const auto ranges = make_ranges(queries);
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (const auto& range : ranges) {
-      acc += estimator::rank_counting_estimate(views, 0.2, range);
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-}
-BENCHMARK(BM_SingleEstimateLoop)->Arg(10)->Arg(100);
-
-void BM_BatchEstimate(benchmark::State& state) {
-  const auto queries = static_cast<std::size_t>(state.range(0));
-  const auto threads = static_cast<std::size_t>(state.range(1));
-  parallel::set_thread_count(threads);
-  std::vector<sampling::RankSampleSet> sets;
-  std::vector<estimator::NodeSampleView> views;
-  for (std::size_t i = 0; i < 64; ++i) sets.push_back(make_sample(2000, 0.2));
-  for (const auto& s : sets) views.push_back({&s, 2000});
-  const auto ranges = make_ranges(queries);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        estimator::rank_counting_estimate_batch(views, 0.2, ranges));
-  }
-  parallel::set_thread_count(1);
-}
-BENCHMARK(BM_BatchEstimate)
-    ->Args({10, 1})
-    ->Args({100, 1})
-    ->Args({100, 2})
-    ->Args({100, 8});
-
 // The broker's steady-state station (128 nodes of 781 records at p = 0.285,
 // about 30 000 cached samples) and 64 ranges to ask it.
 constexpr std::size_t kSteadyPerNode = 781;
@@ -159,15 +117,17 @@ iot::BaseStation steady_station(std::size_t k) {
   return station;
 }
 
-// Four times the view memo's capacity of distinct ranges: cycled through
-// one view, none of them is still in the memo when it comes round again.
+// Four times the station term table's capacity of distinct ranges: cycled
+// through one view, none of them is still in the table when it comes round
+// again.
 std::vector<query::RangeQuery> fresh_ranges() {
   return make_ranges(4 * iot::StationView::kEstimateMemoCapacity);
 }
 
-// A sale's read of the station cache when the view has not seen the range:
-// the view taken under the station lock plus the heterogeneous estimate
-// over it.  Calls the estimator directly, without the view's memo.
+// A sale's read of the station cache for a range the station's term table
+// does not hold: the view taken under the station lock plus the
+// heterogeneous estimate over it.  Calls the estimator directly, without
+// the table.
 void BM_StationRankCountingEstimate(benchmark::State& state) {
   parallel::set_thread_count(1);
   const iot::BaseStation station =
@@ -184,8 +144,8 @@ void BM_StationRankCountingEstimate(benchmark::State& state) {
 }
 BENCHMARK(BM_StationRankCountingEstimate)->Arg(128);
 
-// The same read for a range the view has answered before: the view's memo
-// returns the stored estimate.
+// The same read for a range the view has answered before: the station's
+// term table returns the sum it stored for this view.
 void BM_StationEstimateMemoHit(benchmark::State& state) {
   parallel::set_thread_count(1);
   const iot::BaseStation station =
@@ -203,8 +163,9 @@ void BM_StationEstimateMemoHit(benchmark::State& state) {
 BENCHMARK(BM_StationEstimateMemoHit)->Arg(128);
 
 // The view's own method over the same ranges as
-// BM_StationRankCountingEstimate: each call misses, computes, stores and
-// evicts.  The gap between the two is what the memo adds to a fresh range.
+// BM_StationRankCountingEstimate: each call misses the station's term
+// table, computes every term, stores and evicts.  The gap between the two
+// is what the table adds to a fresh range.
 void BM_StationEstimateMemoMiss(benchmark::State& state) {
   parallel::set_thread_count(1);
   const iot::BaseStation station =
@@ -220,9 +181,10 @@ BENCHMARK(BM_StationEstimateMemoMiss)->Arg(128);
 
 // live_collection's read pattern: one node changes (an arrival raises its
 // n_i), then each of 64 ranges is asked once of the fresh view.  Every read
-// misses the view's memo and finds its range in the station's term table
-// with k - 1 nodes unchanged, so it recomputes one node's term and sums k.
-// The arrival and the view rebuild are timed too, one per 64 reads.
+// finds its range in the station's term table stored for the previous
+// view, with k - 1 nodes unchanged, so it recomputes one node's term and
+// sums k.  The arrival and the view rebuild are timed too, one per 64
+// reads.
 void BM_StationEstimateAfterArrival(benchmark::State& state) {
   parallel::set_thread_count(1);
   const auto k = static_cast<std::size_t>(state.range(0));
@@ -281,8 +243,8 @@ BENCHMARK(BM_LedgerCommit)
 
 // One whole cached DataBroker::sell over `range(0)` nodes holding 100 000
 // readings (menu_market's shape at k = 128): the contract was sold before,
-// so the plan and quote caches hit, the round is a no-op and the view's
-// estimate memo answers the range.  What remains is the estimate snapshot,
+// so the plan and quote caches hit, the round is a no-op and the station's
+// term table answers the range.  What remains is the estimate snapshot,
 // the Laplace draw, the mint barrier and the ledger and timeline
 // bookkeeping; none of it should grow with k.  Iterations are fixed so the
 // audit timeline stays small.

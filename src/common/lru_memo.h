@@ -56,12 +56,24 @@ class LruMemo {
 
   /// The memoized value for `key`, refreshing its recency, or nullopt.
   std::optional<Value> lookup(const Key& key) const PRC_EXCLUDES(mutex_) {
-    if (capacity_ == 0) return std::nullopt;
+    std::optional<Value> value;
+    read(key, [&value](const Value& stored) { value = stored; });
+    return value;
+  }
+
+  /// Calls `reader` with the value for `key` under the lock, refreshing its
+  /// recency; returns false, without calling it, when `key` is absent.  For
+  /// a caller that needs only part of a value that is costly to copy out.
+  /// `reader` must not call back into this memo.
+  template <typename Reader>
+  bool read(const Key& key, Reader&& reader) const PRC_EXCLUDES(mutex_) {
+    if (capacity_ == 0) return false;
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = index_.find(key);
-    if (it == index_.end()) return std::nullopt;
+    if (it == index_.end()) return false;
     entries_.splice(entries_.begin(), entries_, it->second);
-    return it->second->second;
+    reader(std::as_const(it->second->second));
+    return true;
   }
 
   /// Stores `value` unless `key` is already present (a racing put keeps

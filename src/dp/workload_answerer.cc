@@ -51,12 +51,6 @@ WorkloadResult WorkloadAnswerer::answer(
   }
 
   const double sensitivity = 1.0 / p;
-  // One batched pass over the station cache answers the whole workload
-  // (parallel across queries/nodes); the Laplace draws below then consume
-  // `rng` serially in query order, so the noise stream is identical to the
-  // old one-query-at-a-time loop.
-  const std::vector<double> estimates =
-      view->rank_counting_estimate_batch(ranges);
   WorkloadResult result;
   result.answers.reserve(ranges.size());
   std::vector<units::EffectiveEpsilon> amplified;
@@ -71,7 +65,8 @@ WorkloadResult WorkloadAnswerer::answer(
     const LaplaceMechanism mechanism(sensitivity, epsilons[i]);
     WorkloadAnswer answer;
     answer.range = ranges[i];
-    answer.value = mechanism.perturb(units::Raw<double>(estimates[i]), rng);
+    answer.value = mechanism.perturb(
+        units::Raw<double>(view->rank_counting_estimate(ranges[i])), rng);
     answer.epsilon = epsilons[i];
     // Exact != on purpose: the memo only replays on the identical double,
     // so a hit is byte-for-byte what the direct call would return.

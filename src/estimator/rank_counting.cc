@@ -6,10 +6,10 @@
 namespace prc::estimator {
 namespace {
 
-/// Sum of per-node estimates over the fixed reduce chunk grid.  Both the
-/// single-query entry points and the batch go through this helper, so a
-/// batched answer is bit-identical to the corresponding single-query call
-/// at any thread count.
+/// Sum of per-node estimates over the fixed reduce chunk grid.  Every
+/// estimate here goes through this helper, so rank_counting_term_sum of
+/// stored terms is bit-identical to the heterogeneous estimate at any
+/// thread count.
 template <typename NodeEstimateFn>
 double chunked_node_sum(std::size_t node_count, NodeEstimateFn&& estimate) {
   return parallel::parallel_reduce(
@@ -97,36 +97,6 @@ double rank_counting_estimate(std::span<const NodeSampleView> nodes,
   return chunked_node_sum(nodes.size(), [&](std::size_t i) {
     return rank_counting_node_term(nodes[i], probabilities[i], range);
   });
-}
-
-std::vector<double> rank_counting_estimate_batch(
-    std::span<const NodeSampleView> nodes, double p,
-    std::span<const query::RangeQuery> ranges) {
-  std::vector<double> estimates(ranges.size());
-  // Parallel over queries; when Q is too small to fill the pool the inner
-  // node sum parallelizes instead (nested regions inline, so exactly one
-  // level fans out).
-  parallel::parallel_for_each(ranges.size(), [&](std::size_t q) {
-    estimates[q] = rank_counting_estimate(nodes, p, ranges[q]);
-  });
-  return estimates;
-}
-
-std::vector<double> rank_counting_estimate_batch(
-    std::span<const NodeSampleView> nodes,
-    std::span<const double> probabilities,
-    std::span<const query::RangeQuery> ranges) {
-  PRC_CHECK(nodes.size() == probabilities.size())
-      << "rank counting: one probability per node required, got "
-      << nodes.size() << " nodes and " << probabilities.size()
-      << " probabilities";
-  std::vector<double> estimates(ranges.size());
-  parallel::parallel_for_each(ranges.size(), [&](std::size_t q) {
-    estimates[q] = chunked_node_sum(nodes.size(), [&](std::size_t i) {
-      return rank_counting_node_term(nodes[i], probabilities[i], ranges[q]);
-    });
-  });
-  return estimates;
 }
 
 double rank_counting_node_variance_bound(double p) {

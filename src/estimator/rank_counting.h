@@ -17,7 +17,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "query/range_query.h"
 #include "sampling/rank_sample.h"
@@ -68,23 +67,6 @@ double rank_counting_node_term(const NodeSampleView& node, double probability,
 /// here uses: rank_counting_term_sum of the k terms equals the
 /// heterogeneous rank_counting_estimate over the same nodes bit for bit.
 double rank_counting_term_sum(std::span<const double> terms);
-
-/// Batched estimate: answers Q ranges in one pass over the node views.
-/// Parallelizes over queries for large Q and over nodes for large N (the
-/// inner node sum uses the fixed reduce chunk grid), and returns exactly
-/// the values Q single-query calls would: result[q] ==
-/// rank_counting_estimate(nodes, p, ranges[q]) bit for bit, at any thread
-/// count.
-std::vector<double> rank_counting_estimate_batch(
-    std::span<const NodeSampleView> nodes, double p,
-    std::span<const query::RangeQuery> ranges);
-
-/// Heterogeneous-probability batch (see the single-query overload for the
-/// per-node probability semantics).
-std::vector<double> rank_counting_estimate_batch(
-    std::span<const NodeSampleView> nodes,
-    std::span<const double> probabilities,
-    std::span<const query::RangeQuery> ranges);
 
 /// Theorem 3.1 bound on one node's estimator variance: 8 / p^2.
 double rank_counting_node_variance_bound(double p);

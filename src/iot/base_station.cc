@@ -122,20 +122,23 @@ double StationView::rank_counting_estimate(
   PRC_CHECK(coverage.target_p > 0.0) << "no sampling round committed yet";
   const RangeKey key{std::bit_cast<std::uint64_t>(range.lower),
                      std::bit_cast<std::uint64_t>(range.upper)};
-  if (const auto hit = estimate_memo_.lookup(key)) return *hit;
-  const double estimate = estimate_from_terms(key, range);
-  estimate_memo_.put(key, estimate);
-  return estimate;
-}
-
-double StationView::estimate_from_terms(const RangeKey& key,
-                                        const query::RangeQuery& range) const {
+  // A hit copies only the sum out of the table; a miss copies the entry.
+  std::optional<double> hit;
+  std::optional<NodeTerms> old;
+  node_terms_->read(key, [&](const NodeTerms& entry) {
+    if (entry.versions == versions_) {
+      hit = entry.sum;
+    } else {
+      old = entry;
+    }
+  });
+  if (hit) return *hit;
   PRC_TRACE_SPAN("iot.station_estimate");
   const std::size_t k = nodes.size();
-  const auto old = node_terms_->lookup(key);
   const NodeVersions& versions = *versions_;
   if (old && *old->versions == versions) {
-    return estimator::rank_counting_term_sum({old->terms.get(), k});
+    node_terms_->replace(key, NodeTerms{versions_, old->sum, old->terms});
+    return old->sum;
   }
   const auto terms = std::make_shared_for_overwrite<double[]>(k);
   const auto fill = [&](std::size_t begin, std::size_t end) {
@@ -153,15 +156,9 @@ double StationView::estimate_from_terms(const RangeKey& key,
   } else {
     fill(0, k);
   }
-  const double estimate = estimator::rank_counting_term_sum({terms.get(), k});
-  node_terms_->replace(key, NodeTerms{versions_, terms});
-  return estimate;
-}
-
-std::vector<double> StationView::rank_counting_estimate_batch(
-    std::span<const query::RangeQuery> ranges) const {
-  PRC_CHECK(coverage.target_p > 0.0) << "no sampling round committed yet";
-  return estimator::rank_counting_estimate_batch(nodes, probabilities, ranges);
+  const double sum = estimator::rank_counting_term_sum({terms.get(), k});
+  node_terms_->replace(key, NodeTerms{versions_, sum, terms});
+  return sum;
 }
 
 double StationView::basic_counting_estimate(

@@ -21,7 +21,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "common/lru_memo.h"
@@ -69,37 +68,33 @@ struct RangeKeyHash {
 /// Per node: the station version of its state in one view.
 using NodeVersions = std::vector<std::uint64_t>;
 
-/// One range's per-node RankCounting terms, terms[i] computed from node i's
-/// state at station version (*versions)[i].  Both arrays are published and
-/// never mutated; the versions are those of the view that computed the
-/// terms, shared with it.
+/// One range's RankCounting estimate and its per-node terms: terms[i] was
+/// computed from node i's state at station version (*versions)[i], and sum
+/// is rank_counting_term_sum of the k terms.  Both arrays are published and
+/// never mutated.  `versions` is the versions array of the last view that
+/// asked for the range, shared with it: that view's estimate is `sum`.
 struct NodeTerms {
   std::shared_ptr<const NodeVersions> versions;
+  double sum = 0.0;
   std::shared_ptr<const double[]> terms;
 };
 
-/// The station's table of NodeTerms by range, shared by every view it
-/// publishes.  Not a pure function of the key (entries age as nodes
-/// change), so a view writes its entry back with replace().
+/// The station's only estimate cache: NodeTerms by range, shared by every
+/// view it publishes.  Not a pure function of the key (entries age as
+/// nodes change), so a view writes its entry back with replace().
 using NodeTermTable = LruMemo<RangeKey, NodeTerms, RangeKeyHash>;
 
 /// One published state of the station cache: everything a reader needs
 /// about the fleet, built once per change and never mutated afterwards.
 /// It holds one shared pointer per node to the node's (immutable) sample
 /// set, so it stays valid, and its estimates stay the same, whatever the
-/// station ingests, replaces or commits after it was published.
-///
-/// The one exception to "never mutated" is the view's memo of its own
-/// RankCounting estimates, which locks internally: an estimate is a pure
-/// function of the view and the range, so the memo changes how fast a
-/// repeated range is answered, never what it returns.  A range the view
-/// has not answered yet reuses the per-node terms of the station's shared
-/// NodeTermTable for every node whose version the view shares, and
-/// recomputes only the others.
+/// station ingests, replaces or commits after it was published.  Its
+/// RankCounting estimates go through the station's NodeTermTable, which
+/// locks internally; the table changes how fast a range is answered, never
+/// what it returns.
 struct StationView {
-  /// Most distinct ranges one view remembers (the shipped workloads ask
-  /// 28), and most ranges the station's term table holds; the least
-  /// recently asked one is evicted past that.
+  /// Most distinct ranges the station's term table holds (the shipped
+  /// workloads ask 28); the least recently asked one is evicted past that.
   static constexpr std::size_t kEstimateMemoCapacity = 256;
 
   /// Keeps every set in `nodes` alive.
@@ -120,19 +115,15 @@ struct StationView {
   std::size_t node_count() const noexcept { return nodes.size(); }
 
   /// RankCounting estimate applying each node's own p_i (heterogeneous
-  /// Horvitz–Thompson correction).  Requires a committed round.  Memoized
-  /// per view by the bit patterns of (lower, upper): a repeated range
-  /// returns exactly the double its first call computed.  A miss sums the
-  /// station's stored terms of unchanged nodes with fresh terms of the
-  /// rest over the estimator's chunk grid, so it returns the same bits as
-  /// estimator::rank_counting_estimate(nodes, probabilities, range).
+  /// Horvitz–Thompson correction).  Requires a committed round.  Returns
+  /// the same bits as estimator::rank_counting_estimate(nodes,
+  /// probabilities, range).  When this view was the last to ask for the
+  /// range (by the bit patterns of (lower, upper)), that is the sum the
+  /// station's term table stored for it.  Otherwise the table's terms of
+  /// the nodes whose version this view shares are summed with fresh terms
+  /// of the rest over the estimator's chunk grid, and the entry is
+  /// replaced.
   double rank_counting_estimate(const query::RangeQuery& range) const;
-
-  /// Answers all ranges with exactly the values per-range
-  /// rank_counting_estimate() calls would, bit for bit, at any thread count.
-  /// Computes every range directly: it neither reads nor fills the memo.
-  std::vector<double> rank_counting_estimate_batch(
-      std::span<const query::RangeQuery> ranges) const;
 
   /// BasicCounting baseline.  Deliberately kept at the seed-style single
   /// global probability: it is the biased baseline the degraded-operation
@@ -146,34 +137,28 @@ struct StationView {
   /// is needed.
   std::optional<RoundReport> noop_round_report(double p) const;
 
-  /// Ranges whose estimate the memo holds (at most kEstimateMemoCapacity).
-  std::size_t memoized_estimates() const { return estimate_memo_.size(); }
+  /// Ranges the station's term table holds (at most
+  /// kEstimateMemoCapacity).
+  std::size_t memoized_estimates() const { return node_terms_->size(); }
 
  private:
   friend class BaseStation;
 
-  /// The memo-miss path of rank_counting_estimate().
-  double estimate_from_terms(const RangeKey& key,
-                             const query::RangeQuery& range) const;
-
   std::shared_ptr<const NodeVersions> versions_;
   /// The publishing station's term table.
   std::shared_ptr<const NodeTermTable> node_terms_;
-  LruMemo<RangeKey, double, RangeKeyHash> estimate_memo_{
-      kEstimateMemoCapacity};
 };
 
 /// Thread-safety: every public method takes the internal mutex, so readers
 /// and ingest/commit calls may race freely once collection goes parallel.
 /// A reader takes view() once and reads everything from it: the view is
-/// immutable apart from its internally locked estimate memo, so what it
-/// reports (p, coverage, samples, estimates) comes from one cache state by
-/// construction, and any number of threads may share one view.  The
-/// exceptions are node_views() (the returned views point at sets that only
-/// the view, not the caller, keeps alive: an ingest or replace may drop the
-/// last owner, so keep the station quiescent while an estimator consumes
-/// them, or hold view() instead) and the reference returned by
-/// SamplingNetwork::base_station().
+/// immutable, so what it reports (p, coverage, samples, estimates) comes
+/// from one cache state by construction, and any number of threads may
+/// share one view.  The exceptions are node_views() (the returned views
+/// point at sets that only the view, not the caller, keeps alive: an ingest
+/// or replace may drop the last owner, so keep the station quiescent while
+/// an estimator consumes them, or hold view() instead) and the reference
+/// returned by SamplingNetwork::base_station().
 /// The PRC_GUARDED_BY annotations make clang's -Wthread-safety enforce the
 /// discipline when PRC_THREAD_SAFETY_ANALYSIS is on.
 ///
@@ -182,12 +167,12 @@ struct StationView {
 /// build the new set into a fresh allocation and swap the pointer, and
 /// never write to a set that has been published.  The view is built lazily
 /// under the mutex on the first read after a change, and every later read
-/// shares it until the next ingest, replace or commit_round.  Its estimate
-/// memo lives and dies with it, so a change never meets a stale estimate.
-/// The per-node terms behind those estimates outlive views: every write to
-/// a node's samples, n_i or p_i gives the node a new version from the
-/// station's counter, and a view reuses a stored term only at the version
-/// it was computed at.  A copy or an assignment target starts a fresh term
+/// shares it until the next ingest, replace or commit_round.  The term
+/// table behind its estimates outlives views: every write to a node's
+/// samples, n_i or p_i gives the node a new version from the station's
+/// counter, a view reuses a stored term only at the version it was
+/// computed at, and a stored sum only when the entry holds the view's own
+/// versions array.  A copy or an assignment target starts a fresh term
 /// table, so versions are never compared across stations.
 class BaseStation {
  public:

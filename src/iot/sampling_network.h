@@ -84,13 +84,6 @@ class SamplingNetwork {
     return station_.view()->rank_counting_estimate(range);
   }
 
-  /// Batched RankCounting over one station view (same values as the
-  /// single-query calls, bit for bit, at any thread count).
-  std::vector<double> rank_counting_estimate_batch(
-      std::span<const query::RangeQuery> ranges) const {
-    return station_.view()->rank_counting_estimate_batch(ranges);
-  }
-
  protected:
   /// One node's share of a round: its traffic and what it delivered.
   /// Lanes are written in parallel and merged serially in node order, so a

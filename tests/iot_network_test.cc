@@ -15,6 +15,7 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/statistics.h"
+#include "common/trace.h"
 #include "estimator/rank_counting.h"
 #include "query/range_query.h"
 
@@ -174,18 +175,24 @@ TEST(BaseStationTest, SnapshotIgnoresLaterMutations) {
   BaseStation station = snapshot_station();
   const std::vector<query::RangeQuery> ranges{{20.0, 60.0}, {0.0, 100.0}};
   const auto view = station.view();
-  const double before = view->rank_counting_estimate(ranges[0]);
-  const auto batch_before = view->rank_counting_estimate_batch(ranges);
+  std::vector<double> before;
+  for (const auto& range : ranges) {
+    before.push_back(view->rank_counting_estimate(range));
+  }
 
   // Merge into node 0, resync node 1, raise the round target: every kind of
   // write the cache takes.
   station.ingest(SampleReport{0, 100, {{15.0, 15}, {70.0, 70}}});
   station.replace(SampleReport{1, 45, {{25.0, 15}}});
   station.commit_round(0.5);
-  ASSERT_NE(station.view()->rank_counting_estimate(ranges[0]), before);
+  // The new view takes over both ranges' entries in the station's table.
+  for (std::size_t r = 0; r < ranges.size(); ++r) {
+    ASSERT_NE(station.view()->rank_counting_estimate(ranges[r]), before[r]);
+  }
 
-  EXPECT_EQ(view->rank_counting_estimate(ranges[0]), before);
-  EXPECT_EQ(view->rank_counting_estimate_batch(ranges), batch_before);
+  for (std::size_t r = 0; r < ranges.size(); ++r) {
+    EXPECT_EQ(view->rank_counting_estimate(ranges[r]), before[r]);
+  }
   EXPECT_EQ(view->nodes[0].data_count, 100u);
   EXPECT_EQ(view->nodes[1].data_count, 40u);
   EXPECT_EQ(view->nodes[0].samples->size(), 3u);
@@ -292,7 +299,7 @@ BaseStation heterogeneous_station() {
   return station;
 }
 
-// The estimator over the view's samples, computed afresh (no memo).
+// The estimator over the view's samples, computed afresh (no table).
 double direct_estimate(const StationView& view,
                        const query::RangeQuery& range) {
   return estimator::rank_counting_estimate(view.nodes, view.probabilities,
@@ -307,7 +314,7 @@ TEST(BaseStationTest, MemoizedEstimateIsBitIdenticalToTheEstimator) {
   ASSERT_EQ(view->probabilities, (std::vector<double>{0.5, 0.5, 0.2, 0.2}));
 
   // 1 000 seeded ranges drawn from 100 distinct ones, so most are repeats
-  // the memo serves.
+  // the station's table serves.
   Rng rng(7);
   std::vector<query::RangeQuery> distinct;
   for (int i = 0; i < 100; ++i) {
@@ -323,7 +330,7 @@ TEST(BaseStationTest, MemoizedEstimateIsBitIdenticalToTheEstimator) {
         << "range [" << range.lower << ", " << range.upper << "]";
   }
 
-  // Bounds one ulp apart around sampled values: the memo must tell them
+  // Bounds one ulp apart around sampled values: the table must tell them
   // apart in either bound.
   const double lo = view->nodes[0].samples->samples().front().value;
   const double hi = view->nodes[3].samples->samples().back().value;
@@ -400,8 +407,10 @@ TEST(BaseStationTest, EstimateMemoStaysWithinItsCapacity) {
 
 TEST(BaseStationTest, MemoConcurrentIngestAndEstimate) {
   // Four readers hammer a handful of repeated ranges on one shared view,
-  // racing each other's memo misses and hits, while the station ingests
-  // and commits behind them.  Every estimate must be the direct one.
+  // racing each other's table misses and hits, while the station ingests
+  // and commits behind them and asks its newer views for the first range,
+  // which takes that range's table entry away from the readers' view.
+  // Every estimate must be the direct one.
   BaseStation station = heterogeneous_station();
   const auto view = station.view();
   std::vector<query::RangeQuery> ranges;
@@ -432,6 +441,52 @@ TEST(BaseStationTest, MemoConcurrentIngestAndEstimate) {
   for (auto& reader : readers) reader.join();
   EXPECT_EQ(mismatches.load(), 0u);
   EXPECT_EQ(view->memoized_estimates(), ranges.size());
+}
+
+// The iot.station_estimate spans recorded since the last call.
+std::size_t station_estimate_spans() {
+  auto& tracer = trace::Tracer::instance();
+  std::size_t spans = 0;
+  for (const auto& span : tracer.snapshot()) {
+    if (span.name == "iot.station_estimate") ++spans;
+  }
+  EXPECT_EQ(tracer.dropped(), 0u);
+  tracer.clear();
+  return spans;
+}
+
+TEST(BaseStationTest, RepeatOnAViewIsATableHitAndOlderViewsStayExact) {
+  BaseStation station = heterogeneous_station();
+  const query::RangeQuery range{300.0, 1700.0};
+  const auto old_view = station.view();
+  station_estimate_spans();
+  const double old_estimate = old_view->rank_counting_estimate(range);
+  EXPECT_EQ(bits(old_estimate), bits(direct_estimate(*old_view, range)));
+  EXPECT_EQ(station_estimate_spans(), 1u) << "first ask";
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(bits(old_view->rank_counting_estimate(range)),
+              bits(old_estimate));
+  }
+  EXPECT_EQ(station_estimate_spans(), 0u) << "repeats on the same view";
+
+  // One record arrives at node 2, above all its values and not sampled:
+  // only node 2's n_i, and so its term, changes.
+  SampleReport arrival{2, old_view->nodes[2].data_count + 1, {}};
+  arrival.base_samples =
+      static_cast<std::uint32_t>(old_view->nodes[2].samples->size());
+  arrival.arrival_gaps = {arrival.base_samples};
+  ASSERT_TRUE(station.ingest(arrival));
+  const auto new_view = station.view();
+  const double new_estimate = direct_estimate(*new_view, range);
+  ASSERT_NE(new_estimate, old_estimate);
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(bits(new_view->rank_counting_estimate(range)),
+              bits(new_estimate))
+        << "new view, round " << i;
+    EXPECT_EQ(bits(old_view->rank_counting_estimate(range)),
+              bits(old_estimate))
+        << "old view, round " << i;
+  }
 }
 
 // A station and the node data behind its cache, driven by seeded writes of

@@ -26,7 +26,6 @@ from .model import statement_ranges, stem
 
 #: Calls whose result is a pre-noise estimate (the RAW taint sources).
 RAW_SAMPLE_IDENTS = {"sampled_estimate", "rank_counting_estimate",
-                     "rank_counting_estimate_batch",
                      "basic_counting_estimate", "quantile_estimate"}
 
 SINK_IDENTS = {"to_json", "to_csv", "write_csv", "serialize",
