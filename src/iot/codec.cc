@@ -1,22 +1,18 @@
 #include "iot/codec.h"
 
-#include <cstring>
+#include <span>
 
-#include "common/check.h"
+#include "common/byte_codec.h"
 
 namespace prc::iot {
 namespace {
 
+using FrameReader = ByteReader<CodecError>;
+
 constexpr std::uint8_t kMagic = 'P';
 constexpr std::size_t kHeaderSize = kMessageHeaderBytes;
-// Header field offsets.
-constexpr std::size_t kOffMagic = 0;
-constexpr std::size_t kOffType = 1;
-constexpr std::size_t kOffFlags = 2;
-constexpr std::size_t kOffNodeId = 4;
-constexpr std::size_t kOffPayloadLen = 8;
-constexpr std::size_t kOffSequence = 12;
-constexpr std::size_t kOffCrc = 16;
+// The CRC is the header's last field and covers everything else.
+constexpr std::size_t kOffCrc = kHeaderSize - 4;
 
 static_assert(kMessageHeaderBytes == 20, "codec layout assumes 20B header");
 static_assert(kArrivalsHeaderBytes == 12 && kArrivalWireBytes == 4,
@@ -25,154 +21,86 @@ static_assert(kArrivalsHeaderBytes == 12 && kArrivalWireBytes == 4,
 // SampleReport flags.
 constexpr std::uint16_t kFlagArrivals = 0x0001;
 
-// The CRC-32/IEEE check value, proved at compile time.
-constexpr std::uint8_t kCrcCheckInput[] = {'1', '2', '3', '4', '5',
-                                           '6', '7', '8', '9'};
-static_assert(crc32(kCrcCheckInput, sizeof(kCrcCheckInput)) == 0xcbf43926u);
-
-void put_u32(std::vector<std::uint8_t>& out, std::size_t offset,
-             std::uint32_t value) {
-  PRC_DCHECK(offset + 4 <= out.size())
-      << "put_u32 out of bounds: offset " << offset << " in frame of "
-      << out.size();
-  for (int i = 0; i < 4; ++i) {
-    out[offset + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(value >> (8 * i));
-  }
+/// The CRC over a frame's header (less its CRC field) and its payload.
+std::uint32_t frame_crc(std::span<const std::uint8_t> frame) {
+  return crc32(frame.data(), kOffCrc) ^
+         crc32(frame.data() + kHeaderSize, frame.size() - kHeaderSize);
 }
 
-void append_u32(std::vector<std::uint8_t>& out, std::uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
-  }
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double value) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  put_u64(out, bits);
-}
-
-std::uint32_t get_u32(const std::vector<std::uint8_t>& in,
-                      std::size_t offset) {
-  PRC_DCHECK(offset + 4 <= in.size())
-      << "get_u32 out of bounds: offset " << offset << " in frame of "
-      << in.size();
-  std::uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) {
-    value |= static_cast<std::uint32_t>(in[offset + static_cast<std::size_t>(i)])
-             << (8 * i);
-  }
-  return value;
-}
-
-std::uint16_t get_u16(const std::vector<std::uint8_t>& in,
-                      std::size_t offset) {
-  PRC_DCHECK(offset + 2 <= in.size())
-      << "get_u16 out of bounds: offset " << offset << " in frame of "
-      << in.size();
-  return static_cast<std::uint16_t>(in[offset] | (in[offset + 1] << 8));
-}
-
-std::uint64_t get_u64(const std::vector<std::uint8_t>& in,
-                      std::size_t offset) {
-  PRC_DCHECK(offset + 8 <= in.size())
-      << "get_u64 out of bounds: offset " << offset << " in frame of "
-      << in.size();
-  std::uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) {
-    value |= static_cast<std::uint64_t>(in[offset + static_cast<std::size_t>(i)])
-             << (8 * i);
-  }
-  return value;
-}
-
-double get_f64(const std::vector<std::uint8_t>& in, std::size_t offset) {
-  const std::uint64_t bits = get_u64(in, offset);
-  double value;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
-}
-
-/// Builds header + reserves the payload; the CRC is stamped by seal().
-std::vector<std::uint8_t> make_frame(MessageType type, int node_id,
-                                     std::uint32_t payload_len,
-                                     std::uint32_t sequence,
-                                     std::uint16_t flags = 0) {
-  std::vector<std::uint8_t> frame(kHeaderSize, 0);
-  frame[kOffMagic] = kMagic;
-  frame[kOffType] = static_cast<std::uint8_t>(type);
-  frame[kOffFlags] = static_cast<std::uint8_t>(flags);
-  frame[kOffFlags + 1] = static_cast<std::uint8_t>(flags >> 8);
-  put_u32(frame, kOffNodeId, static_cast<std::uint32_t>(node_id));
-  put_u32(frame, kOffPayloadLen, payload_len);
-  put_u32(frame, kOffSequence, sequence);
-  frame.reserve(kHeaderSize + payload_len);
+/// Starts a frame with `message`'s header, its CRC left zero for seal().
+template <typename Message>
+std::vector<std::uint8_t> begin_frame(MessageType type, const Message& message,
+                                      std::uint32_t sequence,
+                                      std::uint16_t flags = 0) {
+  std::vector<std::uint8_t> frame;
+  frame.reserve(message.wire_size());
+  ByteWriter out(frame);
+  out.u8(kMagic);
+  out.u8(static_cast<std::uint8_t>(type));
+  out.u16(flags);
+  out.u32(static_cast<std::uint32_t>(message.node_id));
+  out.u32(static_cast<std::uint32_t>(message.wire_size() - kHeaderSize));
+  out.u32(sequence);
+  out.u32(0);  // crc
   return frame;
 }
 
-/// Computes the CRC over everything except the CRC field itself.
 void seal(std::vector<std::uint8_t>& frame) {
-  const std::uint32_t head_crc = crc32(frame.data(), kOffCrc);
-  const std::uint32_t body_crc =
-      frame.size() > kHeaderSize
-          ? crc32(frame.data() + kHeaderSize, frame.size() - kHeaderSize)
-          : 0;
-  put_u32(frame, kOffCrc, head_crc ^ body_crc);
+  ByteWriter(frame).patch_u32(kOffCrc, frame_crc(frame));
 }
 
-void validate(const std::vector<std::uint8_t>& frame, MessageType expected) {
+struct Header {
+  std::uint16_t flags = 0;
+  int node_id = 0;
+};
+
+/// Checks `in`'s header against the frame it reads (magic, type, payload
+/// length, CRC) and leaves `in` at the payload.
+Header read_header(FrameReader& in, std::span<const std::uint8_t> frame,
+                   MessageType expected) {
   if (frame.size() < kHeaderSize) throw CodecError("frame shorter than header");
-  if (frame[kOffMagic] != kMagic) throw CodecError("bad magic");
-  const auto type = static_cast<MessageType>(frame[kOffType]);
-  if (type != expected) throw CodecError("unexpected message type");
-  const std::uint32_t payload_len = get_u32(frame, kOffPayloadLen);
-  if (frame.size() != kHeaderSize + payload_len) {
+  if (in.u8() != kMagic) throw CodecError("bad magic");
+  if (static_cast<MessageType>(in.u8()) != expected) {
+    throw CodecError("unexpected message type");
+  }
+  Header header;
+  header.flags = in.u16();
+  header.node_id = static_cast<int>(in.u32());
+  const std::uint32_t payload_len = in.u32();
+  in.u32();  // sequence
+  const std::uint32_t stored_crc = in.u32();
+  if (payload_len != in.remaining()) {
     throw CodecError("payload length mismatch");
   }
-  const std::uint32_t stored = get_u32(frame, kOffCrc);
-  const std::uint32_t head_crc = crc32(frame.data(), kOffCrc);
-  const std::uint32_t body_crc =
-      frame.size() > kHeaderSize
-          ? crc32(frame.data() + kHeaderSize, frame.size() - kHeaderSize)
-          : 0;
-  if (stored != (head_crc ^ body_crc)) throw CodecError("crc mismatch");
+  if (stored_crc != frame_crc(frame)) throw CodecError("crc mismatch");
+  return header;
 }
 
 }  // namespace
 
 std::vector<std::uint8_t> encode(const SampleRequest& message,
                                  std::uint32_t sequence) {
-  auto frame = make_frame(MessageType::kSampleRequest, message.node_id,
-                          sizeof(double), sequence);
-  put_f64(frame, message.target_p);
+  auto frame = begin_frame(MessageType::kSampleRequest, message, sequence);
+  ByteWriter(frame).f64(message.target_p);
   seal(frame);
   return frame;
 }
 
 std::vector<std::uint8_t> encode(const SampleReport& message,
                                  std::uint32_t sequence) {
-  const auto payload_len =
-      static_cast<std::uint32_t>(message.wire_size() - kHeaderSize);
-  auto frame = make_frame(MessageType::kSampleReport, message.node_id,
-                          payload_len, sequence,
-                          message.has_arrivals() ? kFlagArrivals : 0);
-  put_u64(frame, static_cast<std::uint64_t>(message.data_count));
+  auto frame = begin_frame(MessageType::kSampleReport, message, sequence,
+                           message.has_arrivals() ? kFlagArrivals : 0);
+  ByteWriter out(frame);
+  out.u64(static_cast<std::uint64_t>(message.data_count));
   if (message.has_arrivals()) {
-    append_u32(frame, message.base_sequence);
-    append_u32(frame, message.base_samples);
-    append_u32(frame, static_cast<std::uint32_t>(message.arrival_gaps.size()));
-    for (const std::uint32_t gap : message.arrival_gaps) append_u32(frame, gap);
+    out.u32(message.base_sequence);
+    out.u32(message.base_samples);
+    out.u32(static_cast<std::uint32_t>(message.arrival_gaps.size()));
+    for (const std::uint32_t gap : message.arrival_gaps) out.u32(gap);
   }
   for (const auto& sample : message.new_samples) {
-    put_f64(frame, sample.value);
-    put_u64(frame, sample.rank);
+    out.f64(sample.value);
+    out.u64(sample.rank);
   }
   seal(frame);
   return frame;
@@ -180,16 +108,16 @@ std::vector<std::uint8_t> encode(const SampleReport& message,
 
 std::vector<std::uint8_t> encode(const Heartbeat& message,
                                  std::uint32_t sequence) {
-  auto frame = make_frame(MessageType::kHeartbeat, message.node_id, 0,
-                          sequence);
+  auto frame = begin_frame(MessageType::kHeartbeat, message, sequence);
   seal(frame);
   return frame;
 }
 
 MessageType peek_type(const std::vector<std::uint8_t>& frame) {
   if (frame.size() < kHeaderSize) throw CodecError("frame shorter than header");
-  if (frame[kOffMagic] != kMagic) throw CodecError("bad magic");
-  const auto type = static_cast<MessageType>(frame[kOffType]);
+  FrameReader in(frame, "frame shorter than header");
+  if (in.u8() != kMagic) throw CodecError("bad magic");
+  const auto type = static_cast<MessageType>(in.u8());
   switch (type) {
     case MessageType::kSampleRequest:
     case MessageType::kSampleReport:
@@ -200,45 +128,37 @@ MessageType peek_type(const std::vector<std::uint8_t>& frame) {
 }
 
 SampleRequest decode_sample_request(const std::vector<std::uint8_t>& frame) {
-  validate(frame, MessageType::kSampleRequest);
-  if (frame.size() != kHeaderSize + sizeof(double)) {
+  FrameReader in(frame, "sample request payload size");
+  SampleRequest message;
+  message.node_id = read_header(in, frame, MessageType::kSampleRequest).node_id;
+  if (in.remaining() != sizeof(double)) {
     throw CodecError("sample request payload size");
   }
-  SampleRequest message;
-  message.node_id = static_cast<int>(get_u32(frame, kOffNodeId));
-  message.target_p = get_f64(frame, kHeaderSize);
+  message.target_p = in.f64();
   return message;
 }
 
 SampleReport decode_sample_report(const std::vector<std::uint8_t>& frame) {
-  validate(frame, MessageType::kSampleReport);
-  const std::uint16_t flags = get_u16(frame, kOffFlags);
-  if ((flags & ~kFlagArrivals) != 0) throw CodecError("unknown report flags");
-  if (frame.size() < kHeaderSize + sizeof(std::uint64_t)) {
-    throw CodecError("sample report payload size");
+  FrameReader in(frame, "sample report payload size");
+  const Header header = read_header(in, frame, MessageType::kSampleReport);
+  if ((header.flags & ~kFlagArrivals) != 0) {
+    throw CodecError("unknown report flags");
   }
   SampleReport message;
-  message.node_id = static_cast<int>(get_u32(frame, kOffNodeId));
-  message.data_count =
-      static_cast<std::size_t>(get_u64(frame, kHeaderSize));
-  std::size_t offset = kHeaderSize + sizeof(std::uint64_t);
-  if (flags & kFlagArrivals) {
-    if (frame.size() - offset < kArrivalsHeaderBytes) {
+  message.node_id = header.node_id;
+  message.data_count = static_cast<std::size_t>(in.u64());
+  if (header.flags & kFlagArrivals) {
+    if (in.remaining() < kArrivalsHeaderBytes) {
       throw CodecError("arrivals section truncated");
     }
-    message.base_sequence = get_u32(frame, offset);
-    message.base_samples = get_u32(frame, offset + 4);
-    const std::uint32_t arrivals = get_u32(frame, offset + 8);
-    offset += kArrivalsHeaderBytes;
+    message.base_sequence = in.u32();
+    message.base_samples = in.u32();
+    const std::uint32_t arrivals =
+        in.count(kArrivalWireBytes, "arrivals section truncated");
     if (arrivals == 0) throw CodecError("arrivals section flagged but empty");
-    // Compare as counts before multiplying: a hostile count must not wrap.
-    if ((frame.size() - offset) / kArrivalWireBytes < arrivals) {
-      throw CodecError("arrivals section truncated");
-    }
     message.arrival_gaps.reserve(arrivals);
     for (std::uint32_t i = 0; i < arrivals; ++i) {
-      const std::uint32_t gap = get_u32(frame, offset);
-      offset += kArrivalWireBytes;
+      const std::uint32_t gap = in.u32();
       if (gap > message.base_samples) {
         throw CodecError("arrival gap exceeds base sample count");
       }
@@ -248,25 +168,21 @@ SampleReport decode_sample_report(const std::vector<std::uint8_t>& frame) {
       message.arrival_gaps.push_back(gap);
     }
   }
-  if ((frame.size() - offset) % kSampleWireBytes != 0) {
+  if (in.remaining() % kSampleWireBytes != 0) {
     throw CodecError("sample report payload size");
   }
-  const std::size_t count = (frame.size() - offset) / kSampleWireBytes;
-  message.new_samples.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    sampling::RankedValue sample;
-    sample.value = get_f64(frame, offset);
-    sample.rank = get_u64(frame, offset + sizeof(double));
-    message.new_samples.push_back(sample);
-    offset += kSampleWireBytes;
+  message.new_samples.resize(in.remaining() / kSampleWireBytes);
+  for (auto& sample : message.new_samples) {
+    sample.value = in.f64();
+    sample.rank = in.u64();
   }
   return message;
 }
 
 Heartbeat decode_heartbeat(const std::vector<std::uint8_t>& frame) {
-  validate(frame, MessageType::kHeartbeat);
+  FrameReader in(frame, "frame shorter than header");
   Heartbeat message;
-  message.node_id = static_cast<int>(get_u32(frame, kOffNodeId));
+  message.node_id = read_header(in, frame, MessageType::kHeartbeat).node_id;
   return message;
 }
 

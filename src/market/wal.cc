@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -12,13 +11,14 @@
 #include <iterator>
 #include <limits>
 #include <map>
+#include <span>
 #include <sstream>
 #include <utility>
 
+#include "common/byte_codec.h"
 #include "common/check.h"
 #include "common/crash_point.h"
 #include "common/telemetry.h"
-#include "iot/codec.h"
 
 namespace prc::market::wal {
 namespace {
@@ -54,142 +54,52 @@ void fsync_parent_directory(const std::string& path) {
   ::close(fd);
 }
 
-/// Fixed-width little-endian stores into a buffer the caller sized for the
-/// whole record: a record's length is known before its first byte is
-/// written, so encoding is straight-line stores, not a push_back per byte.
-class RecordWriter {
- public:
-  explicit RecordWriter(std::uint8_t* out) : out_(out) {}
+using Reader = ByteReader<FormatError>;
 
-  /// Writes a little-endian `T`.
-  template <typename T>
-  void le(T value) {
-    if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(out_ + pos_, &value, sizeof(T));
-    } else {
-      for (std::size_t byte = 0; byte < sizeof(T); ++byte) {
-        out_[pos_ + byte] = static_cast<std::uint8_t>(value >> (8 * byte));
-      }
-    }
-    pos_ += sizeof(T);
-  }
+// Offset of the header's payload length, written once the payload is.
+constexpr std::size_t kPayloadLengthOffset = 4;
+// A checkpoint's consumer is at least its id length and two f64 totals.
+constexpr std::size_t kMinConsumerBytes = 4 + 2 * 8;
 
-  void f64(double value) { le(std::bit_cast<std::uint64_t>(value)); }
-
-  void str(const std::string& value) {
-    le(static_cast<std::uint32_t>(value.size()));
-    std::memcpy(out_ + pos_, value.data(), value.size());
-    pos_ += value.size();
-  }
-
-  std::size_t position() const noexcept { return pos_; }
-
- private:
-  std::uint8_t* out_;
-  std::size_t pos_ = 0;
-};
-
-/// Bounds-checked reader over a payload slice; every overrun is a
-/// FormatError (the record claimed more content than its payload holds).
-class Cursor {
- public:
-  Cursor(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
-
-  /// Reads a little-endian `T`.
-  template <typename T>
-  T le() {
-    need(sizeof(T));
-    T value = 0;
-    for (std::size_t byte = 0; byte < sizeof(T); ++byte) {
-      value |= static_cast<T>(static_cast<T>(data_[pos_++]) << (8 * byte));
-    }
-    return value;
-  }
-  std::uint8_t u8() { return le<std::uint8_t>(); }
-  std::uint32_t u32() { return le<std::uint32_t>(); }
-  std::uint64_t u64() { return le<std::uint64_t>(); }
-
-  double f64() { return std::bit_cast<double>(u64()); }
-
-  std::string str() {
-    const std::uint32_t length = u32();
-    need(length);
-    std::string value(reinterpret_cast<const char*>(data_ + pos_), length);
-    pos_ += length;
-    return value;
-  }
-
-  bool exhausted() const noexcept { return pos_ == size_; }
-
- private:
-  void need(std::size_t bytes) const {
-    if (size_ - pos_ < bytes) {
-      throw FormatError("wal payload shorter than its content");
-    }
-  }
-
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
-
-/// Bytes put_event writes for `event`.
-std::size_t event_size(const AuditEvent& event) {
-  // degraded u8, two u32 string lengths, seven f64 and two u64 fields.
-  return 1 + 2 * 4 + 9 * 8 + event.consumer_id.size() + event.detail.size();
-}
-
-void put_event(RecordWriter& out, const AuditEvent& event) {
-  out.le<std::uint8_t>(event.degraded ? 1 : 0);
+void put_event(ByteWriter& out, const AuditEvent& event) {
+  out.u8(event.degraded ? 1 : 0);
   out.str(event.consumer_id);
   for (const double value :
        {event.lower, event.upper, event.alpha.value(), event.delta.value(),
         event.epsilon.value(), event.price}) {
     out.f64(value);
   }
-  out.le<std::uint64_t>(event.wal_sequence);
-  out.le<std::uint64_t>(event.ledger_sequence);
+  out.u64(event.wal_sequence);
+  out.u64(event.ledger_sequence);
   out.f64(event.coverage);
   out.str(event.detail);
 }
 
-AuditEvent read_event(Cursor& cursor, AuditEventType type) {
+AuditEvent read_event(Reader& in, AuditEventType type) {
   AuditEvent event;
   event.type = type;
-  event.degraded = cursor.u8() != 0;
-  event.consumer_id = cursor.str();
-  event.lower = cursor.f64();
-  event.upper = cursor.f64();
-  event.alpha = cursor.f64();
-  event.delta = cursor.f64();
-  event.epsilon = cursor.f64();
-  event.price = cursor.f64();
-  event.wal_sequence = cursor.u64();
-  event.ledger_sequence = cursor.u64();
-  event.coverage = cursor.f64();
-  event.detail = cursor.str();
+  event.degraded = in.u8() != 0;
+  event.consumer_id = in.str();
+  event.lower = in.f64();
+  event.upper = in.f64();
+  event.alpha = in.f64();
+  event.delta = in.f64();
+  event.epsilon = in.f64();
+  event.price = in.f64();
+  event.wal_sequence = in.u64();
+  event.ledger_sequence = in.u64();
+  event.coverage = in.f64();
+  event.detail = in.str();
   return event;
 }
 
-/// Bytes put_snapshot writes for `snapshot`.
-std::size_t snapshot_size(const LedgerSnapshot& snapshot) {
-  // Two u64 and three f64 aggregates and the u32 consumer count, then per
-  // consumer a u32 id length, the id and two f64 totals.
-  std::size_t size = 5 * 8 + 4;
-  for (const auto& totals : snapshot.consumers) {
-    size += 4 + totals.consumer_id.size() + 2 * 8;
-  }
-  return size;
-}
-
-void put_snapshot(RecordWriter& out, const LedgerSnapshot& snapshot) {
-  out.le<std::uint64_t>(snapshot.next_sequence);
+void put_snapshot(ByteWriter& out, const LedgerSnapshot& snapshot) {
+  out.u64(snapshot.next_sequence);
   out.f64(snapshot.total_revenue);
   out.f64(snapshot.total_epsilon.value());
   out.f64(snapshot.orphaned_epsilon.value());
-  out.le<std::uint64_t>(snapshot.degraded_sales);
-  out.le(static_cast<std::uint32_t>(snapshot.consumers.size()));
+  out.u64(snapshot.degraded_sales);
+  out.u32(static_cast<std::uint32_t>(snapshot.consumers.size()));
   for (const auto& totals : snapshot.consumers) {
     out.str(totals.consumer_id);
     out.f64(totals.spend);
@@ -197,20 +107,21 @@ void put_snapshot(RecordWriter& out, const LedgerSnapshot& snapshot) {
   }
 }
 
-LedgerSnapshot read_snapshot(Cursor& cursor) {
+LedgerSnapshot read_snapshot(Reader& in) {
   LedgerSnapshot snapshot;
-  snapshot.next_sequence = cursor.u64();
-  snapshot.total_revenue = cursor.f64();
-  snapshot.total_epsilon = cursor.f64();
-  snapshot.orphaned_epsilon = cursor.f64();
-  snapshot.degraded_sales = cursor.u64();
-  const std::uint32_t consumers = cursor.u32();
+  snapshot.next_sequence = in.u64();
+  snapshot.total_revenue = in.f64();
+  snapshot.total_epsilon = in.f64();
+  snapshot.orphaned_epsilon = in.f64();
+  snapshot.degraded_sales = in.u64();
+  const std::uint32_t consumers = in.count(
+      kMinConsumerBytes, "wal checkpoint consumer count exceeds its payload");
   snapshot.consumers.reserve(consumers);
   for (std::uint32_t i = 0; i < consumers; ++i) {
     LedgerConsumerTotals totals;
-    totals.consumer_id = cursor.str();
-    totals.spend = cursor.f64();
-    totals.epsilon = cursor.f64();
+    totals.consumer_id = in.str();
+    totals.spend = in.f64();
+    totals.epsilon = in.f64();
     snapshot.consumers.push_back(std::move(totals));
   }
   return snapshot;
@@ -222,35 +133,27 @@ std::string version_error(std::uint8_t version) {
          std::to_string(kFormatVersion) + ")";
 }
 
-/// Encodes one record into `buffer[0, size)`, growing `buffer` only when
-/// it is shorter than the record, and returns the size.  The writer's
-/// buffer is reused across appends, so a steady-state append allocates
+/// Encodes one record into `buffer`, replacing its contents.  The writer
+/// reuses its buffer across appends, so a steady-state append allocates
 /// nothing.
-std::size_t encode_into(std::vector<std::uint8_t>& buffer,
-                        std::uint64_t wal_sequence, const AuditEvent& event,
-                        const LedgerSnapshot& snapshot) {
-  const bool checkpoint = event.type == AuditEventType::kCheckpoint;
-  const std::size_t payload =
-      event_size(event) + (checkpoint ? snapshot_size(snapshot) : 0);
-  const std::size_t covered = kHeaderSize + payload;
-  if (buffer.size() < covered + kCrcSize) buffer.resize(covered + kCrcSize);
-  RecordWriter out(buffer.data());
-  out.le(kMagic);
-  out.le(kFormatVersion);
-  out.le(static_cast<std::uint8_t>(event.type));
-  out.le<std::uint8_t>(0);  // flags, reserved
-  out.le(static_cast<std::uint32_t>(payload));
-  out.le(wal_sequence);
+void encode_into(std::vector<std::uint8_t>& buffer, std::uint64_t wal_sequence,
+                 const AuditEvent& event, const LedgerSnapshot& snapshot) {
+  buffer.clear();
+  ByteWriter out(buffer);
+  out.u8(kMagic);
+  out.u8(kFormatVersion);
+  out.u8(static_cast<std::uint8_t>(event.type));
+  out.u8(0);  // flags, reserved
+  out.u32(0);  // payload length
+  out.u64(wal_sequence);
   put_event(out, event);
-  if (checkpoint) put_snapshot(out, snapshot);
-  PRC_DCHECK(out.position() == covered)
-      << "wal: encoded " << out.position() << " bytes of a " << covered
-      << "-byte record";
-  // The CRC trails the bytes it covers, so it is computed over them in
-  // place.  It covers the header as well as the payload: a flipped length
-  // or sequence is caught, not just payload corruption.
-  out.le(iot::crc32(buffer.data(), covered));
-  return covered + kCrcSize;
+  if (event.type == AuditEventType::kCheckpoint) put_snapshot(out, snapshot);
+  out.patch_u32(kPayloadLengthOffset,
+                static_cast<std::uint32_t>(buffer.size() - kHeaderSize));
+  // The CRC trails the bytes it covers.  It covers the header as well as
+  // the payload: a flipped length or sequence is caught, not just payload
+  // corruption.
+  out.u32(crc32(buffer.data(), buffer.size()));
 }
 
 }  // namespace
@@ -259,45 +162,44 @@ std::vector<std::uint8_t> encode_record(std::uint64_t wal_sequence,
                                         const AuditEvent& event,
                                         const LedgerSnapshot& snapshot) {
   std::vector<std::uint8_t> bytes;
-  bytes.resize(encode_into(bytes, wal_sequence, event, snapshot));
+  encode_into(bytes, wal_sequence, event, snapshot);
   return bytes;
 }
 
 Record decode_record(const std::vector<std::uint8_t>& bytes,
                      std::size_t offset) {
   PRC_CHECK(offset <= bytes.size()) << "wal decode offset out of range";
-  const std::size_t available = bytes.size() - offset;
-  if (available < kHeaderSize) throw FormatError("wal record header torn");
-  const std::uint8_t* record_bytes = bytes.data() + offset;
-  Cursor header(record_bytes, kHeaderSize);
-  if (header.u8() != kMagic) throw FormatError("wal record magic mismatch");
-  if (const std::uint8_t version = header.u8(); version != kFormatVersion) {
+  const auto record_bytes = std::span(bytes).subspan(offset);
+  if (record_bytes.size() < kHeaderSize) {
+    throw FormatError("wal record header torn");
+  }
+  Reader in(record_bytes, "wal record payload torn");
+  if (in.u8() != kMagic) throw FormatError("wal record magic mismatch");
+  if (const std::uint8_t version = in.u8(); version != kFormatVersion) {
     throw FormatError(version_error(version));
   }
-  const auto type = static_cast<AuditEventType>(header.u8());
+  const auto type = static_cast<AuditEventType>(in.u8());
   if (type != AuditEventType::kIntent && type != AuditEventType::kCommit &&
       type != AuditEventType::kCheckpoint) {
     throw FormatError("wal record type " +
                       std::to_string(static_cast<int>(type)) + " unknown");
   }
-  header.u8();  // flags, reserved
-  const std::size_t covered = kHeaderSize + header.u32();
+  in.u8();  // flags, reserved
+  const std::uint32_t payload_size = in.u32();
   Record record;
-  record.wal_sequence = header.u64();
-  if (available < covered + kCrcSize) {
-    throw FormatError("wal record payload torn");
-  }
-  if (iot::crc32(record_bytes, covered) !=
-      Cursor(record_bytes + covered, kCrcSize).u32()) {
+  record.wal_sequence = in.u64();
+  Reader payload(in.bytes(payload_size),
+                 "wal payload shorter than its content");
+  const std::size_t covered = kHeaderSize + payload_size;
+  if (in.u32() != crc32(record_bytes.data(), covered)) {
     throw FormatError("wal record CRC mismatch");
   }
   record.encoded_size = covered + kCrcSize;
-  Cursor payload(record_bytes + kHeaderSize, covered - kHeaderSize);
   record.event = read_event(payload, type);
   if (type == AuditEventType::kCheckpoint) {
     record.snapshot = read_snapshot(payload);
   }
-  if (!payload.exhausted()) {
+  if (payload.remaining() != 0) {
     throw FormatError("wal record payload longer than its content");
   }
   return record;
@@ -465,7 +367,8 @@ void WriteAheadLog::append_locked(std::uint64_t sequence,
   static telemetry::Counter& wal_records =
       telemetry::counter("market.wal_records");
   static telemetry::Counter& wal_bytes = telemetry::counter("market.wal_bytes");
-  const std::size_t size = encode_into(buffer_, sequence, event, snapshot);
+  encode_into(buffer_, sequence, event, snapshot);
+  const std::size_t size = buffer_.size();
   // write(2) IS the spend-ahead discipline for process death: after
   // append_intent returns, the whole record is the kernel's problem, not
   // this process's.  Power/kernel loss is covered only under

@@ -41,11 +41,13 @@
 //   16+n    4     CRC32 over bytes [0, 16+n): header and payload
 //
 // Doubles are their IEEE-754 bits as u64; strings are a u32 length and the
-// bytes.  An intent's event.wal_sequence is its own record sequence (the
-// intent id); a commit's is the intent it resolves.
+// bytes (common/byte_codec.h writes and reads every field).  A checkpoint's
+// consumer count is refused unless its payload can hold that many
+// consumers.  An intent's event.wal_sequence is its own record sequence
+// (the intent id); a commit's is the intent it resolves.
 //
 // Readers stop at the first torn or corrupt record (bad magic/version/type,
-// CRC mismatch, short payload): everything before it is trusted,
+// CRC mismatch, short payload, a count the payload cannot hold): everything before it is trusted,
 // everything after is reported as truncated — the standard WAL contract
 // for a crash mid-append.  A log whose FIRST record carries the magic but
 // another format version is refused with an error naming that version,

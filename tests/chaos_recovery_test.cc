@@ -19,12 +19,12 @@
 #include <thread>
 #include <vector>
 
+#include "common/byte_codec.h"
 #include "common/check.h"
 #include "common/crash_point.h"
 #include "common/rng.h"
 #include "common/telemetry.h"
 #include "data/partition.h"
-#include "iot/codec.h"
 #include "iot/network.h"
 #include "market/broker.h"
 #include "market/wal.h"
@@ -544,7 +544,7 @@ std::vector<std::uint8_t> version1_intent_record() {
   put(record, 0, 8);
   std::vector<std::uint8_t> covered = record;
   covered.insert(covered.end(), payload.begin(), payload.end());
-  put(record, iot::crc32(covered.data(), covered.size()), 4);
+  put(record, crc32(covered.data(), covered.size()), 4);
   record.insert(record.end(), payload.begin(), payload.end());
   return record;
 }

@@ -3,6 +3,7 @@
 // truncate-at-corruption reader contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -10,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/byte_codec.h"
 #include "market/ledger.h"
 #include "market/wal.h"
 #include "support/ledger_sale.h"
@@ -261,6 +263,34 @@ TEST(WalFormatTest, TornHeaderAndTornPayloadAreRejected) {
     EXPECT_THROW(decode_record(torn, 0), FormatError)
         << "torn record of " << keep << " bytes decoded";
   }
+}
+
+TEST(WalFormatTest, ConsumerCountBeyondPayloadIsAFormatError) {
+  // A checkpoint claiming 2^32 - 1 consumers in its last field, resealed
+  // with a valid CRC: the count is refused before it sizes an allocation.
+  LedgerSnapshot snapshot = sample_snapshot();
+  snapshot.consumers.clear();
+  auto hostile = encode_checkpoint(snapshot, 9);
+  const std::size_t covered = hostile.size() - kCrcSize;
+  std::fill(hostile.begin() + static_cast<std::ptrdiff_t>(covered - 4),
+            hostile.begin() + static_cast<std::ptrdiff_t>(covered), 0xff);
+  const std::uint32_t crc = crc32(hostile.data(), covered);
+  for (std::size_t byte = 0; byte < kCrcSize; ++byte) {
+    hostile.at(covered + byte) = static_cast<std::uint8_t>(crc >> (8 * byte));
+  }
+  EXPECT_THROW(decode_record(hostile, 0), FormatError);
+
+  // Recovery keeps the record before it and truncates from it on.
+  const auto path = temp_path("hostile_count.wal");
+  auto bytes = encode_intent(sample_intent());
+  const std::size_t first_size = bytes.size();
+  bytes.insert(bytes.end(), hostile.begin(), hostile.end());
+  write_bytes(path, bytes);
+  const auto result = read_wal(path);
+  EXPECT_EQ(result.stats.records_read, 1u);
+  EXPECT_EQ(result.stats.valid_bytes, first_size);
+  EXPECT_EQ(result.stats.truncated_bytes, hostile.size());
+  std::remove(path.c_str());
 }
 
 TEST(WalReaderTest, MissingFileIsAnEmptyLog) {
