@@ -30,6 +30,7 @@
 #include "market/broker.h"
 #include "market/ledger.h"
 #include "market/simulation.h"
+#include "market/wal.h"
 #include "pricing/arbitrage.h"
 #include "pricing/pricing.h"
 #include "pricing/variance_model.h"
@@ -211,8 +212,10 @@ BENCHMARK(BM_StationEstimateAfterArrival)->Arg(32)->Arg(128);
 // timeline appends, the fold and the conservation gauge), with `range(0)`
 // consumer ids already on the books and sales cycling over the same 16 of
 // them.  Its time must not grow with the ids the ledger has seen; compare
-// the two args' medians against their spreads.  Iterations are fixed so the
-// timeline stays small (two events per iteration).
+// the two args' medians against their spreads.  Iterations are fixed so
+// both args time the same sales; at two events per iteration the run
+// wraps the timeline's kRetainedEvents window, so slots are overwritten
+// in place as in a long-running broker.
 void BM_LedgerCommit(benchmark::State& state) {
   constexpr std::size_t kActiveConsumers = 16;
   const auto consumers = static_cast<std::size_t>(state.range(0));
@@ -241,13 +244,34 @@ BENCHMARK(BM_LedgerCommit)
     ->Repetitions(5)
     ->ReportAggregatesOnly(true);
 
+// One sale's WAL bookkeeping: its intent and its commit, each encoded
+// through the byte codec into the writer's reused buffer and write(2)n to
+// /dev/null, so the time is the encode and the syscall, not a disk.
+void BM_WalAppend(benchmark::State& state) {
+  const auto wal = market::wal::WriteAheadLog::open("/dev/null");
+  const market::wal::IntentRecord intent{
+      "consumer-7", {100.5, 3000.5}, {0.1, 0.6}, 1e-4};
+  market::wal::CommitRecord commit;
+  commit.transaction = {0, intent.consumer_id, intent.range, intent.spec,
+                        12.5, intent.epsilon_amplified};
+  for (auto _ : state) {
+    commit.intent_sequence = wal->append_intent(intent);
+    wal->append_commit(commit);
+    ++commit.transaction.sequence;
+  }
+  state.counters["bytes_per_sale"] = benchmark::Counter(
+      static_cast<double>(wal->bytes_appended()) /
+      static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_WalAppend);
+
 // One whole cached DataBroker::sell over `range(0)` nodes holding 100 000
 // readings (menu_market's shape at k = 128): the contract was sold before,
 // so the plan and quote caches hit, the round is a no-op and the station's
 // term table answers the range.  What remains is the estimate snapshot,
 // the Laplace draw, the mint barrier and the ledger and timeline
-// bookkeeping; none of it should grow with k.  Iterations are fixed so the
-// audit timeline stays small.
+// bookkeeping; none of it should grow with k.  Iterations are fixed so
+// both args time the same number of sales.
 void BM_CachedSale(benchmark::State& state) {
   constexpr std::size_t kRecords = 100000;
   parallel::set_thread_count(1);

@@ -4,13 +4,15 @@
 //
 // Integers are little-endian and fixed-width, doubles travel as their
 // IEEE-754 bits in a u64, and strings and blobs as a u32 length and the
-// bytes.  ByteWriter appends to a buffer the caller owns, so a caller that
-// reuses its buffer allocates nothing once it has grown.  ByteReader is a
-// bounds-checked cursor: every short read throws the format's own error
-// type, and a count read from the bytes is bounded by the bytes left
-// (count()) before it can size an allocation.
+// bytes.  ByteWriter fills a buffer it owns and hands it over with take();
+// a caller that passes the buffer back in allocates nothing once it has
+// grown, and a record costs a few buffer resizes, not one per field.
+// ByteReader is a bounds-checked cursor: every short read throws the
+// format's own error type, and a count read from the bytes is bounded by
+// the bytes left (count()) before it can size an allocation.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstddef>
@@ -18,6 +20,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace prc {
@@ -81,10 +84,23 @@ inline constexpr std::uint8_t kCrcCheckInput[] = {'1', '2', '3', '4', '5',
 static_assert(crc32(kCrcCheckInput, sizeof(kCrcCheckInput)) == 0xcbf43926u);
 }  // namespace detail
 
-/// Appends little-endian fields to the end of `out`.
+/// Writes little-endian fields into a buffer it owns.  The buffer grows
+/// ahead of the fields in steps (to at least kGrowBytes, doubling after
+/// that, and never past a capacity it already has room in), so a record
+/// costs one or a few resizes rather than one per field; take() trims the
+/// zeroed slack past size() and hands the bytes over.
 class ByteWriter {
  public:
-  explicit ByteWriter(std::vector<std::uint8_t>& out) : out_(out) {}
+  /// Starts empty, reusing `storage`'s allocation (its contents are
+  /// discarded): a caller that hands back what take() returned allocates
+  /// nothing once the buffer has held its largest record.
+  explicit ByteWriter(std::vector<std::uint8_t> storage = {})
+      : out_(std::move(storage)) {
+    out_.clear();
+  }
+
+  /// Allocates room for `bytes` in one step (a frame that knows its size).
+  void reserve(std::size_t bytes) { out_.reserve(bytes); }
 
   void u8(std::uint8_t value) { le(value); }
   void u16(std::uint16_t value) { le(value); }
@@ -95,7 +111,9 @@ class ByteWriter {
   /// A u32 length, then the bytes.
   void blob(std::span<const std::uint8_t> bytes) {
     u32(static_cast<std::uint32_t>(bytes.size()));
-    out_.insert(out_.end(), bytes.begin(), bytes.end());
+    const std::size_t offset = grow(bytes.size());
+    std::copy(bytes.begin(), bytes.end(),
+              out_.begin() + static_cast<std::ptrdiff_t>(offset));
   }
   void str(std::string_view value) {
     blob({reinterpret_cast<const std::uint8_t*>(value.data()), value.size()});
@@ -107,12 +125,36 @@ class ByteWriter {
     store(offset, value);
   }
 
+  /// Bytes written so far.
+  std::size_t size() const noexcept { return size_; }
+  std::span<const std::uint8_t> bytes() const noexcept {
+    return std::span(out_).first(size_);
+  }
+
+  /// The bytes written, without the growth slack.
+  std::vector<std::uint8_t> take() && {
+    out_.resize(size_);
+    return std::move(out_);
+  }
+
  private:
+  static constexpr std::size_t kGrowBytes = 256;
+
+  /// Makes room for `n` more bytes and returns the offset they start at.
+  std::size_t grow(std::size_t n) {
+    const std::size_t offset = size_;
+    size_ += n;
+    if (size_ > out_.size()) {
+      std::size_t target = std::max(2 * out_.size(), kGrowBytes);
+      if (size_ <= out_.capacity()) target = std::min(target, out_.capacity());
+      out_.resize(std::max(size_, target));
+    }
+    return offset;
+  }
+
   template <typename T>
   void le(T value) {
-    const std::size_t offset = out_.size();
-    out_.resize(offset + sizeof(T));
-    store(offset, value);
+    store(grow(sizeof(T)), value);
   }
 
   template <typename T>
@@ -123,7 +165,8 @@ class ByteWriter {
     }
   }
 
-  std::vector<std::uint8_t>& out_;
+  std::vector<std::uint8_t> out_;
+  std::size_t size_ = 0;  ///< bytes written; out_ holds zeroed slack past it
 };
 
 /// Bounds-checked little-endian cursor over `bytes`.  Every read past the

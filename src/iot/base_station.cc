@@ -316,8 +316,7 @@ constexpr std::size_t kMinNodeBytes =
 
 std::vector<std::uint8_t> BaseStation::serialize() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::uint8_t> bytes;
-  ByteWriter out(bytes);
+  ByteWriter out;
   out.u32(kCheckpointMagic);
   out.u32(kCheckpointVersion);
   out.u32(static_cast<std::uint32_t>(entries_.size()));
@@ -333,7 +332,7 @@ std::vector<std::uint8_t> BaseStation::serialize() const {
     report.new_samples = entry.samples->samples();
     out.blob(encode(report));
   }
-  return bytes;
+  return std::move(out).take();
 }
 
 BaseStation BaseStation::deserialize(const std::vector<std::uint8_t>& bytes) {

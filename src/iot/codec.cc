@@ -29,12 +29,10 @@ std::uint32_t frame_crc(std::span<const std::uint8_t> frame) {
 
 /// Starts a frame with `message`'s header, its CRC left zero for seal().
 template <typename Message>
-std::vector<std::uint8_t> begin_frame(MessageType type, const Message& message,
-                                      std::uint32_t sequence,
-                                      std::uint16_t flags = 0) {
-  std::vector<std::uint8_t> frame;
-  frame.reserve(message.wire_size());
-  ByteWriter out(frame);
+ByteWriter begin_frame(MessageType type, const Message& message,
+                       std::uint32_t sequence, std::uint16_t flags = 0) {
+  ByteWriter out;
+  out.reserve(message.wire_size());
   out.u8(kMagic);
   out.u8(static_cast<std::uint8_t>(type));
   out.u16(flags);
@@ -42,11 +40,12 @@ std::vector<std::uint8_t> begin_frame(MessageType type, const Message& message,
   out.u32(static_cast<std::uint32_t>(message.wire_size() - kHeaderSize));
   out.u32(sequence);
   out.u32(0);  // crc
-  return frame;
+  return out;
 }
 
-void seal(std::vector<std::uint8_t>& frame) {
-  ByteWriter(frame).patch_u32(kOffCrc, frame_crc(frame));
+std::vector<std::uint8_t> seal(ByteWriter&& frame) {
+  frame.patch_u32(kOffCrc, frame_crc(frame.bytes()));
+  return std::move(frame).take();
 }
 
 struct Header {
@@ -81,16 +80,14 @@ Header read_header(FrameReader& in, std::span<const std::uint8_t> frame,
 std::vector<std::uint8_t> encode(const SampleRequest& message,
                                  std::uint32_t sequence) {
   auto frame = begin_frame(MessageType::kSampleRequest, message, sequence);
-  ByteWriter(frame).f64(message.target_p);
-  seal(frame);
-  return frame;
+  frame.f64(message.target_p);
+  return seal(std::move(frame));
 }
 
 std::vector<std::uint8_t> encode(const SampleReport& message,
                                  std::uint32_t sequence) {
-  auto frame = begin_frame(MessageType::kSampleReport, message, sequence,
-                           message.has_arrivals() ? kFlagArrivals : 0);
-  ByteWriter out(frame);
+  auto out = begin_frame(MessageType::kSampleReport, message, sequence,
+                         message.has_arrivals() ? kFlagArrivals : 0);
   out.u64(static_cast<std::uint64_t>(message.data_count));
   if (message.has_arrivals()) {
     out.u32(message.base_sequence);
@@ -102,15 +99,12 @@ std::vector<std::uint8_t> encode(const SampleReport& message,
     out.f64(sample.value);
     out.u64(sample.rank);
   }
-  seal(frame);
-  return frame;
+  return seal(std::move(out));
 }
 
 std::vector<std::uint8_t> encode(const Heartbeat& message,
                                  std::uint32_t sequence) {
-  auto frame = begin_frame(MessageType::kHeartbeat, message, sequence);
-  seal(frame);
-  return frame;
+  return seal(begin_frame(MessageType::kHeartbeat, message, sequence));
 }
 
 MessageType peek_type(const std::vector<std::uint8_t>& frame) {

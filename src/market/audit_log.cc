@@ -55,15 +55,29 @@ std::string AuditReconciliation::to_string() const {
 }
 
 void AuditLog::push_locked(AuditEvent&& event) {
-  if (chunks_.empty() || chunks_.back().size() == kChunkEvents) {
-    chunks_.emplace_back().reserve(kChunkEvents);
-  }
   event.index = static_cast<std::uint64_t>(size_++);
-  chunks_.back().push_back(std::move(event));
+  const std::size_t chunk = head_ / kChunkEvents;
+  const std::size_t slot = head_ % kChunkEvents;
+  // Positions are used in ring order, so a position not yet constructed is
+  // always the next one of the last chunk (or the first of a new one).
+  if (chunk == chunks_.size()) chunks_.emplace_back().reserve(kChunkEvents);
+  auto& events = chunks_[chunk];
+  if (slot == events.size()) {
+    events.push_back(std::move(event));
+  } else {
+    events[slot] = std::move(event);
+  }
+  head_ = (head_ + 1) % kRetainedEvents;
+  if (retained_ < kRetainedEvents) ++retained_;
 }
 
 std::uint64_t AuditLog::append_event(AuditEvent event) {
   std::lock_guard<std::mutex> lock(mutex_);
+  if (event.type == AuditEventType::kMint) {
+    minted_epsilon_ += event.epsilon.value();
+  } else if (event.type == AuditEventType::kRecovery) {
+    recovered_epsilon_ += event.epsilon.value();
+  }
   push_locked(std::move(event));
   return static_cast<std::uint64_t>(size_ - 1);
 }
@@ -73,35 +87,46 @@ std::size_t AuditLog::size() const {
   return size_;
 }
 
+std::size_t AuditLog::first_retained() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return size_ - retained_;
+}
+
 std::vector<AuditEvent> AuditLog::events_snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<AuditEvent> events;
-  events.reserve(size_);
-  for (const auto& chunk : chunks_) {
-    events.insert(events.end(), chunk.begin(), chunk.end());
-  }
+  events.reserve(retained_);
+  const auto copy = [&events](const AuditEvent& event) {
+    events.push_back(event);
+  };
+  for_each_locked(copy);
   return events;
 }
 
 std::string AuditLog::to_jsonl() const {
   std::ostringstream out;
   out.precision(kDoubleDigits);
-  for_each_event([&out](const AuditEvent& event) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (const std::size_t dropped = size_ - retained_; dropped > 0) {
+    out << "{\"type\": \"window\", \"dropped_events\": " << dropped
+        << ", \"minted_epsilon\": " << minted_epsilon_
+        << ", \"recovered_epsilon\": " << recovered_epsilon_ << "}\n";
+  }
+  const auto line = [&out](const AuditEvent& event) {
     append_event_json(out, event);
     out << "\n";
-  });
+  };
+  for_each_locked(line);
   return out.str();
 }
 
 AuditReconciliation AuditLog::reconcile(const Ledger& ledger) const {
   AuditReconciliation result;
-  for_each_event([&result](const AuditEvent& event) {
-    if (event.type == AuditEventType::kMint) {
-      result.minted_epsilon += event.epsilon.value();
-    } else if (event.type == AuditEventType::kRecovery) {
-      result.recovered_epsilon += event.epsilon.value();
-    }
-  });
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    result.minted_epsilon = minted_epsilon_;
+    result.recovered_epsilon = recovered_epsilon_;
+  }
   // Read after the timeline lock is released: the ledger appends to this
   // log while holding its own lock, so taking them in the other order
   // here would invert the lock order.
@@ -121,11 +146,20 @@ AuditReconciliation AuditLog::reconcile(const Ledger& ledger) const {
 
 void AuditLog::append_all(AuditLog& other) {
   std::scoped_lock lock(mutex_, other.mutex_);
-  for (auto& chunk : other.chunks_) {
-    for (auto& event : chunk) push_locked(std::move(event));
+  if (const std::size_t dropped = other.size_ - other.retained_; dropped > 0) {
+    // `other`'s window is full, so its retained events push every event of
+    // this log's own out of the window: skip the indices it dropped.
+    size_ += dropped;
+    retained_ = 0;
   }
+  for (std::size_t i = 0; i < other.retained_; ++i) {
+    push_locked(std::move(other.slot_locked(other.position_locked(i))));
+  }
+  minted_epsilon_ += other.minted_epsilon_;
+  recovered_epsilon_ += other.recovered_epsilon_;
   other.chunks_.clear();
-  other.size_ = 0;
+  other.size_ = other.retained_ = other.head_ = 0;
+  other.minted_epsilon_ = other.recovered_epsilon_ = 0.0;
 }
 
 }  // namespace prc::market

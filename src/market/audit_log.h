@@ -1,8 +1,10 @@
-// Privacy-budget audit timeline: an append-only, in-memory structured log
-// of every budget-relevant event the broker takes — quote, reserve, intent,
-// mint, commit, refusal, recovery, checkpoint — each carrying the epsilon'
-// amount it accounts and, where applicable, the WAL sequence number that
-// made it durable.
+// Privacy-budget audit timeline: an in-memory structured log of the newest
+// budget-relevant events the broker takes — quote, reserve, intent, mint,
+// commit, refusal, recovery, checkpoint — each carrying the epsilon' amount
+// it accounts and, where applicable, the WAL sequence number that made it
+// durable.  The window is bounded (kRetainedEvents); the WAL, when the
+// broker has one, is the durable record of every intent, commit and
+// checkpoint beyond it.
 //
 // The ledger owns the broker's timeline and keeps no other in-memory record
 // of a budget fact: every Ledger entry point appends its event here and
@@ -26,13 +28,19 @@
 // registered lint taint sink (no-raw-to-sink / interproc-raw-taint), and
 // to_jsonl() output is safe to ship outside the trust boundary.
 //
-// Storage: fixed chunks of kChunkEvents events, each reserved once when it
-// opens, so an append is O(1) in the timeline's length and never moves or
-// re-touches an event already held (a doubling vector re-copies every
-// event at each growth step).
+// Storage: a ring of kRetainedEvents slots in fixed chunks of kChunkEvents
+// events, each reserved once when it first opens.  Once the ring is full an
+// append overwrites the oldest slot in place, so a long-running broker's
+// timeline memory stops growing at about 10 MB, and an append is O(1),
+// allocates nothing at steady state and never moves an event it keeps.
+// size() still counts every event ever appended: indices stay dense and
+// global, and the readers walk the retained window [first_retained(),
+// size()) in index order.  The mint and recovery epsilon' totals are
+// running sums kept at append time, so reconcile() covers the broker's
+// whole life in O(1) however many events the window has dropped.
 //
 // Thread-safety: append_event and all readers serialize on one mutex, so a
-// reader sees a prefix of the timeline while sales continue.
+// reader sees one consistent window while sales continue.
 #pragma once
 
 #include <cstddef>
@@ -102,28 +110,36 @@ class AuditLog {
  public:
   /// Events per storage chunk.
   static constexpr std::size_t kChunkEvents = 4096;
+  /// Events kept in memory: the newest ones, about 10 MB of them.
+  static constexpr std::size_t kRetainedEvents = 16 * kChunkEvents;
 
   /// Appends (assigning the event's index) and returns that index.
   /// Registered as a lint taint sink: raw estimates must never reach it.
   std::uint64_t append_event(AuditEvent event) PRC_EXCLUDES(mutex_);
 
+  /// Every event ever appended, retained or not: the next event's index.
   std::size_t size() const PRC_EXCLUDES(mutex_);
 
-  /// Calls `visit(event)` on every event in append order, under the lock
-  /// (no copy of the timeline; `visit` must not re-enter this log).
+  /// Index of the oldest retained event (size() - events retained); 0
+  /// until the window has dropped an event.
+  std::size_t first_retained() const PRC_EXCLUDES(mutex_);
+
+  /// Calls `visit(event)` on every retained event in index order, under
+  /// the lock (no copy of the timeline; `visit` must not re-enter this log).
   template <typename Visit>
   void for_each_event(Visit&& visit) const PRC_EXCLUDES(mutex_) {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& chunk : chunks_) {
-      for (const auto& event : chunk) visit(event);
-    }
+    for_each_locked(visit);
   }
 
-  /// Copy of the timeline taken under the lock.
+  /// Copy of the retained events taken under the lock.
   std::vector<AuditEvent> events_snapshot() const;
 
-  /// One JSON object per line, in append order — the `--audit-log` /
-  /// `--audit-json` export format (grep- and jq-friendly).
+  /// One JSON object per line for each retained event, in index order —
+  /// the `--audit-log` / `--audit-json` export format (grep- and
+  /// jq-friendly).  When the window has dropped events the export opens
+  /// with one `"type": "window"` object: the dropped count and the running
+  /// epsilon' totals reconcile() reads.
   std::string to_jsonl() const;
 
   /// Proves the observable form of the spend-ahead guarantee against a
@@ -133,19 +149,47 @@ class AuditLog {
   /// ledger commit fails it — which is the point.
   AuditReconciliation reconcile(const Ledger& ledger) const;
 
-  /// Moves every event of `other` onto the end of this timeline,
-  /// re-indexed, leaving `other` empty (Ledger::adopt).
+  /// Moves `other`'s timeline onto the end of this one, re-indexed after
+  /// this log's events, and adds its running epsilon' totals to this
+  /// log's; `other` is left empty (Ledger::adopt).  The events `other`'s
+  /// window dropped count as appended: they advance size() here too.
   void append_all(AuditLog& other) PRC_EXCLUDES(mutex_, other.mutex_);
 
  private:
-  /// Appends `event` at index size_, opening a new chunk when the last
-  /// one is full.
+  /// Ring position of the retained event `offset` places after the oldest.
+  std::size_t position_locked(std::size_t offset) const PRC_REQUIRES(mutex_) {
+    return (head_ + kRetainedEvents - retained_ + offset) % kRetainedEvents;
+  }
+  AuditEvent& slot_locked(std::size_t position) PRC_REQUIRES(mutex_) {
+    return chunks_[position / kChunkEvents][position % kChunkEvents];
+  }
+  const AuditEvent& slot_locked(std::size_t position) const
+      PRC_REQUIRES(mutex_) {
+    return chunks_[position / kChunkEvents][position % kChunkEvents];
+  }
+
+  template <typename Visit>
+  void for_each_locked(Visit& visit) const PRC_REQUIRES(mutex_) {
+    for (std::size_t i = 0; i < retained_; ++i) {
+      visit(slot_locked(position_locked(i)));
+    }
+  }
+
+  /// Stores `event` at index size_ in the ring position head_: the
+  /// position's first use opens its chunk or extends it, a later use
+  /// overwrites the oldest retained event.
   void push_locked(AuditEvent&& event) PRC_REQUIRES(mutex_);
 
   mutable std::mutex mutex_;
   /// Growing this vector moves chunk handles, never the events in them.
   std::vector<std::vector<AuditEvent>> chunks_ PRC_GUARDED_BY(mutex_);
-  std::size_t size_ PRC_GUARDED_BY(mutex_) = 0;
+  std::size_t size_ PRC_GUARDED_BY(mutex_) = 0;      ///< events appended
+  std::size_t retained_ PRC_GUARDED_BY(mutex_) = 0;  ///< <= kRetainedEvents
+  std::size_t head_ PRC_GUARDED_BY(mutex_) = 0;  ///< ring position of next
+  /// Running Sigma epsilon' over every kMint / kRecovery event appended,
+  /// in append order (reconcile()'s two timeline terms).
+  double minted_epsilon_ PRC_GUARDED_BY(mutex_) = 0.0;
+  double recovered_epsilon_ PRC_GUARDED_BY(mutex_) = 0.0;
 };
 
 }  // namespace prc::market

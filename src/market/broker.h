@@ -168,7 +168,8 @@ class DataBroker {
   /// The broker's privacy-budget audit timeline (always on): the ledger's
   /// own quote, reserve, intent, mint, commit, refusal, recovery and
   /// checkpoint events, appended at the exact code points the guarantees
-  /// attach to.  audit_log().reconcile(ledger()) proves Sigma(mint
+  /// attach to (the newest AuditLog::kRetainedEvents of them are kept).
+  /// audit_log().reconcile(ledger()) proves Sigma(mint
   /// epsilon') + Sigma(recovery epsilon') == ledger().total_epsilon().
   const AuditLog& audit_log() const noexcept { return ledger_.timeline(); }
 

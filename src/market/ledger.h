@@ -3,10 +3,12 @@
 //
 // Each sale releases one epsilon'-DP answer; sequential composition means a
 // consumer's cumulative leakage is the sum of the amplified budgets of the
-// answers they bought.  The ledger tracks both money and budget.  Its only
-// in-memory record of a budget fact is an AuditEvent on its own timeline:
-// every entry point appends its event and folds it into the aggregates in
-// one critical section, so the timeline and the books cannot disagree.
+// answers they bought.  The ledger tracks both money and budget.  Every
+// budget fact reaches it as an AuditEvent on its own timeline: each entry
+// point appends its event and folds it into the aggregates in one critical
+// section, so the timeline and the books cannot disagree.  The timeline
+// keeps only its newest AuditLog::kRetainedEvents events; the aggregates
+// (and the WAL, when the broker has one) cover the ledger's whole life.
 // Since the accounting IS the privacy guarantee, it supports durable
 // snapshots (checkpoints written to the WAL) and restore/replay for crash
 // recovery — which is the same fold, fed from the log.
@@ -194,15 +196,19 @@ class Ledger {
 
   // --- Readers. ---
 
-  /// Sales on the timeline (live commits and replayed ones; sales a
-  /// restored checkpoint aggregates are not listed).
+  /// Sales booked (live commits and replayed ones, including those the
+  /// timeline's window has since dropped; sales a restored checkpoint
+  /// aggregates are not counted).
   std::size_t transaction_count() const noexcept {
     std::lock_guard<std::mutex> lock(mutex_);
     return books_.commits;
   }
 
-  /// The sales on the timeline, read from its kCommit events — safe to
-  /// call while sales continue on other threads.
+  /// The sales still in the timeline's window, read from its retained
+  /// kCommit events in index order — at most the newest
+  /// AuditLog::kRetainedEvents events' worth, so fewer than
+  /// transaction_count() once the window has dropped events.  Safe to call
+  /// while sales continue on other threads.
   std::vector<Transaction> transactions_snapshot() const;
 
   double total_revenue() const noexcept {

@@ -138,8 +138,7 @@ std::string version_error(std::uint8_t version) {
 /// nothing.
 void encode_into(std::vector<std::uint8_t>& buffer, std::uint64_t wal_sequence,
                  const AuditEvent& event, const LedgerSnapshot& snapshot) {
-  buffer.clear();
-  ByteWriter out(buffer);
+  ByteWriter out(std::move(buffer));
   out.u8(kMagic);
   out.u8(kFormatVersion);
   out.u8(static_cast<std::uint8_t>(event.type));
@@ -149,11 +148,12 @@ void encode_into(std::vector<std::uint8_t>& buffer, std::uint64_t wal_sequence,
   put_event(out, event);
   if (event.type == AuditEventType::kCheckpoint) put_snapshot(out, snapshot);
   out.patch_u32(kPayloadLengthOffset,
-                static_cast<std::uint32_t>(buffer.size() - kHeaderSize));
+                static_cast<std::uint32_t>(out.size() - kHeaderSize));
   // The CRC trails the bytes it covers.  It covers the header as well as
   // the payload: a flipped length or sequence is caught, not just payload
   // corruption.
-  out.u32(crc32(buffer.data(), buffer.size()));
+  out.u32(crc32(out.bytes().data(), out.size()));
+  buffer = std::move(out).take();
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -220,6 +222,166 @@ TEST(AuditLogTest, ChunkedTimelineKeepsOrderAcrossChunkBoundaries) {
   }
   EXPECT_EQ(log.append_event(AuditEvent{}), 0u);
   EXPECT_EQ(receiver.append_event(AuditEvent{}), 5 + count);
+}
+
+// Bits of a double, so a running sum can be compared with the walk it
+// replaced exactly, not within a tolerance.
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+/// The event mix of a long broker life: mints and recoveries carry the
+/// epsilon' reconcile() sums, commits and refusals carry epsilon' it must
+/// not sum.
+AuditEvent mixed_event(std::size_t i) {
+  AuditEvent event;
+  constexpr AuditEventType kTypes[] = {
+      AuditEventType::kMint, AuditEventType::kCommit,
+      AuditEventType::kRefusal, AuditEventType::kRecovery};
+  event.type = kTypes[i % 4];
+  event.epsilon = 1e-3 * static_cast<double>(1 + i % 7) +
+                  1e-9 * static_cast<double>(i);
+  event.detail = "event " + std::to_string(i);
+  return event;
+}
+
+TEST(AuditLogTest, WindowKeepsTheNewestEventsAndReconcilesTheWholeLife) {
+  constexpr std::size_t kWindow = AuditLog::kRetainedEvents;
+  const std::size_t count = kWindow + AuditLog::kChunkEvents + 5;
+  AuditLog log;
+  double minted = 0.0;
+  double recovered = 0.0;
+  for (std::size_t i = 0; i < count; ++i) {
+    AuditEvent event = mixed_event(i);
+    if (event.type == AuditEventType::kMint) minted += event.epsilon.value();
+    if (event.type == AuditEventType::kRecovery) {
+      recovered += event.epsilon.value();
+    }
+    ASSERT_EQ(log.append_event(std::move(event)), i);
+    if (i + 1 == kWindow) {
+      // Full but nothing dropped: the export has no window header.
+      EXPECT_EQ(log.first_retained(), 0u);
+      EXPECT_EQ(log.to_jsonl().rfind("{\"index\": 0,", 0), 0u);
+    }
+  }
+
+  // size() is every event ever appended; the window is the newest ones.
+  EXPECT_EQ(log.size(), count);
+  const std::size_t first = count - kWindow;
+  EXPECT_EQ(log.first_retained(), first);
+  std::size_t next = first;
+  log.for_each_event([&next](const AuditEvent& event) {
+    EXPECT_EQ(event.index, next);
+    EXPECT_EQ(event.detail, "event " + std::to_string(next));
+    ++next;
+  });
+  EXPECT_EQ(next, count);
+  const auto events = log.events_snapshot();
+  ASSERT_EQ(events.size(), kWindow);
+  EXPECT_EQ(events.front().index, first);
+  EXPECT_EQ(events.back().index, count - 1);
+
+  // reconcile() reads running sums kept in append order: bit for bit the
+  // walk over every event, the dropped ones included.
+  const Ledger empty;
+  const auto result = log.reconcile(empty);
+  EXPECT_EQ(bits(result.minted_epsilon), bits(minted));
+  EXPECT_EQ(bits(result.recovered_epsilon), bits(recovered));
+
+  // The export opens with the window header, then the retained events.
+  const std::string jsonl = log.to_jsonl();
+  const auto header_end = jsonl.find('\n');
+  ASSERT_NE(header_end, std::string::npos);
+  const std::string header = jsonl.substr(0, header_end);
+  EXPECT_EQ(header.rfind("{\"type\": \"window\", \"dropped_events\": " +
+                             std::to_string(first) + ",",
+                         0),
+            0u)
+      << header;
+  EXPECT_NE(header.find("\"minted_epsilon\": "), std::string::npos) << header;
+  EXPECT_NE(header.find("\"recovered_epsilon\": "), std::string::npos)
+      << header;
+  const std::string first_line = "{\"index\": " + std::to_string(first) + ",";
+  EXPECT_EQ(jsonl.compare(header_end + 1, first_line.size(), first_line), 0);
+  EXPECT_EQ(static_cast<std::size_t>(
+                std::count(jsonl.begin(), jsonl.end(), '\n')),
+            kWindow + 1);
+
+  // append_all onto a log with events of its own: the dropped indices
+  // advance the receiver's count, the receiver's own events leave the
+  // window, and the running sums travel with the events.
+  AuditLog receiver;
+  for (int i = 0; i < 5; ++i) receiver.append_event(AuditEvent{});
+  receiver.append_all(log);
+  EXPECT_EQ(log.size(), 0u);
+  EXPECT_EQ(log.first_retained(), 0u);
+  EXPECT_EQ(receiver.size(), 5 + count);
+  EXPECT_EQ(receiver.first_retained(), 5 + first);
+  next = 5 + first;
+  receiver.for_each_event([&next](const AuditEvent& event) {
+    EXPECT_EQ(event.index, next);
+    EXPECT_EQ(event.detail, "event " + std::to_string(next - 5));
+    ++next;
+  });
+  EXPECT_EQ(next, 5 + count);
+  const auto moved = receiver.reconcile(empty);
+  EXPECT_EQ(bits(moved.minted_epsilon), bits(minted));
+  EXPECT_EQ(bits(moved.recovered_epsilon), bits(recovered));
+  EXPECT_EQ(receiver.append_event(AuditEvent{}), 5 + count);
+  EXPECT_EQ(receiver.first_retained(), 6 + first);
+  EXPECT_EQ(log.append_event(AuditEvent{}), 0u);
+  EXPECT_EQ(log.to_jsonl().rfind("{\"index\": 0,", 0), 0u);
+}
+
+TEST(AuditLogTest, LedgerListsTheRetainedSalesAndCountsThemAll) {
+  // Each sale appends reserve, mint and commit; every 16th consumer is
+  // refused first.  Enough sales to drop well past a chunk.
+  constexpr std::size_t kSales = AuditLog::kRetainedEvents / 3 + 5000;
+  const query::RangeQuery range{1.0, 2.0};
+  Ledger ledger;
+  for (std::size_t i = 0; i < kSales; ++i) {
+    const std::string id = "consumer-" + std::to_string(i % 64);
+    const double epsilon = 1e-4 * static_cast<double>(1 + i % 5);
+    if (i % 16 == 0) ledger.refuse(id, range, kSpec, epsilon, "test refusal");
+    auto reservation = ledger.try_reserve(id, epsilon, 1e9, range, kSpec);
+    ASSERT_TRUE(reservation.has_value());
+    ledger.mint(id, range, kSpec, epsilon, 0);
+    ledger.commit(std::move(*reservation),
+                  {0, id, range, kSpec, 2.0, epsilon});
+  }
+  ASSERT_GT(ledger.timeline().first_retained(), 0u);
+  EXPECT_EQ(ledger.transaction_count(), kSales);
+
+  // Only the commits still in the window, newest last and in order.
+  std::size_t retained_commits = 0;
+  ledger.timeline().for_each_event([&](const AuditEvent& event) {
+    if (event.type == AuditEventType::kCommit) ++retained_commits;
+  });
+  const auto transactions = ledger.transactions_snapshot();
+  ASSERT_EQ(transactions.size(), retained_commits);
+  ASSERT_LT(transactions.size(), kSales);
+  for (std::size_t i = 0; i < transactions.size(); ++i) {
+    EXPECT_EQ(transactions[i].sequence, kSales - transactions.size() + i);
+  }
+
+  const auto live = ledger.timeline().reconcile(ledger);
+  EXPECT_TRUE(live.consistent) << live.to_string();
+  EXPECT_EQ(bits(live.minted_epsilon), bits(live.ledger_epsilon));
+
+  // adopt() moves the windowed timeline whole: same indices, same sums.
+  const std::size_t size = ledger.timeline().size();
+  const std::size_t first = ledger.timeline().first_retained();
+  const auto events = ledger.timeline().events_snapshot();
+  Ledger adopted;
+  adopted.adopt(ledger);
+  EXPECT_EQ(ledger.timeline().size(), 0u);
+  EXPECT_EQ(adopted.timeline().size(), size);
+  EXPECT_EQ(adopted.timeline().first_retained(), first);
+  EXPECT_EQ(adopted.timeline().events_snapshot(), events);
+  EXPECT_EQ(adopted.transaction_count(), kSales);
+  EXPECT_EQ(adopted.transactions_snapshot().size(), transactions.size());
+  const auto moved = adopted.timeline().reconcile(adopted);
+  EXPECT_TRUE(moved.consistent) << moved.to_string();
+  EXPECT_EQ(bits(moved.minted_epsilon), bits(live.minted_epsilon));
+  EXPECT_EQ(bits(moved.ledger_epsilon), bits(live.ledger_epsilon));
 }
 
 TEST(AuditLogTest, LiveBrokerReconcilesExactly) {
