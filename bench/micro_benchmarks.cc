@@ -2,11 +2,14 @@
 // global estimation, batched multi-query estimation, sampling top-up, the
 // perturbation optimizer, the plan cache's miss-put-evict cycle, the attack
 // search and the quote histogram's batch record, one whole cached sale, the
-// station's estimate after an arrival, Laplace draws, CSV parsing and the
-// (retired) per-ingest rank audit.
+// station's estimate after an arrival, a sale's WAL append, a full sample
+// report's encode, Laplace draws, CSV parsing and the (retired) per-ingest
+// rank audit.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -26,6 +29,7 @@
 #include "estimator/basic_counting.h"
 #include "estimator/rank_counting.h"
 #include "iot/base_station.h"
+#include "iot/codec.h"
 #include "iot/network.h"
 #include "market/broker.h"
 #include "market/ledger.h"
@@ -245,10 +249,15 @@ BENCHMARK(BM_LedgerCommit)
     ->ReportAggregatesOnly(true);
 
 // One sale's WAL bookkeeping: its intent and its commit, each encoded
-// through the byte codec into the writer's reused buffer and write(2)n to
-// /dev/null, so the time is the encode and the syscall, not a disk.
+// through the byte codec into the writer's reused buffer and copied into
+// the mapped window over a temporary log's tail, so the time is the encode,
+// the copy and the page faults of fresh window pages, not a disk.
 void BM_WalAppend(benchmark::State& state) {
-  const auto wal = market::wal::WriteAheadLog::open("/dev/null");
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("prc_bm_wal_append_" + std::to_string(::getpid()) + ".wal"))
+          .string();
+  auto wal = market::wal::WriteAheadLog::open(path);
   const market::wal::IntentRecord intent{
       "consumer-7", {100.5, 3000.5}, {0.1, 0.6}, 1e-4};
   market::wal::CommitRecord commit;
@@ -262,8 +271,28 @@ void BM_WalAppend(benchmark::State& state) {
   state.counters["bytes_per_sale"] = benchmark::Counter(
       static_cast<double>(wal->bytes_appended()) /
       static_cast<double>(state.iterations()));
+  wal.reset();
+  std::filesystem::remove(path);
 }
 BENCHMARK(BM_WalAppend);
+
+// Encoding one node's full resync: a SampleReport of 3000 samples, every
+// field through the byte codec into a fresh frame.
+void BM_SampleReportEncode(benchmark::State& state) {
+  iot::SampleReport report;
+  report.node_id = 3;
+  report.data_count = 100000;
+  Rng rng(11);
+  for (std::uint64_t rank = 1; rank <= 3000; ++rank) {
+    report.new_samples.push_back({rng.uniform(0.0, 200.0), rank * 33});
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(iot::encode(report));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(
+      state.iterations() * report.wire_size()));
+}
+BENCHMARK(BM_SampleReportEncode);
 
 // One whole cached DataBroker::sell over `range(0)` nodes holding 100 000
 // readings (menu_market's shape at k = 128): the contract was sold before,

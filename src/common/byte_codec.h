@@ -17,6 +17,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
@@ -157,11 +158,18 @@ class ByteWriter {
     store(grow(sizeof(T)), value);
   }
 
+  /// A little-endian host already holds `value` in wire order, so one
+  /// copy stores it; other hosts shift it out a byte at a time.
   template <typename T>
   void store(std::size_t offset, T value) {
-    for (std::uint8_t& byte : std::span(out_).subspan(offset, sizeof(T))) {
-      byte = static_cast<std::uint8_t>(value);
-      value = static_cast<T>(value >> 8);
+    const auto bytes = std::span(out_).subspan(offset, sizeof(T));
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(bytes.data(), &value, sizeof(T));
+    } else {
+      for (std::uint8_t& byte : bytes) {
+        byte = static_cast<std::uint8_t>(value);
+        value = static_cast<T>(value >> 8);
+      }
     }
   }
 

@@ -1,6 +1,7 @@
 #include "market/wal.h"
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <iterator>
 #include <limits>
 #include <map>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <utility>
@@ -156,6 +158,51 @@ void encode_into(std::vector<std::uint8_t>& buffer, std::uint64_t wal_sequence,
   buffer = std::move(out).take();
 }
 
+/// The whole log at `path`, or nothing when there is no file.  A log whose
+/// FIRST record carries the magic but another format version is not a torn
+/// tail: truncating it would recover, and compaction would then persist,
+/// an empty ledger — the whole budget history under-counted.  It is refused
+/// untouched.
+std::optional<std::vector<std::uint8_t>> load_log(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.is_open()) return std::nullopt;
+  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                                  std::istreambuf_iterator<char>());
+  PRC_CHECK(bytes.size() < 2 || bytes[0] != kMagic ||
+            bytes[1] == kFormatVersion)
+      << "wal '" << path << "': " << version_error(bytes[1])
+      << "; refusing to recover or truncate it";
+  return bytes;
+}
+
+/// Hands each whole record of `bytes`, from the first on, to `visit`, and
+/// returns the offset just past the last one: the first torn or corrupt
+/// record ends the log.
+template <typename Visit>
+std::size_t for_each_record(const std::vector<std::uint8_t>& bytes,
+                            Visit&& visit) {
+  std::size_t offset = 0;
+  while (offset < bytes.size()) {
+    Record record;
+    try {
+      record = decode_record(bytes, offset);
+    } catch (const FormatError&) {
+      break;
+    }
+    offset += record.encoded_size;
+    visit(std::move(record));
+  }
+  return offset;
+}
+
+/// True when every byte from `offset` on is zero: space the writer
+/// reserved for its mapped window but never filled.  No record starts with
+/// a zero byte (kMagic is not zero), so such a tail holds no record.
+bool zero_tail(const std::vector<std::uint8_t>& bytes, std::size_t offset) {
+  return std::all_of(bytes.begin() + static_cast<std::ptrdiff_t>(offset),
+                     bytes.end(), [](std::uint8_t byte) { return byte == 0; });
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> encode_record(std::uint64_t wal_sequence,
@@ -209,33 +256,18 @@ RecoveryResult read_wal(const std::string& path) {
   RecoveryResult result;
   result.base.event.type = AuditEventType::kCheckpoint;
   result.base.event.detail = "recovery base: the wal holds no checkpoint";
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return result;  // no log yet: empty recovery
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
-  in.close();
-  // A log in another format version is not a torn tail: truncating it
-  // would recover, and compaction would then persist, an empty ledger —
-  // the whole budget history under-counted.  Refuse it untouched.
-  PRC_CHECK(bytes.size() < 2 || bytes[0] != kMagic ||
-            bytes[1] == kFormatVersion)
-      << "wal '" << path << "': " << version_error(bytes[1])
-      << "; refusing to recover or truncate it";
+  const auto loaded = load_log(path);
+  if (!loaded) return result;  // no log yet: empty recovery
+  const std::vector<std::uint8_t>& bytes = *loaded;
 
   // Intents still awaiting their commit, by wal sequence.  std::map keeps
   // orphans ordered by append time.
   std::map<std::uint64_t, AuditEvent> pending;
-  std::size_t offset = 0;
-  while (offset < bytes.size()) {
-    Record record;
-    try {
-      record = decode_record(bytes, offset);
-    } catch (const FormatError&) {
-      // First torn/corrupt record: trust everything before it, drop
-      // everything from here on (a crash mid-append, or tail damage).
-      break;
-    }
-    offset += record.encoded_size;
+  // The first torn/corrupt record ends the scan: everything before it is
+  // trusted, everything from it on dropped (a crash mid-append, or tail
+  // damage) — unless it is all zeros, the unfilled rest of the writer's
+  // last window, which is no damage at all.
+  const std::size_t offset = for_each_record(bytes, [&](Record&& record) {
     ++result.stats.records_read;
     result.next_wal_sequence =
         std::max(result.next_wal_sequence, record.wal_sequence + 1);
@@ -252,9 +284,10 @@ RecoveryResult read_wal(const std::string& path) {
         result.base = {std::move(record.event), std::move(record.snapshot)};
         break;
     }
-  }
+  });
   result.stats.valid_bytes = offset;
-  result.stats.truncated_bytes = bytes.size() - offset;
+  result.stats.truncated_bytes =
+      zero_tail(bytes, offset) ? 0 : bytes.size() - offset;
 
   // Commits the checkpoint already aggregates must not be replayed twice.
   // The filter runs AFTER the full scan, not at the checkpoint record:
@@ -310,8 +343,17 @@ WriteAheadLog::WriteAheadLog(std::string path, std::uint64_t next_sequence,
     : path_(std::move(path)),
       sync_mode_(sync_mode),
       next_sequence_(next_sequence) {
-  fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC,
-               0644);
+  // Appends continue right after the last whole record.  Never after a
+  // zero tail: the reader stops at that gap and would lose every record
+  // past it.  Damaged bytes after the last record are refused, not
+  // overwritten: recovery (which compacts) is what decides to drop them.
+  const auto bytes = load_log(path_).value_or(std::vector<std::uint8_t>{});
+  end_offset_ = for_each_record(bytes, [](Record&&) {});
+  PRC_CHECK(zero_tail(bytes, end_offset_))
+      << "wal '" << path_ << "': " << bytes.size() - end_offset_
+      << " damaged byte(s) after its last whole record at offset "
+      << end_offset_ << "; recover the log before appending to it";
+  fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
   PRC_CHECK(fd_ >= 0) << "wal: cannot open '" << path_
                       << "' for appending: " << std::strerror(errno);
 }
@@ -319,7 +361,13 @@ WriteAheadLog::WriteAheadLog(std::string path, std::uint64_t next_sequence,
 WriteAheadLog::~WriteAheadLog() {
   // The destructor runs with exclusive ownership; any concurrent append
   // while the log is being destroyed is already a use-after-free upstream.
-  if (fd_ >= 0) ::close(fd_);
+  if (window_ != nullptr) ::munmap(window_, window_size_);
+  if (fd_ < 0) return;
+  // A cleanly closed log ends at its last record.  A failed truncate
+  // leaves the zero tail a crash would have left, which readers skip.
+  [[maybe_unused]] const int truncated =
+      ::ftruncate(fd_, static_cast<::off_t>(end_offset_));
+  ::close(fd_);
 }
 
 std::unique_ptr<WriteAheadLog> WriteAheadLog::open(
@@ -361,6 +409,34 @@ std::unique_ptr<WriteAheadLog> WriteAheadLog::compact(
   return open(path, next_sequence + 1, sync_mode);
 }
 
+void WriteAheadLog::map_window(std::size_t record_size) {
+  static const auto page = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+  if (window_ != nullptr) {
+    PRC_CHECK(::munmap(window_, window_size_) == 0)
+        << "wal: unmap of '" << path_ << "' failed: " << std::strerror(errno);
+    window_ = nullptr;
+  }
+  const std::uint64_t start = end_offset_ / page * page;
+  const std::uint64_t needed = end_offset_ - start + record_size;
+  const std::size_t size = std::max<std::size_t>(
+      kWindowBytes, static_cast<std::size_t>((needed + page - 1) / page * page));
+  // Reserve the window's blocks before mapping them: a full disk fails
+  // here, as a failed write(2) would, and not as SIGBUS on a later store.
+  const int error = ::posix_fallocate(fd_, static_cast<::off_t>(start),
+                                      static_cast<::off_t>(size));
+  PRC_CHECK(error == 0) << "wal: cannot reserve " << size << " bytes of '"
+                        << path_ << "' at offset " << start << ": "
+                        << std::strerror(error);
+  void* window = ::mmap(nullptr, size, PROT_READ | PROT_WRITE, MAP_SHARED,
+                        fd_, static_cast<::off_t>(start));
+  PRC_CHECK(window != MAP_FAILED) << "wal: cannot map '" << path_
+                                  << "' at offset " << start << ": "
+                                  << std::strerror(errno);
+  window_ = static_cast<std::uint8_t*>(window);
+  window_offset_ = start;
+  window_size_ = size;
+}
+
 void WriteAheadLog::append_locked(std::uint64_t sequence,
                                   const AuditEvent& event,
                                   const LedgerSnapshot& snapshot) {
@@ -369,12 +445,16 @@ void WriteAheadLog::append_locked(std::uint64_t sequence,
   static telemetry::Counter& wal_bytes = telemetry::counter("market.wal_bytes");
   encode_into(buffer_, sequence, event, snapshot);
   const std::size_t size = buffer_.size();
-  // write(2) IS the spend-ahead discipline for process death: after
-  // append_intent returns, the whole record is the kernel's problem, not
-  // this process's.  Power/kernel loss is covered only under
-  // kMediaDurable — the per-record barrier is a policy choice because it
-  // dominates the sale's latency on real disks.
-  write_fully(fd_, buffer_.data(), size, path_);
+  if (end_offset_ + size > window_offset_ + window_size_) map_window(size);
+  // A store into the shared mapping IS the spend-ahead discipline for
+  // process death: it lands in the page cache, where it outlives the
+  // process exactly as bytes handed to write(2) do, so after append_intent
+  // returns the whole record is the kernel's problem, not this process's.
+  // Power/kernel loss is covered only under kMediaDurable — the
+  // per-record barrier is a policy choice because it dominates the sale's
+  // latency on real disks.
+  std::memcpy(window_ + (end_offset_ - window_offset_), buffer_.data(), size);
+  end_offset_ += size;
   if (sync_mode_ == SyncMode::kMediaDurable) fsync_or_die(fd_, path_);
   ++records_appended_;
   bytes_appended_ += size;

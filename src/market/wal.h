@@ -25,6 +25,14 @@
 // to power/kernel loss (compaction always fsyncs around its rename
 // regardless of mode).
 //
+// The writer appends by copying each encoded record into a MAP_SHARED
+// window over the file's tail, kWindowBytes reserved at a time with
+// posix_fallocate, not by one write(2) per record.  A store into that
+// window is a store into the page cache, so it survives process death
+// exactly as bytes handed to write(2) do.  A process that dies leaves the
+// unfilled rest of its window as zero bytes after its last record; a
+// cleanly closed log is truncated to its last record.
+//
 // Wire format, version 2 (little-endian, one record after another):
 //
 //   offset  size  field
@@ -49,7 +57,9 @@
 // Readers stop at the first torn or corrupt record (bad magic/version/type,
 // CRC mismatch, short payload, a count the payload cannot hold): everything before it is trusted,
 // everything after is reported as truncated — the standard WAL contract
-// for a crash mid-append.  A log whose FIRST record carries the magic but
+// for a crash mid-append — unless it is all zero bytes.  Such a tail is
+// the unfilled window of a writer that died, not damage: no record starts
+// with a zero byte, because kMagic is not zero.  A log whose FIRST record carries the magic but
 // another format version is refused with an error naming that version,
 // and left untouched: reading it as a torn tail would recover (and
 // compaction would persist) an empty ledger, erasing the budget history.
@@ -74,6 +84,9 @@ inline constexpr std::uint8_t kMagic = 0x4C;
 inline constexpr std::uint8_t kFormatVersion = 2;
 inline constexpr std::size_t kHeaderSize = 16;  ///< bytes before the payload
 inline constexpr std::size_t kCrcSize = 4;      ///< bytes after it
+/// Bytes of the file the writer reserves and maps at a time; a record
+/// larger than this gets a window of its own size.
+inline constexpr std::size_t kWindowBytes = 256 * 1024;
 
 /// Strict decode failure (bad magic, unknown version, CRC mismatch,
 /// truncated payload).  read_wal() converts the first one into clean tail
@@ -143,8 +156,10 @@ struct RecoveryResult {
 };
 
 /// Parses the log at `path` (a missing file is an empty log), stopping
-/// cleanly at the first torn or corrupt record.  Pure read — applies
-/// nothing.  PRC_CHECKs that the log is in this build's format version.
+/// cleanly at the first torn or corrupt record.  A tail of zero bytes after
+/// the last whole record is unused space, not truncation.  Pure read —
+/// applies nothing.  PRC_CHECKs that the log is in this build's format
+/// version.
 RecoveryResult read_wal(const std::string& path);
 
 /// Folds a recovery into an EMPTY ledger, event by event: restore the
@@ -159,8 +174,9 @@ void apply_recovery(Ledger& ledger, const RecoveryResult& recovery);
 
 /// How durable each append is once the call returns.
 enum class SyncMode : std::uint8_t {
-  /// write(2) hands the whole record to the kernel, so it survives
-  /// process death — the crash class the chaos harness sweeps.  It does
+  /// The record is stored into the page cache through the shared window,
+  /// so it survives process death — the crash class the chaos harness
+  /// sweeps.  It does
   /// NOT survive power/kernel loss: the newest appends may evaporate
   /// with the page cache, and a lost *intent* whose answer already left
   /// the process is exactly the under-count the design forbids.  Use
@@ -171,17 +187,21 @@ enum class SyncMode : std::uint8_t {
   kMediaDurable,
 };
 
-/// Append-only writer.  Every append encodes and write(2)s under one
-/// lock, so the bytes the kernel holds after any append are a whole
-/// record — the truncate-at-corruption reader handles the remaining
-/// torn-write window (a crash inside the kernel/disk stack).
+/// Append-only writer.  Every append encodes and copies the record into
+/// the mapped window under one lock, so the page cache holds a whole
+/// record after any append — the truncate-at-corruption reader handles
+/// the remaining torn-write window (a crash mid-copy, or inside the
+/// kernel/disk stack).
 class WriteAheadLog {
  public:
   ~WriteAheadLog();
 
-  /// Opens `path` for appending, creating it when absent.
-  /// `next_sequence` continues the numbering of whatever the file already
-  /// holds (pass RecoveryResult::next_wal_sequence after a recovery).
+  /// Opens `path` for appending, creating it when absent.  Appends start
+  /// right after the last whole record, over any zero tail; a file with
+  /// non-zero bytes after its last whole record is refused (recover it
+  /// first).  `next_sequence` continues the numbering of whatever the
+  /// file already holds (pass RecoveryResult::next_wal_sequence after a
+  /// recovery).
   static std::unique_ptr<WriteAheadLog> open(
       const std::string& path, std::uint64_t next_sequence = 0,
       SyncMode sync_mode = SyncMode::kProcessDurable);
@@ -219,15 +239,24 @@ class WriteAheadLog {
  private:
   WriteAheadLog(std::string path, std::uint64_t next_sequence,
                 SyncMode sync_mode);
-  /// Encodes the record into buffer_ and write(2)s it.
+  /// Encodes the record into buffer_ and copies it into the window.
   void append_locked(std::uint64_t sequence, const AuditEvent& event,
                      const LedgerSnapshot& snapshot = {})
       PRC_REQUIRES(mutex_);
+  /// Replaces the window with one that starts at the page holding
+  /// end_offset_ and has room for `record_size` more bytes.
+  void map_window(std::size_t record_size) PRC_REQUIRES(mutex_);
 
   mutable std::mutex mutex_;
   std::string path_;
   SyncMode sync_mode_;
   int fd_ PRC_GUARDED_BY(mutex_) = -1;
+  /// File offset just past the last whole record: where the next one goes.
+  std::uint64_t end_offset_ PRC_GUARDED_BY(mutex_) = 0;
+  /// The shared mapping of file bytes [window_offset_, +window_size_).
+  std::uint8_t* window_ PRC_GUARDED_BY(mutex_) = nullptr;
+  std::uint64_t window_offset_ PRC_GUARDED_BY(mutex_) = 0;
+  std::size_t window_size_ PRC_GUARDED_BY(mutex_) = 0;
   std::uint64_t next_sequence_ PRC_GUARDED_BY(mutex_) = 0;
   std::uint64_t records_appended_ PRC_GUARDED_BY(mutex_) = 0;
   std::uint64_t bytes_appended_ PRC_GUARDED_BY(mutex_) = 0;

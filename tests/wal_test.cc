@@ -1,17 +1,23 @@
 // Wire-format coverage for the market write-ahead log: field-exhaustive
-// event round-trips, version gating, CRC rejection under bit flips, and the
-// truncate-at-corruption reader contract.
+// event round-trips, version gating, CRC rejection under bit flips, the
+// truncate-at-corruption reader contract, and the mapped writer's window
+// and zero tail.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
 #include <vector>
 
 #include "common/byte_codec.h"
+#include "common/check.h"
 #include "market/ledger.h"
 #include "market/wal.h"
 #include "support/ledger_sale.h"
@@ -29,6 +35,11 @@ void write_bytes(const std::string& path,
   ASSERT_TRUE(out.is_open());
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
+}
+
+std::vector<std::uint8_t> read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
 IntentRecord sample_intent() {
@@ -217,9 +228,7 @@ TEST(WalWriterTest, AppendsTheGoldenBytes) {
     log->append_checkpoint(sample_checkpoint());
     EXPECT_EQ(log->records_appended(), 3u);
   }
-  std::ifstream in(path, std::ios::binary);
-  const std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                        std::istreambuf_iterator<char>());
+  const auto bytes = read_bytes(path);
   EXPECT_EQ(to_hex(bytes), std::string(kGoldenIntent) +
                                kGoldenDegradedCommit + kGoldenCheckpoint);
   std::remove(path.c_str());
@@ -542,6 +551,194 @@ TEST(WalRecoveryTest, CompactionFoldsLogToOneCheckpoint) {
   EXPECT_DOUBLE_EQ(ledger2.total_revenue(), ledger.total_revenue());
   EXPECT_DOUBLE_EQ(ledger2.orphaned_epsilon().value(),
                    ledger.orphaned_epsilon().value());
+  std::remove(path.c_str());
+}
+
+// The writer maps the file's tail kWindowBytes at a time, so a writer that
+// dies leaves the unfilled rest of its window as zeros after its last
+// record.  That tail is unused space, not damage.
+
+TEST(WalReaderTest, ZeroTailAfterTheRecordsIsUnusedSpace) {
+  const auto path = temp_path("zero_tail.wal");
+  auto bytes = encode_intent(sample_intent(), 7);
+  const auto commit = encode_commit(sample_commit(), 8);
+  bytes.insert(bytes.end(), commit.begin(), commit.end());
+  const std::size_t records_size = bytes.size();
+  bytes.resize(records_size + 4096, 0);
+  write_bytes(path, bytes);
+
+  const auto result = read_wal(path);
+  EXPECT_EQ(result.stats.records_read, 2u);
+  EXPECT_EQ(result.stats.valid_bytes, records_size);
+  EXPECT_EQ(result.stats.truncated_bytes, 0u);
+  EXPECT_EQ(result.next_wal_sequence, 9u);
+  std::remove(path.c_str());
+}
+
+TEST(WalReaderTest, NonZeroByteAfterAZeroTailTruncatesTheRest) {
+  const auto path = temp_path("zero_tail_then_damage.wal");
+  auto bytes = encode_intent(sample_intent(), 7);
+  const std::size_t records_size = bytes.size();
+  bytes.resize(records_size + 100, 0);
+  bytes.push_back(0x01);
+  write_bytes(path, bytes);
+
+  const auto result = read_wal(path);
+  EXPECT_EQ(result.stats.records_read, 1u);
+  EXPECT_EQ(result.stats.valid_bytes, records_size);
+  EXPECT_EQ(result.stats.truncated_bytes, 101u);
+  std::remove(path.c_str());
+}
+
+TEST(WalReaderTest, FileOfOnlyZerosIsAnEmptyLog) {
+  const auto path = temp_path("only_zeros.wal");
+  write_bytes(path, std::vector<std::uint8_t>(kWindowBytes, 0));
+  const auto result = read_wal(path);
+  EXPECT_EQ(result.stats.records_read, 0u);
+  EXPECT_EQ(result.stats.valid_bytes, 0u);
+  EXPECT_EQ(result.stats.truncated_bytes, 0u);
+  EXPECT_EQ(result.next_wal_sequence, 0u);
+  std::remove(path.c_str());
+}
+
+TEST(WalWriterTest, AppendsAcrossWindowsReadBackByteIdentical) {
+  // Records straddle window boundaries: each one that does not fit moves
+  // the window on, and the bytes on disk are still the records' encodings
+  // back to back.
+  const auto path = temp_path("windows.wal");
+  std::remove(path.c_str());
+  std::vector<std::uint8_t> expected;
+  {
+    auto log = WriteAheadLog::open(path);
+    CommitRecord commit = sample_commit();
+    while (expected.size() <= 3 * kWindowBytes) {
+      IntentRecord intent = sample_intent();
+      intent.consumer_id += std::to_string(expected.size() % 97);
+      const std::uint64_t sequence = log->append_intent(intent);
+      const auto intent_bytes = encode_intent(intent, sequence);
+      expected.insert(expected.end(), intent_bytes.begin(),
+                      intent_bytes.end());
+      commit.intent_sequence = sequence;
+      log->append_commit(commit);
+      const auto commit_bytes = encode_commit(commit, sequence + 1);
+      expected.insert(expected.end(), commit_bytes.begin(),
+                      commit_bytes.end());
+      ++commit.transaction.sequence;
+    }
+    EXPECT_EQ(log->bytes_appended(), expected.size());
+  }
+  EXPECT_EQ(read_bytes(path), expected);
+  const auto result = read_wal(path);
+  EXPECT_EQ(result.stats.valid_bytes, expected.size());
+  EXPECT_EQ(result.stats.truncated_bytes, 0u);
+  std::remove(path.c_str());
+}
+
+TEST(WalWriterTest, CheckpointLargerThanAWindowGetsAWindowOfItsOwn) {
+  const auto path = temp_path("large_checkpoint.wal");
+  std::remove(path.c_str());
+  Checkpoint checkpoint = sample_checkpoint();
+  checkpoint.snapshot.consumers.clear();
+  for (int i = 0; i < 20000; ++i) {
+    checkpoint.snapshot.consumers.push_back(
+        {"consumer-" + std::to_string(i), 1.0 + i, 1e-4 * i});
+  }
+  const auto checkpoint_bytes =
+      encode_record(1, checkpoint.event, checkpoint.snapshot);
+  ASSERT_GT(checkpoint_bytes.size(), kWindowBytes);
+  {
+    // An intent first, so the checkpoint starts mid-page; another after
+    // it, in the window that follows.
+    auto log = WriteAheadLog::open(path);
+    log->append_intent(sample_intent());
+    log->append_checkpoint(checkpoint);
+    log->append_intent(sample_intent());
+  }
+  auto expected = encode_intent(sample_intent(), 0);
+  expected.insert(expected.end(), checkpoint_bytes.begin(),
+                  checkpoint_bytes.end());
+  const auto last = encode_intent(sample_intent(), 2);
+  expected.insert(expected.end(), last.begin(), last.end());
+  EXPECT_EQ(read_bytes(path), expected);
+  const auto result = read_wal(path);
+  EXPECT_EQ(result.stats.records_read, 3u);
+  EXPECT_EQ(result.stats.checkpoints_seen, 1u);
+  EXPECT_EQ(result.base.snapshot.consumers.size(), 20000u);
+  std::remove(path.c_str());
+}
+
+TEST(WalWriterTest, CleanCloseTruncatesTheReservedTail) {
+  const auto path = temp_path("clean_close.wal");
+  std::remove(path.c_str());
+  std::uint64_t appended = 0;
+  {
+    auto log = WriteAheadLog::open(path);
+    log->append_intent(sample_intent());
+    log->append_checkpoint(sample_checkpoint());
+    appended = log->bytes_appended();
+    // While the log is open, its window is reserved past the records.
+    EXPECT_EQ(std::filesystem::file_size(path), kWindowBytes);
+  }
+  EXPECT_EQ(std::filesystem::file_size(path), appended);
+  std::remove(path.c_str());
+}
+
+TEST(WalWriterTest, ProcessDeathLeavesAZeroTailThatOpenAppendsOver) {
+  // One child appends K records and dies without running a destructor, so
+  // its window is never truncated: the records are in the page cache and
+  // the rest of the window is zeros.
+  constexpr std::uint64_t kRecords = 50;
+  const auto path = temp_path("process_death.wal");
+  std::remove(path.c_str());
+  const ::pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    try {
+      auto log = WriteAheadLog::open(path);
+      for (std::uint64_t i = 0; i < kRecords; ++i) {
+        log->append_intent(sample_intent());
+      }
+      std::_Exit(0);
+    } catch (...) {
+      std::_Exit(1);
+    }
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 0);
+
+  const auto after_death = read_wal(path);
+  EXPECT_EQ(after_death.stats.records_read, kRecords);
+  EXPECT_EQ(after_death.stats.truncated_bytes, 0u);
+  EXPECT_EQ(after_death.stats.orphaned_intents, kRecords);
+  EXPECT_GT(std::filesystem::file_size(path), after_death.stats.valid_bytes);
+
+  // open() appends right after the last record, not after the zero tail
+  // (the reader would stop at that gap and never see the new record).
+  {
+    auto log =
+        WriteAheadLog::open(path, after_death.next_wal_sequence);
+    log->append_intent(sample_intent());
+  }
+  const auto resumed = read_wal(path);
+  EXPECT_EQ(resumed.stats.records_read, kRecords + 1);
+  EXPECT_EQ(resumed.stats.truncated_bytes, 0u);
+  EXPECT_EQ(resumed.next_wal_sequence, kRecords + 1);
+  EXPECT_EQ(std::filesystem::file_size(path), resumed.stats.valid_bytes);
+  std::remove(path.c_str());
+}
+
+TEST(WalWriterTest, OpenRefusesDamageAfterTheLastRecord) {
+  // Appending after damaged bytes would hide every new record behind
+  // them; the log must be recovered (and so compacted) first.
+  const auto path = temp_path("damaged_tail.wal");
+  auto bytes = encode_intent(sample_intent(), 0);
+  const auto torn = encode_intent(sample_intent(), 1);
+  bytes.insert(bytes.end(), torn.begin(), torn.end() - 5);
+  write_bytes(path, bytes);
+  EXPECT_THROW(WriteAheadLog::open(path, 1), ContractViolation);
+  EXPECT_EQ(read_bytes(path), bytes);  // refused untouched
   std::remove(path.c_str());
 }
 
