@@ -1,10 +1,10 @@
 // google-benchmark micro-benchmarks of the hot paths: per-node estimation,
 // global estimation, batched multi-query estimation, sampling top-up, the
 // perturbation optimizer, the plan cache's miss-put-evict cycle, the attack
-// search and the quote histogram's batch record, one whole cached sale, the
-// station's estimate after an arrival, a sale's WAL append, a full sample
-// report's encode, Laplace draws, CSV parsing and the (retired) per-ingest
-// rank audit.
+// search and the quote histogram's batch record, one whole cached sale, one
+// refused sale, the station's estimate after an arrival, a sale's WAL
+// append, a full sample report's encode, Laplace draws, CSV parsing and the
+// (retired) per-ingest rank audit.
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
@@ -325,6 +325,51 @@ void BM_CachedSale(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CachedSale)->Arg(128)->Arg(4096)->Iterations(1 << 16);
+
+// One refused sale: a consumer who has spent two thirds of the cap asks
+// for the same contract again, so the projected plan no longer fits and
+// the broker refuses before any answer is drawn (bespoke_contracts'
+// attackers run into the cap this way).  Arg 0 goes through sell() and
+// catches the BudgetExceededError; arg 1 takes the Refusal that try_sell()
+// returns.
+void BM_RefusedSale(benchmark::State& state) {
+  constexpr std::size_t kRecords = 20000;
+  constexpr std::size_t kNodes = 8;
+  parallel::set_thread_count(1);
+  Rng rng(47);
+  iot::FlatNetwork network(data::partition_values(
+      make_values(kRecords), kNodes, data::PartitionStrategy::kRoundRobin,
+      rng));
+  dp::PrivateRangeCounter counter(network);
+  const pricing::VarianceModel model(kRecords, kNodes);
+  const query::AccuracySpec spec{0.05, 0.75};
+  market::BrokerConfig config;
+  config.per_consumer_epsilon_cap =
+      1.5 * counter.plan_for(spec).epsilon_amplified;
+  market::DataBroker broker(
+      counter,
+      std::make_unique<pricing::InverseVariancePricing>(
+          model, query::AccuracySpec{0.1, 0.5}, 100.0, 1.0),
+      config);
+  const query::RangeQuery range{20.0, 80.0};
+  broker.sell("consumer", range, spec);
+  const bool by_value = state.range(0) == 1;
+  benchmark::IterationCount refused = 0;
+  for (auto _ : state) {
+    if (by_value) {
+      const auto outcome = broker.try_sell("consumer", range, spec);
+      refused += outcome.sold() ? 0 : 1;
+    } else {
+      try {
+        benchmark::DoNotOptimize(broker.sell("consumer", range, spec));
+      } catch (const market::BudgetExceededError&) {
+        ++refused;
+      }
+    }
+  }
+  if (refused != state.iterations()) state.SkipWithError("a sale went through");
+}
+BENCHMARK(BM_RefusedSale)->Arg(0)->Arg(1);
 
 void BM_SamplerTopUp(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -1,8 +1,11 @@
 #include "market/broker.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <limits>
 #include <optional>
+#include <system_error>
 #include <utility>
 
 #include "common/check.h"
@@ -27,7 +30,88 @@ std::unique_ptr<pricing::PricingFunction> require_pricing(
   return pricing;
 }
 
+// Appends `value` as std::to_string(double) prints it ("%f": fixed, six
+// decimals, "inf"/"nan" spelled out) without going through vsnprintf.  The
+// widest finite double has 309 integer digits; with a sign, the point and
+// six decimals that is 317 characters.
+void append_fixed(std::string& out, double value) {
+  char digits[std::numeric_limits<double>::max_exponent10 + 10];
+  const auto result = std::to_chars(digits, digits + sizeof digits, value,
+                                    std::chars_format::fixed, 6);
+  PRC_CHECK(result.ec == std::errc()) << "refusal text overflowed its buffer";
+  out.append(digits, result.ptr);
+}
+
+// BudgetExceededError's text.
+std::string budget_exceeded_message(const std::string& consumer,
+                                    units::EffectiveEpsilon spent,
+                                    units::EffectiveEpsilon cap) {
+  std::string text = "privacy budget exceeded for '";
+  text += consumer;
+  text += "': spent ";
+  append_fixed(text, spent.value());
+  text += " of ";
+  append_fixed(text, cap.value());
+  return text;
+}
+
+// The audit detail of each refusal kind (AuditEvent::detail of its
+// kRefusal).
+const char* refusal_reason(RefusalKind kind) {
+  switch (kind) {
+    case RefusalKind::kAtCap:
+      return "consumer already at the per-consumer epsilon cap";
+    case RefusalKind::kProjectedOverCap:
+      return "projected plan does not fit under the epsilon cap";
+    case RefusalKind::kFinalPlanOverCap:
+      return "final plan exceeds reservation and the cap refused the "
+             "extension";
+    case RefusalKind::kCoverageFloor:
+      return "cache coverage below the broker floor";
+    case RefusalKind::kCoveragePolicy:
+      return "coverage cannot support the contract; policy is refuse";
+    case RefusalKind::kDegradedBelowFloor:
+      return "degraded coverage below the broker floor";
+    case RefusalKind::kRepricingImpossible:
+      return "repricing impossible: some node never reported";
+  }
+  return "refused";
+}
+
+// Thrown by the mint barrier to stop PrivateRangeCounter::answer before any
+// noise is drawn; the refusal itself travels back by value.
+struct MintRefused {};
+
+// The sell() boundary's throw.  Its frame holds no object with a
+// destructor: each message is built inside the exception's constructor.
+[[noreturn]] void throw_refusal(const std::string& consumer_id,
+                                const Refusal& refusal) {
+  if (refusal.budget()) {
+    throw BudgetExceededError(consumer_id, refusal.spent, refusal.cap);
+  }
+  throw InsufficientCoverageError(refusal.text, refusal.coverage);
+}
+
 }  // namespace
+
+std::string coverage_floor_message(double coverage, double floor) {
+  std::string text = "coverage ";
+  append_fixed(text, coverage);
+  text += " below the broker floor ";
+  append_fixed(text, floor);
+  return text;
+}
+
+BudgetExceededError::BudgetExceededError(const std::string& consumer,
+                                         units::EffectiveEpsilon spent,
+                                         units::EffectiveEpsilon cap)
+    : std::runtime_error(budget_exceeded_message(consumer, spent, cap)),
+      spent_(spent),
+      cap_(cap) {}
+
+std::string Refusal::message(const std::string& consumer_id) const {
+  return budget() ? budget_exceeded_message(consumer_id, spent, cap) : text;
+}
 
 DataBroker::DataBroker(dp::PrivateRangeCounter& counter,
                        std::unique_ptr<pricing::PricingFunction> pricing,
@@ -51,36 +135,30 @@ double DataBroker::quote(const query::AccuracySpec& spec) const {
   return price;
 }
 
-void DataBroker::refuse_budget(const std::string& consumer_id,
-                               const query::RangeQuery& range,
-                               const query::AccuracySpec& spec,
-                               units::EffectiveEpsilon attempted,
-                               std::string reason) {
-  static telemetry::Counter& refusals =
-      telemetry::counter("market.refusals_budget");
-  refusals.increment();
-  ledger_.refuse(consumer_id, range, spec, attempted, std::move(reason));
-  throw BudgetExceededError(
-      consumer_id, ledger_.consumer_epsilon(consumer_id) + attempted,
-      config_.per_consumer_epsilon_cap);
-}
-
-void DataBroker::refuse_coverage(const std::string& consumer_id,
-                                 const query::RangeQuery& range,
-                                 const query::AccuracySpec& spec,
-                                 units::EffectiveEpsilon attempted,
-                                 std::string reason, const std::string& what,
-                                 const iot::CoverageSummary& coverage) {
-  static telemetry::Counter& refusals =
-      telemetry::counter("market.refusals_coverage");
-  refusals.increment();
-  ledger_.refuse(consumer_id, range, spec, attempted, std::move(reason));
-  throw InsufficientCoverageError(what, coverage);
-}
-
-std::string DataBroker::below_floor(double coverage) const {
-  return "coverage " + std::to_string(coverage) + " below the broker floor " +
-         std::to_string(config_.min_coverage);
+Refusal DataBroker::refuse(RefusalKind kind, const std::string& consumer_id,
+                           const query::RangeQuery& range,
+                           const query::AccuracySpec& spec,
+                           units::EffectiveEpsilon attempted,
+                           const iot::CoverageSummary& coverage,
+                           std::string text) {
+  Refusal refusal;
+  refusal.kind = kind;
+  if (refusal.budget()) {
+    static telemetry::Counter& refusals =
+        telemetry::counter("market.refusals_budget");
+    refusals.increment();
+  } else {
+    static telemetry::Counter& refusals =
+        telemetry::counter("market.refusals_coverage");
+    refusals.increment();
+  }
+  ledger_.refuse(consumer_id, range, spec, attempted, refusal_reason(kind));
+  refusal.attempted = attempted;
+  refusal.spent = ledger_.consumer_epsilon(consumer_id) + attempted;
+  refusal.cap = config_.per_consumer_epsilon_cap;
+  refusal.coverage = coverage;
+  refusal.text = std::move(text);
+  return refusal;
 }
 
 units::EffectiveEpsilon DataBroker::remaining_budget(
@@ -145,10 +223,13 @@ wal::RecoveryStats DataBroker::recover_and_attach_wal(
   return recovery.stats;
 }
 
-dp::PrivateAnswer DataBroker::mint_answer_with_intent(
-    const std::string& consumer_id, const query::RangeQuery& range,
-    const query::AccuracySpec& spec, Ledger::Reservation& reservation,
-    std::uint64_t& intent_sequence) {
+bool DataBroker::mint_answer_with_intent(const std::string& consumer_id,
+                                         const query::RangeQuery& range,
+                                         const query::AccuracySpec& spec,
+                                         Ledger::Reservation& reservation,
+                                         std::uint64_t& intent_sequence,
+                                         dp::PrivateAnswer& answer,
+                                         Refusal& refusal) {
   const auto barrier = [&](const dp::PerturbationPlan& plan) {
     // The reservation admitted a PROJECTED plan; the barrier sees the one
     // the mechanism will actually charge.  When the true epsilon' is
@@ -161,9 +242,9 @@ dp::PrivateAnswer DataBroker::mint_answer_with_intent(
           plan.epsilon_amplified.value() - reservation.epsilon().value();
       if (!ledger_.try_extend(reservation, shortfall,
                               config_.per_consumer_epsilon_cap)) {
-        refuse_budget(consumer_id, range, spec, plan.epsilon_amplified,
-                      "final plan exceeds reservation and the cap refused "
-                      "the extension");
+        refusal = refuse(RefusalKind::kFinalPlanOverCap, consumer_id, range,
+                         spec, plan.epsilon_amplified);
+        throw MintRefused{};
       }
     }
     PRC_CRASH_POINT("wal.pre_intent");
@@ -184,7 +265,12 @@ dp::PrivateAnswer DataBroker::mint_answer_with_intent(
     // would break the pricing model's composition accounting.
     PRC_CRASH_POINT("wal.post_intent");
   };
-  return counter_.answer(range, spec, barrier);
+  try {
+    answer = counter_.answer(range, spec, barrier);
+  } catch (const MintRefused&) {
+    return false;
+  }
+  return true;
 }
 
 bool DataBroker::checkpoint_due() {
@@ -196,7 +282,7 @@ bool DataBroker::checkpoint_due() {
   return true;
 }
 
-PurchaseReceipt DataBroker::sell(const std::string& consumer_id,
+SaleOutcome DataBroker::try_sell(const std::string& consumer_id,
                                  const query::RangeQuery& range,
                                  const query::AccuracySpec& spec) {
   static telemetry::Counter& sale_attempts =
@@ -223,19 +309,18 @@ PurchaseReceipt DataBroker::sell(const std::string& consumer_id,
   // admission check.
   if (ledger_.consumer_epsilon(consumer_id) >=
       config_.per_consumer_epsilon_cap) {
-    refuse_budget(consumer_id, range, spec, 0.0,
-                  "consumer already at the per-consumer epsilon cap");
+    return refuse(RefusalKind::kAtCap, consumer_id, range, spec, 0.0);
   }
   const auto projected = counter_.plan_for(spec);
-  // Holding the projected epsilon' until commit (or unwinding) closes the
+  // Holding the projected epsilon' until commit (or return) closes the
   // check/record race: two concurrent sales can no longer both clear the
   // cap on the strength of the same unspent headroom.
   auto reservation =
       ledger_.try_reserve(consumer_id, projected.epsilon_amplified,
                           config_.per_consumer_epsilon_cap, range, spec);
   if (!reservation.has_value()) {
-    refuse_budget(consumer_id, range, spec, projected.epsilon_amplified,
-                  "projected plan does not fit under the epsilon cap");
+    return refuse(RefusalKind::kProjectedOverCap, consumer_id, range, spec,
+                  projected.epsilon_amplified);
   }
 
   // The coverage floor is checked against the current cache BEFORE any
@@ -244,9 +329,10 @@ PurchaseReceipt DataBroker::sell(const std::string& consumer_id,
   {
     const auto cov = counter_.network().base_station().view()->coverage;
     if (cov.target_p > 0.0 && cov.coverage < config_.min_coverage) {
-      refuse_coverage(consumer_id, range, spec, reservation->epsilon(),
-                      "cache coverage below the broker floor",
-                      below_floor(cov.coverage), cov);
+      return refuse(RefusalKind::kCoverageFloor, consumer_id, range, spec,
+                    reservation->epsilon(), cov,
+                    coverage_floor_message(cov.coverage,
+                                           config_.min_coverage));
     }
   }
 
@@ -254,36 +340,38 @@ PurchaseReceipt DataBroker::sell(const std::string& consumer_id,
   bool degraded = false;
   dp::PrivateAnswer answer;
   std::uint64_t intent_sequence = 0;
+  Refusal refusal;
+  bool minted = false;
   try {
-    answer = mint_answer_with_intent(consumer_id, range, spec, *reservation,
-                                     intent_sequence);
+    minted = mint_answer_with_intent(consumer_id, range, spec, *reservation,
+                                     intent_sequence, answer, refusal);
   } catch (const dp::CoverageError& err) {
     // ensure_feasible_plan failed before any noise was drawn: nothing has
     // been released yet, so refusing here spends no budget.
     if (config_.degraded_policy == DegradedSalePolicy::kRefuse) {
-      refuse_coverage(consumer_id, range, spec, reservation->epsilon(),
-                      "coverage cannot support the contract; policy is "
-                      "refuse",
-                      std::string("sale refused: ") + err.what(),
-                      err.coverage());
+      return refuse(RefusalKind::kCoveragePolicy, consumer_id, range, spec,
+                    reservation->epsilon(), err.coverage(),
+                    std::string("sale refused: ") + err.what());
     }
     if (err.coverage().coverage < config_.min_coverage) {
-      refuse_coverage(consumer_id, range, spec, reservation->epsilon(),
-                      "degraded coverage below the broker floor",
-                      below_floor(err.coverage().coverage), err.coverage());
+      return refuse(RefusalKind::kDegradedBelowFloor, consumer_id, range,
+                    spec, reservation->epsilon(), err.coverage(),
+                    coverage_floor_message(err.coverage().coverage,
+                                           config_.min_coverage));
     }
     try {
       sold_spec = counter_.degraded_spec(spec);
     } catch (const dp::CoverageError& inner) {
-      refuse_coverage(consumer_id, range, spec, reservation->epsilon(),
-                      "repricing impossible: some node never reported",
-                      std::string("repricing impossible: ") + inner.what(),
-                      inner.coverage());
+      return refuse(RefusalKind::kRepricingImpossible, consumer_id, range,
+                    spec, reservation->epsilon(), inner.coverage(),
+                    std::string("repricing impossible: ") + inner.what());
     }
     degraded = true;
-    answer = mint_answer_with_intent(consumer_id, range, sold_spec,
-                                     *reservation, intent_sequence);
+    minted = mint_answer_with_intent(consumer_id, range, sold_spec,
+                                     *reservation, intent_sequence, answer,
+                                     refusal);
   }
+  if (!minted) return refusal;
 
   PurchaseReceipt receipt;
   receipt.value = answer.value;
@@ -348,6 +436,14 @@ PurchaseReceipt DataBroker::sell(const std::string& consumer_id,
   revenue_total.set(ledger_.total_revenue());
   epsilon_spent_total.set(ledger_.total_epsilon());
   return receipt;
+}
+
+PurchaseReceipt DataBroker::sell(const std::string& consumer_id,
+                                 const query::RangeQuery& range,
+                                 const query::AccuracySpec& spec) {
+  SaleOutcome outcome = try_sell(consumer_id, range, spec);
+  if (!outcome.sold()) throw_refusal(consumer_id, outcome.refusal());
+  return std::move(outcome).receipt();
 }
 
 }  // namespace prc::market

@@ -13,6 +13,8 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <variant>
 
 #include "dp/private_counting.h"
 #include "market/ledger.h"
@@ -30,12 +32,7 @@ namespace prc::market {
 class BudgetExceededError : public std::runtime_error {
  public:
   BudgetExceededError(const std::string& consumer, units::EffectiveEpsilon spent,
-                      units::EffectiveEpsilon cap)
-      : std::runtime_error("privacy budget exceeded for '" + consumer +
-                           "': spent " + std::to_string(spent.value()) +
-                           " of " + std::to_string(cap.value())),
-        spent_(spent),
-        cap_(cap) {}
+                      units::EffectiveEpsilon cap);
 
   units::EffectiveEpsilon spent() const noexcept { return spent_; }
   units::EffectiveEpsilon cap() const noexcept { return cap_; }
@@ -44,6 +41,10 @@ class BudgetExceededError : public std::runtime_error {
   units::EffectiveEpsilon spent_;
   units::EffectiveEpsilon cap_;
 };
+
+/// A coverage-floor refusal's text: "coverage <coverage> below the broker
+/// floor <floor>", each number as std::to_string prints it.
+std::string coverage_floor_message(double coverage, double floor);
 
 /// What the broker does when degraded collection cannot support the
 /// requested contract.
@@ -105,6 +106,72 @@ struct PurchaseReceipt {
   double coverage = 1.0;
 };
 
+/// Why DataBroker::try_sell refused a sale.  Every refusal happens before
+/// any noise is drawn, so none spends budget.
+enum class RefusalKind {
+  /// Budget: the consumer's recorded epsilon' already reaches the cap.
+  kAtCap,
+  /// Budget: the projected plan's epsilon' does not fit under the cap.
+  kProjectedOverCap,
+  /// Budget, at the mint barrier: the final plan's epsilon' exceeds the
+  /// reservation and the cap refused to extend it.
+  kFinalPlanOverCap,
+  /// Coverage: the cache's coverage is below BrokerConfig::min_coverage.
+  kCoverageFloor,
+  /// Coverage: the cache cannot support the contract and the policy is
+  /// DegradedSalePolicy::kRefuse.
+  kCoveragePolicy,
+  /// Coverage, under kReprice: the degraded coverage is below the floor.
+  kDegradedBelowFloor,
+  /// Coverage, under kReprice: no widening helps, some node never reported.
+  kRepricingImpossible,
+};
+
+/// A refused sale, as DataBroker::try_sell returns it.
+struct Refusal {
+  RefusalKind kind = RefusalKind::kAtCap;
+  /// The epsilon' the sale would have cost: recorded, never spent.
+  units::EffectiveEpsilon attempted = 0.0;
+  /// The consumer's epsilon' had the sale gone through (recorded spend plus
+  /// `attempted`), as BudgetExceededError::spent() reports it.
+  units::EffectiveEpsilon spent = 0.0;
+  units::EffectiveEpsilon cap = 0.0;
+  /// The coverage a coverage refusal read; all zero for a budget refusal.
+  iot::CoverageSummary coverage;
+  /// A coverage refusal's text (InsufficientCoverageError::what()); empty
+  /// for a budget refusal, whose text message() formats from the numbers.
+  std::string text;
+
+  /// kAtCap, kProjectedOverCap or kFinalPlanOverCap.
+  bool budget() const noexcept {
+    return kind == RefusalKind::kAtCap ||
+           kind == RefusalKind::kProjectedOverCap ||
+           kind == RefusalKind::kFinalPlanOverCap;
+  }
+  /// The what() text of the exception DataBroker::sell throws for it.
+  std::string message(const std::string& consumer_id) const;
+};
+
+/// DataBroker::try_sell's result: the receipt of a sale, or its refusal.
+class SaleOutcome {
+ public:
+  SaleOutcome(PurchaseReceipt receipt) : value_(std::move(receipt)) {}
+  SaleOutcome(Refusal refusal) : value_(std::move(refusal)) {}
+
+  bool sold() const noexcept { return value_.index() == 0; }
+  /// Each throws std::bad_variant_access when the outcome is the other one.
+  const PurchaseReceipt& receipt() const& {
+    return std::get<PurchaseReceipt>(value_);
+  }
+  PurchaseReceipt&& receipt() && {
+    return std::get<PurchaseReceipt>(std::move(value_));
+  }
+  const Refusal& refusal() const { return std::get<Refusal>(value_); }
+
+ private:
+  std::variant<PurchaseReceipt, Refusal> value_;
+};
+
 class DataBroker {
  public:
   /// `counter` must outlive the broker.  The broker takes ownership of the
@@ -117,11 +184,20 @@ class DataBroker {
   double quote(const query::AccuracySpec& spec) const;
 
   /// Serves a request: computes the private answer, charges, records.
-  /// Throws BudgetExceededError when the sale would push the consumer past
-  /// the per-consumer epsilon cap, and InsufficientCoverageError when
-  /// degraded collection cannot support the contract and the policy forbids
-  /// (or coverage is too low for) repricing.  In both refusal cases the
-  /// answer is NOT computed, so no budget is spent.
+  /// Returns a Refusal, with nothing spent and the answer NOT computed,
+  /// when the sale would push the consumer past the per-consumer epsilon
+  /// cap, or when degraded collection cannot support the contract and the
+  /// policy forbids (or coverage is too low for) repricing.  Each refusal
+  /// appends one kRefusal event and bumps `market.refusals_budget` or
+  /// `market.refusals_coverage`.
+  SaleOutcome try_sell(const std::string& consumer_id,
+                       const query::RangeQuery& range,
+                       const query::AccuracySpec& spec);
+
+  /// try_sell for callers that treat a refusal as an error: the one
+  /// throwing boundary of the sell path.  A budget refusal throws
+  /// BudgetExceededError and a coverage refusal InsufficientCoverageError,
+  /// with Refusal::message() as what().
   PurchaseReceipt sell(const std::string& consumer_id,
                        const query::RangeQuery& range,
                        const query::AccuracySpec& spec);
@@ -180,12 +256,14 @@ class DataBroker {
   /// (extending `reservation`, or refusing before any noise is drawn) and
   /// flushes the WAL intent record carrying that epsilon', reporting the
   /// intent's wal sequence through `intent_sequence` for the matching
-  /// commit record.
-  dp::PrivateAnswer mint_answer_with_intent(const std::string& consumer_id,
-                                            const query::RangeQuery& range,
-                                            const query::AccuracySpec& spec,
-                                            Ledger::Reservation& reservation,
-                                            std::uint64_t& intent_sequence);
+  /// commit record.  Returns false, with `refusal` set, when the cap
+  /// refused the extension; dp::CoverageError passes through.
+  bool mint_answer_with_intent(const std::string& consumer_id,
+                               const query::RangeQuery& range,
+                               const query::AccuracySpec& spec,
+                               Ledger::Reservation& reservation,
+                               std::uint64_t& intent_sequence,
+                               dp::PrivateAnswer& answer, Refusal& refusal);
   /// Counts a commit toward the checkpoint cadence; true when this commit
   /// should take the periodic WAL checkpoint.
   bool checkpoint_due();
@@ -194,24 +272,16 @@ class DataBroker {
                              : wal::SyncMode::kProcessDurable;
   }
 
-  /// Every refusal exit of sell() goes through one of these: each records
-  /// the kRefusal in the ledger, bumps the matching refusal counter and
-  /// throws, so the audit timeline and the metrics can never disagree
-  /// about why a sale died.  `attempted` is recorded, not spent.
-  [[noreturn]] void refuse_budget(const std::string& consumer_id,
-                                  const query::RangeQuery& range,
-                                  const query::AccuracySpec& spec,
-                                  units::EffectiveEpsilon attempted,
-                                  std::string reason);
-  [[noreturn]] void refuse_coverage(const std::string& consumer_id,
-                                    const query::RangeQuery& range,
-                                    const query::AccuracySpec& spec,
-                                    units::EffectiveEpsilon attempted,
-                                    std::string reason,
-                                    const std::string& what,
-                                    const iot::CoverageSummary& coverage);
-  /// "coverage X below the broker floor Y".
-  std::string below_floor(double coverage) const;
+  /// Every refusal exit of try_sell() goes through this: it records the
+  /// kRefusal in the ledger and bumps the matching refusal counter, so the
+  /// audit timeline and the metrics can never disagree about why a sale
+  /// died.  `attempted` is recorded, not spent.
+  Refusal refuse(RefusalKind kind, const std::string& consumer_id,
+                 const query::RangeQuery& range,
+                 const query::AccuracySpec& spec,
+                 units::EffectiveEpsilon attempted,
+                 const iot::CoverageSummary& coverage = {},
+                 std::string text = {});
 
   dp::PrivateRangeCounter& counter_;
   std::unique_ptr<pricing::PricingFunction> pricing_;

@@ -517,17 +517,17 @@ int cmd_session(int argc, char** argv) {
   std::size_t completed = 0;
   for (std::size_t i = 0; i < sales; ++i) {
     const std::string consumer = "consumer-" + std::to_string(i);
-    try {
-      const auto receipt = broker.sell(consumer, range, spec);
-      ++completed;
-      std::cout << "sale " << receipt.transaction_id << " " << consumer
-                << " value " << receipt.value << " price " << receipt.price
-                << (receipt.degraded ? " (degraded)" : "") << "\n";
-    } catch (const market::BudgetExceededError& e) {
-      std::cout << "sale refused (" << consumer << "): " << e.what() << "\n";
-    } catch (const market::InsufficientCoverageError& e) {
-      std::cout << "sale refused (" << consumer << "): " << e.what() << "\n";
+    const auto outcome = broker.try_sell(consumer, range, spec);
+    if (!outcome.sold()) {
+      std::cout << "sale refused (" << consumer
+                << "): " << outcome.refusal().message(consumer) << "\n";
+      continue;
     }
+    const auto& receipt = outcome.receipt();
+    ++completed;
+    std::cout << "sale " << receipt.transaction_id << " " << consumer
+              << " value " << receipt.value << " price " << receipt.price
+              << (receipt.degraded ? " (degraded)" : "") << "\n";
   }
   std::cout << "completed_sales " << completed << "/" << sales << "\n"
             << "revenue " << broker.ledger().total_revenue() << "\n"
