@@ -386,7 +386,7 @@ BENCHMARK(BM_SamplerTopUp)->Arg(1000)->Arg(10000);
 
 // Raw exhaustive-grid search cost as a function of grid size (cache off so
 // every iteration pays the full sweep).  This is what the planner cost was
-// before the coarse-to-fine strategy; compare with BM_OptimizeColdVsWarm.
+// before the continuous search; compare with BM_OptimizeColdVsWarm.
 void BM_Optimizer(benchmark::State& state) {
   const dp::PerturbationOptimizer optimizer(
       {.grid_points = static_cast<std::size_t>(state.range(0)),
@@ -400,7 +400,7 @@ void BM_Optimizer(benchmark::State& state) {
 BENCHMARK(BM_Optimizer)->Arg(64)->Arg(512)->Arg(4096);
 
 // The production planner, cold vs warm: arg 0 prices a fresh optimizer per
-// spec batch (every call is a coarse-to-fine search), arg 1 reuses one
+// spec batch (every call is a root-finding search), arg 1 reuses one
 // optimizer so every call after the first batch is a plan-cache hit.
 void BM_OptimizeColdVsWarm(benchmark::State& state) {
   const bool warm = state.range(0) != 0;
@@ -422,6 +422,32 @@ void BM_OptimizeColdVsWarm(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OptimizeColdVsWarm)->Arg(0)->Arg(1);
+
+// One fresh contract per call, as bespoke_contracts' buyers and attackers
+// draw them: (alpha, delta) from its box over 8 nodes and 17568 readings,
+// plan cache off, so every call is a full search.  The
+// evaluations_per_search counter (dp.grid_evaluations per call) is the
+// work measure; it does not depend on how finely the host's clock ticks.
+void BM_OptimizeFreshContract(benchmark::State& state) {
+  const dp::PerturbationOptimizer optimizer({.plan_cache_capacity = 0});
+  std::vector<query::AccuracySpec> specs(256);
+  Rng rng(43);
+  for (auto& spec : specs) {
+    spec.alpha = rng.uniform(0.03, 0.25);
+    spec.delta = rng.uniform(0.4, 0.9);
+  }
+  auto& evaluations = telemetry::counter("dp.grid_evaluations");
+  const auto before = evaluations.value();
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(optimizer.optimize(specs[next], 0.4, 8, 17568));
+    next = (next + 1) % specs.size();
+  }
+  state.counters["evaluations_per_search"] = benchmark::Counter(
+      static_cast<double>(evaluations.value() - before),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_OptimizeFreshContract);
 
 // One Example 4.1 attack search: a single pass over the (alpha, delta)
 // lattice that quotes each admissible cell once, at its smallest admissible

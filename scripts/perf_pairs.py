@@ -4,7 +4,7 @@
 Run from the root of a checkout of the repository:
 
     python3 scripts/perf_pairs.py --parent HEAD~1 --change HEAD \\
-        --out BENCH_<n>.json
+        --out BENCH_<n>.json [--declare DECLARED.json]
 
 Both sides must be commits of this checkout.  The script checks them out as
 detached git worktrees under build/perf_pairs/{parent,change}, each with its
@@ -30,6 +30,15 @@ of a pair, when the change fails a larger share of its attempted operations
 than the parent, or when a run fails its correctness checks.  The worktrees
 are removed when the runs end.  `validate()` is the schema check that
 scripts/test_perf_pairs.py applies to every committed file.
+
+A change that moves a counter-derived metric on purpose declares it with
+`--declare FILE`: a JSON list of {"workload", "seed", "metric", "parent",
+"change", "why"} objects, one per moved value.  A declared metric passes
+only when every parent run equals the declared parent value and every
+change run the declared change value; every other counter-derived metric
+must still be equal on both sides.  The declarations are written into the
+output file under "declared", and `validate()` accepts a moved metric only
+when the file declares it.
 """
 
 import argparse
@@ -41,10 +50,10 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SCHEMA = "perf_pairs/3"
+SCHEMA = "perf_pairs/4"
 #: Schemas validate() accepts; files written before perf_pairs/3 have no
-#: diagnostics.
-SCHEMAS = ("perf_pairs/2", SCHEMA)
+#: diagnostics, and files written before perf_pairs/4 declare no moves.
+SCHEMAS = ("perf_pairs/2", "perf_pairs/3", SCHEMA)
 SIDES = ("parent", "change")
 SEEDS = (1, 2)
 PAIRS = 10
@@ -52,6 +61,8 @@ DETERMINISTIC = ("uplink_bytes_per_purchase", "epsilon_per_purchase",
                  "sold_share")
 STAT_FIELDS = ("n", "median", "p05", "p95", "iqr", "min", "max")
 OPERATION_FIELDS = ("attempted", "failed")
+DECLARATION_FIELDS = ("workload", "seed", "metric", "parent", "change",
+                      "why")
 #: Per-run diagnostics parsed from broker_bench's output, by the pattern
 #: that captures each one.
 DIAGNOSTICS = {
@@ -111,16 +122,42 @@ def side_summary(pairs, field, name):
     }
 
 
-def summarize(pairs, metrics):
+def counter_problem(name, runs, declared):
+    """Why the two sides' runs of counter-derived metric `name` fail, or
+    None.  `declared` maps metric names to their declaration, if any."""
+    parent, change = runs["parent"], runs["change"]
+    declaration = declared.get(name)
+    if declaration is None:
+        if parent != change:
+            return (f"{name} differs: parent {parent}, change {change}")
+        return None
+    for side in SIDES:
+        if any(value != declaration[side] for value in runs[side]):
+            return (f"{name} {side} runs {runs[side]} are not the declared "
+                    f"{declaration[side]!r}")
+    return None
+
+
+def declarations_for(declared, workload, seed):
+    """The declarations of one workload and seed, by metric name."""
+    return {d["metric"]: d for d in declared
+            if d["workload"] == workload and str(d["seed"]) == str(seed)}
+
+
+def summarize(pairs, metrics, declared=None):
     """Statistics of one workload and seed.
 
     `pairs` is a list of {"parent": run, "change": run} dicts, one per pair
     of runs, where a run is {"attempted", "failed", "metrics",
     "diagnostics"} with the metric and diagnostic values by name; `metrics`
-    lists BENCHMARK.json's end-to-end entries.  Raises ValueError when a counter-derived metric differs
-    between the two sides of a pair or the change fails a larger share of
-    its operations than the parent.
+    lists BENCHMARK.json's end-to-end entries, and `declared` maps the
+    counter-derived metrics this workload and seed move on purpose to
+    their declarations.  Raises ValueError when a counter-derived metric
+    differs between the two sides of a pair without a declaration, does not
+    match its declaration, or the change fails a larger share of its
+    operations than the parent.
     """
+    declared = declared or {}
     operations = {side: {field: [pair[side][field] for pair in pairs]
                          for field in OPERATION_FIELDS}
                   for side in SIDES}
@@ -134,9 +171,10 @@ def summarize(pairs, metrics):
         name = metric["name"]
         entry = side_summary(pairs, "metrics", name)
         parent, change = entry["runs"]["parent"], entry["runs"]["change"]
-        if name in DETERMINISTIC and parent != change:
-            raise ValueError(f"{name} differs: parent {parent}, "
-                             f"change {change}")
+        problem = (counter_problem(name, entry["runs"], declared)
+                   if name in DETERMINISTIC else None)
+        if problem:
+            raise ValueError(problem)
         higher = metric["better"] == "higher"
         wins = sum(1 for p, c in zip(parent, change)
                    if (c > p if higher else c < p))
@@ -164,6 +202,14 @@ def validate(doc, spec):
         problems.append(f"pairs is not {PAIRS}")
     if doc.get("seconds") != spec["run_seconds"]:
         problems.append("seconds is not BENCHMARK.json's run_seconds")
+    declared = []
+    if doc.get("schema") == SCHEMA:
+        if "declared" not in doc:
+            problems.append("declared is missing")
+        declared = doc.get("declared", [])
+    declaration_problems = validate_declarations(declared, spec)
+    if declaration_problems:
+        return problems + declaration_problems
     results = doc.get("results")
     workloads = {w["name"] for w in spec["workloads"]}
     if not isinstance(results, dict) or set(results) != workloads:
@@ -188,9 +234,41 @@ def validate(doc, spec):
                 problems.append(f"{where}: metrics are not BENCHMARK.json's "
                                 "end-to-end set")
                 continue
+            moved = declarations_for(declared, workload, seed)
             for name, entry in table.items():
                 problems += validate_entry(f"{where}/{name}", entry,
-                                           metrics[name])
+                                           metrics[name], moved)
+    return problems
+
+
+def validate_declarations(declared, spec):
+    """Schema problems of a list of declared counter-derived moves."""
+    if not isinstance(declared, list):
+        return ["declared is not a list"]
+    workloads = {w["name"] for w in spec["workloads"]}
+    problems, seen = [], set()
+    for i, d in enumerate(declared):
+        where = f"declared[{i}]"
+        if not isinstance(d, dict) or set(d) != set(DECLARATION_FIELDS):
+            problems.append(f"{where}: fields are not {DECLARATION_FIELDS}")
+            continue
+        if d["workload"] not in workloads:
+            problems.append(f"{where}: {d['workload']!r} is not a workload")
+        if d["seed"] not in SEEDS:
+            problems.append(f"{where}: seed is not one of {SEEDS}")
+        if d["metric"] not in DETERMINISTIC:
+            problems.append(f"{where}: {d['metric']!r} is not one of "
+                            f"{DETERMINISTIC}")
+        if not all(isinstance(d[side], (int, float)) for side in SIDES):
+            problems.append(f"{where}: parent and change are not numbers")
+        elif d["parent"] == d["change"]:
+            problems.append(f"{where}: declares no move")
+        if not isinstance(d["why"], str) or not d["why"].strip():
+            problems.append(f"{where}: why is empty")
+        key = (d["workload"], d["seed"], d["metric"])
+        if key in seen:
+            problems.append(f"{where}: {key} is declared twice")
+        seen.add(key)
     return problems
 
 
@@ -227,7 +305,7 @@ def validate_diagnostics(where, diagnostics):
     return problems
 
 
-def validate_entry(where, entry, metric):
+def validate_entry(where, entry, metric, declared):
     if not isinstance(entry, dict):
         return [f"{where}: not an object"]
     problems = [f"{where}: {key} is not {metric[key]!r}"
@@ -237,9 +315,10 @@ def validate_entry(where, entry, metric):
     wins = entry.get("change_wins")
     if not isinstance(wins, int) or not 0 <= wins <= PAIRS:
         problems.append(f"{where}: change_wins is not in [0, {PAIRS}]")
-    if (not problems and metric["name"] in DETERMINISTIC
-            and entry["runs"]["parent"] != entry["runs"]["change"]):
-        problems.append(f"{where}: counter-derived metric moved")
+    if not problems and metric["name"] in DETERMINISTIC:
+        problem = counter_problem(metric["name"], entry["runs"], declared)
+        if problem:
+            problems.append(f"{where}: {problem}")
     return problems
 
 
@@ -303,7 +382,7 @@ def parse_diagnostics(output):
     return values
 
 
-def measure(trees, spec):
+def measure(trees, spec, declared):
     results = {}
     seconds = spec["run_seconds"]
     for workload in (w["name"] for w in spec["workloads"]):
@@ -321,7 +400,8 @@ def measure(trees, spec):
                       f"{pair['change']['metrics']['purchases_per_s']:.0f}",
                       file=sys.stderr)
             results.setdefault(workload, {})[str(seed)] = summarize(
-                pairs, spec["end_to_end"])
+                pairs, spec["end_to_end"],
+                declarations_for(declared, workload, seed))
     return results
 
 
@@ -330,12 +410,32 @@ def parse_args(argv):
     parser.add_argument("--parent", default="HEAD~1")
     parser.add_argument("--change", default="HEAD")
     parser.add_argument("--out", required=True, help="the BENCH file to write")
+    parser.add_argument("--declare", metavar="FILE",
+                        help="JSON list of counter-derived metrics the "
+                        "change moves on purpose, with both values")
     return parser.parse_args(argv)
+
+
+def load_declarations(path, spec):
+    """The declarations in `path` (none without one), checked."""
+    if path is None:
+        return []
+    with open(path, encoding="utf-8") as f:
+        declared = json.load(f)
+    problems = validate_declarations(declared, spec)
+    if problems:
+        raise ValueError("; ".join(problems))
+    return declared
 
 
 def main(argv):
     args = parse_args(argv)
     spec = load_spec()
+    try:
+        declared = load_declarations(args.declare, spec)
+    except (OSError, ValueError) as error:
+        print(f"perf_pairs.py: {args.declare}: {error}", file=sys.stderr)
+        return 1
     sides = {side: {"commit": git("rev-parse", f"{rev}^{{commit}}"),
                     "tree": git("rev-parse", f"{rev}^{{tree}}")}
              for side, rev in (("parent", args.parent),
@@ -352,7 +452,7 @@ def main(argv):
             # not kept.
             run_once(trees[side], spec["workloads"][0]["name"], SEEDS[0],
                      0.01)
-        results = measure(trees, spec)
+        results = measure(trees, spec, declared)
     except (RuntimeError, ValueError, subprocess.CalledProcessError) as error:
         print(f"perf_pairs.py: {error}", file=sys.stderr)
         return 1
@@ -368,6 +468,7 @@ def main(argv):
         "seconds": spec["run_seconds"],
         "order": "pair i runs the parent first when i is even",
         "host": {"machine": platform.machine(), "cpus": os.cpu_count()},
+        "declared": declared,
         "results": results,
     }
     problems = validate(doc, spec)

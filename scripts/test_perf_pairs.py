@@ -4,8 +4,10 @@
     python3 scripts/test_perf_pairs.py
 
 Summarizes a small synthetic set of run pairs, checks the statistics and
-that the result validates, checks that damaged copies do not, and validates
-every committed file the script wrote (BENCH_*.json with its schema tag).
+that the result validates, checks that damaged copies do not, checks that a
+declared move of a counter-derived metric passes while an undeclared or
+wrongly declared one fails, and validates every committed file the script
+wrote (BENCH_*.json with its schema tag).
 """
 
 import copy
@@ -13,6 +15,7 @@ import glob
 import json
 import os
 import sys
+import tempfile
 import unittest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -49,6 +52,7 @@ def fixture_document():
         "change": {"commit": "b" * 40, "tree": "d" * 40},
         "pairs": perf_pairs.PAIRS,
         "seconds": SPEC["run_seconds"],
+        "declared": [],
         "results": {w["name"]: {str(seed): copy.deepcopy(summary)
                                 for seed in perf_pairs.SEEDS}
                     for w in SPEC["workloads"]},
@@ -137,6 +141,104 @@ class StatisticsTest(unittest.TestCase):
         self.assertEqual(operations["change"]["failed"], [20, 20])
 
 
+#: A declared move of one counter-derived metric, as --declare reads it.
+DECLARATION = {"workload": "bespoke_contracts", "seed": 2,
+               "metric": "epsilon_per_purchase", "parent": 0.25,
+               "change": 0.2500000000000001,
+               "why": "the planner's root moved in the last bit"}
+
+
+def declared_document(declaration=DECLARATION, moved_to=None):
+    """The fixture with bespoke_contracts seed 2's change runs of the
+    declared metric moved to `moved_to` (the declared value by default)."""
+    doc = fixture_document()
+    doc["declared"] = [dict(declaration)]
+    entry = doc["results"]["bespoke_contracts"]["2"]["metrics"][
+        DECLARATION["metric"]]
+    value = DECLARATION["change"] if moved_to is None else moved_to
+    entry["runs"]["change"] = [value] * perf_pairs.PAIRS
+    entry["change"] = perf_pairs.sample_stats(entry["runs"]["change"])
+    return doc
+
+
+class DeclarationTest(unittest.TestCase):
+    def moved_pairs(self, value):
+        pairs = fixture_runs(3)
+        for pair in pairs:
+            pair["change"]["metrics"][DECLARATION["metric"]] = value
+        return pairs
+
+    def test_declared_move_is_summarized(self):
+        declared = perf_pairs.declarations_for([DECLARATION],
+                                               "bespoke_contracts", 2)
+        summary = perf_pairs.summarize(
+            self.moved_pairs(DECLARATION["change"]), METRICS, declared)
+        entry = summary["metrics"][DECLARATION["metric"]]
+        self.assertEqual(entry["runs"]["change"], [DECLARATION["change"]] * 3)
+
+    def test_undeclared_move_is_refused(self):
+        with self.assertRaises(ValueError):
+            perf_pairs.summarize(self.moved_pairs(DECLARATION["change"]),
+                                 METRICS)
+        declared = perf_pairs.declarations_for([DECLARATION],
+                                               "bespoke_contracts", 1)
+        self.assertEqual(declared, {})
+
+    def test_move_to_another_value_is_refused(self):
+        declared = perf_pairs.declarations_for([DECLARATION],
+                                               "bespoke_contracts", 2)
+        with self.assertRaises(ValueError):
+            perf_pairs.summarize(self.moved_pairs(0.26), METRICS, declared)
+        # A declared metric that did not move fails too.
+        with self.assertRaises(ValueError):
+            perf_pairs.summarize(fixture_runs(3), METRICS, declared)
+
+    def test_declared_move_validates(self):
+        self.assertEqual(perf_pairs.validate(declared_document(), SPEC), [])
+
+    def test_undeclared_move_fails_validation(self):
+        doc = declared_document()
+        doc["declared"] = []
+        self.assertTrue(perf_pairs.validate(doc, SPEC))
+
+    def test_declaration_with_wrong_values_fails_validation(self):
+        self.assertTrue(perf_pairs.validate(declared_document(moved_to=0.3),
+                                            SPEC))
+        for side, value in (("parent", 0.24), ("change", 0.3)):
+            self.assertTrue(perf_pairs.validate(
+                declared_document(dict(DECLARATION, **{side: value})), SPEC),
+                side)
+
+    def test_malformed_declarations_fail_validation(self):
+        for edit in ({"metric": "purchases_per_s"}, {"workload": "other"},
+                     {"seed": 3}, {"change": DECLARATION["parent"]},
+                     {"change": "0.25"}, {"why": ""}):
+            self.assertTrue(perf_pairs.validate(
+                declared_document(dict(DECLARATION, **edit)), SPEC), edit)
+        doc = declared_document()
+        del doc["declared"][0]["why"]
+        self.assertTrue(perf_pairs.validate(doc, SPEC))
+        doc = declared_document()
+        doc["declared"].append(dict(DECLARATION))
+        self.assertTrue(perf_pairs.validate(doc, SPEC))
+        doc = fixture_document()
+        del doc["declared"]
+        self.assertTrue(perf_pairs.validate(doc, SPEC))
+
+    def test_declarations_load_from_a_file(self):
+        with tempfile.TemporaryDirectory() as scratch:
+            path = os.path.join(scratch, "declared.json")
+            with open(path, "w", encoding="utf-8") as f:
+                json.dump([DECLARATION], f)
+            self.assertEqual(perf_pairs.load_declarations(path, SPEC),
+                             [DECLARATION])
+            with open(path, "w", encoding="utf-8") as f:
+                json.dump([dict(DECLARATION, metric="setup_s")], f)
+            with self.assertRaises(ValueError):
+                perf_pairs.load_declarations(path, SPEC)
+        self.assertEqual(perf_pairs.load_declarations(None, SPEC), [])
+
+
 class SchemaTest(unittest.TestCase):
     def test_fixture_validates(self):
         self.assertEqual(perf_pairs.validate(fixture_document(), SPEC), [])
@@ -193,9 +295,16 @@ class SchemaTest(unittest.TestCase):
             lambda d: d["results"]["menu_market"]["2"]["diagnostics"][
                 "page_faults"]["runs"]["parent"].pop()))
 
+    def test_files_before_declarations_still_validate(self):
+        doc = fixture_document()
+        doc["schema"] = "perf_pairs/3"
+        del doc["declared"]
+        self.assertEqual(perf_pairs.validate(doc, SPEC), [])
+
     def test_files_before_diagnostics_still_validate(self):
         doc = fixture_document()
         doc["schema"] = "perf_pairs/2"
+        del doc["declared"]
         for seeds in doc["results"].values():
             for summary in seeds.values():
                 del summary["diagnostics"]

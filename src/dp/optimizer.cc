@@ -18,20 +18,15 @@ namespace prc::dp {
 namespace {
 
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
-// 1/phi = (sqrt(5) - 1) / 2, spelled as a literal so every build computes
-// the exact same bracket sequence (bit-identical plans are a cache and
-// determinism invariant, not just a nicety).
-constexpr double kInvGolden = 0.6180339887498949;
-// Coarse-bracket resolution of the coarse-to-fine search.  The bracket only
-// needs to isolate the unimodal minimum, not approximate it.
-constexpr std::size_t kCoarsePoints = 16;
-// Golden-section stopping width, as a fraction of the feasible interval
+// Root-finder stopping width, as a fraction of the feasible interval
 // (alpha - alpha_lo): the refined alpha' lands within ~1e-10 of the
 // continuous optimum, far below any grid the paper contemplates.
 constexpr double kRefineTolerance = 1e-10;
-// Hard cap on the refinement loop.  Each iteration shrinks the bracket by
-// the golden ratio, so 128 is unreachable in practice.
-constexpr std::uint64_t kMaxRefineIterations = 128;
+// Hard cap on the root-finder's steps.  Brent's method falls back to
+// bisection whenever interpolation stalls, so reaching the stopping width
+// takes at most ~log2(1 / kRefineTolerance) = 34 bisections plus the
+// interpolation steps between them; 128 is unreachable in practice.
+constexpr std::uint64_t kMaxRootIterations = 128;
 
 /// The constraint system of problem (3) at one candidate alpha': the
 /// minimal Laplace budget epsilon that keeps the noise-phase tail bound,
@@ -62,6 +57,115 @@ struct SplitObjective {
     return epsilon;
   }
 };
+
+/// The stationarity condition of the objective above.  With
+/// L(a) = ln(delta' / (delta' - delta)) and delta' = 1 - c / a^2,
+/// c = 8k / (p n)^2, the objective's slope is
+///
+///   d eps / d a = sens / (n (alpha - a)^2) * g(a),
+///   g(a) = L(a) + (alpha - a) L'(a),
+///   L'(a) = -2 c delta / (a^3 delta' (delta' - delta)),
+///
+/// so the optimal alpha' is the root of g.  g -> -inf as a -> alpha_lo+
+/// and g(alpha) = L(alpha) > 0, while g' = (alpha - a) L'' > 0 in between,
+/// so the whole feasible interval brackets exactly one root.  The
+/// sensitivity only scales the slope and does not enter g.
+struct StationarityCondition {
+  units::Alpha alpha;
+  units::Delta delta;
+  double c;
+
+  /// g(a), or -inf where rounding near alpha_lo leaves delta' - delta <= 0
+  /// (a NaN or inf there lies on the negative side of the root).
+  double at(double a) const {
+    const double a2 = a * a;
+    const double delta_prime = 1.0 - c / a2;
+    const double gap = delta_prime - delta;
+    const double g = std::log(delta_prime / gap) -
+                     (alpha - a) * 2.0 * c * delta /
+                         (a2 * a * delta_prime * gap);
+    return std::isfinite(g) ? g : -kInfinity;
+  }
+};
+
+/// Brent's zero-finder on g over (alpha_lo, alpha): inverse-quadratic or
+/// secant steps through finite points, with a bisection safeguard, until
+/// the bracket is narrower than `tolerance`.  alpha_lo itself is never
+/// evaluated (g is -inf there).  Returns the root estimate and adds one
+/// to *steps per evaluation of g after g(alpha).  When rounding leaves
+/// g(alpha) <= 0 it returns alpha, whose epsilon is +inf.
+double stationary_alpha(const StationarityCondition& g, units::Alpha alpha_lo,
+                        double tolerance, std::uint64_t* steps) {
+  // b is the current estimate, c the contrapoint that keeps the root
+  // between them, a the previous estimate.
+  double b = g.alpha;
+  double fb = g.at(b);
+  if (!(fb > 0.0)) return b;
+  double a = alpha_lo;
+  double fa = -kInfinity;
+  double c = a;
+  double fc = fa;
+  double d = b - a;
+  double e = d;
+  for (std::uint64_t step = 0; step < kMaxRootIterations; ++step) {
+    if ((fb > 0.0 && fc > 0.0) || (fb < 0.0 && fc < 0.0)) {
+      c = a;
+      fc = fa;
+      d = b - a;
+      e = d;
+    }
+    if (std::fabs(fc) < std::fabs(fb)) {
+      a = b;
+      b = c;
+      c = a;
+      fa = fb;
+      fb = fc;
+      fc = fa;
+    }
+    const double tol =
+        2.0 * std::numeric_limits<double>::epsilon() * std::fabs(b) +
+        0.5 * tolerance;
+    const double half = 0.5 * (c - b);
+    if (std::fabs(half) <= tol || fb == 0.0) break;
+    bool interpolated = false;
+    if (std::fabs(e) >= tol && std::isfinite(fa) &&
+        std::fabs(fa) > std::fabs(fb)) {
+      const double s = fb / fa;
+      double num = 0.0;
+      double den = 0.0;
+      if (a == c) {
+        num = 2.0 * half * s;  // secant through a and b
+        den = 1.0 - s;
+      } else {  // inverse quadratic through a, b and c
+        const double q = fa / fc;
+        const double r = fb / fc;
+        num = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0));
+        den = (q - 1.0) * (r - 1.0) * (s - 1.0);
+      }
+      if (num > 0.0) den = -den;
+      num = std::fabs(num);
+      // Accept the interpolated step only if it stays well inside the
+      // bracket and shrinks faster than the step before last.
+      if (2.0 * num <
+          std::min(3.0 * half * den - std::fabs(tol * den),
+                   std::fabs(e * den))) {
+        e = d;
+        d = num / den;
+        interpolated = true;
+      }
+    }
+    if (!interpolated) {
+      d = half;
+      e = d;
+    }
+    a = b;
+    fa = fb;
+    b += std::fabs(d) > tol ? d : std::copysign(tol, half);
+    fb = g.at(b);
+    ++*steps;
+  }
+  return b;
+}
 
 }  // namespace
 
@@ -171,7 +275,8 @@ std::optional<PerturbationPlan> PerturbationOptimizer::search(
 
   if (config_.search_strategy == SearchStrategy::kExhaustiveGrid) {
     const std::size_t grid = config_.grid_points;
-    grid_evaluations.increment(grid);
+    // The grid's points plus the winner's re-evaluation below.
+    grid_evaluations.increment(grid + 1);
     for (std::size_t i = 1; i <= grid; ++i) {
       // Open interval (alpha_lo, alpha): both endpoints are degenerate
       // (delta' == delta at alpha_lo; zero noise headroom at alpha).
@@ -184,76 +289,31 @@ std::optional<PerturbationPlan> PerturbationOptimizer::search(
         best_alpha = alpha_prime;
       }
     }
+    if (!std::isfinite(best_epsilon)) return std::nullopt;
   } else {
-    // Coarse bracket: locate which sub-interval holds the minimum of the
-    // unimodal objective (it diverges at both ends, so the best coarse
-    // point's neighbors always bracket the true optimum).
-    const std::size_t coarse = kCoarsePoints;
-    grid_evaluations.increment(coarse);
-    std::size_t best_index = 0;
-    for (std::size_t i = 1; i <= coarse; ++i) {
-      const double alpha_prime =
-          alpha_lo +
-          width * static_cast<double>(i) / static_cast<double>(coarse + 1);
-      const double epsilon = objective.epsilon_at(alpha_prime, nullptr);
-      if (epsilon < best_epsilon) {
-        best_epsilon = epsilon;
-        best_alpha = alpha_prime;
-        best_index = i;
-      }
-    }
-    if (best_index > 0) {
-      // Golden-section refinement inside [best-1, best+1] (clamped to the
-      // open interval's ends, which the section never evaluates).
-      const auto coarse_alpha = [&](std::size_t i) {
-        return alpha_lo +
-               width * static_cast<double>(i) / static_cast<double>(coarse + 1);
-      };
-      double lo =
-          best_index == 1 ? alpha_lo.value() : coarse_alpha(best_index - 1);
-      double hi = best_index == coarse ? spec.alpha.value()
-                                       : coarse_alpha(best_index + 1);
-      const double tolerance = width * kRefineTolerance;
-      double probe_lo = hi - kInvGolden * (hi - lo);
-      double probe_hi = lo + kInvGolden * (hi - lo);
-      double eps_lo = objective.epsilon_at(probe_lo, nullptr);
-      double eps_hi = objective.epsilon_at(probe_hi, nullptr);
-      std::uint64_t iterations = 2;
-      while (hi - lo > tolerance && iterations < kMaxRefineIterations) {
-        if (eps_lo < eps_hi) {
-          hi = probe_hi;
-          probe_hi = probe_lo;
-          eps_hi = eps_lo;
-          probe_lo = hi - kInvGolden * (hi - lo);
-          eps_lo = objective.epsilon_at(probe_lo, nullptr);
-        } else {
-          lo = probe_lo;
-          probe_lo = probe_hi;
-          eps_lo = eps_hi;
-          probe_hi = lo + kInvGolden * (hi - lo);
-          eps_hi = objective.epsilon_at(probe_hi, nullptr);
-        }
-        ++iterations;
-      }
-      refine_iterations.increment(iterations);
-      if (eps_lo < best_epsilon) {
-        best_epsilon = eps_lo;
-        best_alpha = probe_lo;
-      }
-      if (eps_hi < best_epsilon) {
-        best_epsilon = eps_hi;
-        best_alpha = probe_hi;
-      }
-    }
+    const double pn = p.value() * static_cast<double>(total_count);
+    const StationarityCondition condition{
+        spec.alpha, spec.delta,
+        8.0 * static_cast<double>(node_count) / (pn * pn)};
+    std::uint64_t steps = 0;
+    best_alpha = stationary_alpha(condition, alpha_lo,
+                                  width * kRefineTolerance, &steps);
+    refine_iterations.increment(steps);
+    // g(alpha), each step's g, and the epsilon of the root below.
+    grid_evaluations.increment(steps + 2);
   }
 
-  if (!std::isfinite(best_epsilon)) return std::nullopt;
   units::Delta delta_prime = 0.0;
   const double epsilon = objective.epsilon_at(best_alpha, &delta_prime);
+  // The root's epsilon is the feasibility verdict: it is +inf only when
+  // rounding leaves no alpha' with delta' > delta and room for noise.
+  if (!std::isfinite(epsilon)) return std::nullopt;
   // Exact == on purpose: the objective is a pure function, so re-evaluating
-  // the winning alpha' must reproduce the identical double (bit-for-bit
-  // determinism is what the plan cache and parallel market rely on).
-  PRC_DCHECK(epsilon == best_epsilon)  // lint:allow float-eq
+  // the grid's winning alpha' must reproduce the identical double
+  // (bit-for-bit determinism is what the plan cache and parallel market
+  // rely on).
+  PRC_DCHECK(config_.search_strategy != SearchStrategy::kExhaustiveGrid ||
+             epsilon == best_epsilon)  // lint:allow float-eq
       << "re-evaluating the winning alpha' must reproduce its objective";
   // The single amplification evaluation of the whole search (monotonicity
   // of eps' in eps made per-candidate calls redundant).

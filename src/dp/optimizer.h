@@ -13,19 +13,21 @@
 //
 // The paper prescribes a discretized search ("we can approximate it to a
 // discrete domain with arbitrarily small intervals"), but the structure of
-// the objective makes brute force unnecessary:
+// the objective makes any scan unnecessary:
 //
 //   * epsilon' is strictly increasing in epsilon at fixed p, so minimizing
 //     epsilon(alpha') directly minimizes epsilon' — the amplification map
 //     needs to be evaluated ONCE, for the winner, not per candidate;
 //   * epsilon(alpha') diverges at both ends of the feasible interval
-//     (delta' -> delta at alpha_lo, noise headroom -> 0 at alpha) and is
-//     unimodal in between, so a coarse bracket plus golden-section
-//     refinement converges to the continuous optimum in a few dozen
-//     evaluations instead of hundreds of grid points.
+//     (delta' -> delta at alpha_lo, noise headroom -> 0 at alpha), and its
+//     slope has the sign of a closed-form g(alpha') that rises from -inf at
+//     alpha_lo to ln(delta'/(delta' - delta)) > 0 at alpha.  The optimum is
+//     the one root of g, so Brent's zero-finder over the whole interval
+//     converges to it in about a dozen evaluations of g, and epsilon is
+//     evaluated once, at the root.
 //
-// The default strategy is that coarse-to-fine search; kExhaustiveGrid keeps
-// the original fixed uniform grid as a reference implementation for the
+// The default strategy is that root-find; kExhaustiveGrid keeps the
+// original fixed uniform grid as a reference implementation for the
 // property tests.  Results are additionally memoized in a PlanCache (see
 // plan_cache.h) because a market re-plans the same few contracts constantly.
 #pragma once
@@ -64,9 +66,10 @@ struct PerturbationPlan {
 
 /// How optimize() searches the continuous alpha' domain.
 enum class SearchStrategy {
-  /// A 16-point coarse bracket, then golden-section refinement of the
-  /// winning bracket down to 1e-10 of the feasible interval.
-  kCoarseToFine,
+  /// Brent's zero-finder on the objective's stationarity condition over
+  /// the whole feasible interval, down to 1e-10 of its width, then one
+  /// evaluation of epsilon at the root.
+  kStationarityRoot,
   /// The original fixed uniform grid of grid_points candidates.  Kept as
   /// the reference implementation the property tests compare against.
   kExhaustiveGrid,
@@ -78,7 +81,7 @@ struct OptimizerConfig {
   std::size_t grid_points = 512;
   /// Sensitivity policy for Delta gamma_hat (paper default: expected, 1/p).
   SensitivityPolicy sensitivity_policy = SensitivityPolicy::kExpected;
-  SearchStrategy search_strategy = SearchStrategy::kCoarseToFine;
+  SearchStrategy search_strategy = SearchStrategy::kStationarityRoot;
   /// Entries held by the memoized plan cache; 0 disables caching (used by
   /// property tests that want every call to exercise the raw search).
   std::size_t plan_cache_capacity = 1024;

@@ -1,5 +1,5 @@
 // Memoized perturbation plans: a thread-safe LRU cache in front of the
-// coarse-to-fine (alpha', delta') search.
+// root-finding (alpha', delta') search.
 //
 // A market serves the same handful of contracts over and over (honest
 // consumers re-buy their favourite spec, attackers buy m copies of one
