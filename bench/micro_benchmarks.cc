@@ -31,6 +31,7 @@
 #include "iot/base_station.h"
 #include "iot/codec.h"
 #include "iot/network.h"
+#include "market/audit_log.h"
 #include "market/broker.h"
 #include "market/ledger.h"
 #include "market/simulation.h"
@@ -370,6 +371,38 @@ void BM_RefusedSale(benchmark::State& state) {
   if (refused != state.iterations()) state.SkipWithError("a sale went through");
 }
 BENCHMARK(BM_RefusedSale)->Arg(0)->Arg(1);
+
+// One append to a full audit ring, which overwrites its oldest event: the
+// steady-state store of every sale.  Events are sale-shaped, four in a
+// row per 12-character consumer id out of 64; arg 1 gives each one the
+// mint event's text, arg 0 an empty detail.  Each iteration copies a
+// prepared event and moves it in, as the ledger's fold does.
+void BM_AuditAppendSteadyState(benchmark::State& state) {
+  std::vector<market::AuditEvent> events(256);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    auto& event = events[i];
+    event.type = market::AuditEventType::kMint;
+    event.consumer_id = "consumer-" + std::to_string(100 + (i / 4) % 64);
+    event.lower = 20.0 + static_cast<double>(i % 7);
+    event.upper = 80.0;
+    event.alpha = 0.05;
+    event.delta = 0.75;
+    event.epsilon = 0.01;
+    if (state.range(0) == 1) {
+      event.detail = "final plan admitted; noise draw follows";
+    }
+  }
+  market::AuditLog log;
+  for (std::size_t i = 0; i <= market::AuditLog::kRetainedEvents; ++i) {
+    log.append_event(events[i % events.size()]);
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    market::AuditEvent event = events[next++ % events.size()];
+    benchmark::DoNotOptimize(log.append_event(std::move(event)));
+  }
+}
+BENCHMARK(BM_AuditAppendSteadyState)->Arg(0)->Arg(1);
 
 void BM_SamplerTopUp(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
