@@ -31,6 +31,7 @@
 #include "iot/base_station.h"
 #include "iot/codec.h"
 #include "iot/network.h"
+#include "iot/node.h"
 #include "market/audit_log.h"
 #include "market/broker.h"
 #include "market/ledger.h"
@@ -417,6 +418,62 @@ void BM_SamplerTopUp(benchmark::State& state) {
 }
 BENCHMARK(BM_SamplerTopUp)->Arg(1000)->Arg(10000);
 
+// live_collection's node shape: 100 000 readings over 32 nodes, about 190
+// of a node's 3 125 readings sampled.
+constexpr std::size_t kLiveReadings = 3125;
+constexpr double kLiveP = 0.061;
+
+// The node half of one arrival: the delta of a node holding one new
+// reading (mid-range, so about half the state is scanned before it).
+void BM_SamplerDelta(benchmark::State& state) {
+  sampling::LocalSampler sampler(
+      make_values(static_cast<std::size_t>(state.range(0))));
+  Rng rng(29);
+  sampler.raise_probability(kLiveP, rng);
+  sampler.mark_reported();
+  sampler.append({100.0}, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sampler.delta());
+  }
+}
+BENCHMARK(BM_SamplerDelta)->Arg(kLiveReadings);
+
+// The station half of one arrival: BaseStation::ingest of a one-reading
+// delta into a 32-node station, node 0 holding live_collection's shape.
+// The deltas are a node's real sequence of 512 single arrivals (about 30
+// of them sampled), replayed in order; after the last the station takes
+// the node's starting full sample again, once per 512 ingests.
+void BM_StationIngestArrival(benchmark::State& state) {
+  constexpr std::size_t kArrivals = 512;
+  iot::SensorNode node(0, make_values(kLiveReadings), Rng(37));
+  node.handle(iot::SampleRequest{0, kLiveP});
+  const iot::SampleReport start = node.full_report();
+  node.acknowledge();
+  iot::BaseStation replay(32);
+  replay.replace(start);
+  std::vector<iot::SampleReport> arrivals;
+  Rng values(43);
+  for (std::size_t i = 0; i < kArrivals; ++i) {
+    node.append_data({values.uniform(0.0, 200.0)});
+    arrivals.push_back(node.report());
+    if (!iot::apply_report(node, {&arrivals.back(), 1}, replay)) {
+      state.SkipWithError("arrival delta rejected");
+      return;
+    }
+  }
+  iot::BaseStation station(32);
+  station.replace(start);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    if (next == kArrivals) {
+      station.replace(start);
+      next = 0;
+    }
+    benchmark::DoNotOptimize(station.ingest(arrivals[next++]));
+  }
+}
+BENCHMARK(BM_StationIngestArrival);
+
 // Raw exhaustive-grid search cost as a function of grid size (cache off so
 // every iteration pays the full sweep).  This is what the planner cost was
 // before the continuous search; compare with BM_OptimizeColdVsWarm.
@@ -575,9 +632,10 @@ void BM_CityPulseGenerate(benchmark::State& state) {
 }
 BENCHMARK(BM_CityPulseGenerate)->Arg(1000)->Arg(17568);
 
-// The station ingests one RankSampleSet per report; construction is the
-// sort, nothing else (rank validation is PRC_DCHECK-gated since the
-// parallel-collection change).
+// The station ingests one RankSampleSet per report.  The input here is
+// sorted, as a node's report is, so construction is the linear
+// sortedness scan and the copy of the values (rank validation is
+// PRC_DCHECK-gated since the parallel-collection change).
 void BM_RankSampleConstruct(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const std::vector<sampling::RankedValue> values =

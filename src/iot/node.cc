@@ -70,7 +70,9 @@ void SensorNode::acknowledge() {
 
 void SensorNode::invalidate_cached_sample() {
   dirty_ = true;
-  telemetry::counter("iot.resync_fallbacks").increment();
+  static telemetry::Counter& resync_fallbacks =
+      telemetry::counter("iot.resync_fallbacks");
+  resync_fallbacks.increment();
 }
 
 SampleReport SensorNode::full_report() const {

@@ -26,34 +26,45 @@ std::vector<SensorNode> make_nodes(std::vector<std::vector<double>>&& data,
 void publish_round_metrics(const CommunicationStats& before,
                            const CommunicationStats& after,
                            const RoundReport& report) {
-  auto& registry = telemetry::Telemetry::registry();
-  registry.counter("iot.rounds").increment();
+  static telemetry::Counter& rounds = telemetry::counter("iot.rounds");
+  static telemetry::Gauge& coverage = telemetry::gauge("iot.round_coverage");
+  static telemetry::Gauge& min_probability =
+      telemetry::gauge("iot.round_min_probability");
+  static telemetry::Histogram& new_samples =
+      telemetry::histogram("iot.round_new_samples");
+  rounds.increment();
   publish_traffic_metrics(before, after);
-  registry.gauge("iot.round_coverage").set(report.coverage);
-  registry.gauge("iot.round_min_probability").set(report.min_probability);
-  registry.histogram("iot.round_new_samples")
-      .record(static_cast<double>(report.new_samples));
+  coverage.set(report.coverage);
+  min_probability.set(report.min_probability);
+  new_samples.record(static_cast<double>(report.new_samples));
 }
 
 }  // namespace
 
 void publish_traffic_metrics(const CommunicationStats& before,
                              const CommunicationStats& after) {
-  auto& registry = telemetry::Telemetry::registry();
-  registry.counter("iot.frames_attempted")
-      .increment(after.frames_attempted - before.frames_attempted);
-  registry.counter("iot.frames_delivered")
-      .increment(after.frames_delivered - before.frames_delivered);
-  registry.counter("iot.frames_dropped")
-      .increment(after.dropped_frames - before.dropped_frames);
-  registry.counter("iot.retransmissions")
-      .increment(after.retransmissions - before.retransmissions);
-  registry.counter("iot.uplink_bytes")
-      .increment(after.uplink_bytes - before.uplink_bytes);
-  registry.counter("iot.downlink_bytes")
-      .increment(after.downlink_bytes - before.downlink_bytes);
-  registry.counter("iot.samples_transferred")
-      .increment(after.samples_transferred - before.samples_transferred);
+  static telemetry::Counter& frames_attempted =
+      telemetry::counter("iot.frames_attempted");
+  static telemetry::Counter& frames_delivered =
+      telemetry::counter("iot.frames_delivered");
+  static telemetry::Counter& frames_dropped =
+      telemetry::counter("iot.frames_dropped");
+  static telemetry::Counter& retransmissions =
+      telemetry::counter("iot.retransmissions");
+  static telemetry::Counter& uplink_bytes =
+      telemetry::counter("iot.uplink_bytes");
+  static telemetry::Counter& downlink_bytes =
+      telemetry::counter("iot.downlink_bytes");
+  static telemetry::Counter& samples_transferred =
+      telemetry::counter("iot.samples_transferred");
+  frames_attempted.increment(after.frames_attempted - before.frames_attempted);
+  frames_delivered.increment(after.frames_delivered - before.frames_delivered);
+  frames_dropped.increment(after.dropped_frames - before.dropped_frames);
+  retransmissions.increment(after.retransmissions - before.retransmissions);
+  uplink_bytes.increment(after.uplink_bytes - before.uplink_bytes);
+  downlink_bytes.increment(after.downlink_bytes - before.downlink_bytes);
+  samples_transferred.increment(after.samples_transferred -
+                                before.samples_transferred);
 }
 
 SamplingNetwork::SamplingNetwork(std::vector<std::vector<double>> node_data,
@@ -100,8 +111,9 @@ bool SamplingNetwork::ensure_sampling_probability(
     return false;
   }
   PRC_TRACE_SPAN("iot.round");
-  telemetry::ScopedTimer round_timer(
-      telemetry::histogram("iot.round_duration_us"));
+  static telemetry::Histogram& round_duration =
+      telemetry::histogram("iot.round_duration_us");
+  telemetry::ScopedTimer round_timer(round_duration);
   const CommunicationStats stats_before = stats_;
   link_.faults().begin_round();
 

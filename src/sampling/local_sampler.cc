@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <utility>
 
 #include "common/check.h"
@@ -96,19 +97,45 @@ SampleDelta LocalSampler::delta() const {
   SampleDelta delta;
   delta.base_samples = sampled_count_ - pending_added_;
   if (!has_delta()) return delta;
-  delta.arrival_gaps.reserve(pending_arrivals_);
-  delta.added.reserve(pending_added_);
+  auto& gaps = delta.arrival_gaps;
+  auto& added = delta.added;
+  gaps.reserve(pending_arrivals_);
+  added.reserve(pending_added_);
   std::uint64_t held = 0;  // base samples seen so far
-  for (std::size_t i = 0; i < sorted_.size(); ++i) {
+  const auto visit = [&](std::size_t i) {
     const std::uint8_t state = state_[i];
-    if (state & kArrived) delta.arrival_gaps.push_back(held);
+    if (state & kArrived) gaps.push_back(held);
     if (state & kAdded) {
-      delta.added.push_back(
+      added.push_back(
           RankedValue{sorted_[i], static_cast<std::uint64_t>(i + 1)});
     } else if (state & kSelected) {
       ++held;
     }
+  };
+  const auto done = [&] {
+    return gaps.size() == pending_arrivals_ && added.size() == pending_added_;
+  };
+  // Eight state bytes at a time: a word with no kAdded or kArrived bit only
+  // adds its selected bytes to `held`, counted by summing the bytes' low
+  // bits in the top byte of one multiply (std::popcount is a libgcc call on
+  // baseline x86-64).  Changed words are visited byte by byte, and the scan
+  // stops after the last change.
+  static_assert(kSelected == 1, "the byte sum counts bit 0 of each byte");
+  constexpr std::uint64_t kLowBits = 0x0101010101010101ULL;
+  constexpr std::uint64_t kChanged = kLowBits * (kAdded | kArrived);
+  const std::size_t n = sorted_.size();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, state_.data() + i, sizeof word);
+    if ((word & kChanged) == 0) {
+      held += ((word & kLowBits) * kLowBits) >> 56;
+      continue;
+    }
+    for (std::size_t j = i; j < i + 8; ++j) visit(j);
+    if (done()) return delta;
   }
+  for (; i < n; ++i) visit(i);
   return delta;
 }
 

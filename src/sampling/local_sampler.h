@@ -77,7 +77,8 @@ class LocalSampler {
 
   /// The change since the last mark_reported() (everything, before the
   /// first mark): applying it to the sample held at the mark yields
-  /// current_sample() exactly.
+  /// current_sample() exactly.  Reads the state eight readings at a time
+  /// and visits only the words holding a change, up to the last one.
   SampleDelta delta() const;
 
   /// Records that the current sample is now held by the receiver: the next

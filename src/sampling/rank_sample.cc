@@ -8,16 +8,33 @@
 namespace prc::sampling {
 namespace {
 
-bool value_rank_less(const RankedValue& a, const RankedValue& b) {
-  if (a.value != b.value) return a.value < b.value;
-  return a.rank < b.rank;
-}
+// A function object rather than a function pointer, so the sort and merge
+// calls inline the comparison.
+struct ValueRankLess {
+  bool operator()(const RankedValue& a, const RankedValue& b) const noexcept {
+    if (a.value != b.value) return a.value < b.value;
+    return a.rank < b.rank;
+  }
+};
+
+constexpr ValueRankLess value_rank_less{};
 
 }  // namespace
 
 RankSampleSet::RankSampleSet(std::vector<RankedValue> samples)
     : samples_(std::move(samples)) {
-  std::sort(samples_.begin(), samples_.end(), value_rank_less);
+  // Callers mostly pass a sorted run followed by a short sorted tail (the
+  // station's shifted cache plus a delta's new samples) or a sorted run
+  // alone, so sort only the tail past the sorted prefix and merge the two.
+  // Ranks are distinct, so no two samples compare equal and the result is
+  // the same as a full sort's.
+  const auto tail = std::is_sorted_until(samples_.begin(), samples_.end(),
+                                         value_rank_less);
+  if (tail != samples_.end()) {
+    std::sort(tail, samples_.end(), value_rank_less);
+    std::inplace_merge(samples_.begin(), tail, samples_.end(),
+                       value_rank_less);
+  }
   finish();
 }
 

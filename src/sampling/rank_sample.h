@@ -32,7 +32,10 @@ class RankSampleSet {
  public:
   RankSampleSet() = default;
 
-  /// Takes samples in any order; sorts by (value, rank).  Rank validity
+  /// Takes samples in any order; sorts by (value, rank).  Costs O(n) for
+  /// sorted input and O(n + m log m) when the last m samples follow a
+  /// sorted prefix (the tail is sorted and merged into it), so rebuilding a
+  /// cached set with a few new samples appended is linear.  Rank validity
   /// (1-based, collision-free) is verified only when PRC_DCHECK is on
   /// (debug / sanitizer builds), raising prc::ContractViolation (a
   /// std::invalid_argument); release builds trust the sampler/codec

@@ -153,6 +153,89 @@ TEST(RankSampleSetTest, SearchMatchesUpperBoundAfterMerge) {
   }
 }
 
+// The constructor sorts only the tail past its input's sorted prefix and
+// merges the two; the set must equal a full std::sort of the input, element
+// for element (sign of zero included), and answer every search the same.
+std::vector<RankedValue> sorted_copy(std::vector<RankedValue> samples) {
+  std::sort(samples.begin(), samples.end(),
+            [](const RankedValue& a, const RankedValue& b) {
+              if (a.value != b.value) return a.value < b.value;
+              return a.rank < b.rank;
+            });
+  return samples;
+}
+
+void expect_constructor_matches_sort(const std::vector<RankedValue>& input,
+                                     Rng& rng) {
+  const std::vector<RankedValue> expected = sorted_copy(input);
+  const RankSampleSet set(input);
+  ASSERT_EQ(set.samples(), expected) << "size=" << input.size();
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(std::signbit(set.samples()[i].value),
+              std::signbit(expected[i].value))
+        << "index " << i;
+  }
+  std::vector<double> probes = {-1e300, 1e300, 0.0, -0.0};
+  for (const auto& s : expected) {
+    probes.push_back(s.value);
+    probes.push_back(
+        std::nextafter(s.value, -std::numeric_limits<double>::infinity()));
+    probes.push_back(
+        std::nextafter(s.value, std::numeric_limits<double>::infinity()));
+  }
+  for (int i = 0; i < 16; ++i) probes.push_back(rng.uniform(-5.0, 25.0));
+  for (const double x : probes) {
+    const auto it = std::upper_bound(
+        expected.begin(), expected.end(), x,
+        [](double v, const RankedValue& s) { return v < s.value; });
+    const std::optional<RankedValue> pred =
+        it == expected.begin() ? std::nullopt
+                               : std::optional<RankedValue>(*(it - 1));
+    const std::optional<RankedValue> succ =
+        it == expected.end() ? std::nullopt : std::optional<RankedValue>(*it);
+    EXPECT_EQ(set.predecessor(x), pred) << "x=" << x;
+    EXPECT_EQ(set.successor(x), succ) << "x=" << x;
+  }
+}
+
+TEST(RankSampleSetTest, ConstructorMatchesFullSort) {
+  Rng rng(4242);
+  expect_constructor_matches_sort({}, rng);
+  expect_constructor_matches_sort({{3.5, 9}}, rng);
+  for (std::size_t size = 2; size <= 70; ++size) {
+    const auto random = random_samples(size, 1, rng);
+    expect_constructor_matches_sort(random, rng);
+    const auto sorted = sorted_copy(random);
+    expect_constructor_matches_sort(sorted, rng);
+    expect_constructor_matches_sort({sorted.rbegin(), sorted.rend()}, rng);
+    // The shape the station's ingest builds: a sorted run with a sorted
+    // run of new samples appended, values interleaved, ranks disjoint.
+    auto prefix_then_tail = sorted_copy(random_samples(size, 1, rng));
+    const auto tail = sorted_copy(random_samples(size / 3 + 1, 1000, rng));
+    prefix_then_tail.insert(prefix_then_tail.end(), tail.begin(), tail.end());
+    expect_constructor_matches_sort(prefix_then_tail, rng);
+    // A sorted run with an unsorted tail.
+    auto prefix_then_mess = sorted_copy(random_samples(size, 1, rng));
+    const auto mess = random_samples(size / 2 + 1, 1000, rng);
+    prefix_then_mess.insert(prefix_then_mess.end(), mess.begin(), mess.end());
+    expect_constructor_matches_sort(prefix_then_mess, rng);
+  }
+  // Equal values with distinct ranks, in every arrangement of sortedness.
+  std::vector<RankedValue> equal;
+  for (std::uint64_t r = 1; r <= 12; ++r) equal.push_back({2.5, 13 - r});
+  expect_constructor_matches_sort(equal, rng);
+  std::reverse(equal.begin(), equal.end());
+  expect_constructor_matches_sort(equal, rng);
+  std::reverse(equal.begin() + 6, equal.end());
+  expect_constructor_matches_sort(equal, rng);
+  // -0.0 and +0.0 compare equal, so rank alone orders them, sign kept.
+  expect_constructor_matches_sort(
+      {{0.0, 4}, {-0.0, 2}, {1.0, 5}, {-0.0, 3}, {0.0, 1}, {-1.0, 6}}, rng);
+  expect_constructor_matches_sort({{-0.0, 1}, {0.0, 2}, {-0.0, 3}, {0.0, 4}},
+                                  rng);
+  expect_constructor_matches_sort({{0.0, 1}, {-0.0, 3}, {0.0, 2}}, rng);
+}
+
 TEST(LocalSamplerTest, RanksFollowSortedOrder) {
   LocalSampler sampler({5.0, 1.0, 3.0, 2.0, 4.0});
   Rng rng(1);

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
+#include <string>
 #include <utility>
 
 #include "common/rng.h"
@@ -136,6 +138,132 @@ TEST(LocalSamplerAppendTest, AppendThenTopUpKeepsMarginalInclusion) {
   EXPECT_NEAR(static_cast<double>(sampler.sample_count()) /
                   static_cast<double>(2 * n),
               0.5, 0.01);
+}
+
+// Byte-at-a-time reference for LocalSampler::delta() over readings with
+// distinct values: walks the sorted readings once, as the sampler did
+// before it read its state a word at a time.
+sampling::SampleDelta reference_delta(const std::set<double>& readings,
+                                      const std::set<double>& arrived,
+                                      const std::set<double>& held_at_mark,
+                                      const std::set<double>& selected) {
+  sampling::SampleDelta delta;
+  delta.base_samples = held_at_mark.size();
+  std::uint64_t held = 0;
+  std::uint64_t rank = 0;
+  for (const double v : readings) {
+    ++rank;
+    if (arrived.count(v)) delta.arrival_gaps.push_back(held);
+    if (!selected.count(v)) continue;
+    if (held_at_mark.count(v)) {
+      ++held;
+    } else {
+      delta.added.push_back({v, rank});
+    }
+  }
+  return delta;
+}
+
+std::set<double> sampled_values(const sampling::LocalSampler& sampler) {
+  std::set<double> values;
+  const sampling::RankSampleSet sample = sampler.current_sample();
+  for (const auto& s : sample.samples()) {
+    values.insert(s.value);
+  }
+  return values;
+}
+
+void expect_delta_eq(const sampling::SampleDelta& actual,
+                     const sampling::SampleDelta& expected,
+                     const std::string& where) {
+  EXPECT_EQ(actual.base_samples, expected.base_samples) << where;
+  EXPECT_EQ(actual.arrival_gaps, expected.arrival_gaps) << where;
+  EXPECT_EQ(actual.added, expected.added) << where;
+}
+
+// delta() reads the node's state eight readings at a time and visits only
+// the words with a change.  Every data size from 1 to 70 puts changes at
+// both ends of a word (positions 0, 7, 8, 15) and in the last, partial
+// word (n - 1): arrivals at those positions, a top-up alone over all n
+// readings, arrivals and a top-up together, and then a second delta after
+// mark_reported().
+TEST(LocalSamplerDeltaTest, WordScanMatchesByteWalk) {
+  constexpr std::size_t kEdges[] = {0, 7, 8, 15};
+  // Runs in which a top-up selected the reading at 0, 7, 8, 15 and n - 1.
+  std::vector<std::size_t> topped_up_edges(5, 0);
+  for (std::size_t n = 1; n <= 70; ++n) {
+    // The final readings are 0, 1, ..., n - 1.  With arrivals, those at
+    // the edge positions arrive after the mark, largest first.
+    std::set<double> readings;
+    for (std::size_t v = 0; v < n; ++v) readings.insert(static_cast<double>(v));
+    std::set<double> edges = {static_cast<double>(n - 1)};
+    for (const std::size_t pos : kEdges) {
+      if (pos < n) edges.insert(static_cast<double>(pos));
+    }
+    const std::vector<double> arrivals(edges.rbegin(), edges.rend());
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      for (const double top_up : {0.0, 0.8, 1.0}) {
+        for (const bool arrive : {true, false}) {
+          const std::string where = "n=" + std::to_string(n) +
+                                    " seed=" + std::to_string(seed) +
+                                    " top_up=" + std::to_string(top_up) +
+                                    " arrive=" + std::to_string(arrive);
+          std::vector<double> initial;
+          for (const double v : readings) {
+            if (!arrive || !edges.count(v)) initial.push_back(v);
+          }
+          sampling::LocalSampler sampler(initial);
+          Rng rng(seed);
+          sampler.raise_probability(0.5, rng);
+          sampler.mark_reported();
+          const std::set<double> held_at_mark = sampled_values(sampler);
+          std::set<double> arrived;
+          if (arrive) {
+            sampler.append(arrivals, rng);
+            arrived = edges;
+          }
+          sampler.raise_probability(top_up, rng);
+          const std::set<double> selected = sampled_values(sampler);
+          expect_delta_eq(
+              sampler.delta(),
+              reference_delta(readings, arrived, held_at_mark, selected),
+              where);
+          if (!arrive) {
+            for (std::size_t e = 0; e < 5; ++e) {
+              const double v = static_cast<double>(e < 4 ? kEdges[e] : n - 1);
+              if (selected.count(v) && !held_at_mark.count(v)) {
+                ++topped_up_edges[e];
+              }
+            }
+          }
+
+          // A fresh mark: nothing changed, then readings arrive at both
+          // ends and in between (distinct values off the integers) and a
+          // top-up to certainty selects every reading left.
+          sampler.mark_reported();
+          expect_delta_eq(sampler.delta(),
+                          reference_delta(readings, {}, selected, selected),
+                          where + " marked");
+          const std::vector<double> later = {
+              static_cast<double>(n) + 0.125, -0.5, 7.5,
+              static_cast<double>(n) / 2.0 + 0.25};
+          sampler.append(later, rng);
+          sampler.raise_probability(1.0, rng);
+          std::set<double> later_readings = readings;
+          later_readings.insert(later.begin(), later.end());
+          expect_delta_eq(
+              sampler.delta(),
+              reference_delta(later_readings,
+                              std::set<double>(later.begin(), later.end()),
+                              selected, sampled_values(sampler)),
+              where + " after mark");
+        }
+      }
+    }
+  }
+  for (std::size_t e = 0; e < 5; ++e) {
+    EXPECT_GT(topped_up_edges[e], 0u) << "edge " << e;
+  }
 }
 
 TEST(SensorNodeStreamingTest, DirtyFlagLifecycle) {
