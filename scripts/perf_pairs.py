@@ -17,12 +17,15 @@ seed; seed 2 is held out (see perfbench/run.py).
 The output file names both commits and their trees, and holds, per
 workload, seed and end-to-end metric of BENCHMARK.json and for both sides:
 n, median, p05, p95, IQR, min and max, plus the number of pairs in which the
-change beat the parent, the ratio of the medians and every run's value in
-pair order.  Per workload and seed it also holds every run's `attempted`
-and `failed` operation counts, and the same statistics of three
-diagnostics that broker_bench prints on its `timed:` and `median of`
-lines: the host-speed scale median, the unscaled whole-phase CPU time per
-purchase and the timed phase's page faults.  Diagnostics explain a result
+change beat the parent, the ratio of the medians, every run's value in
+pair order and, as `pair_ratio`, the n, median, p05, p95 and IQR of the
+within-pair change/parent ratios.  The two runs of a pair share the
+host's state at their time, so the pair ratio does not swing with the
+host's slow phases the way each side's median can.  Per workload and seed
+it also holds every run's `attempted` and `failed` operation counts, and
+the same statistics of three diagnostics that broker_bench prints on its
+`timed:` and `median of` lines: the host-speed scale median, the unscaled
+whole-phase CPU time per purchase and the timed phase's page faults.  Diagnostics explain a result
 (a gain that is only a slower measuring stick shows as a lower scale) and
 are never gated.  The script exits 1 without writing the file
 when a counter-derived metric (DETERMINISTIC) differs between the two sides
@@ -50,16 +53,18 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SCHEMA = "perf_pairs/4"
+SCHEMA = "perf_pairs/5"
 #: Schemas validate() accepts; files written before perf_pairs/3 have no
-#: diagnostics, and files written before perf_pairs/4 declare no moves.
-SCHEMAS = ("perf_pairs/2", "perf_pairs/3", SCHEMA)
+#: diagnostics, files written before perf_pairs/4 declare no moves and
+#: files written before perf_pairs/5 have no pair ratios.
+SCHEMAS = ("perf_pairs/2", "perf_pairs/3", "perf_pairs/4", SCHEMA)
 SIDES = ("parent", "change")
 SEEDS = (1, 2)
 PAIRS = 10
 DETERMINISTIC = ("uplink_bytes_per_purchase", "epsilon_per_purchase",
                  "sold_share")
 STAT_FIELDS = ("n", "median", "p05", "p95", "iqr", "min", "max")
+PAIR_RATIO_FIELDS = ("n", "median", "p05", "p95", "iqr")
 OPERATION_FIELDS = ("attempted", "failed")
 DECLARATION_FIELDS = ("workload", "seed", "metric", "parent", "change",
                       "why")
@@ -102,6 +107,22 @@ def sample_stats(values):
         "min": ordered[0],
         "max": ordered[-1],
     }
+
+
+def pair_ratio(parent, change):
+    """Statistics of the change/parent ratio within each pair, over the
+    pairs whose parent value is not 0 (None when there are none)."""
+    ratios = [c / p for p, c in zip(parent, change) if p]
+    if not ratios:
+        return None
+    stats = sample_stats(ratios)
+    return {field: stats[field] for field in PAIR_RATIO_FIELDS}
+
+
+def schema_version(doc):
+    """The N of a perf_pairs/N document validate() accepts, else 0."""
+    schema = doc.get("schema")
+    return int(schema.split("/")[1]) if schema in SCHEMAS else 0
 
 
 def failed_share(operations, side):
@@ -180,7 +201,8 @@ def summarize(pairs, metrics, declared=None):
                    if (c > p if higher else c < p))
         summary["metrics"][name] = {"unit": metric["unit"],
                                     "better": metric["better"],
-                                    **entry, "change_wins": wins}
+                                    **entry, "change_wins": wins,
+                                    "pair_ratio": pair_ratio(parent, change)}
     return summary
 
 
@@ -202,8 +224,9 @@ def validate(doc, spec):
         problems.append(f"pairs is not {PAIRS}")
     if doc.get("seconds") != spec["run_seconds"]:
         problems.append("seconds is not BENCHMARK.json's run_seconds")
+    version = schema_version(doc)
     declared = []
-    if doc.get("schema") == SCHEMA:
+    if version >= 4:
         if "declared" not in doc:
             problems.append("declared is missing")
         declared = doc.get("declared", [])
@@ -226,7 +249,7 @@ def validate(doc, spec):
                 problems.append(f"{where}: not an object")
                 continue
             problems += validate_operations(where, summary.get("operations"))
-            if doc.get("schema") == SCHEMA:
+            if version >= 4:
                 problems += validate_diagnostics(where,
                                                  summary.get("diagnostics"))
             table = summary.get("metrics")
@@ -237,7 +260,7 @@ def validate(doc, spec):
             moved = declarations_for(declared, workload, seed)
             for name, entry in table.items():
                 problems += validate_entry(f"{where}/{name}", entry,
-                                           metrics[name], moved)
+                                           metrics[name], moved, version)
     return problems
 
 
@@ -305,13 +328,15 @@ def validate_diagnostics(where, diagnostics):
     return problems
 
 
-def validate_entry(where, entry, metric, declared):
+def validate_entry(where, entry, metric, declared, version=0):
     if not isinstance(entry, dict):
         return [f"{where}: not an object"]
     problems = [f"{where}: {key} is not {metric[key]!r}"
                 for key in ("unit", "better")
                 if entry.get(key) != metric[key]]
     problems += validate_sides(where, entry)
+    if version >= 5:
+        problems += validate_pair_ratio(where, entry)
     wins = entry.get("change_wins")
     if not isinstance(wins, int) or not 0 <= wins <= PAIRS:
         problems.append(f"{where}: change_wins is not in [0, {PAIRS}]")
@@ -320,6 +345,25 @@ def validate_entry(where, entry, metric, declared):
         if problem:
             problems.append(f"{where}: {problem}")
     return problems
+
+
+def validate_pair_ratio(where, entry):
+    if "pair_ratio" not in entry:
+        return [f"{where}: pair_ratio is missing"]
+    stats = entry["pair_ratio"]
+    if stats is None:
+        return []
+    if not isinstance(stats, dict) or set(stats) != set(PAIR_RATIO_FIELDS):
+        return [f"{where}: pair_ratio lacks {PAIR_RATIO_FIELDS}"]
+    if not all(isinstance(stats[f], (int, float))
+               for f in PAIR_RATIO_FIELDS):
+        return [f"{where}: pair_ratio has a non-number"]
+    if not 1 <= stats["n"] <= PAIRS:
+        return [f"{where}: pair_ratio n is not in [1, {PAIRS}]"]
+    if not (stats["p05"] <= stats["median"] <= stats["p95"]) or (
+            stats["iqr"] < 0):
+        return [f"{where}: pair_ratio statistics are out of order"]
+    return []
 
 
 def validate_sides(where, entry):

@@ -88,6 +88,28 @@ class StatisticsTest(unittest.TestCase):
                                1.1)
         self.assertEqual(summary["cpu_us_per_purchase"]["change_wins"], 0)
 
+    def test_pair_ratios_are_taken_within_each_pair(self):
+        pairs = fixture_runs(4)
+        # The host slows both runs of the last pair alike: each side's
+        # spread widens, the within-pair ratio does not move.
+        for side in perf_pairs.SIDES:
+            pairs[3][side]["metrics"]["purchases_per_s"] *= 0.5
+        summary = perf_pairs.summarize(pairs, METRICS)["metrics"]
+        ratio = summary["purchases_per_s"]["pair_ratio"]
+        self.assertEqual(set(ratio), set(perf_pairs.PAIR_RATIO_FIELDS))
+        self.assertEqual(ratio["n"], 4)
+        for field in ("median", "p05", "p95"):
+            self.assertAlmostEqual(ratio[field], 1.1)
+        self.assertAlmostEqual(ratio["iqr"], 0.0)
+        self.assertEqual(
+            summary["cpu_us_per_purchase"]["pair_ratio"]["median"], 1.0)
+
+    def test_pair_ratio_skips_pairs_with_a_zero_parent(self):
+        self.assertEqual(perf_pairs.pair_ratio([0.0, 2.0], [1.0, 3.0]),
+                         {"n": 1, "median": 1.5, "p05": 1.5, "p95": 1.5,
+                          "iqr": 0.0})
+        self.assertIsNone(perf_pairs.pair_ratio([0.0, 0.0], [1.0, 0.0]))
+
     def test_moved_counter_metric_is_refused(self):
         pairs = fixture_runs(3)
         pairs[1]["change"]["metrics"]["sold_share"] = 0.5
@@ -280,6 +302,14 @@ class SchemaTest(unittest.TestCase):
             lambda d: entry(d, "setup_s").update(change_wins=11)))
         self.assertTrue(damaged(
             lambda d: entry(d, "setup_s")["runs"]["change"].pop()))
+        self.assertTrue(damaged(lambda d: entry(d, "setup_s").pop(
+            "pair_ratio")))
+        self.assertTrue(damaged(lambda d: entry(d, "setup_s")[
+            "pair_ratio"].pop("iqr")))
+        self.assertTrue(damaged(lambda d: entry(d, "setup_s")[
+            "pair_ratio"].update(p05=2.0)))
+        self.assertTrue(damaged(lambda d: entry(d, "setup_s")[
+            "pair_ratio"].update(n=0)))
         self.assertTrue(damaged(
             lambda d: entry(d, "sold_share")["runs"]["change"].__setitem__(
                 0, 0.3)))
@@ -294,6 +324,21 @@ class SchemaTest(unittest.TestCase):
         self.assertTrue(damaged(
             lambda d: d["results"]["menu_market"]["2"]["diagnostics"][
                 "page_faults"]["runs"]["parent"].pop()))
+
+    def test_files_before_pair_ratios_still_validate(self):
+        doc = fixture_document()
+        doc["schema"] = "perf_pairs/4"
+        for seeds in doc["results"].values():
+            for summary in seeds.values():
+                for entry in summary["metrics"].values():
+                    del entry["pair_ratio"]
+        self.assertEqual(perf_pairs.validate(doc, SPEC), [])
+
+    def test_zero_parent_pair_ratio_validates(self):
+        doc = fixture_document()
+        doc["results"]["menu_market"]["1"]["metrics"]["setup_s"][
+            "pair_ratio"] = None
+        self.assertEqual(perf_pairs.validate(doc, SPEC), [])
 
     def test_files_before_declarations_still_validate(self):
         doc = fixture_document()

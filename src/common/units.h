@@ -53,7 +53,6 @@
 namespace prc::dp {
 class LaplaceMechanism;
 class PrivateRangeCounter;
-class WorkloadAnswerer;
 class HierarchicalMechanism;
 }  // namespace prc::dp
 
@@ -169,7 +168,6 @@ class Released {
 
   friend class ::prc::dp::LaplaceMechanism;
   friend class ::prc::dp::PrivateRangeCounter;
-  friend class ::prc::dp::WorkloadAnswerer;
   friend class ::prc::dp::HierarchicalMechanism;
 
   T value_{};

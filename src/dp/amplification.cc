@@ -63,15 +63,4 @@ units::Epsilon base_epsilon_for_amplified(units::EffectiveEpsilon target_in,
   return base;
 }
 
-units::EffectiveEpsilon compose_sequential(
-    std::span<const units::EffectiveEpsilon> epsilons) {
-  double total = 0.0;
-  for (const double eps : epsilons) {
-    PRC_CHECK(std::isfinite(eps) && eps >= 0.0)
-        << "composed epsilon must be >= 0, got " << eps;
-    total += eps;
-  }
-  return total;
-}
-
 }  // namespace prc::dp

@@ -1,13 +1,10 @@
-// Privacy amplification by sampling and sequential composition.
+// Privacy amplification by sampling.
 //
 // Lemma 3.4 (generalized from Kasiviswanathan et al.): if phi is
 // epsilon-DP and S subsamples each item independently with probability p,
 // then phi(S(.)) is epsilon'-DP with epsilon' = ln(1 - p + p e^epsilon).
 // The optimizer minimizes this amplified budget.
 #pragma once
-
-#include <cstddef>
-#include <span>
 
 #include "common/units.h"
 
@@ -21,11 +18,5 @@ units::EffectiveEpsilon amplified_epsilon(units::Epsilon epsilon,
 /// `target`.  Requires target >= 0 and p in (0, 1].
 units::Epsilon base_epsilon_for_amplified(units::EffectiveEpsilon target,
                                           units::Probability p);
-
-/// Sequential composition: total budget of independent releases is the sum
-/// of their budgets.  (Used by the ledger to audit cumulative leakage per
-/// consumer.)
-units::EffectiveEpsilon compose_sequential(
-    std::span<const units::EffectiveEpsilon> epsilons);
 
 }  // namespace prc::dp

@@ -283,6 +283,9 @@ std::optional<PerturbationPlan> PerturbationOptimizer::search(
       const double alpha_prime =
           alpha_lo +
           width * static_cast<double>(i) / static_cast<double>(grid + 1);
+      // On an interval a few ulps wide the step rounds away and the point
+      // lands on an endpoint, where epsilon_at can still be finite.
+      if (!(alpha_prime > alpha_lo && alpha_prime < spec.alpha)) continue;
       const double epsilon = objective.epsilon_at(alpha_prime, nullptr);
       if (epsilon < best_epsilon) {
         best_epsilon = epsilon;

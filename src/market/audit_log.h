@@ -37,7 +37,7 @@
 // stops growing at about 5 MB, and an append is O(1), allocates nothing at
 // steady state (an id or text seen before is not stored again) and never
 // moves a record it keeps.  The intern tables are not windowed: like the
-// ledger's per-consumer maps they grow with the distinct consumer ids and
+// ledger's per-consumer accounts they grow with the distinct consumer ids and
 // detail texts of the broker's life, which the fixed sale and refusal
 // texts keep small.  size() still counts every event ever appended:
 // indices stay dense and global, and the readers walk the retained window

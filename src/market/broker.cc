@@ -152,9 +152,10 @@ Refusal DataBroker::refuse(RefusalKind kind, const std::string& consumer_id,
         telemetry::counter("market.refusals_coverage");
     refusals.increment();
   }
-  ledger_.refuse(consumer_id, range, spec, attempted, refusal_reason(kind));
   refusal.attempted = attempted;
-  refusal.spent = ledger_.consumer_epsilon(consumer_id) + attempted;
+  refusal.spent = ledger_.refuse(consumer_id, range, spec, attempted,
+                                 refusal_reason(kind)) +
+                  attempted;
   refusal.cap = config_.per_consumer_epsilon_cap;
   refusal.coverage = coverage;
   refusal.text = std::move(text);

@@ -67,31 +67,29 @@ void Ledger::Reservation::release() noexcept {
   Ledger* ledger = ledger_;
   ledger_ = nullptr;
   std::lock_guard<std::mutex> lock(ledger->mutex_);
-  ledger->release_locked(consumer_id_, epsilon_);
+  ledger->release_locked(account_->second, epsilon_);
 }
 
-bool Ledger::hold_locked(const std::string& consumer_id, double epsilon,
-                         units::EffectiveEpsilon cap) {
-  const auto spent_it = books_.epsilon_by_consumer.find(consumer_id);
-  const double spent =
-      spent_it == books_.epsilon_by_consumer.end() ? 0.0 : spent_it->second;
-  const auto held_it = reserved_by_consumer_.find(consumer_id);
-  const double held =
-      held_it == reserved_by_consumer_.end() ? 0.0 : held_it->second;
-  if (spent + held + epsilon > cap.value()) return false;
-  reserved_by_consumer_[consumer_id] = held + epsilon;
+bool Ledger::Books::empty() const noexcept {
+  return next_sequence == 0 && commits == 0 && degraded_sales == 0 &&
+         std::none_of(accounts.begin(), accounts.end(),
+                      [](const auto& entry) { return entry.second.booked; });
+}
+
+bool Ledger::hold(Account& account, double epsilon,
+                  units::EffectiveEpsilon cap) {
+  if (account.epsilon + account.held + epsilon > cap.value()) return false;
+  account.held += epsilon;
   return true;
 }
 
-void Ledger::release_locked(const std::string& consumer_id, double epsilon) {
-  auto it = reserved_by_consumer_.find(consumer_id);
-  if (it != reserved_by_consumer_.end()) {
-    it->second -= epsilon;
-    if (it->second <= 0.0) reserved_by_consumer_.erase(it);
-  }
+void Ledger::release_locked(Account& account, double epsilon) {
+  --live_reservations_;
+  // Rounding can leave the last release a hair past zero.
+  account.held = std::max(0.0, account.held - epsilon);
 }
 
-void Ledger::fold_locked(AuditEvent event, Booking booking,
+void Ledger::fold_locked(AuditEvent event, Booking booking, Account* account,
                          const LedgerSnapshot* base) {
   static telemetry::Counter& ledger_transactions =
       telemetry::counter("market.ledger_transactions");
@@ -107,8 +105,9 @@ void Ledger::fold_locked(AuditEvent event, Booking booking,
       if (event.degraded) ++books_.degraded_sales;
       books_.total_revenue += event.price;
       books_.total_epsilon += epsilon;
-      books_.spend_by_consumer[event.consumer_id] += event.price;
-      books_.epsilon_by_consumer[event.consumer_id] += epsilon;
+      account->spend += event.price;
+      account->epsilon += epsilon;
+      account->booked = true;
       books_.sums.consumer_spend += event.price;
       books_.sums.consumer_epsilon += epsilon;
       // Budget conservation (sequential composition audit): every epsilon'
@@ -129,7 +128,8 @@ void Ledger::fold_locked(AuditEvent event, Booking booking,
     case Booking::kOrphan:
       books_.total_epsilon += epsilon;
       books_.orphaned_epsilon += epsilon;
-      books_.epsilon_by_consumer[event.consumer_id] += epsilon;
+      account->epsilon += epsilon;
+      account->booked = true;
       books_.sums.consumer_epsilon += epsilon;
       telemetry::gauge("market.ledger_orphaned_epsilon")
           .set(books_.orphaned_epsilon);
@@ -141,8 +141,8 @@ void Ledger::fold_locked(AuditEvent event, Booking booking,
       books_.orphaned_epsilon = base->orphaned_epsilon.value();
       books_.degraded_sales = base->degraded_sales;
       for (const auto& totals : base->consumers) {
-        books_.spend_by_consumer[totals.consumer_id] = totals.spend;
-        books_.epsilon_by_consumer[totals.consumer_id] = totals.epsilon.value();
+        Account& restored = books_.accounts[totals.consumer_id];
+        restored = {totals.spend, totals.epsilon.value(), restored.held, true};
         books_.sums.consumer_spend += totals.spend;
         books_.sums.consumer_epsilon += totals.epsilon.value();
       }
@@ -162,14 +162,16 @@ void Ledger::quote(const query::AccuracySpec& spec, double price) {
   fold_locked(std::move(event));
 }
 
-void Ledger::refuse(const std::string& consumer_id,
-                    const query::RangeQuery& range,
-                    const query::AccuracySpec& spec,
-                    units::EffectiveEpsilon attempted, std::string reason) {
+units::EffectiveEpsilon Ledger::refuse(
+    const std::string& consumer_id, const query::RangeQuery& range,
+    const query::AccuracySpec& spec, units::EffectiveEpsilon attempted,
+    std::string reason) {
   // Attempted, NOT spent: refusals release nothing.
   std::lock_guard<std::mutex> lock(mutex_);
   fold_locked(sale_event(AuditEventType::kRefusal, consumer_id, range, spec,
                          attempted, 0, std::move(reason)));
+  const auto it = books_.accounts.find(consumer_id);
+  return it == books_.accounts.end() ? 0.0 : it->second.epsilon;
 }
 
 std::optional<Ledger::Reservation> Ledger::try_reserve(
@@ -179,23 +181,27 @@ std::optional<Ledger::Reservation> Ledger::try_reserve(
   PRC_CHECK(std::isfinite(epsilon.value()) && epsilon.value() >= 0.0)
       << "ledger: reserved budget must be >= 0, got " << epsilon.value();
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!hold_locked(consumer_id, epsilon.value(), cap)) return std::nullopt;
+  const auto [entry, inserted] = books_.accounts.try_emplace(consumer_id);
+  if (!hold(entry->second, epsilon.value(), cap)) {
+    // A consumer refused on its first reservation leaves no account.
+    if (inserted) books_.accounts.erase(entry);
+    return std::nullopt;
+  }
+  ++live_reservations_;
   fold_locked(
       sale_event(AuditEventType::kReserve, consumer_id, range, spec, epsilon));
-  return Reservation(this, consumer_id, epsilon.value());
+  return Reservation(this, &*entry, epsilon.value());
 }
 
 bool Ledger::try_extend(Reservation& reservation,
                         units::EffectiveEpsilon delta,
                         units::EffectiveEpsilon cap) {
-  PRC_CHECK(reservation.active())
-      << "ledger: extending a released reservation";
   PRC_CHECK(reservation.ledger_ == this)
-      << "ledger: reservation belongs to another ledger";
+      << "ledger: extending a reservation released or of another ledger";
   PRC_CHECK(std::isfinite(delta.value()) && delta.value() >= 0.0)
       << "ledger: reservation extension must be >= 0, got " << delta.value();
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!hold_locked(reservation.consumer_id_, delta.value(), cap)) return false;
+  if (!hold(reservation.account_->second, delta.value(), cap)) return false;
   reservation.epsilon_ += delta.value();
   return true;
 }
@@ -218,12 +224,10 @@ void Ledger::mint(const std::string& consumer_id,
 std::size_t Ledger::commit(Reservation reservation, Transaction transaction,
                            std::uint64_t wal_sequence,
                            Checkpoint* checkpoint) {
-  PRC_CHECK(reservation.active())
-      << "ledger: committing a released reservation";
   PRC_CHECK(reservation.ledger_ == this)
-      << "ledger: reservation belongs to another ledger";
-  PRC_CHECK(reservation.consumer_id_ == transaction.consumer_id)
-      << "ledger: reservation for '" << reservation.consumer_id_
+      << "ledger: committing a reservation released or of another ledger";
+  PRC_CHECK(reservation.account_->first == transaction.consumer_id)
+      << "ledger: reservation for '" << reservation.account_->first
       << "' cannot commit a sale to '" << transaction.consumer_id << "'";
   AuditEvent sale = commit_event(transaction, wal_sequence);
   check_sale(sale);
@@ -241,7 +245,8 @@ std::size_t Ledger::commit(Reservation reservation, Transaction transaction,
                        << reserved << " for '" << sale.consumer_id << "'";
   reservation.ledger_ = nullptr;  // consumed; no destructor-time release
   std::lock_guard<std::mutex> lock(mutex_);
-  release_locked(reservation.consumer_id_, reservation.epsilon_);
+  Account& account = reservation.account_->second;
+  release_locked(account, reservation.epsilon_);
   if (checkpoint != nullptr) {
     // The checkpoint covers this sale, and the timeline lists it ahead of
     // the sale's commit; its total is the sum the commit's fold computes.
@@ -252,7 +257,7 @@ std::size_t Ledger::commit(Reservation reservation, Transaction transaction,
   }
   const std::size_t sequence = books_.next_sequence;
   sale.ledger_sequence = sequence;
-  fold_locked(std::move(sale), Booking::kSale);
+  fold_locked(std::move(sale), Booking::kSale, &account);
   if (checkpoint != nullptr) checkpoint->snapshot = snapshot_locked();
   return sequence;
 }
@@ -291,12 +296,10 @@ Ledger::ConsumerSums Ledger::consumer_sums() const {
 
 double Ledger::conservation_discrepancy_locked() const {
   double epsilon_sum = 0.0;
-  for (const auto& [consumer, epsilon] : books_.epsilon_by_consumer) {
-    epsilon_sum += epsilon;
-  }
   double spend_sum = 0.0;
-  for (const auto& [consumer, spend] : books_.spend_by_consumer) {
-    spend_sum += spend;
+  for (const auto& [consumer, account] : books_.accounts) {
+    epsilon_sum += account.epsilon;
+    spend_sum += account.spend;
   }
   return std::abs(epsilon_sum - books_.total_epsilon) +
          std::abs(spend_sum - books_.total_revenue);
@@ -304,15 +307,15 @@ double Ledger::conservation_discrepancy_locked() const {
 
 double Ledger::consumer_spend(const std::string& consumer_id) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = books_.spend_by_consumer.find(consumer_id);
-  return it == books_.spend_by_consumer.end() ? 0.0 : it->second;
+  const auto it = books_.accounts.find(consumer_id);
+  return it == books_.accounts.end() ? 0.0 : it->second.spend;
 }
 
 units::EffectiveEpsilon Ledger::consumer_epsilon(
     const std::string& consumer_id) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = books_.epsilon_by_consumer.find(consumer_id);
-  return it == books_.epsilon_by_consumer.end() ? 0.0 : it->second;
+  const auto it = books_.accounts.find(consumer_id);
+  return it == books_.accounts.end() ? 0.0 : it->second.epsilon;
 }
 
 LedgerSnapshot Ledger::snapshot() const {
@@ -327,14 +330,10 @@ LedgerSnapshot Ledger::snapshot_locked() const {
   snap.total_epsilon = books_.total_epsilon;
   snap.orphaned_epsilon = books_.orphaned_epsilon;
   snap.degraded_sales = books_.degraded_sales;
-  // Every fold that books spend also books epsilon', so the epsilon map
-  // lists every consumer (orphan-only ones have no spend entry).
-  snap.consumers.reserve(books_.epsilon_by_consumer.size());
-  for (const auto& [consumer, epsilon] : books_.epsilon_by_consumer) {
-    const auto it = books_.spend_by_consumer.find(consumer);
-    snap.consumers.push_back(
-        {consumer, it == books_.spend_by_consumer.end() ? 0.0 : it->second,
-         epsilon});
+  snap.consumers.reserve(books_.accounts.size());
+  for (const auto& [consumer, account] : books_.accounts) {
+    if (!account.booked) continue;
+    snap.consumers.push_back({consumer, account.spend, account.epsilon});
   }
   std::sort(snap.consumers.begin(), snap.consumers.end(),
             [](const LedgerConsumerTotals& a, const LedgerConsumerTotals& b) {
@@ -348,7 +347,7 @@ void Ledger::restore(const Checkpoint& base) {
   PRC_CHECK(books_.empty())
       << "ledger restore requires an empty ledger (recovery is a birth, "
          "not a merge)";
-  fold_locked(base.event, Booking::kBase, &base.snapshot);
+  fold_locked(base.event, Booking::kBase, nullptr, &base.snapshot);
 }
 
 void Ledger::replay(const AuditEvent& commit) {
@@ -357,7 +356,7 @@ void Ledger::replay(const AuditEvent& commit) {
   PRC_CHECK(commit.ledger_sequence >= books_.next_sequence)
       << "ledger replay would reuse sequence " << commit.ledger_sequence
       << " (next is " << books_.next_sequence << ")";
-  fold_locked(commit, Booking::kSale);
+  fold_locked(commit, Booking::kSale, &books_.accounts[commit.consumer_id]);
 }
 
 void Ledger::absorb_orphaned(AuditEvent intent) {
@@ -365,7 +364,7 @@ void Ledger::absorb_orphaned(AuditEvent intent) {
       << "ledger: orphaned budget must be >= 0, got " << intent.epsilon;
   intent.detail = "orphaned intent (no commit): charged as spent";
   std::lock_guard<std::mutex> lock(mutex_);
-  fold_locked(std::move(intent), Booking::kOrphan);
+  fold_locked(intent, Booking::kOrphan, &books_.accounts[intent.consumer_id]);
 }
 
 void Ledger::conclude_recovery(std::string detail) {
@@ -379,10 +378,10 @@ void Ledger::adopt(Ledger& other) {
   // One deadlock-free atomic acquisition: two sequential lock_guards would
   // invert order against a concurrent `other.adopt(*this)`.
   std::scoped_lock lock(mutex_, other.mutex_);
-  PRC_CHECK(books_.empty() && reserved_by_consumer_.empty())
+  PRC_CHECK(books_.empty() && live_reservations_ == 0)
       << "ledger adopt requires an empty ledger (recovery is a birth, "
          "not a merge)";
-  PRC_CHECK(other.reserved_by_consumer_.empty())
+  PRC_CHECK(other.live_reservations_ == 0)
       << "ledger adopt source still holds live reservations";
   books_ = std::exchange(other.books_, Books{});
   timeline_.append_all(other.timeline_);

@@ -95,6 +95,19 @@ struct Checkpoint {
 /// is appended under it and read under the timeline's own lock, so readers
 /// never alias live mutable state and never block on the ledger.
 class Ledger {
+  /// One consumer's budget: what the folded events booked (revenue and
+  /// epsilon', `booked` once any sale, orphan or restored base names the
+  /// consumer) and the epsilon' its live reservations hold.  Reservations
+  /// point at their account; an unordered_map never moves its nodes, and
+  /// only adopt() moves the map, when no reservation is live.
+  struct Account {
+    double spend = 0.0;
+    double epsilon = 0.0;
+    double held = 0.0;
+    bool booked = false;
+  };
+  using Accounts = std::unordered_map<std::string, Account>;
+
  public:
   /// A held slice of a consumer's budget cap: try_reserve() checks
   /// spent + reserved + epsilon against the cap and holds epsilon until the
@@ -110,7 +123,7 @@ class Ledger {
       if (this != &other) {
         release();
         ledger_ = other.ledger_;
-        consumer_id_ = std::move(other.consumer_id_);
+        account_ = other.account_;
         epsilon_ = other.epsilon_;
         other.ledger_ = nullptr;
       }
@@ -125,14 +138,12 @@ class Ledger {
 
    private:
     friend class Ledger;
-    Reservation(Ledger* ledger, std::string consumer_id, double epsilon)
-        : ledger_(ledger),
-          consumer_id_(std::move(consumer_id)),
-          epsilon_(epsilon) {}
+    Reservation(Ledger* ledger, Accounts::value_type* account, double epsilon)
+        : ledger_(ledger), account_(account), epsilon_(epsilon) {}
     void release() noexcept;
 
     Ledger* ledger_ = nullptr;
-    std::string consumer_id_;
+    Accounts::value_type* account_ = nullptr;  ///< the consumer's entry
     double epsilon_ = 0.0;
   };
 
@@ -142,10 +153,12 @@ class Ledger {
   void quote(const query::AccuracySpec& spec, double price);
 
   /// kRefusal: the sale died before any release; `attempted` is the
-  /// epsilon' it would have cost, recorded but not spent.
-  void refuse(const std::string& consumer_id, const query::RangeQuery& range,
-              const query::AccuracySpec& spec,
-              units::EffectiveEpsilon attempted, std::string reason);
+  /// epsilon' it would have cost, recorded but not spent.  Returns the
+  /// consumer's released epsilon' (consumer_epsilon()) as of the refusal.
+  units::EffectiveEpsilon refuse(
+      const std::string& consumer_id, const query::RangeQuery& range,
+      const query::AccuracySpec& spec, units::EffectiveEpsilon attempted,
+      std::string reason);
 
   /// Atomically checks `spent + reserved + epsilon <= cap` for the consumer
   /// and, on success, holds `epsilon` until the returned handle is
@@ -318,15 +331,12 @@ class Ledger {
     double total_revenue = 0.0;
     double total_epsilon = 0.0;
     double orphaned_epsilon = 0.0;
-    std::unordered_map<std::string, double> spend_by_consumer;
-    std::unordered_map<std::string, double> epsilon_by_consumer;
-    /// Running sums of the two maps' values (see ConsumerSums).
+    Accounts accounts;
+    /// Running sums of the accounts' spend and epsilon' (see ConsumerSums).
     ConsumerSums sums;
 
-    bool empty() const noexcept {
-      return next_sequence == 0 && commits == 0 && degraded_sales == 0 &&
-             spend_by_consumer.empty() && epsilon_by_consumer.empty();
-    }
+    /// Nothing booked yet (accounts that only ever held are not booked).
+    bool empty() const noexcept;
   };
 
   /// What an event books into the aggregates when folded.
@@ -338,22 +348,25 @@ class Ledger {
   };
 
   /// The fold: appends `event` to the timeline and applies what it books,
-  /// in the caller's critical section.  The only writer of books_.
+  /// in the caller's critical section: a kSale or kOrphan into `account`
+  /// (the event's consumer), a kBase from `base`.  The only writer of the
+  /// booked fields of books_.
   void fold_locked(AuditEvent event, Booking booking = Booking::kNothing,
+                   Account* account = nullptr,
                    const LedgerSnapshot* base = nullptr) PRC_REQUIRES(mutex_);
-  /// Holds `epsilon` for the consumer when spent + held + epsilon fits
-  /// under `cap`; false (nothing held) when it does not.
-  bool hold_locked(const std::string& consumer_id, double epsilon,
-                   units::EffectiveEpsilon cap) PRC_REQUIRES(mutex_);
-  void release_locked(const std::string& consumer_id, double epsilon)
-      PRC_REQUIRES(mutex_);
+  /// Holds `epsilon` on `account` when spent + held + epsilon fits under
+  /// `cap`; false (nothing held) when it does not.
+  static bool hold(Account& account, double epsilon,
+                   units::EffectiveEpsilon cap);
+  void release_locked(Account& account, double epsilon) PRC_REQUIRES(mutex_);
   double conservation_discrepancy_locked() const PRC_REQUIRES(mutex_);
   LedgerSnapshot snapshot_locked() const PRC_REQUIRES(mutex_);
 
   mutable std::mutex mutex_;
   Books books_ PRC_GUARDED_BY(mutex_);
-  std::unordered_map<std::string, double> reserved_by_consumer_
-      PRC_GUARDED_BY(mutex_);
+  /// Reservations neither committed nor released: each points into
+  /// books_.accounts, so adopt() requires none on either side.
+  std::size_t live_reservations_ PRC_GUARDED_BY(mutex_) = 0;
   AuditLog timeline_;
 };
 

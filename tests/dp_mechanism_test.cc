@@ -149,14 +149,6 @@ TEST(AmplificationTest, RejectsBadArguments) {
   EXPECT_THROW(amplified_epsilon(1.0, 1.5), std::invalid_argument);
 }
 
-TEST(CompositionTest, SequentialBudgetsAdd) {
-  const std::vector<prc::EffectiveEpsilon> budgets = {0.1, 0.2, 0.3};
-  EXPECT_NEAR(compose_sequential(budgets), 0.6, 1e-12);
-  EXPECT_EQ(compose_sequential({}), 0.0);
-  const std::vector<prc::EffectiveEpsilon> bad = {0.1, -0.2};
-  EXPECT_THROW(compose_sequential(bad), std::invalid_argument);
-}
-
 // Monte-Carlo check of Lemma 3.4 itself: sample-then-perturb on neighboring
 // datasets must satisfy the amplified budget on output densities.
 TEST(AmplificationTest, EmpiricalSampledMechanismMeetsAmplifiedBudget) {

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <limits>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -12,6 +18,7 @@
 #include "market/broker.h"
 #include "market/consumer.h"
 #include "market/ledger.h"
+#include "market/wal.h"
 #include "support/ledger_sale.h"
 
 namespace prc::market {
@@ -190,6 +197,27 @@ TEST(LedgerReservationTest, ExtendPastCapRefusesAndLeavesHoldIntact) {
   EXPECT_TRUE(ledger.try_reserve("alice", 0.05, 0.05).has_value());
 }
 
+TEST(LedgerReservationTest, ReleasesKeepRoundingResidueButNoNegativeHold) {
+  // In binary, (0.7 + 0.1) - 0.7 - 0.1 is -2.8e-17 and (0.1 + 0.2) - 0.1 -
+  // 0.2 is +2.8e-17.  A hold released below zero reads zero; one left a
+  // hair above zero still counts against the cap.
+  Ledger ledger;
+  const auto hold_and_release = [&ledger](const char* consumer, double first,
+                                          double second) {
+    auto a = ledger.try_reserve(consumer, first, 1.0);
+    auto b = ledger.try_reserve(consumer, second, 1.0);
+    ASSERT_TRUE(a.has_value() && b.has_value());
+    a.reset();
+    b.reset();
+  };
+  hold_and_release("alice", 0.7, 0.1);
+  EXPECT_FALSE(ledger.try_reserve("alice", 3e-17, 2e-17).has_value());
+  EXPECT_TRUE(ledger.try_reserve("alice", 2e-17, 2e-17).has_value());
+  hold_and_release("bob", 0.1, 0.2);
+  EXPECT_FALSE(ledger.try_reserve("bob", 1e-17, 3e-17).has_value());
+  EXPECT_TRUE(ledger.try_reserve("bob", 1e-17, 4e-17).has_value());
+}
+
 TEST(LedgerReservationTest, CommitAboveTheReservationIsFlaggedAsOverrun) {
   // The mint barrier keeps the reservation aligned with the minted plan,
   // so an overrun at commit means a release slipped past the cap without
@@ -205,6 +233,376 @@ TEST(LedgerReservationTest, CommitAboveTheReservationIsFlaggedAsOverrun) {
   ledger.commit(std::move(*reservation), oversized);
   EXPECT_DOUBLE_EQ(ledger.consumer_epsilon("alice").value(), 0.02);
 #endif
+}
+
+// --- The ledger against a model of its books. ---
+
+/// The books as three ordered maps (booked spend, booked epsilon', held
+/// epsilon') plus the scalar totals, changed by the same floating-point
+/// operations in the same order as the ledger, so every figure compares
+/// exactly.
+struct LedgerModel {
+  std::map<std::string, double> spend;
+  std::map<std::string, double> epsilon;
+  std::map<std::string, double> held;
+  std::uint64_t next_sequence = 0;
+  std::size_t commits = 0;
+  std::size_t degraded = 0;
+  double revenue = 0.0;
+  double total_epsilon = 0.0;
+  double orphaned = 0.0;
+  Ledger::ConsumerSums sums;
+
+  static double get(const std::map<std::string, double>& map,
+                    const std::string& consumer) {
+    const auto it = map.find(consumer);
+    return it == map.end() ? 0.0 : it->second;
+  }
+  bool hold(const std::string& consumer, double amount, double cap) {
+    const double current = get(held, consumer);
+    if (get(epsilon, consumer) + current + amount > cap) return false;
+    held[consumer] = current + amount;
+    return true;
+  }
+  void release(const std::string& consumer, double amount) {
+    const auto it = held.find(consumer);
+    if (it == held.end()) return;
+    it->second -= amount;
+    if (it->second <= 0.0) held.erase(it);
+  }
+  void book_sale(const Transaction& sale, std::uint64_t sequence) {
+    next_sequence = sequence + 1;
+    ++commits;
+    if (sale.degraded) ++degraded;
+    revenue += sale.price;
+    total_epsilon += sale.epsilon_amplified.value();
+    spend[sale.consumer_id] += sale.price;
+    epsilon[sale.consumer_id] += sale.epsilon_amplified.value();
+    sums.consumer_spend += sale.price;
+    sums.consumer_epsilon += sale.epsilon_amplified.value();
+  }
+  void book_orphan(const std::string& consumer, double amount) {
+    total_epsilon += amount;
+    orphaned += amount;
+    epsilon[consumer] += amount;
+    sums.consumer_epsilon += amount;
+  }
+  LedgerSnapshot snapshot() const {
+    LedgerSnapshot snap;
+    snap.next_sequence = next_sequence;
+    snap.total_revenue = revenue;
+    snap.total_epsilon = total_epsilon;
+    snap.orphaned_epsilon = orphaned;
+    snap.degraded_sales = degraded;
+    for (const auto& [consumer, booked] : epsilon) {
+      snap.consumers.push_back({consumer, get(spend, consumer), booked});
+    }
+    return snap;
+  }
+  /// A fresh ledger restored from `base`.
+  static LedgerModel restored(const LedgerSnapshot& base) {
+    LedgerModel model;
+    model.next_sequence = base.next_sequence;
+    model.revenue = base.total_revenue;
+    model.total_epsilon = base.total_epsilon.value();
+    model.orphaned = base.orphaned_epsilon.value();
+    model.degraded = base.degraded_sales;
+    for (const auto& totals : base.consumers) {
+      model.spend[totals.consumer_id] = totals.spend;
+      model.epsilon[totals.consumer_id] = totals.epsilon.value();
+      model.sums.consumer_spend += totals.spend;
+      model.sums.consumer_epsilon += totals.epsilon.value();
+    }
+    return model;
+  }
+};
+
+std::vector<std::uint8_t> checkpoint_bytes(double total, std::string detail,
+                                           const LedgerSnapshot& snapshot) {
+  AuditEvent event;
+  event.type = AuditEventType::kCheckpoint;
+  event.epsilon = total;
+  event.detail = std::move(detail);
+  return wal::encode_record(1, event, snapshot);
+}
+
+std::vector<std::uint8_t> checkpoint_bytes(const Checkpoint& checkpoint) {
+  return wal::encode_record(1, checkpoint.event, checkpoint.snapshot);
+}
+
+void expect_ledger_matches(const Ledger& ledger, const LedgerModel& model,
+                           const std::vector<std::string>& consumers) {
+  for (const auto& consumer : consumers) {
+    EXPECT_EQ(ledger.consumer_epsilon(consumer).value(),
+              LedgerModel::get(model.epsilon, consumer))
+        << consumer;
+    EXPECT_EQ(ledger.consumer_spend(consumer),
+              LedgerModel::get(model.spend, consumer))
+        << consumer;
+  }
+  EXPECT_EQ(ledger.transaction_count(), model.commits);
+  EXPECT_EQ(ledger.total_revenue(), model.revenue);
+  EXPECT_EQ(ledger.total_epsilon().value(), model.total_epsilon);
+  EXPECT_EQ(ledger.orphaned_epsilon().value(), model.orphaned);
+  EXPECT_EQ(ledger.degraded_sales(), model.degraded);
+  const Ledger::ConsumerSums sums = ledger.consumer_sums();
+  EXPECT_EQ(sums.consumer_epsilon, model.sums.consumer_epsilon);
+  EXPECT_EQ(sums.consumer_spend, model.sums.consumer_spend);
+  // The walk adds the consumers in the hash map's order, so it matches the
+  // model's ordered sums only up to rounding.
+  double epsilon_sum = 0.0;
+  double spend_sum = 0.0;
+  for (const auto& [consumer, booked] : model.epsilon) epsilon_sum += booked;
+  for (const auto& [consumer, paid] : model.spend) spend_sum += paid;
+  EXPECT_NEAR(ledger.conservation_discrepancy(),
+              std::abs(epsilon_sum - model.total_epsilon) +
+                  std::abs(spend_sum - model.revenue),
+              1e-12 * (1.0 + model.total_epsilon + model.revenue));
+  const LedgerSnapshot expected = model.snapshot();
+  EXPECT_EQ(checkpoint_bytes(model.total_epsilon, "step", ledger.snapshot()),
+            checkpoint_bytes(model.total_epsilon, "step", expected));
+}
+
+struct ModelReservation {
+  std::optional<Ledger::Reservation> handle;
+  std::string consumer;
+  double epsilon = 0.0;
+};
+
+/// Runs `steps` random operations against a ledger and the model; every
+/// verdict and every figure must agree after each step.
+void run_ledger_model(std::uint64_t seed, std::size_t steps) {
+  const std::vector<std::string> buyers = {"alice", "bob", "carol",
+                                           "zero-spend"};
+  // Buyers first: the random refusals and orphans draw from prefixes.
+  const std::vector<std::string> consumers = {
+      "alice",      "bob",         "carol",
+      "zero-spend", "orphan-only", "refused-after-reserve"};
+  std::vector<std::string> checked = consumers;
+  checked.push_back("never-seen");
+  Rng rng(seed);
+  auto ledger = std::make_unique<Ledger>();
+  LedgerModel model;
+  std::vector<ModelReservation> live;
+  const auto pick = [&rng](std::size_t size) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(size) - 1));
+  };
+  const auto cap = [&rng]() {
+    return rng.bernoulli(0.2) ? std::numeric_limits<double>::infinity()
+                              : rng.uniform(0.5, 3.0);
+  };
+  const auto drop = [&](std::size_t i) {
+    model.release(live[i].consumer, live[i].epsilon);
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+  };
+  const auto reserve = [&](const std::string& consumer, double amount,
+                           double limit) {
+    auto handle = ledger->try_reserve(consumer, amount, limit);
+    ASSERT_EQ(handle.has_value(), model.hold(consumer, amount, limit))
+        << consumer << " reserving " << amount << " under " << limit;
+    if (handle) live.push_back({std::move(handle), consumer, amount});
+  };
+
+  // Scripted first: one consumer holding two reservations at once, and a
+  // consumer refused after its reservation, who stays out of the
+  // checkpoint.
+  reserve("alice", 0.125, 10.0);
+  reserve("alice", 0.25, 10.0);
+  ASSERT_EQ(live.size(), 2u);
+  reserve("refused-after-reserve", 0.1, 10.0);
+  ASSERT_EQ(live.size(), 3u);
+  ledger->refuse("refused-after-reserve", {0, 1}, {0.1, 0.5}, 0.1,
+                 "coverage below floor");
+  drop(2);
+  {
+    const Checkpoint checkpoint = ledger->checkpoint("after refusal");
+    EXPECT_EQ(checkpoint_bytes(checkpoint),
+              checkpoint_bytes(model.total_epsilon, "after refusal",
+                               model.snapshot()));
+    for (const auto& totals : checkpoint.snapshot.consumers) {
+      EXPECT_NE(totals.consumer_id, "refused-after-reserve");
+    }
+  }
+
+  for (std::size_t step = 0; step < steps; ++step) {
+    const std::int64_t op = rng.uniform_int(0, 9);
+    if (op <= 2) {
+      reserve(buyers[pick(buyers.size())], rng.uniform(0.0, 0.2), cap());
+    } else if (op == 3 && !live.empty()) {
+      ModelReservation& held = live[pick(live.size())];
+      const double delta = rng.uniform(0.0, 0.1);
+      const double limit = cap();
+      const bool extended = ledger->try_extend(*held.handle, delta, limit);
+      ASSERT_EQ(extended, model.hold(held.consumer, delta, limit));
+      if (extended) held.epsilon += delta;
+      EXPECT_EQ(held.handle->epsilon().value(), held.epsilon);
+    } else if (op <= 5 && !live.empty()) {
+      const std::size_t i = pick(live.size());
+      ModelReservation held = std::move(live[i]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+      Transaction sale{0,
+                       held.consumer,
+                       {0, 1},
+                       {0.1, 0.5},
+                       held.consumer == "zero-spend" ? 0.0
+                                                     : rng.uniform(0.5, 9.0),
+                       held.epsilon * rng.uniform(0.5, 1.0),
+                       1.0,
+                       rng.bernoulli(0.2)};
+      model.release(held.consumer, held.epsilon);
+      const std::uint64_t sequence = model.next_sequence;
+      model.book_sale(sale, sequence);
+      if (rng.bernoulli(0.3)) {
+        Checkpoint checkpoint;
+        EXPECT_EQ(ledger->commit(std::move(*held.handle), sale, 7,
+                                 &checkpoint),
+                  sequence);
+        EXPECT_EQ(checkpoint_bytes(checkpoint),
+                  checkpoint_bytes(model.total_epsilon,
+                                   "periodic wal checkpoint",
+                                   model.snapshot()));
+      } else {
+        EXPECT_EQ(ledger->commit(std::move(*held.handle), sale), sequence);
+      }
+    } else if (op == 6 && !live.empty()) {
+      drop(pick(live.size()));
+    } else if (op == 7) {
+      const std::int64_t kind = rng.uniform_int(0, 2);
+      if (kind == 0) {
+        ledger->refuse(consumers[pick(consumers.size())], {0, 1}, {0.1, 0.5},
+                       rng.uniform(0.0, 1.0), "budget");
+      } else if (kind == 1) {
+        // "orphan-only" is charged by orphans and nothing else.
+        AuditEvent intent;
+        intent.type = AuditEventType::kIntent;
+        intent.consumer_id = consumers[pick(buyers.size() + 1)];
+        intent.epsilon = rng.uniform(0.0, 0.05);
+        model.book_orphan(intent.consumer_id, intent.epsilon.value());
+        ledger->absorb_orphaned(intent);
+      } else {
+        const std::string& consumer = buyers[pick(buyers.size())];
+        const Transaction sale{
+            0,
+            consumer,
+            {0, 1},
+            {0.1, 0.5},
+            consumer == "zero-spend" ? 0.0 : rng.uniform(0.5, 9.0),
+            rng.uniform(0.0, 0.05)};
+        AuditEvent commit = commit_event(sale, 0);
+        commit.ledger_sequence =
+            model.next_sequence +
+            static_cast<std::uint64_t>(rng.uniform_int(0, 2));
+        model.book_sale(sale, commit.ledger_sequence);
+        ledger->replay(commit);
+      }
+    } else if (op == 8) {
+      const Checkpoint checkpoint = ledger->checkpoint("model step");
+      EXPECT_EQ(checkpoint_bytes(checkpoint),
+                checkpoint_bytes(model.total_epsilon, "model step",
+                                 model.snapshot()));
+    } else if (op == 9) {
+      // Restore the checkpoint into a fresh ledger and adopt that into
+      // another, as a recovery does; live reservations end first.
+      while (!live.empty()) drop(live.size() - 1);
+      const Checkpoint base = ledger->checkpoint("model base");
+      Ledger restored;
+      restored.restore(base);
+      auto adopted = std::make_unique<Ledger>();
+      adopted->adopt(restored);
+      EXPECT_EQ(restored.snapshot().consumers.size(), 0u);
+      ledger = std::move(adopted);
+      model = LedgerModel::restored(base.snapshot);
+    }
+    expect_ledger_matches(*ledger, model, checked);
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "seed " << seed << " diverged at step " << step;
+    }
+  }
+}
+
+TEST(LedgerModelTest, RandomOperationsMatchTheModel) {
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) run_ledger_model(seed, 1500);
+}
+
+// Reservations on one consumer stay live while other threads add consumers
+// (growing the ledger's per-consumer map through many rehashes) and a
+// reader takes snapshots; the books must come out as a serial run's.
+void run_rehash_workload(Ledger& ledger, bool concurrent) {
+  constexpr int kWriters = 2;
+  constexpr std::size_t kNewConsumers = 1500;
+  constexpr std::size_t kHotRounds = 300;
+  constexpr double kCap = 1e9;
+  // Dyadic amounts add exactly in any order, so the totals cannot depend
+  // on the interleaving.
+  auto pinned = ledger.try_reserve("hot", 1.0 / 8, kCap);
+  ASSERT_TRUE(pinned.has_value());
+  const auto hot = [&ledger] {
+    for (std::size_t i = 0; i < kHotRounds; ++i) {
+      auto first = ledger.try_reserve("hot", 1.0 / 64, kCap);
+      auto second = ledger.try_reserve("hot", 1.0 / 128, kCap);
+      ASSERT_TRUE(first.has_value() && second.has_value());
+      ASSERT_TRUE(ledger.try_extend(*first, 1.0 / 256, kCap));
+      ledger.commit(std::move(*first),
+                    {0, "hot", {0, 1}, {0.1, 0.5}, 0.5, 1.0 / 64 + 1.0 / 256});
+    }
+  };
+  const auto writer = [&ledger](int id) {
+    for (std::size_t i = 0; i < kNewConsumers; ++i) {
+      reserve_and_commit(ledger, {0,
+                                  "new-" + std::to_string(id) + "-" +
+                                      std::to_string(i),
+                                  {0, 1},
+                                  {0.1, 0.5},
+                                  0.25,
+                                  1.0 / 1024});
+    }
+  };
+  if (!concurrent) {
+    hot();
+    for (int id = 0; id < kWriters; ++id) writer(id);
+  } else {
+    std::atomic<bool> done{false};
+    std::thread reader([&ledger, &done] {
+      while (!done.load()) {
+        const LedgerSnapshot snapshot = ledger.snapshot();
+        EXPECT_LE(ledger.conservation_discrepancy(),
+                  1e-9 * (1.0 + snapshot.total_epsilon.value() +
+                          snapshot.total_revenue));
+        EXPECT_GE(ledger.consumer_epsilon("hot").value(), 0.0);
+      }
+    });
+    std::vector<std::thread> threads;
+    threads.emplace_back(hot);
+    for (int id = 0; id < kWriters; ++id) threads.emplace_back(writer, id);
+    for (auto& thread : threads) thread.join();
+    done.store(true);
+    reader.join();
+  }
+  // The pinned hold outlived every rehash: it still blocks its headroom.
+  EXPECT_FALSE(ledger.try_reserve("hot", kCap, kCap).has_value());
+  ledger.commit(std::move(*pinned),
+                {0, "hot", {0, 1}, {0.1, 0.5}, 1.0, 1.0 / 8});
+}
+
+TEST(LedgerConcurrencyTest, LiveReservationsSurviveRehashes) {
+  Ledger serial;
+  run_rehash_workload(serial, false);
+  Ledger concurrent;
+  run_rehash_workload(concurrent, true);
+  EXPECT_EQ(concurrent.transaction_count(), serial.transaction_count());
+  EXPECT_EQ(checkpoint_bytes(0.0, "books", concurrent.snapshot()),
+            checkpoint_bytes(0.0, "books", serial.snapshot()));
+  EXPECT_EQ(concurrent.consumer_sums().consumer_epsilon,
+            serial.consumer_sums().consumer_epsilon);
+  EXPECT_EQ(concurrent.consumer_sums().consumer_spend,
+            serial.consumer_sums().consumer_spend);
+  // Every hold ended: the hot consumer's headroom is the cap less what it
+  // spent, to the last bit.
+  const double spent = concurrent.consumer_epsilon("hot").value();
+  EXPECT_TRUE(concurrent.try_reserve("hot", 1.0, 1.0 + spent).has_value());
+  EXPECT_FALSE(
+      concurrent.try_reserve("hot", 1.0 + 1.0 / 1024, 1.0 + spent).has_value());
 }
 
 TEST(BrokerTest, RequiresPricing) {

@@ -177,11 +177,5 @@ TEST(UnitsTest, OptimizerPlanRoundTripKeepsUnitsCoherent) {
   EXPECT_NEAR(recovered.value(), plan->epsilon.value(), 1e-9);
 }
 
-TEST(UnitsTest, CompositionSumsEffectiveEpsilons) {
-  const std::vector<EffectiveEpsilon> parts = {0.1, 0.2, 0.3};
-  const EffectiveEpsilon total = dp::compose_sequential(parts);
-  EXPECT_NEAR(total.value(), 0.6, 1e-12);
-}
-
 }  // namespace
 }  // namespace prc::units
