@@ -21,6 +21,7 @@
 #include "common/rng.h"
 #include "common/telemetry.h"
 #include "data/citypulse.h"
+#include "data/dataset.h"
 #include "data/partition.h"
 #include "dp/laplace_mechanism.h"
 #include "dp/optimizer.h"
@@ -630,7 +631,21 @@ void BM_CityPulseGenerate(benchmark::State& state) {
     benchmark::DoNotOptimize(generator.generate());
   }
 }
-BENCHMARK(BM_CityPulseGenerate)->Arg(1000)->Arg(17568);
+BENCHMARK(BM_CityPulseGenerate)->Arg(1000)->Arg(17568)->Arg(100000);
+
+// Set-up's data preparation after generation: the five-column Dataset plus
+// the first query on the one column every experiment reads (ozone).
+void BM_DatasetBuildAndFirstQuery(benchmark::State& state) {
+  data::CityPulseConfig config;
+  config.record_count = static_cast<std::size_t>(state.range(0));
+  const auto records = data::CityPulseGenerator(config).generate();
+  for (auto _ : state) {
+    const data::Dataset dataset(records);
+    benchmark::DoNotOptimize(
+        dataset.column(data::AirQualityIndex::kOzone).quantile(0.5));
+  }
+}
+BENCHMARK(BM_DatasetBuildAndFirstQuery)->Arg(100000);
 
 // The station ingests one RankSampleSet per report.  The input here is
 // sorted, as a node's report is, so construction is the linear

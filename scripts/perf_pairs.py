@@ -4,7 +4,8 @@
 Run from the root of a checkout of the repository:
 
     python3 scripts/perf_pairs.py --parent HEAD~1 --change HEAD \\
-        --out BENCH_<n>.json [--declare DECLARED.json]
+        --out BENCH_<n>.json [--declare DECLARED.json] \\
+        [--claim METRIC@WORKLOAD ...]
 
 Both sides must be commits of this checkout.  The script checks them out as
 detached git worktrees under build/perf_pairs/{parent,change}, each with its
@@ -42,6 +43,16 @@ change run the declared change value; every other counter-derived metric
 must still be equal on both sides.  The declarations are written into the
 output file under "declared", and `validate()` accepts a moved metric only
 when the file declares it.
+
+A change that claims a gain names it with `--claim METRIC@WORKLOAD`
+(repeatable), e.g. `--claim setup_s@menu_market`.  The claim is met on a
+seed only when the change wins at least CLAIM_MIN_WINS of the PAIRS pairs,
+its median beats the parent's by more than the parent's IQR, and the pair
+ratio's p95 is below 1 (its p05 above 1 for a higher-is-better metric), so
+a gain that some pairs reverse is not met however far the medians moved.
+The verdicts are written into the output file under "claims", each with the
+reasons a seed falls short; `validate()` recomputes them from the results.
+The script writes the file and then exits 1 when a claim is not met.
 """
 
 import argparse
@@ -53,11 +64,13 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SCHEMA = "perf_pairs/5"
+SCHEMA = "perf_pairs/6"
 #: Schemas validate() accepts; files written before perf_pairs/3 have no
-#: diagnostics, files written before perf_pairs/4 declare no moves and
-#: files written before perf_pairs/5 have no pair ratios.
-SCHEMAS = ("perf_pairs/2", "perf_pairs/3", "perf_pairs/4", SCHEMA)
+#: diagnostics, files written before perf_pairs/4 declare no moves, files
+#: written before perf_pairs/5 have no pair ratios and files written before
+#: perf_pairs/6 have no claims.
+SCHEMAS = ("perf_pairs/2", "perf_pairs/3", "perf_pairs/4", "perf_pairs/5",
+           SCHEMA)
 SIDES = ("parent", "change")
 SEEDS = (1, 2)
 PAIRS = 10
@@ -68,6 +81,9 @@ PAIR_RATIO_FIELDS = ("n", "median", "p05", "p95", "iqr")
 OPERATION_FIELDS = ("attempted", "failed")
 DECLARATION_FIELDS = ("workload", "seed", "metric", "parent", "change",
                       "why")
+CLAIM_FIELDS = ("metric", "workload", "seeds", "met")
+#: Pairs of PAIRS the change must win for a claimed gain.
+CLAIM_MIN_WINS = 9
 #: Per-run diagnostics parsed from broker_bench's output, by the pattern
 #: that captures each one.
 DIAGNOSTICS = {
@@ -206,6 +222,53 @@ def summarize(pairs, metrics, declared=None):
     return summary
 
 
+def parse_claim(text, spec):
+    """The {"metric", "workload"} of a METRIC@WORKLOAD argument."""
+    metric, _, workload = text.partition("@")
+    if metric not in {m["name"] for m in spec["end_to_end"]}:
+        raise ValueError(f"claim {text!r}: {metric!r} is not an end-to-end "
+                         "metric")
+    if workload not in {w["name"] for w in spec["workloads"]}:
+        raise ValueError(f"claim {text!r}: {workload!r} is not a workload")
+    return {"metric": metric, "workload": workload}
+
+
+def claim_shortfalls(entry):
+    """Why one seed's summarized metric does not meet a claimed gain, as
+    readable lines (none when it does)."""
+    higher = entry["better"] == "higher"
+    parent, change = entry["parent"]["median"], entry["change"]["median"]
+    reasons = []
+    if entry["change_wins"] < CLAIM_MIN_WINS:
+        reasons.append(f"the change wins {entry['change_wins']} of {PAIRS} "
+                       f"pairs, fewer than {CLAIM_MIN_WINS}")
+    gain = change - parent if higher else parent - change
+    if not gain > entry["parent"]["iqr"]:
+        reasons.append(f"the medians move by {gain:g} in the better "
+                       f"direction, not more than the parent's IQR "
+                       f"{entry['parent']['iqr']:g}")
+    ratio = entry.get("pair_ratio")
+    field = "p05" if higher else "p95"
+    if ratio is None or not (ratio[field] > 1 if higher else
+                             ratio[field] < 1):
+        bound = "n/a" if ratio is None else f"{ratio[field]:g}"
+        reasons.append(f"the pair ratio's {field} {bound} is not "
+                       f"{'above' if higher else 'below'} 1")
+    return reasons
+
+
+def claim_verdict(claim, results):
+    """A claim's per-seed shortfalls and whether it is met on every seed."""
+    seeds = {}
+    for seed in SEEDS:
+        entry = results[claim["workload"]][str(seed)]["metrics"][
+            claim["metric"]]
+        reasons = claim_shortfalls(entry)
+        seeds[str(seed)] = {"met": not reasons, "reasons": reasons}
+    return {**claim, "seeds": seeds,
+            "met": all(verdict["met"] for verdict in seeds.values())}
+
+
 def validate(doc, spec):
     """Every schema problem of a perf_pairs document, as readable lines."""
     problems = []
@@ -233,6 +296,8 @@ def validate(doc, spec):
     declaration_problems = validate_declarations(declared, spec)
     if declaration_problems:
         return problems + declaration_problems
+    if version >= 6 and not isinstance(doc.get("claims"), list):
+        problems.append("claims is not a list")
     results = doc.get("results")
     workloads = {w["name"] for w in spec["workloads"]}
     if not isinstance(results, dict) or set(results) != workloads:
@@ -261,6 +326,32 @@ def validate(doc, spec):
             for name, entry in table.items():
                 problems += validate_entry(f"{where}/{name}", entry,
                                            metrics[name], moved, version)
+    if version >= 6 and not problems:
+        problems += validate_claims(doc["claims"], results, spec)
+    return problems
+
+
+def validate_claims(claims, results, spec):
+    """Schema problems of a list of claim verdicts over valid results."""
+    problems, seen = [], set()
+    for i, claim in enumerate(claims):
+        where = f"claims[{i}]"
+        if not isinstance(claim, dict) or set(claim) != set(CLAIM_FIELDS):
+            problems.append(f"{where}: fields are not {CLAIM_FIELDS}")
+            continue
+        try:
+            named = parse_claim(f"{claim['metric']}@{claim['workload']}",
+                                spec)
+        except ValueError as error:
+            problems.append(f"{where}: {error}")
+            continue
+        key = (claim["metric"], claim["workload"])
+        if key in seen:
+            problems.append(f"{where}: {key} is claimed twice")
+        seen.add(key)
+        if claim != claim_verdict(named, results):
+            problems.append(f"{where}: the verdict is not the one the "
+                            "results give")
     return problems
 
 
@@ -457,6 +548,9 @@ def parse_args(argv):
     parser.add_argument("--declare", metavar="FILE",
                         help="JSON list of counter-derived metrics the "
                         "change moves on purpose, with both values")
+    parser.add_argument("--claim", metavar="METRIC@WORKLOAD",
+                        action="append", default=[],
+                        help="a gain the change claims (repeatable)")
     return parser.parse_args(argv)
 
 
@@ -479,6 +573,11 @@ def main(argv):
         declared = load_declarations(args.declare, spec)
     except (OSError, ValueError) as error:
         print(f"perf_pairs.py: {args.declare}: {error}", file=sys.stderr)
+        return 1
+    try:
+        claims = [parse_claim(text, spec) for text in args.claim]
+    except ValueError as error:
+        print(f"perf_pairs.py: {error}", file=sys.stderr)
         return 1
     sides = {side: {"commit": git("rev-parse", f"{rev}^{{commit}}"),
                     "tree": git("rev-parse", f"{rev}^{{tree}}")}
@@ -513,6 +612,7 @@ def main(argv):
         "order": "pair i runs the parent first when i is even",
         "host": {"machine": platform.machine(), "cpus": os.cpu_count()},
         "declared": declared,
+        "claims": [claim_verdict(claim, results) for claim in claims],
         "results": results,
     }
     problems = validate(doc, spec)
@@ -522,7 +622,13 @@ def main(argv):
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1, sort_keys=True)
         f.write("\n")
-    return 0
+    for claim in doc["claims"]:
+        for seed, verdict in claim["seeds"].items():
+            print(f"claim {claim['metric']}@{claim['workload']} seed {seed}: "
+                  + ("met" if verdict["met"] else
+                     "NOT met: " + "; ".join(verdict["reasons"])),
+                  file=sys.stderr)
+    return 0 if all(claim["met"] for claim in doc["claims"]) else 1
 
 
 if __name__ == "__main__":

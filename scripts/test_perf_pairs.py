@@ -6,7 +6,8 @@
 Summarizes a small synthetic set of run pairs, checks the statistics and
 that the result validates, checks that damaged copies do not, checks that a
 declared move of a counter-derived metric passes while an undeclared or
-wrongly declared one fails, and validates every committed file the script
+wrongly declared one fails, checks the claim verdicts (a pair ratio that
+straddles 1 fails a claim), and validates every committed file the script
 wrote (BENCH_*.json with its schema tag).
 """
 
@@ -44,8 +45,13 @@ def fixture_runs(count=perf_pairs.PAIRS):
     return pairs
 
 
-def fixture_document():
-    summary = perf_pairs.summarize(fixture_runs(), METRICS)
+def fixture_document(pairs=None, claims=()):
+    """A perf_pairs document holding one summary of `pairs` (fixture_runs()
+    by default) for every workload and seed, with verdicts of `claims`."""
+    summary = perf_pairs.summarize(pairs or fixture_runs(), METRICS)
+    results = {w["name"]: {str(seed): copy.deepcopy(summary)
+                           for seed in perf_pairs.SEEDS}
+               for w in SPEC["workloads"]}
     return {
         "schema": perf_pairs.SCHEMA,
         "parent": {"commit": "a" * 40, "tree": "c" * 40},
@@ -53,9 +59,9 @@ def fixture_document():
         "pairs": perf_pairs.PAIRS,
         "seconds": SPEC["run_seconds"],
         "declared": [],
-        "results": {w["name"]: {str(seed): copy.deepcopy(summary)
-                                for seed in perf_pairs.SEEDS}
-                    for w in SPEC["workloads"]},
+        "claims": [perf_pairs.claim_verdict(claim, results)
+                   for claim in claims],
+        "results": results,
     }
 
 
@@ -261,6 +267,96 @@ class DeclarationTest(unittest.TestCase):
         self.assertEqual(perf_pairs.load_declarations(None, SPEC), [])
 
 
+#: The claim this module's fixtures test.
+CLAIM = {"metric": "setup_s", "workload": "menu_market"}
+
+
+def setup_pairs(ratios):
+    """fixture_runs() with each pair's change setup_s at its parent's
+    times the pair's entry of `ratios`."""
+    pairs = fixture_runs(len(ratios))
+    for pair, ratio in zip(pairs, ratios):
+        parent = pair["parent"]["metrics"]["setup_s"]
+        pair["change"]["metrics"]["setup_s"] = parent * ratio
+    return pairs
+
+
+class ClaimTest(unittest.TestCase):
+    def test_arguments_name_a_metric_and_a_workload(self):
+        self.assertEqual(perf_pairs.parse_claim("setup_s@menu_market", SPEC),
+                         CLAIM)
+        for text in ("setup_s", "setup_s@other", "speed@menu_market",
+                     "menu_market@setup_s"):
+            with self.assertRaises(ValueError, msg=text):
+                perf_pairs.parse_claim(text, SPEC)
+
+    def test_a_gain_in_every_pair_is_met(self):
+        doc = fixture_document(setup_pairs([0.6] * perf_pairs.PAIRS),
+                               [CLAIM])
+        self.assertEqual(doc["claims"], [{
+            **CLAIM, "met": True,
+            "seeds": {str(seed): {"met": True, "reasons": []}
+                      for seed in perf_pairs.SEEDS}}])
+        self.assertEqual(perf_pairs.validate(doc, SPEC), [])
+        # Higher is better for throughput: fixture_runs()'s 10% gain.
+        verdict = perf_pairs.claim_verdict(
+            {"metric": "purchases_per_s", "workload": "menu_market"},
+            doc["results"])
+        self.assertTrue(verdict["met"], verdict)
+
+    def test_a_pair_ratio_that_straddles_1_fails_the_claim(self):
+        # Nine pairs 40% faster, one 50% slower: 9 of 10 wins and medians
+        # far apart, but the pair ratio's p95 lies above 1.
+        pairs = setup_pairs([0.6] * 9 + [1.5])
+        entry = perf_pairs.summarize(pairs, METRICS)["metrics"]["setup_s"]
+        self.assertEqual(entry["change_wins"], 9)
+        self.assertGreater(entry["pair_ratio"]["p95"], 1.0)
+        reasons = perf_pairs.claim_shortfalls(entry)
+        self.assertEqual(len(reasons), 1, reasons)
+        self.assertIn("p95", reasons[0])
+        doc = fixture_document(pairs, [CLAIM])
+        self.assertFalse(doc["claims"][0]["met"])
+        self.assertEqual(perf_pairs.validate(doc, SPEC), [])
+
+    def test_too_few_wins_or_a_gain_inside_the_iqr_fail_the_claim(self):
+        few = perf_pairs.summarize(setup_pairs([0.6] * 8 + [1.01] * 2),
+                                   METRICS)["metrics"]["setup_s"]
+        self.assertIn("wins 8 of", " ".join(
+            perf_pairs.claim_shortfalls(few)))
+        # A 1% gain in every pair: wins and pair ratio hold, but the
+        # parent's runs (100..109) spread wider than the medians moved.
+        small = perf_pairs.summarize(setup_pairs([0.99] * 10),
+                                     METRICS)["metrics"]["setup_s"]
+        reasons = perf_pairs.claim_shortfalls(small)
+        self.assertEqual(len(reasons), 1, reasons)
+        self.assertIn("IQR", reasons[0])
+
+    def test_an_undeclared_counter_move_still_fails_the_schema(self):
+        doc = fixture_document(setup_pairs([0.6] * perf_pairs.PAIRS),
+                               [CLAIM])
+        self.assertTrue(doc["claims"][0]["met"])
+        doc["results"]["menu_market"]["1"]["metrics"]["sold_share"]["runs"][
+            "change"][3] = 0.3
+        self.assertTrue(perf_pairs.validate(doc, SPEC))
+
+    def test_a_verdict_the_results_do_not_give_fails_the_schema(self):
+        def damaged(edit):
+            doc = fixture_document(setup_pairs([0.6] * 9 + [1.5]), [CLAIM])
+            edit(doc["claims"])
+            return perf_pairs.validate(doc, SPEC)
+
+        self.assertTrue(damaged(lambda c: c[0].update(met=True)))
+        self.assertTrue(damaged(lambda c: c[0]["seeds"]["1"].update(
+            met=True, reasons=[])))
+        self.assertTrue(damaged(lambda c: c[0].update(workload="other")))
+        self.assertTrue(damaged(lambda c: c[0].pop("seeds")))
+        self.assertTrue(damaged(lambda c: c.append(copy.deepcopy(c[0]))))
+        self.assertTrue(damaged(lambda c: c.clear() or c.append("x")))
+        doc = fixture_document()
+        del doc["claims"]
+        self.assertTrue(perf_pairs.validate(doc, SPEC))
+
+
 class SchemaTest(unittest.TestCase):
     def test_fixture_validates(self):
         self.assertEqual(perf_pairs.validate(fixture_document(), SPEC), [])
@@ -325,9 +421,16 @@ class SchemaTest(unittest.TestCase):
             lambda d: d["results"]["menu_market"]["2"]["diagnostics"][
                 "page_faults"]["runs"]["parent"].pop()))
 
+    def test_files_before_claims_still_validate(self):
+        doc = fixture_document()
+        doc["schema"] = "perf_pairs/5"
+        del doc["claims"]
+        self.assertEqual(perf_pairs.validate(doc, SPEC), [])
+
     def test_files_before_pair_ratios_still_validate(self):
         doc = fixture_document()
         doc["schema"] = "perf_pairs/4"
+        del doc["claims"]
         for seeds in doc["results"].values():
             for summary in seeds.values():
                 for entry in summary["metrics"].values():
@@ -343,13 +446,13 @@ class SchemaTest(unittest.TestCase):
     def test_files_before_declarations_still_validate(self):
         doc = fixture_document()
         doc["schema"] = "perf_pairs/3"
-        del doc["declared"]
+        del doc["declared"], doc["claims"]
         self.assertEqual(perf_pairs.validate(doc, SPEC), [])
 
     def test_files_before_diagnostics_still_validate(self):
         doc = fixture_document()
         doc["schema"] = "perf_pairs/2"
-        del doc["declared"]
+        del doc["declared"], doc["claims"]
         for seeds in doc["results"].values():
             for summary in seeds.values():
                 del summary["diagnostics"]

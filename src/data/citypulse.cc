@@ -91,6 +91,10 @@ std::vector<AirQualityRecord> CityPulseGenerator::generate() const {
     const double day_frac = std::fmod(t, kSecondsPerDay) / kSecondsPerDay;
     const double week_frac = std::fmod(t, kSecondsPerWeek) / kSecondsPerWeek;
     const double season_frac = total_span > 0.0 ? t / total_span : 0.0;
+    // The weekly cycle and the slow seasonal drift over the two-month
+    // window depend on the timestamp only, not on the index.
+    const double week_sine = std::sin(kTwoPi * week_frac);
+    const double season_drift = 8.0 * std::sin(kTwoPi * season_frac / 2.0);
 
     for (std::size_t idx = 0; idx < kAirQualityIndexCount; ++idx) {
       const auto profile = profile_for(static_cast<AirQualityIndex>(idx));
@@ -105,9 +109,8 @@ std::vector<AirQualityRecord> CityPulseGenerator::generate() const {
       double level = profile.base;
       level += profile.diurnal_amp *
                std::sin(kTwoPi * (day_frac - profile.diurnal_phase + 0.25));
-      level += profile.weekly_amp * std::sin(kTwoPi * week_frac);
-      // Slow seasonal drift over the two-month window.
-      level += 8.0 * std::sin(kTwoPi * season_frac / 2.0);
+      level += profile.weekly_amp * week_sine;
+      level += season_drift;
       if (episode.remaining > 0) {
         level += episode.boost;
         --episode.remaining;
@@ -221,7 +224,15 @@ std::vector<AirQualityRecord> read_records_csv(const std::string& path) {
         sensor_col ? static_cast<int>(table.field_as_double(r, *sensor_col))
                    : 0;
     for (std::size_t idx = 0; idx < kAirQualityIndexCount; ++idx) {
-      record.values[idx] = table.field_as_double(r, value_cols[idx]);
+      const std::size_t c = value_cols[idx];
+      record.values[idx] = table.field_as_double(r, c);
+      // from_chars accepts "nan" and "inf"; a reading must be a number.
+      if (!std::isfinite(record.values[idx])) {
+        throw std::invalid_argument(
+            "citypulse csv: row " + std::to_string(r) + ", column '" +
+            table.header()[c] + "': non-finite reading '" +
+            table.field(r, c) + "'");
+      }
     }
     records.push_back(record);
   }

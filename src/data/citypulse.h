@@ -62,7 +62,9 @@ void write_records_csv(const std::vector<AirQualityRecord>& records,
 ///   - `sensor_id` may be absent (defaults to 0; the export is per-sensor
 ///     files).
 /// Throws std::invalid_argument if any required column is missing under
-/// either spelling or a timestamp is unparseable.
+/// either spelling, a timestamp is unparseable or a reading is not a finite
+/// number (the message names the data row, counted from 0, the column and
+/// the text).
 std::vector<AirQualityRecord> read_records_csv(const std::string& path);
 
 /// Parses either epoch seconds ("1406851500") or a CityPulse datetime

@@ -7,6 +7,8 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -15,9 +17,12 @@
 namespace prc::data {
 
 /// A single scalar column extracted from records, with cached order
-/// statistics for range construction.
+/// statistics for range construction.  The sorted copy behind them is built
+/// once, on the first min/max/quantile/exact_range_count, and shared by the
+/// column's copies; a column nobody queries is never sorted.
 class Column {
  public:
+  /// Throws std::invalid_argument if a value is not finite.
   Column(std::string name, std::vector<double> values);
 
   const std::string& name() const noexcept { return name_; }
@@ -37,9 +42,15 @@ class Column {
   std::size_t exact_range_count(double l, double u) const;
 
  private:
+  struct Sorted {
+    std::once_flag once;
+    std::vector<double> values;
+  };
+  const std::vector<double>& sorted() const;
+
   std::string name_;
   std::vector<double> values_;
-  std::vector<double> sorted_;
+  std::shared_ptr<Sorted> sorted_ = std::make_shared<Sorted>();
 };
 
 /// All five air-quality columns of a record set.
