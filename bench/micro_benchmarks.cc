@@ -334,32 +334,38 @@ BENCHMARK(BM_CachedSale)->Arg(128)->Arg(4096)->Iterations(1 << 16);
 // the broker refuses before any answer is drawn (bespoke_contracts'
 // attackers run into the cap this way).  Arg 0 goes through sell() and
 // catches the BudgetExceededError; arg 1 takes the Refusal that try_sell()
-// returns.
+// returns.  Arg 2 takes try_sell()'s coverage refusal instead: node 0
+// never reports, so no top-up reaches the contract, and the broker's
+// refuse policy turns the sale down before any noise is drawn.
 void BM_RefusedSale(benchmark::State& state) {
   constexpr std::size_t kRecords = 20000;
   constexpr std::size_t kNodes = 8;
   parallel::set_thread_count(1);
+  const bool by_throw = state.range(0) == 0;
+  const bool on_coverage = state.range(0) == 2;
   Rng rng(47);
   iot::FlatNetwork network(data::partition_values(
       make_values(kRecords), kNodes, data::PartitionStrategy::kRoundRobin,
       rng));
+  if (on_coverage) network.set_node_online(0, false);
   dp::PrivateRangeCounter counter(network);
   const pricing::VarianceModel model(kRecords, kNodes);
   const query::AccuracySpec spec{0.05, 0.75};
   market::BrokerConfig config;
-  config.per_consumer_epsilon_cap =
-      1.5 * counter.plan_for(spec).epsilon_amplified;
+  if (!on_coverage) {
+    config.per_consumer_epsilon_cap =
+        1.5 * counter.plan_for(spec).epsilon_amplified;
+  }
   market::DataBroker broker(
       counter,
       std::make_unique<pricing::InverseVariancePricing>(
           model, query::AccuracySpec{0.1, 0.5}, 100.0, 1.0),
       config);
   const query::RangeQuery range{20.0, 80.0};
-  broker.sell("consumer", range, spec);
-  const bool by_value = state.range(0) == 1;
+  if (!on_coverage) broker.sell("consumer", range, spec);
   benchmark::IterationCount refused = 0;
   for (auto _ : state) {
-    if (by_value) {
+    if (!by_throw) {
       const auto outcome = broker.try_sell("consumer", range, spec);
       refused += outcome.sold() ? 0 : 1;
     } else {
@@ -372,7 +378,7 @@ void BM_RefusedSale(benchmark::State& state) {
   }
   if (refused != state.iterations()) state.SkipWithError("a sale went through");
 }
-BENCHMARK(BM_RefusedSale)->Arg(0)->Arg(1);
+BENCHMARK(BM_RefusedSale)->Arg(0)->Arg(1)->Arg(2);
 
 // One append to a full audit ring, which overwrites its oldest event: the
 // steady-state store of every sale.  Events are sale-shaped, four in a

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <initializer_list>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -218,21 +219,28 @@ std::vector<AirQualityRecord> read_records_csv(const std::string& path) {
   std::vector<AirQualityRecord> records;
   records.reserve(table.row_count());
   for (std::size_t r = 0; r < table.row_count(); ++r) {
+    const auto reject = [&table, r](std::size_t c, const char* problem) {
+      throw std::invalid_argument("citypulse csv: row " + std::to_string(r) +
+                                  ", column '" + table.header()[c] + "': " +
+                                  problem + " '" + table.field(r, c) + "'");
+    };
     AirQualityRecord record;
     record.timestamp = parse_citypulse_timestamp(table.field(r, ts_col));
-    record.sensor_id =
-        sensor_col ? static_cast<int>(table.field_as_double(r, *sensor_col))
-                   : 0;
+    if (sensor_col) {
+      const double id = table.field_as_double(r, *sensor_col);
+      // Casting a double outside int's range (or nan) is undefined.
+      if (!(id == std::trunc(id) &&
+            id >= std::numeric_limits<int>::min() &&
+            id <= std::numeric_limits<int>::max())) {
+        reject(*sensor_col, "non-integral or out-of-range sensor id");
+      }
+      record.sensor_id = static_cast<int>(id);
+    }
     for (std::size_t idx = 0; idx < kAirQualityIndexCount; ++idx) {
       const std::size_t c = value_cols[idx];
       record.values[idx] = table.field_as_double(r, c);
       // from_chars accepts "nan" and "inf"; a reading must be a number.
-      if (!std::isfinite(record.values[idx])) {
-        throw std::invalid_argument(
-            "citypulse csv: row " + std::to_string(r) + ", column '" +
-            table.header()[c] + "': non-finite reading '" +
-            table.field(r, c) + "'");
-      }
+      if (!std::isfinite(record.values[idx])) reject(c, "non-finite reading");
     }
     records.push_back(record);
   }

@@ -22,12 +22,27 @@ constexpr double kProbabilityHeadroom = 2.0;
 
 }  // namespace
 
+std::string coverage_shortfall_message(const CoverageShortfall& shortfall) {
+  const auto& cov = shortfall.coverage;
+  if (shortfall.reason == CoverageShortfall::Reason::kContractUnreachable) {
+    return "accuracy contract " + shortfall.spec.to_string() +
+           " unreachable: degraded collection left coverage at " +
+           std::to_string(cov.coverage);
+  }
+  if (!(cov.min_probability > 0.0)) {
+    return "no degraded contract exists: some node never reported at all";
+  }
+  return "no degraded contract exists even at alpha = 1 (effective p " +
+         std::to_string(cov.min_probability) + ")";
+}
+
 PrivateRangeCounter::PrivateRangeCounter(iot::SamplingNetwork& network,
                                          PrivateCounterConfig config,
                                          std::uint64_t seed)
     : network_(network), optimizer_(config.optimizer), noise_rng_(seed) {}
 
-PerturbationPlan PrivateRangeCounter::ensure_feasible_plan(
+std::variant<PerturbationPlan, CoverageShortfall>
+PrivateRangeCounter::ensure_feasible_plan(
     const query::AccuracySpec& spec,
     std::shared_ptr<const iot::StationView>& view) {
   spec.validate();
@@ -68,11 +83,8 @@ PerturbationPlan PrivateRangeCounter::ensure_feasible_plan(
     if (p >= 1.0) {
       coverage_errors.increment();
       if (!cov.complete()) {
-        throw CoverageError(
-            "accuracy contract " + spec.to_string() +
-                " unreachable: degraded collection left coverage at " +
-                std::to_string(cov.coverage),
-            cov);
+        return CoverageShortfall{
+            CoverageShortfall::Reason::kContractUnreachable, spec, cov};
       }
       throw std::runtime_error(
           "accuracy contract " + spec.to_string() +
@@ -88,9 +100,9 @@ PerturbationPlan PrivateRangeCounter::ensure_feasible_plan(
   }
 }
 
-PrivateAnswer PrivateRangeCounter::answer(const query::RangeQuery& range,
-                                          const query::AccuracySpec& spec,
-                                          const MintBarrier& pre_mint) {
+AnswerOutcome PrivateRangeCounter::try_answer(const query::RangeQuery& range,
+                                              const query::AccuracySpec& spec,
+                                              const MintBarrier& barrier) {
   static telemetry::Counter& answers = telemetry::counter("dp.answers");
   static telemetry::Counter& laplace_draws =
       telemetry::counter("dp.laplace_draws");
@@ -113,7 +125,9 @@ PrivateAnswer PrivateRangeCounter::answer(const query::RangeQuery& range,
   // state, and releasing between plan and estimate would let another
   // seller's top-up interleave.
   auto view = network_.base_station().view();
-  out.plan = ensure_feasible_plan(spec, view);  // lint:allow blocking
+  auto plan = ensure_feasible_plan(spec, view);  // lint:allow blocking
+  if (auto* shortfall = std::get_if<CoverageShortfall>(&plan)) return *shortfall;
+  out.plan = std::get<PerturbationPlan>(plan);
   // The plan, the coverage and the estimate all come from the view the
   // top-up above settled on; the serial noise stream below must not
   // interleave with another answer's.
@@ -126,7 +140,7 @@ PrivateAnswer PrivateRangeCounter::answer(const query::RangeQuery& range,
   // released; everything below is a mint the caller promised to account
   // for.  The barrier sees the final plan, so a durable intent written
   // here carries the exact epsilon' the draw below spends.
-  if (pre_mint) pre_mint(out.plan);
+  if (barrier && !barrier(out.plan)) return MintDeclined{out.plan};
   const LaplaceMechanism mechanism(out.plan.sensitivity, out.plan.epsilon);
   out.value = mechanism.perturb(out.sampled_estimate, noise_rng_);
   answers.increment();
@@ -151,8 +165,17 @@ PrivateAnswer PrivateRangeCounter::answer(const query::RangeQuery& range,
   return out;
 }
 
-query::AccuracySpec PrivateRangeCounter::degraded_spec(
-    const query::AccuracySpec& requested) const {
+PrivateAnswer PrivateRangeCounter::answer(const query::RangeQuery& range,
+                                          const query::AccuracySpec& spec) {
+  AnswerOutcome outcome = try_answer(range, spec, {});
+  if (auto* shortfall = std::get_if<CoverageShortfall>(&outcome)) {
+    throw CoverageError(*shortfall);
+  }
+  return std::get<PrivateAnswer>(std::move(outcome));
+}
+
+std::variant<query::AccuracySpec, CoverageShortfall>
+PrivateRangeCounter::degraded_spec(const query::AccuracySpec& requested) const {
   requested.validate();
   std::lock_guard<std::mutex> lock(mutex_);
   const auto view = network_.base_station().view();
@@ -160,23 +183,17 @@ query::AccuracySpec PrivateRangeCounter::degraded_spec(
   const std::size_t n = network_.total_data_count();
   const auto& cov = view->coverage;
   const double p_eff = cov.min_probability;
-  if (!(p_eff > 0.0)) {
-    throw CoverageError(
-        "no degraded contract exists: some node never reported at all", cov);
-  }
   query::AccuracySpec spec = requested;
-  for (;;) {
-    const auto plan =
-        optimizer_.optimize(spec, p_eff, k, n, view->max_data_count);
-    if (plan) return spec;
-    if (spec.alpha >= 1.0) {
-      throw CoverageError(
-          "no degraded contract exists even at alpha = 1 (effective p " +
-              std::to_string(p_eff) + ")",
-          cov);
+  // min p_i == 0 means some node never reported: no widening covers it.
+  while (p_eff > 0.0) {
+    if (optimizer_.optimize(spec, p_eff, k, n, view->max_data_count)) {
+      return spec;
     }
+    if (spec.alpha >= 1.0) break;
     spec.alpha = std::min(1.0, spec.alpha * 1.25);
   }
+  return CoverageShortfall{CoverageShortfall::Reason::kNoDegradedContract,
+                           requested, cov};
 }
 
 PerturbationPlan PrivateRangeCounter::plan_for(

@@ -15,6 +15,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <variant>
 
 #include "common/rng.h"
 #include "common/thread_annotations.h"
@@ -25,15 +26,34 @@
 
 namespace prc::dp {
 
-/// Raised when degraded collection (offline nodes, dropped frames) leaves
-/// the sample cache unable to support the requested accuracy contract, even
-/// after escalating the round target all the way to p = 1.  Carries the
-/// coverage snapshot so the caller can decide between refusing the query
-/// and re-quoting a weaker contract the cache CAN support.
+/// Why the sample cache cannot support a contract, as a value: the
+/// counter returns it, the broker refuses on it, and only answer() turns it
+/// into a CoverageError.  kContractUnreachable: degraded collection leaves
+/// `spec` unreachable even after escalating the round target to p = 1
+/// (try_answer).  kNoDegradedContract: no widening of `spec` is reachable at
+/// the achieved minimum per-node probability (degraded_spec).
+struct CoverageShortfall {
+  enum class Reason { kContractUnreachable, kNoDegradedContract };
+  Reason reason = Reason::kContractUnreachable;
+  /// The contract the cache could not support.
+  query::AccuracySpec spec;
+  /// The coverage the counter read.
+  iot::CoverageSummary coverage;
+};
+
+/// A shortfall's text: "accuracy contract <spec> unreachable: degraded
+/// collection left coverage at <coverage>", or "no degraded contract exists:
+/// some node never reported at all", or "no degraded contract exists even at
+/// alpha = 1 (effective p <min p_i>)"; numbers as std::to_string prints them.
+std::string coverage_shortfall_message(const CoverageShortfall& shortfall);
+
+/// Thrown by PrivateRangeCounter::answer for a shortfall of the degraded
+/// collection (offline nodes, dropped frames), with its coverage snapshot.
 class CoverageError : public std::runtime_error {
  public:
-  CoverageError(const std::string& what, iot::CoverageSummary coverage)
-      : std::runtime_error(what), coverage_(coverage) {}
+  explicit CoverageError(const CoverageShortfall& shortfall)
+      : std::runtime_error(coverage_shortfall_message(shortfall)),
+        coverage_(shortfall.coverage) {}
 
   const iot::CoverageSummary& coverage() const noexcept { return coverage_; }
 
@@ -60,25 +80,35 @@ struct PrivateAnswer {
   iot::CoverageSummary coverage;
 };
 
-/// Durability hook invoked by answer() with the FINAL perturbation plan —
+/// Durability hook try_answer() invokes with the FINAL perturbation plan —
 /// after feasibility/top-up settles the plan, immediately before the
 /// Laplace draw mints the release.  The market layer uses it to flush a
 /// write-ahead intent record carrying the exact epsilon' about to be
 /// spent, so a crash after the mint can only ever over-count released
-/// budget.  A barrier that throws aborts the answer with nothing released
-/// (no noise has been drawn yet).
-using MintBarrier = std::function<void(const PerturbationPlan&)>;
+/// budget.  Returning false declines the mint: try_answer() stops with
+/// nothing released (no noise has been drawn yet).
+using MintBarrier = std::function<bool(const PerturbationPlan&)>;
+
+/// try_answer()'s result when the barrier declined the mint of `plan`.
+struct MintDeclined {
+  PerturbationPlan plan;
+};
+
+/// try_answer()'s result: the release, the shortfall that stopped it before
+/// the barrier ran, or the barrier's decline.
+using AnswerOutcome =
+    std::variant<PrivateAnswer, CoverageShortfall, MintDeclined>;
 
 struct PrivateCounterConfig {
   OptimizerConfig optimizer;
 };
 
-/// Thread-safety: answer(), plan_for() and degraded_spec() serialize on an
-/// internal mutex — concurrent sellers (market::MarketSimulation's
+/// Thread-safety: try_answer(), plan_for() and degraded_spec() serialize on
+/// an internal mutex — concurrent sellers (market::MarketSimulation's
 /// concurrent-consumers mode) may share one counter.  The lock covers both
 /// the shared noise stream (every Laplace draw must come from ONE serial
 /// stream or the privacy accounting of the released values falls apart) and
-/// the network top-ups answer() performs (the sample cache is mutated
+/// the network top-ups try_answer() performs (the sample cache is mutated
 /// through a plain reference).  Each call reads k, p, coverage and the
 /// largest n_i from one BaseStation::view(), so an answer's plan, coverage
 /// and estimate describe the same cache state.  Const readers that bypass
@@ -92,15 +122,20 @@ class PrivateRangeCounter {
                       PrivateCounterConfig config = {},
                       std::uint64_t seed = 97);
 
-  /// Serves one (alpha, delta)-range counting request.  Throws
+  /// Serves one (alpha, delta)-range counting request.  Returns a
+  /// CoverageShortfall when degraded collection keeps the cache from the
+  /// contract (the caller may retry with degraded_spec()), and MintDeclined
+  /// when `barrier`, which runs with the final plan just before the noise
+  /// draw, returns false; neither releases anything.  Throws
   /// std::runtime_error if the contract is infeasible even with every datum
-  /// sampled (p = 1), or CoverageError when the cache cannot reach the
-  /// contract because of degraded collection (the caller may retry with
-  /// degraded_spec()).  `pre_mint`, when set, runs with the final plan
-  /// just before the noise draw (see MintBarrier).
+  /// sampled (p = 1).
+  AnswerOutcome try_answer(const query::RangeQuery& range,
+                           const query::AccuracySpec& spec,
+                           const MintBarrier& barrier);
+
+  /// try_answer() without a barrier, throwing CoverageError on a shortfall.
   PrivateAnswer answer(const query::RangeQuery& range,
-                       const query::AccuracySpec& spec,
-                       const MintBarrier& pre_mint = {});
+                       const query::AccuracySpec& spec);
 
   /// The plan that would currently be used for `spec`, without touching the
   /// network or spending budget (for price quoting).
@@ -108,22 +143,25 @@ class PrivateRangeCounter {
 
   /// The weakest widening of `requested` (alpha grown at fixed delta) that
   /// the cache supports at its ACHIEVED minimum per-node probability.  This
-  /// is what a broker re-quotes after a CoverageError.  Throws CoverageError
-  /// when no finite widening helps (some node never reported at all).
-  query::AccuracySpec degraded_spec(const query::AccuracySpec& requested) const;
+  /// is what a broker re-quotes after a shortfall.  Returns a
+  /// kNoDegradedContract shortfall when no finite widening helps.
+  std::variant<query::AccuracySpec, CoverageShortfall> degraded_spec(
+      const query::AccuracySpec& requested) const;
 
   const iot::SamplingNetwork& network() const noexcept { return network_; }
 
  private:
-  /// Tops up until the optimizer has a plan; `view` starts as the current
-  /// station view and is re-read only after a real round.
-  PerturbationPlan ensure_feasible_plan(
+  /// Tops up until the optimizer has a plan, or returns the shortfall at
+  /// p = 1; `view` starts as the current station view and is re-read only
+  /// after a real round.
+  std::variant<PerturbationPlan, CoverageShortfall> ensure_feasible_plan(
       const query::AccuracySpec& spec,
       std::shared_ptr<const iot::StationView>& view) PRC_REQUIRES(mutex_);
 
   mutable std::mutex mutex_;
-  /// Guarded by mutex_ too: answer() mutates the cache via top-up rounds,
-  /// and plan_for()/degraded_spec() must not observe a half-finished round.
+  /// Guarded by mutex_ too: try_answer() mutates the cache via top-up
+  /// rounds, and plan_for()/degraded_spec() must not observe a half-finished
+  /// round.
   iot::SamplingNetwork& network_;
   PerturbationOptimizer optimizer_;
   Rng noise_rng_ PRC_GUARDED_BY(mutex_);

@@ -78,18 +78,15 @@ const char* refusal_reason(RefusalKind kind) {
   return "refused";
 }
 
-// Thrown by the mint barrier to stop PrivateRangeCounter::answer before any
-// noise is drawn; the refusal itself travels back by value.
-struct MintRefused {};
-
-// The sell() boundary's throw.  Its frame holds no object with a
-// destructor: each message is built inside the exception's constructor.
+// The sell() boundary's throw.  A budget refusal's message is built inside
+// the exception's constructor; a coverage refusal's is formatted here.
 [[noreturn]] void throw_refusal(const std::string& consumer_id,
                                 const Refusal& refusal) {
   if (refusal.budget()) {
     throw BudgetExceededError(consumer_id, refusal.spent, refusal.cap);
   }
-  throw InsufficientCoverageError(refusal.text, refusal.coverage);
+  throw InsufficientCoverageError(refusal.message(consumer_id),
+                                  refusal.coverage);
 }
 
 }  // namespace
@@ -110,7 +107,14 @@ BudgetExceededError::BudgetExceededError(const std::string& consumer,
       cap_(cap) {}
 
 std::string Refusal::message(const std::string& consumer_id) const {
-  return budget() ? budget_exceeded_message(consumer_id, spent, cap) : text;
+  if (budget()) return budget_exceeded_message(consumer_id, spent, cap);
+  if (kind == RefusalKind::kCoveragePolicy) {
+    return "sale refused: " + dp::coverage_shortfall_message(shortfall);
+  }
+  if (kind == RefusalKind::kRepricingImpossible) {
+    return "repricing impossible: " + dp::coverage_shortfall_message(shortfall);
+  }
+  return coverage_floor_message(coverage.coverage, floor);
 }
 
 DataBroker::DataBroker(dp::PrivateRangeCounter& counter,
@@ -139,10 +143,17 @@ Refusal DataBroker::refuse(RefusalKind kind, const std::string& consumer_id,
                            const query::RangeQuery& range,
                            const query::AccuracySpec& spec,
                            units::EffectiveEpsilon attempted,
-                           const iot::CoverageSummary& coverage,
-                           std::string text) {
-  Refusal refusal;
-  refusal.kind = kind;
+                           const dp::CoverageShortfall& shortfall) {
+  const Refusal refusal{
+      .kind = kind,
+      .attempted = attempted,
+      .spent = ledger_.refuse(consumer_id, range, spec, attempted,
+                              refusal_reason(kind)) +
+               attempted,
+      .cap = config_.per_consumer_epsilon_cap,
+      .coverage = shortfall.coverage,
+      .floor = config_.min_coverage,
+      .shortfall = shortfall};
   if (refusal.budget()) {
     static telemetry::Counter& refusals =
         telemetry::counter("market.refusals_budget");
@@ -152,13 +163,6 @@ Refusal DataBroker::refuse(RefusalKind kind, const std::string& consumer_id,
         telemetry::counter("market.refusals_coverage");
     refusals.increment();
   }
-  refusal.attempted = attempted;
-  refusal.spent = ledger_.refuse(consumer_id, range, spec, attempted,
-                                 refusal_reason(kind)) +
-                  attempted;
-  refusal.cap = config_.per_consumer_epsilon_cap;
-  refusal.coverage = coverage;
-  refusal.text = std::move(text);
   return refusal;
 }
 
@@ -224,18 +228,15 @@ wal::RecoveryStats DataBroker::recover_and_attach_wal(
   return recovery.stats;
 }
 
-bool DataBroker::mint_answer_with_intent(const std::string& consumer_id,
-                                         const query::RangeQuery& range,
-                                         const query::AccuracySpec& spec,
-                                         Ledger::Reservation& reservation,
-                                         std::uint64_t& intent_sequence,
-                                         dp::PrivateAnswer& answer,
-                                         Refusal& refusal) {
+dp::AnswerOutcome DataBroker::mint_answer_with_intent(
+    const std::string& consumer_id, const query::RangeQuery& range,
+    const query::AccuracySpec& spec, Ledger::Reservation& reservation,
+    std::uint64_t& intent_sequence) {
   const auto barrier = [&](const dp::PerturbationPlan& plan) {
     // The reservation admitted a PROJECTED plan; the barrier sees the one
     // the mechanism will actually charge.  When the true epsilon' is
     // larger (degraded re-quote, coverage drift between quote and mint),
-    // re-admit the sale at the real release — refusing here draws no
+    // re-admit the sale at the real release — declining here draws no
     // noise and spends nothing, and a refused sale must not leave a
     // durable intent behind, so the extension precedes the intent append.
     if (plan.epsilon_amplified.value() > reservation.epsilon().value()) {
@@ -243,9 +244,7 @@ bool DataBroker::mint_answer_with_intent(const std::string& consumer_id,
           plan.epsilon_amplified.value() - reservation.epsilon().value();
       if (!ledger_.try_extend(reservation, shortfall,
                               config_.per_consumer_epsilon_cap)) {
-        refusal = refuse(RefusalKind::kFinalPlanOverCap, consumer_id, range,
-                         spec, plan.epsilon_amplified);
-        throw MintRefused{};
+        return false;
       }
     }
     PRC_CRASH_POINT("wal.pre_intent");
@@ -265,13 +264,9 @@ bool DataBroker::mint_answer_with_intent(const std::string& consumer_id,
     // The asymmetry is deliberate — the reverse (spent but not charged)
     // would break the pricing model's composition accounting.
     PRC_CRASH_POINT("wal.post_intent");
+    return true;
   };
-  try {
-    answer = counter_.answer(range, spec, barrier);
-  } catch (const MintRefused&) {
-    return false;
-  }
-  return true;
+  return counter_.try_answer(range, spec, barrier);
 }
 
 bool DataBroker::checkpoint_due() {
@@ -327,52 +322,49 @@ SaleOutcome DataBroker::try_sell(const std::string& consumer_id,
   // The coverage floor is checked against the current cache BEFORE any
   // answer is attempted: an estimate blind to too much of the fleet's data
   // is refused regardless of policy, with nothing spent.
-  {
-    const auto cov = counter_.network().base_station().view()->coverage;
-    if (cov.target_p > 0.0 && cov.coverage < config_.min_coverage) {
-      return refuse(RefusalKind::kCoverageFloor, consumer_id, range, spec,
-                    reservation->epsilon(), cov,
-                    coverage_floor_message(cov.coverage,
-                                           config_.min_coverage));
-    }
+  const auto cov = counter_.network().base_station().view()->coverage;
+  if (cov.target_p > 0.0 && cov.coverage < config_.min_coverage) {
+    return refuse(RefusalKind::kCoverageFloor, consumer_id, range, spec,
+                  reservation->epsilon(), {{}, spec, cov});
   }
 
+  std::uint64_t intent_sequence = 0;
+  auto minted = mint_answer_with_intent(consumer_id, range, spec, *reservation,
+                                        intent_sequence);
   query::AccuracySpec sold_spec = spec;
   bool degraded = false;
-  dp::PrivateAnswer answer;
-  std::uint64_t intent_sequence = 0;
-  Refusal refusal;
-  bool minted = false;
-  try {
-    minted = mint_answer_with_intent(consumer_id, range, spec, *reservation,
-                                     intent_sequence, answer, refusal);
-  } catch (const dp::CoverageError& err) {
-    // ensure_feasible_plan failed before any noise was drawn: nothing has
-    // been released yet, so refusing here spends no budget.
+  if (const auto* shortfall = std::get_if<dp::CoverageShortfall>(&minted)) {
+    // The counter stopped before any noise was drawn: nothing has been
+    // released yet, so refusing here spends no budget.
+    const units::EffectiveEpsilon held = reservation->epsilon();
     if (config_.degraded_policy == DegradedSalePolicy::kRefuse) {
       return refuse(RefusalKind::kCoveragePolicy, consumer_id, range, spec,
-                    reservation->epsilon(), err.coverage(),
-                    std::string("sale refused: ") + err.what());
+                    held, *shortfall);
     }
-    if (err.coverage().coverage < config_.min_coverage) {
+    if (shortfall->coverage.coverage < config_.min_coverage) {
       return refuse(RefusalKind::kDegradedBelowFloor, consumer_id, range,
-                    spec, reservation->epsilon(), err.coverage(),
-                    coverage_floor_message(err.coverage().coverage,
-                                           config_.min_coverage));
+                    spec, held, *shortfall);
     }
-    try {
-      sold_spec = counter_.degraded_spec(spec);
-    } catch (const dp::CoverageError& inner) {
+    const auto widened = counter_.degraded_spec(spec);
+    if (const auto* none = std::get_if<dp::CoverageShortfall>(&widened)) {
       return refuse(RefusalKind::kRepricingImpossible, consumer_id, range,
-                    spec, reservation->epsilon(), inner.coverage(),
-                    std::string("repricing impossible: ") + inner.what());
+                    spec, held, *none);
     }
+    sold_spec = std::get<query::AccuracySpec>(widened);
     degraded = true;
     minted = mint_answer_with_intent(consumer_id, range, sold_spec,
-                                     *reservation, intent_sequence, answer,
-                                     refusal);
+                                     *reservation, intent_sequence);
+    // Coverage drifted between the widening and the re-mint.
+    if (const auto* again = std::get_if<dp::CoverageShortfall>(&minted)) {
+      return refuse(RefusalKind::kRepricingImpossible, consumer_id, range,
+                    spec, held, *again);
+    }
   }
-  if (!minted) return refusal;
+  if (const auto* declined = std::get_if<dp::MintDeclined>(&minted)) {
+    return refuse(RefusalKind::kFinalPlanOverCap, consumer_id, range,
+                  sold_spec, declined->plan.epsilon_amplified);
+  }
+  const auto& answer = std::get<dp::PrivateAnswer>(minted);
 
   PurchaseReceipt receipt;
   receipt.value = answer.value;

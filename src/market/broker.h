@@ -138,9 +138,13 @@ struct Refusal {
   units::EffectiveEpsilon cap = 0.0;
   /// The coverage a coverage refusal read; all zero for a budget refusal.
   iot::CoverageSummary coverage;
-  /// A coverage refusal's text (InsufficientCoverageError::what()); empty
-  /// for a budget refusal, whose text message() formats from the numbers.
-  std::string text;
+  /// BrokerConfig::min_coverage, the floor a kCoverageFloor or
+  /// kDegradedBelowFloor refusal fell under.
+  double floor = 0.0;
+  /// What the counter could not serve, for kCoveragePolicy and
+  /// kRepricingImpossible: the requested contract, or the widened one when
+  /// its re-mint fell short (its coverage is `coverage`).
+  dp::CoverageShortfall shortfall;
 
   /// kAtCap, kProjectedOverCap or kFinalPlanOverCap.
   bool budget() const noexcept {
@@ -148,7 +152,8 @@ struct Refusal {
            kind == RefusalKind::kProjectedOverCap ||
            kind == RefusalKind::kFinalPlanOverCap;
   }
-  /// The what() text of the exception DataBroker::sell throws for it.
+  /// The what() text of the exception DataBroker::sell throws for it,
+  /// formatted from the numbers above.
   std::string message(const std::string& consumer_id) const;
 };
 
@@ -250,20 +255,18 @@ class DataBroker {
   const AuditLog& audit_log() const noexcept { return ledger_.timeline(); }
 
  private:
-  /// The single market-layer gateway to PrivateRangeCounter::answer (the
-  /// budget-barrier-dominance lint rule enforces this): wraps the call with the
-  /// mint barrier that re-admits the sale at the FINAL plan's epsilon'
-  /// (extending `reservation`, or refusing before any noise is drawn) and
-  /// flushes the WAL intent record carrying that epsilon', reporting the
-  /// intent's wal sequence through `intent_sequence` for the matching
-  /// commit record.  Returns false, with `refusal` set, when the cap
-  /// refused the extension; dp::CoverageError passes through.
-  bool mint_answer_with_intent(const std::string& consumer_id,
-                               const query::RangeQuery& range,
-                               const query::AccuracySpec& spec,
-                               Ledger::Reservation& reservation,
-                               std::uint64_t& intent_sequence,
-                               dp::PrivateAnswer& answer, Refusal& refusal);
+  /// The single market-layer gateway to PrivateRangeCounter::try_answer (the
+  /// budget-barrier-dominance lint rule enforces this): passes the mint
+  /// barrier that re-admits the sale at the FINAL plan's epsilon'
+  /// (extending `reservation`, or declining before any noise is drawn when
+  /// the cap refuses the extension) and flushes the WAL intent record
+  /// carrying that epsilon', reporting the intent's wal sequence through
+  /// `intent_sequence` for the matching commit record.
+  dp::AnswerOutcome mint_answer_with_intent(const std::string& consumer_id,
+                                            const query::RangeQuery& range,
+                                            const query::AccuracySpec& spec,
+                                            Ledger::Reservation& reservation,
+                                            std::uint64_t& intent_sequence);
   /// Counts a commit toward the checkpoint cadence; true when this commit
   /// should take the periodic WAL checkpoint.
   bool checkpoint_due();
@@ -275,13 +278,13 @@ class DataBroker {
   /// Every refusal exit of try_sell() goes through this: it records the
   /// kRefusal in the ledger and bumps the matching refusal counter, so the
   /// audit timeline and the metrics can never disagree about why a sale
-  /// died.  `attempted` is recorded, not spent.
+  /// died.  `attempted` is recorded, not spent; a coverage refusal passes
+  /// the shortfall it read.
   Refusal refuse(RefusalKind kind, const std::string& consumer_id,
                  const query::RangeQuery& range,
                  const query::AccuracySpec& spec,
                  units::EffectiveEpsilon attempted,
-                 const iot::CoverageSummary& coverage = {},
-                 std::string text = {});
+                 const dp::CoverageShortfall& shortfall = {});
 
   dp::PrivateRangeCounter& counter_;
   std::unique_ptr<pricing::PricingFunction> pricing_;

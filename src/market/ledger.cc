@@ -85,8 +85,11 @@ bool Ledger::hold(Account& account, double epsilon,
 
 void Ledger::release_locked(Account& account, double epsilon) {
   --live_reservations_;
-  // Rounding can leave the last release a hair past zero.
-  account.held = std::max(0.0, account.held - epsilon);
+  // Rounding can leave a release a hair past zero, or the last one a hair
+  // above it: nothing is held once no reservation is live.
+  account.held = --account.reservations == 0
+                     ? 0.0
+                     : std::max(0.0, account.held - epsilon);
 }
 
 void Ledger::fold_locked(AuditEvent event, Booking booking, Account* account,
@@ -142,7 +145,8 @@ void Ledger::fold_locked(AuditEvent event, Booking booking, Account* account,
       books_.degraded_sales = base->degraded_sales;
       for (const auto& totals : base->consumers) {
         Account& restored = books_.accounts[totals.consumer_id];
-        restored = {totals.spend, totals.epsilon.value(), restored.held, true};
+        restored = {totals.spend, totals.epsilon.value(), restored.held,
+                    restored.reservations, true};
         books_.sums.consumer_spend += totals.spend;
         books_.sums.consumer_epsilon += totals.epsilon.value();
       }
@@ -188,6 +192,7 @@ std::optional<Ledger::Reservation> Ledger::try_reserve(
     return std::nullopt;
   }
   ++live_reservations_;
+  ++entry->second.reservations;
   fold_locked(
       sale_event(AuditEventType::kReserve, consumer_id, range, spec, epsilon));
   return Reservation(this, &*entry, epsilon.value());

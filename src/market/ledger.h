@@ -97,13 +97,15 @@ struct Checkpoint {
 class Ledger {
   /// One consumer's budget: what the folded events booked (revenue and
   /// epsilon', `booked` once any sale, orphan or restored base names the
-  /// consumer) and the epsilon' its live reservations hold.  Reservations
-  /// point at their account; an unordered_map never moves its nodes, and
-  /// only adopt() moves the map, when no reservation is live.
+  /// consumer), the epsilon' its live reservations hold and how many they
+  /// are.  Reservations point at their account; an unordered_map never
+  /// moves its nodes, and only adopt() moves the map, when no reservation
+  /// is live.
   struct Account {
     double spend = 0.0;
     double epsilon = 0.0;
     double held = 0.0;
+    std::size_t reservations = 0;
     bool booked = false;
   };
   using Accounts = std::unordered_map<std::string, Account>;

@@ -197,10 +197,10 @@ TEST(LedgerReservationTest, ExtendPastCapRefusesAndLeavesHoldIntact) {
   EXPECT_TRUE(ledger.try_reserve("alice", 0.05, 0.05).has_value());
 }
 
-TEST(LedgerReservationTest, ReleasesKeepRoundingResidueButNoNegativeHold) {
+TEST(LedgerReservationTest, ReleasesLeaveNoResidueAndNoNegativeHold) {
   // In binary, (0.7 + 0.1) - 0.7 - 0.1 is -2.8e-17 and (0.1 + 0.2) - 0.1 -
-  // 0.2 is +2.8e-17.  A hold released below zero reads zero; one left a
-  // hair above zero still counts against the cap.
+  // 0.2 is +2.8e-17.  Once a consumer's last reservation ends nothing is
+  // held, whichever way the subtractions round.
   Ledger ledger;
   const auto hold_and_release = [&ledger](const char* consumer, double first,
                                           double second) {
@@ -214,8 +214,15 @@ TEST(LedgerReservationTest, ReleasesKeepRoundingResidueButNoNegativeHold) {
   EXPECT_FALSE(ledger.try_reserve("alice", 3e-17, 2e-17).has_value());
   EXPECT_TRUE(ledger.try_reserve("alice", 2e-17, 2e-17).has_value());
   hold_and_release("bob", 0.1, 0.2);
-  EXPECT_FALSE(ledger.try_reserve("bob", 1e-17, 3e-17).has_value());
-  EXPECT_TRUE(ledger.try_reserve("bob", 1e-17, 4e-17).has_value());
+  EXPECT_FALSE(ledger.try_reserve("bob", 3e-17, 2e-17).has_value());
+  EXPECT_TRUE(ledger.try_reserve("bob", 2e-17, 2e-17).has_value());
+  // A release while another reservation is live still subtracts.
+  auto first = ledger.try_reserve("carol", 0.1, 1.0);
+  auto second = ledger.try_reserve("carol", 0.2, 1.0);
+  ASSERT_TRUE(first.has_value() && second.has_value());
+  first.reset();
+  EXPECT_FALSE(ledger.try_reserve("carol", 0.8 + 1e-9, 1.0).has_value());
+  EXPECT_TRUE(ledger.try_reserve("carol", 0.7, 1.0).has_value());
 }
 
 TEST(LedgerReservationTest, CommitAboveTheReservationIsFlaggedAsOverrun) {
@@ -245,6 +252,8 @@ struct LedgerModel {
   std::map<std::string, double> spend;
   std::map<std::string, double> epsilon;
   std::map<std::string, double> held;
+  /// Live reservations per consumer.
+  std::map<std::string, std::size_t> reservations;
   std::uint64_t next_sequence = 0;
   std::size_t commits = 0;
   std::size_t degraded = 0;
@@ -264,8 +273,18 @@ struct LedgerModel {
     held[consumer] = current + amount;
     return true;
   }
+  bool reserve(const std::string& consumer, double amount, double cap) {
+    if (!hold(consumer, amount, cap)) return false;
+    ++reservations[consumer];
+    return true;
+  }
   void release(const std::string& consumer, double amount) {
     const auto it = held.find(consumer);
+    if (--reservations[consumer] == 0) {
+      // The last live reservation leaves nothing held.
+      if (it != held.end()) held.erase(it);
+      return;
+    }
     if (it == held.end()) return;
     it->second -= amount;
     if (it->second <= 0.0) held.erase(it);
@@ -399,7 +418,7 @@ void run_ledger_model(std::uint64_t seed, std::size_t steps) {
   const auto reserve = [&](const std::string& consumer, double amount,
                            double limit) {
     auto handle = ledger->try_reserve(consumer, amount, limit);
-    ASSERT_EQ(handle.has_value(), model.hold(consumer, amount, limit))
+    ASSERT_EQ(handle.has_value(), model.reserve(consumer, amount, limit))
         << consumer << " reserving " << amount << " under " << limit;
     if (handle) live.push_back({std::move(handle), consumer, amount});
   };

@@ -76,6 +76,9 @@ struct Scenario {
   query::AccuracySpec spec;
   /// Sales `alice` completes before the refused one.
   std::size_t sales_before = 0;
+  /// The refusal's full message("alice"), which is also the what() of the
+  /// exception sell() throws for it.
+  const char* message = "";
 };
 
 std::vector<Scenario> scenarios() {
@@ -90,14 +93,18 @@ std::vector<Scenario> scenarios() {
         probe.counter.plan_for(healthy).epsilon_amplified;
     out.push_back({"at_cap", RefusalKind::kAtCap,
                    "consumer already at the per-consumer epsilon cap", config,
-                   {}, healthy, 1});
+                   {}, healthy, 1,
+                   "privacy budget exceeded for 'alice': spent 0.007235 of "
+                   "0.007235"});
   }
   {
     BrokerConfig config;
     config.per_consumer_epsilon_cap = 1e-9;
     out.push_back({"projected_over_cap", RefusalKind::kProjectedOverCap,
                    "projected plan does not fit under the epsilon cap",
-                   config, {}, healthy, 0});
+                   config, {}, healthy, 0,
+                   "privacy budget exceeded for 'alice': spent 0.007235 of "
+                   "0.000000"});
   }
   {
     // The projection (0.023) fits under 0.03; the plan minted after the
@@ -109,7 +116,9 @@ std::vector<Scenario> scenarios() {
     out.push_back({"final_plan_over_cap", RefusalKind::kFinalPlanOverCap,
                    "final plan exceeds reservation and the cap refused the "
                    "extension",
-                   config, stale_node_zero, {0.02, 0.9}, 0});
+                   config, stale_node_zero, {0.02, 0.9}, 0,
+                   "privacy budget exceeded for 'alice': spent 0.047590 of "
+                   "0.030000"});
   }
   {
     BrokerConfig config;
@@ -125,7 +134,8 @@ std::vector<Scenario> scenarios() {
                      network.set_node_online(1, false);
                      network.ensure_sampling_probability(0.8);
                    },
-                   {0.3, 0.5}, 0});
+                   {0.3, 0.5}, 0,
+                   "coverage 0.750000 below the broker floor 0.900000"});
   }
   {
     BrokerConfig config;
@@ -136,7 +146,10 @@ std::vector<Scenario> scenarios() {
                    [](iot::FlatNetwork& network) {
                      network.set_node_online(0, false);
                    },
-                   {0.2, 0.5}, 0});
+                   {0.2, 0.5}, 0,
+                   "sale refused: accuracy contract (alpha=0.2, delta=0.5) "
+                   "unreachable: degraded collection left coverage at "
+                   "1.000000"});
   }
   {
     // Coverage is 1 when the sale starts; the strict contract's top-up
@@ -147,7 +160,8 @@ std::vector<Scenario> scenarios() {
     config.min_coverage = 0.9;
     out.push_back({"degraded_below_floor", RefusalKind::kDegradedBelowFloor,
                    "degraded coverage below the broker floor", config,
-                   stale_node_zero, {0.01, 0.9}, 0});
+                   stale_node_zero, {0.01, 0.9}, 0,
+                   "coverage 0.875000 below the broker floor 0.900000"});
   }
   {
     BrokerConfig config;
@@ -158,7 +172,21 @@ std::vector<Scenario> scenarios() {
                    [](iot::FlatNetwork& network) {
                      network.set_node_online(0, false);
                    },
-                   {0.2, 0.5}, 0});
+                   {0.2, 0.5}, 0,
+                   "repricing impossible: no degraded contract exists: some "
+                   "node never reported at all"});
+    // Node 0 reported once, at p = 1e-4, and then went stale: no widening
+    // of alpha reaches a plan at that effective p.
+    out.push_back({"repricing_impossible_stale",
+                   RefusalKind::kRepricingImpossible,
+                   "repricing impossible: some node never reported", config,
+                   [](iot::FlatNetwork& network) {
+                     network.ensure_sampling_probability(1e-4);
+                     network.set_node_online(0, false);
+                   },
+                   {0.2, 0.5}, 0,
+                   "repricing impossible: no degraded contract exists even "
+                   "at alpha = 1 (effective p 0.000100)"});
   }
   return out;
 }
@@ -207,11 +235,10 @@ TEST(RefusalParityTest, EveryKindRefusesByValueAndThrowsTheSameAtTheBoundary) {
     EXPECT_EQ(refusal.cap.value(),
               scenario.config.per_consumer_epsilon_cap.value());
     EXPECT_EQ(refusal.spent.value(), alice_before + refusal.attempted);
+    EXPECT_EQ(refusal.message("alice"), scenario.message);
     if (refusal.budget()) {
-      EXPECT_TRUE(refusal.text.empty());
       EXPECT_GT(refusal.spent.value(), 0.0);
     } else {
-      EXPECT_FALSE(refusal.text.empty());
       EXPECT_GT(refusal.coverage.node_count, 0u);
     }
     switch (scenario.kind) {
@@ -227,17 +254,15 @@ TEST(RefusalParityTest, EveryKindRefusesByValueAndThrowsTheSameAtTheBoundary) {
       case RefusalKind::kDegradedBelowFloor:
         EXPECT_LT(refusal.coverage.coverage,
                   scenario.config.min_coverage);
-        EXPECT_EQ(refusal.text,
+        EXPECT_EQ(refusal.message("alice"),
                   "coverage " + std::to_string(refusal.coverage.coverage) +
                       " below the broker floor " +
                       std::to_string(scenario.config.min_coverage));
         break;
       case RefusalKind::kCoveragePolicy:
-        EXPECT_EQ(refusal.text.rfind("sale refused: ", 0), 0u);
         break;
       case RefusalKind::kRepricingImpossible:
-        EXPECT_EQ(refusal.text.rfind("repricing impossible: ", 0), 0u);
-        EXPECT_EQ(refusal.coverage.min_probability, 0.0);
+        EXPECT_LT(refusal.coverage.min_probability, 1e-3);
         break;
     }
 
@@ -297,7 +322,6 @@ TEST(RefusalParityTest, EveryKindRefusesByValueAndThrowsTheSameAtTheBoundary) {
         EXPECT_EQ(err.cap().value(), refusal.cap.value());
       }
     } else {
-      EXPECT_EQ(what, refusal.text);
       try {
         by_throw.broker.sell("alice", kRange, scenario.spec);
         ADD_FAILURE() << "sell() did not throw";

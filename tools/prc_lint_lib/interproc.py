@@ -43,7 +43,7 @@ from .summaries import (ACCESSOR_STOPLIST, BLOCKING_CALL_IDENTS,
                         RAW_SAMPLE_IDENTS, WAL_COMMIT_CALLS,
                         WAL_INTENT_CALLS)
 
-MINT_MEMBER_NAMES = ("answer", "perturb")
+MINT_MEMBER_NAMES = ("answer", "try_answer", "perturb")
 MINT_BARRIER_FUNCTION = "mint_answer_with_intent"
 
 
