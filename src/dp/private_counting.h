@@ -148,8 +148,6 @@ class PrivateRangeCounter {
   std::variant<query::AccuracySpec, CoverageShortfall> degraded_spec(
       const query::AccuracySpec& requested) const;
 
-  const iot::SamplingNetwork& network() const noexcept { return network_; }
-
  private:
   /// Tops up until the optimizer has a plan, or returns the shortfall at
   /// p = 1; `view` starts as the current station view and is re-read only

@@ -44,7 +44,9 @@ struct CoverageSummary {
   /// Largest effective p_i (privacy amplification must use this one:
   /// the most-included node enjoys the least amplification).
   double max_probability = 0.0;
-  /// Fraction of station-known data held at p_i >= target_p.
+  /// Fraction of station-known data held at p_i >= target_p.  A node that
+  /// never reported adds nothing to either side, so it does not lower
+  /// coverage; min_probability == 0 is what shows it.
   double coverage = 0.0;
   std::size_t reported_nodes = 0;
   /// Reported nodes whose p_i lags the round target.

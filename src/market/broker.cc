@@ -55,9 +55,11 @@ std::string budget_exceeded_message(const std::string& consumer,
   return text;
 }
 
-// The audit detail of each refusal kind (AuditEvent::detail of its
-// kRefusal).
-const char* refusal_reason(RefusalKind kind) {
+// The audit detail of a refusal (AuditEvent::detail of its kRefusal).  A
+// kRepricingImpossible names its cause from the shortfall: a node that never
+// reported, or a smallest p_i no widening reaches.
+const char* refusal_reason(RefusalKind kind,
+                           const dp::CoverageShortfall& shortfall) {
   switch (kind) {
     case RefusalKind::kAtCap:
       return "consumer already at the per-consumer epsilon cap";
@@ -66,14 +68,13 @@ const char* refusal_reason(RefusalKind kind) {
     case RefusalKind::kFinalPlanOverCap:
       return "final plan exceeds reservation and the cap refused the "
              "extension";
-    case RefusalKind::kCoverageFloor:
-      return "cache coverage below the broker floor";
     case RefusalKind::kCoveragePolicy:
       return "coverage cannot support the contract; policy is refuse";
-    case RefusalKind::kDegradedBelowFloor:
-      return "degraded coverage below the broker floor";
     case RefusalKind::kRepricingImpossible:
-      return "repricing impossible: some node never reported";
+      return shortfall.coverage.min_probability > 0.0
+                 ? "repricing impossible: no widening reaches the smallest "
+                   "node probability"
+                 : "repricing impossible: some node never reported";
   }
   return "refused";
 }
@@ -86,18 +87,10 @@ const char* refusal_reason(RefusalKind kind) {
     throw BudgetExceededError(consumer_id, refusal.spent, refusal.cap);
   }
   throw InsufficientCoverageError(refusal.message(consumer_id),
-                                  refusal.coverage);
+                                  refusal.shortfall.coverage);
 }
 
 }  // namespace
-
-std::string coverage_floor_message(double coverage, double floor) {
-  std::string text = "coverage ";
-  append_fixed(text, coverage);
-  text += " below the broker floor ";
-  append_fixed(text, floor);
-  return text;
-}
 
 BudgetExceededError::BudgetExceededError(const std::string& consumer,
                                          units::EffectiveEpsilon spent,
@@ -111,10 +104,7 @@ std::string Refusal::message(const std::string& consumer_id) const {
   if (kind == RefusalKind::kCoveragePolicy) {
     return "sale refused: " + dp::coverage_shortfall_message(shortfall);
   }
-  if (kind == RefusalKind::kRepricingImpossible) {
-    return "repricing impossible: " + dp::coverage_shortfall_message(shortfall);
-  }
-  return coverage_floor_message(coverage.coverage, floor);
+  return "repricing impossible: " + dp::coverage_shortfall_message(shortfall);
 }
 
 DataBroker::DataBroker(dp::PrivateRangeCounter& counter,
@@ -127,8 +117,6 @@ DataBroker::DataBroker(dp::PrivateRangeCounter& counter,
   PRC_CHECK(config_.per_consumer_epsilon_cap > 0.0)
       << "per-consumer epsilon cap must be positive, got "
       << config_.per_consumer_epsilon_cap;
-  PRC_CHECK(config_.min_coverage >= 0.0 && config_.min_coverage <= 1.0)
-      << "min_coverage must be in [0, 1], got " << config_.min_coverage;
 }
 
 double DataBroker::quote(const query::AccuracySpec& spec) const {
@@ -148,11 +136,9 @@ Refusal DataBroker::refuse(RefusalKind kind, const std::string& consumer_id,
       .kind = kind,
       .attempted = attempted,
       .spent = ledger_.refuse(consumer_id, range, spec, attempted,
-                              refusal_reason(kind)) +
+                              refusal_reason(kind, shortfall)) +
                attempted,
       .cap = config_.per_consumer_epsilon_cap,
-      .coverage = shortfall.coverage,
-      .floor = config_.min_coverage,
       .shortfall = shortfall};
   if (refusal.budget()) {
     static telemetry::Counter& refusals =
@@ -319,15 +305,6 @@ SaleOutcome DataBroker::try_sell(const std::string& consumer_id,
                   projected.epsilon_amplified);
   }
 
-  // The coverage floor is checked against the current cache BEFORE any
-  // answer is attempted: an estimate blind to too much of the fleet's data
-  // is refused regardless of policy, with nothing spent.
-  const auto cov = counter_.network().base_station().view()->coverage;
-  if (cov.target_p > 0.0 && cov.coverage < config_.min_coverage) {
-    return refuse(RefusalKind::kCoverageFloor, consumer_id, range, spec,
-                  reservation->epsilon(), {{}, spec, cov});
-  }
-
   std::uint64_t intent_sequence = 0;
   auto minted = mint_answer_with_intent(consumer_id, range, spec, *reservation,
                                         intent_sequence);
@@ -340,10 +317,6 @@ SaleOutcome DataBroker::try_sell(const std::string& consumer_id,
     if (config_.degraded_policy == DegradedSalePolicy::kRefuse) {
       return refuse(RefusalKind::kCoveragePolicy, consumer_id, range, spec,
                     held, *shortfall);
-    }
-    if (shortfall->coverage.coverage < config_.min_coverage) {
-      return refuse(RefusalKind::kDegradedBelowFloor, consumer_id, range,
-                    spec, held, *shortfall);
     }
     const auto widened = counter_.degraded_spec(spec);
     if (const auto* none = std::get_if<dp::CoverageShortfall>(&widened)) {

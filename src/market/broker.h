@@ -42,10 +42,6 @@ class BudgetExceededError : public std::runtime_error {
   units::EffectiveEpsilon cap_;
 };
 
-/// A coverage-floor refusal's text: "coverage <coverage> below the broker
-/// floor <floor>", each number as std::to_string prints it.
-std::string coverage_floor_message(double coverage, double floor);
-
 /// What the broker does when degraded collection cannot support the
 /// requested contract.
 enum class DegradedSalePolicy {
@@ -58,7 +54,7 @@ enum class DegradedSalePolicy {
 
 /// Thrown by DataBroker::sell when the sample cache's coverage cannot
 /// support the requested contract and the broker's policy is to refuse (or
-/// repricing is impossible because some node never reported at all).  Like
+/// no widening of the contract is reachable under kReprice).  Like
 /// BudgetExceededError, the refusal happens BEFORE any noisy answer is
 /// produced, so no budget is spent.
 class InsufficientCoverageError : public std::runtime_error {
@@ -79,10 +75,6 @@ struct BrokerConfig {
       std::numeric_limits<double>::infinity();
   /// What to do when coverage cannot support the requested contract.
   DegradedSalePolicy degraded_policy = DegradedSalePolicy::kRefuse;
-  /// Hard floor on acceptable coverage: below it the broker refuses even
-  /// under kReprice (an estimate blind to a large data fraction is not
-  /// worth selling at any accuracy).  0 disables the floor.
-  double min_coverage = 0.0;
   /// Commits between automatic WAL checkpoints (0 = never checkpoint).
   /// Only meaningful once a WAL is attached.
   std::size_t wal_checkpoint_interval = 64;
@@ -116,14 +108,11 @@ enum class RefusalKind {
   /// Budget, at the mint barrier: the final plan's epsilon' exceeds the
   /// reservation and the cap refused to extend it.
   kFinalPlanOverCap,
-  /// Coverage: the cache's coverage is below BrokerConfig::min_coverage.
-  kCoverageFloor,
   /// Coverage: the cache cannot support the contract and the policy is
   /// DegradedSalePolicy::kRefuse.
   kCoveragePolicy,
-  /// Coverage, under kReprice: the degraded coverage is below the floor.
-  kDegradedBelowFloor,
-  /// Coverage, under kReprice: no widening helps, some node never reported.
+  /// Coverage, under kReprice: no widening of the contract is reachable,
+  /// because some node never reported or the smallest p_i is too low.
   kRepricingImpossible,
 };
 
@@ -136,14 +125,9 @@ struct Refusal {
   /// `attempted`), as BudgetExceededError::spent() reports it.
   units::EffectiveEpsilon spent = 0.0;
   units::EffectiveEpsilon cap = 0.0;
-  /// The coverage a coverage refusal read; all zero for a budget refusal.
-  iot::CoverageSummary coverage;
-  /// BrokerConfig::min_coverage, the floor a kCoverageFloor or
-  /// kDegradedBelowFloor refusal fell under.
-  double floor = 0.0;
-  /// What the counter could not serve, for kCoveragePolicy and
-  /// kRepricingImpossible: the requested contract, or the widened one when
-  /// its re-mint fell short (its coverage is `coverage`).
+  /// What the counter could not serve, for a coverage refusal: the
+  /// requested contract, or the widened one when its re-mint fell short,
+  /// with the coverage the counter read.  All zero for a budget refusal.
   dp::CoverageShortfall shortfall;
 
   /// kAtCap, kProjectedOverCap or kFinalPlanOverCap.
@@ -192,9 +176,9 @@ class DataBroker {
   /// Returns a Refusal, with nothing spent and the answer NOT computed,
   /// when the sale would push the consumer past the per-consumer epsilon
   /// cap, or when degraded collection cannot support the contract and the
-  /// policy forbids (or coverage is too low for) repricing.  Each refusal
-  /// appends one kRefusal event and bumps `market.refusals_budget` or
-  /// `market.refusals_coverage`.
+  /// policy forbids repricing (or no widening of it is reachable).  Each
+  /// refusal appends one kRefusal event and bumps `market.refusals_budget`
+  /// or `market.refusals_coverage`.
   SaleOutcome try_sell(const std::string& consumer_id,
                        const query::RangeQuery& range,
                        const query::AccuracySpec& spec);

@@ -486,26 +486,5 @@ TEST(CoverageAwareBrokerTest, RepricePolicySellsWeakerContract) {
   EXPECT_DOUBLE_EQ(transaction.spec.alpha, receipt.spec.alpha);
 }
 
-TEST(CoverageAwareBrokerTest, CoverageFloorRefusesEvenUnderReprice) {
-  iot::FlatNetwork network(random_node_data(4, 300, 61));
-  network.ensure_sampling_probability(0.2);
-  network.set_node_online(0, false);
-  network.set_node_online(1, false);
-  network.ensure_sampling_probability(0.8);  // half the data goes stale
-  dp::PrivateRangeCounter counter(network);
-  market::BrokerConfig config;
-  config.degraded_policy = market::DegradedSalePolicy::kReprice;
-  config.min_coverage = 0.9;
-  market::DataBroker broker(counter, test_pricing(1200, 4), config);
-  try {
-    broker.sell("bob", query::RangeQuery{100.0, 600.0},
-                query::AccuracySpec{0.3, 0.5});
-    FAIL() << "expected InsufficientCoverageError";
-  } catch (const market::InsufficientCoverageError& err) {
-    EXPECT_LT(err.coverage().coverage, 0.9);
-  }
-  EXPECT_EQ(broker.ledger().transaction_count(), 0u);
-}
-
 }  // namespace
 }  // namespace prc

@@ -123,23 +123,6 @@ std::vector<Scenario> scenarios() {
   {
     BrokerConfig config;
     config.per_consumer_epsilon_cap = 100.0;
-    config.degraded_policy = DegradedSalePolicy::kReprice;
-    config.min_coverage = 0.9;
-    out.push_back({"coverage_floor", RefusalKind::kCoverageFloor,
-                   "cache coverage below the broker floor", config,
-                   [](iot::FlatNetwork& network) {
-                     // A quarter of the data goes stale.
-                     network.ensure_sampling_probability(0.2);
-                     network.set_node_online(0, false);
-                     network.set_node_online(1, false);
-                     network.ensure_sampling_probability(0.8);
-                   },
-                   {0.3, 0.5}, 0,
-                   "coverage 0.750000 below the broker floor 0.900000"});
-  }
-  {
-    BrokerConfig config;
-    config.per_consumer_epsilon_cap = 100.0;
     out.push_back({"coverage_policy", RefusalKind::kCoveragePolicy,
                    "coverage cannot support the contract; policy is refuse",
                    config,
@@ -150,18 +133,6 @@ std::vector<Scenario> scenarios() {
                    "sale refused: accuracy contract (alpha=0.2, delta=0.5) "
                    "unreachable: degraded collection left coverage at "
                    "1.000000"});
-  }
-  {
-    // Coverage is 1 when the sale starts; the strict contract's top-up
-    // leaves node 0 stale, 0.875 < 0.9.
-    BrokerConfig config;
-    config.per_consumer_epsilon_cap = 100.0;
-    config.degraded_policy = DegradedSalePolicy::kReprice;
-    config.min_coverage = 0.9;
-    out.push_back({"degraded_below_floor", RefusalKind::kDegradedBelowFloor,
-                   "degraded coverage below the broker floor", config,
-                   stale_node_zero, {0.01, 0.9}, 0,
-                   "coverage 0.875000 below the broker floor 0.900000"});
   }
   {
     BrokerConfig config;
@@ -179,7 +150,9 @@ std::vector<Scenario> scenarios() {
     // of alpha reaches a plan at that effective p.
     out.push_back({"repricing_impossible_stale",
                    RefusalKind::kRepricingImpossible,
-                   "repricing impossible: some node never reported", config,
+                   "repricing impossible: no widening reaches the smallest "
+                   "node probability",
+                   config,
                    [](iot::FlatNetwork& network) {
                      network.ensure_sampling_probability(1e-4);
                      network.set_node_online(0, false);
@@ -239,7 +212,7 @@ TEST(RefusalParityTest, EveryKindRefusesByValueAndThrowsTheSameAtTheBoundary) {
     if (refusal.budget()) {
       EXPECT_GT(refusal.spent.value(), 0.0);
     } else {
-      EXPECT_GT(refusal.coverage.node_count, 0u);
+      EXPECT_GT(refusal.shortfall.coverage.node_count, 0u);
     }
     switch (scenario.kind) {
       case RefusalKind::kAtCap:
@@ -250,19 +223,10 @@ TEST(RefusalParityTest, EveryKindRefusesByValueAndThrowsTheSameAtTheBoundary) {
       case RefusalKind::kFinalPlanOverCap:
         EXPECT_GT(refusal.spent.value(), refusal.cap.value());
         break;
-      case RefusalKind::kCoverageFloor:
-      case RefusalKind::kDegradedBelowFloor:
-        EXPECT_LT(refusal.coverage.coverage,
-                  scenario.config.min_coverage);
-        EXPECT_EQ(refusal.message("alice"),
-                  "coverage " + std::to_string(refusal.coverage.coverage) +
-                      " below the broker floor " +
-                      std::to_string(scenario.config.min_coverage));
-        break;
       case RefusalKind::kCoveragePolicy:
         break;
       case RefusalKind::kRepricingImpossible:
-        EXPECT_LT(refusal.coverage.min_probability, 1e-3);
+        EXPECT_LT(refusal.shortfall.coverage.min_probability, 1e-3);
         break;
     }
 
@@ -326,18 +290,77 @@ TEST(RefusalParityTest, EveryKindRefusesByValueAndThrowsTheSameAtTheBoundary) {
         by_throw.broker.sell("alice", kRange, scenario.spec);
         ADD_FAILURE() << "sell() did not throw";
       } catch (const InsufficientCoverageError& err) {
+        const iot::CoverageSummary& read = refusal.shortfall.coverage;
         EXPECT_EQ(std::string(err.what()), what);
-        EXPECT_EQ(err.coverage().coverage, refusal.coverage.coverage);
-        EXPECT_EQ(err.coverage().min_probability,
-                  refusal.coverage.min_probability);
-        EXPECT_EQ(err.coverage().reported_nodes,
-                  refusal.coverage.reported_nodes);
-        EXPECT_EQ(err.coverage().stale_nodes, refusal.coverage.stale_nodes);
+        EXPECT_EQ(err.coverage().coverage, read.coverage);
+        EXPECT_EQ(err.coverage().min_probability, read.min_probability);
+        EXPECT_EQ(err.coverage().reported_nodes, read.reported_nodes);
+        EXPECT_EQ(err.coverage().stale_nodes, read.stale_nodes);
       }
     }
     // ...and leaves the same timeline.
     EXPECT_EQ(by_throw.broker.audit_log().to_jsonl(), timeline);
     EXPECT_EQ(by_throw.broker.ledger().total_epsilon().value(), total_before);
+  }
+}
+
+// Stale data under kReprice is sold, not refused: the counter plans at the
+// smallest reached p_i and amplifies at the largest, so the delivered
+// contract is honest at any coverage.  Each case sells the same receipt
+// through try_sell() and sell().
+TEST(RefusalParityTest, StaleCachesSellWhatTheyCanSupportThroughEitherEntry) {
+  struct SoldCase {
+    const char* name;
+    Prepare prepare;
+    query::AccuracySpec requested;
+    bool degraded;
+    query::AccuracySpec delivered;
+    double coverage;
+  };
+  const SoldCase cases[] = {
+      // A quarter of the data is stale at p = 0.2 while the rest holds
+      // p = 0.8: the requested contract still fits at p = 0.2.
+      {"quarter_stale",
+       [](iot::FlatNetwork& network) {
+         network.ensure_sampling_probability(0.2);
+         network.set_node_online(0, false);
+         network.set_node_online(1, false);
+         network.ensure_sampling_probability(0.8);
+       },
+       {0.3, 0.5}, false, {0.3, 0.5}, 0.75},
+      // The strict contract's top-up leaves node 0 stale at p = 0.1: the
+      // sale is re-quoted to the smallest widening of alpha that p supports.
+      {"strict_contract_node_zero_stale", stale_node_zero, {0.01, 0.9}, true,
+       {0.015625, 0.9}, 0.875},
+  };
+  BrokerConfig config;
+  config.per_consumer_epsilon_cap = 100.0;
+  config.degraded_policy = DegradedSalePolicy::kReprice;
+  for (const SoldCase& sold : cases) {
+    SCOPED_TRACE(sold.name);
+    Rig by_value(config, sold.prepare);
+    Rig by_throw(config, sold.prepare);
+    const SaleOutcome outcome =
+        by_value.broker.try_sell("alice", kRange, sold.requested);
+    ASSERT_TRUE(outcome.sold());
+    const PurchaseReceipt& receipt = outcome.receipt();
+    EXPECT_EQ(receipt.degraded, sold.degraded);
+    EXPECT_EQ(receipt.spec.alpha, sold.delivered.alpha);
+    EXPECT_EQ(receipt.spec.delta, sold.delivered.delta);
+    EXPECT_EQ(receipt.requested.alpha, sold.requested.alpha);
+    EXPECT_EQ(receipt.coverage, sold.coverage);
+
+    const PurchaseReceipt thrown =
+        by_throw.broker.sell("alice", kRange, sold.requested);
+    EXPECT_EQ(thrown.value, receipt.value);
+    EXPECT_EQ(thrown.price, receipt.price);
+    EXPECT_EQ(thrown.spec.alpha, receipt.spec.alpha);
+    EXPECT_EQ(thrown.coverage, receipt.coverage);
+    EXPECT_EQ(by_throw.broker.audit_log().to_jsonl(),
+              by_value.broker.audit_log().to_jsonl());
+    EXPECT_TRUE(by_value.broker.audit_log()
+                    .reconcile(by_value.broker.ledger())
+                    .consistent);
   }
 }
 
@@ -432,9 +455,6 @@ TEST(RefusalTextTest, NumbersPrintAsStdToStringDoes) {
       EXPECT_EQ(std::string(err.what()),
                 "privacy budget exceeded for 'c-1': spent " +
                     std::to_string(spent) + " of " + std::to_string(cap));
-      EXPECT_EQ(coverage_floor_message(spent, cap),
-                "coverage " + std::to_string(spent) +
-                    " below the broker floor " + std::to_string(cap));
     }
   }
 }
